@@ -16,8 +16,9 @@ digits, so identical configurations reproduce byte-identical files.  A
 ``key = value`` config file supplies defaults; command-line flags override.
 
 Exit codes: 0 success; 1 invariant-suite violation; 2 invalid exponent
-relation or malformed input; 3 numerical failure (non-integrable weight,
-degenerate data, unresolved level set).
+relation or malformed input (the parser rejects non-finite numbers and
+weight-descriptor parameters before anything runs); 3 numerical failure
+(non-integrable weight, degenerate data, unresolved level set).
 """
 
 from __future__ import annotations
@@ -116,17 +117,44 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _finite(text: str) -> float:
+    """argparse type: a finite float."""
+    if not math.isfinite(x := float(text)):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return x
+
+
+def _finite_list(text: str) -> list[float]:
+    return [_finite(item) for item in text.split(",")]
+
+
+_PARAMS = {"powerlog": ("a", "b", "c"), "diag": ("a1", "a2", "a3"),
+           "rotdiag": ("a1", "a2", "a3", "turns")}
+
+
+def _params(rest: str, allowed: tuple[str, ...]) -> dict[str, float]:
+    """'key=value,...' descriptor parameters as finite floats."""
+    params: dict[str, float] = {}
+    for key, _, val in (item.partition("=") for item in filter(None, rest.split(","))):
+        if key.strip() not in allowed:
+            raise argparse.ArgumentTypeError(f"unknown descriptor parameter {key!r}")
+        params[key.strip()] = _finite(val)
+    return params
+
+
+def _descriptor(spec: str) -> str:
+    """argparse type: a weight descriptor whose parameters are finite floats."""
+    kind, _, rest = spec.partition(":")
+    if kind in _PARAMS:
+        _params(rest, _PARAMS[kind])
+    return spec
+
+
 def parse_weight(spec: str):
     """Weight descriptor: 'powerlog:a=-0.5[,b=0][,c=1]' or 'sampled:<json file>'."""
     kind, _, rest = spec.partition(":")
     if kind == "powerlog":
-        params = {"a": 0.0, "b": 0.0, "c": 1.0}
-        if rest:
-            for item in rest.split(","):
-                key, _, val = item.partition("=")
-                if key not in params:
-                    raise ValueError(f"unknown powerlog parameter {key!r}")
-                params[key] = float(val)
+        params = {"a": 0.0, "b": 0.0, "c": 1.0, **_params(rest, _PARAMS[kind])}
         return PowerLogWeight(params["a"], params["b"], params["c"])
     if kind == "sampled":
         with open(rest) as f:
@@ -149,10 +177,7 @@ def parse_matrix_weight(spec: str, mesh: Mesh, rng: np.random.Generator, d: int)
     if kind == "random":
         return random_matrix_weight(mesh, d, rng)
     if kind in ("diag", "rotdiag"):
-        params: dict[str, float] = {}
-        for item in rest.split(","):
-            key, _, val = item.partition("=")
-            params[key.strip()] = float(val)
+        params = _params(rest, _PARAMS[kind])
         exps = [params[f"a{i + 1}"] for i in range(d)]
         cols = [PowerLogWeight(a).cell_averages(mesh) for a in exps]
         n = mesh.n_cells
@@ -282,7 +307,7 @@ def cmd_weaktype(args) -> int:
 
 
 def cmd_lowerbound(args) -> int:
-    deltas = [float(d) for d in args.delta.split(",")]
+    deltas = args.delta
     for d in deltas:
         if not (0 < d < 0.5):
             raise ExponentError(f"delta must lie in (0, 1/2), got {d}")
@@ -380,7 +405,7 @@ def cmd_matrix_check(args) -> int:
 
 def cmd_constants(args) -> int:
     rows = []
-    for a in (float(x) for x in args.a_list.split(",")):
+    for a in args.a_list:
         w = PowerLogWeight(-a)
         ainf = ainfty_characteristic(w, mesh=Mesh(args.radius, args.level)).value
         nu = sharp_rh_exponent(w, SearchSpace.anchored_only())
@@ -421,13 +446,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("characteristic", "weight characteristic with witness cube")
     common(p)
-    p.add_argument("--weight", required=True, help="powerlog:a=..,b=..,c=.. or sampled:file.json")
+    p.add_argument("--weight", required=True, type=_descriptor,
+                   help="powerlog:a=..,b=..,c=.. or sampled:file.json")
     p.add_argument("--kind", default="ap", choices=["ap", "a1", "ainfty", "rh", "apq", "a1q"])
-    p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--q", type=float, default=None)
-    p.add_argument("--s", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--radius", type=float, default=4.0)
+    p.add_argument("--p", type=_finite, default=2.0)
+    p.add_argument("--q", type=_finite, default=None)
+    p.add_argument("--s", type=_finite, default=None)
+    p.add_argument("--alpha", type=_finite, default=None)
+    p.add_argument("--radius", type=_finite, default=4.0)
     p.add_argument("--level", type=int, default=8)
     p.add_argument("--max-level", type=int, default=8)
     p.set_defaults(func=cmd_characteristic, default_name="characteristic.csv")
@@ -435,21 +461,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("weaktype", "weak-type quotient sweep over seeded step functions")
     common(p)
     p.add_argument("--operator", default="AS", choices=["AS", "M", "Md", "H", "Ialpha", "Malpha"])
-    p.add_argument("--weight", required=True)
-    p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--q", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
+    p.add_argument("--weight", required=True, type=_descriptor)
+    p.add_argument("--p", type=_finite, default=2.0)
+    p.add_argument("--q", type=_finite, default=None)
+    p.add_argument("--alpha", type=_finite, default=None)
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--radius", type=float, default=4.0)
+    p.add_argument("--radius", type=_finite, default=4.0)
     p.add_argument("--level", type=int, default=7)
     p.set_defaults(func=cmd_weaktype, default_name="weaktype.csv")
 
     p = add("lowerbound", "endpoint lower-bound delta sweep")
     common(p)
-    p.add_argument("--delta", default="0.05,0.1,0.2", help="comma-separated deltas in (0, 1/2)")
+    p.add_argument("--delta", default="0.05,0.1,0.2", type=_finite_list,
+                   help="comma-separated deltas in (0, 1/2)")
     p.add_argument("--cells-per-band", type=int, default=16)
-    p.add_argument("--x-min", type=float, default=1e-12)
-    p.add_argument("--window", type=float, default=4.0, help="lambda window factor around e^(1/delta)")
+    p.add_argument("--x-min", type=_finite, default=1e-12)
+    p.add_argument("--window", type=_finite, default=4.0, help="lambda window factor around e^(1/delta)")
     p.add_argument("--no-closed-form", action="store_true",
                    help="cell-counted measures only (errors below resolution)")
     p.add_argument("--json-output", default=None, help="also write a JSON report")
@@ -458,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("sparse-check", "CZ + sparse-family invariant suite")
     common(p)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--radius", type=float, default=1.0)
+    p.add_argument("--radius", type=_finite, default=1.0)
     p.add_argument("--level", type=int, default=7)
     p.set_defaults(func=cmd_sparse_check, default_name="sparse_check.csv")
 
@@ -466,18 +493,18 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--d", type=int, default=2, choices=[2, 3])
-    p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--weight", default="random",
+    p.add_argument("--p", type=_finite, default=2.0)
+    p.add_argument("--weight", default="random", type=_descriptor,
                    help="random | diag:a1=..,a2=.. | rotdiag:a1=..,a2=..,turns=.. | json:file")
-    p.add_argument("--radius", type=float, default=1.0)
+    p.add_argument("--radius", type=_finite, default=1.0)
     p.add_argument("--level", type=int, default=6)
     p.set_defaults(func=cmd_matrix_check, default_name="matrix_check.csv")
 
     p = add("constants", "proof-exponent table over |x|^-a weights")
     common(p)
-    p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--a-list", default="0.3,0.6,0.9")
-    p.add_argument("--radius", type=float, default=4.0)
+    p.add_argument("--p", type=_finite, default=2.0)
+    p.add_argument("--a-list", default="0.3,0.6,0.9", type=_finite_list)
+    p.add_argument("--radius", type=_finite, default=4.0)
     p.add_argument("--level", type=int, default=8)
     p.set_defaults(func=cmd_constants, default_name="constants.csv")
     return parser

@@ -165,7 +165,7 @@ class MeshFunction:
     zero outside the mesh domain wherever an integral asks for it.
     """
 
-    __slots__ = ("mesh", "values", "_prefix")
+    __slots__ = ("mesh", "values")
 
     def __init__(self, mesh: Mesh, values):
         values = np.asarray(values, dtype=float)
@@ -175,7 +175,6 @@ class MeshFunction:
             raise ValueError("mesh function values must be finite")
         self.mesh = mesh
         self.values = values
-        self._prefix = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -221,38 +220,23 @@ class MeshFunction:
             return MeshFunction(self.mesh, np.linalg.norm(self.values, axis=1))
         return MeshFunction(self.mesh, np.abs(self.values))
 
-    def prefix(self) -> np.ndarray:
-        """P[i] = integral of f over the first i cells (exact cell sums)."""
-        if self._prefix is None:
-            if self.is_vector:
-                raise TypeError("prefix integrals of a vector function are undefined")
-            p = np.zeros(self.mesh.n_cells + 1)
-            np.cumsum(self.values * self.mesh.h, out=p[1:])
-            self._prefix = p
-        return self._prefix
-
     def integral(self, a=None, b=None) -> float:
-        """Exact integral of f over [a, b) ∩ domain (zero extension outside)."""
+        """Integral of f over [a, b) ∩ domain (zero extension outside).
+
+        Summed from the cells the interval covers (see ``_span_integrals``),
+        so the rounding error scales with the interval's own mass.
+        """
         mesh = self.mesh
         lo = mesh.left_frac if a is None else max(Fraction(a), mesh.left_frac)
         hi = mesh.right_frac if b is None else min(Fraction(b), mesh.right_frac)
         if hi <= lo:
             return 0.0
-        return self._cum_at(hi) - self._cum_at(lo)
-
-    def _cum_at(self, pos_frac: Fraction) -> float:
-        """Integral from the left mesh edge to pos (pos inside the domain)."""
-        mesh = self.mesh
-        pos = (pos_frac - mesh.left_frac) / mesh.h_frac
-        i = math.floor(pos)
-        p = self.prefix()
-        if i >= mesh.n_cells:
-            return float(p[-1])
-        rem = pos - i
-        out = float(p[i])
-        if rem:
-            out += self.values[i] * mesh.h * float(rem)
-        return out
+        pos_lo = (lo - mesh.left_frac) / mesh.h_frac
+        pos_hi = (hi - mesh.left_frac) / mesh.h_frac
+        den = math.lcm(pos_lo.denominator, pos_hi.denominator)
+        # Python integers: a float endpoint such as 0.1 overflows int64
+        nums = np.array([pos.numerator * (den // pos.denominator) for pos in (pos_lo, pos_hi)], dtype=object)
+        return float(_span_integrals(self, nums[:1], nums[1:], den)[0])
 
     def average(self, a, b) -> float:
         """Integral over [a, b) divided by the full length b - a."""
@@ -529,50 +513,58 @@ def cube_indices_per_cell(mesh: Mesh, grid: DyadicGrid, k: int) -> tuple[np.ndar
     return q, contained
 
 
-def level_cube_range(mesh: Mesh, grid: DyadicGrid, k: int) -> tuple[int, int]:
-    """Indices [q0, q1] of the level-k cubes meeting the mesh domain."""
-    q0 = grid.cube_index_of(k, mesh.left_frac)
-    q1 = grid.cube_index_of(k, mesh.right_frac)
-    if grid.cube_left(k, q1) == mesh.right_frac:
-        q1 -= 1
-    return int(q0), int(q1)
-
-
 def level_cube_integrals(f: MeshFunction, grid: DyadicGrid, k: int) -> tuple[int, np.ndarray]:
-    """Exact integrals of f over every level-k cube meeting the mesh domain.
+    """Integrals of f over every level-k cube meeting the mesh domain.
 
     Returns ``(q0, integrals)`` with ``integrals[m]`` the integral over cube
     ``q0 + m``.  Cells straddling a cube edge are split exactly; f is zero
-    outside the domain.
+    outside the domain.  Each entry is bit-identical to
+    ``f.integral(cube.left, cube.right)``: both go through
+    ``_span_integrals``.
     """
-    mesh = f.mesh
-    q0, q1 = level_cube_range(mesh, grid, k)
-    n_cubes = q1 - q0 + 1
-    if n_cubes == 1:
-        return q0, np.array([f.prefix()[-1]])
-    width = _width_frac(k)
-    pos0 = (grid.cube_left(k, q0 + 1) - mesh.left_frac) / mesh.h_frac
-    pstep = width / mesh.h_frac
-    den = math.lcm(pos0.denominator, pstep.denominator)
-    p0 = pos0.numerator * (den // pos0.denominator)
-    step = pstep.numerator * (den // pstep.denominator)
-    m = np.arange(n_cubes - 1, dtype=np.int64)
-    cums = _cum_at_positions(f, p0 + m * step, den)
-    total = f.prefix()[-1]
-    bounds = np.concatenate(([0.0], cums, [total]))
-    return q0, np.diff(bounds)
+    n = f.mesh.n_cells
+    a0, step, den = _level_affine(f.mesh, grid, k)
+    # cube m spans cell positions [(m den - a0)/step, ((m+1) den - a0)/step)
+    q0 = a0 // den
+    q1 = -(-(a0 + n * step) // den) - 1
+    inner = np.arange(q0 + 1, q1 + 1, dtype=np.int64) * den - a0
+    edges = np.concatenate(([0], inner, [n * step]))
+    return q0, _span_integrals(f, edges[:-1], edges[1:], step)
 
 
-def _cum_at_positions(f: MeshFunction, nums: np.ndarray, den: int) -> np.ndarray:
-    """Integral of f from the left mesh edge to positions nums/den (cell units)."""
-    mesh = f.mesh
-    n = mesh.n_cells
-    idx = nums // den
-    rem = nums - idx * den
-    idx_c = np.clip(idx, 0, n).astype(np.int64)
-    out = f.prefix()[idx_c].copy()
-    inside = (idx >= 0) & (idx < n) & (rem > 0)
-    if np.any(inside):
-        cells = idx_c[inside]
-        out[inside] += f.values[cells] * mesh.h * (rem[inside] / den)
-    return out
+def _span_integrals(f: MeshFunction, lo: np.ndarray, hi: np.ndarray, den: int) -> np.ndarray:
+    """Integrals of f over the spans [lo/den, hi/den), in cell units from the
+    left mesh edge (integer arrays, 0 <= lo <= hi <= n_cells * den).
+
+    Each span sums its own whole cells and adds the covered shares of its
+    two straddling cells, so the rounding error scales with the span's own
+    mass, not with the mass to its left (differencing one global prefix sum
+    would).  Zero cells are left out of the sums, and ``count`` equal
+    nonzero values sum to the one correctly rounded product ``count * v``.
+    So spans holding the same blocks, or blocks of one height whose cell
+    counts differ by a power of two, get floats in the exact ratio, and an
+    exact stopping tie (such as a block alone in a cube and in its
+    ancestor) stays a tie.  The shares are correctly rounded quotients of
+    exact integers, so a span gives the same float whatever ``den``
+    expresses it.
+    """
+    if f.is_vector:
+        raise TypeError("integrals of a vector function are undefined")
+    h = f.mesh.h
+    v = np.append(f.values, 0.0)  # a zero cell past the right edge
+    i_lo, r_lo = lo // den, lo % den
+    i_hi, r_hi = hi // den, hi % den
+    first = (i_lo + (r_lo > 0)).astype(np.int64)  # whole cells [first, stop)
+    stop = i_hi.astype(np.int64)
+    i_lo = i_lo.astype(np.int64)
+    nz = np.flatnonzero(f.values)
+    bounds = np.searchsorted(nz, np.stack([first, stop], axis=1).ravel())
+    vals = np.append(f.values[nz], 0.0)
+    count = bounds[1::2] - bounds[::2]  # nonzero whole cells
+    low, high, total = (u.reduceat(vals, bounds)[::2] for u in (np.minimum, np.maximum, np.add))
+    whole = np.where(count <= 0, 0.0, np.where(low == high, count * low, total))
+    same = i_lo == stop  # both ends in one cell
+    w_lo = np.where(same, hi - lo, np.where(r_lo > 0, den - r_lo, 0)) / den
+    w_hi = np.where(same, 0, r_hi) / den
+    out = whole * h + v[i_lo] * h * w_lo + v[stop] * h * w_hi
+    return np.asarray(out, dtype=float)

@@ -218,8 +218,10 @@ def _reduce_field(field: np.ndarray, r: float, n_dirs: int | None = None):
     return m, float(ratios.min()), float(ratios.max())
 
 
-def _cached_reduce(W: MatrixWeight, cube: Cube, tag: str, power: float, r: float) -> ReducingMatrix:
-    key = (cube.level, cube.index, cube.grid.shift, tag)
+def _cached_reduce(W: MatrixWeight, cube: Cube, power: float, r: float) -> ReducingMatrix:
+    """Reducing matrix of the field W^power on the cube at exponent r, cached
+    on the exact floats (power, r)."""
+    key = (cube.level, cube.index, cube.grid.shift, power, r)
     if key not in W._reducing:
         cells = W.cells_of(cube)
         field = W.power(power)[cells]
@@ -238,23 +240,23 @@ def reducing_matrix(W: MatrixWeight, cube: Cube, p: float) -> ReducingMatrix:
     Exact for p = 2 (both certified factors are 1 up to arithmetic);
     ellipsoid-fitted otherwise.
     """
-    return _cached_reduce(W, cube, f"W,p={p:g}", 1.0 / p, p)
+    return _cached_reduce(W, cube, 1.0 / p, p)
 
 
 def dual_reducing_matrix(W: MatrixWeight, cube: Cube, p: float) -> ReducingMatrix:
     """Reducing matrix of rho_{W^(-p'/p), p'} (the dual norm)."""
     pp = dual_exponent(p)
-    return _cached_reduce(W, cube, f"Wdual,p={p:g}", -1.0 / p, pp)
+    return _cached_reduce(W, cube, -1.0 / p, pp)
 
 
 def fractional_reducing_matrix(W: MatrixWeight, cube: Cube, q: float) -> ReducingMatrix:
     """|V_Q^q v| ~ (avg_Q |W v|^q)^(1/q)."""
-    return _cached_reduce(W, cube, f"V,q={q:g}", 1.0, q)
+    return _cached_reduce(W, cube, 1.0, q)
 
 
 def fractional_dual_reducing_matrix(W: MatrixWeight, cube: Cube, p: float) -> ReducingMatrix:
     pp = dual_exponent(p)
-    return _cached_reduce(W, cube, f"Vdual,p={p:g}", -1.0, pp)
+    return _cached_reduce(W, cube, -1.0, pp)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,11 @@ E_Q) is exact at cell granularity.
 For shifted grids the cubes do not align with cells; families built there
 stop above a minimum cube width (default 32 cells) so that the
 cell-quantized E_Q still certify the sparseness inequality |Q| <= 2 |E_Q|.
+
+Both stopping-time walks run over integer cube coordinates (k, m) and read
+cube averages from per-level tables (``level_cube_integrals``, built once
+per level per call, bit-identical to ``grid.average``); an index outside a
+table is off the domain.  Only kept cubes become ``Cube`` objects.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import Cube, DyadicGrid, Mesh, MeshFunction, average
+from .grid import Cube, DyadicGrid, Mesh, MeshFunction, level_cube_integrals
 
 __all__ = [
     "SparseFamily",
@@ -86,6 +91,24 @@ def covering_roots(mesh: Mesh, grid: DyadicGrid, span: tuple[float, float]) -> l
     return roots
 
 
+def _cube_averages(f: MeshFunction, grid: DyadicGrid, cubes: Sequence[Cube]):
+    """avg(k, m) = <f> over grid cube (k, m), None off the domain; the given
+    starting cubes must belong to the grid."""
+    if any(c.grid != grid for c in cubes):
+        raise ValueError("root cubes must belong to the construction's grid")
+    tables: dict[int, tuple[int, list[float]]] = {}
+
+    def avg(k: int, m: int) -> float | None:
+        if k not in tables:
+            q0, ints = level_cube_integrals(f, grid, k)
+            tables[k] = (q0, (ints / 2.0**-k).tolist())
+        q0, avgs = tables[k]
+        j = m - q0
+        return avgs[j] if 0 <= j < len(avgs) else None
+
+    return avg
+
+
 # ---------------------------------------------------------------------------
 # sparse families
 # ---------------------------------------------------------------------------
@@ -125,11 +148,12 @@ def sparse_apply(family: SparseFamily, f: MeshFunction, alpha: float = 0.0) -> M
     mesh = family.mesh
     centers = mesh.centers()
     out = np.zeros(mesh.n_cells)
+    avg = _cube_averages(f, family.grid, family.cubes)
     for cube in family.cubes:
-        avg = average(f, cube)
+        a = avg(cube.level, cube.index) or 0.0  # None: no cell centre inside
         lo, hi = float(cube.left), float(cube.right)
         sel = (centers >= lo) & (centers < hi)
-        out[sel] += cube.width**alpha * avg
+        out[sel] += cube.width**alpha * a
     return MeshFunction(mesh, out)
 
 
@@ -192,35 +216,34 @@ def build_sparse_family(
         min_width_cells = 1 if grid.is_standard() else 32
     max_level = math.floor(math.log2(1.0 / (min_width_cells * mesh.h)))
 
-    mag = f
+    avg = _cube_averages(f, grid, roots)
     cubes: list[Cube] = []
     designated: list[np.ndarray] = []
 
-    def descend(cube: Cube, base_avg: float) -> list[Cube]:
-        """Maximal descendants of cube with average >= threshold * base_avg."""
+    def descend(k0: int, m0: int, base_avg: float) -> list[Cube]:
+        """Maximal descendants of cube (k0, m0) with average >= threshold * base_avg."""
         found: list[Cube] = []
-        stack = list(cube.children())
+        lo = grid.child_left_index(k0, m0)
+        stack = [(k0 + 1, lo), (k0 + 1, lo + 1)]
         while stack:
-            c = stack.pop()
-            if c.level > max_level:
+            k, m = stack.pop()
+            if k > max_level or (avg_c := avg(k, m)) is None:
                 continue
-            if not c.intersects(mesh.left_frac, mesh.right_frac):
-                continue
-            avg_c = average(mag, c)
             if avg_c > 0 and avg_c >= threshold * base_avg:
-                found.append(c)
+                found.append(grid.cube(k, m))
             else:
-                stack.extend(c.children())
+                lo = grid.child_left_index(k, m)
+                stack += ((k + 1, lo), (k + 1, lo + 1))
         return found
 
     for root in roots:
         queue = [root]
         while queue:
             cube = queue.pop()
-            avg = average(mag, cube)
-            if avg == 0.0 and cube is not root:
+            a = avg(cube.level, cube.index) or 0.0  # a root off the domain averages 0
+            if a == 0.0 and cube is not root:
                 continue
-            stopping = descend(cube, avg) if avg > 0 else []
+            stopping = descend(cube.level, cube.index, a) if a > 0 else []
             inside = _cells_inside(mesh, cube)
             if len(stopping) > 0:
                 excluded = np.concatenate([_cells_inside(mesh, c) for c in stopping])
@@ -284,22 +307,23 @@ def cz_decompose(
     if roots is None:
         roots = root_cubes(mesh, grid)
     k_cell = mesh.aligned_cell_level()
+    avg = _cube_averages(h, grid, roots)
 
     stopping: list[Cube] = []
-    stack = [r for r in roots if r.intersects(mesh.left_frac, mesh.right_frac)]
-    while stack:
-        cube = stack.pop()
-        if average(h, cube) > height:
-            stopping.append(cube)
-        elif cube.level < k_cell:
-            stack.extend(cube.children())
-
     good = h.values.copy()
     omega = []
-    for cube in stopping:
-        cells = _cells_inside(mesh, cube)
-        good[cells] = average(h, cube)
-        omega.append(cells)
+    stack = [(r.level, r.index) for r in roots]
+    while stack:
+        k, m = stack.pop()
+        if (a := avg(k, m)) is None:
+            continue  # off the domain: average 0, never stops
+        if a > height:
+            stopping.append(grid.cube(k, m))
+            omega.append(_cells_inside(mesh, stopping[-1]))
+            good[omega[-1]] = a
+        elif k < k_cell:
+            lo = grid.child_left_index(k, m)
+            stack += ((k + 1, lo), (k + 1, lo + 1))
     omega_cells = np.sort(np.concatenate(omega)) if omega else np.arange(0)
     good_f = MeshFunction(mesh, good)
     bad_f = MeshFunction(mesh, h.values - good)

@@ -525,11 +525,10 @@ def _averages(weight, lo, hi):
 
 
 def _sampled_avgs(weight: SampledWeight, lo, hi):
-    f = weight.as_mesh_function()
     # endpoints produced by _sampled_intervals are exact cell edges
     pos_lo = np.round((lo + weight.mesh.radius) / weight.mesh.h).astype(np.int64)
     pos_hi = np.round((hi + weight.mesh.radius) / weight.mesh.h).astype(np.int64)
-    p = f.prefix()
+    p = np.concatenate(([0.0], np.cumsum(weight.values * weight.mesh.h)))
     return (p[pos_hi] - p[pos_lo]) / (hi - lo)
 
 

@@ -77,6 +77,31 @@ class TestExitCodes:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["characteristic", "--weight", "powerlog:a=0.5", "--p", "nan"], "--p: must be finite"),
+            (["weaktype", "--weight", "powerlog:a=0.5", "--p", "inf"], "--p: must be finite"),
+            (["characteristic", "--weight", "powerlog:a=nan"], "--weight: must be finite"),
+            (["characteristic", "--weight", "powerlog:a=0.5,z=1"], "unknown descriptor parameter"),
+            (["characteristic", "--weight", "powerlog:a=0.5", "--kind", "rh", "--s=-inf"],
+             "--s: must be finite"),
+            (["matrix-check", "--weight", "rotdiag:a1=-0.4,a2=inf"], "--weight: must be finite"),
+            (["lowerbound", "--delta", "0.1,nan"], "--delta: must be finite"),
+            (["constants", "--a-list", "0.3,inf"], "--a-list: must be finite"),
+        ],
+        ids=["p-nan", "p-inf", "weight-nan", "weight-unknown-key", "s-inf", "matrix-weight-inf",
+             "delta-nan", "a-list-inf"],
+    )
+    def test_non_finite_input_is_2_at_parse_time(self, tmp_path, capsys, args, message):
+        # rejected by the parser, before any computation can report a
+        # numerical failure (exit 3)
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "x.csv", args)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_unresolved_level_set_is_3(self, tmp_path):
         code, _ = run(
             tmp_path, "x.csv",

@@ -16,6 +16,16 @@ from weaklab import (
     enumerate_cubes,
     shifted_grids,
 )
+from weaklab.grid import level_cube_integrals
+
+
+def exact_integral(f, lo, hi):
+    """Integral of f over [lo, hi) in rational arithmetic, cell by cell."""
+    mesh = f.mesh
+    return sum(
+        Fraction(float(f.values[i])) * (min(hi, mesh.edge_fraction(i + 1)) - max(lo, mesh.edge_fraction(i)))
+        for i in range(*mesh.cell_span(lo, hi))
+    )
 
 
 class TestEnumerateCubes:
@@ -147,6 +157,95 @@ class TestAverage:
         lin = average(f * c1 + g * c2, q)
         assert lin == pytest.approx(c1 * average(f, q) + c2 * average(g, q), abs=1e-12)
         assert average(f, q) <= average(f + g, q) + 1e-12  # g >= 0
+
+    def test_small_cube_mass_beside_a_large_one_keeps_its_precision(self):
+        # [0, 1) holds 1.66e-6 behind a left half of mass 0.24: a difference
+        # of prefix sums would carry the left half's rounding, 3.7e-12 of it
+        mesh = Mesh(1.0, 7)
+        v = np.zeros(mesh.n_cells)
+        v[30:105] = 0.4121718062597689
+        v[255] = 0.0002123938356576316
+        f = MeshFunction(mesh, v)
+        right_half = DyadicGrid().cube(0, 0)
+        assert f.integral(0, 1) == v[255] * mesh.h
+        assert average(f, right_half) == v[255] * mesh.h
+        q0, ints = level_cube_integrals(f, DyadicGrid(), 0)
+        assert ints[0 - q0] == v[255] * mesh.h
+
+    @pytest.mark.parametrize(
+        "level,block,value,coarse,fine",
+        [
+            # a block alone in [0, 1) and in its grandchild [3/4, 1)
+            (9, (900, 1002), 0.2939312573571504, (0, 0), (2, 3)),
+            # 52 cells in [-1, 0), 13 of them in [-3/4, -11/16): 52 = 4 * 13
+            (8, (25, 77), 0.257422416331346, (0, -1), (4, -12)),
+        ],
+    )
+    def test_exact_stopping_ties_stay_ties(self, level, block, value, coarse, fine):
+        # the exact averages differ by exactly 4, the sparse threshold, and so
+        # must the floats, or the stopping decision turns on summation order
+        mesh = Mesh(1.0, level)
+        v = np.zeros(mesh.n_cells)
+        v[block[0] : block[1]] = value
+        f = MeshFunction(mesh, v)
+        grid = DyadicGrid()
+        assert average(f, grid.cube(*fine)) == 4 * average(f, grid.cube(*coarse))
+        (qc, ints_c), (qf, ints_f) = (level_cube_integrals(f, grid, k) for k in (coarse[0], fine[0]))
+        assert ints_f[fine[1] - qf] * 2.0 ** fine[0] == 4 * ints_c[coarse[1] - qc] * 2.0 ** coarse[0]
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        heights=st.sampled_from([1, 3, 50]),
+        i0=st.integers(0, 64),
+        length=st.integers(0, 64),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_cell_aligned_integral_sums_its_own_cells(self, seed, heights, i0, length):
+        # blocks drawn from a few heights: equal runs and mixed spans both occur
+        mesh = Mesh(3.0, 6)
+        rng = np.random.default_rng(seed)
+        v = rng.choice(rng.uniform(-1, 1, heights), mesh.n_cells) * (rng.uniform(size=mesh.n_cells) < 0.7)
+        v = np.repeat(v[::8], 8)
+        f = MeshFunction(mesh, v)
+        i1 = min(i0 + length, mesh.n_cells)
+        got = f.integral(mesh.edge_fraction(i0), mesh.edge_fraction(i1))
+        heights_inside = set(v[i0:i1][v[i0:i1] != 0])
+        if len(heights_inside) <= 1:  # one correctly rounded product
+            assert got == math.fsum(v[i0:i1]) * mesh.h
+        else:
+            own = math.fsum(np.abs(v[i0:i1])) * mesh.h
+            assert abs(got - math.fsum(v[i0:i1]) * mesh.h) <= 2 * length * 2.0**-53 * own
+
+    def test_integral_between_arbitrary_float_endpoints(self):
+        # 0.1 and 0.7 have 2^-55-scale denominators: exact positions overflow int64
+        mesh = Mesh(1.0, 4)
+        vals = np.random.default_rng(3).uniform(0, 1, mesh.n_cells)
+        f = MeshFunction(mesh, vals)
+        exact = exact_integral(f, Fraction(0.1), Fraction(0.7))
+        assert f.integral(0.1, 0.7) == pytest.approx(float(exact), rel=1e-15)
+
+    @given(
+        radius=st.sampled_from([0.5, 0.75, 1.0, 3.0, 4.0]),
+        level=st.integers(1, 6),
+        shift=st.sampled_from([0, 1, 2]),
+        dk=st.integers(-3, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_level_tables_equal_average_bit_for_bit(self, radius, level, shift, dk, seed):
+        mesh = Mesh(radius, level)
+        rng = np.random.default_rng(seed)
+        f = MeshFunction(mesh, rng.uniform(0, 1, mesh.n_cells) * (rng.uniform(size=mesh.n_cells) < 0.5))
+        grid = DyadicGrid(shift=(shift,))
+        k = round(math.log2(1.0 / mesh.h)) + dk
+        q0, ints = level_cube_integrals(f, grid, k)
+        for j, integral in enumerate(ints):
+            cube = grid.cube(k, q0 + j)
+            assert f.integral(cube.left, cube.right) == integral
+            assert average(f, cube) == integral / 2.0**-k
+            # accurate relative to the cube's own mass: a few roundings per cell
+            own = float(exact_integral(f, cube.left, cube.right))
+            assert abs(integral - own) <= 4 * mesh.n_cells * 2.0**-53 * own
 
     def test_zero_measure_cube_rejected(self, mesh):
         f = MeshFunction.constant(mesh, 1.0)

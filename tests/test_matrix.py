@@ -99,6 +99,19 @@ class TestReducingMatrices:
             red = reducing_matrix(W, DyadicGrid().cube(0, 0), p)
             assert np.allclose(red.matrix, np.eye(2), atol=1e-9)
 
+    def test_cache_keeps_nearby_exponents_apart(self, mmesh):
+        # 3.0000001 prints as "3" under %g: the cache must key on the float
+        W = random_matrix_weight(mmesh, 2, np.random.default_rng(0))
+        cube = DyadicGrid().cube(0, 0)
+        red = reducing_matrix(W, cube, 3.0)
+        near = reducing_matrix(W, cube, 3.0000001)
+        assert red.exponent == 3.0
+        assert near is not red and near.exponent == 3.0000001
+        assert reducing_matrix(W, cube, 3.0) is red
+        dual = dual_reducing_matrix(W, cube, 3.0000001)
+        assert dual.exponent == pytest.approx(3.0000001 / 2.0000001, rel=1e-15)
+        assert dual is not dual_reducing_matrix(W, cube, 3.0)
+
     def test_p3_certified_factors_within_sqrt2(self, mmesh):
         rng = np.random.default_rng(7)
         W = random_matrix_weight(mmesh, 2, rng)

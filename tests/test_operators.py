@@ -108,6 +108,18 @@ class TestDyadicMaximal:
         assert np.all(mfg.values <= mf.values + mg.values + 1e-12)
         assert np.allclose(dyadic_maximal(f * -2.5).values, 2.5 * mf.values, rtol=1e-12)
 
+    def test_block_maxima_with_a_tiny_mass_beside_a_large_one(self, mesh):
+        # a 1.66e-6 root mass behind a left half of mass 0.24: numpy block
+        # maxima within 1e-12 (prefix-sum differences were 3.7e-12 off)
+        v = np.zeros(mesh.n_cells)
+        v[30:105] = 0.4121718062597689
+        v[255] = 0.0002123938356576316
+        out = np.zeros(mesh.n_cells)
+        for size in (2 ** j for j in range(mesh.level + 1)):
+            out = np.maximum(out, np.repeat(v.reshape(-1, size).mean(axis=1), size))
+        md = dyadic_maximal(MeshFunction(mesh, v), max_level=mesh.aligned_cell_level())
+        np.testing.assert_allclose(md.values, out, rtol=1e-12, atol=0)
+
     def test_hl_dominates_single_grid(self, mesh):
         rng = np.random.default_rng(21)
         f = random_step(mesh, rng)
