@@ -28,7 +28,11 @@ cubes in a level range, optionally augmented by origin-anchored intervals
 [0, t] and two-sided intervals [-s, t] (closed-form weights are even, and
 their extremal intervals hug the origin, where dyadic cubes alone are too
 rigid).  The report records the witness interval so every value can be
-recomputed from its definition.
+recomputed from its definition.  Each grid level's cubes are built at once as
+integer arrays: cube m of level k in grid j is [(3m + sj) 2^-k, (3m + 3 + sj)
+2^-k) / 3 with sj = (-1)^k j.  While |3m + 3 + sj| < 2^53 the numerator times
+2^-k is an exact float, so one division by 3 is the correctly rounded exact
+endpoint, bit for bit what float() of the rational cube endpoint gives.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from .grid import (
     DyadicGrid,
     Mesh,
     MeshFunction,
+    _level_affine,
     level_cube_integrals,
     shifted_grids,
 )
@@ -386,6 +391,11 @@ class SearchSpace:
     For sampled weights the cube/interval family is replaced by every
     cell-aligned interval of the carrying mesh (optionally strided), which
     realizes the exact supremum over the natural candidate family.
+
+    ``domain = (a, b)`` must be finite with ``a < b`` and
+    ``max(|a|, |b|) * 2**max_level <= 2**51``; the second bound keeps every
+    cube numerator ``|3m + 3 + sj| < 2**53``, which makes the integer-array
+    grid endpoints exact (see the module docstring).
     """
 
     domain: tuple[float, float] = (-4.0, 4.0)
@@ -398,6 +408,13 @@ class SearchSpace:
     # standard-grid dyadic cubes (for comparisons against the matrix
     # characteristics, which use exactly that family)
     sampled_aligned_cubes: bool = False
+
+    def __post_init__(self):
+        a, b = self.domain
+        if not (math.isfinite(a) and math.isfinite(b) and a < b):
+            raise ValueError(f"search domain must be finite with a < b, got {self.domain}")
+        if math.ldexp(max(-a, b), self.max_level) > 2**51:
+            raise ValueError(f"search domain {self.domain} is too wide for level {self.max_level}")
 
     @classmethod
     def default(cls, radius: float = 4.0, max_level: int = 8) -> "SearchSpace":
@@ -433,34 +450,26 @@ class SearchSpace:
             if self.sampled_aligned_cubes:
                 return _aligned_cube_intervals(weight.mesh)
             return _sampled_intervals(weight.mesh, self.domain)
-        los: list[float] = []
-        his: list[float] = []
-        labels: list[str] = []
         a, b = self.domain
+        los, his, labels = [], [], []
         for g in self.grids:
             for k in range(self.min_level, self.max_level + 1):
-                q0 = g.cube_index_of(k, max(a, -(2.0**-k) * 1e6))
-                q1 = g.cube_index_of(k, b)
-                for m in range(q0, q1 + 1):
-                    c = g.cube(k, m)
-                    lo, hi = float(c.left), float(c.right)
-                    if hi <= a or lo >= b:
-                        continue
-                    los.append(lo)
-                    his.append(hi)
-                    labels.append(f"grid{g.shift_index}:k={k},m={m}")
-        for t in self.anchored:
-            if 0 < t <= b:
-                los.append(0.0)
-                his.append(float(t))
-                labels.append(f"anchored:t={t:.6g}")
-        ts = [t for t in self.two_sided if 0 < t <= b]
-        for s in ts:
-            for t in ts:
-                los.append(-float(s))
-                his.append(float(t))
-                labels.append(f"two-sided:s={s:.6g},t={t:.6g}")
-        return np.array(los), np.array(his), labels
+                m = np.arange(g.cube_index_of(k, a), g.cube_index_of(k, b) + 1)
+                sj = (-1 if k & 1 else 1) * g.shift_index
+                lo = (3 * m + sj) * 2.0**-k / 3.0
+                hi = (3 * m + 3 + sj) * 2.0**-k / 3.0
+                keep = (hi > a) & (lo < b)
+                los.append(lo[keep])
+                his.append(hi[keep])
+                labels += [f"grid{g.shift_index}:k={k},m={i}" for i in m[keep].tolist()]
+        t = np.array([x for x in self.anchored if 0 < x <= b], dtype=float)
+        ts = np.array([x for x in self.two_sided if 0 < x <= b], dtype=float)
+        los += [np.zeros(len(t)), -np.repeat(ts, len(ts))]
+        his += [t, np.tile(ts, len(ts))]
+        tags = [f"{x:.6g}" for x in ts.tolist()]
+        labels += [f"anchored:t={x:.6g}" for x in t.tolist()]
+        labels += [f"two-sided:s={s},t={u}" for s in tags for u in tags]
+        return np.concatenate(los), np.concatenate(his), labels
 
 
 def _aligned_cube_intervals(mesh: Mesh):
@@ -759,35 +768,25 @@ def _fujii_wilson_one_grid(wbar: MeshFunction, grid: DyadicGrid, k_lo: int, k_fi
     q0f, ints_f = level_cube_integrals(wbar, grid, k_fine)
     nf = len(ints_f)
     width_f = 2.0**-k_fine
-    lefts_f_num = 3 * (q0f + np.arange(nf, dtype=np.int64)) + (
-        -1 if k_fine & 1 else 1
-    ) * grid.shift_index
+    lefts_f_num = 3 * (q0f + np.arange(nf, dtype=np.int64)) + (-1 if k_fine & 1 else 1) * grid.shift_index
     # left endpoint of finest cube i is lefts_f_num[i] / (3 * 2^k_fine), exactly
-    denom_f = 3 * 2**k_fine if k_fine >= 0 else 3  # k_fine >= 0 in practice
     profile = np.zeros(nf)
     best_val = -np.inf
     best_cube = None
-    level_data = {}
     for k in range(k_fine, k_lo - 1, -1):
         q0, ints = level_cube_integrals(wbar, grid, k)
         width = 2.0**-k
         avgs = ints / width
-        # ancestor index at level k of each finest cube:
-        # anc = floor((left_f - shift_k) / width_k) computed in integers
-        sigma_k = -1 if k & 1 else 1
-        # left_f = lefts_f_num / (3 * 2^k_fine); (left_f / 2^-k - sigma_k j / 3)
-        #        = (lefts_f_num * 2^(k - k_fine) - sigma_k j * 2^... ) / 3
-        shift_num = sigma_k * grid.shift_index
+        # ancestor index at level k of each finest cube, floor(left_f / 2^-k - (-1)^k j/3),
+        # in integers: multiply through by 3 * 2^(k_fine - k)
         scale = 2 ** (k_fine - k)
-        anc = (lefts_f_num - shift_num * scale) // (3 * scale)
+        anc = (lefts_f_num - (-1 if k & 1 else 1) * grid.shift_index * scale) // (3 * scale)
         profile = np.maximum(profile, avgs[anc - q0])
-        # cubes at level k fully inside the mesh domain
-        inside_lo = q0
-        while grid.cube_left(k, inside_lo) < mesh.left_frac:
-            inside_lo += 1
-        inside_hi = q0 + len(ints) - 1
-        while grid.cube_left(k, inside_hi + 1) > mesh.right_frac:
-            inside_hi -= 1
+        # cubes at level k fully inside the mesh domain: cube m spans edge
+        # positions [(m den - a0)/step, ((m+1) den - a0)/step) of the n cells
+        a0, step, den = _level_affine(mesh, grid, k)
+        inside_lo = -(-a0 // den)
+        inside_hi = (a0 + mesh.n_cells * step) // den - 1
         if inside_hi < inside_lo:
             continue
         # segment sums of profile * width_f per ancestor cube

@@ -1,0 +1,97 @@
+"""Reference candidate intervals: the per-``Cube`` loop that
+``SearchSpace.intervals_for`` used before it built each grid level as
+integer arrays, and the Fujii-Wilson per-grid sweep with its range of
+inside cubes found by ``Fraction`` scans instead of integer division.
+
+Every grid endpoint here is ``float(cube.left)`` / ``float(cube.right)`` of a
+freshly built ``Cube``, i.e. the correctly rounded value of the exact
+rational.  The differential tests in ``test_weights.py`` require the array
+construction to agree with these byte for byte.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from weaklab.grid import DyadicGrid, Mesh, MeshFunction, level_cube_integrals
+
+
+def oracle_intervals(search) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Closed-form-weight candidates of ``search`` as (lo, hi, labels)."""
+    los: list[float] = []
+    his: list[float] = []
+    labels: list[str] = []
+    a, b = search.domain
+    for g in search.grids:
+        for k in range(search.min_level, search.max_level + 1):
+            q0 = g.cube_index_of(k, a)
+            q1 = g.cube_index_of(k, b)
+            for m in range(q0, q1 + 1):
+                c = g.cube(k, m)
+                lo, hi = float(c.left), float(c.right)
+                if hi <= a or lo >= b:
+                    continue
+                los.append(lo)
+                his.append(hi)
+                labels.append(f"grid{g.shift_index}:k={k},m={m}")
+    for t in search.anchored:
+        if 0 < t <= b:
+            los.append(0.0)
+            his.append(float(t))
+            labels.append(f"anchored:t={t:.6g}")
+    ts = [t for t in search.two_sided if 0 < t <= b]
+    for s in ts:
+        for t in ts:
+            los.append(-float(s))
+            his.append(float(t))
+            labels.append(f"two-sided:s={s:.6g},t={t:.6g}")
+    return np.array(los), np.array(his), labels
+
+
+def oracle_inside_range(mesh: Mesh, grid: DyadicGrid, k: int, q0: int, n: int) -> tuple[int, int]:
+    """First and last level-k cubes inside the mesh domain, scanned inward
+    in exact rationals from the table range ``[q0, q0 + n)``."""
+    inside_lo = q0
+    while grid.cube_left(k, inside_lo) < mesh.left_frac:
+        inside_lo += 1
+    inside_hi = q0 + n - 1
+    while grid.cube_left(k, inside_hi + 1) > mesh.right_frac:
+        inside_hi -= 1
+    return inside_lo, inside_hi
+
+
+def oracle_fujii_wilson_one_grid(wbar: MeshFunction, grid: DyadicGrid, k_lo: int, k_fine: int):
+    """``weights._fujii_wilson_one_grid`` with the inside range scanned by
+    ``oracle_inside_range``."""
+    q0f, ints_f = level_cube_integrals(wbar, grid, k_fine)
+    nf = len(ints_f)
+    width_f = 2.0**-k_fine
+    lefts_f_num = 3 * (q0f + np.arange(nf, dtype=np.int64)) + (-1 if k_fine & 1 else 1) * grid.shift_index
+    profile = np.zeros(nf)
+    best_val = -np.inf
+    best_cube = None
+    for k in range(k_fine, k_lo - 1, -1):
+        q0, ints = level_cube_integrals(wbar, grid, k)
+        avgs = ints / 2.0**-k
+        shift_num = (-1 if k & 1 else 1) * grid.shift_index
+        scale = 2 ** (k_fine - k)
+        anc = (lefts_f_num - shift_num * scale) // (3 * scale)
+        profile = np.maximum(profile, avgs[anc - q0])
+        inside_lo, inside_hi = oracle_inside_range(wbar.mesh, grid, k, q0, len(ints))
+        if inside_hi < inside_lo:
+            continue
+        seg = np.searchsorted(anc, np.arange(inside_lo, inside_hi + 2))
+        csum = np.concatenate(([0.0], np.cumsum(profile * width_f)))
+        m_int = csum[seg[1:]] - csum[seg[:-1]]
+        wq = ints[inside_lo - q0 : inside_hi - q0 + 1]
+        ok = wq > 0
+        if not np.any(ok):
+            continue
+        vals = np.where(ok, m_int / np.where(ok, wq, 1.0), -np.inf)
+        i = int(np.argmax(vals))
+        if vals[i] > best_val:
+            best_val = float(vals[i])
+            best_cube = (k, inside_lo + i)
+    if best_cube is None:
+        return None
+    return best_val, best_cube

@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
+import weaklab.weights as weights_module
+from search_oracle import oracle_fujii_wilson_one_grid, oracle_inside_range, oracle_intervals
 from weaklab import (
     DegenerateWeightError,
+    DyadicGrid,
     Mesh,
     NonIntegrableError,
     PowerLogWeight,
@@ -19,7 +24,9 @@ from weaklab import (
     dual_exponent,
     rh_characteristic,
     sharp_rh_exponent,
+    shifted_grids,
 )
+from weaklab.grid import _level_affine, enumerate_cubes
 from weaklab.lowerbound import w_delta
 
 E = math.e
@@ -406,3 +413,220 @@ class TestSampledWeights:
         w = SampledWeight(mesh, np.ones(mesh.n_cells))
         with pytest.raises(ValueError):
             w.integral(-2, 0)
+
+
+# ---------------------------------------------------------------------------
+# candidate intervals against the per-Cube oracle
+# ---------------------------------------------------------------------------
+
+
+def assert_same_intervals(search):
+    lo, hi, labels = search.intervals_for(ONE)
+    o_lo, o_hi, o_labels = oracle_intervals(search)
+    assert lo.dtype == o_lo.dtype == hi.dtype == o_hi.dtype == np.float64
+    assert lo.tobytes() == o_lo.tobytes()
+    assert hi.tobytes() == o_hi.tobytes()
+    assert labels == o_labels
+    return lo, hi, labels
+
+
+# the oracle builds one Cube per candidate, about 16 us each: keep every
+# example under roughly 12k grid cubes
+def small_enough(width, max_level):
+    return width * 2.0**max_level <= 2**10
+
+
+grid_subsets = st.lists(st.sampled_from(shifted_grids(1)), unique=True, max_size=3)
+values = st.one_of(st.floats(-2.0, 12.0), st.sampled_from([0.0, -0.0, 1.0]))
+
+
+class TestCandidateIntervals:
+    @settings(max_examples=30)
+    @given(radius=st.floats(0.5, 16.0), max_level=st.integers(0, 12))
+    def test_default_matches_oracle(self, radius, max_level):
+        assume(small_enough(2 * radius, max_level))
+        assert_same_intervals(SearchSpace.default(radius, max_level))
+
+    @pytest.mark.parametrize("radius,max_level", [(0.5, 12), (0.75, 8), (5.25, 9), (16.0, 6)])
+    def test_default_extremes_match_oracle(self, radius, max_level):
+        assert_same_intervals(SearchSpace.default(radius, max_level))
+
+    @pytest.mark.parametrize("radius,n", [(4.0, 96), (0.5, 48), (16.0, 7)])
+    def test_anchored_only_matches_oracle(self, radius, n):
+        lo, _, labels = assert_same_intervals(SearchSpace.anchored_only(radius, n))
+        assert np.all(lo == 0.0) and all(s.startswith("anchored:") for s in labels)
+
+    @settings(max_examples=60)
+    @given(
+        a=st.floats(-8.0, 8.0),
+        width=st.floats(1e-3, 10.0),
+        grids=grid_subsets,
+        min_level=st.integers(-4, 8),
+        extra=st.integers(-2, 6),
+        anchored=st.lists(values, max_size=8),
+        two_sided=st.lists(values, max_size=6),
+    )
+    def test_any_domain_grids_and_families_match_oracle(
+        self, a, width, grids, min_level, extra, anchored, two_sided
+    ):
+        b = a + width
+        max_level = min_level + extra
+        assume(a < b and small_enough(b - a, max_level))
+        search = SearchSpace(
+            domain=(a, b),
+            grids=tuple(grids),
+            min_level=min_level,
+            max_level=max_level,
+            anchored=tuple(anchored),
+            two_sided=tuple(two_sided),
+        )
+        assert_same_intervals(search)
+
+    @pytest.mark.parametrize("domain", [(-2.5, 7.3), (0.1, 0.2), (-3.0, -0.5), (1e-3, 5.0)])
+    @pytest.mark.parametrize("grids", [(0,), (1,), (2,), (0, 2), (2, 1, 0)])
+    def test_non_dyadic_and_one_sided_domains(self, domain, grids):
+        search = SearchSpace(
+            domain=domain,
+            grids=tuple(DyadicGrid(shift=(j,)) for j in grids),
+            min_level=-3,
+            max_level=7,
+            anchored=(0.05, 0.15, 4.0),
+            two_sided=(0.1, 0.2, 3.0),
+        )
+        lo, hi, _ = assert_same_intervals(search)
+        assert np.all(lo < hi)
+
+    def test_empty_level_range_has_no_cubes(self):
+        search = SearchSpace(min_level=3, max_level=2, anchored=(0.5,), two_sided=(0.25, 1.0))
+        _, _, labels = assert_same_intervals(search)
+        assert labels == ["anchored:t=0.5"] + [
+            f"two-sided:s={s},t={t}" for s in ("0.25", "1") for t in ("0.25", "1")
+        ]
+        lo, hi, labels = SearchSpace(min_level=3, max_level=2).intervals_for(ONE)
+        assert lo.shape == hi.shape == (0,) and lo.dtype == np.float64 and labels == []
+
+    def test_anchored_and_two_sided_values_outside_zero_b_are_dropped(self):
+        search = SearchSpace(
+            domain=(-1.0, 2.0),
+            grids=(),
+            anchored=(-1.0, 0.0, -0.0, 0.5, 2.0, 2.5, math.nextafter(2.0, 3.0)),
+            two_sided=(-0.5, 0.0, 1.0, 2.0, 3.0),
+        )
+        lo, hi, labels = assert_same_intervals(search)
+        assert labels == ["anchored:t=0.5", "anchored:t=2"] + [
+            f"two-sided:s={s},t={t}" for s in "12" for t in "12"
+        ]
+        assert lo.tolist() == [0.0, 0.0, -1.0, -1.0, -2.0, -2.0]
+        assert hi.tolist() == [0.5, 2.0, 1.0, 2.0, 1.0, 2.0]
+
+
+class TestSearchSpaceDomain:
+    def test_far_left_domain_keeps_every_cube(self):
+        # level-0 cubes of [-1.5e6, -1.4e6): a left-side clip at -1e6 once dropped all of them
+        search = SearchSpace(domain=(-1.5e6, -1.4e6), grids=(DyadicGrid(),), min_level=0, max_level=0)
+        lo, hi, _ = search.intervals_for(ONE)
+        assert len(lo) == 100_000
+        assert lo[0] == -1.5e6 and hi[-1] == -1.4e6 and np.all(np.diff(lo) == 1.0)
+
+    def test_deep_level_keeps_cubes_left_of_the_old_clip(self):
+        # at level 20 the old clip sat at -2^-20 * 1e6 = -0.954, inside this domain
+        grid = DyadicGrid(shift=(1,))
+        search = SearchSpace(domain=(-1.0, -0.9), grids=(grid,), min_level=20, max_level=20)
+        lo, hi, labels = search.intervals_for(ONE)
+        cubes = enumerate_cubes(grid, (-1.0, -0.9), 20, 20)
+        assert len(lo) == len(cubes) > 100_000
+        assert lo[0] == float(cubes[0].left) and hi[-1] == float(cubes[-1].right)
+        assert labels[0] == f"grid1:k=20,m={cubes[0].index}"
+
+    @pytest.mark.parametrize(
+        "domain",
+        [(-4.0, math.inf), (-math.inf, 4.0), (math.nan, 1.0), (0.0, math.nan), (-4.0, -4.0), (4.0, -4.0)],
+        ids=["b-inf", "a-inf", "a-nan", "b-nan", "a-eq-b", "a-gt-b"],
+    )
+    def test_unbounded_or_empty_domain_rejected(self, domain):
+        with pytest.raises(ValueError, match="finite with a < b"):
+            SearchSpace(domain=domain)
+
+    @pytest.mark.parametrize(
+        "domain", [(2.0**43 - 0.5, 2.0**43), (-(2.0**43), 0.5 - 2.0**43)], ids=["right", "left"]
+    )
+    def test_endpoints_exact_at_the_width_bound(self, domain):
+        # |3m + 3 + sj| just under 2^53 at level 8
+        search = SearchSpace(domain=domain, min_level=8, max_level=8)
+        lo, _, _ = assert_same_intervals(search)
+        assert len(lo) == 3 * 128 + 2
+
+    def test_domain_too_wide_for_exact_endpoints_rejected(self):
+        SearchSpace(domain=(-(2.0**43), 1.0), max_level=8)  # 2^51 exactly: allowed
+        with pytest.raises(ValueError, match="too wide"):
+            SearchSpace(domain=(-(2.0**43), 1.0), max_level=9)
+        with pytest.raises(ValueError, match="too wide"):
+            SearchSpace(domain=(0.0, 2.0**44), max_level=8)
+
+
+def oracle_search(monkeypatch):
+    monkeypatch.setattr(SearchSpace, "intervals_for", lambda self, w: oracle_intervals(self))
+
+
+def same_report(a, b):
+    return (a.value, a.witness, a.witness_label) == (b.value, b.witness, b.witness_label)
+
+
+CHARACTERISTICS = [
+    (PowerLogWeight(-0.5), lambda w, s: ap_characteristic(w, 2.0, s)),
+    (PowerLogWeight(0.5), lambda w, s: ap_characteristic(w, 3.0, s)),
+    (PowerLogWeight(-0.9, 1.0), lambda w, s: ap_characteristic(w, 2.0, s)),
+    (PowerLogWeight(-0.3), lambda w, s: apq_characteristic(w, 2.0, 3.0, s)),
+    (PowerLogWeight(-0.5), a1_characteristic),
+    (w_delta(0.1), a1_characteristic),
+    (PowerLogWeight(-0.5), lambda w, s: rh_characteristic(w, 1.5, s)),
+    (PowerLogWeight(0.4, 0.5, 2.0), lambda w, s: rh_characteristic(w, 3.0, s)),
+]
+
+
+@pytest.mark.parametrize("case", range(len(CHARACTERISTICS)))
+@pytest.mark.parametrize(
+    "search",
+    [SearchSpace.default(), SearchSpace.default(0.75, 5), SearchSpace.anchored_only()],
+    ids=["default", "r0.75", "anchored"],
+)
+def test_characteristic_reports_match_oracle_intervals(case, search, monkeypatch):
+    weight, characteristic = CHARACTERISTICS[case]
+    new = characteristic(weight, search)
+    oracle_search(monkeypatch)
+    assert same_report(characteristic(weight, search), new)
+
+
+# ---------------------------------------------------------------------------
+# Fujii-Wilson range of inside cubes against the Fraction scans
+# ---------------------------------------------------------------------------
+
+FW_RADII = (0.5, 0.75, 1.0, 3.0, 4.0, 5.25, 16.0)
+
+
+@pytest.mark.parametrize("radius", FW_RADII)
+def test_inside_range_matches_fraction_scan(radius):
+    """The integer range ``_fujii_wilson_one_grid`` takes from ``_level_affine``
+    equals the inward ``Fraction`` scan at every level it visits."""
+    for level in (3, 6, 9):
+        mesh = Mesh(radius, level)
+        k_fine = math.floor(math.log2(1.0 / mesh.h))
+        for grid in shifted_grids(1):
+            for k in range(-math.ceil(math.log2(2 * radius)), k_fine + 1):
+                a0, step, den = _level_affine(mesh, grid, k)
+                q0, q1 = a0 // den, -(-(a0 + mesh.n_cells * step) // den) - 1
+                expected = oracle_inside_range(mesh, grid, k, q0, q1 - q0 + 1)
+                assert (-(-a0 // den), (a0 + mesh.n_cells * step) // den - 1) == expected
+
+
+@pytest.mark.parametrize("radius", FW_RADII)
+def test_ainfty_report_matches_fraction_scan(radius, monkeypatch):
+    mesh = Mesh(radius, 7)
+    sampled = SampledWeight(mesh, np.random.default_rng(int(radius * 4)).uniform(0.1, 3.0, mesh.n_cells))
+    for w in (PowerLogWeight(-0.4), PowerLogWeight(0.5, 1.0), sampled):
+        for grids in ([g] for g in shifted_grids(1)):
+            new = ainfty_characteristic(w, mesh=mesh, grids=grids)
+            with monkeypatch.context() as mp:
+                mp.setattr(weights_module, "_fujii_wilson_one_grid", oracle_fujii_wilson_one_grid)
+                old = ainfty_characteristic(w, mesh=mesh, grids=grids)
+            assert same_report(new, old)
