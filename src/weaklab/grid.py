@@ -2,9 +2,12 @@
 
 Everything downstream (weights, operators, sparse families) is represented on
 a uniform mesh over ``[-R, R)`` whose cells are half-open, left-closed
-intervals.  Cube/mesh intersections are carried out in exact binary-rational
-arithmetic (``fractions.Fraction``) so that set measures are exact sums of
-cell widths and never drift.
+intervals.  Every cube/cell question is answered in integers, so set
+measures are exact sums of cell widths: ``cube_span`` places a cube at
+``[lo/den, hi/den)`` in cell units from the left mesh edge, read off the
+per-level constants of ``_level_affine`` (integer indexing as in
+Lerner-Nazarov, *Intuitive dyadic calculus*).  ``Fraction`` remains only at
+the boundaries: points a caller supplies and ``Cube.left``/``Cube.right``.
 
 The shifted dyadic grids implement the one-third-trick family
 
@@ -14,7 +17,7 @@ which has the two properties the rest of the library relies on:
 
 * within one grid, any two cubes are nested or disjoint;
 * every bounded interval I is contained in a cube of one of the grids with
-  |Q| <= 6 |I| (at dimension 1).
+  |Q| <= 6 |I|.
 
 Suprema "over all cubes" are approximated by suprema over these grids within
 a level range (plus richer interval families where closed forms make them
@@ -26,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -40,14 +42,9 @@ __all__ = [
     "enumerate_cubes",
     "average",
     "covering_cube",
+    "cube_span",
+    "cells_inside",
 ]
-
-_TWO = Fraction(2)
-
-
-def _width_frac(k: int) -> Fraction:
-    """Exact cube width 2**-k at any integer level."""
-    return _TWO ** (-k)
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +76,8 @@ class Mesh:
             raise ValueError(f"mesh radius must be positive and finite, got {self.radius}")
         if not (0 <= self.level <= 20):
             raise ValueError(f"mesh level must be in 0..20, got {self.level}")
-        if Fraction(self.radius).denominator > 1024 or Fraction(self.radius).numerator > 2**20:
+        num, den = float(self.radius).as_integer_ratio()
+        if den > 1024 or num > 2**20:
             raise ValueError(
                 f"mesh radius {self.radius} is not a small binary rational; "
                 "exact cube/cell arithmetic would overflow"
@@ -93,22 +91,6 @@ class Mesh:
     def h(self) -> float:
         return self.radius * 2.0 ** (-self.level)
 
-    @property
-    def radius_frac(self) -> Fraction:
-        return Fraction(self.radius)
-
-    @property
-    def h_frac(self) -> Fraction:
-        return Fraction(self.radius) / 2**self.level
-
-    @property
-    def left_frac(self) -> Fraction:
-        return -self.radius_frac
-
-    @property
-    def right_frac(self) -> Fraction:
-        return self.radius_frac
-
     def edges(self) -> np.ndarray:
         """All ``n_cells + 1`` cell edges as floats (exact for binary radii)."""
         i = np.arange(self.n_cells + 1)
@@ -118,30 +100,28 @@ class Mesh:
         i = np.arange(self.n_cells)
         return -self.radius + (i + 0.5) * self.h
 
-    def edge_fraction(self, i: int) -> Fraction:
-        return self.left_frac + i * self.h_frac
+    def _position(self, x) -> Fraction:
+        """Exact position of the point x in cell units from the left mesh edge."""
+        r = Fraction(self.radius)
+        return (Fraction(x) + r) * 2**self.level / r
 
     def cell_of(self, x) -> int:
         """Index of the cell containing x (x inside the domain)."""
-        pos = (Fraction(x) - self.left_frac) / self.h_frac
-        i = math.floor(pos)
+        i = math.floor(self._position(x))
         if i < 0 or i >= self.n_cells:
             raise ValueError(f"point {x} outside mesh domain [-{self.radius}, {self.radius})")
         return i
 
     def cell_span(self, a, b) -> tuple[int, int]:
         """Smallest cell range [i0, i1) whose union covers [a, b) ∩ domain."""
-        lo = max(Fraction(a), self.left_frac)
-        hi = min(Fraction(b), self.right_frac)
+        lo = max(self._position(a), 0)
+        hi = min(self._position(b), self.n_cells)
         if hi <= lo:
             return (0, 0)
-        i0 = math.floor((lo - self.left_frac) / self.h_frac)
-        i1 = math.ceil((hi - self.left_frac) / self.h_frac)
-        return (i0, min(i1, self.n_cells))
+        return (math.floor(lo), math.ceil(hi))
 
     def is_power_of_two(self) -> bool:
-        r = self.radius_frac
-        num, den = r.numerator, r.denominator
+        num, den = float(self.radius).as_integer_ratio()
         return (num == 1 and den & (den - 1) == 0) or (den == 1 and num & (num - 1) == 0)
 
     def aligned_cell_level(self) -> int:
@@ -189,8 +169,7 @@ class MeshFunction:
     @classmethod
     def indicator(cls, mesh: Mesh, a, b) -> "MeshFunction":
         """Indicator of [a, b); endpoints must lie on cell edges."""
-        lo = (Fraction(a) - mesh.left_frac) / mesh.h_frac
-        hi = (Fraction(b) - mesh.left_frac) / mesh.h_frac
+        lo, hi = mesh._position(a), mesh._position(b)
         if lo.denominator != 1 or hi.denominator != 1:
             raise ValueError(f"indicator endpoints [{a}, {b}) do not align with mesh cells")
         v = np.zeros(mesh.n_cells)
@@ -199,7 +178,7 @@ class MeshFunction:
 
     def embedded(self, new_radius: float) -> "MeshFunction":
         """Zero-extension onto a wider mesh with the same cell width."""
-        ratio = Fraction(new_radius) / self.mesh.radius_frac
+        ratio = Fraction(new_radius) / Fraction(self.mesh.radius)
         if ratio.denominator != 1 or ratio.numerator & (ratio.numerator - 1):
             raise ValueError("new radius must be a power-of-two multiple of the old one")
         grow = round(math.log2(ratio.numerator))
@@ -226,13 +205,11 @@ class MeshFunction:
         Summed from the cells the interval covers (see ``_span_integrals``),
         so the rounding error scales with the interval's own mass.
         """
-        mesh = self.mesh
-        lo = mesh.left_frac if a is None else max(Fraction(a), mesh.left_frac)
-        hi = mesh.right_frac if b is None else min(Fraction(b), mesh.right_frac)
-        if hi <= lo:
+        n = self.mesh.n_cells
+        pos_lo = 0 if a is None else max(self.mesh._position(a), 0)
+        pos_hi = n if b is None else min(self.mesh._position(b), n)
+        if pos_hi <= pos_lo:
             return 0.0
-        pos_lo = (lo - mesh.left_frac) / mesh.h_frac
-        pos_hi = (hi - mesh.left_frac) / mesh.h_frac
         den = math.lcm(pos_lo.denominator, pos_hi.denominator)
         # Python integers: a float endpoint such as 0.1 overflows int64
         nums = np.array([pos.numerator * (den // pos.denominator) for pos in (pos_lo, pos_hi)], dtype=object)
@@ -289,46 +266,26 @@ class MeshFunction:
 
 @dataclass(frozen=True)
 class DyadicGrid:
-    """One member of the shifted dyadic family.
+    """One shifted dyadic grid of the line: its shift at level k is ``(-1)**k * shift_index / 3``."""
 
-    ``shift`` holds one third-index per coordinate axis; the realized shift
-    at level k along each axis is ``(-1)**k * shift_i / 3``.  Only dimension
-    1 is exercised by the continuum operators; the combinatorics are written
-    so grids of any dimension can be constructed and counted.
-    """
-
-    shift: tuple[int, ...] = (0,)
-    dimension: int = 1
+    shift_index: int = 0
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dimension}")
-        if len(self.shift) != self.dimension:
-            raise ValueError("one shift index per axis required")
-        if any(j not in (0, 1, 2) for j in self.shift):
-            raise ValueError("shift indices must be 0, 1 or 2")
-
-    @property
-    def shift_index(self) -> int:
-        if self.dimension != 1:
-            raise ValueError("shift_index is one-dimensional; use .shift")
-        return self.shift[0]
+        if self.shift_index not in (0, 1, 2):
+            raise ValueError(f"shift index must be 0, 1 or 2, got {self.shift_index}")
 
     def is_standard(self) -> bool:
-        return all(j == 0 for j in self.shift)
-
-    # one-dimensional cube geometry ------------------------------------------
+        return self.shift_index == 0
 
     def cube_left(self, k: int, m: int) -> Fraction:
         """Left endpoint of cube (k, m): (m + (-1)^k j/3) * 2^-k, exactly."""
         sigma = -1 if k & 1 else 1
-        return (Fraction(3 * m + sigma * self.shift_index, 3)) * _width_frac(k)
+        return Fraction(3 * m + sigma * self.shift_index, 3) / Fraction(2) ** k
 
     def cube_index_of(self, k: int, x) -> int:
         """Index m of the level-k cube containing the point x."""
         sigma = -1 if k & 1 else 1
-        pos = Fraction(x) / _width_frac(k) - Fraction(sigma * self.shift_index, 3)
-        return math.floor(pos)
+        return math.floor(Fraction(x) * Fraction(2) ** k - Fraction(sigma * self.shift_index, 3))
 
     def cube(self, k: int, m: int) -> "Cube":
         return Cube(level=k, index=m, grid=self)
@@ -349,11 +306,7 @@ class DyadicGrid:
 
 @dataclass(frozen=True)
 class Cube:
-    """Dyadic cube: side 2**-level, placed by ``index`` within its grid.
-
-    At dimension 1 the index is a plain integer (the one-entry integer
-    vector of the general construction).
-    """
+    """Dyadic cube: side 2**-level, placed by ``index`` within its grid."""
 
     level: int
     index: int
@@ -371,19 +324,8 @@ class Cube:
     def width(self) -> float:
         return 2.0 ** (-self.level)
 
-    @property
-    def width_frac(self) -> Fraction:
-        return _width_frac(self.level)
-
-    @property
-    def measure(self) -> float:
-        return self.width**self.grid.dimension
-
     def interval(self) -> tuple[float, float]:
         return (float(self.left), float(self.right))
-
-    def contains_point(self, x) -> bool:
-        return self.left <= Fraction(x) < self.right
 
     def contains_cube(self, other: "Cube") -> bool:
         return self.left <= other.left and other.right <= self.right
@@ -403,10 +345,10 @@ class Cube:
 
 
 def shifted_grids(n: int = 1) -> list[DyadicGrid]:
-    """The 3**n shifted dyadic grids in dimension n."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    return [DyadicGrid(shift=s, dimension=n) for s in product((0, 1, 2), repeat=n)]
+    """The three shifted dyadic grids of the line (dimension ``n = 1``)."""
+    if n != 1:
+        raise ValueError(f"shifted grids are built on the line only, got dimension {n}")
+    return [DyadicGrid(j) for j in (0, 1, 2)]
 
 
 def enumerate_cubes(
@@ -423,8 +365,6 @@ def enumerate_cubes(
     a, b = domain
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"domain [{a}, {b}) must be bounded")
-    if grid.dimension != 1:
-        raise NotImplementedError("cube enumeration is exercised at dimension 1 only")
     out: list[Cube] = []
     if b <= a:
         return out
@@ -441,18 +381,22 @@ def average(f: MeshFunction, Q: Cube) -> float:
     """Cube average <f>_Q = |Q|^-1 ∫_Q f, exact for the piecewise-constant f.
 
     Cells outside the mesh domain contribute zero mass but the full cube
-    measure |Q| is kept in the denominator.
+    measure |Q| is kept in the denominator.  Bit-identical to
+    ``f.integral(Q.left, Q.right) / Q.width`` (the same span, summed alike).
     """
-    if Q.measure == 0:
-        raise ValueError("cube has zero measure")
-    return f.integral(Q.left, Q.right) / Q.width
+    n = f.mesh.n_cells
+    lo, hi, den = cube_span(f.mesh, Q)
+    lo, hi = max(lo, 0), min(hi, n * den)
+    if hi <= lo:
+        return 0.0
+    return float(_span_integrals(f, np.array([lo]), np.array([hi]), den)[0]) / Q.width
 
 
 def covering_cube(grids: Sequence[DyadicGrid], a, b, max_ratio: float = 8.0) -> Cube:
     """Smallest shifted-grid cube containing [a, b] (one-third trick).
 
     Scans cube widths from just above |I| upward; the family guarantees a
-    cover with |Q| <= 6 |I| at dimension 1.
+    cover with |Q| <= 6 |I|.
     """
     a_f, b_f = Fraction(a), Fraction(b)
     length = b_f - a_f
@@ -481,19 +425,37 @@ def _level_affine(mesh: Mesh, grid: DyadicGrid, k: int) -> tuple[int, int, int]:
 
         (cell_edge_i - cube_shift) / cube_width = (a0 + i * step) / den.
 
-    The cube index of the point at edge i is floor((a0 + i*step)/den),
-    computable in pure integer arithmetic.
+    The cube index of the point at edge i is floor((a0 + i*step)/den), and
+    cube m spans the cell positions [(m den - a0)/step, ((m+1) den - a0)/step).
+    With R = p/q and s = max(0, L - k), multiplying through by 3 q 2^s gives
+    the closed form below, reduced by the gcd.  For the meshes ``Mesh``
+    accepts (p <= 2^20, q <= 1024, L <= 20), at every level from
+    -ceil(log2(2R)) to floor(log2(1/h)), a0, step, den, a0 + n*step and the
+    edge numerators m*den - a0 of cubes meeting the domain stay below 2^53
+    (44 bits at most), so int64 arrays and their float conversions are exact.
     """
-    width = _width_frac(k)
+    p, q = float(mesh.radius).as_integer_ratio()
+    s = max(0, mesh.level - k)
     sigma = -1 if k & 1 else 1
-    a0_f = mesh.left_frac / width - Fraction(sigma * grid.shift_index, 3)
-    step_f = mesh.h_frac / width
-    den = math.lcm(a0_f.denominator, step_f.denominator)
-    return (
-        a0_f.numerator * (den // a0_f.denominator),
-        step_f.numerator * (den // step_f.denominator),
-        den,
-    )
+    a0 = -3 * p * 2 ** (k + s) - sigma * grid.shift_index * q * 2**s
+    step = 3 * p * 2 ** (k + s - mesh.level)
+    den = 3 * q * 2**s
+    g = math.gcd(a0, step, den)
+    return a0 // g, step // g, den // g
+
+
+def cube_span(mesh: Mesh, cube: Cube) -> tuple[int, int, int]:
+    """(lo, hi, den): the cube is [lo/den, hi/den) in cell units from the left
+    mesh edge, exactly and unclipped."""
+    a0, step, den = _level_affine(mesh, cube.grid, cube.level)
+    lo = cube.index * den - a0
+    return lo, lo + den, step
+
+
+def cells_inside(mesh: Mesh, cube: Cube) -> np.ndarray:
+    """Indices of mesh cells entirely inside the cube."""
+    lo, hi, den = cube_span(mesh, cube)
+    return np.arange(max(-(-lo // den), 0), min(hi // den, mesh.n_cells))
 
 
 def cube_indices_per_cell(mesh: Mesh, grid: DyadicGrid, k: int) -> tuple[np.ndarray, np.ndarray]:

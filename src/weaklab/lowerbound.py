@@ -22,7 +22,9 @@ decreasing on the relevant range) where the set is below resolution; the
 two paths are cross-checked where both apply.  A cell is counted only when
 it lies wholly inside the level set, so the counted measure never exceeds
 the exact one and every reported quotient is a true lower bound for the
-supremum Q* = max over s in (0, 1/2] of s G(s).  The resulting lower bounds
+supremum Q*: the interior local maximum of s G(s) on (0, 1/2] whose level
+G(s) lies in the lambda window (1.583453 at delta = 0.2; the endpoint
+s = 1/2, outside the window, gives 1.61932).  The resulting lower bounds
 grow like 1/delta, matching the square root of the A_1 characteristic:
 log(2) e^(delta-1)/delta <= Q* <= log(3) e^(delta-1)/delta.
 """

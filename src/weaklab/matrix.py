@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import Cube, DyadicGrid, Mesh, MeshFunction, shifted_grids
+from .grid import Cube, DyadicGrid, Mesh, MeshFunction, average, cube_indices_per_cell, cube_span, shifted_grids
 from .weights import (
     CharacteristicReport,
     SampledWeight,
@@ -112,14 +112,12 @@ class MatrixWeight:
 
     def cells_of(self, cube: Cube) -> slice:
         """Cell slice of an aligned cube inside the mesh domain."""
-        mesh = self.mesh
-        lo = (cube.left - mesh.left_frac) / mesh.h_frac
-        hi = (cube.right - mesh.left_frac) / mesh.h_frac
-        if lo.denominator != 1 or hi.denominator != 1:
+        lo, hi, den = cube_span(self.mesh, cube)
+        if lo % den or hi % den:
             raise ValueError(f"{cube} is not aligned with the mesh cells")
-        if lo < 0 or hi > mesh.n_cells:
+        if lo < 0 or hi > self.mesh.n_cells * den:
             raise ValueError(f"{cube} leaves the sampled domain")
-        return slice(int(lo), int(hi))
+        return slice(lo // den, hi // den)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +219,7 @@ def _reduce_field(field: np.ndarray, r: float, n_dirs: int | None = None):
 def _cached_reduce(W: MatrixWeight, cube: Cube, power: float, r: float) -> ReducingMatrix:
     """Reducing matrix of the field W^power on the cube at exponent r, cached
     on the exact floats (power, r)."""
-    key = (cube.level, cube.index, cube.grid.shift, power, r)
+    key = (cube.level, cube.index, cube.grid.shift_index, power, r)
     if key not in W._reducing:
         cells = W.cells_of(cube)
         field = W.power(power)[cells]
@@ -306,10 +304,10 @@ def _matrix_char_engine(
             vals = (diag**outer_exp).mean(axis=1)
         j = int(np.argmax(vals))
         if vals[j] > best[0]:
-            q_index = grid.cube_index_of(k, mesh.left_frac) + j
+            q_index = grid.cube_index_of(k, -mesh.radius) + j
             best = (float(vals[j]), k, q_index)
     val, k, m = best
-    cube = DyadicGrid().cube(k, m)
+    cube = grid.cube(k, m)
     return CharacteristicReport(
         quantity=quantity,
         value=val,
@@ -471,8 +469,6 @@ def christ_goldberg_maximal(
         A = W.values
         g = np.einsum("xij,xj->xi", W.power(-1.0), f.values)
     out = np.zeros(mesh.n_cells)
-    from .grid import cube_indices_per_cell  # local import to mirror scalar path
-
     for grid in grids:
         for k in range(k_lo, k_hi + 1):
             q_cell, cont = cube_indices_per_cell(mesh, grid, k)
@@ -482,8 +478,7 @@ def christ_goldberg_maximal(
                 xs = np.nonzero(cont & (q_cell == q))[0]
                 if len(xs) == 0:
                     continue
-                cube = grid.cube(k, q)
-                ys, wts = _overlap_weights(mesh, cube)
+                ys, wts = _overlap_weights(mesh, grid.cube(k, q))
                 if len(ys) == 0:
                     continue
                 # mean_y over the cube: sum of overlap * |A_x g_y| / width
@@ -494,19 +489,19 @@ def christ_goldberg_maximal(
 
 
 def _overlap_weights(mesh: Mesh, cube: Cube) -> tuple[np.ndarray, np.ndarray]:
-    """(cell indices, overlap widths) of the cube against the mesh."""
-    lo = max(cube.left, mesh.left_frac)
-    hi = min(cube.right, mesh.right_frac)
+    """(cell indices, overlap widths) of the cube against the mesh; each straddle
+    share r h / den (h = hn / hd) is one correctly rounded integer division."""
+    lo, hi, den = cube_span(mesh, cube)
+    lo, hi = max(lo, 0), min(hi, mesh.n_cells * den)
     if hi <= lo:
         return np.arange(0), np.zeros(0)
-    i0 = math.floor((lo - mesh.left_frac) / mesh.h_frac)
-    i1 = math.ceil((hi - mesh.left_frac) / mesh.h_frac)
-    idx = np.arange(i0, i1)
-    wts = np.full(len(idx), mesh.h)
-    wts[0] = float((min(mesh.edge_fraction(i0 + 1), hi) - lo))
-    if len(idx) > 1:
-        wts[-1] = float(hi - mesh.edge_fraction(i1 - 1))
-    return idx, wts
+    i0, i1 = lo // den, -(-hi // den)
+    hn, hd = mesh.h.as_integer_ratio()
+    wts = np.full(i1 - i0, mesh.h)
+    wts[0] = (min((i0 + 1) * den, hi) - lo) * hn / (den * hd)
+    if i1 - i0 > 1:
+        wts[-1] = (hi - (i1 - 1) * den) * hn / (den * hd)
+    return np.arange(i0, i1), wts
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +550,7 @@ def dominating_scalar_sparse(
             else fractional_reducing_matrix(W, cube, q)
         )
         coeff = op_norm(np.einsum("xij,jk->xik", Apow[cells], red.inverse))
-        avg_p = (fp.integral(cube.left, cube.right) / cube.width) ** (1.0 / p)
+        avg_p = average(fp, cube) ** (1.0 / p)
         out[cells] += cube.width**alpha * coeff * avg_p
     return MeshFunction(mesh, out)
 

@@ -13,19 +13,19 @@ cell-quantized E_Q still certify the sparseness inequality |Q| <= 2 |E_Q|.
 Both stopping-time walks run over integer cube coordinates (k, m) and read
 cube averages from per-level tables (``level_cube_integrals``, built once
 per level per call, bit-identical to ``grid.average``); an index outside a
-table is off the domain.  Only kept cubes become ``Cube`` objects.
+table is off the domain.  Only kept cubes become ``Cube`` objects, and the
+cells each one holds come from the integer span ``grid.cube_span``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .grid import Cube, DyadicGrid, Mesh, MeshFunction, level_cube_integrals
+from .grid import Cube, DyadicGrid, Mesh, MeshFunction, cells_inside, cube_span, level_cube_integrals
 
 __all__ = [
     "SparseFamily",
@@ -40,23 +40,12 @@ __all__ = [
 ]
 
 
-def _cells_inside(mesh: Mesh, cube: Cube) -> np.ndarray:
-    """Indices of mesh cells entirely inside the cube."""
-    lo = max(cube.left, mesh.left_frac)
-    hi = min(cube.right, mesh.right_frac)
-    if hi <= lo:
-        return np.arange(0)
-    i0 = math.ceil((lo - mesh.left_frac) / mesh.h_frac)
-    i1 = math.floor((hi - mesh.left_frac) / mesh.h_frac)
-    return np.arange(i0, i1)
-
-
 def root_cubes(mesh: Mesh, grid: DyadicGrid) -> list[Cube]:
     """Standard-grid roots tiling the domain: the cubes [-R, 0) and [0, R)."""
     if not grid.is_standard():
         raise ValueError("domain-tiling roots need the standard grid; use covering_roots")
     k = mesh.aligned_cell_level() - mesh.level  # cubes of width R
-    return [grid.cube_containing(k, mesh.left_frac), grid.cube_containing(k, 0)]
+    return [grid.cube_containing(k, -mesh.radius), grid.cube_containing(k, 0)]
 
 
 def covering_roots(mesh: Mesh, grid: DyadicGrid, span: tuple[float, float]) -> list[Cube]:
@@ -67,18 +56,19 @@ def covering_roots(mesh: Mesh, grid: DyadicGrid, span: tuple[float, float]) -> l
     the maximal cubes shrink; a span that touches the edge of the domain is
     rejected (embed the function into a larger mesh instead).
     """
-    lo, hi = Fraction(span[0]), Fraction(span[1])
-    if lo < mesh.left_frac or hi > mesh.right_frac:
-        raise ValueError(f"span [{span[0]}, {span[1]}) leaves the mesh domain")
+    lo, hi = span
+    if mesh._position(lo) < 0 or mesh._position(hi) > mesh.n_cells:
+        raise ValueError(f"span [{lo}, {hi}) leaves the mesh domain")
     roots: list[Cube] = []
     k_top = -math.ceil(math.log2(2 * mesh.radius))
     k_cell = math.floor(math.log2(1.0 / mesh.h))
     pos = lo
-    while pos < hi:
+    while pos < hi:  # pos becomes an exact Cube.right; the comparison stays exact
         placed = None
         for k in range(k_top, k_cell + 1):
             c = grid.cube_containing(k, pos)
-            if c.left >= mesh.left_frac and c.right <= mesh.right_frac:
+            c_lo, c_hi, den = cube_span(mesh, c)
+            if c_lo >= 0 and c_hi <= mesh.n_cells * den:
                 placed = c
                 break
         if placed is None:
@@ -133,8 +123,8 @@ class SparseFamily:
     def apply(self, f: MeshFunction, alpha: float = 0.0) -> MeshFunction:
         """A_S f = sum_Q |Q|^alpha <f>_Q chi_Q, evaluated at cell level.
 
-        Cell membership in chi_Q is decided by the cell center, which is
-        exact for aligned cubes.
+        Cell membership in chi_Q is decided by the cell center, in exact
+        integers; for aligned cubes it is the cells the cube holds.
         """
         return sparse_apply(self, f, alpha)
 
@@ -146,14 +136,16 @@ def sparse_apply(family: SparseFamily, f: MeshFunction, alpha: float = 0.0) -> M
     if f.mesh != family.mesh:
         raise ValueError("function and family live on different meshes")
     mesh = family.mesh
-    centers = mesh.centers()
-    out = np.zeros(mesh.n_cells)
+    n = mesh.n_cells
+    out = np.zeros(n)
     avg = _cube_averages(f, family.grid, family.cubes)
     for cube in family.cubes:
         a = avg(cube.level, cube.index) or 0.0  # None: no cell centre inside
-        lo, hi = float(cube.left), float(cube.right)
-        sel = (centers >= lo) & (centers < hi)
-        out[sel] += cube.width**alpha * a
+        # cell i is in the cube when its centre is: 2 lo <= (2i + 1) den < 2 hi
+        lo, hi, den = cube_span(mesh, cube)
+        i0 = -((den - 2 * lo) // (2 * den))
+        i1 = -((den - 2 * hi) // (2 * den))
+        out[max(i0, 0) : max(min(i1, n), 0)] += cube.width**alpha * a
     return MeshFunction(mesh, out)
 
 
@@ -163,7 +155,7 @@ def verify_sparseness(family: SparseFamily) -> list[str]:
     mesh = family.mesh
     seen: set[int] = set()
     for cube, cells in zip(family.cubes, family.designated):
-        inside = _cells_inside(mesh, cube)
+        inside = cells_inside(mesh, cube)
         if not np.all(np.isin(cells, inside)):
             issues.append(f"E_Q not inside {cube}")
         if len(cells) * mesh.h * 2 < cube.width - 1e-12:
@@ -181,14 +173,14 @@ def build_sparse_family(
     f: MeshFunction,
     grid: DyadicGrid | None = None,
     roots: Sequence[Cube] | None = None,
-    threshold: float | None = None,
+    threshold: float = 4.0,
     min_width_cells: int | None = None,
 ) -> SparseFamily:
     """Stopping-time sparse family adapted to f >= 0.
 
     Starting from each root, the children of a family cube Q are the
     maximal descendants Q' with <f>_Q' > threshold * <f>_Q (threshold
-    2^(n+1) = 4 at n = 1).  E_Q is Q minus the next-generation stopping
+    4 = 2^(n+1) at n = 1).  E_Q is Q minus the next-generation stopping
     cubes.  The construction guarantees |Q| <= 2 |E_Q| (indeed
     |E_Q| >= 3|Q|/4 up to cell quantization) and the pointwise domination
     M^D f <= 4 A_S f on each root for f supported there.
@@ -198,8 +190,6 @@ def build_sparse_family(
     """
     mesh = f.mesh
     grid = grid or DyadicGrid()
-    if threshold is None:
-        threshold = 2.0 ** (grid.dimension + 1)
     if np.any(f.values < 0):
         raise ValueError("sparse construction expects f >= 0")
     if roots is None:
@@ -208,7 +198,8 @@ def build_sparse_family(
         else:
             support = np.nonzero(f.values)[0]
             if len(support):
-                span = (mesh.edge_fraction(int(support[0])), mesh.edge_fraction(int(support[-1]) + 1))
+                edges = mesh.edges()  # exact floats
+                span = (float(edges[support[0]]), float(edges[support[-1] + 1]))
             else:
                 span = (-mesh.radius / 2, mesh.radius / 2)
             roots = covering_roots(mesh, grid, span)
@@ -244,9 +235,9 @@ def build_sparse_family(
             if a == 0.0 and cube is not root:
                 continue
             stopping = descend(cube.level, cube.index, a) if a > 0 else []
-            inside = _cells_inside(mesh, cube)
+            inside = cells_inside(mesh, cube)
             if len(stopping) > 0:
-                excluded = np.concatenate([_cells_inside(mesh, c) for c in stopping])
+                excluded = np.concatenate([cells_inside(mesh, c) for c in stopping])
                 e_cells = np.setdiff1d(inside, excluded)
             else:
                 e_cells = inside
@@ -319,7 +310,7 @@ def cz_decompose(
             continue  # off the domain: average 0, never stops
         if a > height:
             stopping.append(grid.cube(k, m))
-            omega.append(_cells_inside(mesh, stopping[-1]))
+            omega.append(cells_inside(mesh, stopping[-1]))
             good[omega[-1]] = a
         elif k < k_cell:
             lo = grid.child_left_index(k, m)

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -348,7 +347,7 @@ class SampledWeight:
         return MeshFunction(self.mesh, self.values)
 
     def _require_inside(self, lo, hi):
-        if Fraction(lo) < self.mesh.left_frac or Fraction(hi) > self.mesh.right_frac:
+        if self.mesh._position(lo) < 0 or self.mesh._position(hi) > self.mesh.n_cells:
             raise ValueError(
                 f"interval [{lo}, {hi}) leaves the sampled domain "
                 f"[-{self.mesh.radius}, {self.mesh.radius})"

@@ -46,13 +46,16 @@ def random_signed_step(mesh, rng, max_blocks=6):
 
 
 def exact_lower_bound_supremum(delta):
-    """Q*(delta) = max over s in (0, 1/2] of s G(s), G = output_magnitude(delta, .).
+    """Q*(delta): the interior local maximum of s G(s) on (0, 1/2], with
+    G = output_magnitude(delta, .), whose level lam = G(s) lies inside the
+    lambda window.  At delta = 0.2 it is 1.583453, not the 1.61932 of the
+    endpoint s = 1/2 (whose level lies outside the window).
 
     G is strictly decreasing, so lam |{G > lam}| = s G(s) at the root s of
-    G(s) = lam, and Q* is the supremum over lam that lower_bound_experiment
-    bounds from below.  Computed by a bounded scalar maximisation in log s,
-    independently of the lambda sweep and of GradedMesh; it agrees with a
-    40-digit mpmath maximisation to about 1e-15.
+    G(s) = lam, and Q* is the supremum over the window's lam that
+    lower_bound_experiment bounds from below.  Computed by a bounded scalar
+    maximisation in log s, independently of the lambda sweep and of
+    GradedMesh; it agrees with a 40-digit mpmath maximisation to about 1e-15.
     """
     res = optimize.minimize_scalar(
         lambda u: -math.exp(u) * output_magnitude(delta, math.exp(u)),

@@ -1,0 +1,138 @@
+"""Reference cube/cell geometry: the exact ``Fraction`` versions that
+``weaklab`` used before its integer cube-to-cell map (``grid.cube_span``).
+
+Mesh edges, cell widths and cube endpoints here are ``Fraction``s, so every
+question is answered by rational arithmetic on the cube's ``left``/``right``.
+The differential tests in ``test_geometry.py`` require the integer versions
+to agree with these byte for byte.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+import numpy as np
+
+from weaklab.grid import Cube, DyadicGrid, Mesh, MeshFunction, _span_integrals
+from weaklab.sparse import SparseFamily
+
+
+def mesh_left(mesh: Mesh) -> Fraction:
+    return -Fraction(mesh.radius)
+
+
+def mesh_right(mesh: Mesh) -> Fraction:
+    return Fraction(mesh.radius)
+
+
+def mesh_h(mesh: Mesh) -> Fraction:
+    return Fraction(mesh.radius) / 2**mesh.level
+
+
+def edge_fraction(mesh: Mesh, i: int) -> Fraction:
+    return mesh_left(mesh) + i * mesh_h(mesh)
+
+
+def oracle_level_affine(mesh: Mesh, grid: DyadicGrid, k: int) -> tuple[int, int, int]:
+    width = Fraction(2) ** (-k)
+    sigma = -1 if k & 1 else 1
+    a0_f = mesh_left(mesh) / width - Fraction(sigma * grid.shift_index, 3)
+    step_f = mesh_h(mesh) / width
+    den = math.lcm(a0_f.denominator, step_f.denominator)
+    return (
+        a0_f.numerator * (den // a0_f.denominator),
+        step_f.numerator * (den // step_f.denominator),
+        den,
+    )
+
+
+def oracle_cells_inside(mesh: Mesh, cube: Cube) -> np.ndarray:
+    lo = max(cube.left, mesh_left(mesh))
+    hi = min(cube.right, mesh_right(mesh))
+    if hi <= lo:
+        return np.arange(0)
+    i0 = math.ceil((lo - mesh_left(mesh)) / mesh_h(mesh))
+    i1 = math.floor((hi - mesh_left(mesh)) / mesh_h(mesh))
+    return np.arange(i0, i1)
+
+
+def oracle_overlap_weights(mesh: Mesh, cube: Cube) -> tuple[np.ndarray, np.ndarray]:
+    lo = max(cube.left, mesh_left(mesh))
+    hi = min(cube.right, mesh_right(mesh))
+    if hi <= lo:
+        return np.arange(0), np.zeros(0)
+    i0 = math.floor((lo - mesh_left(mesh)) / mesh_h(mesh))
+    i1 = math.ceil((hi - mesh_left(mesh)) / mesh_h(mesh))
+    idx = np.arange(i0, i1)
+    wts = np.full(len(idx), mesh.h)
+    wts[0] = float((min(edge_fraction(mesh, i0 + 1), hi) - lo))
+    if len(idx) > 1:
+        wts[-1] = float(hi - edge_fraction(mesh, i1 - 1))
+    return idx, wts
+
+
+def oracle_cells_of(mesh: Mesh, cube: Cube) -> slice:
+    """``MatrixWeight.cells_of``: cell slice of an aligned cube inside the domain."""
+    lo = (cube.left - mesh_left(mesh)) / mesh_h(mesh)
+    hi = (cube.right - mesh_left(mesh)) / mesh_h(mesh)
+    if lo.denominator != 1 or hi.denominator != 1:
+        raise ValueError(f"{cube} is not aligned with the mesh cells")
+    if lo < 0 or hi > mesh.n_cells:
+        raise ValueError(f"{cube} leaves the sampled domain")
+    return slice(int(lo), int(hi))
+
+
+def oracle_covering_roots(mesh: Mesh, grid: DyadicGrid, span) -> list[Cube]:
+    """``sparse.covering_roots``: greedy maximal grid cubes inside the domain."""
+    lo, hi = Fraction(span[0]), Fraction(span[1])
+    if lo < mesh_left(mesh) or hi > mesh_right(mesh):
+        raise ValueError(f"span [{span[0]}, {span[1]}) leaves the mesh domain")
+    roots: list[Cube] = []
+    k_top = -math.ceil(math.log2(2 * mesh.radius))
+    k_cell = math.floor(math.log2(1.0 / mesh.h))
+    pos = lo
+    while pos < hi:
+        placed = None
+        for k in range(k_top, k_cell + 1):
+            c = grid.cube_containing(k, pos)
+            if c.left >= mesh_left(mesh) and c.right <= mesh_right(mesh):
+                placed = c
+                break
+        if placed is None:
+            raise ValueError(
+                f"no grid cube inside the domain covers x = {float(pos):.6g}; "
+                "embed the data into a larger mesh"
+            )
+        roots.append(placed)
+        pos = placed.right
+    return roots
+
+
+def oracle_sparse_apply(family: SparseFamily, f: MeshFunction, alpha: float = 0.0) -> np.ndarray:
+    """``sparse_apply`` with cell membership decided by comparing float cell
+    centres with float cube ends."""
+    centers = family.mesh.centers()
+    out = np.zeros(family.mesh.n_cells)
+    for cube in family.cubes:
+        sel = (centers >= float(cube.left)) & (centers < float(cube.right))
+        out[sel] += cube.width**alpha * oracle_average(f, cube)
+    return out
+
+
+def oracle_integral(f: MeshFunction, a, b) -> float:
+    """``MeshFunction.integral`` over [a, b) with ``Fraction`` cell positions."""
+    mesh = f.mesh
+    lo = max(Fraction(a), mesh_left(mesh))
+    hi = min(Fraction(b), mesh_right(mesh))
+    if hi <= lo:
+        return 0.0
+    pos_lo = (lo - mesh_left(mesh)) / mesh_h(mesh)
+    pos_hi = (hi - mesh_left(mesh)) / mesh_h(mesh)
+    den = math.lcm(pos_lo.denominator, pos_hi.denominator)
+    nums = np.array([pos.numerator * (den // pos.denominator) for pos in (pos_lo, pos_hi)], dtype=object)
+    return float(_span_integrals(f, nums[:1], nums[1:], den)[0])
+
+
+def oracle_average(f: MeshFunction, cube: Cube) -> float:
+    return oracle_integral(f, cube.left, cube.right) / cube.width

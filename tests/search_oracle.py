@@ -11,6 +11,8 @@ construction to agree with these byte for byte.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 from weaklab.grid import DyadicGrid, Mesh, MeshFunction, level_cube_integrals
@@ -52,10 +54,10 @@ def oracle_inside_range(mesh: Mesh, grid: DyadicGrid, k: int, q0: int, n: int) -
     """First and last level-k cubes inside the mesh domain, scanned inward
     in exact rationals from the table range ``[q0, q0 + n)``."""
     inside_lo = q0
-    while grid.cube_left(k, inside_lo) < mesh.left_frac:
+    while grid.cube_left(k, inside_lo) < Fraction(-mesh.radius):
         inside_lo += 1
     inside_hi = q0 + n - 1
-    while grid.cube_left(k, inside_hi + 1) > mesh.right_frac:
+    while grid.cube_left(k, inside_hi + 1) > Fraction(mesh.radius):
         inside_hi -= 1
     return inside_lo, inside_hi
 

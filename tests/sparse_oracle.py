@@ -1,10 +1,11 @@
 """Reference stopping-time walks: the per-cube recursion over ``Cube``
 objects that ``weaklab.sparse`` used before its per-level cube tables.
 
-Every average here comes from ``grid.average`` on a freshly built cube, and
-off-domain cubes are recognised by ``Cube.intersects``.  The differential
-tests in ``test_sparse_oracle.py`` require the table-driven walks to agree
-with these byte for byte.
+Every average and cell set here comes from the ``Fraction`` geometry of
+``geometry_oracle`` on a freshly built cube, and off-domain cubes are
+recognised by ``Cube.intersects``.  The differential tests in
+``test_sparse_oracle.py`` require the table-driven walks to agree with
+these byte for byte.
 """
 
 from __future__ import annotations
@@ -14,34 +15,27 @@ from typing import Sequence
 
 import numpy as np
 
-from weaklab.grid import Cube, DyadicGrid, MeshFunction, average
-from weaklab.sparse import (
-    CZDecomposition,
-    SparseFamily,
-    _cells_inside,
-    covering_roots,
-    root_cubes,
-)
+from geometry_oracle import edge_fraction, mesh_left, mesh_right, oracle_average, oracle_cells_inside
+from weaklab.grid import Cube, DyadicGrid, MeshFunction
+from weaklab.sparse import CZDecomposition, SparseFamily, covering_roots, root_cubes
 
 
 def oracle_sparse_family(
     f: MeshFunction,
     grid: DyadicGrid | None = None,
     roots: Sequence[Cube] | None = None,
-    threshold: float | None = None,
+    threshold: float = 4.0,
     min_width_cells: int | None = None,
 ) -> SparseFamily:
     mesh = f.mesh
     grid = grid or DyadicGrid()
-    if threshold is None:
-        threshold = 2.0 ** (grid.dimension + 1)
     if roots is None:
         if grid.is_standard():
             roots = root_cubes(mesh, grid)
         else:
             support = np.nonzero(f.values)[0]
             if len(support):
-                span = (mesh.edge_fraction(int(support[0])), mesh.edge_fraction(int(support[-1]) + 1))
+                span = (edge_fraction(mesh, int(support[0])), edge_fraction(mesh, int(support[-1]) + 1))
             else:
                 span = (-mesh.radius / 2, mesh.radius / 2)
             roots = covering_roots(mesh, grid, span)
@@ -59,9 +53,9 @@ def oracle_sparse_family(
             c = stack.pop()
             if c.level > max_level:
                 continue
-            if not c.intersects(mesh.left_frac, mesh.right_frac):
+            if not c.intersects(mesh_left(mesh), mesh_right(mesh)):
                 continue
-            avg_c = average(f, c)
+            avg_c = oracle_average(f, c)
             if avg_c > 0 and avg_c >= threshold * base_avg:
                 found.append(c)
             else:
@@ -72,13 +66,13 @@ def oracle_sparse_family(
         queue = [root]
         while queue:
             cube = queue.pop()
-            avg = average(f, cube)
+            avg = oracle_average(f, cube)
             if avg == 0.0 and cube is not root:
                 continue
             stopping = descend(cube, avg) if avg > 0 else []
-            inside = _cells_inside(mesh, cube)
+            inside = oracle_cells_inside(mesh, cube)
             if len(stopping) > 0:
-                excluded = np.concatenate([_cells_inside(mesh, c) for c in stopping])
+                excluded = np.concatenate([oracle_cells_inside(mesh, c) for c in stopping])
                 e_cells = np.setdiff1d(inside, excluded)
             else:
                 e_cells = inside
@@ -86,16 +80,6 @@ def oracle_sparse_family(
             designated.append(e_cells)
             queue.extend(stopping)
     return SparseFamily(mesh=mesh, grid=grid, cubes=cubes, designated=designated)
-
-
-def oracle_apply(family: SparseFamily, f: MeshFunction, alpha: float = 0.0) -> np.ndarray:
-    centers = family.mesh.centers()
-    out = np.zeros(family.mesh.n_cells)
-    for cube in family.cubes:
-        avg = average(f, cube)
-        sel = (centers >= float(cube.left)) & (centers < float(cube.right))
-        out[sel] += cube.width**alpha * avg
-    return out
 
 
 def oracle_cz_decompose(
@@ -110,10 +94,10 @@ def oracle_cz_decompose(
     k_cell = mesh.aligned_cell_level()
 
     stopping: list[Cube] = []
-    stack = [r for r in roots if r.intersects(mesh.left_frac, mesh.right_frac)]
+    stack = [r for r in roots if r.intersects(mesh_left(mesh), mesh_right(mesh))]
     while stack:
         cube = stack.pop()
-        if average(h, cube) > height:
+        if oracle_average(h, cube) > height:
             stopping.append(cube)
         elif cube.level < k_cell:
             stack.extend(cube.children())
@@ -121,8 +105,8 @@ def oracle_cz_decompose(
     good = h.values.copy()
     omega = []
     for cube in stopping:
-        cells = _cells_inside(mesh, cube)
-        good[cells] = average(h, cube)
+        cells = oracle_cells_inside(mesh, cube)
+        good[cells] = oracle_average(h, cube)
         omega.append(cells)
     omega_cells = np.sort(np.concatenate(omega)) if omega else np.arange(0)
     return CZDecomposition(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geometry_oracle import edge_fraction
 from weaklab import (
     Cube,
     DyadicGrid,
@@ -23,7 +24,7 @@ def exact_integral(f, lo, hi):
     """Integral of f over [lo, hi) in rational arithmetic, cell by cell."""
     mesh = f.mesh
     return sum(
-        Fraction(float(f.values[i])) * (min(hi, mesh.edge_fraction(i + 1)) - max(lo, mesh.edge_fraction(i)))
+        Fraction(float(f.values[i])) * (min(hi, edge_fraction(mesh, i + 1)) - max(lo, edge_fraction(mesh, i)))
         for i in range(*mesh.cell_span(lo, hi))
     )
 
@@ -62,12 +63,15 @@ class TestShiftedGrids:
     def test_count_dimension_one(self):
         assert len(shifted_grids(1)) == 3
 
-    def test_count_dimension_two(self):
-        assert len(shifted_grids(2)) == 9
-
     def test_bad_dimension(self):
         with pytest.raises(ValueError):
             shifted_grids(0)
+
+    def test_grids_live_on_the_line_only(self):
+        with pytest.raises(ValueError):
+            shifted_grids(2)
+        with pytest.raises(ValueError):
+            DyadicGrid(3)
 
     def test_one_third_trick_cover(self):
         q = covering_cube(shifted_grids(1), 0.49, 0.51)
@@ -95,7 +99,7 @@ class TestNesting:
     )
     @settings(max_examples=200, deadline=None)
     def test_two_cubes_nested_or_disjoint(self, j, k1, m1, k2, m2):
-        g = DyadicGrid(shift=(j,))
+        g = DyadicGrid(j)
         a, b = Cube(k1, m1, g), Cube(k2, m2, g)
         inter_lo = max(a.left, b.left)
         inter_hi = min(a.right, b.right)
@@ -105,7 +109,7 @@ class TestNesting:
     @given(j=st.integers(0, 2), k=st.integers(-3, 6), m=st.integers(-40, 40))
     @settings(max_examples=100, deadline=None)
     def test_children_partition_parent(self, j, k, m):
-        c = Cube(k, m, DyadicGrid(shift=(j,)))
+        c = Cube(k, m, DyadicGrid(j))
         lo, hi = c.children()
         assert lo.left == c.left and hi.right == c.right and lo.right == hi.left
         assert lo.parent() == c and hi.parent() == c
@@ -208,7 +212,7 @@ class TestAverage:
         v = np.repeat(v[::8], 8)
         f = MeshFunction(mesh, v)
         i1 = min(i0 + length, mesh.n_cells)
-        got = f.integral(mesh.edge_fraction(i0), mesh.edge_fraction(i1))
+        got = f.integral(edge_fraction(mesh, i0), edge_fraction(mesh, i1))
         heights_inside = set(v[i0:i1][v[i0:i1] != 0])
         if len(heights_inside) <= 1:  # one correctly rounded product
             assert got == math.fsum(v[i0:i1]) * mesh.h
@@ -236,7 +240,7 @@ class TestAverage:
         mesh = Mesh(radius, level)
         rng = np.random.default_rng(seed)
         f = MeshFunction(mesh, rng.uniform(0, 1, mesh.n_cells) * (rng.uniform(size=mesh.n_cells) < 0.5))
-        grid = DyadicGrid(shift=(shift,))
+        grid = DyadicGrid(shift)
         k = round(math.log2(1.0 / mesh.h)) + dk
         q0, ints = level_cube_integrals(f, grid, k)
         for j, integral in enumerate(ints):
@@ -258,7 +262,12 @@ class TestMeshExactness:
         m = Mesh(4.0, 8)
         assert m.n_cells == 512
         assert m.h == 4.0 * 2.0**-8
-        assert float(m.h_frac) == m.h
+        assert Fraction(m.radius) / 2**m.level == m.h
+
+    def test_radius_must_be_a_binary_rational(self):
+        # a float edge or cell width of 1/3 cannot be exact
+        with pytest.raises(ValueError, match="binary rational"):
+            Mesh(Fraction(1, 3), 3)
 
     def test_indicator_requires_alignment(self, mesh):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -142,11 +143,11 @@ class TestReducingMatrices:
             prod = 0.0
             k_cell = mmesh.aligned_cell_level()
             for k in range(k_cell - mmesh.level, k_cell + 1):
-                q0 = grid.cube_index_of(k, mmesh.left_frac)
-                q1 = grid.cube_index_of(k, mmesh.right_frac)
+                q0 = grid.cube_index_of(k, Fraction(-mmesh.radius))
+                q1 = grid.cube_index_of(k, Fraction(mmesh.radius))
                 for m in range(q0, q1):
                     cube = grid.cube(k, m)
-                    if cube.right > mmesh.right_frac:
+                    if cube.right > Fraction(mmesh.radius):
                         continue
                     r1 = reducing_matrix(W, cube, p)
                     r2 = dual_reducing_matrix(W, cube, p)

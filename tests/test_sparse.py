@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,8 @@ from weaklab import (
     sparse_apply,
     verify_sparseness,
 )
-from weaklab.grid import average
-from weaklab.sparse import SparseFamily, _cells_inside, root_cubes
+from weaklab.grid import average, cells_inside
+from weaklab.sparse import SparseFamily, root_cubes
 
 
 class TestCZDecomposition:
@@ -77,13 +79,13 @@ class TestCZDecomposition:
             omega = set(int(i) for i in dec.omega_cells)
             k_cell = mesh.aligned_cell_level()
             for k in range(k_cell - mesh.level, k_cell + 1):
-                q0 = grid.cube_index_of(k, mesh.left_frac)
-                q1 = grid.cube_index_of(k, mesh.right_frac)
+                q0 = grid.cube_index_of(k, Fraction(-mesh.radius))
+                q1 = grid.cube_index_of(k, Fraction(mesh.radius))
                 for m in range(q0, q1):
                     cube = grid.cube(k, m)
-                    if cube.right > mesh.right_frac:
+                    if cube.right > Fraction(mesh.radius):
                         continue
-                    cells = _cells_inside(mesh, cube)
+                    cells = cells_inside(mesh, cube)
                     if len(cells) and all(int(i) in omega for i in cells):
                         continue  # inside Omega
                     assert average(h, cube) == pytest.approx(
@@ -200,7 +202,7 @@ class TestSparseApply:
         rng = np.random.default_rng(55)
         f = random_step(mesh, rng)
         root = DyadicGrid().cube(1, 0)  # [0, 1/2)
-        fam = SparseFamily(mesh, DyadicGrid(), [root], [_cells_inside(mesh, root)])
+        fam = SparseFamily(mesh, DyadicGrid(), [root], [cells_inside(mesh, root)])
         out = sparse_apply(fam, f)
         c = mesh.centers()
         sel = (c > 0) & (c < 0.5)
@@ -220,8 +222,8 @@ class TestSparseApply:
         outer, inner = g.cube(0, 0), g.cube(2, 0)  # [0,1) and [0,1/4)
         fam = SparseFamily(
             mesh, g, [outer, inner],
-            [np.setdiff1d(_cells_inside(mesh, outer), _cells_inside(mesh, inner)),
-             _cells_inside(mesh, inner)],
+            [np.setdiff1d(cells_inside(mesh, outer), cells_inside(mesh, inner)),
+             cells_inside(mesh, inner)],
         )
         f = MeshFunction.indicator(mesh, 0, 0.25) * 4
         out = fam.apply(f)
@@ -232,7 +234,7 @@ class TestSparseApply:
     def test_fractional_weighting(self, mesh):
         f = MeshFunction.indicator(mesh, 0, 0.5)
         root = DyadicGrid().cube(1, 0)
-        fam = SparseFamily(mesh, DyadicGrid(), [root], [_cells_inside(mesh, root)])
+        fam = SparseFamily(mesh, DyadicGrid(), [root], [cells_inside(mesh, root)])
         out = fam.apply(f, alpha=0.5)
         c = mesh.centers()
         assert np.allclose(out.values[(c > 0) & (c < 0.5)], 0.5**0.5 * 1.0)
@@ -246,7 +248,7 @@ class TestVerifySparseness:
     def test_overlapping_designated_flagged(self, mesh):
         g = DyadicGrid()
         q1, q2 = g.cube(1, 0), g.cube(1, 1)
-        cells = _cells_inside(mesh, q1)
+        cells = cells_inside(mesh, q1)
         fam = SparseFamily(mesh, g, [q1, q2], [cells, cells])
         issues = verify_sparseness(fam)
         assert any("overlap" in s for s in issues)
@@ -255,6 +257,6 @@ class TestVerifySparseness:
     def test_too_small_designated_flagged(self, mesh):
         g = DyadicGrid()
         q = g.cube(0, 0)
-        fam = SparseFamily(mesh, g, [q], [_cells_inside(mesh, q)[:3]])
+        fam = SparseFamily(mesh, g, [q], [cells_inside(mesh, q)[:3]])
         issues = verify_sparseness(fam)
         assert any("sparseness fails" in s for s in issues)

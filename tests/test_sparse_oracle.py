@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_step
-from sparse_oracle import oracle_apply, oracle_cz_decompose, oracle_sparse_family
+from geometry_oracle import oracle_sparse_apply
+from sparse_oracle import oracle_cz_decompose, oracle_sparse_family
 from weaklab import DyadicGrid, Mesh, MeshFunction, build_sparse_family, cz_decompose, shifted_grids
 from weaklab.sparse import covering_roots
 
@@ -36,7 +37,7 @@ def assert_same_family(f, **kwargs):
     for a, b in zip(new.designated, old.designated):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     for alpha in (0.0, 0.25):
-        assert new.apply(f, alpha).values.tobytes() == oracle_apply(old, f, alpha).tobytes()
+        assert new.apply(f, alpha).values.tobytes() == oracle_sparse_apply(old, f, alpha).tobytes()
     return new
 
 
@@ -76,7 +77,7 @@ def test_shifted_family_on_embedded_mesh_matches_oracle(
 ):
     small = step_function(Mesh(radius, level), seed, dyadic_heights)
     big = small.embedded(4 * radius)
-    grid = DyadicGrid(shift=(shift,))
+    grid = DyadicGrid(shift)
     roots = covering_roots(big.mesh, grid, (-radius, radius))
     assert_same_family(big, grid=grid, roots=roots, min_width_cells=min_width_cells)
 
@@ -91,7 +92,7 @@ def test_shifted_family_on_embedded_mesh_matches_oracle(
 def test_default_shifted_roots_match_oracle(level, shift, seed, dyadic_heights):
     mesh = Mesh(4.0, level)
     f = step_function(mesh, seed, dyadic_heights, span=(-2, 2))
-    assert_same_family(f, grid=DyadicGrid(shift=(shift,)))
+    assert_same_family(f, grid=DyadicGrid(shift))
 
 
 @settings(max_examples=30)
@@ -107,7 +108,7 @@ def test_roots_partly_off_domain_match_oracle(radius, level, shift, k_offset, se
     # cubes about as wide as the domain, straddling its edges or beyond it
     mesh = Mesh(radius, level)
     f = step_function(mesh, seed, False)
-    grid = DyadicGrid(shift=(shift,))
+    grid = DyadicGrid(shift)
     k = -int(np.ceil(np.log2(radius))) + k_offset
     roots = [grid.cube_containing(k, x) for x in (-radius, radius - mesh.h, 3 * radius)]
     assert_same_family(f, grid=grid, roots=roots, min_width_cells=min_width_cells)
@@ -117,7 +118,7 @@ def test_roots_partly_off_domain_match_oracle(radius, level, shift, k_offset, se
 def test_all_zero_root_matches_oracle(shift):
     mesh = Mesh(1.0, 6)
     f = MeshFunction.indicator(mesh, -1.0, -0.5)  # zero on the right half
-    grid = DyadicGrid(shift=(shift,))
+    grid = DyadicGrid(shift)
     roots = [grid.cube_containing(1, x) for x in (-0.75, 0.25, 0.75)]
     fam = assert_same_family(f, grid=grid, roots=roots)
     assert keys(fam.cubes)[-1] == keys(roots[-1:])[0]

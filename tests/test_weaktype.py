@@ -22,7 +22,8 @@ from weaklab import (
     weak_quotient,
 )
 from weaklab.operators import distribution
-from weaklab.sparse import SparseFamily, _cells_inside
+from weaklab.grid import cells_inside
+from weaklab.sparse import SparseFamily
 from weaklab.weaktype import fractional_proof_constants
 
 ONE = PowerLogWeight(0.0)
@@ -38,7 +39,7 @@ class TestQuotient:
     def test_single_cube_sparse_identity(self, mesh):
         # T = A_S on one cube, w = 1, f = chi_Q, p = 2: quotient = 1
         q = DyadicGrid().cube(0, 0)
-        fam = SparseFamily(mesh, DyadicGrid(), [q], [_cells_inside(mesh, q)])
+        fam = SparseFamily(mesh, DyadicGrid(), [q], [cells_inside(mesh, q)])
         f = MeshFunction.indicator(mesh, 0, 1)
         wq = weak_quotient("AS", ONE, 2.0, f, family=fam)
         assert wq.quotient == pytest.approx(1.0, rel=1e-12)
@@ -74,10 +75,10 @@ class TestQuotient:
 class TestDualEstimate:
     def test_hand_value_single_cube(self, mesh):
         q = DyadicGrid().cube(0, 0)  # [0, 1)
-        fam = SparseFamily(mesh, DyadicGrid(), [q], [_cells_inside(mesh, q)])
+        fam = SparseFamily(mesh, DyadicGrid(), [q], [cells_inside(mesh, q)])
         f = MeshFunction.indicator(mesh, 0, 1)
         f = f * (1.0 / f.lp_norm(2.0))
-        e_cells = _cells_inside(mesh, q)
+        e_cells = cells_inside(mesh, q)
         est = dual_weak_estimate("AS", ONE, 2.0, f, e_cells, K=4.0, family=fam)
         # output = <f>_Q chi_Q = chi_Q (since <f>_Q = 1 after normalization);
         # far from the support M(f^2) is small, so E' = E and the functional is

@@ -370,7 +370,7 @@ def _fw_brute_force(w, rep, refine=2):
     lo, hi = rep.witness
     label = rep.witness_label  # e.g. 'grid1:k=0,m=-1'
     j = int(label.split(":")[0].removeprefix("grid"))
-    grid = DyadicGrid(shift=(j,))
+    grid = DyadicGrid(j)
     k_q = int(label.split("k=")[1].split(",")[0])
     base = GMesh(4.0, 8)
     fine = GMesh(4.0, 8 + refine)
@@ -487,7 +487,7 @@ class TestCandidateIntervals:
     def test_non_dyadic_and_one_sided_domains(self, domain, grids):
         search = SearchSpace(
             domain=domain,
-            grids=tuple(DyadicGrid(shift=(j,)) for j in grids),
+            grids=tuple(DyadicGrid(j) for j in grids),
             min_level=-3,
             max_level=7,
             anchored=(0.05, 0.15, 4.0),
@@ -530,7 +530,7 @@ class TestSearchSpaceDomain:
 
     def test_deep_level_keeps_cubes_left_of_the_old_clip(self):
         # at level 20 the old clip sat at -2^-20 * 1e6 = -0.954, inside this domain
-        grid = DyadicGrid(shift=(1,))
+        grid = DyadicGrid(1)
         search = SearchSpace(domain=(-1.0, -0.9), grids=(grid,), min_level=20, max_level=20)
         lo, hi, labels = search.intervals_for(ONE)
         cubes = enumerate_cubes(grid, (-1.0, -0.9), 20, 20)
