@@ -44,6 +44,7 @@ __all__ = [
     "covering_cube",
     "cube_span",
     "cells_inside",
+    "default_levels",
 ]
 
 
@@ -102,8 +103,16 @@ class Mesh:
 
     def _position(self, x) -> Fraction:
         """Exact position of the point x in cell units from the left mesh edge."""
+        if x != x or x in (-math.inf, math.inf):
+            raise ValueError(f"point {x} is not a finite number")
         r = Fraction(self.radius)
         return (Fraction(x) + r) * 2**self.level / r
+
+    def _clipped_position(self, x) -> Fraction:
+        """``_position`` clipped to the domain [0, n_cells]; x may be infinite."""
+        if x in (-math.inf, math.inf):
+            return Fraction(0 if x < 0 else self.n_cells)
+        return min(max(self._position(x), 0), self.n_cells)
 
     def cell_of(self, x) -> int:
         """Index of the cell containing x (x inside the domain)."""
@@ -114,8 +123,7 @@ class Mesh:
 
     def cell_span(self, a, b) -> tuple[int, int]:
         """Smallest cell range [i0, i1) whose union covers [a, b) ∩ domain."""
-        lo = max(self._position(a), 0)
-        hi = min(self._position(b), self.n_cells)
+        lo, hi = self._clipped_position(a), self._clipped_position(b)
         if hi <= lo:
             return (0, 0)
         return (math.floor(lo), math.ceil(hi))
@@ -205,9 +213,10 @@ class MeshFunction:
         Summed from the cells the interval covers (see ``_span_integrals``),
         so the rounding error scales with the interval's own mass.
         """
-        n = self.mesh.n_cells
-        pos_lo = 0 if a is None else max(self.mesh._position(a), 0)
-        pos_hi = n if b is None else min(self.mesh._position(b), n)
+        if self.is_vector:
+            raise TypeError("integrals of a vector function are undefined")
+        pos_lo = 0 if a is None else self.mesh._clipped_position(a)
+        pos_hi = self.mesh.n_cells if b is None else self.mesh._clipped_position(b)
         if pos_hi <= pos_lo:
             return 0.0
         den = math.lcm(pos_lo.denominator, pos_hi.denominator)
@@ -384,6 +393,8 @@ def average(f: MeshFunction, Q: Cube) -> float:
     measure |Q| is kept in the denominator.  Bit-identical to
     ``f.integral(Q.left, Q.right) / Q.width`` (the same span, summed alike).
     """
+    if f.is_vector:
+        raise TypeError("integrals of a vector function are undefined")
     n = f.mesh.n_cells
     lo, hi, den = cube_span(f.mesh, Q)
     lo, hi = max(lo, 0), min(hi, n * den)
@@ -420,6 +431,11 @@ def covering_cube(grids: Sequence[DyadicGrid], a, b, max_ratio: float = 8.0) -> 
 # ---------------------------------------------------------------------------
 
 
+def default_levels(mesh: Mesh) -> tuple[int, int]:
+    """Default dyadic level range: cube widths from ~2R down to one cell."""
+    return -math.ceil(math.log2(2 * mesh.radius)), math.floor(math.log2(1.0 / mesh.h))
+
+
 def _level_affine(mesh: Mesh, grid: DyadicGrid, k: int) -> tuple[int, int, int]:
     """Integer constants (a0, step, den) such that, exactly,
 
@@ -429,8 +445,8 @@ def _level_affine(mesh: Mesh, grid: DyadicGrid, k: int) -> tuple[int, int, int]:
     cube m spans the cell positions [(m den - a0)/step, ((m+1) den - a0)/step).
     With R = p/q and s = max(0, L - k), multiplying through by 3 q 2^s gives
     the closed form below, reduced by the gcd.  For the meshes ``Mesh``
-    accepts (p <= 2^20, q <= 1024, L <= 20), at every level from
-    -ceil(log2(2R)) to floor(log2(1/h)), a0, step, den, a0 + n*step and the
+    accepts (p <= 2^20, q <= 1024, L <= 20), at every level of
+    ``default_levels``, a0, step, den, a0 + n*step and the
     edge numerators m*den - a0 of cubes meeting the domain stay below 2^53
     (44 bits at most), so int64 arrays and their float conversions are exact.
     """
@@ -482,7 +498,8 @@ def level_cube_integrals(f: MeshFunction, grid: DyadicGrid, k: int) -> tuple[int
     ``q0 + m``.  Cells straddling a cube edge are split exactly; f is zero
     outside the domain.  Each entry is bit-identical to
     ``f.integral(cube.left, cube.right)``: both go through
-    ``_span_integrals``.
+    ``_span_integrals``.  A vector f integrates component by component:
+    ``integrals[m, c]`` is cube ``q0 + m``'s integral of component c.
     """
     n = f.mesh.n_cells
     a0, step, den = _level_affine(f.mesh, grid, k)
@@ -509,24 +526,28 @@ def _span_integrals(f: MeshFunction, lo: np.ndarray, hi: np.ndarray, den: int) -
     ancestor) stays a tie.  The shares are correctly rounded quotients of
     exact integers, so a span gives the same float whatever ``den``
     expresses it.
+
+    A vector f (values ``(n_cells, r)``) gives ``(n_spans, r)``, each
+    component summed as one contiguous row over the cells where any is
+    nonzero: bit for bit the scalar result per column if all share one zero
+    pattern.
     """
-    if f.is_vector:
-        raise TypeError("integrals of a vector function are undefined")
     h = f.mesh.h
-    v = np.append(f.values, 0.0)  # a zero cell past the right edge
+    rows = f.values.T  # one row per component; a scalar f is its own row
+    v = np.concatenate((rows, np.zeros((*rows.shape[:-1], 1))), axis=-1)  # a zero cell past the right edge
     i_lo, r_lo = lo // den, lo % den
     i_hi, r_hi = hi // den, hi % den
     first = (i_lo + (r_lo > 0)).astype(np.int64)  # whole cells [first, stop)
     stop = i_hi.astype(np.int64)
     i_lo = i_lo.astype(np.int64)
-    nz = np.flatnonzero(f.values)
+    nz = np.flatnonzero(rows.any(axis=0) if f.is_vector else rows)
     bounds = np.searchsorted(nz, np.stack([first, stop], axis=1).ravel())
-    vals = np.append(f.values[nz], 0.0)
+    vals = v.take(np.append(nz, len(f.values)), axis=-1)  # the nonzero cells, then a zero
     count = bounds[1::2] - bounds[::2]  # nonzero whole cells
-    low, high, total = (u.reduceat(vals, bounds)[::2] for u in (np.minimum, np.maximum, np.add))
+    low, high, total = (u.reduceat(vals, bounds, axis=-1)[..., ::2] for u in (np.minimum, np.maximum, np.add))
     whole = np.where(count <= 0, 0.0, np.where(low == high, count * low, total))
     same = i_lo == stop  # both ends in one cell
     w_lo = np.where(same, hi - lo, np.where(r_lo > 0, den - r_lo, 0)) / den
     w_hi = np.where(same, 0, r_hi) / den
-    out = whole * h + v[i_lo] * h * w_lo + v[stop] * h * w_hi
-    return np.asarray(out, dtype=float)
+    out = whole * h + v.take(i_lo, axis=-1) * h * w_lo + v.take(stop, axis=-1) * h * w_hi
+    return np.asarray(out, dtype=float).T

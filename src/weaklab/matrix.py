@@ -26,13 +26,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import Cube, DyadicGrid, Mesh, MeshFunction, average, cube_indices_per_cell, cube_span, shifted_grids
+from .grid import Cube, DyadicGrid, Mesh, MeshFunction, _level_affine, average, cube_span, default_levels, shifted_grids
+from .operators import _maximal_sweep
 from .weights import (
     CharacteristicReport,
     SampledWeight,
     SearchSpace,
+    _fujii_wilson_one_grid,
     a1_characteristic,
-    ainfty_characteristic,
     ap_characteristic,
     dual_exponent,
 )
@@ -290,7 +291,6 @@ def _matrix_char_engine(
     best = (-np.inf, None, None)
     levels = _aligned_levels(mesh, min_level)
     grid = DyadicGrid()
-    k_cell = mesh.aligned_cell_level()
     for k, B in levels:
         nb = mesh.n_cells // B
         # mean over y within each block, for every x: (n, nb)
@@ -304,8 +304,8 @@ def _matrix_char_engine(
             vals = (diag**outer_exp).mean(axis=1)
         j = int(np.argmax(vals))
         if vals[j] > best[0]:
-            q_index = grid.cube_index_of(k, -mesh.radius) + j
-            best = (float(vals[j]), k, q_index)
+            a0, _, den = _level_affine(mesh, grid, k)
+            best = (float(vals[j]), k, a0 // den + j)  # a0 // den: the cube holding the left edge
     val, k, m = best
     cube = grid.cube(k, m)
     return CharacteristicReport(
@@ -413,21 +413,26 @@ def ainfty_scalar_characteristic(
     defaulting to |W^(1/p) v|^p; the fractional classes use w_v = |W v|^q
     (matrix_power=1, norm_power=q).  The sup runs over a fixed sample of
     unit directions, hence is a lower bound on the true direction
-    supremum; returns (value, argmax direction).
+    supremum; returns (value, argmax direction), the first on a tie.  The
+    direction weights are the components of one vector function, so each
+    grid takes one Fujii-Wilson sweep, with the floats per direction.
     """
     dirs = unit_directions(W.d, n_dirs)
     mp = 1.0 / p if matrix_power is None else matrix_power
     npow = p if norm_power is None else norm_power
-    best = (-np.inf, dirs[0])
-    for v in dirs:
-        wv = SampledWeight(
-            W.mesh,
-            np.linalg.norm(np.einsum("xij,j->xi", W.power(mp), v), axis=1) ** npow,
-        )
-        val = ainfty_characteristic(wv, grids=grids).value
-        if val > best[0]:
-            best = (val, v)
-    return best
+    wv = np.linalg.norm(np.einsum("xij,nj->xni", W.power(mp), dirs), axis=2) ** npow
+    if not np.all(wv > 0):
+        raise ValueError("direction weights must be positive")
+    wbar = MeshFunction(W.mesh, wv)
+    grids = list(grids) if grids is not None else shifted_grids(1)
+    k_lo, k_fine = default_levels(W.mesh)
+    best = np.full(n_dirs, -np.inf)
+    for g in grids:
+        best = np.maximum(best, _fujii_wilson_one_grid(wbar, g, k_lo, k_fine)[0])
+    j = int(np.argmax(best))
+    if best[j] == -np.inf:
+        raise ValueError("no grid cube fits inside the mesh domain")
+    return float(best[j]), dirs[j]
 
 
 # ---------------------------------------------------------------------------
@@ -448,18 +453,17 @@ def christ_goldberg_maximal(
 
     The fractional variant (alpha > 0) weights by |Q|^alpha and uses the
     powers W, W^-1 instead of W^(1/p), W^(-1/p).  The cube family matches
-    the scalar maximal operators: per grid and level, a cell sees the cube
-    containing it; averages divide by the full cube width with f extended
-    by zero.
+    the scalar maximal operators, and so does the engine: the sweep of
+    ``hl_maximal`` over N[y, x] = |A(x) g(y)| (A = W^(1/p), g = W^(-1/p) f),
+    one component per cell x, which reads its own.  Averages divide by the
+    full cube width with f extended by zero.  With W = Id every component
+    is |f|, so M_W f equals ``hl_maximal(f.magnitude())`` bit for bit.
     """
     if not f.is_vector or f.values.shape[1] != W.d:
         raise ValueError("f must be vector-valued with the weight's dimension")
     mesh = f.mesh
     if mesh != W.mesh:
         raise ValueError("f and W live on different meshes")
-    grids = list(grids) if grids is not None else shifted_grids(1)
-    k_lo = -math.ceil(math.log2(2 * mesh.radius)) if min_level is None else min_level
-    k_hi = math.floor(math.log2(1.0 / mesh.h)) if max_level is None else max_level
     if alpha == 0.0:
         A = W.power(1.0 / p)
         g = np.einsum("xij,xj->xi", W.power(-1.0 / p), f.values)
@@ -468,40 +472,8 @@ def christ_goldberg_maximal(
             raise ValueError(f"fractional order must satisfy 0 < alpha < 1, got {alpha}")
         A = W.values
         g = np.einsum("xij,xj->xi", W.power(-1.0), f.values)
-    out = np.zeros(mesh.n_cells)
-    for grid in grids:
-        for k in range(k_lo, k_hi + 1):
-            q_cell, cont = cube_indices_per_cell(mesh, grid, k)
-            width = 2.0**-k
-            q0, q1 = int(q_cell.min()), int(q_cell.max())
-            for q in range(q0, q1 + 1):
-                xs = np.nonzero(cont & (q_cell == q))[0]
-                if len(xs) == 0:
-                    continue
-                ys, wts = _overlap_weights(mesh, grid.cube(k, q))
-                if len(ys) == 0:
-                    continue
-                # mean_y over the cube: sum of overlap * |A_x g_y| / width
-                prod = np.einsum("xij,yj->xyi", A[xs], g[ys])
-                vals = (np.linalg.norm(prod, axis=2) @ wts) / width
-                out[xs] = np.maximum(out[xs], width**alpha * vals)
-    return MeshFunction(mesh, out)
-
-
-def _overlap_weights(mesh: Mesh, cube: Cube) -> tuple[np.ndarray, np.ndarray]:
-    """(cell indices, overlap widths) of the cube against the mesh; each straddle
-    share r h / den (h = hn / hd) is one correctly rounded integer division."""
-    lo, hi, den = cube_span(mesh, cube)
-    lo, hi = max(lo, 0), min(hi, mesh.n_cells * den)
-    if hi <= lo:
-        return np.arange(0), np.zeros(0)
-    i0, i1 = lo // den, -(-hi // den)
-    hn, hd = mesh.h.as_integer_ratio()
-    wts = np.full(i1 - i0, mesh.h)
-    wts[0] = (min((i0 + 1) * den, hi) - lo) * hn / (den * hd)
-    if i1 - i0 > 1:
-        wts[-1] = (hi - (i1 - 1) * den) * hn / (den * hd)
-    return np.arange(i0, i1), wts
+    N = np.linalg.norm(np.einsum("xij,yj->yxi", A, g), axis=2)
+    return _maximal_sweep(MeshFunction(mesh, N), grids, min_level, max_level, alpha)
 
 
 # ---------------------------------------------------------------------------

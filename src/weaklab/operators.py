@@ -21,7 +21,6 @@ estimated empirically by the weak-type checkers instead).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -33,6 +32,7 @@ from .grid import (
     Mesh,
     MeshFunction,
     cube_indices_per_cell,
+    default_levels,
     level_cube_integrals,
     shifted_grids,
 )
@@ -53,13 +53,6 @@ __all__ = [
     "multiplier_apply",
     "default_levels",
 ]
-
-
-def default_levels(mesh: Mesh) -> tuple[int, int]:
-    """Default dyadic level range: cube widths from ~2R down to one cell."""
-    k_min = -math.ceil(math.log2(2 * mesh.radius))
-    k_max = math.floor(math.log2(1.0 / mesh.h))
-    return k_min, k_max
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +120,39 @@ def weak_lp_norm(g: MeshFunction, p: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _maximal_sweep(
+    f: MeshFunction,
+    grids: Sequence[DyadicGrid] | None = None,
+    min_level: int | None = None,
+    max_level: int | None = None,
+    alpha: float = 0.0,
+) -> MeshFunction:
+    """Per cell: max over the grids' cubes Q that contain it entirely, levels
+    in range, of |Q|^(alpha - 1) ∫_Q f, for f >= 0 (0 where no cube fits);
+    the three shifted grids by default.
+
+    A vector f has one component per cell, and cell x reads component x:
+    the integrand may depend on the cell it is evaluated for, as in the
+    Christ-Goldberg operator.  Cube integrals are exact per-level tables.
+    """
+    mesh = f.mesh
+    k_top, k_fine = default_levels(mesh)
+    k0, k1 = (k_top if min_level is None else min_level), (k_fine if max_level is None else max_level)
+    out = np.zeros(mesh.n_cells)
+    cells = np.arange(mesh.n_cells)
+    for grid in shifted_grids(1) if grids is None else grids:
+        for k in range(k0, k1 + 1):
+            q0, ints = level_cube_integrals(f, grid, k)
+            width = 2.0**-k
+            cand = width ** (alpha - 1.0) * ints
+            q, cont = cube_indices_per_cell(mesh, grid, k)
+            idx = q - q0
+            sel = cont & (idx >= 0) & (idx < len(ints))
+            own = cand[idx[sel], cells[sel]] if f.is_vector else cand[idx[sel]]
+            out[sel] = np.maximum(out[sel], own)
+    return MeshFunction(mesh, out)
+
+
 def dyadic_maximal(
     f: MeshFunction,
     grid: DyadicGrid | None = None,
@@ -140,24 +166,7 @@ def dyadic_maximal(
     |Q|^alpha <|f|>_Q.  Cube averages are exact; cells only see cubes that
     contain them entirely.
     """
-    grid = grid or DyadicGrid()
-    mesh = f.mesh
-    k0, k1 = default_levels(mesh)
-    if min_level is not None:
-        k0 = min_level
-    if max_level is not None:
-        k1 = max_level
-    mag = f.magnitude()
-    out = np.zeros(mesh.n_cells)
-    for k in range(k0, k1 + 1):
-        q0, ints = level_cube_integrals(mag, grid, k)
-        width = 2.0**-k
-        cand = width ** (alpha - 1.0) * ints
-        q, cont = cube_indices_per_cell(mesh, grid, k)
-        idx = q - q0
-        sel = cont & (idx >= 0) & (idx < len(ints))
-        out[sel] = np.maximum(out[sel], cand[idx[sel]])
-    return MeshFunction(mesh, out)
+    return _maximal_sweep(f.magnitude(), [grid or DyadicGrid()], min_level, max_level, alpha)
 
 
 def hl_maximal(
@@ -170,12 +179,7 @@ def hl_maximal(
     """Hardy-Littlewood maximal function approximated by the max of the
     shifted-grid dyadic maximal functions (one-third trick: the loss against
     the true sup over all intervals is a bounded factor)."""
-    grids = list(grids) if grids is not None else shifted_grids(1)
-    out = None
-    for g in grids:
-        m = dyadic_maximal(f, g, min_level, max_level, alpha=alpha)
-        out = m if out is None else MeshFunction(f.mesh, np.maximum(out.values, m.values))
-    return out
+    return _maximal_sweep(f.magnitude(), grids, min_level, max_level, alpha)
 
 
 def fractional_maximal(

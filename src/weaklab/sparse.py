@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import Cube, DyadicGrid, Mesh, MeshFunction, cells_inside, cube_span, level_cube_integrals
+from .grid import Cube, DyadicGrid, Mesh, MeshFunction, cells_inside, cube_span, default_levels, level_cube_integrals
 
 __all__ = [
     "SparseFamily",
@@ -60,8 +60,7 @@ def covering_roots(mesh: Mesh, grid: DyadicGrid, span: tuple[float, float]) -> l
     if mesh._position(lo) < 0 or mesh._position(hi) > mesh.n_cells:
         raise ValueError(f"span [{lo}, {hi}) leaves the mesh domain")
     roots: list[Cube] = []
-    k_top = -math.ceil(math.log2(2 * mesh.radius))
-    k_cell = math.floor(math.log2(1.0 / mesh.h))
+    k_top, k_cell = default_levels(mesh)
     pos = lo
     while pos < hi:  # pos becomes an exact Cube.right; the comparison stays exact
         placed = None

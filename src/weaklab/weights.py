@@ -49,6 +49,7 @@ from .grid import (
     Mesh,
     MeshFunction,
     _level_affine,
+    default_levels,
     level_cube_integrals,
     shifted_grids,
 )
@@ -347,6 +348,8 @@ class SampledWeight:
         return MeshFunction(self.mesh, self.values)
 
     def _require_inside(self, lo, hi):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"interval [{lo}, {hi}) has a non-finite endpoint")
         if self.mesh._position(lo) < 0 or self.mesh._position(hi) > self.mesh.n_cells:
             raise ValueError(
                 f"interval [{lo}, {hi}) leaves the sampled domain "
@@ -734,22 +737,18 @@ def ainfty_characteristic(
     if mesh is None:
         mesh = weight.mesh if isinstance(weight, SampledWeight) else Mesh(4.0, 9)
     grids = list(grids) if grids is not None else shifted_grids(1)
-    if min_level is None:
-        min_level = -math.ceil(math.log2(2 * mesh.radius))
+    k_top, k_fine = default_levels(mesh)
+    min_level = k_top if min_level is None else min_level
     wbar = MeshFunction(mesh, weight.cell_averages(mesh))
     if np.any(wbar.values <= 0):
         raise DegenerateWeightError("discretized weight must be positive")
-    best = None
-    k_fine = math.floor(math.log2(1.0 / mesh.h))
+    best = (-np.inf, None, None)
     for g in grids:
-        res = _fujii_wilson_one_grid(wbar, g, min_level, k_fine)
-        if res is None:
-            continue
-        val, (k, m) = res
-        if best is None or val > best[0]:
-            c = g.cube(k, m)
-            best = (val, (float(c.left), float(c.right)), f"grid{g.shift_index}:k={k},m={m}")
-    if best is None:
+        val, k, m = _fujii_wilson_one_grid(wbar, g, min_level, k_fine)
+        if val > best[0]:
+            c = g.cube(int(k), int(m))
+            best = (float(val), (float(c.left), float(c.right)), f"grid{g.shift_index}:k={c.level},m={c.index}")
+    if best[1] is None:
         raise ValueError("no grid cube fits inside the mesh domain")
     return CharacteristicReport(
         quantity="A_inf(FW)",
@@ -762,6 +761,10 @@ def ainfty_characteristic(
 
 
 def _fujii_wilson_one_grid(wbar: MeshFunction, grid: DyadicGrid, k_lo: int, k_fine: int):
+    """(value, k, m) per component of ``wbar``: the largest w(Q)^-1 ∫_Q M(w χ_Q)
+    over the grid's cubes inside the domain, levels k_lo..k_fine, and its
+    cube; the finer level, then the left cube wins a tie; -inf if none.
+    """
     mesh = wbar.mesh
     # finest-level geometry
     q0f, ints_f = level_cube_integrals(wbar, grid, k_fine)
@@ -769,9 +772,8 @@ def _fujii_wilson_one_grid(wbar: MeshFunction, grid: DyadicGrid, k_lo: int, k_fi
     width_f = 2.0**-k_fine
     lefts_f_num = 3 * (q0f + np.arange(nf, dtype=np.int64)) + (-1 if k_fine & 1 else 1) * grid.shift_index
     # left endpoint of finest cube i is lefts_f_num[i] / (3 * 2^k_fine), exactly
-    profile = np.zeros(nf)
-    best_val = -np.inf
-    best_cube = None
+    profile = np.zeros(ints_f.shape)
+    vals, levels, cubes = [], [], []  # per level: ratios of the inside cubes, k, their indices m
     for k in range(k_fine, k_lo - 1, -1):
         q0, ints = level_cube_integrals(wbar, grid, k)
         width = 2.0**-k
@@ -790,17 +792,17 @@ def _fujii_wilson_one_grid(wbar: MeshFunction, grid: DyadicGrid, k_lo: int, k_fi
             continue
         # segment sums of profile * width_f per ancestor cube
         seg = np.searchsorted(anc, np.arange(inside_lo, inside_hi + 2))
-        csum = np.concatenate(([0.0], np.cumsum(profile * width_f)))
+        csum = np.concatenate((np.zeros((1, *profile.shape[1:])), np.cumsum(profile * width_f, axis=0)))
         m_int = csum[seg[1:]] - csum[seg[:-1]]
         wq = ints[inside_lo - q0 : inside_hi - q0 + 1]
         ok = wq > 0
-        if not np.any(ok):
-            continue
-        vals = np.where(ok, m_int / np.where(ok, wq, 1.0), -np.inf)
-        i = int(np.argmax(vals))
-        if vals[i] > best_val:
-            best_val = float(vals[i])
-            best_cube = (k, inside_lo + i)
-    if best_cube is None:
-        return None
-    return best_val, best_cube
+        vals.append(np.where(ok, m_int / np.where(ok, wq, 1.0), -np.inf))
+        levels.append(k)
+        cubes.append(np.arange(inside_lo, inside_hi + 1))
+    if not vals:
+        return np.full(ints_f.shape[1:], -np.inf), 0, 0
+    # the first maximum: finer levels come first, so a finer cube wins a tie
+    vals = np.concatenate(vals)
+    j = vals.argmax(axis=0)
+    k = np.repeat(levels, [len(m) for m in cubes])[j]
+    return vals.max(axis=0), k, np.concatenate(cubes)[j]

@@ -5,6 +5,10 @@ Mesh edges, cell widths and cube endpoints here are ``Fraction``s, so every
 question is answered by rational arithmetic on the cube's ``left``/``right``.
 The differential tests in ``test_geometry.py`` require the integer versions
 to agree with these byte for byte.
+
+Two matrix-path loops that the per-level tables replaced live here too: the
+cube-by-cube Christ-Goldberg maximal function over these overlap widths, and
+the direction-by-direction scalar ``A_inf`` characteristic.
 """
 
 from __future__ import annotations
@@ -14,8 +18,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from weaklab.grid import Cube, DyadicGrid, Mesh, MeshFunction, _span_integrals
+from weaklab.grid import Cube, DyadicGrid, Mesh, MeshFunction, _span_integrals, cube_indices_per_cell, shifted_grids
+from weaklab.matrix import MatrixWeight, unit_directions
 from weaklab.sparse import SparseFamily
+from weaklab.weights import SampledWeight, ainfty_characteristic
 
 
 def mesh_left(mesh: Mesh) -> Fraction:
@@ -136,3 +142,50 @@ def oracle_integral(f: MeshFunction, a, b) -> float:
 
 def oracle_average(f: MeshFunction, cube: Cube) -> float:
     return oracle_integral(f, cube.left, cube.right) / cube.width
+
+
+def oracle_christ_goldberg_maximal(
+    W: MatrixWeight, p: float, f: MeshFunction, grids=None, min_level=None, max_level=None, alpha=0.0
+) -> np.ndarray:
+    """``christ_goldberg_maximal`` cube by cube: per grid, level and cube, the
+    cells inside it get |Q|^alpha times the overlap-weighted mean of
+    |A(x) g(y)| over the cells y it meets."""
+    mesh = f.mesh
+    grids = list(grids) if grids is not None else shifted_grids(1)
+    k_lo = -math.ceil(math.log2(2 * mesh.radius)) if min_level is None else min_level
+    k_hi = math.floor(math.log2(1.0 / mesh.h)) if max_level is None else max_level
+    A, g_power = (W.power(1.0 / p), -1.0 / p) if alpha == 0.0 else (W.values, -1.0)
+    g = np.einsum("xij,xj->xi", W.power(g_power), f.values)
+    out = np.zeros(mesh.n_cells)
+    for grid in grids:
+        for k in range(k_lo, k_hi + 1):
+            q_cell, cont = cube_indices_per_cell(mesh, grid, k)
+            width = 2.0**-k
+            for q in range(int(q_cell.min()), int(q_cell.max()) + 1):
+                xs = np.nonzero(cont & (q_cell == q))[0]
+                if len(xs) == 0:
+                    continue
+                ys, wts = oracle_overlap_weights(mesh, grid.cube(k, q))
+                if len(ys) == 0:
+                    continue
+                prod = np.einsum("xij,yj->xyi", A[xs], g[ys])
+                vals = (np.linalg.norm(prod, axis=2) @ wts) / width
+                out[xs] = np.maximum(out[xs], width**alpha * vals)
+    return out
+
+
+def oracle_ainfty_scalar_characteristic(
+    W: MatrixWeight, p: float, n_dirs=64, grids=None, matrix_power=None, norm_power=None
+) -> tuple[float, np.ndarray]:
+    """``ainfty_scalar_characteristic`` with one ``ainfty_characteristic``
+    call per direction weight."""
+    dirs = unit_directions(W.d, n_dirs)
+    mp = 1.0 / p if matrix_power is None else matrix_power
+    npow = p if norm_power is None else norm_power
+    best = (-np.inf, dirs[0])
+    for v in dirs:
+        wv = SampledWeight(W.mesh, np.linalg.norm(np.einsum("xij,j->xi", W.power(mp), v), axis=1) ** npow)
+        val = ainfty_characteristic(wv, grids=grids).value
+        if val > best[0]:
+            best = (val, v)
+    return best

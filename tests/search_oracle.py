@@ -95,5 +95,5 @@ def oracle_fujii_wilson_one_grid(wbar: MeshFunction, grid: DyadicGrid, k_lo: int
             best_val = float(vals[i])
             best_cube = (k, inside_lo + i)
     if best_cube is None:
-        return None
-    return best_val, best_cube
+        return -np.inf, 0, 0
+    return best_val, *best_cube

@@ -25,7 +25,6 @@ from geometry_oracle import (
     oracle_covering_roots,
     oracle_integral,
     oracle_level_affine,
-    oracle_overlap_weights,
     oracle_sparse_apply,
 )
 from weaklab.grid import (
@@ -38,7 +37,7 @@ from weaklab.grid import (
     cube_span,
     shifted_grids,
 )
-from weaklab.matrix import MatrixWeight, _overlap_weights
+from weaklab.matrix import MatrixWeight
 from weaklab.sparse import SparseFamily, covering_roots, sparse_apply
 
 RADII = [0.25, 0.75, 1.0, 3.0, 5.25, 1000.0, 2.0**-10, 2.0**20 - 1]
@@ -103,8 +102,6 @@ def test_cube_cell_questions_match_fraction(radius, level, j, data):
         assert Fraction(hi, den) == (cube.right - mesh_left(mesh)) / mesh_h(mesh)
         got, want = cells_inside(mesh, cube), oracle_cells_inside(mesh, cube)
         assert got.dtype == want.dtype and np.array_equal(got, want)
-        (idx, wts), (idx_o, wts_o) = _overlap_weights(mesh, cube), oracle_overlap_weights(mesh, cube)
-        assert np.array_equal(idx, idx_o) and wts.tobytes() == wts_o.tobytes()
         try:
             want = oracle_cells_of(mesh, cube)
         except ValueError as err:

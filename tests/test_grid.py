@@ -18,6 +18,7 @@ from weaklab import (
     shifted_grids,
 )
 from weaklab.grid import level_cube_integrals
+from weaklab.sparse import covering_roots
 
 
 def exact_integral(f, lo, hi):
@@ -272,6 +273,30 @@ class TestMeshExactness:
     def test_indicator_requires_alignment(self, mesh):
         with pytest.raises(ValueError):
             MeshFunction.indicator(mesh, 0.0, 1e-3)
+
+    def test_infinite_endpoints_clip_to_the_domain(self):
+        mesh = Mesh(1.0, 3)  # 16 cells over [-1, 1)
+        f = MeshFunction(mesh, np.arange(1.0, 17.0))
+        assert f.integral(-math.inf, math.inf) == f.integral() == f.integral(-1.0, 1.0)
+        assert f.integral(0.0, math.inf) == f.integral(0.0, 1.0)
+        assert f.integral(-math.inf, -0.25) == f.integral(-1.0, -0.25)
+        assert f.integral(math.inf, math.inf) == f.integral(-math.inf, -math.inf) == 0.0
+        assert mesh.cell_span(0, math.inf) == (8, 16)
+        assert mesh.cell_span(-math.inf, 0.25) == (0, 10)
+        assert mesh.cell_span(-math.inf, math.inf) == (0, 16)
+        assert mesh.cell_span(math.inf, -math.inf) == (0, 0)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_is_named(self, x):
+        mesh = Mesh(1.0, 3)
+        calls = [lambda: mesh.cell_of(x), lambda: MeshFunction.indicator(mesh, 0.0, x)]
+        calls += [lambda: covering_roots(mesh, DyadicGrid(), (x, 0.5)), lambda: covering_roots(mesh, DyadicGrid(), (0.0, x))]
+        if x != x:  # infinite endpoints of integrals and spans clip to the domain instead
+            f = MeshFunction.constant(mesh, 1.0)
+            calls += [lambda: f.integral(x, 0.5), lambda: mesh.cell_span(0.0, x)]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"point {x} is not a finite number"):
+                call()
 
     def test_integral_of_partial_cells_exact(self):
         mesh = Mesh(1.0, 3)  # 16 cells of width 1/8

@@ -414,6 +414,14 @@ class TestSampledWeights:
         with pytest.raises(ValueError):
             w.integral(-2, 0)
 
+    @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 0.5), (math.nan, 0.5), (0.0, math.nan)])
+    def test_non_finite_endpoints_rejected(self, lo, hi):
+        w = SampledWeight(Mesh(1.0, 3), np.ones(16))
+        with pytest.raises(ValueError, match="non-finite endpoint"):
+            w.integral(lo, hi)
+        with pytest.raises(ValueError, match="non-finite endpoint"):
+            w.essinf(lo, hi)
+
 
 # ---------------------------------------------------------------------------
 # candidate intervals against the per-Cube oracle
