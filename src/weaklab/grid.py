@@ -336,6 +336,11 @@ class Cube:
     def interval(self) -> tuple[float, float]:
         return (float(self.left), float(self.right))
 
+    @property
+    def label(self) -> str:
+        """The name a report gives this cube: grid, level and grid index."""
+        return f"grid{self.grid.shift_index}:k={self.level},m={self.index}"
+
     def contains_cube(self, other: "Cube") -> bool:
         return self.left <= other.left and other.right <= self.right
 

@@ -271,11 +271,6 @@ def _aligned_levels(mesh: Mesh, min_level: int | None) -> list[tuple[int, int]]:
     return [(k, 2 ** (k_cell - k)) for k in range(k_lo, k_cell + 1)]
 
 
-def _block_view(arr: np.ndarray, B: int) -> np.ndarray:
-    n = arr.shape[0]
-    return arr.reshape(n // B, B, *arr.shape[1:])
-
-
 def _matrix_char_engine(
     W: MatrixWeight,
     pair_norm: np.ndarray,
@@ -288,7 +283,7 @@ def _matrix_char_engine(
     max_x mean_y pair_norm^inner when outer_exp is None (A_1-type)."""
     mesh = W.mesh
     G = pair_norm**inner_exp
-    best = (-np.inf, None, None)
+    value, cube = -np.inf, None
     levels = _aligned_levels(mesh, min_level)
     grid = DyadicGrid()
     for k, B in levels:
@@ -303,23 +298,23 @@ def _matrix_char_engine(
         else:
             vals = (diag**outer_exp).mean(axis=1)
         j = int(np.argmax(vals))
-        if vals[j] > best[0]:
+        if vals[j] > value:
             a0, _, den = _level_affine(mesh, grid, k)
-            best = (float(vals[j]), k, a0 // den + j)  # a0 // den: the cube holding the left edge
-    val, k, m = best
-    cube = grid.cube(k, m)
+            value, cube = float(vals[j]), grid.cube(k, a0 // den + j)  # a0 // den: the cube holding the left edge
     return CharacteristicReport(
         quantity=quantity,
-        value=val,
-        witness=(float(cube.left), float(cube.right)),
-        witness_label=f"grid0:k={k},m={m}",
+        value=value,
+        witness=cube.interval(),
+        witness_label=cube.label,
         search_levels=(levels[0][0], levels[-1][0]),
         grids_used=1,
     )
 
 
 def _pair_norms(Wx: np.ndarray, Wy: np.ndarray) -> np.ndarray:
-    """P[x, y] = ||Wx[x] @ Wy[y]|| for all cell pairs."""
+    """P[x, y] = ||Wx[x] @ Wy[y]|| for all cell pairs (n^2 of them, so n <= 512)."""
+    if len(Wx) > 512:
+        raise ValueError("matrix characteristics are desk-scale: use meshes of <= 512 cells")
     prod = np.einsum("xij,yjk->xyik", Wx, Wy)
     return op_norm(prod)
 
@@ -334,8 +329,6 @@ def matrix_ap_characteristic(
     """
     if p <= 1:
         raise ValueError(f"matrix A_p requires p > 1, got {p}")
-    if W.mesh.n_cells > 512:
-        raise ValueError("matrix characteristics are desk-scale: use meshes of <= 512 cells")
     pp = dual_exponent(p)
     P = _pair_norms(W.power(1.0 / p), W.power(-1.0 / p))
     return _matrix_char_engine(W, P, pp, p / pp, min_level, f"mat-A_{p:g}")
@@ -343,8 +336,6 @@ def matrix_ap_characteristic(
 
 def matrix_a1_characteristic(W: MatrixWeight, min_level: int | None = None) -> CharacteristicReport:
     """[W]_A1 = sup_Q esssup_{x in Q} avg_y ||W(y) W^(-1)(x)|| dy."""
-    if W.mesh.n_cells > 512:
-        raise ValueError("matrix characteristics are desk-scale: use meshes of <= 512 cells")
     P = _pair_norms(W.values, W.power(-1.0)).T  # P[x, y] = ||W(y) W^-1(x)||
     return _matrix_char_engine(W, P, 1.0, None, min_level, "mat-A_1")
 

@@ -25,7 +25,7 @@ import numpy as np
 from .grid import DyadicGrid, MeshFunction
 from .operators import distribution, multiplier_apply
 from .sparse import exceptional_set
-from .weights import dual_exponent, sharp_rh_exponent
+from .weights import dual_exponent
 
 __all__ = [
     "WeakTypeQuotient",
@@ -203,12 +203,6 @@ def proof_constants(nu: float, p: float) -> ProofConstants:
 def fractional_proof_constants(nu: float, q: float) -> ProofConstants:
     """The q-based variant (r' = q nu' + 1) used in the fractional argument."""
     return proof_constants(nu, q)
-
-
-def proof_constants_for_weight(weight, p: float, search=None) -> ProofConstants:
-    """Constants with nu searched from the weight's reverse-Holder behaviour."""
-    nu = sharp_rh_exponent(weight, search=search)
-    return proof_constants(nu, p)
 
 
 # ---------------------------------------------------------------------------

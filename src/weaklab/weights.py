@@ -28,7 +28,8 @@ cubes in a level range, optionally augmented by origin-anchored intervals
 [0, t] and two-sided intervals [-s, t] (closed-form weights are even, and
 their extremal intervals hug the origin, where dyadic cubes alone are too
 rigid).  The report records the witness interval so every value can be
-recomputed from its definition.  Each grid level's cubes are built at once as
+recomputed from its definition, and its label, formatted for the witness
+alone (a grid cube by ``Cube.label``).  Each grid level's cubes are built as
 integer arrays: cube m of level k in grid j is [(3m + sj) 2^-k, (3m + 3 + sj)
 2^-k) / 3 with sj = (-1)^k j.  While |3m + 3 + sj| < 2^53 the numerator times
 2^-k is an exact float, so one division by 3 is the correctly rounded exact
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import integrate
@@ -446,49 +447,58 @@ class SearchSpace:
         """Standard-grid dyadic cubes of the carrying mesh only (sampled weights)."""
         return cls(grids=(DyadicGrid(),), sampled_aligned_cubes=True)
 
-    def intervals_for(self, weight) -> tuple[np.ndarray, np.ndarray, list[str]]:
-        """Candidate intervals (lo, hi, labels) adapted to the weight kind."""
+    def intervals_for(self, weight) -> tuple[np.ndarray, np.ndarray, Callable[[int], str]]:
+        """Candidate intervals ``(lo, hi, label)`` adapted to the weight kind;
+        ``label(i)`` formats the name of candidate i on demand."""
         if isinstance(weight, SampledWeight):
-            if self.sampled_aligned_cubes:
-                return _aligned_cube_intervals(weight.mesh)
-            return _sampled_intervals(weight.mesh, self.domain)
-        a, b = self.domain
-        los, his, labels = [], [], []
-        for g in self.grids:
-            for k in range(self.min_level, self.max_level + 1):
-                m = np.arange(g.cube_index_of(k, a), g.cube_index_of(k, b) + 1)
-                sj = (-1 if k & 1 else 1) * g.shift_index
-                lo = (3 * m + sj) * 2.0**-k / 3.0
-                hi = (3 * m + 3 + sj) * 2.0**-k / 3.0
-                keep = (hi > a) & (lo < b)
-                los.append(lo[keep])
-                his.append(hi[keep])
-                labels += [f"grid{g.shift_index}:k={k},m={i}" for i in m[keep].tolist()]
+            mesh = weight.mesh
+            if not self.sampled_aligned_cubes:
+                return _sampled_intervals(mesh, self.domain)
+            # standard cubes from width R down to one cell
+            k0 = mesh.aligned_cell_level()
+            return _grid_cubes((DyadicGrid(),), k0 - mesh.level, k0, (-mesh.radius, mesh.radius))
+        b = self.domain[1]
+        lo, hi, cube_label = _grid_cubes(self.grids, self.min_level, self.max_level, self.domain)
+        n = len(lo)
         t = np.array([x for x in self.anchored if 0 < x <= b], dtype=float)
         ts = np.array([x for x in self.two_sided if 0 < x <= b], dtype=float)
-        los += [np.zeros(len(t)), -np.repeat(ts, len(ts))]
-        his += [t, np.tile(ts, len(ts))]
-        tags = [f"{x:.6g}" for x in ts.tolist()]
-        labels += [f"anchored:t={x:.6g}" for x in t.tolist()]
-        labels += [f"two-sided:s={s},t={u}" for s in tags for u in tags]
-        return np.concatenate(los), np.concatenate(his), labels
+
+        def label(i: int) -> str:
+            if i < n:
+                return cube_label(i)
+            if i < n + len(t):
+                return f"anchored:t={t[i - n]:.6g}"
+            s, u = divmod(i - n - len(t), len(ts))
+            return f"two-sided:s={ts[s]:.6g},t={ts[u]:.6g}"
+
+        lo = np.concatenate((lo, np.zeros(len(t)), -np.repeat(ts, len(ts))))
+        return lo, np.concatenate((hi, t, np.tile(ts, len(ts)))), label
 
 
-def _aligned_cube_intervals(mesh: Mesh):
-    """Standard dyadic cubes inside the mesh domain, from width R down to cells."""
-    edges = mesh.edges()
-    n = mesh.n_cells
-    los, his, labels = [], [], []
-    B = n // 2
-    k = mesh.aligned_cell_level() - mesh.level
-    while B >= 1:
-        for s in range(0, n, B):
-            los.append(edges[s])
-            his.append(edges[s + B])
-            labels.append(f"grid0:k={k},m={s // B}")
-        B //= 2
-        k += 1
-    return np.array(los), np.array(his), labels
+def _grid_cubes(grids, min_level: int, max_level: int, domain):
+    """(lo, hi, label) of the grid cubes meeting the open interval ``domain``,
+    grid by grid and level by level, each level one integer array of cube
+    indices m; ``label(i)`` names cube i by its ``Cube``."""
+    a, b = domain
+    los, his, blocks = [np.empty(0)], [np.empty(0)], []
+    for g in grids:
+        for k in range(min_level, max_level + 1):
+            m = np.arange(g.cube_index_of(k, a), g.cube_index_of(k, b) + 1)
+            sj = (-1 if k & 1 else 1) * g.shift_index
+            lo = (3 * m + sj) * 2.0**-k / 3.0
+            hi = (3 * m + 3 + sj) * 2.0**-k / 3.0
+            keep = (hi > a) & (lo < b)
+            los.append(lo[keep])
+            his.append(hi[keep])
+            blocks.append((g, k, m[keep]))
+    starts = np.cumsum([0] + [len(m) for _, _, m in blocks])
+
+    def label(i: int) -> str:
+        j = int(np.searchsorted(starts, i, side="right")) - 1
+        g, k, m = blocks[j]
+        return g.cube(k, int(m[i - starts[j]])).label
+
+    return np.concatenate(los), np.concatenate(his), label
 
 
 def _sampled_intervals(mesh: Mesh, domain, max_pairs: int = 1 << 21):
@@ -502,8 +512,7 @@ def _sampled_intervals(mesh: Mesh, domain, max_pairs: int = 1 << 21):
     pts = edges[::stride] if stride > 1 else edges
     m = len(pts)
     lo_idx, hi_idx = np.triu_indices(m, k=1)
-    labels = ["cells"] * len(lo_idx)
-    return pts[lo_idx], pts[hi_idx], labels
+    return pts[lo_idx], pts[hi_idx], lambda i: "cells"
 
 
 @dataclass(frozen=True)
@@ -516,10 +525,6 @@ class CharacteristicReport:
     witness_label: str
     search_levels: tuple[int, int]
     grids_used: int
-
-    @property
-    def witness_cube(self) -> tuple[float, float]:
-        return self.witness
 
     def __repr__(self):
         lo, hi = self.witness
@@ -543,38 +548,43 @@ def _sampled_avgs(weight: SampledWeight, lo, hi):
     return (p[pos_hi] - p[pos_lo]) / (hi - lo)
 
 
-def _essinfs(weight, lo, hi):
+def _essinfs(weight, lo, hi, label):
+    """Essential infima of the weight on the candidates, none of them zero."""
     if isinstance(weight, PowerLogWeight):
-        return weight.essinf_batch(lo, hi)
-    mesh = weight.mesh
-    i_lo = np.round((lo + mesh.radius) / mesh.h).astype(np.int64)
-    i_hi = np.round((hi + mesh.radius) / mesh.h).astype(np.int64)
-    # all intervals are cell-aligned; rolling minima per left endpoint
-    out = np.empty(len(lo))
-    vals = weight.values
-    for start in np.unique(i_lo):
-        sel = i_lo == start
-        ends = i_hi[sel]
-        run = np.minimum.accumulate(vals[start : ends.max()])
-        out[sel] = run[ends - start - 1]
+        out = weight.essinf_batch(lo, hi)
+    else:
+        mesh = weight.mesh
+        i_lo = np.round((lo + mesh.radius) / mesh.h).astype(np.int64)
+        i_hi = np.round((hi + mesh.radius) / mesh.h).astype(np.int64)
+        # all intervals are cell-aligned; rolling minima per left endpoint
+        out = np.empty(len(lo))
+        vals = weight.values
+        for start in np.unique(i_lo):
+            sel = i_lo == start
+            ends = i_hi[sel]
+            run = np.minimum.accumulate(vals[start : ends.max()])
+            out[sel] = run[ends - start - 1]
+    if np.any(out == 0):
+        bad = int(np.argmax(out == 0))
+        raise DegenerateWeightError(f"essinf vanishes on cube [{lo[bad]:.6g}, {hi[bad]:.6g}) ({label(bad)})")
     return out
 
 
-def _build_report(quantity, values, lo, hi, labels, search) -> CharacteristicReport:
+def _build_report(quantity, values, lo, hi, label, search) -> CharacteristicReport:
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError("empty search space")
     if not np.all(np.isfinite(values)):
         bad = int(np.argmax(~np.isfinite(values)))
         raise NonIntegrableError(
-            f"{quantity} is not finite on cube [{lo[bad]:.6g}, {hi[bad]:.6g}) ({labels[bad]})"
+            f"{quantity} is not finite on cube [{lo[bad]:.6g}, {hi[bad]:.6g}) ({label(bad)})"
         )
     i = int(np.argmax(values))
     return CharacteristicReport(
         quantity=quantity,
         value=float(values[i]),
         witness=(float(lo[i]), float(hi[i])),
-        witness_label=labels[i],
+        witness_label=label(i),
         search_levels=(search.min_level, search.max_level),
         grids_used=len(search.grids),
     )
@@ -590,7 +600,7 @@ def ap_characteristic(weight, p: float, search: SearchSpace | None = None) -> Ch
     if p <= 1:
         raise ValueError(f"A_p requires p > 1, got {p}; use a1_characteristic for p = 1")
     search = search or SearchSpace.default()
-    lo, hi, labels = search.intervals_for(weight)
+    lo, hi, label = search.intervals_for(weight)
     pprime = dual_exponent(p)
     dual = weight.power(1.0 - pprime)
     try:
@@ -599,22 +609,17 @@ def ap_characteristic(weight, p: float, search: SearchSpace | None = None) -> Ch
     except NonIntegrableError as e:
         raise NonIntegrableError(f"A_p dual weight: {e}") from None
     values = avg_w * avg_dual ** (p - 1.0)
-    return _build_report(f"A_{p:g}", values, lo, hi, labels, search)
+    return _build_report(f"A_{p:g}", values, lo, hi, label, search)
 
 
 def a1_characteristic(weight, search: SearchSpace | None = None) -> CharacteristicReport:
     """A_1 characteristic sup_Q (avg_Q w) / essinf_Q w."""
     search = search or SearchSpace.default()
-    lo, hi, labels = search.intervals_for(weight)
+    lo, hi, label = search.intervals_for(weight)
     avg_w = _averages(weight, lo, hi)
-    inf_w = _essinfs(weight, lo, hi)
-    if np.any(inf_w == 0):
-        bad = int(np.argmax(inf_w == 0))
-        raise DegenerateWeightError(
-            f"essinf vanishes on cube [{lo[bad]:.6g}, {hi[bad]:.6g}) ({labels[bad]})"
-        )
+    inf_w = _essinfs(weight, lo, hi, label)
     values = avg_w / inf_w
-    return _build_report("A_1", values, lo, hi, labels, search)
+    return _build_report("A_1", values, lo, hi, label, search)
 
 
 def rh_characteristic(weight, s: float, search: SearchSpace | None = None) -> CharacteristicReport:
@@ -622,7 +627,7 @@ def rh_characteristic(weight, s: float, search: SearchSpace | None = None) -> Ch
     if s <= 1:
         raise ValueError(f"reverse Holder requires s > 1, got {s}")
     search = search or SearchSpace.default()
-    lo, hi, labels = search.intervals_for(weight)
+    lo, hi, label = search.intervals_for(weight)
     ws = weight.power(s)
     try:
         avg_ws = _averages(ws, lo, hi)
@@ -630,7 +635,7 @@ def rh_characteristic(weight, s: float, search: SearchSpace | None = None) -> Ch
         raise NonIntegrableError(f"RH_{s:g}: {e}") from None
     avg_w = _averages(weight, lo, hi)
     values = avg_ws ** (1.0 / s) / avg_w
-    return _build_report(f"RH_{s:g}", values, lo, hi, labels, search)
+    return _build_report(f"RH_{s:g}", values, lo, hi, label, search)
 
 
 def sharp_rh_exponent(
@@ -680,7 +685,7 @@ def apq_characteristic(
     if q <= p:
         raise ValueError(f"A_(p,q) requires q > p, got p={p}, q={q}")
     search = search or SearchSpace.default()
-    lo, hi, labels = search.intervals_for(weight)
+    lo, hi, label = search.intervals_for(weight)
     pprime = dual_exponent(p)
     wq = weight.power(q)
     wdual = weight.power(-pprime)
@@ -690,7 +695,7 @@ def apq_characteristic(
     except NonIntegrableError as e:
         raise NonIntegrableError(f"A_(p,q): {e}") from None
     values = avg_q * avg_dual ** (q / pprime)
-    return _build_report(f"A_({p:g},{q:g})", values, lo, hi, labels, search)
+    return _build_report(f"A_({p:g},{q:g})", values, lo, hi, label, search)
 
 
 def a1q_characteristic(weight, q: float, search: SearchSpace | None = None) -> CharacteristicReport:
@@ -698,17 +703,12 @@ def a1q_characteristic(weight, q: float, search: SearchSpace | None = None) -> C
     if q <= 1:
         raise ValueError(f"A_(1,q) requires q > 1, got {q}")
     search = search or SearchSpace.default()
-    lo, hi, labels = search.intervals_for(weight)
+    lo, hi, label = search.intervals_for(weight)
     wq = weight.power(q)
     avg_q = _averages(wq, lo, hi)
-    inf_w = _essinfs(weight, lo, hi)
-    if np.any(inf_w == 0):
-        bad = int(np.argmax(inf_w == 0))
-        raise DegenerateWeightError(
-            f"essinf vanishes on cube [{lo[bad]:.6g}, {hi[bad]:.6g}) ({labels[bad]})"
-        )
+    inf_w = _essinfs(weight, lo, hi, label)
     values = avg_q / inf_w**q
-    return _build_report(f"A_(1,{q:g})", values, lo, hi, labels, search)
+    return _build_report(f"A_(1,{q:g})", values, lo, hi, label, search)
 
 
 # ---------------------------------------------------------------------------
@@ -742,19 +742,18 @@ def ainfty_characteristic(
     wbar = MeshFunction(mesh, weight.cell_averages(mesh))
     if np.any(wbar.values <= 0):
         raise DegenerateWeightError("discretized weight must be positive")
-    best = (-np.inf, None, None)
+    value, cube = -np.inf, None
     for g in grids:
         val, k, m = _fujii_wilson_one_grid(wbar, g, min_level, k_fine)
-        if val > best[0]:
-            c = g.cube(int(k), int(m))
-            best = (float(val), (float(c.left), float(c.right)), f"grid{g.shift_index}:k={c.level},m={c.index}")
-    if best[1] is None:
+        if val > value:
+            value, cube = float(val), g.cube(int(k), int(m))
+    if cube is None:
         raise ValueError("no grid cube fits inside the mesh domain")
     return CharacteristicReport(
         quantity="A_inf(FW)",
-        value=best[0],
-        witness=best[1],
-        witness_label=best[2],
+        value=value,
+        witness=cube.interval(),
+        witness_label=cube.label,
         search_levels=(min_level, k_fine),
         grids_used=len(grids),
     )

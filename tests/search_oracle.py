@@ -1,12 +1,15 @@
 """Reference candidate intervals: the per-``Cube`` loop that
 ``SearchSpace.intervals_for`` used before it built each grid level as
-integer arrays, and the Fujii-Wilson per-grid sweep with its range of
-inside cubes found by ``Fraction`` scans instead of integer division.
+integer arrays, the cell-edge loop that gave the aligned cubes of a sampled
+weight before they came from the same integer builder, and the
+Fujii-Wilson per-grid sweep with its range of inside cubes found by
+``Fraction`` scans instead of integer division.
 
 Every grid endpoint here is ``float(cube.left)`` / ``float(cube.right)`` of a
 freshly built ``Cube``, i.e. the correctly rounded value of the exact
-rational.  The differential tests in ``test_weights.py`` require the array
-construction to agree with these byte for byte.
+rational, or a float cell edge of the mesh.  The differential tests in
+``test_weights.py`` require the array construction to agree with these
+byte for byte.
 """
 
 from __future__ import annotations
@@ -48,6 +51,22 @@ def oracle_intervals(search) -> tuple[np.ndarray, np.ndarray, list[str]]:
             his.append(float(t))
             labels.append(f"two-sided:s={s:.6g},t={t:.6g}")
     return np.array(los), np.array(his), labels
+
+
+def oracle_aligned_intervals(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """Standard dyadic cubes inside the mesh domain, from width R down to
+    cells, as (lo, hi) read off the float cell edges ``mesh.edges()``."""
+    edges = mesh.edges()
+    n = mesh.n_cells
+    los: list[float] = []
+    his: list[float] = []
+    B = n // 2
+    while B >= 1:
+        for s in range(0, n, B):
+            los.append(edges[s])
+            his.append(edges[s + B])
+        B //= 2
+    return np.array(los), np.array(his)
 
 
 def oracle_inside_range(mesh: Mesh, grid: DyadicGrid, k: int, q0: int, n: int) -> tuple[int, int]:

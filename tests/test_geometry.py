@@ -1,7 +1,7 @@
 """The integer cube-to-cell map (``grid.cube_span``) against the ``Fraction``
 geometry it replaced (``geometry_oracle``), byte for byte; its int64
-headroom at the extreme meshes; and the rule that only ``grid.py`` imports
-``fractions``.
+headroom at the extreme meshes; and the rules that only ``grid.py`` imports
+``fractions`` and writes the cube-label format.
 """
 
 import ast
@@ -192,3 +192,21 @@ def test_only_grid_imports_fractions():
             if any(name.split(".")[0] == "fractions" for name in names):
                 importers.add(path.name)
     assert importers == {"grid.py"}
+
+
+def test_only_grid_writes_the_cube_label_format():
+    # every report names a cube through Cube.label; tests/search_oracle.py
+    # keeps its own literal because it is the independent oracle
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "weaklab"
+    writers = []
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.JoinedStr):
+                text = "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in node.values)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                text = node.value
+            else:
+                continue
+            if re.search(r"grid.*:k=.*,m=", text):
+                writers.append(path.name)
+    assert writers == ["grid.py"]

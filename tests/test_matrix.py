@@ -21,6 +21,7 @@ from weaklab import (
     fractional_reducing_matrix,
     hl_maximal,
     matrix_a1_characteristic,
+    matrix_a1q_characteristic,
     matrix_ap_characteristic,
     matrix_apq_characteristic,
     op_norm,
@@ -201,6 +202,21 @@ class TestMatrixCharacteristics:
         assert matrix_ap_characteristic(W, 2.0).value >= 1.0 - 1e-12
         assert matrix_a1_characteristic(W).value >= 1.0 - 1e-12
 
+    @pytest.mark.parametrize(
+        "characteristic",
+        [
+            lambda W: matrix_ap_characteristic(W, 2.0),
+            matrix_a1_characteristic,
+            lambda W: matrix_apq_characteristic(W, 2.0, 4.0),
+            lambda W: matrix_a1q_characteristic(W, 2.0),
+        ],
+        ids=["ap", "a1", "apq", "a1q"],
+    )
+    def test_every_characteristic_refuses_a_large_mesh(self, characteristic):
+        W = random_matrix_weight(Mesh(1.0, 9), 2, np.random.default_rng(0))  # 1024 cells
+        with pytest.raises(ValueError, match="desk-scale: use meshes of <= 512 cells"):
+            characteristic(W)
+
 
 class TestScalarRestriction:
     def test_identity_gives_unit_weight(self, mmesh):
@@ -221,6 +237,21 @@ class TestScalarRestriction:
         char = matrix_ap_characteristic(W, p).value
         for v in unit_directions(2, 100):
             assert scalar_restriction_characteristic(W, p, v).value <= char * (1 + 1e-9)
+
+    def test_witness_labels_agree_when_witnesses_agree(self):
+        # both reports name the aligned cube they found; the same cube must
+        # get the same name
+        agreed = 0
+        for seed in range(4):
+            W = random_matrix_weight(Mesh(1.0, 5), 2, np.random.default_rng(seed))
+            for p in (2.0, 3.0):
+                mat = matrix_ap_characteristic(W, p)
+                for v in unit_directions(2, 8):
+                    rep = scalar_restriction_characteristic(W, p, v)
+                    if rep.witness == mat.witness:
+                        agreed += 1
+                        assert rep.witness_label == mat.witness_label
+        assert agreed >= 10
 
 
 class TestChristGoldberg:

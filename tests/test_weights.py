@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,12 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 import weaklab.weights as weights_module
-from search_oracle import oracle_fujii_wilson_one_grid, oracle_inside_range, oracle_intervals
+from search_oracle import (
+    oracle_aligned_intervals,
+    oracle_fujii_wilson_one_grid,
+    oracle_inside_range,
+    oracle_intervals,
+)
 from weaklab import (
     DegenerateWeightError,
     DyadicGrid,
@@ -26,7 +32,7 @@ from weaklab import (
     sharp_rh_exponent,
     shifted_grids,
 )
-from weaklab.grid import _level_affine, enumerate_cubes
+from weaklab.grid import Cube, _level_affine, enumerate_cubes
 from weaklab.lowerbound import w_delta
 
 E = math.e
@@ -429,7 +435,8 @@ class TestSampledWeights:
 
 
 def assert_same_intervals(search):
-    lo, hi, labels = search.intervals_for(ONE)
+    lo, hi, label = search.intervals_for(ONE)
+    labels = [label(i) for i in range(len(lo))]
     o_lo, o_hi, o_labels = oracle_intervals(search)
     assert lo.dtype == o_lo.dtype == hi.dtype == o_hi.dtype == np.float64
     assert lo.tobytes() == o_lo.tobytes()
@@ -510,8 +517,8 @@ class TestCandidateIntervals:
         assert labels == ["anchored:t=0.5"] + [
             f"two-sided:s={s},t={t}" for s in ("0.25", "1") for t in ("0.25", "1")
         ]
-        lo, hi, labels = SearchSpace(min_level=3, max_level=2).intervals_for(ONE)
-        assert lo.shape == hi.shape == (0,) and lo.dtype == np.float64 and labels == []
+        lo, hi, _ = assert_same_intervals(SearchSpace(min_level=3, max_level=2))
+        assert lo.shape == hi.shape == (0,) and lo.dtype == np.float64
 
     def test_anchored_and_two_sided_values_outside_zero_b_are_dropped(self):
         search = SearchSpace(
@@ -528,6 +535,35 @@ class TestCandidateIntervals:
         assert hi.tolist() == [0.5, 2.0, 1.0, 2.0, 1.0, 2.0]
 
 
+def aligned_candidates(radius, level):
+    mesh = Mesh(radius, level)
+    return mesh, SearchSpace.aligned_cubes().intervals_for(SampledWeight(mesh, np.ones(mesh.n_cells)))
+
+
+class TestAlignedCubes:
+    @pytest.mark.parametrize("radius", [0.25, 0.5, 1.0, 2.0, 4.0, 1024.0])
+    def test_endpoints_match_the_cell_edge_loop(self, radius):
+        for level in range(12):
+            mesh, (lo, hi, _) = aligned_candidates(radius, level)
+            o_lo, o_hi = oracle_aligned_intervals(mesh)
+            assert lo.dtype == hi.dtype == np.float64
+            assert lo.tobytes() == o_lo.tobytes() and hi.tobytes() == o_hi.tobytes()
+
+    @pytest.mark.parametrize("radius,level", [(0.25, 6), (0.5, 9), (1.0, 0), (1.0, 5), (4.0, 7), (1024.0, 3)])
+    def test_labels_name_the_cube_they_cover(self, radius, level):
+        _, (lo, hi, label) = aligned_candidates(radius, level)
+        for i in range(len(lo)):
+            j, k, m = map(int, re.fullmatch(r"grid(\d+):k=(-?\d+),m=(-?\d+)", label(i)).groups())
+            assert j == 0 and Cube(k, m).interval() == (lo[i], hi[i])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_error_names_the_aligned_cube(self):
+        mesh = Mesh(1.0, 4)
+        w = SampledWeight(mesh, np.where(np.arange(mesh.n_cells) % 2, 1e200, 1e-200))
+        with pytest.raises(NonIntegrableError, match=re.escape("on cube [-1, 0) (grid0:k=0,m=-1)")):
+            ap_characteristic(w, 2.0, SearchSpace.aligned_cubes())
+
+
 class TestSearchSpaceDomain:
     def test_far_left_domain_keeps_every_cube(self):
         # level-0 cubes of [-1.5e6, -1.4e6): a left-side clip at -1e6 once dropped all of them
@@ -540,11 +576,11 @@ class TestSearchSpaceDomain:
         # at level 20 the old clip sat at -2^-20 * 1e6 = -0.954, inside this domain
         grid = DyadicGrid(1)
         search = SearchSpace(domain=(-1.0, -0.9), grids=(grid,), min_level=20, max_level=20)
-        lo, hi, labels = search.intervals_for(ONE)
+        lo, hi, label = search.intervals_for(ONE)
         cubes = enumerate_cubes(grid, (-1.0, -0.9), 20, 20)
         assert len(lo) == len(cubes) > 100_000
         assert lo[0] == float(cubes[0].left) and hi[-1] == float(cubes[-1].right)
-        assert labels[0] == f"grid1:k=20,m={cubes[0].index}"
+        assert label(0) == f"grid1:k=20,m={cubes[0].index}"
 
     @pytest.mark.parametrize(
         "domain",
@@ -573,7 +609,11 @@ class TestSearchSpaceDomain:
 
 
 def oracle_search(monkeypatch):
-    monkeypatch.setattr(SearchSpace, "intervals_for", lambda self, w: oracle_intervals(self))
+    def intervals_for(self, weight):
+        lo, hi, labels = oracle_intervals(self)
+        return lo, hi, labels.__getitem__
+
+    monkeypatch.setattr(SearchSpace, "intervals_for", intervals_for)
 
 
 def same_report(a, b):
@@ -603,6 +643,27 @@ def test_characteristic_reports_match_oracle_intervals(case, search, monkeypatch
     new = characteristic(weight, search)
     oracle_search(monkeypatch)
     assert same_report(characteristic(weight, search), new)
+
+
+ERRORS = [
+    (NonIntegrableError, lambda s: ap_characteristic(PowerLogWeight(-0.99, 0.0, 1e300), 2.0, s)),
+    (DegenerateWeightError, lambda s: a1_characteristic(PowerLogWeight(0.5), s)),
+    (DegenerateWeightError, lambda s: a1q_characteristic(PowerLogWeight(0.5), 2.0, s)),
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", range(len(ERRORS)))
+@pytest.mark.parametrize("search", [SearchSpace.default(), SearchSpace.default(0.75, 5)], ids=["default", "r0.75"])
+def test_errors_name_the_oracle_label(case, search, monkeypatch):
+    error, characteristic = ERRORS[case]
+    with pytest.raises(error) as new:
+        characteristic(search)
+    oracle_search(monkeypatch)
+    with pytest.raises(error) as old:
+        characteristic(search)
+    assert str(new.value) == str(old.value)
+    assert re.search(r"\((grid\d|anchored|two-sided):[^()]*\)$", str(new.value))
 
 
 # ---------------------------------------------------------------------------
