@@ -46,6 +46,7 @@ from .sparse import (
     verify_sparseness,
 )
 from .matrix import (
+    EllipsoidFitError,
     MatrixWeight,
     ReducingMatrix,
     ainfty_scalar_characteristic,

@@ -18,7 +18,8 @@ digits, so identical configurations reproduce byte-identical files.  A
 Exit codes: 0 success; 1 invariant-suite violation; 2 invalid exponent
 relation or malformed input (the parser rejects non-finite numbers and
 weight-descriptor parameters before anything runs); 3 numerical failure
-(non-integrable weight, degenerate data, unresolved level set).
+(non-integrable weight, degenerate data, unresolved level set, an ellipsoid
+fit that misses its certificate).
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import numpy as np
 from . import lowerbound as lb
 from .grid import DyadicGrid, Mesh, MeshFunction
 from .matrix import (
+    EllipsoidFitError,
     MatrixWeight,
     dual_reducing_matrix,
     matrix_ap_characteristic,
@@ -546,7 +548,7 @@ def main(argv: list[str] | None = None) -> int:
     except ExponentError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (NonIntegrableError, DegenerateWeightError, lb.MeshResolutionError) as e:
+    except (NonIntegrableError, DegenerateWeightError, lb.MeshResolutionError, EllipsoidFitError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
 

@@ -447,6 +447,18 @@ class SearchSpace:
         """Standard-grid dyadic cubes of the carrying mesh only (sampled weights)."""
         return cls(grids=(DyadicGrid(),), sampled_aligned_cubes=True)
 
+    def levels_for(self, weight) -> tuple[tuple[int, int], int]:
+        """``((coarsest, finest), grids)``: the levels and the number of grids
+        of the dyadic cubes ``intervals_for`` builds for this weight kind;
+        ``((0, -1), 0)`` for the full cell scan of a sampled weight."""
+        if not isinstance(weight, SampledWeight):
+            return (self.min_level, self.max_level), len(self.grids)
+        if not self.sampled_aligned_cubes:
+            return (0, -1), 0
+        # standard cubes from width R down to one cell
+        k0 = weight.mesh.aligned_cell_level()
+        return (k0 - weight.mesh.level, k0), 1
+
     def intervals_for(self, weight) -> tuple[np.ndarray, np.ndarray, Callable[[int], str]]:
         """Candidate intervals ``(lo, hi, label)`` adapted to the weight kind;
         ``label(i)`` formats the name of candidate i on demand."""
@@ -454,9 +466,8 @@ class SearchSpace:
             mesh = weight.mesh
             if not self.sampled_aligned_cubes:
                 return _sampled_intervals(mesh, self.domain)
-            # standard cubes from width R down to one cell
-            k0 = mesh.aligned_cell_level()
-            return _grid_cubes((DyadicGrid(),), k0 - mesh.level, k0, (-mesh.radius, mesh.radius))
+            (k_lo, k_hi), _ = self.levels_for(weight)
+            return _grid_cubes((DyadicGrid(),), k_lo, k_hi, (-mesh.radius, mesh.radius))
         b = self.domain[1]
         lo, hi, cube_label = _grid_cubes(self.grids, self.min_level, self.max_level, self.domain)
         n = len(lo)
@@ -517,7 +528,11 @@ def _sampled_intervals(mesh: Mesh, domain, max_pairs: int = 1 << 21):
 
 @dataclass(frozen=True)
 class CharacteristicReport:
-    """Value of a characteristic together with the witnessing interval."""
+    """Value of a characteristic together with the witnessing interval.
+
+    ``search_levels`` and ``grids_used`` describe the dyadic cubes actually
+    searched: ``(0, -1)`` and 0 when there were none (a cell scan).
+    """
 
     quantity: str
     value: float
@@ -570,7 +585,10 @@ def _essinfs(weight, lo, hi, label):
     return out
 
 
-def _build_report(quantity, values, lo, hi, label, search) -> CharacteristicReport:
+def _build_report(quantity, values, lo, hi, label, searched) -> CharacteristicReport:
+    """Report the largest of ``values``; ``searched`` is ``((coarsest, finest),
+    grids)`` from ``SearchSpace.levels_for``."""
+    levels, grids = searched
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError("empty search space")
@@ -585,8 +603,8 @@ def _build_report(quantity, values, lo, hi, label, search) -> CharacteristicRepo
         value=float(values[i]),
         witness=(float(lo[i]), float(hi[i])),
         witness_label=label(i),
-        search_levels=(search.min_level, search.max_level),
-        grids_used=len(search.grids),
+        search_levels=levels,
+        grids_used=grids,
     )
 
 
@@ -609,7 +627,7 @@ def ap_characteristic(weight, p: float, search: SearchSpace | None = None) -> Ch
     except NonIntegrableError as e:
         raise NonIntegrableError(f"A_p dual weight: {e}") from None
     values = avg_w * avg_dual ** (p - 1.0)
-    return _build_report(f"A_{p:g}", values, lo, hi, label, search)
+    return _build_report(f"A_{p:g}", values, lo, hi, label, search.levels_for(weight))
 
 
 def a1_characteristic(weight, search: SearchSpace | None = None) -> CharacteristicReport:
@@ -619,7 +637,7 @@ def a1_characteristic(weight, search: SearchSpace | None = None) -> Characterist
     avg_w = _averages(weight, lo, hi)
     inf_w = _essinfs(weight, lo, hi, label)
     values = avg_w / inf_w
-    return _build_report("A_1", values, lo, hi, label, search)
+    return _build_report("A_1", values, lo, hi, label, search.levels_for(weight))
 
 
 def rh_characteristic(weight, s: float, search: SearchSpace | None = None) -> CharacteristicReport:
@@ -635,7 +653,7 @@ def rh_characteristic(weight, s: float, search: SearchSpace | None = None) -> Ch
         raise NonIntegrableError(f"RH_{s:g}: {e}") from None
     avg_w = _averages(weight, lo, hi)
     values = avg_ws ** (1.0 / s) / avg_w
-    return _build_report(f"RH_{s:g}", values, lo, hi, label, search)
+    return _build_report(f"RH_{s:g}", values, lo, hi, label, search.levels_for(weight))
 
 
 def sharp_rh_exponent(
@@ -695,7 +713,7 @@ def apq_characteristic(
     except NonIntegrableError as e:
         raise NonIntegrableError(f"A_(p,q): {e}") from None
     values = avg_q * avg_dual ** (q / pprime)
-    return _build_report(f"A_({p:g},{q:g})", values, lo, hi, label, search)
+    return _build_report(f"A_({p:g},{q:g})", values, lo, hi, label, search.levels_for(weight))
 
 
 def a1q_characteristic(weight, q: float, search: SearchSpace | None = None) -> CharacteristicReport:
@@ -708,7 +726,7 @@ def a1q_characteristic(weight, q: float, search: SearchSpace | None = None) -> C
     avg_q = _averages(wq, lo, hi)
     inf_w = _essinfs(weight, lo, hi, label)
     values = avg_q / inf_w**q
-    return _build_report(f"A_(1,{q:g})", values, lo, hi, label, search)
+    return _build_report(f"A_(1,{q:g})", values, lo, hi, label, search.levels_for(weight))
 
 
 # ---------------------------------------------------------------------------

@@ -238,6 +238,18 @@ class TestScalarRestriction:
         for v in unit_directions(2, 100):
             assert scalar_restriction_characteristic(W, p, v).value <= char * (1 + 1e-9)
 
+    def test_search_levels_agree_with_matrix_report(self):
+        # both scan the aligned cubes of Mesh(1, 5): levels 0 (width R) to 5
+        # (one cell) of the standard grid
+        W = random_matrix_weight(Mesh(1.0, 5), 2, np.random.default_rng(0))
+        rep = scalar_restriction_characteristic(W, 2.0, np.array([1.0, 0.0]))
+        mat = matrix_ap_characteristic(W, 2.0)
+        assert rep.search_levels == mat.search_levels == (0, 5)
+        assert rep.grids_used == mat.grids_used == 1
+        # a full cell scan searches no dyadic cube
+        full = ap_characteristic(scalar_restriction(W, 2.0, np.array([1.0, 0.0])), 2.0)
+        assert (full.search_levels, full.grids_used) == ((0, -1), 0)
+
     def test_witness_labels_agree_when_witnesses_agree(self):
         # both reports name the aligned cube they found; the same cube must
         # get the same name
