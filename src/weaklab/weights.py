@@ -4,10 +4,11 @@ Two representations are supported:
 
 * :class:`PowerLogWeight` -- the closed-form family
   ``w(x) = c |x|^a log(e/|x|)^b`` on ``0 < |x| <= 1`` and ``w = c`` outside.
-  The family is closed under powers, and all interval integrals have exact
-  antiderivatives (an integration-by-parts recursion in ``b`` for integer
-  ``b >= 0``; adaptive quadrature with the substitution ``x = e^(1-s)``
-  otherwise).
+  The family is closed under powers.  Interval integrals come from an
+  integration-by-parts recursion in ``b`` for integer ``b >= 0``; other ``b``
+  substitute ``x = e^(1-s)``, which gives the incomplete gamma function on
+  intervals [0, t] (``a > -1``, ``b > -1``; a closed form at ``a = -1``) and
+  a fixed composite Gauss-Legendre rule in ``s`` elsewhere.
 * :class:`SampledWeight` -- positive cell values on a :class:`~weaklab.grid.Mesh`,
   with piecewise-constant semantics (interval integrals are exact cell sums,
   essential infima are minima over touched cells).
@@ -43,13 +44,14 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
+from scipy import special
 
 from .grid import (
     DyadicGrid,
     Mesh,
     MeshFunction,
     _level_affine,
+    _span_integrals,
     default_levels,
     level_cube_integrals,
     shifted_grids,
@@ -96,25 +98,109 @@ def dual_exponent(p: float) -> float:
 
 
 def _powerlog_core_batch(a: float, b: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """∫ x^a log(e/x)^b dx over [lo, hi] ⊆ (0, 1], elementwise.
+    """∫ x^a log(e/x)^b dx over [lo, hi] ⊆ [0, 1], elementwise.
 
     Integer b >= 0 uses the exact parts recursion
 
         (a+1) ∫ x^a L^b = [x^(a+1) L^b] + b ∫ x^a L^(b-1),   L = log(e/x),
 
-    anchored at b = 0.  Other b fall back to adaptive quadrature (with the
-    substitution x = e^(1-s) when lo = 0, which makes the integrand decay
-    exponentially).
+    anchored at b = 0.  Other b substitute x = e^(1-s), c = a + 1, which
+    turns the integral into e^c ∫ s^b e^(-cs) ds over [log(e/hi), log(e/lo)]:
+
+    * anchored, a > -1, b > -1: the closed form e^c Γ(b+1) Q(b+1, cS) / c^(b+1),
+      S = log(e/hi), with Q the regularized upper incomplete gamma function;
+    * anchored, a = -1, b < -1: the closed form S^(b+1) / (-(b+1));
+    * interior (lo > 0), any a and b: composite Gauss-Legendre in s
+      (``_log_variable_rule``);
+    * anchored, a > -1, b <= -1: the same rule on [S, S + 40/c], where the
+      decreasing integrand has fallen by e^-40; also where Q underflows.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     if float(b).is_integer() and b >= 0:
         return _core_recursive(a, int(b), lo, hi)
-    out = np.empty(lo.shape)
-    flat = out.reshape(-1)
-    for i, (u, v) in enumerate(zip(lo.reshape(-1), hi.reshape(-1))):
-        flat[i] = _core_quad(a, b, u, v)
+    out = np.zeros(np.broadcast(lo, hi).shape)
+    live = hi > lo
+    anchored = live & (lo == 0.0)
+    if np.any(anchored):
+        out[anchored] = _anchored_core(a, b, hi[anchored])
+    interior = live & (lo > 0.0)
+    u, v = lo[interior], hi[interior]
+    out[interior] = _log_variable_rule(a, b, np.log(_E / v), np.log1p((v - u) / u), v, u)
     return out
+
+
+def _anchored_core(a: float, b: float, t: np.ndarray) -> np.ndarray:
+    """∫_0^t x^a log(e/x)^b dx for 0 < t <= 1 and b not a non-negative integer."""
+    c = a + 1.0
+    if not (c > 0 or (c == 0 and b < -1)):
+        raise NonIntegrableError(f"x^{a} log(e/x)^{b} is not integrable at 0")
+    S = np.log(_E / t)
+    if c == 0:
+        return S ** (b + 1.0) / -(b + 1.0)
+    if b > -1:
+        q = special.gammaincc(b + 1.0, c * S)
+        out = _gamma_prefactor(c, b, q)
+        tail = q < np.finfo(float).tiny  # Q underflowed, so cS > b + 1 and the integrand decreases
+    else:
+        out, tail = np.empty(S.shape), np.ones(S.shape, dtype=bool)
+    if np.any(tail):
+        S, t = S[tail], t[tail]
+        span = 40.0 / (c - max(b, 0.0) / S)
+        out[tail] = _log_variable_rule(a, b, S, span, t, np.exp(1.0 - (S + span)))
+    return out
+
+
+def _gamma_prefactor(c: float, b: float, q: np.ndarray) -> np.ndarray:
+    """e^c Γ(b+1) q / c^(b+1), in log space where a factor leaves the float range."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):  # float64: overflow gives inf
+        pref = np.exp(c) * special.gamma(b + 1.0) / np.float64(c) ** (b + 1.0)
+    if np.finfo(float).tiny <= pref < np.inf:
+        return pref * q
+    with np.errstate(divide="ignore"):
+        return np.exp(c + special.gammaln(b + 1.0) - (b + 1.0) * math.log(c) + np.log(q))
+
+
+# 16-node Gauss-Legendre rule on [-1, 1]
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+
+def _power_product(x, c: float, s, b: float) -> np.ndarray:
+    """x^c s^b, through logs where a factor leaves the normal float range."""
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        xc, sb = x**c, s**b
+        normal = (np.finfo(float).tiny <= np.minimum(xc, sb)) & (np.maximum(xc, sb) < np.inf)
+        return np.where(normal, xc * sb, np.exp(c * np.log(x) + b * np.log(s)))
+
+
+def _log_variable_rule(a: float, b: float, s0, span, x0, x1) -> np.ndarray:
+    """∫ e^(c(1-s)) s^b ds over [s0, s0 + span], s0 >= 1, c = a + 1, elementwise,
+    by composite 16-node Gauss-Legendre; ``x0``, ``x1`` are e^(1-s) at the ends.
+
+    This is ∫ x^a log(e/x)^b dx over [x1, x0].  The span is passed on its own
+    (as ``log1p((v-u)/u)`` for an interval [u, v]) because the difference of
+    two logs loses digits on narrow intervals.  The panels are uniform in
+    log s, and no panel is wider than min(s/2, s/|b|, 1/|c|), so s^b and
+    e^(-cs) each vary by a bounded factor on it.  The integrand is scaled by
+    its value at the end where it is larger, so nothing overflows when
+    a << -1; an interior peak (b > 0 < c) overflows only if it exceeds that
+    end value by e^709 (it is e^159 at a = 40, b = 200.5 on [2^-40, 1]).
+    """
+    s0, span = np.asarray(s0, dtype=float), np.asarray(span, dtype=float)
+    c = a + 1.0
+    log_span = np.log1p(span / s0)
+    peak_right = b * log_span - c * span > 0  # log g(s0 + span) > log g(s0)
+    ref = np.where(peak_right, span, 0.0)  # offset of the scaling end from s0
+    g_ref = _power_product(np.where(peak_right, x1, x0), c, s0 + ref, b)
+    per_log = 1.0 / math.log1p(1.0 / max(2.0, abs(b)))  # panels per unit of log s for s^b
+    n = np.ceil(log_span * np.maximum(per_log, abs(c) * (s0 + span))).astype(np.int64)
+    i = np.repeat(np.arange(len(n)), n)  # owning interval of each panel
+    j = np.arange(len(i)) - np.repeat(np.cumsum(n) - n, n)
+    lo, hi = (s0[i] * np.expm1(log_span[i] * (m / n[i])) for m in (j, j + 1))  # offsets from s0
+    half = 0.5 * (hi - lo)
+    d = (lo + half - ref[i])[:, None] + half[:, None] * _GL_NODES  # node offsets from the scaling end
+    vals = np.exp(b * np.log1p(d / (s0 + ref)[i][:, None]) - c * d)
+    return g_ref * np.bincount(i, weights=(vals @ _GL_WEIGHTS) * half, minlength=len(n))
 
 
 def _core_recursive(a: float, b: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -137,24 +223,6 @@ def _core_recursive(a: float, b: int, lo: np.ndarray, hi: np.ndarray) -> np.ndar
     for j in range(1, b + 1):
         out = (term_hi * Lhi**j - term_lo * Llo**j + j * out) / ap1
     return out
-
-
-def _core_quad(a: float, b: float, u: float, v: float) -> float:
-    if u == v:
-        return 0.0
-    if u == 0.0:
-        if a <= -1.0:
-            raise NonIntegrableError(f"x^{a} log(e/x)^{b} is not integrable at 0")
-        # x = e^(1-s):  ∫_0^v = e^(a+1) ∫_S^∞ s^b e^{-(a+1)s} ds,  S = log(e/v)
-        S = math.log(_E / v)
-        val, _ = integrate.quad(
-            lambda s: s**b * math.exp(-(a + 1.0) * s), S, np.inf, epsabs=1e-13, epsrel=1e-11, limit=200
-        )
-        return math.exp(a + 1.0) * val
-    val, _ = integrate.quad(
-        lambda x: x**a * math.log(_E / x) ** b, u, v, epsabs=1e-14, epsrel=1e-12, limit=200
-    )
-    return val
 
 
 @dataclass(frozen=True)
@@ -555,12 +623,39 @@ def _averages(weight, lo, hi):
     ) else _sampled_avgs(weight, lo, hi)
 
 
+_TRIANGLE_CHUNK = 2**20  # entries of the triangular running sums built at once
+
+
 def _sampled_avgs(weight: SampledWeight, lo, hi):
-    # endpoints produced by _sampled_intervals are exact cell edges
-    pos_lo = np.round((lo + weight.mesh.radius) / weight.mesh.h).astype(np.int64)
-    pos_hi = np.round((hi + weight.mesh.radius) / weight.mesh.h).astype(np.int64)
-    p = np.concatenate(([0.0], np.cumsum(weight.values * weight.mesh.h)))
-    return (p[pos_hi] - p[pos_lo]) / (hi - lo)
+    """Averages over cell-aligned candidates, each summed from its own left
+    edge, so that its rounding scales with its own mass, not with the mass
+    to its left.
+
+    Each candidate sums its own cells (``_span_integrals``) unless that reads
+    more cells than there are pairs of blocks, the cell runs between
+    consecutive candidate edges, as in the scan of every cell-aligned
+    interval.  Then the blocks are summed once, and each candidate reads the
+    row of its left edge in a triangular cumulative sum of the blocks (built
+    in row chunks of about ``_TRIANGLE_CHUNK`` entries).
+    """
+    mesh, f = weight.mesh, weight.as_mesh_function()
+    i_lo, i_hi = (np.round((x + mesh.radius) / mesh.h).astype(np.int64) for x in (lo, hi))
+    is_edge = np.zeros(mesh.n_cells + 1, dtype=bool)
+    is_edge[i_lo] = is_edge[i_hi] = True
+    edges = np.flatnonzero(is_edge)
+    nb = len(edges) - 1
+    if np.sum(i_hi - i_lo) <= nb * nb:
+        return _span_integrals(f, i_lo, i_hi, 1) / (hi - lo)
+    block_of = np.cumsum(is_edge) - 1  # block index at each cell edge
+    first, last = block_of[i_lo], block_of[i_hi] - 1
+    blocks = _span_integrals(f, edges[:-1], edges[1:], 1)
+    sums = np.empty(len(lo))
+    chunk = max(1, _TRIANGLE_CHUNK // nb)
+    for r0 in range(0, nb, chunk):
+        tri = np.where(np.arange(nb) >= np.arange(r0, min(r0 + chunk, nb))[:, None], blocks, 0.0)
+        sel = (first >= r0) & (first < r0 + chunk)
+        sums[sel] = np.cumsum(tri, axis=1)[first[sel] - r0, last[sel]]
+    return sums / (hi - lo)
 
 
 def _essinfs(weight, lo, hi, label):
@@ -807,10 +902,11 @@ def _fujii_wilson_one_grid(wbar: MeshFunction, grid: DyadicGrid, k_lo: int, k_fi
         inside_hi = (a0 + mesh.n_cells * step) // den - 1
         if inside_hi < inside_lo:
             continue
-        # segment sums of profile * width_f per ancestor cube
+        # sums of profile * width_f over each ancestor cube's own segment
         seg = np.searchsorted(anc, np.arange(inside_lo, inside_hi + 2))
-        csum = np.concatenate((np.zeros((1, *profile.shape[1:])), np.cumsum(profile * width_f, axis=0)))
-        m_int = csum[seg[1:]] - csum[seg[:-1]]
+        mass = np.concatenate((profile * width_f, np.zeros((1, *profile.shape[1:]))))
+        m_int = np.add.reduceat(mass, seg, axis=0)[:-1]
+        m_int[seg[1:] == seg[:-1]] = 0.0  # reduceat gives an empty segment its first entry
         wq = ints[inside_lo - q0 : inside_hi - q0 + 1]
         ok = wq > 0
         vals.append(np.where(ok, m_int / np.where(ok, wq, 1.0), -np.inf))

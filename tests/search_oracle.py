@@ -102,8 +102,9 @@ def oracle_fujii_wilson_one_grid(wbar: MeshFunction, grid: DyadicGrid, k_lo: int
         if inside_hi < inside_lo:
             continue
         seg = np.searchsorted(anc, np.arange(inside_lo, inside_hi + 2))
-        csum = np.concatenate(([0.0], np.cumsum(profile * width_f)))
-        m_int = csum[seg[1:]] - csum[seg[:-1]]
+        # the implementation's local segment sums; only the inside range differs
+        m_int = np.add.reduceat(np.append(profile * width_f, 0.0), seg)[:-1]
+        m_int[seg[1:] == seg[:-1]] = 0.0
         wq = ints[inside_lo - q0 : inside_hi - q0 + 1]
         ok = wq > 0
         if not np.any(ok):

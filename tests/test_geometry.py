@@ -194,6 +194,32 @@ def test_only_grid_imports_fractions():
     assert importers == {"grid.py"}
 
 
+def test_weights_does_not_import_scipy_integrate():
+    # power-log integrals are closed forms and a fixed Gauss-Legendre rule
+    path = pathlib.Path(__file__).resolve().parents[1] / "src" / "weaklab" / "weights.py"
+    imported = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            imported += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [f"{node.module}.{a.name}" for a in node.names] + [node.module or ""]
+    assert not [name for name in imported if name.startswith("scipy.integrate")]
+
+
+def test_weights_and_lower_bound_run_without_quad(monkeypatch):
+    from scipy import integrate
+
+    from weaklab import PowerLogWeight, ap_characteristic
+    from weaklab.lowerbound import lower_bound_experiment
+
+    def no_quad(*args, **kwargs):
+        raise AssertionError("scipy.integrate.quad called")
+
+    monkeypatch.setattr(integrate, "quad", no_quad)
+    assert lower_bound_experiment(0.1).quotient > 0
+    assert ap_characteristic(PowerLogWeight(-0.3, 0.7), 2.0).value > 1
+
+
 def test_only_grid_writes_the_cube_label_format():
     # every report names a cube through Cube.label; tests/search_oracle.py
     # keeps its own literal because it is the independent oracle

@@ -699,3 +699,190 @@ def test_ainfty_report_matches_fraction_scan(radius, monkeypatch):
                 mp.setattr(weights_module, "_fujii_wilson_one_grid", oracle_fujii_wilson_one_grid)
                 old = ainfty_characteristic(w, mesh=mesh, grids=grids)
             assert same_report(new, old)
+
+
+# ---------------------------------------------------------------------------
+# non-integer log powers against mpmath oracles
+# ---------------------------------------------------------------------------
+
+
+def _anchored_oracle(a, b, t):
+    """∫_0^t x^a log(e/x)^b dx = e^c c^-(b+1) Γ(b+1, c log(e/t)), c = a + 1 > 0."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        c, b = mpmath.mpf(a) + 1, mpmath.mpf(b)
+        U = c * mpmath.log(mpmath.e / mpmath.mpf(t))
+        return float(mpmath.e**c * c ** (-(b + 1)) * mpmath.gammainc(b + 1, U, mpmath.inf))
+
+
+def _interior_oracle(a, b, u, v, panels=24):
+    """∫_u^v x^a log(e/x)^b dx = ∫ e^(c(1-s)) s^b ds over [log(e/v), log(e/u)],
+    in 40 digits, split into panels.  The integrand is divided by its largest
+    value at an end or at the interior peak s = b/c, so mpmath's absolute
+    tolerance is relative to the integral (unscaled, ``mpmath.quad`` in x
+    or s was 1e-8 to 1e-6 off on small integrals such as a = 20 on
+    [1e-3, 2e-3])."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        c = a + 1
+        s_lo, s_hi = (mpmath.log(mpmath.e / mpmath.mpf(x)) for x in (v, u))
+        log_g = lambda s: c * (1 - s) + b * mpmath.log(s)  # noqa: E731
+        peak = [b / c] if c > 0 and s_lo < b / c < s_hi else []
+        top = max(log_g(s) for s in [s_lo, s_hi, *peak])
+        edges = sorted(set(mpmath.linspace(s_lo, s_hi, panels) + peak))
+        return float(mpmath.exp(top) * mpmath.quad(lambda s: mpmath.exp(log_g(s) - top), edges))
+
+
+def _assert_positive_and_close(got, want, rel):
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.all(np.isfinite(got)) and np.all(got > 0)
+    err = np.abs(got / want - 1.0)
+    assert err.max() <= rel, f"worst relative error {err.max():.3g} at entry {err.argmax()}"
+
+
+# non-integer b (the parts recursion serves integer b >= 0)
+ANCHORED_EXPONENTS = [
+    (0.5, -0.5),
+    (0.3, 1.7),
+    (-0.5, 0.01),
+    (-0.9, 2.5),
+    (0.8, -1.2),
+    (-0.2, -1.1),
+    (5.0, -0.5),
+    (20.0, 2.5),
+    (-0.99, 0.3),
+    (0.5 * 63.9, 2.5 * 63.9),  # PowerLogWeight(0.5, 2.5).power(63.9): b = 159.75
+    (40.0, 200.5),  # Γ(b+1) overflows: the log-space prefactor
+]
+INTERIOR_EXPONENTS = ANCHORED_EXPONENTS + [(-1.5, 0.7), (-3.0, -2.0), (-1.0, -2.0), (-1.0, 0.5), (-20.0, 3.3)]
+INTERIOR_INTERVALS = [
+    (1 - 2.0**-20, 1.0),
+    (0.5, 0.5 + 1e-9),
+    (2.0**-40, 1.0),
+    (0.25, 0.75),
+    (1e-3, 2e-3),
+    (2.0**-30, 2.0**-29),
+    (0.1, 1.0),
+]
+
+
+class TestNonIntegerLogPowers:
+    @pytest.mark.parametrize("a, b", ANCHORED_EXPONENTS)
+    def test_anchored_matches_incomplete_gamma_oracle(self, a, b):
+        # t log-uniform over the range SearchSpace.anchored_only() searches
+        t = np.sort(2.0 ** np.random.default_rng(7).uniform(-40.0, 0.0, 12))
+        t[0] = 1e-11
+        got = PowerLogWeight(a, b).integral_batch(np.zeros_like(t), t)
+        _assert_positive_and_close(got, [_anchored_oracle(a, b, x) for x in t], 1e-12)
+
+    def test_anchored_tiny_t_within_1e12(self):
+        # adaptive quad with epsabs=1e-13 was 2.4e-6 off here, with no warning
+        for a, b, t in ((0.5, -0.5, 1e-11), (0.3, 1.7, 1e-12)):
+            got = PowerLogWeight(a, b).integral(0.0, t)
+            assert got == pytest.approx(_anchored_oracle(a, b, t), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("a, b", INTERIOR_EXPONENTS)
+    def test_interior_matches_log_variable_oracle(self, a, b):
+        u, v = np.array(INTERIOR_INTERVALS).T
+        got = PowerLogWeight(a, b).integral_batch(u, v)
+        _assert_positive_and_close(got, [_interior_oracle(a, b, x, y) for x, y in INTERIOR_INTERVALS], 1e-12)
+
+    def test_negative_side_and_two_sided_intervals(self):
+        w = PowerLogWeight(-0.3, 0.7)
+        assert w.integral(-0.75, -0.25) == w.integral(0.25, 0.75)
+        two_sided = w.integral(-0.25, 0.5)
+        assert two_sided == pytest.approx(_anchored_oracle(-0.3, 0.7, 0.25) + _anchored_oracle(-0.3, 0.7, 0.5), rel=1e-13)
+
+    def test_underflowing_gamma_tail_still_positive(self):
+        # Q(b+1, cS) underflows here, though the integral (about 3e-302) does not
+        got = PowerLogWeight(30.0, 0.5).integral(0.0, 2e-10)
+        assert got == pytest.approx(_anchored_oracle(30.0, 0.5, 2e-10), rel=1e-12, abs=0.0)
+
+
+class TestLogarithmicEndpoint:
+    """a = -1: x^-1 log(e/x)^b is integrable at 0 exactly when b < -1."""
+
+    def test_closed_form_for_b_below_minus_one(self):
+        w = PowerLogWeight(-1.0, -2.0)
+        assert w.anchored_integrable
+        # ∫_0^t x^-1 log(e/x)^-2 dx = 1/log(e/t)
+        assert w.integral(0.0, 0.5) == pytest.approx(1.0 / math.log(2 * E), rel=1e-15)
+        assert w.integral(-0.25, 0.5) == pytest.approx(1.0 / math.log(2 * E) + 1.0 / math.log(4 * E), rel=1e-15)
+        assert PowerLogWeight(-1.0, -1.5).integral(0.0, 0.5) == pytest.approx(2.0 / math.sqrt(math.log(2 * E)), rel=1e-15)
+
+    @pytest.mark.parametrize("b", [-1.0, -0.5, 0.0, 1.0, 1.5])
+    def test_b_at_least_minus_one_still_raises(self, b):
+        w = PowerLogWeight(-1.0, b)
+        assert not w.anchored_integrable
+        with pytest.raises(NonIntegrableError):
+            w.integral(0.0, 0.5)
+        with pytest.raises(NonIntegrableError):
+            w.integral(-0.25, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# local sums for sampled weights and the Fujii-Wilson segments
+# ---------------------------------------------------------------------------
+
+
+def _heavy_left(mesh, heavy, light):
+    n = mesh.n_cells
+    return SampledWeight(mesh, np.concatenate((np.full(n // 2, heavy), light)))
+
+
+def test_sampled_averages_sum_each_interval_locally():
+    # 0.412 on the left half and 1e-9 on the right: differencing one global
+    # prefix sum put the average over [0, 1) 3.5e-6 off
+    mesh = Mesh(1.0, 7)
+    w = _heavy_left(mesh, 0.412, np.full(mesh.n_cells // 2, 1e-9))
+    assert weights_module._sampled_avgs(w, np.array([0.0]), np.array([1.0]))[0] == pytest.approx(1e-9, rel=1e-15, abs=0.0)
+    lo, hi, _ = SearchSpace().intervals_for(w)
+    pick = np.random.default_rng(3).choice(len(lo), 3000, replace=False)
+    got = weights_module._sampled_avgs(w, lo[pick], hi[pick])
+    i_lo, i_hi = (np.round((x[pick] + 1.0) / mesh.h).astype(int) for x in (lo, hi))
+    want = [math.fsum(w.values[i:j]) / (j - i) for i, j in zip(i_lo, i_hi)]
+    _assert_positive_and_close(got, want, 1e-13)
+
+
+def test_sampled_running_sums_do_not_depend_on_the_chunk(monkeypatch):
+    mesh = Mesh(1.0, 5)
+    w = SampledWeight(mesh, np.random.default_rng(4).lognormal(0.0, 3.0, mesh.n_cells))
+    lo, hi, _ = SearchSpace().intervals_for(w)
+    whole = weights_module._sampled_avgs(w, lo, hi)
+    monkeypatch.setattr(weights_module, "_TRIANGLE_CHUNK", 5 * mesh.n_cells)
+    assert weights_module._sampled_avgs(w, lo, hi).tobytes() == whole.tobytes()
+    i_lo, i_hi = (np.round((x + 1.0) / mesh.h).astype(int) for x in (lo, hi))
+    _assert_positive_and_close(whole, [math.fsum(w.values[i:j]) / (j - i) for i, j in zip(i_lo, i_hi)], 1e-13)
+
+
+def _fw_fsum_oracle(w, k, m):
+    """Fujii-Wilson ratio of standard-grid cube (k, m) whose cells are the
+    finest cubes: every cube average and integral an exact-rounded fsum."""
+    mesh = w.mesh
+    per = 2 ** (mesh.level - k)  # cells per level-k cube
+    first = m * per + mesh.n_cells // 2  # cube m of level k starts at m 2^-k
+    cells = w.values[first : first + per]
+    profile = np.zeros(per)
+    for j in range(k, mesh.level + 1):
+        size = 2 ** (mesh.level - j)
+        avgs = [math.fsum(cells[i : i + size]) / size for i in range(0, per, size)]
+        profile = np.maximum(profile, np.repeat(avgs, size))
+    return math.fsum(profile) / math.fsum(cells)
+
+
+def test_fujii_wilson_segments_sum_locally():
+    # about 1e9 on the left half, a rough weight near 1 on the right; the
+    # supremum sits on the light side, where a global prefix sum was 1e-6 off
+    mesh = Mesh(1.0, 7)
+    light = np.random.default_rng(5).uniform(0.5, 1.5, mesh.n_cells // 2)
+    light[::16] = 40.0
+    w = _heavy_left(mesh, 1e9, light)
+    rep = ainfty_characteristic(w, mesh=mesh, grids=[DyadicGrid(0)], min_level=0)
+    k, m = (int(x) for x in re.findall(r"-?\d+", rep.witness_label)[1:])
+    assert rep.witness[0] >= 0.0
+    assert rep.value == pytest.approx(_fw_fsum_oracle(w, k, m), rel=1e-13)
+    best = max(_fw_fsum_oracle(w, j, i) for j in range(0, mesh.level + 1) for i in range(-(2**j), 2**j))
+    assert rep.value == pytest.approx(best, rel=1e-13)
