@@ -131,10 +131,9 @@ def _powerlog_core_batch(a: float, b: float, lo: np.ndarray, hi: np.ndarray) -> 
 
 
 def _anchored_core(a: float, b: float, t: np.ndarray) -> np.ndarray:
-    """∫_0^t x^a log(e/x)^b dx for 0 < t <= 1 and b not a non-negative integer."""
+    """∫_0^t x^a log(e/x)^b dx for 0 < t <= 1 and b not a non-negative integer,
+    on a weight the callers found ``anchored_integrable``."""
     c = a + 1.0
-    if not (c > 0 or (c == 0 and b < -1)):
-        raise NonIntegrableError(f"x^{a} log(e/x)^{b} is not integrable at 0")
     S = np.log(_E / t)
     if c == 0:
         return S ** (b + 1.0) / -(b + 1.0)
@@ -623,39 +622,35 @@ def _averages(weight, lo, hi):
     ) else _sampled_avgs(weight, lo, hi)
 
 
-_TRIANGLE_CHUNK = 2**20  # entries of the triangular running sums built at once
-
-
 def _sampled_avgs(weight: SampledWeight, lo, hi):
-    """Averages over cell-aligned candidates, each summed from its own left
-    edge, so that its rounding scales with its own mass, not with the mass
-    to its left.
+    """Averages over cell-aligned candidates, each a running sum from its
+    own left edge, so that its rounding scales with its own mass, not with
+    the mass to its left.
 
-    Each candidate sums its own cells (``_span_integrals``) unless that reads
-    more cells than there are pairs of blocks, the cell runs between
-    consecutive candidate edges, as in the scan of every cell-aligned
-    interval.  Then the blocks are summed once, and each candidate reads the
-    row of its left edge in a triangular cumulative sum of the blocks (built
-    in row chunks of about ``_TRIANGLE_CHUNK`` entries).
+    The blocks, the cell runs between consecutive candidate edges, are
+    summed once (``_span_integrals``).  Each left edge then gets one running
+    sum over the blocks as far as its longest candidate reaches, taken in
+    rows padded to the next power of two of that reach.  So the scan of
+    every cell-aligned interval costs one triangle of block sums, and
+    nested cubes cost about their total length.
     """
     mesh, f = weight.mesh, weight.as_mesh_function()
     i_lo, i_hi = (np.round((x + mesh.radius) / mesh.h).astype(np.int64) for x in (lo, hi))
     is_edge = np.zeros(mesh.n_cells + 1, dtype=bool)
     is_edge[i_lo] = is_edge[i_hi] = True
     edges = np.flatnonzero(is_edge)
-    nb = len(edges) - 1
-    if np.sum(i_hi - i_lo) <= nb * nb:
-        return _span_integrals(f, i_lo, i_hi, 1) / (hi - lo)
     block_of = np.cumsum(is_edge) - 1  # block index at each cell edge
-    first, last = block_of[i_lo], block_of[i_hi] - 1
-    blocks = _span_integrals(f, edges[:-1], edges[1:], 1)
-    sums = np.empty(len(lo))
-    chunk = max(1, _TRIANGLE_CHUNK // nb)
-    for r0 in range(0, nb, chunk):
-        tri = np.where(np.arange(nb) >= np.arange(r0, min(r0 + chunk, nb))[:, None], blocks, 0.0)
-        sel = (first >= r0) & (first < r0 + chunk)
-        sums[sel] = np.cumsum(tri, axis=1)[first[sel] - r0, last[sel]]
-    return sums / (hi - lo)
+    first, length = block_of[i_lo], block_of[i_hi] - block_of[i_lo]
+    reach = np.zeros(len(edges), dtype=np.int64)
+    np.maximum.at(reach, first, length)  # blocks the running sum from each edge covers
+    width = np.where(reach > 0, 1 << np.ceil(np.log2(np.maximum(reach, 1))).astype(np.int64), 0)
+    blocks = np.concatenate((_span_integrals(f, edges[:-1], edges[1:], 1), np.zeros(width.max(initial=0))))
+    runs, start = [np.empty(0)], np.zeros(len(edges), dtype=np.int64)  # start: the row's offset in the runs
+    for w in np.unique(width[width > 0]):
+        rows = np.flatnonzero(width == w)
+        start[rows] = sum(map(len, runs)) + w * np.arange(len(rows))
+        runs.append(np.cumsum(blocks[rows[:, None] + np.arange(w)], axis=1).ravel())
+    return np.concatenate(runs)[start[first] + length - 1] / (hi - lo)
 
 
 def _essinfs(weight, lo, hi, label):

@@ -14,6 +14,7 @@ byte for byte.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -81,9 +82,24 @@ def oracle_inside_range(mesh: Mesh, grid: DyadicGrid, k: int, q0: int, n: int) -
     return inside_lo, inside_hi
 
 
-def oracle_fujii_wilson_one_grid(wbar: MeshFunction, grid: DyadicGrid, k_lo: int, k_fine: int):
+def reduceat_segment_sums(mass: np.ndarray, seg: np.ndarray) -> np.ndarray:
+    """The implementation's local sums of ``mass[seg[i]:seg[i+1]]``."""
+    m_int = np.add.reduceat(np.append(mass, 0.0), seg)[:-1]
+    m_int[seg[1:] == seg[:-1]] = 0.0
+    return m_int
+
+
+def fsum_segment_sums(mass: np.ndarray, seg: np.ndarray) -> np.ndarray:
+    """The correctly rounded sums of ``mass[seg[i]:seg[i+1]]``."""
+    return np.array([math.fsum(mass[i:j]) for i, j in zip(seg[:-1], seg[1:])])
+
+
+def oracle_fujii_wilson_one_grid(
+    wbar: MeshFunction, grid: DyadicGrid, k_lo: int, k_fine: int, segment_sums=reduceat_segment_sums
+):
     """``weights._fujii_wilson_one_grid`` with the inside range scanned by
-    ``oracle_inside_range``."""
+    ``oracle_inside_range``; ``segment_sums(mass, seg)`` integrates the
+    profile over each inside cube."""
     q0f, ints_f = level_cube_integrals(wbar, grid, k_fine)
     nf = len(ints_f)
     width_f = 2.0**-k_fine
@@ -102,9 +118,7 @@ def oracle_fujii_wilson_one_grid(wbar: MeshFunction, grid: DyadicGrid, k_lo: int
         if inside_hi < inside_lo:
             continue
         seg = np.searchsorted(anc, np.arange(inside_lo, inside_hi + 2))
-        # the implementation's local segment sums; only the inside range differs
-        m_int = np.add.reduceat(np.append(profile * width_f, 0.0), seg)[:-1]
-        m_int[seg[1:] == seg[:-1]] = 0.0
+        m_int = segment_sums(profile * width_f, seg)
         wq = ints[inside_lo - q0 : inside_hi - q0 + 1]
         ok = wq > 0
         if not np.any(ok):

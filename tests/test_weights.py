@@ -9,15 +9,18 @@ from scipy import integrate
 
 import weaklab.weights as weights_module
 from search_oracle import (
+    fsum_segment_sums,
     oracle_aligned_intervals,
     oracle_fujii_wilson_one_grid,
     oracle_inside_range,
     oracle_intervals,
+    reduceat_segment_sums,
 )
 from weaklab import (
     DegenerateWeightError,
     DyadicGrid,
     Mesh,
+    MeshFunction,
     NonIntegrableError,
     PowerLogWeight,
     SampledWeight,
@@ -32,7 +35,7 @@ from weaklab import (
     sharp_rh_exponent,
     shifted_grids,
 )
-from weaklab.grid import Cube, _level_affine, enumerate_cubes
+from weaklab.grid import Cube, _level_affine, default_levels, enumerate_cubes
 from weaklab.lowerbound import w_delta
 
 E = math.e
@@ -701,6 +704,31 @@ def test_ainfty_report_matches_fraction_scan(radius, monkeypatch):
             assert same_report(new, old)
 
 
+@pytest.mark.parametrize("radius", FW_RADII)
+def test_fujii_wilson_segment_sums_match_fsum(radius):
+    """The segment sums of ``test_ainfty_report_matches_fraction_scan``'s
+    oracle, which copies the implementation's rule, against ``math.fsum``;
+    and the implementation's value against the oracle summing by ``fsum``."""
+    mesh = Mesh(radius, 7)
+    sampled = SampledWeight(mesh, np.random.default_rng(int(radius * 4)).uniform(0.1, 3.0, mesh.n_cells))
+    k_top, k_fine = default_levels(mesh)
+
+    def checked(mass, seg):
+        got = reduceat_segment_sums(mass, seg)
+        want = fsum_segment_sums(mass, seg)
+        assert np.all((got == 0) == (seg[1:] == seg[:-1]))
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
+        return got
+
+    for w in (PowerLogWeight(-0.4), PowerLogWeight(0.5, 1.0), sampled):
+        wbar = MeshFunction(mesh, w.cell_averages(mesh))
+        for g in shifted_grids(1):
+            value = weights_module._fujii_wilson_one_grid(wbar, g, k_top, k_fine)[0]
+            assert oracle_fujii_wilson_one_grid(wbar, g, k_top, k_fine, checked)[0] == value
+            want = oracle_fujii_wilson_one_grid(wbar, g, k_top, k_fine, fsum_segment_sums)[0]
+            assert value == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # non-integer log powers against mpmath oracles
 # ---------------------------------------------------------------------------
@@ -847,15 +875,21 @@ def test_sampled_averages_sum_each_interval_locally():
     _assert_positive_and_close(got, want, 1e-13)
 
 
-def test_sampled_running_sums_do_not_depend_on_the_chunk(monkeypatch):
+@pytest.mark.parametrize("kind", ["cells", "aligned", "random"])
+def test_sampled_running_sums_match_fsum(kind):
+    # every cell-aligned interval, the nested aligned cubes, and random
+    # cell pairs (repeated and nested ones among them)
     mesh = Mesh(1.0, 5)
     w = SampledWeight(mesh, np.random.default_rng(4).lognormal(0.0, 3.0, mesh.n_cells))
-    lo, hi, _ = SearchSpace().intervals_for(w)
-    whole = weights_module._sampled_avgs(w, lo, hi)
-    monkeypatch.setattr(weights_module, "_TRIANGLE_CHUNK", 5 * mesh.n_cells)
-    assert weights_module._sampled_avgs(w, lo, hi).tobytes() == whole.tobytes()
+    if kind == "random":
+        ends = np.sort(np.random.default_rng(5).choice(mesh.n_cells + 1, (500, 2)), axis=1)
+        ends = ends[ends[:, 0] < ends[:, 1]]
+        lo, hi = mesh.edges()[ends[:, 0]], mesh.edges()[ends[:, 1]]
+    else:
+        lo, hi, _ = (SearchSpace() if kind == "cells" else SearchSpace.aligned_cubes()).intervals_for(w)
+    got = weights_module._sampled_avgs(w, lo, hi)
     i_lo, i_hi = (np.round((x + 1.0) / mesh.h).astype(int) for x in (lo, hi))
-    _assert_positive_and_close(whole, [math.fsum(w.values[i:j]) / (j - i) for i, j in zip(i_lo, i_hi)], 1e-13)
+    _assert_positive_and_close(got, [math.fsum(w.values[i:j]) / (j - i) for i, j in zip(i_lo, i_hi)], 1e-13)
 
 
 def _fw_fsum_oracle(w, k, m):
