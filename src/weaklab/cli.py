@@ -230,6 +230,9 @@ def cmd_characteristic(args) -> int:
     w = parse_weight(args.weight)
     search = SearchSpace.default(radius=args.radius, max_level=args.max_level)
     kind = args.kind
+    needs = {"rh": "s", "apq": "q", "a1q": "q"}.get(kind)
+    if needs and getattr(args, needs) is None:
+        raise ValueError(f"--kind {kind} needs --{needs}")
     if kind == "ap":
         rep = ap_characteristic(w, args.p, search)
     elif kind == "a1":
@@ -258,11 +261,7 @@ def _check_pq(p, q, alpha):
     if alpha is None:
         return
     if q is None or abs((1.0 / p - 1.0 / q) - alpha) > 1e-12:
-        raise ExponentError(f"exponent relation 1/p - 1/q = alpha fails: p={p}, q={q}, alpha={alpha}")
-
-
-class ExponentError(ValueError):
-    pass
+        raise ValueError(f"exponent relation 1/p - 1/q = alpha fails: p={p}, q={q}, alpha={alpha}")
 
 
 def cmd_weaktype(args) -> int:
@@ -270,6 +269,8 @@ def cmd_weaktype(args) -> int:
     mesh = Mesh(args.radius, args.level)
     rng = np.random.default_rng(args.seed)
     p, q, alpha = args.p, args.q, args.alpha
+    if p < 1:
+        raise ValueError(f"weak-type quotients need p >= 1, got {p}")
     fractional = alpha is not None and alpha > 0
     if fractional:
         _check_pq(p, q, alpha)
@@ -312,7 +313,7 @@ def cmd_lowerbound(args) -> int:
     deltas = args.delta
     for d in deltas:
         if not (0 < d < 0.5):
-            raise ExponentError(f"delta must lie in (0, 1/2), got {d}")
+            raise ValueError(f"delta must lie in (0, 1/2), got {d}")
     mesh = lb.GradedMesh(cells_per_band=args.cells_per_band, x_min=args.x_min)
     reports = lb.delta_sweep(
         deltas, mesh=mesh, lambda_window=args.window, allow_closed_form=not args.no_closed_form
@@ -545,12 +546,12 @@ def main(argv: list[str] | None = None) -> int:
         args.output = os.path.join(out_dir, args.default_name)
     try:
         return args.func(args)
-    except ExponentError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except (NonIntegrableError, DegenerateWeightError, lb.MeshResolutionError, EllipsoidFitError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
+    except ValueError as e:  # after its numerical subclasses: a malformed exponent or input
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

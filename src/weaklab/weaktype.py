@@ -52,9 +52,6 @@ class WeakTypeQuotient:
     quotient: float
     f_norm: float
 
-    def value_at(self, lam: float, curve) -> float:
-        return lam**self.q * curve.measure_above(lam) / self.f_norm**self.q
-
 
 def quotient_from_output(
     output: MeshFunction, f_norm: float, p: float, q: float | None = None, operator: str = "T"
@@ -222,10 +219,6 @@ class BoundCheckReport:
     @property
     def max_constant(self) -> float:
         return max(self.constants)
-
-    @property
-    def witness_index(self) -> int:
-        return int(np.argmax(self.constants))
 
 
 def bound_check(

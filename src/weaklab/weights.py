@@ -11,7 +11,9 @@ Two representations are supported:
   a fixed composite Gauss-Legendre rule in ``s`` elsewhere.
 * :class:`SampledWeight` -- positive cell values on a :class:`~weaklab.grid.Mesh`,
   with piecewise-constant semantics (interval integrals are exact cell sums,
-  essential infima are minima over touched cells).
+  essential infima are minima over touched cells).  Within one search, a
+  sampled weight's averages (of any power) and infima come from one row
+  layout of its cell-aligned candidates, as running sums and running minima.
 
 Characteristics computed here:
 
@@ -260,10 +262,6 @@ class PowerLogWeight:
     def power(self, s: float) -> "PowerLogWeight":
         return PowerLogWeight(self.exponent * s, self.log_exponent * s, self.scale**s)
 
-    def is_decreasing_on_positive(self) -> bool:
-        a, b = self.exponent, self.log_exponent
-        return a <= 0 and a <= b
-
     # -- exact integrals ---------------------------------------------------------
 
     def _anchored(self, t: np.ndarray) -> np.ndarray:
@@ -405,12 +403,6 @@ class SampledWeight:
 
     def power(self, s: float) -> "SampledWeight":
         return SampledWeight(self.mesh, self.values**s)
-
-    def is_decreasing_on_positive(self) -> bool:
-        n2 = self.mesh.n_cells // 2
-        pos = self.values[n2:]
-        neg = self.values[:n2]
-        return bool(np.all(np.diff(pos) <= 0) and np.all(pos == neg[::-1]))
 
     def as_mesh_function(self) -> MeshFunction:
         return MeshFunction(self.mesh, self.values)
@@ -616,86 +608,84 @@ class CharacteristicReport:
         )
 
 
-def _averages(weight, lo, hi):
-    return weight.integral_batch(lo, hi) / (hi - lo) if isinstance(
-        weight, PowerLogWeight
-    ) else _sampled_avgs(weight, lo, hi)
+class _Plan:
+    """The candidates of one search (the default one for None) for one weight,
+    from ``search.intervals_for`` and ``search.levels_for``, laid out once.
 
-
-def _sampled_avgs(weight: SampledWeight, lo, hi):
-    """Averages over cell-aligned candidates, each a running sum from its
-    own left edge, so that its rounding scales with its own mass, not with
-    the mass to its left.
-
-    The blocks, the cell runs between consecutive candidate edges, are
-    summed once (``_span_integrals``).  Each left edge then gets one running
-    sum over the blocks as far as its longest candidate reaches, taken in
-    rows padded to the next power of two of that reach.  So the scan of
-    every cell-aligned interval costs one triangle of block sums, and
-    nested cubes cost about their total length.
+    A sampled weight's candidates are cell-aligned.  The blocks, the cell
+    runs between consecutive candidate edges, get one row per left edge, as
+    far as its longest candidate reaches, padded to the next power of two.
+    Averages are running sums along the rows, each from its own left edge,
+    so their rounding scales with their own mass, not with the mass to their
+    left; infima are running minima along the same rows.  So all cell-aligned
+    intervals cost one triangle of blocks, and nested cubes their total length.
     """
-    mesh, f = weight.mesh, weight.as_mesh_function()
-    i_lo, i_hi = (np.round((x + mesh.radius) / mesh.h).astype(np.int64) for x in (lo, hi))
-    is_edge = np.zeros(mesh.n_cells + 1, dtype=bool)
-    is_edge[i_lo] = is_edge[i_hi] = True
-    edges = np.flatnonzero(is_edge)
-    block_of = np.cumsum(is_edge) - 1  # block index at each cell edge
-    first, length = block_of[i_lo], block_of[i_hi] - block_of[i_lo]
-    reach = np.zeros(len(edges), dtype=np.int64)
-    np.maximum.at(reach, first, length)  # blocks the running sum from each edge covers
-    width = np.where(reach > 0, 1 << np.ceil(np.log2(np.maximum(reach, 1))).astype(np.int64), 0)
-    blocks = np.concatenate((_span_integrals(f, edges[:-1], edges[1:], 1), np.zeros(width.max(initial=0))))
-    runs, start = [np.empty(0)], np.zeros(len(edges), dtype=np.int64)  # start: the row's offset in the runs
-    for w in np.unique(width[width > 0]):
-        rows = np.flatnonzero(width == w)
-        start[rows] = sum(map(len, runs)) + w * np.arange(len(rows))
-        runs.append(np.cumsum(blocks[rows[:, None] + np.arange(w)], axis=1).ravel())
-    return np.concatenate(runs)[start[first] + length - 1] / (hi - lo)
 
-
-def _essinfs(weight, lo, hi, label):
-    """Essential infima of the weight on the candidates, none of them zero."""
-    if isinstance(weight, PowerLogWeight):
-        out = weight.essinf_batch(lo, hi)
-    else:
+    def __init__(self, weight, search: SearchSpace | None):
+        search = search or SearchSpace.default()
+        self.weight = weight
+        self.lo, self.hi, self.label = search.intervals_for(weight)
+        self.searched = search.levels_for(weight)
+        if isinstance(weight, PowerLogWeight):
+            return
         mesh = weight.mesh
-        i_lo = np.round((lo + mesh.radius) / mesh.h).astype(np.int64)
-        i_hi = np.round((hi + mesh.radius) / mesh.h).astype(np.int64)
-        # all intervals are cell-aligned; rolling minima per left endpoint
-        out = np.empty(len(lo))
-        vals = weight.values
-        for start in np.unique(i_lo):
-            sel = i_lo == start
-            ends = i_hi[sel]
-            run = np.minimum.accumulate(vals[start : ends.max()])
-            out[sel] = run[ends - start - 1]
-    if np.any(out == 0):
-        bad = int(np.argmax(out == 0))
-        raise DegenerateWeightError(f"essinf vanishes on cube [{lo[bad]:.6g}, {hi[bad]:.6g}) ({label(bad)})")
-    return out
+        i_lo, i_hi = (np.round((x + mesh.radius) / mesh.h).astype(np.int64) for x in (self.lo, self.hi))
+        is_edge = np.zeros(mesh.n_cells + 1, dtype=bool)
+        is_edge[i_lo] = is_edge[i_hi] = True
+        self.edges = np.flatnonzero(is_edge)
+        block_of = np.cumsum(is_edge) - 1  # block index at each cell edge
+        first, length = block_of[i_lo], block_of[i_hi] - block_of[i_lo]
+        reach = np.zeros(len(self.edges), dtype=np.int64)
+        np.maximum.at(reach, first, length)  # blocks the row from each edge covers
+        width = np.where(reach > 0, 1 << np.ceil(np.log2(np.maximum(reach, 1))).astype(np.int64), 0)
+        self.rows, start = [], np.zeros(len(self.edges), dtype=np.int64)  # start: a row's offset in the runs
+        for w in np.unique(width[width > 0]):
+            rows = np.flatnonzero(width == w)
+            start[rows] = sum(map(np.size, self.rows)) + w * np.arange(len(rows))
+            self.rows.append(rows[:, None] + np.arange(w))  # block indices of each row, padding past the end
+        self.pick = start[first] + length - 1
+        self.pad = width.max(initial=0)
 
+    def _runs(self, blocks: np.ndarray, accumulate, fill: float) -> np.ndarray:
+        """``accumulate`` along each candidate's row of per-block values, read
+        at the candidate's last block."""
+        blocks = np.concatenate((blocks, np.full(self.pad, fill)))
+        runs = [accumulate(blocks[rows], axis=1).ravel() for rows in self.rows]
+        return np.concatenate([np.empty(0)] + runs)[self.pick]
 
-def _build_report(quantity, values, lo, hi, label, searched) -> CharacteristicReport:
-    """Report the largest of ``values``; ``searched`` is ``((coarsest, finest),
-    grids)`` from ``SearchSpace.levels_for``."""
-    levels, grids = searched
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise ValueError("empty search space")
-    if not np.all(np.isfinite(values)):
-        bad = int(np.argmax(~np.isfinite(values)))
-        raise NonIntegrableError(
-            f"{quantity} is not finite on cube [{lo[bad]:.6g}, {hi[bad]:.6g}) ({label(bad)})"
-        )
-    i = int(np.argmax(values))
-    return CharacteristicReport(
-        quantity=quantity,
-        value=float(values[i]),
-        witness=(float(lo[i]), float(hi[i])),
-        witness_label=label(i),
-        search_levels=levels,
-        grids_used=grids,
-    )
+    def averages(self, weight) -> np.ndarray:
+        """Averages on the candidates of ``weight``, the planned weight or a power of it."""
+        if isinstance(weight, PowerLogWeight):
+            return weight.integral_batch(self.lo, self.hi) / (self.hi - self.lo)
+        blocks = _span_integrals(weight.as_mesh_function(), self.edges[:-1], self.edges[1:], 1)
+        return self._runs(blocks, np.cumsum, 0.0) / (self.hi - self.lo)
+
+    def essinfs(self) -> np.ndarray:
+        """Essential infima of the planned weight on the candidates, none of them zero."""
+        w = self.weight
+        if isinstance(w, PowerLogWeight):
+            out = w.essinf_batch(self.lo, self.hi)
+        else:  # reduceat's segment from the last edge runs to the end; it is dropped
+            mins = np.minimum.reduceat(np.append(w.values, np.inf), self.edges)[:-1]
+            out = self._runs(mins, np.minimum.accumulate, np.inf)
+        if np.any(out == 0):
+            raise DegenerateWeightError(f"essinf vanishes on {self._where(int(np.argmax(out == 0)))}")
+        return out
+
+    def _where(self, i: int) -> str:
+        return f"cube [{self.lo[i]:.6g}, {self.hi[i]:.6g}) ({self.label(i)})"
+
+    def report(self, quantity: str, values) -> CharacteristicReport:
+        """Report the largest of ``values``, one per candidate."""
+        values = np.asarray(values, dtype=float)
+        if values.size == 0:
+            raise ValueError("empty search space")
+        if not np.all(np.isfinite(values)):
+            bad = int(np.argmax(~np.isfinite(values)))
+            raise NonIntegrableError(f"{quantity} is not finite on {self._where(bad)}")
+        i = int(np.argmax(values))
+        (levels, grids), witness = self.searched, (float(self.lo[i]), float(self.hi[i]))
+        return CharacteristicReport(quantity, float(values[i]), witness, self.label(i), levels, grids)
 
 
 # ---------------------------------------------------------------------------
@@ -707,43 +697,31 @@ def ap_characteristic(weight, p: float, search: SearchSpace | None = None) -> Ch
     """Muckenhoupt A_p characteristic sup_Q (avg w)(avg w^(1-p'))^(p-1)."""
     if p <= 1:
         raise ValueError(f"A_p requires p > 1, got {p}; use a1_characteristic for p = 1")
-    search = search or SearchSpace.default()
-    lo, hi, label = search.intervals_for(weight)
-    pprime = dual_exponent(p)
-    dual = weight.power(1.0 - pprime)
+    plan = _Plan(weight, search)
+    dual = weight.power(1.0 - dual_exponent(p))
     try:
-        avg_w = _averages(weight, lo, hi)
-        avg_dual = _averages(dual, lo, hi)
+        avg_w, avg_dual = plan.averages(weight), plan.averages(dual)
     except NonIntegrableError as e:
         raise NonIntegrableError(f"A_p dual weight: {e}") from None
-    values = avg_w * avg_dual ** (p - 1.0)
-    return _build_report(f"A_{p:g}", values, lo, hi, label, search.levels_for(weight))
+    return plan.report(f"A_{p:g}", avg_w * avg_dual ** (p - 1.0))
 
 
 def a1_characteristic(weight, search: SearchSpace | None = None) -> CharacteristicReport:
     """A_1 characteristic sup_Q (avg_Q w) / essinf_Q w."""
-    search = search or SearchSpace.default()
-    lo, hi, label = search.intervals_for(weight)
-    avg_w = _averages(weight, lo, hi)
-    inf_w = _essinfs(weight, lo, hi, label)
-    values = avg_w / inf_w
-    return _build_report("A_1", values, lo, hi, label, search.levels_for(weight))
+    plan = _Plan(weight, search)
+    return plan.report("A_1", plan.averages(weight) / plan.essinfs())
 
 
 def rh_characteristic(weight, s: float, search: SearchSpace | None = None) -> CharacteristicReport:
     """Reverse-Holder characteristic sup_Q (avg_Q w^s)^(1/s) / avg_Q w."""
     if s <= 1:
         raise ValueError(f"reverse Holder requires s > 1, got {s}")
-    search = search or SearchSpace.default()
-    lo, hi, label = search.intervals_for(weight)
-    ws = weight.power(s)
+    plan = _Plan(weight, search)
     try:
-        avg_ws = _averages(ws, lo, hi)
+        avg_ws = plan.averages(weight.power(s))
     except NonIntegrableError as e:
         raise NonIntegrableError(f"RH_{s:g}: {e}") from None
-    avg_w = _averages(weight, lo, hi)
-    values = avg_ws ** (1.0 / s) / avg_w
-    return _build_report(f"RH_{s:g}", values, lo, hi, label, search.levels_for(weight))
+    return plan.report(f"RH_{s:g}", avg_ws ** (1.0 / s) / plan.averages(weight))
 
 
 def sharp_rh_exponent(
@@ -757,13 +735,21 @@ def sharp_rh_exponent(
 
     Returns ``ceiling`` when every tested exponent qualifies (constant-like
     weights).  Raises when not even exponents barely above 1 qualify, which
-    is the numerical signature of a weight outside A_infinity.
+    is the numerical signature of a weight outside A_infinity.  Every step
+    reads one plan and fails where ``rh_characteristic`` would raise; avg_Q w
+    is taken once, after the first integrable w^s.
     """
-    search = search or SearchSpace.anchored_only()
+    if ceiling <= 1:
+        raise ValueError(f"reverse Holder requires s > 1, got {ceiling}")
+    plan = _Plan(weight, search or SearchSpace.anchored_only())
+    avg_w = None
 
     def ok(s: float) -> bool:
+        nonlocal avg_w
         try:
-            return rh_characteristic(weight, s, search).value <= bound
+            avg_ws = plan.averages(weight.power(s))
+            avg_w = plan.averages(weight) if avg_w is None else avg_w
+            return plan.report("RH", avg_ws ** (1.0 / s) / avg_w).value <= bound
         except NonIntegrableError:
             return False
 
@@ -792,31 +778,22 @@ def apq_characteristic(
         raise ValueError(f"A_(p,q) with p = 1 is a1q_characteristic; got p={p}")
     if q <= p:
         raise ValueError(f"A_(p,q) requires q > p, got p={p}, q={q}")
-    search = search or SearchSpace.default()
-    lo, hi, label = search.intervals_for(weight)
+    plan = _Plan(weight, search)
     pprime = dual_exponent(p)
-    wq = weight.power(q)
-    wdual = weight.power(-pprime)
+    wq, wdual = weight.power(q), weight.power(-pprime)
     try:
-        avg_q = _averages(wq, lo, hi)
-        avg_dual = _averages(wdual, lo, hi)
+        avg_q, avg_dual = plan.averages(wq), plan.averages(wdual)
     except NonIntegrableError as e:
         raise NonIntegrableError(f"A_(p,q): {e}") from None
-    values = avg_q * avg_dual ** (q / pprime)
-    return _build_report(f"A_({p:g},{q:g})", values, lo, hi, label, search.levels_for(weight))
+    return plan.report(f"A_({p:g},{q:g})", avg_q * avg_dual ** (q / pprime))
 
 
 def a1q_characteristic(weight, q: float, search: SearchSpace | None = None) -> CharacteristicReport:
     """sup_Q esssup_{x in Q} w(x)^-q (avg_Q w^q) = sup_Q (avg_Q w^q)/(essinf_Q w)^q."""
     if q <= 1:
         raise ValueError(f"A_(1,q) requires q > 1, got {q}")
-    search = search or SearchSpace.default()
-    lo, hi, label = search.intervals_for(weight)
-    wq = weight.power(q)
-    avg_q = _averages(wq, lo, hi)
-    inf_w = _essinfs(weight, lo, hi, label)
-    values = avg_q / inf_w**q
-    return _build_report(f"A_(1,{q:g})", values, lo, hi, label, search.levels_for(weight))
+    plan = _Plan(weight, search)
+    return plan.report(f"A_(1,{q:g})", plan.averages(weight.power(q)) / plan.essinfs() ** q)
 
 
 # ---------------------------------------------------------------------------

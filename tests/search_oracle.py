@@ -3,7 +3,8 @@
 integer arrays, the cell-edge loop that gave the aligned cubes of a sampled
 weight before they came from the same integer builder, and the
 Fujii-Wilson per-grid sweep with its range of inside cubes found by
-``Fraction`` scans instead of integer division.
+``Fraction`` scans instead of integer division, and the sharp reverse-Holder
+bisection over the public ``rh_characteristic``, one full call per step.
 
 Every grid endpoint here is ``float(cube.left)`` / ``float(cube.right)`` of a
 freshly built ``Cube``, i.e. the correctly rounded value of the exact
@@ -20,6 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from weaklab.grid import DyadicGrid, Mesh, MeshFunction, level_cube_integrals
+from weaklab.weights import DegenerateWeightError, NonIntegrableError, SearchSpace, rh_characteristic
 
 
 def oracle_intervals(search) -> tuple[np.ndarray, np.ndarray, list[str]]:
@@ -131,3 +133,29 @@ def oracle_fujii_wilson_one_grid(
     if best_cube is None:
         return -np.inf, 0, 0
     return best_val, *best_cube
+
+
+def oracle_sharp_rh_exponent(weight, search=None, bound=2.0, ceiling=64.0, rel_tol=1e-4) -> float:
+    """``sharp_rh_exponent`` as a bisection over ``rh_characteristic``, which
+    rebuilds the candidates and re-averages w at every step."""
+    search = search or SearchSpace.anchored_only()
+
+    def ok(s: float) -> bool:
+        try:
+            return rh_characteristic(weight, s, search).value <= bound
+        except NonIntegrableError:
+            return False
+
+    if ok(ceiling):
+        return ceiling
+    lo = 1.0 + 1e-6
+    if not ok(lo):
+        raise DegenerateWeightError("no reverse-Holder exponent > 1 found")
+    hi = ceiling
+    while (hi - lo) > rel_tol * lo:
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo

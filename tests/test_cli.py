@@ -102,6 +102,34 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["characteristic", "--weight", "powerlog:a=-0.3", "--kind", "rh"], "--kind rh needs --s"),
+            (["characteristic", "--weight", "powerlog:a=-0.3", "--kind", "apq"], "--kind apq needs --q"),
+            (["characteristic", "--weight", "powerlog:a=-0.3", "--kind", "a1q"], "--kind a1q needs --q"),
+            (["characteristic", "--weight", "powerlog:a=-0.3", "--kind", "rh", "--s", "0.5"],
+             "reverse Holder requires s > 1"),
+            (["characteristic", "--weight", "powerlog:a=-0.3", "--kind", "ap", "--p", "1"], "A_p requires p > 1"),
+            (["characteristic", "--weight", "powerlog:a=-0.3", "--kind", "apq", "--p", "2", "--q", "1.5"],
+             "A_(p,q) requires q > p"),
+            (["matrix-check", "--p", "1", "--trials", "1"], "matrix A_p requires p > 1"),
+            (["constants", "--p", "0.5", "--a-list", "0.3"], "p must be >= 1"),
+            (["characteristic", "--weight", "powerlog:a=-0.3", "--level", "30", "--kind", "ainfty"],
+             "mesh level must be in 0..20"),
+            (["weaktype", "--weight", "powerlog:a=-0.3", "--p", "0.5", "--trials", "1", "--level", "5"],
+             "weak-type quotients need p >= 1"),
+        ],
+        ids=["rh-no-s", "apq-no-q", "a1q-no-q", "rh-s-below-1", "ap-p-1", "apq-q-below-p", "matrix-p-1",
+             "constants-p-below-1", "level-30", "weaktype-p-below-1"],
+    )
+    def test_malformed_exponent_is_2(self, tmp_path, capsys, args, message):
+        code, out = run(tmp_path, "x.csv", args)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_unresolved_level_set_is_3(self, tmp_path):
         code, _ = run(
             tmp_path, "x.csv",

@@ -14,6 +14,7 @@ from search_oracle import (
     oracle_fujii_wilson_one_grid,
     oracle_inside_range,
     oracle_intervals,
+    oracle_sharp_rh_exponent,
     reduceat_segment_sums,
 )
 from weaklab import (
@@ -37,6 +38,7 @@ from weaklab import (
 )
 from weaklab.grid import Cube, _level_affine, default_levels, enumerate_cubes
 from weaklab.lowerbound import w_delta
+from weaklab.matrix import random_matrix_weight, scalar_restriction, unit_directions
 
 E = math.e
 ONE = PowerLogWeight(0.0)
@@ -292,6 +294,31 @@ class TestSharpReverseHolder:
         w = SampledWeight(mesh, vals)
         nu = sharp_rh_exponent(w, ceiling=8.0)
         assert nu > 1.0  # still finds something: sampled weights are bounded
+
+    @pytest.mark.parametrize("weight", [PowerLogWeight(-1.5), PowerLogWeight(-1.0, 0.5)], ids=["a-1.5", "a-1,b0.5"])
+    def test_weight_without_integrable_powers_is_degenerate(self, weight):
+        # w itself is not integrable at 0 either: the search must still end
+        # in "no exponent found", not in the error of averaging w
+        with pytest.raises(DegenerateWeightError, match="no reverse-Holder exponent > 1 found"):
+            sharp_rh_exponent(weight)
+
+
+def _criterion_9_restrictions():
+    """The eight direction weights of acceptance criterion 9's first trial."""
+    W = random_matrix_weight(Mesh(1.0, 6), 2, np.random.default_rng(909))
+    return [scalar_restriction(W, 2.0, v) for v in unit_directions(2, 8)]
+
+
+SHARP_RH_CASES = (
+    [(f"power-{a}", PowerLogWeight(-a), None) for a in (0.3, 0.6, 0.9)]
+    + [(f"w_delta-{d}", w_delta(d), SearchSpace.anchored_only(n=48)) for d in (0.05, 0.1, 0.2)]
+    + [(f"restriction-{i}", w, None) for i, w in enumerate(_criterion_9_restrictions())]
+)
+
+
+@pytest.mark.parametrize("weight,search", [c[1:] for c in SHARP_RH_CASES], ids=[c[0] for c in SHARP_RH_CASES])
+def test_sharp_rh_exponent_matches_bisection_over_rh_characteristic(weight, search):
+    assert sharp_rh_exponent(weight, search) == oracle_sharp_rh_exponent(weight, search)
 
 
 class TestApq:
@@ -866,17 +893,33 @@ def test_sampled_averages_sum_each_interval_locally():
     # prefix sum put the average over [0, 1) 3.5e-6 off
     mesh = Mesh(1.0, 7)
     w = _heavy_left(mesh, 0.412, np.full(mesh.n_cells // 2, 1e-9))
-    assert weights_module._sampled_avgs(w, np.array([0.0]), np.array([1.0]))[0] == pytest.approx(1e-9, rel=1e-15, abs=0.0)
+    assert _plan(w, np.array([0.0]), np.array([1.0])).averages(w)[0] == pytest.approx(1e-9, rel=1e-15, abs=0.0)
     lo, hi, _ = SearchSpace().intervals_for(w)
     pick = np.random.default_rng(3).choice(len(lo), 3000, replace=False)
-    got = weights_module._sampled_avgs(w, lo[pick], hi[pick])
+    got = _plan(w, lo[pick], hi[pick]).averages(w)
     i_lo, i_hi = (np.round((x[pick] + 1.0) / mesh.h).astype(int) for x in (lo, hi))
     want = [math.fsum(w.values[i:j]) / (j - i) for i, j in zip(i_lo, i_hi)]
     _assert_positive_and_close(got, want, 1e-13)
 
 
-@pytest.mark.parametrize("kind", ["cells", "aligned", "random"])
-def test_sampled_running_sums_match_fsum(kind):
+class _Given:
+    """Explicit candidates, handed to the plan the way a ``SearchSpace`` hands its own."""
+
+    def __init__(self, lo, hi):
+        self.lo, self.hi = lo, hi
+
+    def intervals_for(self, weight):
+        return self.lo, self.hi, lambda i: "given"
+
+    def levels_for(self, weight):
+        return (0, -1), 0
+
+
+def _plan(w, lo, hi):
+    return weights_module._Plan(w, _Given(lo, hi))
+
+
+def _running_candidates(kind):
     # every cell-aligned interval, the nested aligned cubes, and random
     # cell pairs (repeated and nested ones among them)
     mesh = Mesh(1.0, 5)
@@ -887,9 +930,61 @@ def test_sampled_running_sums_match_fsum(kind):
         lo, hi = mesh.edges()[ends[:, 0]], mesh.edges()[ends[:, 1]]
     else:
         lo, hi, _ = (SearchSpace() if kind == "cells" else SearchSpace.aligned_cubes()).intervals_for(w)
-    got = weights_module._sampled_avgs(w, lo, hi)
     i_lo, i_hi = (np.round((x + 1.0) / mesh.h).astype(int) for x in (lo, hi))
+    return w, lo, hi, i_lo, i_hi
+
+
+@pytest.mark.parametrize("kind", ["cells", "aligned", "random"])
+def test_sampled_running_sums_match_fsum(kind):
+    w, lo, hi, i_lo, i_hi = _running_candidates(kind)
+    got = _plan(w, lo, hi).averages(w)
     _assert_positive_and_close(got, [math.fsum(w.values[i:j]) / (j - i) for i, j in zip(i_lo, i_hi)], 1e-13)
+
+
+@pytest.mark.parametrize("kind", ["cells", "aligned", "random"])
+def test_sampled_running_minima_match_slices(kind):
+    w, lo, hi, i_lo, i_hi = _running_candidates(kind)
+    assert _plan(w, lo, hi).essinfs().tolist() == [w.values[i:j].min() for i, j in zip(i_lo, i_hi)]
+
+
+def _sampled(level, seed):
+    mesh = Mesh(1.0, level)
+    return SampledWeight(mesh, np.random.default_rng(seed).uniform(0.2, 3.0, mesh.n_cells))
+
+
+ONE_BUILD = {
+    "ap": lambda w, s: ap_characteristic(w, 2.0, s),
+    "a1": a1_characteristic,
+    "rh": lambda w, s: rh_characteristic(w, 1.5, s),
+    "apq": lambda w, s: apq_characteristic(w, 2.0, 3.0, s),
+    "a1q": lambda w, s: a1q_characteristic(w, 2.0, s),
+    "sharp_rh": sharp_rh_exponent,
+}
+
+
+@pytest.mark.parametrize("call", ONE_BUILD, ids=list(ONE_BUILD))
+@pytest.mark.parametrize(
+    "weight,search",
+    [(PowerLogWeight(-0.3), SearchSpace.default(0.75, 5)), (_sampled(5, 6), SearchSpace()),
+     (_sampled(5, 7), SearchSpace.aligned_cubes())],
+    ids=["powerlog", "sampled-cells", "sampled-aligned"],
+)
+def test_one_candidate_build_per_call(call, weight, search, monkeypatch):
+    # a bisection or a second power reads the candidates of the first build
+    built = []
+    intervals_for = SearchSpace.intervals_for
+    monkeypatch.setattr(SearchSpace, "intervals_for", lambda self, w: built.append(w) or intervals_for(self, w))
+    ONE_BUILD[call](weight, search)
+    assert len(built) == 1 and built[0] is weight
+
+
+def test_degenerate_sharp_rh_builds_candidates_once(monkeypatch):
+    built = []
+    intervals_for = SearchSpace.intervals_for
+    monkeypatch.setattr(SearchSpace, "intervals_for", lambda self, w: built.append(w) or intervals_for(self, w))
+    with pytest.raises(DegenerateWeightError):
+        sharp_rh_exponent(PowerLogWeight(-1.5))
+    assert len(built) == 1
 
 
 def _fw_fsum_oracle(w, k, m):
