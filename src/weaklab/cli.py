@@ -17,7 +17,8 @@ digits, so identical configurations reproduce byte-identical files.  A
 
 Exit codes: 0 success; 1 invariant-suite violation; 2 invalid exponent
 relation or malformed input (the parser rejects non-finite numbers and
-weight-descriptor parameters before anything runs); 3 numerical failure
+weight-descriptor parameters before anything runs; an unreadable weight file,
+or one without its keys, is malformed input); 3 numerical failure
 (non-integrable weight, degenerate data, unresolved level set, an ellipsoid
 fit that misses its certificate).
 """
@@ -152,6 +153,15 @@ def _descriptor(spec: str) -> str:
     return spec
 
 
+def _read_json(path: str):
+    """The JSON document in ``path``; an unreadable file is malformed input."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except OSError as e:
+        raise ValueError(f"cannot read {path!r}: {e.strerror or e}") from None
+
+
 def parse_weight(spec: str):
     """Weight descriptor: 'powerlog:a=-0.5[,b=0][,c=1]' or 'sampled:<json file>'."""
     kind, _, rest = spec.partition(":")
@@ -159,10 +169,13 @@ def parse_weight(spec: str):
         params = {"a": 0.0, "b": 0.0, "c": 1.0, **_params(rest, _PARAMS[kind])}
         return PowerLogWeight(params["a"], params["b"], params["c"])
     if kind == "sampled":
-        with open(rest) as f:
-            data = json.load(f)
-        mesh = Mesh(float(data["mesh"]["radius"]), int(data["mesh"]["level"]))
-        return SampledWeight(mesh, np.asarray(data["values"], dtype=float))
+        data = _read_json(rest)
+        try:
+            mesh = Mesh(float(data["mesh"]["radius"]), int(data["mesh"]["level"]))
+            values = data["values"]
+        except (KeyError, TypeError):
+            raise ValueError(f"{rest}: a sampled weight needs mesh.radius, mesh.level and values") from None
+        return SampledWeight(mesh, np.asarray(values, dtype=float))
     raise ValueError(f"unknown weight kind {kind!r} (use powerlog: or sampled:)")
 
 
@@ -197,9 +210,12 @@ def parse_matrix_weight(spec: str, mesh: Mesh, rng: np.random.Generator, d: int)
             mats = 0.5 * (mats + np.swapaxes(mats, 1, 2))
         return MatrixWeight(mesh, mats)
     if kind == "json":
-        with open(rest) as f:
-            data = json.load(f)
-        return MatrixWeight(mesh, np.asarray(data["matrices"], dtype=float))
+        data = _read_json(rest)
+        try:
+            matrices = data["matrices"]
+        except (KeyError, TypeError):
+            raise ValueError(f"{rest}: a json matrix weight needs matrices") from None
+        return MatrixWeight(mesh, np.asarray(matrices, dtype=float))
     raise ValueError(f"unknown matrix weight kind {kind!r}")
 
 

@@ -17,9 +17,10 @@ The construction lives on the half-line.  Its ingredients:
 
 The experiment measures lam |{x in (0, 1/2] : G(x) > lam}| for lam near
 e^(1/delta).  Level-set measures come from cell counting on a graded mesh
-where resolvable and from closed-form root finding (G is strictly
-decreasing on the relevant range) where the set is below resolution; the
-two paths are cross-checked where both apply.  A cell is counted only when
+where resolvable and from closed-form roots of G = lam (G is strictly
+decreasing on the relevant range, and one vectorised Newton solve finds
+every root of a sweep) where the set is below resolution; the two paths are
+cross-checked where both apply.  A cell is counted only when
 it lies wholly inside the level set, so the counted measure never exceeds
 the exact one and every reported quotient is a true lower bound for the
 supremum Q*: the interior local maximum of s G(s) on (0, 1/2] whose level
@@ -54,6 +55,7 @@ __all__ = [
     "F_grid_max",
     "output_magnitude",
     "level_set_endpoint",
+    "level_set_endpoints",
     "level_set_measure_bounds",
     "GradedMesh",
     "LowerBoundReport",
@@ -63,13 +65,18 @@ __all__ = [
 ]
 
 _E = math.e
-# relative accuracy of level_set_endpoint (brentq in log x): the only slack the
-# counted-vs-closed-form cross-check allows beyond the straddling cell
+# relative accuracy of level_set_endpoints (Newton in u = log x, so an error in
+# u is a relative error in x): the only slack the counted-vs-closed-form
+# cross-check allows beyond the straddling cell
 _ROOT_RTOL = 1e-12
+# Newton steps per root before the solve gives up; bisecting the widest bracket,
+# [1e-60, 1/2] in x, down to _ROOT_RTOL takes 50
+_ROOT_MAX_STEPS = 64
 
 
 class MeshResolutionError(RuntimeError):
-    """The graded mesh cannot resolve the level set; refine or allow closed forms."""
+    """The level set cannot be resolved: by the graded mesh (refine it or allow
+    closed forms), or by the closed-form root solve."""
 
 
 # ---------------------------------------------------------------------------
@@ -220,23 +227,55 @@ def output_magnitude(delta: float, x):
     return float(out) if out.ndim == 0 else out
 
 
-def level_set_endpoint(delta: float, lam: float, x_hi: float = 0.5) -> float:
-    """x with G(x) = lam: |{x in (0, x_hi] : G > lam}| = x by monotonicity.
+def level_set_endpoints(delta: float, lams, x_hi: float = 0.5) -> np.ndarray:
+    """Per lam, the x with G(x) = lam: |{x in (0, x_hi] : G > lam}| = x.
 
-    G is strictly decreasing on (0, x_hi] for the deltas in range; returns
-    x_hi when the whole interval lies in the level set.
+    G is strictly decreasing on (0, x_hi] for the deltas in range, so each
+    root is found by a safeguarded Newton iteration on log G(e^u) = log lam in
+    u = log x, all lams at once:
+
+        d/du log G = -1/(1-u) + (delta-1) + x / ((1-x)(2-x) h(x)).
+
+    Each lam keeps a bracket inside [1e-60, x_hi], and a step that leaves it
+    is replaced by bisection.  A root is returned once its Newton step is
+    below _ROOT_RTOL / 4; a root still moving after _ROOT_MAX_STEPS raises
+    MeshResolutionError.  Lams with G(x_hi) >= lam return x_hi: the whole
+    interval lies in the level set.
     """
-    if lam <= 0:
+    lams = np.asarray(lams, dtype=float)
+    if not np.all(lams > 0):
         raise ValueError("lam must be positive")
-    if output_magnitude(delta, x_hi) >= lam:
-        return x_hi
+    out = np.full(lams.shape, float(x_hi))
+    idx = np.flatnonzero(output_magnitude(delta, x_hi) < lams)
+    lo = np.full(idx.size, math.log(1e-60))
+    hi = np.full(idx.size, math.log(x_hi))
+    target = np.log(lams[idx])
+    u = hi.copy()
+    for _ in range(_ROOT_MAX_STEPS):
+        x = np.exp(u)
+        h = h_magnitude(x)
+        f = np.log(1.0 - u) + (delta - 1.0) * u + np.log(h) - target
+        # the Newton step -f / (d/du log G)
+        step = f / (1.0 / (1.0 - u) + (1.0 - delta) - x / ((1.0 - x) * (2.0 - x) * h))
+        done = np.abs(step) <= _ROOT_RTOL / 4
+        out[idx[done]] = np.exp(u[done] + step[done])
+        if done.all():
+            return out
+        keep = ~done
+        idx, lo, hi, target, u, f, step = (a[keep] for a in (idx, lo, hi, target, u, f, step))
+        # G(e^u) > lam puts the root to the right of u
+        lo, hi = np.where(f > 0, u, lo), np.where(f > 0, hi, u)
+        u = u + step
+        u = np.where((u > lo) & (u < hi), u, 0.5 * (lo + hi))
+    raise MeshResolutionError(
+        f"level-set roots at lam={lams[idx][:3]} did not converge in {_ROOT_MAX_STEPS} "
+        "Newton steps; G must decrease on (0, x_hi] and cross lam above x = 1e-60"
+    )
 
-    def g_log(u):
-        return math.log(output_magnitude(delta, math.exp(u))) - math.log(lam)
 
-    u_lo = math.log(1e-60)
-    u_hi = math.log(x_hi)
-    return float(math.exp(optimize.brentq(g_log, u_lo, u_hi, xtol=1e-14, rtol=8.9e-16)))
+def level_set_endpoint(delta: float, lam: float, x_hi: float = 0.5) -> float:
+    """x with G(x) = lam, or x_hi when G(x_hi) >= lam (see level_set_endpoints)."""
+    return float(level_set_endpoints(delta, [lam], x_hi)[0])
 
 
 def level_set_measure_bounds(delta: float, lam: float) -> tuple[float, float]:
@@ -326,7 +365,9 @@ def lower_bound_experiment(
     and maximizes lam |{x in (0,1/2] : G(x) > lam}| (with ∫|f| = 1 this is
     directly a lower bound for the weak-type constant).  Cell counting on
     the graded mesh is used while the level set holds at least 4 cells;
-    below resolution the measure comes from closed-form root finding.
+    below resolution the measure is the closed-form root of G = lam.  With
+    closed forms allowed, one level_set_endpoints call solves for every lam
+    of the sweep.
 
     A cell is counted only when it lies wholly inside the level set: G is
     strictly decreasing, so that holds exactly when G at the cell's right
@@ -342,14 +383,16 @@ def lower_bound_experiment(
     lams = np.unique(np.append(lams, lam_star))
     values = output_magnitude(delta, mesh.edges[1:])
     widths = mesh.widths
+    if allow_closed_form:
+        roots = level_set_endpoints(delta, lams, mesh.x_hi)
 
     best = (-np.inf, lam_star, "cells")
-    for lam in lams:
+    for i, lam in enumerate(lams):
         counted, n_cells = mesh.counted_measure(values, lam)
         if n_cells >= 4:
             measure, path = counted, "cells"
             if allow_closed_form:
-                exact = level_set_endpoint(delta, lam, mesh.x_hi)
+                exact = roots[i]
                 # the counted cells are the prefix [0, edges[n_cells]); the edge of
                 # the level set lies in the next cell (none when all are counted)
                 straddling = widths[n_cells] if n_cells < widths.size else 0.0
@@ -361,7 +404,7 @@ def lower_bound_experiment(
                         "decrease on (0, x_hi]"
                     )
         elif allow_closed_form:
-            measure, path = level_set_endpoint(delta, lam, mesh.x_hi), "closed-form"
+            measure, path = roots[i], "closed-form"
         else:
             raise MeshResolutionError(
                 f"level set at lam={lam:.3e} spans {n_cells} < 4 cells; refine the mesh "

@@ -1,0 +1,89 @@
+"""Reference level-set roots: the scalar ``brentq`` solve in ``log x`` that
+``level_set_endpoint`` made before one vectorised Newton solve served the
+whole lambda sweep, and ``lower_bound_experiment`` as it ran then, one
+``brentq`` root per lambda.
+
+The differential tests in ``test_lowerbound.py`` require the vector roots
+to agree with these within ``_ROOT_RTOL`` and the experiment's report to
+agree field for field, bit for bit, wherever the best quotient is counted.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from scipy import optimize
+
+from weaklab.lowerbound import (
+    _ROOT_RTOL,
+    F_argmax,
+    GradedMesh,
+    LowerBoundReport,
+    MeshResolutionError,
+    output_magnitude,
+    w_delta,
+)
+from weaklab.weights import SearchSpace, a1_characteristic
+
+
+def brentq_endpoint(delta: float, lam: float, x_hi: float = 0.5) -> float:
+    """x with G(x) = lam by brentq in u = log x over [1e-60, x_hi]; x_hi when
+    G(x_hi) >= lam."""
+    if lam <= 0:
+        raise ValueError("lam must be positive")
+    if output_magnitude(delta, x_hi) >= lam:
+        return x_hi
+
+    def g_log(u):
+        return math.log(output_magnitude(delta, math.exp(u))) - math.log(lam)
+
+    u_lo = math.log(1e-60)
+    u_hi = math.log(x_hi)
+    return float(math.exp(optimize.brentq(g_log, u_lo, u_hi, xtol=1e-14, rtol=8.9e-16)))
+
+
+def sweep_lambdas(delta: float, lambda_window: float = 4.0, n_lambda: int = 161) -> np.ndarray:
+    """The experiment's lambda sweep: n_lambda geometric points and lam* itself."""
+    lam_star, _ = F_argmax(delta)
+    lams = np.geomspace(lam_star / lambda_window, lam_star * lambda_window, n_lambda)
+    return np.unique(np.append(lams, lam_star))
+
+
+def per_lambda_experiment(delta: float, mesh: GradedMesh | None = None) -> LowerBoundReport:
+    """lower_bound_experiment(delta, compute_nu=False) with one brentq root per
+    lambda, closed forms allowed."""
+    mesh = mesh or GradedMesh()
+    lam_star, _ = F_argmax(delta)
+    values = output_magnitude(delta, mesh.edges[1:])
+    widths = mesh.widths
+
+    best = (-np.inf, lam_star, "cells")
+    for lam in sweep_lambdas(delta):
+        counted, n_cells = mesh.counted_measure(values, lam)
+        if n_cells >= 4:
+            measure, path = counted, "cells"
+            exact = brentq_endpoint(delta, lam, mesh.x_hi)
+            straddling = widths[n_cells] if n_cells < widths.size else 0.0
+            slack = _ROOT_RTOL * exact
+            if not -slack <= exact - counted <= straddling + slack:
+                raise MeshResolutionError(f"cross-check failed at lam={lam:.3e}")
+        else:
+            measure, path = brentq_endpoint(delta, lam, mesh.x_hi), "closed-form"
+        score = lam * measure
+        if score > best[0]:
+            best = (float(score), float(lam), path)
+
+    quotient, best_lambda, path = best
+    a1 = a1_characteristic(w_delta(delta), SearchSpace.anchored_only()).value
+    return LowerBoundReport(
+        delta=delta,
+        a1_char=a1,
+        sharp_rh_nu=float("nan"),
+        lambda_star=lam_star,
+        best_lambda=best_lambda,
+        quotient=quotient,
+        c0_lower=quotient,
+        ratio_to_sqrt_a1=quotient / math.sqrt(a1),
+        measure_path=path,
+    )

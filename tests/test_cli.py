@@ -130,6 +130,38 @@ class TestExitCodes:
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "kind,content,message",
+        [
+            ("sampled", None, "No such file or directory"),
+            ("sampled", "", "Is a directory"),
+            ("sampled", '{"values": [1.0, 1.0]}', "needs mesh.radius, mesh.level and values"),
+            ("sampled", '{"mesh": {"radius": 1.0}, "values": [1.0, 1.0]}', "needs mesh.radius"),
+            ("sampled", "[1.0, 1.0]", "needs mesh.radius"),
+            ("json", None, "No such file or directory"),
+            ("json", '{"values": []}', "needs matrices"),
+            ("json", '"matrices"', "needs matrices"),
+        ],
+        ids=["sampled-missing", "sampled-directory", "sampled-no-mesh", "sampled-no-level",
+             "sampled-list", "json-missing", "json-no-matrices", "json-string"],
+    )
+    def test_unreadable_weight_file_is_2(self, tmp_path, capsys, kind, content, message):
+        path = tmp_path / "w.json"
+        if content == "":
+            path.mkdir()
+        elif content is not None:
+            path.write_text(content)
+        if kind == "sampled":
+            args = ["characteristic", "--weight", f"sampled:{path}", "--p", "2"]
+        else:
+            args = ["matrix-check", "--weight", f"json:{path}", "--trials", "1", "--level", "3"]
+        code, out = run(tmp_path, "x.csv", args)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_unresolved_level_set_is_3(self, tmp_path):
         code, _ = run(
             tmp_path, "x.csv",

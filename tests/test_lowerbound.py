@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate
 
 from conftest import argmax_inside_window, exact_lower_bound_supremum
+from lowerbound_oracle import brentq_endpoint, per_lambda_experiment, sweep_lambdas
 from weaklab import (
     GradedMesh,
     Mesh,
@@ -18,12 +19,14 @@ from weaklab import (
     w_delta,
 )
 from weaklab.lowerbound import (
+    _ROOT_RTOL,
     F_argmax,
     F_grid_max,
     F_lambda,
     MeshResolutionError,
     h_magnitude,
     level_set_endpoint,
+    level_set_endpoints,
     level_set_measure_bounds,
     mu_inverse,
     necessary_condition_violation,
@@ -181,7 +184,7 @@ class TestLevelSets:
         for delta in (0.05, 0.1, 0.2):
             lam = math.exp(1 / delta)
             x = level_set_endpoint(delta, lam)
-            assert output_magnitude(delta, x) == pytest.approx(lam, rel=1e-9)
+            assert output_magnitude(delta, x) == pytest.approx(lam, rel=_ROOT_RTOL)
 
     def test_measure_sandwich_for_mu_composition(self):
         # exact measure of {mu(x^(1-delta)) > 2 lam} lies between the nu-based
@@ -191,6 +194,58 @@ class TestLevelSets:
                 lo, hi = level_set_measure_bounds(delta, lam)
                 exact = mu_inverse(2 * lam) ** (1.0 / (1.0 - delta))
                 assert lo * (1 - 1e-12) <= exact <= hi * (1 + 1e-12)
+
+
+class TestVectorRoots:
+    """level_set_endpoints against the scalar brentq oracle it replaced."""
+
+    @pytest.mark.parametrize("delta", [0.02, 0.05, 0.1, 0.2])
+    def test_sweep_matches_brentq(self, delta):
+        lams = sweep_lambdas(delta)
+        assert lams.size == 162
+        roots = level_set_endpoints(delta, lams)
+        expected = np.array([brentq_endpoint(delta, lam) for lam in lams])
+        assert np.all(np.abs(roots - expected) <= _ROOT_RTOL * expected)
+        assert level_set_endpoint(delta, lams[80]) == roots[80]
+
+    @pytest.mark.parametrize("x_hi", [0.5, 0.25])
+    def test_whole_interval_at_and_below_g_of_x_hi(self, x_hi):
+        g = output_magnitude(0.1, x_hi)
+        lams = np.array([g, np.nextafter(g, 0), 0.5 * g, 1e-300, g * (1 + 1e-9)])
+        roots = level_set_endpoints(0.1, lams, x_hi)
+        assert np.all(roots[:4] == x_hi)
+        assert roots[4] < x_hi
+        assert roots[4] == pytest.approx(brentq_endpoint(0.1, lams[4], x_hi), rel=_ROOT_RTOL)
+
+    @pytest.mark.parametrize("lams", [[0.0], [-1.0], [10.0, 0.0], [math.nan]])
+    def test_non_positive_lambda_raises(self, lams):
+        with pytest.raises(ValueError, match="lam must be positive"):
+            level_set_endpoints(0.1, lams)
+        with pytest.raises(ValueError, match="lam must be positive"):
+            level_set_endpoint(0.1, lams[-1])
+
+    def test_root_below_the_bracket_raises(self):
+        # at delta = 0.005, G(1e-60) < e^200: the solve must not return the
+        # bracket's end as a root
+        with pytest.raises(MeshResolutionError, match="did not converge"):
+            level_set_endpoints(0.005, [1e3, math.exp(200.0)])
+
+    @pytest.mark.parametrize("delta", [0.05, 0.1, 0.2])
+    def test_report_is_bit_identical_to_per_lambda_loop(self, delta):
+        # criterion 3's grid: the best quotient is counted there, so every field
+        # (repr is exact for floats and equates the two NaN sharp_rh_nu) agrees
+        new = lower_bound_experiment(delta, compute_nu=False)
+        assert new.measure_path == "cells"
+        assert repr(new) == repr(per_lambda_experiment(delta))
+
+    def test_closed_form_report_matches_per_lambda_loop(self):
+        # at delta = 0.02 the level sets lie below the mesh, and the quotient is
+        # lam times a root
+        new = lower_bound_experiment(0.02, compute_nu=False)
+        old = per_lambda_experiment(0.02)
+        assert new.measure_path == old.measure_path == "closed-form"
+        assert new.best_lambda == old.best_lambda
+        assert new.quotient == pytest.approx(old.quotient, rel=_ROOT_RTOL)
 
 
 class TestExperiment:

@@ -167,7 +167,39 @@ class TestFractionalMaximal:
                 assert lhs <= const * f.lp_norm(p) * (1 + 1e-10)
 
 
+def dense_fractional_integral(f, alpha, xs):
+    """Oracle: the point-by-cell kernel matrix that fractional_integral built
+    for cell centres before the Toeplitz convolution, applied by one product."""
+    edges = f.mesh.edges()
+    u = xs[:, None] - edges[None, :-1]
+    v = xs[:, None] - edges[None, 1:]
+    au = np.abs(u) ** alpha
+    av = np.abs(v) ** alpha
+    k = np.where(v >= 0, au - av, np.where(u <= 0, av - au, au + av)) / alpha
+    return k @ f.values
+
+
 class TestFractionalIntegral:
+    @pytest.mark.parametrize("radius,level", [(4.0, 8), (1.0, 0), (3.0, 7)])
+    @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.5, 0.9])
+    @pytest.mark.parametrize("shape", [(), (3,)], ids=["scalar", "vector"])
+    def test_toeplitz_centres_match_dense_kernel(self, radius, level, alpha, shape):
+        m = Mesh(radius, level)
+        rng = np.random.default_rng(level)
+        f = MeshFunction(m, rng.standard_normal((m.n_cells,) + shape))
+        out = fractional_integral(f, alpha)
+        ref = dense_fractional_integral(f, alpha, m.centers())
+        assert out.values.shape == f.values.shape
+        assert np.max(np.abs(out.values - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+    def test_explicit_points_keep_the_dense_kernel(self, alpha):
+        m = Mesh(3.0, 7)
+        rng = np.random.default_rng(7)
+        f = MeshFunction(m, rng.standard_normal(m.n_cells))
+        xs = np.concatenate([m.centers()[::5], m.edges()[::7], rng.uniform(-4, 4, 20)])
+        assert np.array_equal(fractional_integral(f, alpha, points=xs), dense_fractional_integral(f, alpha, xs))
+
     def test_closed_form_point(self, wide_mesh):
         f = MeshFunction.indicator(wide_mesh, 0, 1)
         val = fractional_integral(f, 0.5, points=np.array([2.0]))[0]
