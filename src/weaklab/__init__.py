@@ -6,7 +6,7 @@ sparse averaging operators, matrix weights with reducing operators, and the
 explicit endpoint lower-bound construction on the line.
 """
 
-from .grid import Cube, DyadicGrid, Mesh, MeshFunction, average, covering_cube, enumerate_cubes, shifted_grids
+from .grid import Cube, DyadicGrid, Mesh, MeshFunction, average, shifted_grids
 from .weights import (
     CharacteristicReport,
     DegenerateWeightError,

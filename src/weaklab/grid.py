@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -39,9 +38,7 @@ __all__ = [
     "DyadicGrid",
     "Cube",
     "shifted_grids",
-    "enumerate_cubes",
     "average",
-    "covering_cube",
     "cube_span",
     "cells_inside",
     "default_levels",
@@ -365,32 +362,6 @@ def shifted_grids(n: int = 1) -> list[DyadicGrid]:
     return [DyadicGrid(j) for j in (0, 1, 2)]
 
 
-def enumerate_cubes(
-    grid: DyadicGrid,
-    domain: tuple[float, float],
-    min_level: int,
-    max_level: int,
-) -> list[Cube]:
-    """All grid cubes meeting ``domain = [a, b)`` with level in the range.
-
-    The empty level range yields an empty list; an unbounded domain is an
-    error because the result would be infinite.
-    """
-    a, b = domain
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"domain [{a}, {b}) must be bounded")
-    out: list[Cube] = []
-    if b <= a:
-        return out
-    for k in range(min_level, max_level + 1):
-        m_lo = grid.cube_index_of(k, a)
-        m_hi = grid.cube_index_of(k, b)
-        if grid.cube_left(k, m_hi) == Fraction(b):
-            m_hi -= 1
-        out.extend(Cube(k, m, grid) for m in range(m_lo, m_hi + 1))
-    return out
-
-
 def average(f: MeshFunction, Q: Cube) -> float:
     """Cube average <f>_Q = |Q|^-1 ∫_Q f, exact for the piecewise-constant f.
 
@@ -408,31 +379,8 @@ def average(f: MeshFunction, Q: Cube) -> float:
     return float(_span_integrals(f, np.array([lo]), np.array([hi]), den)[0]) / Q.width
 
 
-def covering_cube(grids: Sequence[DyadicGrid], a, b, max_ratio: float = 8.0) -> Cube:
-    """Smallest shifted-grid cube containing [a, b] (one-third trick).
-
-    Scans cube widths from just above |I| upward; the family guarantees a
-    cover with |Q| <= 6 |I|.
-    """
-    a_f, b_f = Fraction(a), Fraction(b)
-    length = b_f - a_f
-    if length <= 0:
-        raise ValueError(f"degenerate interval [{a}, {b}]")
-    k_finest = -math.ceil(math.log2(float(length)))
-    best: Cube | None = None
-    for k in range(k_finest, k_finest - math.ceil(math.log2(max_ratio)) - 2, -1):
-        for grid in grids:
-            q = grid.cube_containing(k, a_f)
-            if q.right >= b_f:
-                if best is None or q.width < best.width:
-                    best = q
-        if best is not None:
-            return best
-    raise RuntimeError(f"no covering cube within width ratio {max_ratio} of [{a}, {b}]")
-
-
 # ---------------------------------------------------------------------------
-# vectorized per-level geometry (used by the operator modules)
+# integer cube geometry and all-level tables (one call per grid)
 # ---------------------------------------------------------------------------
 
 
@@ -479,46 +427,50 @@ def cells_inside(mesh: Mesh, cube: Cube) -> np.ndarray:
     return np.arange(max(-(-lo // den), 0), min(hi // den, mesh.n_cells))
 
 
-def cube_indices_per_cell(mesh: Mesh, grid: DyadicGrid, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(q, contained) per mesh cell at grid level k.
+def cube_indices_per_cell(mesh: Mesh, grid: DyadicGrid, k0: int, k1: int) -> tuple[np.ndarray, np.ndarray]:
+    """(q, contained) per grid level k0..k1 (rows) and mesh cell (columns).
 
-    ``q[i]`` is the index of the level-k cube containing the left endpoint
-    of cell i; ``contained[i]`` says whether the whole cell sits inside that
-    cube.  Exact integer arithmetic throughout.
+    ``q[j, i]`` is the index of the level-(k0 + j) cube containing the left
+    endpoint of cell i; ``contained[j, i]`` says whether the whole cell sits
+    inside that cube.  Exact integer arithmetic, all levels in one pass.
     """
-    a0, step, den = _level_affine(mesh, grid, k)
-    i = np.arange(mesh.n_cells + 1, dtype=np.int64)
-    num = a0 + i * step
-    q_edge = num // den
-    on_boundary = (num % den) == 0
-    q = q_edge[:-1]
-    contained = (q_edge[1:] == q) | ((q_edge[1:] == q + 1) & on_boundary[1:])
-    return q, contained
+    affine = np.array([_level_affine(mesh, grid, k) for k in range(k0, k1 + 1)], dtype=np.int64)
+    a0, step, den = affine.reshape(-1, 3).T[..., None]
+    num = a0 + np.arange(mesh.n_cells + 1, dtype=np.int64) * step
+    q = num[:, :-1] // den
+    return q, -(-num[:, 1:] // den) == q + 1  # the cell's right edge is at most the cube's
 
 
-def level_cube_integrals(f: MeshFunction, grid: DyadicGrid, k: int) -> tuple[int, np.ndarray]:
-    """Integrals of f over every level-k cube meeting the mesh domain.
+def level_cube_integrals(f: MeshFunction, grid: DyadicGrid, k0: int, k1: int) -> list[tuple[int, np.ndarray]]:
+    """Integrals of f over every cube of levels k0..k1 meeting the mesh domain:
+    one ``(q0, integrals)`` per level, with ``integrals[m]`` over cube ``q0 + m``.
 
-    Returns ``(q0, integrals)`` with ``integrals[m]`` the integral over cube
-    ``q0 + m``.  Cells straddling a cube edge are split exactly; f is zero
-    outside the domain.  Each entry is bit-identical to
-    ``f.integral(cube.left, cube.right)``: both go through
-    ``_span_integrals``.  A vector f integrates component by component:
-    ``integrals[m, c]`` is cube ``q0 + m``'s integral of component c.
+    Cells straddling a cube edge are split exactly; f is zero outside the
+    domain.  All levels go through one ``_span_integrals`` call, each span
+    with its own level's denominator, so each entry is bit-identical to
+    ``f.integral(cube.left, cube.right)``.  A vector f integrates component
+    by component: ``integrals[m, c]`` is cube ``q0 + m``'s integral of c.
     """
     n = f.mesh.n_cells
-    a0, step, den = _level_affine(f.mesh, grid, k)
-    # cube m spans cell positions [(m den - a0)/step, ((m+1) den - a0)/step)
-    q0 = a0 // den
-    q1 = -(-(a0 + n * step) // den) - 1
-    inner = np.arange(q0 + 1, q1 + 1, dtype=np.int64) * den - a0
-    edges = np.concatenate(([0], inner, [n * step]))
-    return q0, _span_integrals(f, edges[:-1], edges[1:], step)
+    q0s, edges, dens = [], [], []
+    for k in range(k0, k1 + 1):
+        a0, step, den = _level_affine(f.mesh, grid, k)
+        # cube m spans cell positions [(m den - a0)/step, ((m+1) den - a0)/step)
+        q0s.append(a0 // den)
+        inner = np.arange(a0 // den + 1, -(-(a0 + n * step) // den), dtype=np.int64) * den - a0
+        edges.append(np.concatenate(([0], inner, [n * step])))
+        dens.append(np.full(len(inner) + 1, step))
+    if not q0s:
+        return []
+    lo, hi = np.concatenate([e[:-1] for e in edges]), np.concatenate([e[1:] for e in edges])
+    ints = _span_integrals(f, lo, hi, np.concatenate(dens))
+    return list(zip(q0s, np.split(ints, np.cumsum([len(d) for d in dens])[:-1])))
 
 
-def _span_integrals(f: MeshFunction, lo: np.ndarray, hi: np.ndarray, den: int) -> np.ndarray:
+def _span_integrals(f: MeshFunction, lo: np.ndarray, hi: np.ndarray, den) -> np.ndarray:
     """Integrals of f over the spans [lo/den, hi/den), in cell units from the
-    left mesh edge (integer arrays, 0 <= lo <= hi <= n_cells * den).
+    left mesh edge (integer arrays, 0 <= lo <= hi <= n_cells * den; ``den``
+    one integer or one per span).
 
     Each span sums its own whole cells and adds the covered shares of its
     two straddling cells, so the rounding error scales with the span's own

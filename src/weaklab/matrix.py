@@ -30,8 +30,9 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .grid import Cube, DyadicGrid, Mesh, MeshFunction, _level_affine, average, cube_span, default_levels, shifted_grids
+from .grid import Cube, DyadicGrid, Mesh, MeshFunction, _level_affine, cube_span, default_levels, shifted_grids
 from .operators import _maximal_sweep
+from .sparse import _cube_averages
 from .weights import (
     CharacteristicReport,
     SampledWeight,
@@ -543,7 +544,7 @@ def dominating_scalar_sparse(
         raise ValueError("f and W live on different meshes")
     if f.is_vector:
         raise ValueError("the dominating operator acts on scalar f (apply to |f|)")
-    fp = f.power(p)
+    avg = _cube_averages(f.power(p), family.grid, family.cubes, max((c.level for c in family.cubes), default=0))
     out = np.zeros(mesh.n_cells)
     if alpha == 0.0:
         Apow = W.power(1.0 / p)
@@ -552,16 +553,14 @@ def dominating_scalar_sparse(
             raise ValueError("fractional variant needs q")
         Apow = W.values
     for cube in family.cubes:
-        cells = W.cells_of(cube)
-        if cells.stop <= cells.start:
-            continue
+        cells = W.cells_of(cube)  # a cube leaving the domain raises
         red = (
             reducing_matrix(W, cube, p)
             if alpha == 0.0
             else fractional_reducing_matrix(W, cube, q)
         )
         coeff = op_norm(np.einsum("xij,jk->xik", Apow[cells], red.inverse))
-        avg_p = average(fp, cube) ** (1.0 / p)
+        avg_p = avg(cube.level, cube.index) ** (1.0 / p)
         out[cells] += cube.width**alpha * coeff * avg_p
     return MeshFunction(mesh, out)
 

@@ -135,7 +135,7 @@ def _maximal_sweep(
 
     A vector f has one component per cell, and cell x reads component x:
     the integrand may depend on the cell it is evaluated for, as in the
-    Christ-Goldberg operator.  Cube integrals are exact per-level tables.
+    Christ-Goldberg operator.  Cube integrals are exact tables, one call per grid.
     """
     mesh = f.mesh
     k_top, k_fine = default_levels(mesh)
@@ -143,11 +143,10 @@ def _maximal_sweep(
     out = np.zeros(mesh.n_cells)
     cells = np.arange(mesh.n_cells)
     for grid in shifted_grids(1) if grids is None else grids:
-        for k in range(k0, k1 + 1):
-            q0, ints = level_cube_integrals(f, grid, k)
-            width = 2.0**-k
-            cand = width ** (alpha - 1.0) * ints
-            q, cont = cube_indices_per_cell(mesh, grid, k)
+        q_cell, cont_cell = cube_indices_per_cell(mesh, grid, k0, k1)
+        levels = zip(range(k0, k1 + 1), level_cube_integrals(f, grid, k0, k1), q_cell, cont_cell)
+        for k, (q0, ints), q, cont in levels:
+            cand = (2.0**-k) ** (alpha - 1.0) * ints
             idx = q - q0
             sel = cont & (idx >= 0) & (idx < len(ints))
             own = cand[idx[sel], cells[sel]] if f.is_vector else cand[idx[sel]]
@@ -237,12 +236,14 @@ def fractional_integral(f: MeshFunction, alpha: float, points: np.ndarray | None
     edges = mesh.edges()
     a = edges[:-1]
     b = edges[1:]
-    out = np.empty(len(xs))
+    vals = f.values.reshape(n, -1)
+    out = np.empty((len(xs), vals.shape[1]))
     chunk = max(1, int(2**22 / max(n, 1)))
     for s in range(0, len(xs), chunk):
         x = xs[s : s + chunk, None]
-        out[s : s + chunk] = _cell_kernel(x - a[None, :], x - b[None, :], alpha) @ f.values
-    return out
+        kernel = _cell_kernel(x - a[None, :], x - b[None, :], alpha)
+        out[s : s + chunk] = np.stack([kernel @ c for c in vals.T], axis=1)  # per component, as at the centres
+    return out.reshape(len(xs), *f.values.shape[1:])
 
 
 # ---------------------------------------------------------------------------

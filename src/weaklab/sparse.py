@@ -11,10 +11,10 @@ stop above a minimum cube width (default 32 cells) so that the
 cell-quantized E_Q still certify the sparseness inequality |Q| <= 2 |E_Q|.
 
 Both stopping-time walks run over integer cube coordinates (k, m) and read
-cube averages from per-level tables (``level_cube_integrals``, built once
-per level per call, bit-identical to ``grid.average``); an index outside a
-table is off the domain.  Only kept cubes become ``Cube`` objects, and the
-cells each one holds come from the integer span ``grid.cube_span``.
+cube averages from one ``level_cube_integrals`` call down to the deepest
+level the walk reaches (bit-identical to ``grid.average``); an index off a
+level's table is off the domain.  Only kept cubes become ``Cube`` objects,
+and the cells each one holds come from the integer span ``grid.cube_span``.
 """
 
 from __future__ import annotations
@@ -80,18 +80,18 @@ def covering_roots(mesh: Mesh, grid: DyadicGrid, span: tuple[float, float]) -> l
     return roots
 
 
-def _cube_averages(f: MeshFunction, grid: DyadicGrid, cubes: Sequence[Cube]):
-    """avg(k, m) = <f> over grid cube (k, m), None off the domain; the given
-    starting cubes must belong to the grid."""
+def _cube_averages(f: MeshFunction, grid: DyadicGrid, cubes: Sequence[Cube], k_deep: int):
+    """avg(k, m) = <f> over grid cube (k, m), None off the domain, for k from
+    the coarsest given cube (of the grid) down to k_deep or the deepest one."""
     if any(c.grid != grid for c in cubes):
         raise ValueError("root cubes must belong to the construction's grid")
-    tables: dict[int, tuple[int, list[float]]] = {}
+    levels = [c.level for c in cubes]
+    k0, k1 = min(levels, default=k_deep), max(levels + [k_deep])
+    tables = level_cube_integrals(f, grid, k0, k1)
+    tables = [(q0, (ints / 2.0**-k).tolist()) for k, (q0, ints) in enumerate(tables, k0)]
 
     def avg(k: int, m: int) -> float | None:
-        if k not in tables:
-            q0, ints = level_cube_integrals(f, grid, k)
-            tables[k] = (q0, (ints / 2.0**-k).tolist())
-        q0, avgs = tables[k]
+        q0, avgs = tables[k - k0]
         j = m - q0
         return avgs[j] if 0 <= j < len(avgs) else None
 
@@ -137,7 +137,7 @@ def sparse_apply(family: SparseFamily, f: MeshFunction, alpha: float = 0.0) -> M
     mesh = family.mesh
     n = mesh.n_cells
     out = np.zeros(n)
-    avg = _cube_averages(f, family.grid, family.cubes)
+    avg = _cube_averages(f, family.grid, family.cubes, max((c.level for c in family.cubes), default=0))
     for cube in family.cubes:
         a = avg(cube.level, cube.index) or 0.0  # None: no cell centre inside
         # cell i is in the cube when its centre is: 2 lo <= (2i + 1) den < 2 hi
@@ -206,7 +206,7 @@ def build_sparse_family(
         min_width_cells = 1 if grid.is_standard() else 32
     max_level = math.floor(math.log2(1.0 / (min_width_cells * mesh.h)))
 
-    avg = _cube_averages(f, grid, roots)
+    avg = _cube_averages(f, grid, roots, max_level)
     cubes: list[Cube] = []
     designated: list[np.ndarray] = []
 
@@ -297,7 +297,7 @@ def cz_decompose(
     if roots is None:
         roots = root_cubes(mesh, grid)
     k_cell = mesh.aligned_cell_level()
-    avg = _cube_averages(h, grid, roots)
+    avg = _cube_averages(h, grid, roots, k_cell)
 
     stopping: list[Cube] = []
     good = h.values.copy()

@@ -850,18 +850,16 @@ def _fujii_wilson_one_grid(wbar: MeshFunction, grid: DyadicGrid, k_lo: int, k_fi
     cube; the finer level, then the left cube wins a tie; -inf if none.
     """
     mesh = wbar.mesh
-    # finest-level geometry
-    q0f, ints_f = level_cube_integrals(wbar, grid, k_fine)
+    tables = level_cube_integrals(wbar, grid, min(k_lo, k_fine), k_fine)  # k_fine even if k_lo > k_fine
+    q0f, ints_f = tables[-1]  # finest-level geometry
     nf = len(ints_f)
     width_f = 2.0**-k_fine
     lefts_f_num = 3 * (q0f + np.arange(nf, dtype=np.int64)) + (-1 if k_fine & 1 else 1) * grid.shift_index
     # left endpoint of finest cube i is lefts_f_num[i] / (3 * 2^k_fine), exactly
     profile = np.zeros(ints_f.shape)
     vals, levels, cubes = [], [], []  # per level: ratios of the inside cubes, k, their indices m
-    for k in range(k_fine, k_lo - 1, -1):
-        q0, ints = level_cube_integrals(wbar, grid, k)
-        width = 2.0**-k
-        avgs = ints / width
+    for k, (q0, ints) in zip(range(k_fine, k_lo - 1, -1), reversed(tables)):
+        avgs = ints / 2.0**-k
         # ancestor index at level k of each finest cube, floor(left_f / 2^-k - (-1)^k j/3),
         # in integers: multiply through by 3 * 2^(k_fine - k)
         scale = 2 ** (k_fine - k)

@@ -6,9 +6,14 @@ question is answered by rational arithmetic on the cube's ``left``/``right``.
 The differential tests in ``test_geometry.py`` require the integer versions
 to agree with these byte for byte.
 
-Two matrix-path loops that the per-level tables replaced live here too: the
-cube-by-cube Christ-Goldberg maximal function over these overlap widths, and
-the direction-by-direction scalar ``A_inf`` characteristic.
+Three matrix-path loops that the level tables replaced live here too: the
+cube-by-cube Christ-Goldberg maximal function over these overlap widths,
+the direction-by-direction scalar ``A_inf`` characteristic, and the
+reducing-matrix sparse operator with one ``grid.average`` call per cube.  So do the
+one-level-per-call table builders that ``grid.level_cube_integrals`` and
+``grid.cube_indices_per_cell`` replaced by one call for all levels, and the
+``Fraction`` cube locators ``enumerate_cubes`` and ``covering_cube``, which
+only tests use.
 """
 
 from __future__ import annotations
@@ -18,8 +23,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from weaklab.grid import Cube, DyadicGrid, Mesh, MeshFunction, _span_integrals, cube_indices_per_cell, shifted_grids
-from weaklab.matrix import MatrixWeight, unit_directions
+from weaklab.grid import Cube, DyadicGrid, Mesh, MeshFunction, _level_affine, _span_integrals, average, shifted_grids
+from weaklab.matrix import MatrixWeight, fractional_reducing_matrix, op_norm, reducing_matrix, unit_directions
 from weaklab.sparse import SparseFamily
 from weaklab.weights import SampledWeight, ainfty_characteristic
 
@@ -51,6 +56,73 @@ def oracle_level_affine(mesh: Mesh, grid: DyadicGrid, k: int) -> tuple[int, int,
         step_f.numerator * (den // step_f.denominator),
         den,
     )
+
+
+def oracle_cube_indices_per_cell(mesh: Mesh, grid: DyadicGrid, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``cube_indices_per_cell`` one level at a time: (q, contained) per cell."""
+    a0, step, den = _level_affine(mesh, grid, k)
+    num = a0 + np.arange(mesh.n_cells + 1, dtype=np.int64) * step
+    q_edge = num // den
+    on_boundary = (num % den) == 0
+    q = q_edge[:-1]
+    contained = (q_edge[1:] == q) | ((q_edge[1:] == q + 1) & on_boundary[1:])
+    return q, contained
+
+
+def oracle_level_cube_integrals(f: MeshFunction, grid: DyadicGrid, k: int) -> tuple[int, np.ndarray]:
+    """``level_cube_integrals`` one level at a time: one ``_span_integrals``
+    call over the level's cubes, all with the level's own denominator."""
+    n = f.mesh.n_cells
+    a0, step, den = _level_affine(f.mesh, grid, k)
+    q0 = a0 // den
+    q1 = -(-(a0 + n * step) // den) - 1
+    inner = np.arange(q0 + 1, q1 + 1, dtype=np.int64) * den - a0
+    edges = np.concatenate(([0], inner, [n * step]))
+    return q0, _span_integrals(f, edges[:-1], edges[1:], step)
+
+
+def enumerate_cubes(grid: DyadicGrid, domain: tuple[float, float], min_level: int, max_level: int) -> list[Cube]:
+    """All grid cubes meeting ``domain = [a, b)`` with level in the range.
+
+    The empty level range yields an empty list; an unbounded domain is an
+    error because the result would be infinite.
+    """
+    a, b = domain
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"domain [{a}, {b}) must be bounded")
+    out: list[Cube] = []
+    if b <= a:
+        return out
+    for k in range(min_level, max_level + 1):
+        m_lo = grid.cube_index_of(k, a)
+        m_hi = grid.cube_index_of(k, b)
+        if grid.cube_left(k, m_hi) == Fraction(b):
+            m_hi -= 1
+        out.extend(Cube(k, m, grid) for m in range(m_lo, m_hi + 1))
+    return out
+
+
+def covering_cube(grids, a, b, max_ratio: float = 8.0) -> Cube:
+    """Smallest shifted-grid cube containing [a, b] (one-third trick).
+
+    Scans cube widths from just above |I| upward; the family guarantees a
+    cover with |Q| <= 6 |I|.
+    """
+    a_f, b_f = Fraction(a), Fraction(b)
+    length = b_f - a_f
+    if length <= 0:
+        raise ValueError(f"degenerate interval [{a}, {b}]")
+    k_finest = -math.ceil(math.log2(float(length)))
+    best: Cube | None = None
+    for k in range(k_finest, k_finest - math.ceil(math.log2(max_ratio)) - 2, -1):
+        for grid in grids:
+            q = grid.cube_containing(k, a_f)
+            if q.right >= b_f:
+                if best is None or q.width < best.width:
+                    best = q
+        if best is not None:
+            return best
+    raise RuntimeError(f"no covering cube within width ratio {max_ratio} of [{a}, {b}]")
 
 
 def oracle_cells_inside(mesh: Mesh, cube: Cube) -> np.ndarray:
@@ -159,7 +231,7 @@ def oracle_christ_goldberg_maximal(
     out = np.zeros(mesh.n_cells)
     for grid in grids:
         for k in range(k_lo, k_hi + 1):
-            q_cell, cont = cube_indices_per_cell(mesh, grid, k)
+            q_cell, cont = oracle_cube_indices_per_cell(mesh, grid, k)
             width = 2.0**-k
             for q in range(int(q_cell.min()), int(q_cell.max()) + 1):
                 xs = np.nonzero(cont & (q_cell == q))[0]
@@ -189,3 +261,18 @@ def oracle_ainfty_scalar_characteristic(
         if val > best[0]:
             best = (val, v)
     return best
+
+
+def oracle_dominating_scalar_sparse(
+    W: MatrixWeight, p: float, family: SparseFamily, f: MeshFunction, alpha: float = 0.0, q=None
+) -> np.ndarray:
+    """``dominating_scalar_sparse`` with one ``grid.average`` call per family cube."""
+    fp = f.power(p)
+    A = W.power(1.0 / p) if alpha == 0.0 else W.values
+    out = np.zeros(f.mesh.n_cells)
+    for cube in family.cubes:
+        cells = W.cells_of(cube)
+        red = reducing_matrix(W, cube, p) if alpha == 0.0 else fractional_reducing_matrix(W, cube, q)
+        coeff = op_norm(np.einsum("xij,jk->xik", A[cells], red.inverse))
+        out[cells] += cube.width**alpha * coeff * average(fp, cube) ** (1.0 / p)
+    return out

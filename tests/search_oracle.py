@@ -20,7 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from weaklab.grid import DyadicGrid, Mesh, MeshFunction, level_cube_integrals
+from geometry_oracle import oracle_level_cube_integrals
+from weaklab.grid import DyadicGrid, Mesh, MeshFunction
 from weaklab.weights import DegenerateWeightError, NonIntegrableError, SearchSpace, rh_characteristic
 
 
@@ -102,7 +103,7 @@ def oracle_fujii_wilson_one_grid(
     """``weights._fujii_wilson_one_grid`` with the inside range scanned by
     ``oracle_inside_range``; ``segment_sums(mass, seg)`` integrates the
     profile over each inside cube."""
-    q0f, ints_f = level_cube_integrals(wbar, grid, k_fine)
+    q0f, ints_f = oracle_level_cube_integrals(wbar, grid, k_fine)
     nf = len(ints_f)
     width_f = 2.0**-k_fine
     lefts_f_num = 3 * (q0f + np.arange(nf, dtype=np.int64)) + (-1 if k_fine & 1 else 1) * grid.shift_index
@@ -110,7 +111,7 @@ def oracle_fujii_wilson_one_grid(
     best_val = -np.inf
     best_cube = None
     for k in range(k_fine, k_lo - 1, -1):
-        q0, ints = level_cube_integrals(wbar, grid, k)
+        q0, ints = oracle_level_cube_integrals(wbar, grid, k)
         avgs = ints / 2.0**-k
         shift_num = (-1 if k & 1 else 1) * grid.shift_index
         scale = 2 ** (k_fine - k)

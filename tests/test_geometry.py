@@ -1,6 +1,7 @@
 """The integer cube-to-cell map (``grid.cube_span``) against the ``Fraction``
-geometry it replaced (``geometry_oracle``), byte for byte; its int64
-headroom at the extreme meshes; and the rules that only ``grid.py`` imports
+geometry it replaced (``geometry_oracle``), byte for byte; the all-level
+tables against the one-level builders they replaced; its int64 headroom at
+the extreme meshes; and the rules that only ``grid.py`` imports
 ``fractions`` and writes the cube-label format.
 """
 
@@ -23,8 +24,10 @@ from geometry_oracle import (
     oracle_cells_inside,
     oracle_cells_of,
     oracle_covering_roots,
+    oracle_cube_indices_per_cell,
     oracle_integral,
     oracle_level_affine,
+    oracle_level_cube_integrals,
     oracle_sparse_apply,
 )
 from weaklab.grid import (
@@ -34,7 +37,10 @@ from weaklab.grid import (
     _level_affine,
     average,
     cells_inside,
+    cube_indices_per_cell,
     cube_span,
+    default_levels,
+    level_cube_integrals,
     shifted_grids,
 )
 from weaklab.matrix import MatrixWeight
@@ -157,6 +163,36 @@ def test_covering_roots_match_fraction(radius, level, j, data):
             return str(err)
 
     assert outcome(covering_roots) == outcome(oracle_covering_roots)
+
+
+@pytest.mark.parametrize(
+    "radius, level, components",
+    [(1.0, 0, None), (0.75, 5, None), (16.0, 10, None), (4.0, 6, 128)],
+    ids=["two-cells", "radius-0.75", "mesh-16-10", "vector-128"],
+)
+def test_range_tables_match_per_level_oracle(radius, level, components):
+    """One call for all default levels of a grid gives, level by level, the
+    bytes of the one-level builders: the tables (a 128-component f is the
+    Christ-Goldberg shape) and the cell indices.  Two levels past the cell
+    level are included: there each level's ``den`` differs, while over the
+    default levels of one grid it is the same."""
+    mesh = Mesh(radius, level)
+    rng = np.random.default_rng(level)
+    shape = (mesh.n_cells,) if components is None else (mesh.n_cells, components)
+    f = MeshFunction(mesh, rng.uniform(0, 1, shape) * (rng.uniform(size=shape) < 0.6))
+    k_top, k_fine = default_levels(mesh)
+    k_deep = k_fine + 2
+    for grid in GRIDS:
+        tables = level_cube_integrals(f, grid, k_top, k_deep)
+        q, contained = cube_indices_per_cell(mesh, grid, k_top, k_deep)
+        assert len(tables) == len(q) == len(contained) == k_deep - k_top + 1
+        for k, (q0, ints), q_k, cont_k in zip(range(k_top, k_deep + 1), tables, q, contained):
+            want_q0, want_ints = oracle_level_cube_integrals(f, grid, k)
+            assert q0 == want_q0 and ints.shape == want_ints.shape and ints.tobytes() == want_ints.tobytes()
+            want_q, want_cont = oracle_cube_indices_per_cell(mesh, grid, k)
+            assert np.array_equal(q_k, want_q) and np.array_equal(cont_k, want_cont)
+    assert level_cube_integrals(f, GRIDS[0], k_fine + 1, k_fine) == []
+    assert cube_indices_per_cell(mesh, GRIDS[0], k_fine + 1, k_fine)[0].shape == (0, mesh.n_cells)
 
 
 @pytest.mark.parametrize("radius", [2.0**20, 2.0**-10, 2.0**20 - 1, (2.0**20 - 1) / 1024])

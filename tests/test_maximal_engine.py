@@ -1,7 +1,8 @@
-"""The matrix consumers on the per-level engine against the loops they
-replaced (``geometry_oracle``): the Christ-Goldberg maximal function cube by
-cube, and the scalar ``A_inf`` characteristic direction by direction; and the
-component-wise level tables both of them read.
+"""The matrix consumers on the level tables against the loops they replaced
+(``geometry_oracle``): the Christ-Goldberg maximal function cube by cube,
+the scalar ``A_inf`` characteristic direction by direction, and the
+reducing-matrix sparse operator average by average; and the component-wise
+level tables they read.
 """
 
 import math
@@ -11,12 +12,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geometry_oracle import oracle_ainfty_scalar_characteristic, oracle_christ_goldberg_maximal
+from geometry_oracle import (
+    oracle_ainfty_scalar_characteristic,
+    oracle_christ_goldberg_maximal,
+    oracle_dominating_scalar_sparse,
+)
 from weaklab.grid import DyadicGrid, Mesh, MeshFunction, average, default_levels, level_cube_integrals, shifted_grids
+from weaklab.sparse import build_sparse_family
 from weaklab.matrix import (
     MatrixWeight,
     ainfty_scalar_characteristic,
     christ_goldberg_maximal,
+    dominating_scalar_sparse,
     random_matrix_weight,
     unit_directions,
 )
@@ -93,6 +100,27 @@ def test_ainfty_scalar_first_direction_wins_a_tie():
     assert direction.tobytes() == unit_directions(2, 8)[0].tobytes()
 
 
+@pytest.mark.parametrize("p, alpha", [(2.0, 0.0), (3.0, 0.0), (2.0, 0.25)])
+def test_dominating_sparse_matches_per_cube_average(p, alpha):
+    """One table over the family's levels against one ``grid.average`` call
+    per cube: the same spans summed alike, so the same floats."""
+    mesh = Mesh(1.0, 6)
+    q = None if alpha == 0.0 else 1.0 / (1.0 / p - alpha)
+    deepest = set()
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        W = random_matrix_weight(mesh, 2, rng)
+        block = 2 ** (seed % 4)  # blocks of 1-8 cells: families stop at different depths
+        n_blocks = mesh.n_cells // block
+        heights = np.abs(block_zeroed(rng, n_blocks, 1)[:, 0]) * 10.0 ** rng.integers(-2, 3, n_blocks)
+        f = MeshFunction(mesh, np.repeat(heights, block))
+        family = build_sparse_family(f)
+        deepest.add(max(c.level for c in family.cubes))
+        got = dominating_scalar_sparse(W, p, family, f, alpha=alpha, q=q).values
+        assert got.tobytes() == oracle_dominating_scalar_sparse(W, p, family, f, alpha=alpha, q=q).tobytes()
+    assert len(deepest) > 1  # families stopping at different depths
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     radius=st.sampled_from([0.5, 0.75, 1.0, 3.0, 5.25]),
@@ -112,10 +140,10 @@ def test_vector_level_tables_equal_scalar_tables_per_component(radius, level, sh
     f = MeshFunction(mesh, values * support[:, None])
     grid = DyadicGrid(shift)
     k = math.floor(math.log2(1.0 / mesh.h)) + dk
-    q0, ints = level_cube_integrals(f, grid, k)
+    [(q0, ints)] = level_cube_integrals(f, grid, k, k)
     assert ints.shape[1] == r
     for c in range(r):
-        q0_c, ints_c = level_cube_integrals(MeshFunction(mesh, f.values[:, c]), grid, k)
+        [(q0_c, ints_c)] = level_cube_integrals(MeshFunction(mesh, f.values[:, c]), grid, k, k)
         assert q0_c == q0 and ints[:, c].tobytes() == ints_c.tobytes()
 
 
@@ -125,10 +153,10 @@ def test_vector_level_tables_with_different_zero_patterns_stay_accurate():
     values = rng.uniform(0, 1, (mesh.n_cells, 3)) * (rng.uniform(size=(mesh.n_cells, 3)) < 0.5)
     f = MeshFunction(mesh, values)
     for grid in shifted_grids(1):
-        for k in range(*default_levels(mesh)):
-            _, ints = level_cube_integrals(f, grid, k)
-            for c in range(3):
-                _, ints_c = level_cube_integrals(MeshFunction(mesh, values[:, c]), grid, k)
+        tables = level_cube_integrals(f, grid, *default_levels(mesh))
+        for c in range(3):
+            tables_c = level_cube_integrals(MeshFunction(mesh, values[:, c]), grid, *default_levels(mesh))
+            for (_, ints), (_, ints_c) in zip(tables, tables_c, strict=True):
                 assert np.allclose(ints[:, c], ints_c, rtol=4 * mesh.n_cells * 2.0**-53, atol=0.0)
 
 

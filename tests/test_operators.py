@@ -200,6 +200,17 @@ class TestFractionalIntegral:
         xs = np.concatenate([m.centers()[::5], m.edges()[::7], rng.uniform(-4, 4, 20)])
         assert np.array_equal(fractional_integral(f, alpha, points=xs), dense_fractional_integral(f, alpha, xs))
 
+    @pytest.mark.parametrize("radius,level", [(1.0, 3), (3.0, 7)])
+    def test_explicit_points_of_a_vector_are_the_scalar_calls_per_component(self, radius, level):
+        m = Mesh(radius, level)
+        rng = np.random.default_rng(level)
+        f = MeshFunction(m, rng.standard_normal((m.n_cells, 3)))
+        xs = np.concatenate([m.centers()[::5], rng.uniform(-1.5 * radius, 1.5 * radius, 20)])
+        out = fractional_integral(f, 0.5, points=xs)
+        assert out.shape == (len(xs), 3)
+        for c in range(3):
+            assert out[:, c].tobytes() == fractional_integral(MeshFunction(m, f.values[:, c]), 0.5, points=xs).tobytes()
+
     def test_closed_form_point(self, wide_mesh):
         f = MeshFunction.indicator(wide_mesh, 0, 1)
         val = fractional_integral(f, 0.5, points=np.array([2.0]))[0]

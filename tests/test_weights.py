@@ -36,7 +36,8 @@ from weaklab import (
     sharp_rh_exponent,
     shifted_grids,
 )
-from weaklab.grid import Cube, _level_affine, default_levels, enumerate_cubes
+from geometry_oracle import enumerate_cubes
+from weaklab.grid import Cube, _level_affine, default_levels
 from weaklab.lowerbound import w_delta
 from weaklab.matrix import random_matrix_weight, scalar_restriction, unit_directions
 
@@ -415,12 +416,12 @@ def _fw_brute_force(w, rep, refine=2):
     total = 0.0
     centers = fine.centers()
     sel = (centers > lo) & (centers < hi)
-    from weaklab.grid import level_cube_integrals
+    from geometry_oracle import oracle_level_cube_integrals
 
     mvals = np.zeros(sel.sum())
     pts = centers[sel]
     for k in range(k_q, base.aligned_cell_level() + 1):
-        q0, ints = level_cube_integrals(wbar, grid, k)
+        q0, ints = oracle_level_cube_integrals(wbar, grid, k)
         width = 2.0**-k
         for i, x in enumerate(pts):
             m = grid.cube_index_of(k, x)
