@@ -427,6 +427,12 @@ def cells_inside(mesh: Mesh, cube: Cube) -> np.ndarray:
     return np.arange(max(-(-lo // den), 0), min(hi // den, mesh.n_cells))
 
 
+def _level_affines(mesh: Mesh, grid: DyadicGrid, k0: int, k1: int) -> np.ndarray:
+    """``_level_affine`` of levels k0..k1 as int64 rows a0, step, den (one entry per level)."""
+    affine = np.array([_level_affine(mesh, grid, k) for k in range(k0, k1 + 1)], dtype=np.int64)
+    return affine.reshape(-1, 3).T
+
+
 def cube_indices_per_cell(mesh: Mesh, grid: DyadicGrid, k0: int, k1: int) -> tuple[np.ndarray, np.ndarray]:
     """(q, contained) per grid level k0..k1 (rows) and mesh cell (columns).
 
@@ -434,8 +440,7 @@ def cube_indices_per_cell(mesh: Mesh, grid: DyadicGrid, k0: int, k1: int) -> tup
     endpoint of cell i; ``contained[j, i]`` says whether the whole cell sits
     inside that cube.  Exact integer arithmetic, all levels in one pass.
     """
-    affine = np.array([_level_affine(mesh, grid, k) for k in range(k0, k1 + 1)], dtype=np.int64)
-    a0, step, den = affine.reshape(-1, 3).T[..., None]
+    a0, step, den = _level_affines(mesh, grid, k0, k1)[..., None]
     num = a0 + np.arange(mesh.n_cells + 1, dtype=np.int64) * step
     q = num[:, :-1] // den
     return q, -(-num[:, 1:] // den) == q + 1  # the cell's right edge is at most the cube's
@@ -467,7 +472,36 @@ def level_cube_integrals(f: MeshFunction, grid: DyadicGrid, k0: int, k1: int) ->
     return list(zip(q0s, np.split(ints, np.cumsum([len(d) for d in dens])[:-1])))
 
 
-def _span_integrals(f: MeshFunction, lo: np.ndarray, hi: np.ndarray, den) -> np.ndarray:
+def cell_cube_integrals(f: MeshFunction, grid: DyadicGrid, k0: int, k1: int) -> np.ndarray:
+    """Per level k0..k1 (rows) and mesh cell x (columns): the integral of f
+    over the level's cube that wholly contains cell x, 0 where none does.
+
+    A vector f has one component per cell, and cell x reads component x.
+    Only those (cube, cell) pairs are integrated, all levels in one
+    ``_span_integrals`` call, so each entry is bit-identical to column x of
+    its cube's ``level_cube_integrals`` entry.  A scalar f is gathered from
+    the ``level_cube_integrals`` table.
+    """
+    n = f.mesh.n_cells
+    q, contained = cube_indices_per_cell(f.mesh, grid, k0, k1)
+    out = np.zeros(q.shape)
+    if k1 < k0:
+        return out
+    if not f.is_vector:
+        tables = level_cube_integrals(f, grid, k0, k1)
+        # cube q of level j sits at q + offset[j] in the concatenated tables
+        offset = np.cumsum([0] + [len(ints) for _, ints in tables[:-1]]) - [q0 for q0, _ in tables]
+        out[contained] = np.concatenate([ints for _, ints in tables])[(q + offset[:, None])[contained]]
+        return out
+    a0, step, den = _level_affines(f.mesh, grid, k0, k1)
+    j, x = np.nonzero(contained)
+    lo = q[j, x] * den[j] - a0[j]  # cube q spans cell positions [(q den - a0)/step, ((q+1) den - a0)/step)
+    hi = np.minimum(lo + den[j], n * step[j])
+    out[j, x] = _span_integrals(f, np.maximum(lo, 0), hi, step[j], comp=x)
+    return out
+
+
+def _span_integrals(f: MeshFunction, lo: np.ndarray, hi: np.ndarray, den, comp=None) -> np.ndarray:
     """Integrals of f over the spans [lo/den, hi/den), in cell units from the
     left mesh edge (integer arrays, 0 <= lo <= hi <= n_cells * den; ``den``
     one integer or one per span).
@@ -487,7 +521,9 @@ def _span_integrals(f: MeshFunction, lo: np.ndarray, hi: np.ndarray, den) -> np.
     A vector f (values ``(n_cells, r)``) gives ``(n_spans, r)``, each
     component summed as one contiguous row over the cells where any is
     nonzero: bit for bit the scalar result per column if all share one zero
-    pattern.
+    pattern.  With ``comp`` (one component index per span), span s sums only
+    component ``comp[s]``, over the same cells, and the result is
+    ``(n_spans,)``: the floats of that span's ``comp[s]`` column.
     """
     h = f.mesh.h
     rows = f.values.T  # one row per component; a scalar f is its own row
@@ -501,9 +537,13 @@ def _span_integrals(f: MeshFunction, lo: np.ndarray, hi: np.ndarray, den) -> np.
     bounds = np.searchsorted(nz, np.stack([first, stop], axis=1).ravel())
     vals = v.take(np.append(nz, len(f.values)), axis=-1)  # the nonzero cells, then a zero
     count = bounds[1::2] - bounds[::2]  # nonzero whole cells
+    same = i_lo == stop  # both ends in one cell
+    if comp is not None:  # span s reads row comp[s] of the flattened rows
+        bounds = bounds + np.repeat(comp * vals.shape[-1], 2)
+        i_lo, stop = i_lo + comp * v.shape[-1], stop + comp * v.shape[-1]
+        vals, v = vals.ravel(), v.ravel()
     low, high, total = (u.reduceat(vals, bounds, axis=-1)[..., ::2] for u in (np.minimum, np.maximum, np.add))
     whole = np.where(count <= 0, 0.0, np.where(low == high, count * low, total))
-    same = i_lo == stop  # both ends in one cell
     w_lo = np.where(same, hi - lo, np.where(r_lo > 0, den - r_lo, 0)) / den
     w_hi = np.where(same, 0, r_hi) / den
     out = whole * h + v.take(i_lo, axis=-1) * h * w_lo + v.take(stop, axis=-1) * h * w_hi

@@ -519,10 +519,15 @@ def christ_goldberg_maximal(
     powers W, W^-1 instead of W^(1/p), W^(-1/p).  The cube family matches
     the scalar maximal operators, and so does the engine: the sweep of
     ``hl_maximal`` over N[y, x] = |A(x) g(y)| (A = W^(1/p), g = W^(-1/p) f),
-    one component per cell x, which reads its own.  Averages divide by the
-    full cube width with f extended by zero.  With W = Id every component
-    is |f|, so M_W f equals ``hl_maximal(f.magnitude())`` bit for bit.
+    one component per cell x, which reads its own.  The sweep integrates
+    component x only over the cubes that wholly contain cell x, one
+    (cube, cell) pair per level and grid.  Averages divide by the full cube
+    width with f extended by zero.  With W = Id every component is |f|, so
+    M_W f equals ``hl_maximal(f.magnitude())`` bit for bit.  p must be
+    finite and at least 1.
     """
+    if not (math.isfinite(p) and p >= 1):
+        raise ValueError(f"Christ-Goldberg exponent must be finite and >= 1, got {p}")
     if not f.is_vector or f.values.shape[1] != W.d:
         raise ValueError("f must be vector-valued with the weight's dimension")
     mesh = f.mesh

@@ -33,9 +33,8 @@ from .grid import (
     DyadicGrid,
     Mesh,
     MeshFunction,
-    cube_indices_per_cell,
+    cell_cube_integrals,
     default_levels,
-    level_cube_integrals,
     shifted_grids,
 )
 from .weights import PowerLogWeight, SampledWeight
@@ -135,22 +134,21 @@ def _maximal_sweep(
 
     A vector f has one component per cell, and cell x reads component x:
     the integrand may depend on the cell it is evaluated for, as in the
-    Christ-Goldberg operator.  Cube integrals are exact tables, one call per grid.
+    Christ-Goldberg operator.  Each grid makes one ``cell_cube_integrals``
+    call, which integrates only the (cube, cell) pairs read.  Levels past
+    the cell level are left out: their cubes are narrower than a cell.  An
+    empty level window (min_level > max_level) is a ``ValueError``.
     """
     mesh = f.mesh
     k_top, k_fine = default_levels(mesh)
     k0, k1 = (k_top if min_level is None else min_level), (k_fine if max_level is None else max_level)
+    if k0 > k1:
+        raise ValueError(f"empty level window: min_level {k0} > max_level {k1}")
+    k1 = min(k1, k_fine)
+    scale = np.array([(2.0**-k) ** (alpha - 1.0) for k in range(k0, k1 + 1)])[:, None]
     out = np.zeros(mesh.n_cells)
-    cells = np.arange(mesh.n_cells)
     for grid in shifted_grids(1) if grids is None else grids:
-        q_cell, cont_cell = cube_indices_per_cell(mesh, grid, k0, k1)
-        levels = zip(range(k0, k1 + 1), level_cube_integrals(f, grid, k0, k1), q_cell, cont_cell)
-        for k, (q0, ints), q, cont in levels:
-            cand = (2.0**-k) ** (alpha - 1.0) * ints
-            idx = q - q0
-            sel = cont & (idx >= 0) & (idx < len(ints))
-            own = cand[idx[sel], cells[sel]] if f.is_vector else cand[idx[sel]]
-            out[sel] = np.maximum(out[sel], own)
+        out = np.maximum(out, (scale * cell_cube_integrals(f, grid, k0, k1)).max(axis=0, initial=0.0))
     return MeshFunction(mesh, out)
 
 

@@ -9,7 +9,9 @@ to agree with these byte for byte.
 Three matrix-path loops that the level tables replaced live here too: the
 cube-by-cube Christ-Goldberg maximal function over these overlap widths,
 the direction-by-direction scalar ``A_inf`` characteristic, and the
-reducing-matrix sparse operator with one ``grid.average`` call per cube.  So do the
+reducing-matrix sparse operator with one ``grid.average`` call per cube.
+So does the Christ-Goldberg sweep that ``grid.cell_cube_integrals``
+replaced, which integrated every component over every cube.  So do the
 one-level-per-call table builders that ``grid.level_cube_integrals`` and
 ``grid.cube_indices_per_cell`` replaced by one call for all levels, and the
 ``Fraction`` cube locators ``enumerate_cubes`` and ``covering_cube``, which
@@ -23,7 +25,19 @@ from fractions import Fraction
 
 import numpy as np
 
-from weaklab.grid import Cube, DyadicGrid, Mesh, MeshFunction, _level_affine, _span_integrals, average, shifted_grids
+from weaklab.grid import (
+    Cube,
+    DyadicGrid,
+    Mesh,
+    MeshFunction,
+    _level_affine,
+    _span_integrals,
+    average,
+    cube_indices_per_cell,
+    default_levels,
+    level_cube_integrals,
+    shifted_grids,
+)
 from weaklab.matrix import MatrixWeight, fractional_reducing_matrix, op_norm, reducing_matrix, unit_directions
 from weaklab.sparse import SparseFamily
 from weaklab.weights import SampledWeight, ainfty_characteristic
@@ -243,6 +257,32 @@ def oracle_christ_goldberg_maximal(
                 prod = np.einsum("xij,yj->xyi", A[xs], g[ys])
                 vals = (np.linalg.norm(prod, axis=2) @ wts) / width
                 out[xs] = np.maximum(out[xs], width**alpha * vals)
+    return out
+
+
+def all_components_christ_goldberg_maximal(
+    W: MatrixWeight, p: float, f: MeshFunction, grids=None, min_level=None, max_level=None, alpha=0.0
+) -> np.ndarray:
+    """``christ_goldberg_maximal`` over the all-components level tables: per
+    grid, one ``level_cube_integrals`` call integrates every component of
+    N[y, x] = |A(x) g(y)| over every cube, and each level's contained cells
+    read their own component; levels are not clipped at the cell level."""
+    mesh = f.mesh
+    k_top, k_fine = default_levels(mesh)
+    k0, k1 = (k_top if min_level is None else min_level), (k_fine if max_level is None else max_level)
+    A, g_power = (W.power(1.0 / p), -1.0 / p) if alpha == 0.0 else (W.values, -1.0)
+    g = np.einsum("xij,xj->xi", W.power(g_power), f.values)
+    N = MeshFunction(mesh, np.linalg.norm(np.einsum("xij,yj->yxi", A, g), axis=2))
+    out = np.zeros(mesh.n_cells)
+    cells = np.arange(mesh.n_cells)
+    for grid in shifted_grids(1) if grids is None else grids:
+        q_cell, cont_cell = cube_indices_per_cell(mesh, grid, k0, k1)
+        levels = zip(range(k0, k1 + 1), level_cube_integrals(N, grid, k0, k1), q_cell, cont_cell)
+        for k, (q0, ints), q, cont in levels:
+            cand = (2.0**-k) ** (alpha - 1.0) * ints
+            idx = q - q0
+            sel = cont & (idx >= 0) & (idx < len(ints))
+            out[sel] = np.maximum(out[sel], cand[idx[sel], cells[sel]])
     return out
 
 

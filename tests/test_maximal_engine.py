@@ -1,8 +1,9 @@
 """The matrix consumers on the level tables against the loops they replaced
-(``geometry_oracle``): the Christ-Goldberg maximal function cube by cube,
-the scalar ``A_inf`` characteristic direction by direction, and the
-reducing-matrix sparse operator average by average; and the component-wise
-level tables they read.
+(``geometry_oracle``): the Christ-Goldberg maximal function cube by cube
+and against the all-components sweep, the scalar ``A_inf`` characteristic
+direction by direction, and the reducing-matrix sparse operator average by
+average; the component-wise level tables and per-cell pair integrals they
+read; and the level windows and exponents the shared sweep accepts.
 """
 
 import math
@@ -12,12 +13,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import weaklab.operators
 from geometry_oracle import (
+    all_components_christ_goldberg_maximal,
     oracle_ainfty_scalar_characteristic,
     oracle_christ_goldberg_maximal,
     oracle_dominating_scalar_sparse,
 )
-from weaklab.grid import DyadicGrid, Mesh, MeshFunction, average, default_levels, level_cube_integrals, shifted_grids
+from weaklab.grid import (
+    DyadicGrid,
+    Mesh,
+    MeshFunction,
+    _span_integrals,
+    average,
+    cell_cube_integrals,
+    cube_indices_per_cell,
+    default_levels,
+    level_cube_integrals,
+    shifted_grids,
+)
+from weaklab.operators import dyadic_maximal, hl_maximal
 from weaklab.sparse import build_sparse_family
 from weaklab.matrix import (
     MatrixWeight,
@@ -70,6 +85,170 @@ def test_christ_goldberg_matches_per_cube_loop(radius, level, d, alpha, p, seed,
     want = oracle_christ_goldberg_maximal(W, p, f, grids, min_level, max_level, alpha)
     assert np.array_equal(got != 0, want != 0)
     assert within_ulps(got, want, 8)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    radius=st.sampled_from([0.75, 1.0, 3.0, 5.25]),
+    level=st.integers(3, 7),
+    d=st.sampled_from([2, 3]),
+    alpha=st.sampled_from([0.0, 0.25, 0.5]),
+    p=st.sampled_from([2.0, 3.0]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_christ_goldberg_is_byte_identical_to_all_components_sweep(radius, level, d, alpha, p, seed, data):
+    """Integrating only the (cube, cell) pairs read sums the same cells in
+    the same order as integrating every component over every cube."""
+    mesh = Mesh(radius, level)
+    rng = np.random.default_rng(seed)
+    W = random_matrix_weight(mesh, d, rng)
+    f = MeshFunction(mesh, block_zeroed(rng, mesh.n_cells, d))
+    grids = data.draw(st.sampled_from([None, [DyadicGrid(0)], [DyadicGrid(1), DyadicGrid(2)]]))
+    k_top, k_fine = default_levels(mesh)
+    min_level = data.draw(st.sampled_from([None, k_top + 1, k_fine - 1]))
+    max_level = data.draw(st.sampled_from([None, k_fine - 1, k_fine + 1]))
+    got = christ_goldberg_maximal(W, p, f, grids, min_level, max_level, alpha).values
+    want = all_components_christ_goldberg_maximal(W, p, f, grids, min_level, max_level, alpha)
+    assert got.tobytes() == want.tobytes()
+
+
+def _gather(tables, q, contained, column=False):
+    """Entry [j, x]: the level-j table's entry for cube q[j, x] (its column x
+    if ``column``), 0 where cell x is not contained."""
+    out = np.zeros(q.shape)
+    for j, (q0, ints) in enumerate(tables):
+        for x in np.flatnonzero(contained[j]):
+            out[j, x] = ints[q[j, x] - q0, x] if column else ints[q[j, x] - q0]
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    radius=st.sampled_from([0.5, 0.75, 1.0, 3.0, 5.25]),
+    level=st.integers(1, 6),
+    shift=st.sampled_from([0, 1, 2]),
+    dk=st.integers(-2, 1),
+    vector=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cell_cube_integrals_gather_the_level_tables(radius, level, shift, dk, vector, seed):
+    """A scalar f reads its cube's table entry; a vector f reads column x of
+    it, bit for bit; both are 0 where no cube of the level holds the cell."""
+    mesh = Mesh(radius, level)
+    rng = np.random.default_rng(seed)
+    shape = (mesh.n_cells, mesh.n_cells) if vector else (mesh.n_cells,)
+    support = rng.uniform(size=mesh.n_cells) < 0.6  # zero cells, and zero entries in some components
+    values = rng.uniform(0.5, 2.0, shape) * (rng.uniform(size=shape) < 0.8)
+    f = MeshFunction(mesh, values * (support[:, None] if vector else support))
+    grid = DyadicGrid(shift)
+    k_top, k_fine = default_levels(mesh)
+    k0, k1 = k_top, k_fine + dk
+    q, contained = cube_indices_per_cell(mesh, grid, k0, k1)
+    want = _gather(level_cube_integrals(f, grid, k0, k1), q, contained, column=vector)
+    got = cell_cube_integrals(f, grid, k0, k1)
+    assert got.shape == (k1 - k0 + 1, mesh.n_cells)
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    level=st.integers(1, 5),
+    r=st.integers(1, 4),
+    den=st.sampled_from([1, 3, 7, 48]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_span_integrals_of_one_component_equal_its_column(level, r, den, seed):
+    """Arbitrary spans, straddling cells or inside one, each reading one
+    component: the floats of that column of the all-components call.  Blocks
+    of one height make spans whose whole cells sum to ``count * v``."""
+    mesh = Mesh(1.0, level)
+    rng = np.random.default_rng(seed)
+    block = 2 ** int(rng.integers(0, level + 1))
+    heights = rng.choice([0.0, 0.1, 1 / 3], (mesh.n_cells // block, r))
+    f = MeshFunction(mesh, np.repeat(heights, block, axis=0))
+    ends = np.sort(rng.integers(0, mesh.n_cells * den + 1, (50, 2)), axis=1)
+    comp = rng.integers(0, r, 50)
+    every = _span_integrals(f, ends[:, 0], ends[:, 1], den)
+    got = _span_integrals(f, ends[:, 0], ends[:, 1], den, comp=comp)
+    assert got.tobytes() == every[np.arange(50), comp].tobytes()
+
+
+def _spy_windows(monkeypatch) -> list[tuple[int, int]]:
+    windows = []
+    real = weaklab.operators.cell_cube_integrals
+
+    def spy(f, grid, k0, k1):
+        windows.append((k0, k1))
+        return real(f, grid, k0, k1)
+
+    monkeypatch.setattr(weaklab.operators, "cell_cube_integrals", spy)
+    return windows
+
+
+@pytest.mark.parametrize("max_level", [20, 40])
+def test_the_sweep_stops_at_the_cell_level(monkeypatch, max_level):
+    """A level past the cell level has cubes narrower than a cell: clipping
+    the window there leaves the output as it was, and no finer table is asked for."""
+    mesh = Mesh(1.0, 3)
+    k_top, k_fine = default_levels(mesh)
+    rng = np.random.default_rng(3)
+    W = random_matrix_weight(mesh, 2, rng)
+    f = MeshFunction(mesh, rng.uniform(-1, 1, (mesh.n_cells, 2)))
+    want_cg = christ_goldberg_maximal(W, 2.0, f).values
+    want_hl = hl_maximal(f).values
+    windows = _spy_windows(monkeypatch)
+    assert christ_goldberg_maximal(W, 2.0, f, max_level=max_level).values.tobytes() == want_cg.tobytes()
+    assert hl_maximal(f, max_level=max_level).values.tobytes() == want_hl.tobytes()
+    assert windows == [(k_top, k_fine)] * 6
+
+
+def test_a_window_past_the_cell_level_is_zero():
+    """Clipped at the cell level, the window is empty: no table is built."""
+    mesh = Mesh(1.0, 3)
+    _, k_fine = default_levels(mesh)
+    f = MeshFunction(mesh, np.ones((mesh.n_cells, 2)))
+    W = random_matrix_weight(mesh, 2, np.random.default_rng(0))
+    assert not dyadic_maximal(f, min_level=k_fine + 1, max_level=k_fine + 3).values.any()
+    assert not christ_goldberg_maximal(W, 2.0, f, min_level=k_fine + 1, max_level=k_fine + 3).values.any()
+
+
+def _maximal_calls(mesh: Mesh):
+    rng = np.random.default_rng(0)
+    W = random_matrix_weight(mesh, 2, rng)
+    f = MeshFunction(mesh, rng.uniform(-1, 1, (mesh.n_cells, 2)))
+    return {
+        "christ_goldberg_maximal": lambda **kw: christ_goldberg_maximal(W, 2.0, f, **kw),
+        "hl_maximal": lambda **kw: hl_maximal(f, **kw),
+        "dyadic_maximal": lambda **kw: dyadic_maximal(f, **kw),
+    }
+
+
+@pytest.mark.parametrize("operator", ["christ_goldberg_maximal", "hl_maximal", "dyadic_maximal"])
+def test_an_empty_level_window_raises(operator):
+    call = _maximal_calls(Mesh(1.0, 3))[operator]
+    with pytest.raises(ValueError, match="empty level window"):
+        call(min_level=5, max_level=2)
+    with pytest.raises(ValueError, match="empty level window"):
+        call(min_level=5)  # past the default max_level, the cell level 3
+    assert call(min_level=2, max_level=2).values.shape == (16,)
+
+
+@pytest.mark.parametrize("p", [0.0, -1.0, 0.5, math.inf, math.nan])
+def test_christ_goldberg_rejects_an_exponent_below_one(p):
+    mesh = Mesh(1.0, 3)
+    W = random_matrix_weight(mesh, 2, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="exponent"):
+        christ_goldberg_maximal(W, p, MeshFunction(mesh, np.ones((mesh.n_cells, 2))))
+    with pytest.raises(ValueError, match="exponent"):  # before the shape of f is looked at
+        christ_goldberg_maximal(W, p, MeshFunction(mesh, np.ones(mesh.n_cells)))
+
+
+def test_christ_goldberg_accepts_an_exponent_of_one():
+    mesh = Mesh(1.0, 3)
+    W = MatrixWeight(mesh, np.tile(np.eye(2), (mesh.n_cells, 1, 1)))
+    f = MeshFunction(mesh, np.random.default_rng(1).uniform(-1, 1, (mesh.n_cells, 2)))
+    assert christ_goldberg_maximal(W, 1.0, f).values.tobytes() == hl_maximal(f).values.tobytes()
 
 
 @pytest.mark.parametrize(
