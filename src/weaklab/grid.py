@@ -41,6 +41,7 @@ __all__ = [
     "average",
     "cube_span",
     "cells_inside",
+    "inner_cell_range",
     "default_levels",
 ]
 
@@ -402,7 +403,16 @@ def _level_affine(mesh: Mesh, grid: DyadicGrid, k: int) -> tuple[int, int, int]:
     ``default_levels``, a0, step, den, a0 + n*step and the
     edge numerators m*den - a0 of cubes meeting the domain stay below 2^53
     (44 bits at most), so int64 arrays and their float conversions are exact.
+    A level far enough outside that range to break the bound raises
+    ``ValueError``, naming the coarsest (or finest) level that keeps it.
     """
+    affine = _unchecked_level_affine(mesh, grid, k)
+    if not _exact_affine(mesh, *affine):
+        raise ValueError(_level_range_error(mesh, grid, k))
+    return affine
+
+
+def _unchecked_level_affine(mesh: Mesh, grid: DyadicGrid, k: int) -> tuple[int, int, int]:
     p, q = float(mesh.radius).as_integer_ratio()
     s = max(0, mesh.level - k)
     sigma = -1 if k & 1 else 1
@@ -413,6 +423,24 @@ def _level_affine(mesh: Mesh, grid: DyadicGrid, k: int) -> tuple[int, int, int]:
     return a0 // g, step // g, den // g
 
 
+def _exact_affine(mesh: Mesh, a0: int, step: int, den: int) -> bool:
+    """Whether a0, step, den, a0 + n*step and the cube-edge numerators (all
+    within abs(a0) + n*step + den) stay below 2^53."""
+    return abs(a0) + mesh.n_cells * step + den < 2**53
+
+
+def _level_range_error(mesh: Mesh, grid: DyadicGrid, k: int) -> str:
+    """Name the coarsest (or finest) exact level, from the default range outward."""
+    k_top, k_fine = default_levels(mesh)
+    side, edge, step = ("coarse", k_top, -1) if k < k_top else ("fine", k_fine, 1)
+    while _exact_affine(mesh, *_unchecked_level_affine(mesh, grid, edge + step)):
+        edge += step
+    return (
+        f"dyadic level {k} is too {side} for {mesh} on {grid}: the {side}st level whose "
+        f"integer cube map stays below 2^53 is {edge}"
+    )
+
+
 def cube_span(mesh: Mesh, cube: Cube) -> tuple[int, int, int]:
     """(lo, hi, den): the cube is [lo/den, hi/den) in cell units from the left
     mesh edge, exactly and unclipped."""
@@ -421,10 +449,16 @@ def cube_span(mesh: Mesh, cube: Cube) -> tuple[int, int, int]:
     return lo, lo + den, step
 
 
+def inner_cell_range(mesh: Mesh, cube: Cube) -> tuple[int, int]:
+    """[i0, i1): the mesh cells entirely inside the cube (i0 == i1 when none)."""
+    lo, hi, den = cube_span(mesh, cube)
+    i0 = max(-(-lo // den), 0)
+    return i0, max(min(hi // den, mesh.n_cells), i0)
+
+
 def cells_inside(mesh: Mesh, cube: Cube) -> np.ndarray:
     """Indices of mesh cells entirely inside the cube."""
-    lo, hi, den = cube_span(mesh, cube)
-    return np.arange(max(-(-lo // den), 0), min(hi // den, mesh.n_cells))
+    return np.arange(*inner_cell_range(mesh, cube))
 
 
 def _level_affines(mesh: Mesh, grid: DyadicGrid, k0: int, k1: int) -> np.ndarray:

@@ -10,11 +10,16 @@ For shifted grids the cubes do not align with cells; families built there
 stop above a minimum cube width (default 32 cells) so that the
 cell-quantized E_Q still certify the sparseness inequality |Q| <= 2 |E_Q|.
 
-Both stopping-time walks run over integer cube coordinates (k, m) and read
-cube averages from one ``level_cube_integrals`` call down to the deepest
-level the walk reaches (bit-identical to ``grid.average``); an index off a
-level's table is off the domain.  Only kept cubes become ``Cube`` objects,
-and the cells each one holds come from the integer span ``grid.cube_span``.
+Both constructions are one stopping-time walk (Lerner-Nazarov, *Intuitive
+dyadic calculus*, section 6): stop at the maximal cubes whose average jumps.
+The walk is level-synchronous.  Each level holds the live cubes as integer
+arrays (grid index, root position, inherited base average) and reads their
+averages with one vector lookup in the tables of one ``level_cube_integrals``
+call per function (bit-identical to ``grid.average``); an index off a
+level's table is off the domain.  The roots must be pairwise disjoint.  Only
+the kept cubes are sorted into the order the constructions report and become
+``Cube`` objects, and the cells each one holds are the integer range
+``grid.inner_cell_range``.
 """
 
 from __future__ import annotations
@@ -25,7 +30,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import Cube, DyadicGrid, Mesh, MeshFunction, cells_inside, cube_span, default_levels, level_cube_integrals
+from .grid import (
+    Cube,
+    DyadicGrid,
+    Mesh,
+    MeshFunction,
+    cube_span,
+    default_levels,
+    inner_cell_range,
+    level_cube_integrals,
+)
 
 __all__ = [
     "SparseFamily",
@@ -80,15 +94,23 @@ def covering_roots(mesh: Mesh, grid: DyadicGrid, span: tuple[float, float]) -> l
     return roots
 
 
-def _cube_averages(f: MeshFunction, grid: DyadicGrid, cubes: Sequence[Cube], k_deep: int):
-    """avg(k, m) = <f> over grid cube (k, m), None off the domain, for k from
-    the coarsest given cube (of the grid) down to k_deep or the deepest one."""
+def _average_tables(f: MeshFunction, grid: DyadicGrid, cubes: Sequence[Cube], k_deep: int):
+    """(k0, tables): ``tables[k - k0] = (q0, averages)``, the average <f> of
+    every level-k cube q0, q0 + 1, ... meeting the domain, for k from the
+    coarsest given cube (of the grid) down to k_deep or the deepest one."""
     if any(c.grid != grid for c in cubes):
         raise ValueError("root cubes must belong to the construction's grid")
     levels = [c.level for c in cubes]
     k0, k1 = min(levels, default=k_deep), max(levels + [k_deep])
     tables = level_cube_integrals(f, grid, k0, k1)
-    tables = [(q0, (ints / 2.0**-k).tolist()) for k, (q0, ints) in enumerate(tables, k0)]
+    return k0, [(q0, ints / 2.0**-k) for k, (q0, ints) in enumerate(tables, k0)]
+
+
+def _cube_averages(f: MeshFunction, grid: DyadicGrid, cubes: Sequence[Cube], k_deep: int):
+    """avg(k, m) = <f> over grid cube (k, m), None off the domain, over the
+    levels of ``_average_tables``."""
+    k0, tables = _average_tables(f, grid, cubes, k_deep)
+    tables = [(q0, avgs.tolist()) for q0, avgs in tables]
 
     def avg(k: int, m: int) -> float | None:
         q0, avgs = tables[k - k0]
@@ -96,6 +118,91 @@ def _cube_averages(f: MeshFunction, grid: DyadicGrid, cubes: Sequence[Cube], k_d
         return avgs[j] if 0 <= j < len(avgs) else None
 
     return avg
+
+
+def _left_key(grid: DyadicGrid, k: int, m: int, k_fine: int) -> int:
+    """3 * 2^k_fine times the left edge of cube (k, m), k <= k_fine: an exact integer."""
+    return (3 * m + (-1 if k & 1 else 1) * grid.shift_index) << (k_fine - k)
+
+
+def _kept_cubes(grid: DyadicGrid, levels, index, rid, reverse: bool = False) -> tuple[list[int], list[Cube]]:
+    """The walk's kept cubes sorted by (root position, exact left edge,
+    level), each root's left-to-right preorder, or the reverse: (the
+    permutation, the cubes)."""
+    k_fine = max(levels, default=0)
+    order = sorted(
+        range(len(levels)),
+        key=lambda i: (rid[i], _left_key(grid, levels[i], index[i], k_fine), levels[i]),
+        reverse=reverse,
+    )
+    return order, [grid.cube(levels[i], index[i]) for i in order]
+
+
+def _check_disjoint(grid: DyadicGrid, roots: Sequence[Cube]) -> None:
+    """Reject repeated or nested roots: the walk gives every cell one owner."""
+    k_fine = max((c.level for c in roots), default=0)
+    spans = sorted(
+        (_left_key(grid, c.level, c.index, k_fine), _left_key(grid, c.level, c.index + 1, k_fine), i)
+        for i, c in enumerate(roots)
+    )
+    for (_, hi, i), (lo, _, j) in zip(spans, spans[1:]):
+        if lo < hi:
+            raise ValueError(f"root cubes must be disjoint: {roots[i]} and {roots[j]} overlap")
+
+
+def _stopping_walk(grid, k0, tables, roots, k_last, stops, generations):
+    """Level-synchronous stopping-time walk below the disjoint ``roots``.
+
+    Each level holds three arrays: the live cube indices, their roots'
+    positions in ``roots`` and the base average each cube inherits.  One
+    vector lookup in ``tables[k - k0]`` (see ``_average_tables``) reads the
+    level's averages; a cube off the table is off the domain and drops out.
+    A cube stops where ``stops(avg, base)``.  The children of a stopping
+    cube inherit its average as their base, those of any other cube its
+    base, and no cube below level ``k_last`` is visited but a root.  With
+    ``generations`` (sparse families) every root is kept, with base 0, the
+    walk goes on below each stopping cube, and not below a root averaging
+    0; without it (Calderon-Zygmund) a stopping cube ends its branch.  A
+    cube off the domain reads average 0, at which ``stops`` must be false.
+
+    Returns the kept cubes as Python lists (level, index, root position,
+    average), in no particular order.
+    """
+    by_level: dict[int, list[tuple[int, int]]] = {}
+    for r, c in enumerate(roots):
+        by_level.setdefault(c.level, []).append((c.index, r))
+    m = rid = np.zeros(0, dtype=np.int64)
+    base = np.zeros(0)
+    kept: list[tuple[np.ndarray, ...]] = []
+    for k in range(min(by_level, default=k_last + 1), max([k_last, *by_level]) + 1):
+        n_live = len(m)
+        if k in by_level:
+            new_m, new_rid = np.array(by_level[k], dtype=np.int64).T
+            m, rid = np.concatenate((m, new_m)), np.concatenate((rid, new_rid))
+            base = np.concatenate((base, np.zeros(len(new_m))))
+        if not len(m):
+            continue
+        q0, avgs = tables[k - k0]
+        j = m - q0
+        on = (j >= 0) & (j < len(avgs))
+        avg = np.where(on, avgs.take(j, mode="clip"), 0.0)  # 0 never stops
+        stop = stops(avg, base)
+        keep, down = stop, (on if generations else on & ~stop)
+        if generations and n_live < len(m):  # roots: kept, and descended from if they stop
+            keep, down = stop.copy(), on.copy()
+            keep[n_live:], down[n_live:] = True, stop[n_live:]
+        if keep.any():
+            kept.append((np.full(np.count_nonzero(keep), k), m[keep], rid[keep], avg[keep]))
+        if k >= k_last or not down.any():
+            m, rid, base = m[:0], rid[:0], base[:0]
+            continue
+        lo = 2 * m[down] + (-1 if k & 1 else 1) * grid.shift_index  # grid.child_left_index
+        base = np.where(stop, avg, base)[down]
+        rid = rid[down]
+        m, rid, base = np.concatenate((lo, lo + 1)), np.concatenate((rid, rid)), np.concatenate((base, base))
+    if not kept:
+        return [], [], [], []
+    return [np.concatenate(col).tolist() for col in zip(*kept)]
 
 
 # ---------------------------------------------------------------------------
@@ -149,22 +256,41 @@ def sparse_apply(family: SparseFamily, f: MeshFunction, alpha: float = 0.0) -> M
 
 
 def verify_sparseness(family: SparseFamily) -> list[str]:
-    """Check the three sparse-family invariants; return violation messages."""
+    """Check the three sparse-family invariants; return violation messages.
+
+    Per cube, in family order: E_Q lies in the (contiguous) cells inside Q;
+    |Q| <= 2 |E_Q|; and no cell of E_Q was claimed first by an earlier cube
+    (a cell repeated within one E_Q is no overlap).
+    """
+    mesh, cubes = family.mesh, family.cubes
+    if not cubes:
+        return []
+    sizes = np.array([len(cells) for cells in family.designated])
+    cells = np.concatenate(family.designated)
+    owner = np.repeat(np.arange(len(cubes)), sizes)
+    i0, i1 = np.array([inner_cell_range(mesh, cube) for cube in cubes]).T
+    outside = np.bincount(owner[(cells < i0[owner]) | (cells >= i1[owner])], minlength=len(cubes)) > 0
+    width = np.array([cube.width for cube in cubes])
+    small = sizes * mesh.h * 2 < width - 1e-12
+    order = np.argsort(cells, kind="stable")  # each cell's claimants in family order
+    cell, claimant = cells[order], owner[order]
+    first = np.ones(len(cell), dtype=bool)
+    first[1:] = cell[1:] != cell[:-1]
+    first = np.flatnonzero(first)
+    first_claimant = np.repeat(claimant[first], np.diff(first, append=len(cell)))
+    overlaps = np.zeros(len(cubes), dtype=bool)
+    overlaps[claimant[claimant > first_claimant]] = True
     issues: list[str] = []
-    mesh = family.mesh
-    seen: set[int] = set()
-    for cube, cells in zip(family.cubes, family.designated):
-        inside = cells_inside(mesh, cube)
-        if not np.all(np.isin(cells, inside)):
+    for i in np.flatnonzero(outside | small | overlaps):
+        cube, size = cubes[i], int(sizes[i])
+        if outside[i]:
             issues.append(f"E_Q not inside {cube}")
-        if len(cells) * mesh.h * 2 < cube.width - 1e-12:
+        if small[i]:
             issues.append(
-                f"sparseness fails on {cube}: |Q|={cube.width:.6g} > 2|E_Q|={2*len(cells)*mesh.h:.6g}"
+                f"sparseness fails on {cube}: |Q|={cube.width:.6g} > 2|E_Q|={2*size*mesh.h:.6g}"
             )
-        cellset = set(int(c) for c in cells)
-        if seen & cellset:
+        if overlaps[i]:
             issues.append(f"E_Q overlaps earlier designated cells on {cube}")
-        seen |= cellset
     return issues
 
 
@@ -183,6 +309,14 @@ def build_sparse_family(
     cubes.  The construction guarantees |Q| <= 2 |E_Q| (indeed
     |E_Q| >= 3|Q|/4 up to cell quantization) and the pointwise domination
     M^D f <= 4 A_S f on each root for f supported there.
+
+    One level-synchronous walk finds every generation: a cube below a
+    family cube Q stops when ``avg > 0 and avg >= threshold * <f>_Q``, and
+    no cube narrower than ``min_width_cells`` cells is visited.  The
+    family lists each root's cubes in left-to-right preorder (a cube before
+    the cubes inside it), root after root in the given order.  E_Q holds
+    the cells whose deepest wholly containing family cube is Q, so the
+    roots must be disjoint (``ValueError`` otherwise).
 
     For f identically zero on a root the root itself is kept with a trivial
     average.
@@ -206,43 +340,21 @@ def build_sparse_family(
         min_width_cells = 1 if grid.is_standard() else 32
     max_level = math.floor(math.log2(1.0 / (min_width_cells * mesh.h)))
 
-    avg = _cube_averages(f, grid, roots, max_level)
-    cubes: list[Cube] = []
-    designated: list[np.ndarray] = []
-
-    def descend(k0: int, m0: int, base_avg: float) -> list[Cube]:
-        """Maximal descendants of cube (k0, m0) with average >= threshold * base_avg."""
-        found: list[Cube] = []
-        lo = grid.child_left_index(k0, m0)
-        stack = [(k0 + 1, lo), (k0 + 1, lo + 1)]
-        while stack:
-            k, m = stack.pop()
-            if k > max_level or (avg_c := avg(k, m)) is None:
-                continue
-            if avg_c > 0 and avg_c >= threshold * base_avg:
-                found.append(grid.cube(k, m))
-            else:
-                lo = grid.child_left_index(k, m)
-                stack += ((k + 1, lo), (k + 1, lo + 1))
-        return found
-
-    for root in roots:
-        queue = [root]
-        while queue:
-            cube = queue.pop()
-            a = avg(cube.level, cube.index) or 0.0  # a root off the domain averages 0
-            if a == 0.0 and cube is not root:
-                continue
-            stopping = descend(cube.level, cube.index, a) if a > 0 else []
-            inside = cells_inside(mesh, cube)
-            if len(stopping) > 0:
-                excluded = np.concatenate([cells_inside(mesh, c) for c in stopping])
-                e_cells = np.setdiff1d(inside, excluded)
-            else:
-                e_cells = inside
-            cubes.append(cube)
-            designated.append(e_cells)
-            queue.extend(stopping)
+    k0, tables = _average_tables(f, grid, roots, max_level)
+    _check_disjoint(grid, roots)
+    levels, index, rid, _ = _stopping_walk(
+        grid, k0, tables, roots, max_level, lambda avg, base: (avg > 0) & (avg >= threshold * base), True
+    )
+    _, cubes = _kept_cubes(grid, levels, index, rid)
+    # each cell belongs to E_Q of the deepest family cube Q wholly containing
+    # it; in preorder that cube is the last to claim the cell
+    owner = np.full(mesh.n_cells, -1)
+    for i, cube in enumerate(cubes):
+        i0, i1 = inner_cell_range(mesh, cube)
+        owner[i0:i1] = i
+    by_owner = np.argsort(owner, kind="stable")
+    bounds = np.searchsorted(owner[by_owner], np.arange(len(cubes) + 1))
+    designated = np.split(by_owner, bounds)[1:-1]
     return SparseFamily(mesh=mesh, grid=grid, cubes=cubes, designated=designated)
 
 
@@ -281,7 +393,11 @@ def cz_decompose(
     """Calderon-Zygmund decomposition of h >= 0 at the given height.
 
     Stopping cubes are the maximal grid cubes (within the in-domain roots)
-    whose average exceeds the height.  Requires the standard grid on a
+    whose average exceeds the height, found by the same level-synchronous
+    walk as ``build_sparse_family``, down to the cell level.  They come in
+    reverse root order, right to left within each root.  The roots must be
+    disjoint (``ValueError`` otherwise), so Omega counts each cell once.
+    Requires the standard grid on a
     power-of-two mesh so cubes align with cells and all identities hold in
     exact cell arithmetic.  The classical bound ||good||_inf <= 2^n * height
     holds whenever no root itself stops (roots average below the height).
@@ -297,24 +413,17 @@ def cz_decompose(
     if roots is None:
         roots = root_cubes(mesh, grid)
     k_cell = mesh.aligned_cell_level()
-    avg = _cube_averages(h, grid, roots, k_cell)
-
-    stopping: list[Cube] = []
+    k0, tables = _average_tables(h, grid, roots, k_cell)
+    _check_disjoint(grid, roots)
+    levels, index, rid, avg = _stopping_walk(grid, k0, tables, roots, k_cell, lambda a, _: a > height, False)
+    order, stopping = _kept_cubes(grid, levels, index, rid, reverse=True)  # the cubes are disjoint
     good = h.values.copy()
-    omega = []
-    stack = [(r.level, r.index) for r in roots]
-    while stack:
-        k, m = stack.pop()
-        if (a := avg(k, m)) is None:
-            continue  # off the domain: average 0, never stops
-        if a > height:
-            stopping.append(grid.cube(k, m))
-            omega.append(cells_inside(mesh, stopping[-1]))
-            good[omega[-1]] = a
-        elif k < k_cell:
-            lo = grid.child_left_index(k, m)
-            stack += ((k + 1, lo), (k + 1, lo + 1))
-    omega_cells = np.sort(np.concatenate(omega)) if omega else np.arange(0)
+    in_omega = np.zeros(mesh.n_cells, dtype=bool)
+    for i, cube in zip(order, stopping):
+        i0, i1 = inner_cell_range(mesh, cube)
+        good[i0:i1] = avg[i]
+        in_omega[i0:i1] = True
+    omega_cells = np.flatnonzero(in_omega)
     good_f = MeshFunction(mesh, good)
     bad_f = MeshFunction(mesh, h.values - good)
     return CZDecomposition(

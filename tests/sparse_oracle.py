@@ -1,11 +1,18 @@
-"""Reference stopping-time walks: the per-cube recursion over ``Cube``
-objects that ``weaklab.sparse`` used before its per-level cube tables.
+"""Reference stopping-time walks for the level-synchronous walk of
+``weaklab.sparse``.
 
-Every average and cell set here comes from the ``Fraction`` geometry of
-``geometry_oracle`` on a freshly built cube, and off-domain cubes are
-recognised by ``Cube.intersects``.  The differential tests in
-``test_sparse_oracle.py`` require the table-driven walks to agree with
-these byte for byte.
+``oracle_sparse_family`` and ``oracle_cz_decompose`` are the per-cube
+recursion over ``Cube`` objects: every average and cell set comes from the
+``Fraction`` geometry of ``geometry_oracle`` on a freshly built cube, and
+off-domain cubes are recognised by ``Cube.intersects``.
+
+``table_sparse_family``, ``table_cz_decompose`` and
+``table_verify_sparseness`` are the per-cube stacks over integer ``(k, m)``
+pairs that ``weaklab.sparse`` ran before the level-synchronous walk: they
+read the same ``level_cube_integrals`` tables, so they are fast enough for
+wider differential tests, and the set-based verify loop fixes the message
+list.  The tests in ``test_sparse_oracle.py`` require the walk to agree
+with all of them byte for byte.
 """
 
 from __future__ import annotations
@@ -16,8 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from geometry_oracle import edge_fraction, mesh_left, mesh_right, oracle_average, oracle_cells_inside
-from weaklab.grid import Cube, DyadicGrid, MeshFunction
-from weaklab.sparse import CZDecomposition, SparseFamily, covering_roots, root_cubes
+from weaklab.grid import Cube, DyadicGrid, MeshFunction, cells_inside
+from weaklab.sparse import CZDecomposition, SparseFamily, _cube_averages, covering_roots, root_cubes
 
 
 def oracle_sparse_family(
@@ -117,3 +124,127 @@ def oracle_cz_decompose(
         omega_cells=omega_cells,
         grid=grid,
     )
+
+
+def _default_roots(f: MeshFunction, grid: DyadicGrid) -> list[Cube]:
+    mesh = f.mesh
+    if grid.is_standard():
+        return root_cubes(mesh, grid)
+    support = np.nonzero(f.values)[0]
+    if len(support):
+        edges = mesh.edges()  # exact floats
+        span = (float(edges[support[0]]), float(edges[support[-1] + 1]))
+    else:
+        span = (-mesh.radius / 2, mesh.radius / 2)
+    return covering_roots(mesh, grid, span)
+
+
+def table_sparse_family(
+    f: MeshFunction,
+    grid: DyadicGrid | None = None,
+    roots: Sequence[Cube] | None = None,
+    threshold: float = 4.0,
+    min_width_cells: int | None = None,
+) -> SparseFamily:
+    mesh = f.mesh
+    grid = grid or DyadicGrid()
+    if roots is None:
+        roots = _default_roots(f, grid)
+    if min_width_cells is None:
+        min_width_cells = 1 if grid.is_standard() else 32
+    max_level = math.floor(math.log2(1.0 / (min_width_cells * mesh.h)))
+
+    avg = _cube_averages(f, grid, roots, max_level)
+    cubes: list[Cube] = []
+    designated: list[np.ndarray] = []
+
+    def descend(k0: int, m0: int, base_avg: float) -> list[Cube]:
+        found: list[Cube] = []
+        lo = grid.child_left_index(k0, m0)
+        stack = [(k0 + 1, lo), (k0 + 1, lo + 1)]
+        while stack:
+            k, m = stack.pop()
+            if k > max_level or (avg_c := avg(k, m)) is None:
+                continue
+            if avg_c > 0 and avg_c >= threshold * base_avg:
+                found.append(grid.cube(k, m))
+            else:
+                lo = grid.child_left_index(k, m)
+                stack += ((k + 1, lo), (k + 1, lo + 1))
+        return found
+
+    for root in roots:
+        queue = [root]
+        while queue:
+            cube = queue.pop()
+            a = avg(cube.level, cube.index) or 0.0  # a root off the domain averages 0
+            if a == 0.0 and cube is not root:
+                continue
+            stopping = descend(cube.level, cube.index, a) if a > 0 else []
+            inside = cells_inside(mesh, cube)
+            if len(stopping) > 0:
+                excluded = np.concatenate([cells_inside(mesh, c) for c in stopping])
+                e_cells = np.setdiff1d(inside, excluded)
+            else:
+                e_cells = inside
+            cubes.append(cube)
+            designated.append(e_cells)
+            queue.extend(stopping)
+    return SparseFamily(mesh=mesh, grid=grid, cubes=cubes, designated=designated)
+
+
+def table_cz_decompose(
+    h: MeshFunction,
+    height: float,
+    roots: Sequence[Cube] | None = None,
+) -> CZDecomposition:
+    mesh = h.mesh
+    grid = DyadicGrid()
+    if roots is None:
+        roots = root_cubes(mesh, grid)
+    k_cell = mesh.aligned_cell_level()
+    avg = _cube_averages(h, grid, roots, k_cell)
+
+    stopping: list[Cube] = []
+    good = h.values.copy()
+    omega = []
+    stack = [(r.level, r.index) for r in roots]
+    while stack:
+        k, m = stack.pop()
+        if (a := avg(k, m)) is None:
+            continue  # off the domain: average 0, never stops
+        if a > height:
+            stopping.append(grid.cube(k, m))
+            omega.append(cells_inside(mesh, stopping[-1]))
+            good[omega[-1]] = a
+        elif k < k_cell:
+            lo = grid.child_left_index(k, m)
+            stack += ((k + 1, lo), (k + 1, lo + 1))
+    omega_cells = np.sort(np.concatenate(omega)) if omega else np.arange(0)
+    return CZDecomposition(
+        height=height,
+        cubes=stopping,
+        good=MeshFunction(mesh, good),
+        bad=MeshFunction(mesh, h.values - good),
+        omega_cells=omega_cells,
+        grid=grid,
+    )
+
+
+def table_verify_sparseness(family: SparseFamily) -> list[str]:
+    issues: list[str] = []
+    mesh = family.mesh
+    seen: set[int] = set()
+    for cube, cells in zip(family.cubes, family.designated):
+        inside = cells_inside(mesh, cube)
+        if not np.all(np.isin(cells, inside)):
+            issues.append(f"E_Q not inside {cube}")
+        if len(cells) * mesh.h * 2 < cube.width - 1e-12:
+            issues.append(
+                f"sparseness fails on {cube}: |Q|={cube.width:.6g} > 2|E_Q|={2*len(cells)*mesh.h:.6g}"
+            )
+        cellset = set(int(c) for c in cells)
+        if seen & cellset:
+            issues.append(f"E_Q overlaps earlier designated cells on {cube}")
+        seen |= cellset
+    return issues

@@ -44,7 +44,8 @@ from weaklab.grid import (
     shifted_grids,
 )
 from weaklab.matrix import MatrixWeight
-from weaklab.sparse import SparseFamily, covering_roots, sparse_apply
+from weaklab.operators import hl_maximal
+from weaklab.sparse import SparseFamily, build_sparse_family, covering_roots, sparse_apply
 
 RADII = [0.25, 0.75, 1.0, 3.0, 5.25, 1000.0, 2.0**-10, 2.0**20 - 1]
 GRIDS = shifted_grids(1)
@@ -213,6 +214,39 @@ def test_level_affine_int64_headroom(radius):
             edges = (q0 * den - a0, (q1 + 1) * den - a0)
             widest = max(widest, *(abs(v).bit_length() for v in (a0, step, den, a0 + n * step, *edges)))
     assert widest < 53
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+def test_coarse_levels_raise_naming_the_coarsest_exact_level(grid):
+    """Far below ``default_levels`` the map's integers pass 2^53: a
+    ``ValueError`` names the coarsest level that keeps them below it."""
+    mesh = Mesh(1.0, 3)
+    f = MeshFunction.indicator(mesh, -0.5, 0.25)
+    with pytest.raises(ValueError, match="too coarse") as err:
+        level_cube_integrals(f, grid, -60, 0)
+    coarsest = int(re.search(r"coarsest level .* is (-?\d+)$", str(err.value)).group(1))
+    assert -52 <= coarsest <= -45  # den = 3 * 2^(3 - k) reaches 2^53 near k = -48
+    tables = level_cube_integrals(f, grid, coarsest, 0)
+    for k, (_, ints) in enumerate(tables, coarsest):
+        a0, step, den = _level_affine(mesh, grid, k)
+        assert abs(a0) + mesh.n_cells * step + den < 2**53
+        assert math.fsum(ints) == f.integral()  # each level's cubes partition the line
+    with pytest.raises(ValueError, match=f"coarsest level .* is {coarsest}$"):
+        level_cube_integrals(f, grid, coarsest - 1, 0)
+    with pytest.raises(ValueError, match=f"coarsest level .* is {coarsest}$"):
+        build_sparse_family(f, grid=grid, roots=[grid.cube(-60, 0)])
+
+
+def test_hl_maximal_far_below_default_levels_raises_value_error():
+    f = MeshFunction.indicator(Mesh(1.0, 3), -0.5, 0.25)
+    with pytest.raises(ValueError, match="too coarse"):
+        hl_maximal(f, min_level=-60)
+
+
+def test_fine_levels_raise_naming_the_finest_exact_level():
+    mesh = Mesh(2.0**20, 20)
+    with pytest.raises(ValueError, match=r"too fine .* finest level .* is \d+$"):
+        _level_affine(mesh, GRIDS[1], 60)
 
 
 def test_only_grid_imports_fractions():
