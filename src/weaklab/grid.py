@@ -7,13 +7,18 @@ measures are exact sums of cell widths: ``cube_span`` places a cube at
 ``[lo/den, hi/den)`` in cell units from the left mesh edge, read off the
 per-level constants of ``_level_affine`` (integer indexing as in
 Lerner-Nazarov, *Intuitive dyadic calculus*).  ``Fraction`` remains only at
-the boundaries: points a caller supplies and ``Cube.left``/``Cube.right``.
+the boundaries: the mesh positions of points a caller supplies
+(``Mesh._position``) and ``Cube.left``/``Cube.right``.
 
 The shifted dyadic grids implement the one-third-trick family
 
     D_j = { 2^{-k} ([0,1) + m + (-1)^k * j/3) : k, m integers },  j in {0,1,2}
 
-which has the two properties the rest of the library relies on:
+Its one index primitive is ``DyadicGrid.numerator``, ``N = 3m + (-1)^k j``
+for cube (k, m) = ``[N, N + 3) / (3 * 2^k)``: cube edges, the locator
+``DyadicGrid.index_at`` and ``_level_affine`` derive from it, and no other
+module reads ``shift_index``.  The family has the two properties the rest
+of the library relies on:
 
 * within one grid, any two cubes are nested or disjoint;
 * every bounded interval I is contained in a cube of one of the grids with
@@ -27,6 +32,7 @@ cheap; see :mod:`weaklab.weights`).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -40,7 +46,6 @@ __all__ = [
     "shifted_grids",
     "average",
     "cube_span",
-    "cells_inside",
     "inner_cell_range",
     "default_levels",
 ]
@@ -184,10 +189,11 @@ class MeshFunction:
 
     def embedded(self, new_radius: float) -> "MeshFunction":
         """Zero-extension onto a wider mesh with the same cell width."""
-        ratio = Fraction(new_radius) / Fraction(self.mesh.radius)
-        if ratio.denominator != 1 or ratio.numerator & (ratio.numerator - 1):
+        (p1, q1), (p0, q0) = (float(r).as_integer_ratio() for r in (new_radius, self.mesh.radius))
+        ratio, rest = divmod(p1 * q0, q1 * p0)
+        if rest or ratio < 1 or ratio & (ratio - 1):
             raise ValueError("new radius must be a power-of-two multiple of the old one")
-        grow = round(math.log2(ratio.numerator))
+        grow = ratio.bit_length() - 1
         big = Mesh(new_radius, self.mesh.level + grow)
         vals = np.zeros((big.n_cells, *self.values.shape[1:]))
         off = (big.n_cells - self.mesh.n_cells) // 2
@@ -284,31 +290,37 @@ class DyadicGrid:
     def is_standard(self) -> bool:
         return self.shift_index == 0
 
+    def numerator(self, k: int, m):
+        """3 * 2^k times the left edge of cube (k, m): ``3m + (-1)^k j`` for an
+        int or an int64 array m.  Cube (k, m) is ``[N, N + 3) / (3 * 2^k)``;
+        every index rule of the grid derives from this one."""
+        return 3 * m + (-self.shift_index if k & 1 else self.shift_index)
+
+    def index_at(self, k: int, num, den: int, scale: int = 0):
+        """Index of the level-k cube containing the exact point
+        ``x = num / (den * 2^scale)`` (num an int or an int64 array, den > 0):
+        ``floor(x 2^k - (-1)^k j/3)``, its numerator and denominator
+        multiplied through by ``3 den 2^max(scale - k, 0)``."""
+        s, t = max(k - scale, 0), max(scale - k, 0)
+        return (3 * num * 2**s - self.numerator(k, 0) * den * 2**t) // (3 * den * 2**t)
+
     def cube_left(self, k: int, m: int) -> Fraction:
-        """Left endpoint of cube (k, m): (m + (-1)^k j/3) * 2^-k, exactly."""
-        sigma = -1 if k & 1 else 1
-        return Fraction(3 * m + sigma * self.shift_index, 3) / Fraction(2) ** k
+        """Left endpoint of cube (k, m), exactly."""
+        return Fraction(self.numerator(k, m), 3) / Fraction(2) ** k
 
     def cube_index_of(self, k: int, x) -> int:
-        """Index m of the level-k cube containing the point x."""
-        sigma = -1 if k & 1 else 1
-        return math.floor(Fraction(x) * Fraction(2) ** k - Fraction(sigma * self.shift_index, 3))
+        """Index m of the level-k cube containing the point x (int, float or
+        ``Fraction``), in integers on ``x.as_integer_ratio()``."""
+        if x != x or x in (-math.inf, math.inf):
+            raise ValueError(f"point {x} is not a finite number")
+        p, q = (int(x), 1) if isinstance(x, numbers.Integral) else x.as_integer_ratio()
+        return self.index_at(k, p, q)
 
     def cube(self, k: int, m: int) -> "Cube":
         return Cube(level=k, index=m, grid=self)
 
     def cube_containing(self, k: int, x) -> "Cube":
         return self.cube(k, self.cube_index_of(k, x))
-
-    def child_left_index(self, k: int, m: int) -> int:
-        """Index of the left child (at level k+1) of cube (k, m)."""
-        sigma = -1 if k & 1 else 1
-        return 2 * m + sigma * self.shift_index
-
-    def parent_index(self, k: int, m: int) -> int:
-        """Index of the parent (at level k-1) of cube (k, m)."""
-        sigma_parent = -1 if (k - 1) & 1 else 1
-        return (m - sigma_parent * self.shift_index) // 2
 
 
 @dataclass(frozen=True)
@@ -338,19 +350,6 @@ class Cube:
     def label(self) -> str:
         """The name a report gives this cube: grid, level and grid index."""
         return f"grid{self.grid.shift_index}:k={self.level},m={self.index}"
-
-    def contains_cube(self, other: "Cube") -> bool:
-        return self.left <= other.left and other.right <= self.right
-
-    def intersects(self, a, b) -> bool:
-        return self.left < Fraction(b) and Fraction(a) < self.right
-
-    def parent(self) -> "Cube":
-        return Cube(self.level - 1, self.grid.parent_index(self.level, self.index), self.grid)
-
-    def children(self) -> tuple["Cube", "Cube"]:
-        lo = self.grid.child_left_index(self.level, self.index)
-        return (Cube(self.level + 1, lo, self.grid), Cube(self.level + 1, lo + 1, self.grid))
 
     def __repr__(self):
         return f"Cube[{float(self.left):.6g}, {float(self.right):.6g})@k={self.level}"
@@ -415,8 +414,7 @@ def _level_affine(mesh: Mesh, grid: DyadicGrid, k: int) -> tuple[int, int, int]:
 def _unchecked_level_affine(mesh: Mesh, grid: DyadicGrid, k: int) -> tuple[int, int, int]:
     p, q = float(mesh.radius).as_integer_ratio()
     s = max(0, mesh.level - k)
-    sigma = -1 if k & 1 else 1
-    a0 = -3 * p * 2 ** (k + s) - sigma * grid.shift_index * q * 2**s
+    a0 = -3 * p * 2 ** (k + s) - grid.numerator(k, 0) * q * 2**s
     step = 3 * p * 2 ** (k + s - mesh.level)
     den = 3 * q * 2**s
     g = math.gcd(a0, step, den)
@@ -454,11 +452,6 @@ def inner_cell_range(mesh: Mesh, cube: Cube) -> tuple[int, int]:
     lo, hi, den = cube_span(mesh, cube)
     i0 = max(-(-lo // den), 0)
     return i0, max(min(hi // den, mesh.n_cells), i0)
-
-
-def cells_inside(mesh: Mesh, cube: Cube) -> np.ndarray:
-    """Indices of mesh cells entirely inside the cube."""
-    return np.arange(*inner_cell_range(mesh, cube))
 
 
 def _level_affines(mesh: Mesh, grid: DyadicGrid, k0: int, k1: int) -> np.ndarray:

@@ -52,7 +52,6 @@ __all__ = [
     "exact_a1_interval_average",
     "F_lambda",
     "F_argmax",
-    "F_grid_max",
     "output_magnitude",
     "level_set_endpoint",
     "level_set_endpoints",
@@ -194,15 +193,6 @@ def F_argmax(delta: float) -> tuple[float, float]:
         math.exp(-1.0 / (1.0 - delta)) * delta ** (-delta / (1.0 - delta)) / delta
     )
     return lam_star, f_star
-
-
-def F_grid_max(delta: float, n: int = 10_000) -> tuple[float, float]:
-    """Log-spaced grid search for the maximum of F (confirmation path)."""
-    lam_star, _ = F_argmax(delta)
-    grid = np.geomspace(max(lam_star * 1e-3, 1.0 + 1e-9), lam_star * 1e3, n)
-    vals = F_lambda(delta, grid)
-    i = int(np.argmax(vals))
-    return float(grid[i]), float(vals[i])
 
 
 # ---------------------------------------------------------------------------

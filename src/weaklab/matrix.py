@@ -288,7 +288,7 @@ def _reduce_field(field: np.ndarray, r: float, n_dirs: int | None = None):
 def _cached_reduce(W: MatrixWeight, cube: Cube, power: float, r: float) -> ReducingMatrix:
     """Reducing matrix of the field W^power on the cube at exponent r, cached
     on the exact floats (power, r)."""
-    key = (cube.level, cube.index, cube.grid.shift_index, power, r)
+    key = (cube, power, r)
     if key not in W._reducing:
         cells = W.cells_of(cube)
         field = W.power(power)[cells]

@@ -122,7 +122,7 @@ def _cube_averages(f: MeshFunction, grid: DyadicGrid, cubes: Sequence[Cube], k_d
 
 def _left_key(grid: DyadicGrid, k: int, m: int, k_fine: int) -> int:
     """3 * 2^k_fine times the left edge of cube (k, m), k <= k_fine: an exact integer."""
-    return (3 * m + (-1 if k & 1 else 1) * grid.shift_index) << (k_fine - k)
+    return grid.numerator(k, m) << (k_fine - k)
 
 
 def _kept_cubes(grid: DyadicGrid, levels, index, rid, reverse: bool = False) -> tuple[list[int], list[Cube]]:
@@ -160,10 +160,11 @@ def _stopping_walk(grid, k0, tables, roots, k_last, stops, generations):
     A cube stops where ``stops(avg, base)``.  The children of a stopping
     cube inherit its average as their base, those of any other cube its
     base, and no cube below level ``k_last`` is visited but a root.  With
-    ``generations`` (sparse families) every root is kept, with base 0, the
-    walk goes on below each stopping cube, and not below a root averaging
-    0; without it (Calderon-Zygmund) a stopping cube ends its branch.  A
-    cube off the domain reads average 0, at which ``stops`` must be false.
+    ``generations`` (sparse families) every root is kept, with base 0, and
+    the walk goes on below each stopping cube; without it
+    (Calderon-Zygmund) a stopping cube ends its branch.  A cube off the
+    domain reads average 0, at which ``stops`` must be false, and the walk
+    never descends below a cube averaging 0: for f >= 0 nothing there stops.
 
     Returns the kept cubes as Python lists (level, index, root position,
     average), in no particular order.
@@ -184,19 +185,18 @@ def _stopping_walk(grid, k0, tables, roots, k_last, stops, generations):
             continue
         q0, avgs = tables[k - k0]
         j = m - q0
-        on = (j >= 0) & (j < len(avgs))
-        avg = np.where(on, avgs.take(j, mode="clip"), 0.0)  # 0 never stops
+        avg = np.where((j >= 0) & (j < len(avgs)), avgs.take(j, mode="clip"), 0.0)  # 0 never stops
         stop = stops(avg, base)
-        keep, down = stop, (on if generations else on & ~stop)
+        keep, down = stop, (avg > 0) & (~stop | generations)  # nothing below a zero average stops
         if generations and n_live < len(m):  # roots: kept, and descended from if they stop
-            keep, down = stop.copy(), on.copy()
+            keep = stop.copy()
             keep[n_live:], down[n_live:] = True, stop[n_live:]
         if keep.any():
             kept.append((np.full(np.count_nonzero(keep), k), m[keep], rid[keep], avg[keep]))
         if k >= k_last or not down.any():
             m, rid, base = m[:0], rid[:0], base[:0]
             continue
-        lo = 2 * m[down] + (-1 if k & 1 else 1) * grid.shift_index  # grid.child_left_index
+        lo = 2 * m[down] + grid.numerator(k, 0)  # left children: N(k + 1, lo) = 2 N(k, m)
         base = np.where(stop, avg, base)[down]
         rid = rid[down]
         m, rid, base = np.concatenate((lo, lo + 1)), np.concatenate((rid, rid)), np.concatenate((base, base))

@@ -554,9 +554,9 @@ def _grid_cubes(grids, min_level: int, max_level: int, domain):
     for g in grids:
         for k in range(min_level, max_level + 1):
             m = np.arange(g.cube_index_of(k, a), g.cube_index_of(k, b) + 1)
-            sj = (-1 if k & 1 else 1) * g.shift_index
-            lo = (3 * m + sj) * 2.0**-k / 3.0
-            hi = (3 * m + 3 + sj) * 2.0**-k / 3.0
+            num = g.numerator(k, m)
+            lo = num * 2.0**-k / 3.0
+            hi = (num + 3) * 2.0**-k / 3.0
             keep = (hi > a) & (lo < b)
             los.append(lo[keep])
             his.append(hi[keep])
@@ -854,16 +854,13 @@ def _fujii_wilson_one_grid(wbar: MeshFunction, grid: DyadicGrid, k_lo: int, k_fi
     q0f, ints_f = tables[-1]  # finest-level geometry
     nf = len(ints_f)
     width_f = 2.0**-k_fine
-    lefts_f_num = 3 * (q0f + np.arange(nf, dtype=np.int64)) + (-1 if k_fine & 1 else 1) * grid.shift_index
+    lefts_f_num = grid.numerator(k_fine, q0f + np.arange(nf, dtype=np.int64))
     # left endpoint of finest cube i is lefts_f_num[i] / (3 * 2^k_fine), exactly
     profile = np.zeros(ints_f.shape)
     vals, levels, cubes = [], [], []  # per level: ratios of the inside cubes, k, their indices m
     for k, (q0, ints) in zip(range(k_fine, k_lo - 1, -1), reversed(tables)):
         avgs = ints / 2.0**-k
-        # ancestor index at level k of each finest cube, floor(left_f / 2^-k - (-1)^k j/3),
-        # in integers: multiply through by 3 * 2^(k_fine - k)
-        scale = 2 ** (k_fine - k)
-        anc = (lefts_f_num - (-1 if k & 1 else 1) * grid.shift_index * scale) // (3 * scale)
+        anc = grid.index_at(k, lefts_f_num, 3, k_fine)  # each finest cube's level-k ancestor
         profile = np.maximum(profile, avgs[anc - q0])
         # cubes at level k fully inside the mesh domain: cube m spans edge
         # positions [(m den - a0)/step, ((m+1) den - a0)/step) of the n cells

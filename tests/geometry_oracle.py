@@ -14,8 +14,12 @@ So does the Christ-Goldberg sweep that ``grid.cell_cube_integrals``
 replaced, which integrated every component over every cube.  So do the
 one-level-per-call table builders that ``grid.level_cube_integrals`` and
 ``grid.cube_indices_per_cell`` replaced by one call for all levels, and the
-``Fraction`` cube locators ``enumerate_cubes`` and ``covering_cube``, which
-only tests use.
+``Fraction`` cube locators ``enumerate_cubes`` and ``covering_cube`` and the
+cell range ``cells_inside``, which only tests use, and the ``Fraction``
+locator ``oracle_cube_index_of`` that ``DyadicGrid.cube_index_of`` replaced
+by integer arithmetic.  The cube-tree steps (parent, children, containment,
+intersection) are free functions here: only the tests and the reference
+walks of ``sparse_oracle`` use them.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from weaklab.grid import (
     average,
     cube_indices_per_cell,
     default_levels,
+    inner_cell_range,
     level_cube_integrals,
     shifted_grids,
 )
@@ -57,6 +62,42 @@ def mesh_h(mesh: Mesh) -> Fraction:
 
 def edge_fraction(mesh: Mesh, i: int) -> Fraction:
     return mesh_left(mesh) + i * mesh_h(mesh)
+
+
+def oracle_cube_index_of(grid: DyadicGrid, k: int, x) -> int:
+    """Index of the level-k cube containing x: floor(x 2^k - (-1)^k j/3) in ``Fraction``s."""
+    sigma = -1 if k & 1 else 1
+    return math.floor(Fraction(x) * Fraction(2) ** k - Fraction(sigma * grid.shift_index, 3))
+
+
+def child_left_index(grid: DyadicGrid, k: int, m: int) -> int:
+    """Index of the left child (at level k+1) of cube (k, m)."""
+    sigma = -1 if k & 1 else 1
+    return 2 * m + sigma * grid.shift_index
+
+
+def parent_index(grid: DyadicGrid, k: int, m: int) -> int:
+    """Index of the parent (at level k-1) of cube (k, m)."""
+    sigma_parent = -1 if (k - 1) & 1 else 1
+    return (m - sigma_parent * grid.shift_index) // 2
+
+
+def children(cube: Cube) -> tuple[Cube, Cube]:
+    lo = child_left_index(cube.grid, cube.level, cube.index)
+    return (Cube(cube.level + 1, lo, cube.grid), Cube(cube.level + 1, lo + 1, cube.grid))
+
+
+def parent(cube: Cube) -> Cube:
+    return Cube(cube.level - 1, parent_index(cube.grid, cube.level, cube.index), cube.grid)
+
+
+def contains_cube(outer: Cube, inner: Cube) -> bool:
+    return outer.left <= inner.left and inner.right <= outer.right
+
+
+def intersects(cube: Cube, a, b) -> bool:
+    """Whether the cube meets [a, b)."""
+    return cube.left < Fraction(b) and Fraction(a) < cube.right
 
 
 def oracle_level_affine(mesh: Mesh, grid: DyadicGrid, k: int) -> tuple[int, int, int]:
@@ -108,8 +149,8 @@ def enumerate_cubes(grid: DyadicGrid, domain: tuple[float, float], min_level: in
     if b <= a:
         return out
     for k in range(min_level, max_level + 1):
-        m_lo = grid.cube_index_of(k, a)
-        m_hi = grid.cube_index_of(k, b)
+        m_lo = oracle_cube_index_of(grid, k, a)
+        m_hi = oracle_cube_index_of(grid, k, b)
         if grid.cube_left(k, m_hi) == Fraction(b):
             m_hi -= 1
         out.extend(Cube(k, m, grid) for m in range(m_lo, m_hi + 1))
@@ -137,6 +178,11 @@ def covering_cube(grids, a, b, max_ratio: float = 8.0) -> Cube:
         if best is not None:
             return best
     raise RuntimeError(f"no covering cube within width ratio {max_ratio} of [{a}, {b}]")
+
+
+def cells_inside(mesh: Mesh, cube: Cube) -> np.ndarray:
+    """Indices of mesh cells entirely inside the cube, from ``grid.inner_cell_range``."""
+    return np.arange(*inner_cell_range(mesh, cube))
 
 
 def oracle_cells_inside(mesh: Mesh, cube: Cube) -> np.ndarray:

@@ -6,6 +6,9 @@ whole lambda sweep, and ``lower_bound_experiment`` as it ran then, one
 The differential tests in ``test_lowerbound.py`` require the vector roots
 to agree with these within ``_ROOT_RTOL`` and the experiment's report to
 agree field for field, bit for bit, wherever the best quotient is counted.
+
+``F_grid_max`` confirms the closed-form maximiser ``F_argmax`` by a grid
+search.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from scipy import optimize
 from weaklab.lowerbound import (
     _ROOT_RTOL,
     F_argmax,
+    F_lambda,
     GradedMesh,
     LowerBoundReport,
     MeshResolutionError,
@@ -87,3 +91,12 @@ def per_lambda_experiment(delta: float, mesh: GradedMesh | None = None) -> Lower
         ratio_to_sqrt_a1=quotient / math.sqrt(a1),
         measure_path=path,
     )
+
+
+def F_grid_max(delta: float, n: int = 10_000) -> tuple[float, float]:
+    """Log-spaced grid search for the maximum of F."""
+    lam_star, _ = F_argmax(delta)
+    grid = np.geomspace(max(lam_star * 1e-3, 1.0 + 1e-9), lam_star * 1e3, n)
+    vals = F_lambda(delta, grid)
+    i = int(np.argmax(vals))
+    return float(grid[i]), float(vals[i])

@@ -4,7 +4,7 @@
 ``oracle_sparse_family`` and ``oracle_cz_decompose`` are the per-cube
 recursion over ``Cube`` objects: every average and cell set comes from the
 ``Fraction`` geometry of ``geometry_oracle`` on a freshly built cube, and
-off-domain cubes are recognised by ``Cube.intersects``.
+off-domain cubes are recognised by ``geometry_oracle.intersects``.
 
 ``table_sparse_family``, ``table_cz_decompose`` and
 ``table_verify_sparseness`` are the per-cube stacks over integer ``(k, m)``
@@ -22,8 +22,18 @@ from typing import Sequence
 
 import numpy as np
 
-from geometry_oracle import edge_fraction, mesh_left, mesh_right, oracle_average, oracle_cells_inside
-from weaklab.grid import Cube, DyadicGrid, MeshFunction, cells_inside
+from geometry_oracle import (
+    cells_inside,
+    child_left_index,
+    children,
+    edge_fraction,
+    intersects,
+    mesh_left,
+    mesh_right,
+    oracle_average,
+    oracle_cells_inside,
+)
+from weaklab.grid import Cube, DyadicGrid, MeshFunction
 from weaklab.sparse import CZDecomposition, SparseFamily, _cube_averages, covering_roots, root_cubes
 
 
@@ -55,18 +65,18 @@ def oracle_sparse_family(
 
     def descend(cube: Cube, base_avg: float) -> list[Cube]:
         found: list[Cube] = []
-        stack = list(cube.children())
+        stack = list(children(cube))
         while stack:
             c = stack.pop()
             if c.level > max_level:
                 continue
-            if not c.intersects(mesh_left(mesh), mesh_right(mesh)):
+            if not intersects(c, mesh_left(mesh), mesh_right(mesh)):
                 continue
             avg_c = oracle_average(f, c)
             if avg_c > 0 and avg_c >= threshold * base_avg:
                 found.append(c)
             else:
-                stack.extend(c.children())
+                stack.extend(children(c))
         return found
 
     for root in roots:
@@ -101,13 +111,13 @@ def oracle_cz_decompose(
     k_cell = mesh.aligned_cell_level()
 
     stopping: list[Cube] = []
-    stack = [r for r in roots if r.intersects(mesh_left(mesh), mesh_right(mesh))]
+    stack = [r for r in roots if intersects(r, mesh_left(mesh), mesh_right(mesh))]
     while stack:
         cube = stack.pop()
         if oracle_average(h, cube) > height:
             stopping.append(cube)
         elif cube.level < k_cell:
-            stack.extend(cube.children())
+            stack.extend(children(cube))
 
     good = h.values.copy()
     omega = []
@@ -160,7 +170,7 @@ def table_sparse_family(
 
     def descend(k0: int, m0: int, base_avg: float) -> list[Cube]:
         found: list[Cube] = []
-        lo = grid.child_left_index(k0, m0)
+        lo = child_left_index(grid, k0, m0)
         stack = [(k0 + 1, lo), (k0 + 1, lo + 1)]
         while stack:
             k, m = stack.pop()
@@ -169,7 +179,7 @@ def table_sparse_family(
             if avg_c > 0 and avg_c >= threshold * base_avg:
                 found.append(grid.cube(k, m))
             else:
-                lo = grid.child_left_index(k, m)
+                lo = child_left_index(grid, k, m)
                 stack += ((k + 1, lo), (k + 1, lo + 1))
         return found
 
@@ -218,7 +228,7 @@ def table_cz_decompose(
             omega.append(cells_inside(mesh, stopping[-1]))
             good[omega[-1]] = a
         elif k < k_cell:
-            lo = grid.child_left_index(k, m)
+            lo = child_left_index(grid, k, m)
             stack += ((k + 1, lo), (k + 1, lo + 1))
     omega_cells = np.sort(np.concatenate(omega)) if omega else np.arange(0)
     return CZDecomposition(

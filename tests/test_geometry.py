@@ -1,8 +1,10 @@
-"""The integer cube-to-cell map (``grid.cube_span``) against the ``Fraction``
-geometry it replaced (``geometry_oracle``), byte for byte; the all-level
-tables against the one-level builders they replaced; its int64 headroom at
-the extreme meshes; and the rules that only ``grid.py`` imports
-``fractions`` and writes the cube-label format.
+"""The integer cube-to-cell map (``grid.cube_span``) and cube locator
+(``DyadicGrid.cube_index_of``) against the ``Fraction`` geometry they
+replaced (``geometry_oracle``), byte for byte; the all-level tables against
+the one-level builders they replaced; its int64 headroom at the extreme
+meshes; and the rules that only ``grid.py`` imports ``fractions``, reads a
+grid's ``shift_index`` and writes the cube-label format, and that no module
+imports ``scipy.integrate``.
 """
 
 import ast
@@ -18,12 +20,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geometry_oracle import (
+    cells_inside,
     mesh_h,
     mesh_left,
     oracle_average,
     oracle_cells_inside,
     oracle_cells_of,
     oracle_covering_roots,
+    oracle_cube_index_of,
     oracle_cube_indices_per_cell,
     oracle_integral,
     oracle_level_affine,
@@ -36,7 +40,6 @@ from weaklab.grid import (
     MeshFunction,
     _level_affine,
     average,
-    cells_inside,
     cube_indices_per_cell,
     cube_span,
     default_levels,
@@ -76,6 +79,64 @@ def cube_indices(mesh, grid, k, data, n_random) -> list[int]:
 
 def same_float(x: float, y: float) -> bool:
     return np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+# points a caller supplies: floats, dyadic Fractions, and Fractions with
+# denominator 3 * 2^t such as ``Cube.right`` (cube edges of every grid)
+POINTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**70), 2**70),
+    st.builds(Fraction, st.integers(-(2**60), 2**60), st.integers(0, 60).map(lambda t: 2**t)),
+    st.builds(Fraction, st.integers(-(2**60), 2**60), st.integers(0, 60).map(lambda t: 3 * 2**t)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(j=st.integers(0, 2), k=st.integers(-12, 25), x=POINTS)
+def test_cube_index_of_matches_fraction(j, k, x):
+    grid = DyadicGrid(j)
+    m = grid.cube_index_of(k, x)
+    assert type(m) is int and m == oracle_cube_index_of(grid, k, x)
+    assert grid.cube_left(k, m) <= Fraction(x) < grid.cube_left(k, m + 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(j=st.integers(0, 2), k=st.integers(-12, 25), m=st.integers(-(2**40), 2**40), data=st.data())
+def test_cube_edges_locate_their_own_cube(j, k, m, data):
+    # a cube's left edge, read at its own or any coarser or finer level
+    grid = DyadicGrid(j)
+    left = grid.cube_left(k, m)
+    assert grid.cube_index_of(k, left) == m
+    level = data.draw(st.integers(-12, 25))
+    assert grid.cube_index_of(level, left) == oracle_cube_index_of(grid, level, left)
+    assert grid.index_at(level, grid.numerator(k, m), 3, k) == oracle_cube_index_of(grid, level, left)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    j=st.integers(0, 2),
+    k=st.integers(-12, 25),
+    scale=st.integers(-12, 25),
+    den=st.sampled_from([1, 3, 5]),
+    nums=st.lists(st.integers(-(2**30), 2**30), min_size=1, max_size=8),
+)
+def test_index_at_on_int64_arrays_matches_fraction(j, k, scale, den, nums):
+    grid = DyadicGrid(j)
+    got = grid.index_at(k, np.array(nums, dtype=np.int64), den, scale)
+    points = [Fraction(n, den) / Fraction(2) ** scale for n in nums]
+    assert got.dtype == np.int64 and got.tolist() == [oracle_cube_index_of(grid, k, x) for x in points]
+
+
+def test_cube_index_of_accepts_numpy_scalars():
+    grid = DyadicGrid(1)
+    for x in (np.int64(-3), np.float64(0.3)):
+        assert grid.cube_index_of(5, x) == oracle_cube_index_of(grid, 5, x)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, np.float64(np.nan)])
+def test_cube_index_of_rejects_points_that_are_not_finite(x):
+    with pytest.raises(ValueError, match="is not a finite number"):
+        DyadicGrid(2).cube_index_of(3, x)
 
 
 def test_level_affine_matches_fraction_everywhere():
@@ -264,16 +325,34 @@ def test_only_grid_imports_fractions():
     assert importers == {"grid.py"}
 
 
-def test_weights_does_not_import_scipy_integrate():
-    # power-log integrals are closed forms and a fixed Gauss-Legendre rule
-    path = pathlib.Path(__file__).resolve().parents[1] / "src" / "weaklab" / "weights.py"
-    imported = []
-    for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.Import):
-            imported += [a.name for a in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            imported += [f"{node.module}.{a.name}" for a in node.names] + [node.module or ""]
-    assert not [name for name in imported if name.startswith("scipy.integrate")]
+def test_only_grid_reads_shift_index():
+    # the sign rule (-1)^k j lives in DyadicGrid.numerator; matrix caches key
+    # on the hashable Cube itself
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "weaklab"
+    readers = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "shift_index":
+                readers.add(path.name)
+    assert readers == {"grid.py"}
+
+
+def test_no_module_imports_scipy_integrate():
+    # power-log integrals are closed forms and a fixed Gauss-Legendre rule;
+    # the quadrature Hilbert transform is the test oracle tests/hilbert_oracle.py
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "weaklab"
+    importers = {}
+    for path in src.glob("*.py"):
+        imported = []
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported += [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported += [f"{node.module}.{a.name}" for a in node.names] + [node.module or ""]
+        found = [name for name in imported if name.startswith("scipy.integrate")]
+        if found:
+            importers[path.name] = found
+    assert importers == {}
 
 
 def test_weights_and_lower_bound_run_without_quad(monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geometry_oracle import covering_cube, edge_fraction, enumerate_cubes
+from geometry_oracle import children, contains_cube, covering_cube, edge_fraction, enumerate_cubes, intersects, parent
 from weaklab import (
     Cube,
     DyadicGrid,
@@ -55,7 +55,7 @@ class TestEnumerateCubes:
             cubes = enumerate_cubes(g, (-0.7, 1.3), -1, 4)
             assert len(set((c.level, c.index) for c in cubes)) == len(cubes)
             for c in cubes:
-                assert c.intersects(Fraction(-0.7), Fraction(1.3))
+                assert intersects(c, Fraction(-0.7), Fraction(1.3))
 
 
 class TestShiftedGrids:
@@ -103,15 +103,15 @@ class TestNesting:
         inter_lo = max(a.left, b.left)
         inter_hi = min(a.right, b.right)
         if inter_hi > inter_lo:  # they overlap
-            assert a.contains_cube(b) or b.contains_cube(a)
+            assert contains_cube(a, b) or contains_cube(b, a)
 
     @given(j=st.integers(0, 2), k=st.integers(-3, 6), m=st.integers(-40, 40))
     @settings(max_examples=100, deadline=None)
     def test_children_partition_parent(self, j, k, m):
         c = Cube(k, m, DyadicGrid(j))
-        lo, hi = c.children()
+        lo, hi = children(c)
         assert lo.left == c.left and hi.right == c.right and lo.right == hi.left
-        assert lo.parent() == c and hi.parent() == c
+        assert parent(lo) == c and parent(hi) == c
 
     def test_level_tiling_covers_domain(self):
         mesh = Mesh(1.0, 4)
@@ -268,6 +268,18 @@ class TestMeshExactness:
         # a float edge or cell width of 1/3 cannot be exact
         with pytest.raises(ValueError, match="binary rational"):
             Mesh(Fraction(1, 3), 3)
+
+    @pytest.mark.parametrize("new_radius, grow", [(1.5, 0), (3.0, 1), (12.0, 3)])
+    def test_embedded_grows_by_powers_of_two(self, new_radius, grow):
+        f = MeshFunction.indicator(Mesh(1.5, 3), -0.75, 0.375)
+        big = f.embedded(new_radius)
+        assert big.mesh == Mesh(new_radius, 3 + grow) and big.mesh.h == f.mesh.h
+        assert np.array_equal(big.values, MeshFunction.indicator(big.mesh, -0.75, 0.375).values)
+
+    @pytest.mark.parametrize("new_radius", [4.5, 0.75, 2.0, 1.5 + 2.0**-40])
+    def test_embedded_rejects_other_radii(self, new_radius):
+        with pytest.raises(ValueError, match="power-of-two multiple"):
+            MeshFunction.indicator(Mesh(1.5, 3), -0.75, 0.375).embedded(new_radius)
 
     def test_indicator_requires_alignment(self, mesh):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate
 
 from conftest import argmax_inside_window, exact_lower_bound_supremum
-from lowerbound_oracle import brentq_endpoint, per_lambda_experiment, sweep_lambdas
+from lowerbound_oracle import F_grid_max, brentq_endpoint, per_lambda_experiment, sweep_lambdas
 from weaklab import (
     GradedMesh,
     Mesh,
@@ -21,7 +21,6 @@ from weaklab import (
 from weaklab.lowerbound import (
     _ROOT_RTOL,
     F_argmax,
-    F_grid_max,
     F_lambda,
     MeshResolutionError,
     h_magnitude,

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from conftest import random_signed_step, random_step
+from hilbert_oracle import hilbert_weighted
 from weaklab import (
     Mesh,
     MeshFunction,
@@ -21,7 +22,6 @@ from weaklab import (
     weak_lp_norm,
 )
 from weaklab.lowerbound import w_delta
-from weaklab.operators import hilbert_weighted
 
 
 class TestDistribution:
@@ -306,6 +306,25 @@ class TestHilbert:
         x = -0.5 + mesh.h / 2
         ref, _ = integrate.quad(lambda y: y**0.5 / (x - y), 0.25, 0.75, limit=200)
         assert Hw(x) == pytest.approx(ref, rel=1e-9)
+
+    def test_multiplier_converges_to_weighted_quadrature(self):
+        # multiplier_apply("H") folds w^(-1/p) into f at cell centres; the
+        # quadrature integrates against w itself.  Off the support the
+        # midpoint error is O(h^2), at a principal value inside it O(h).
+        w = PowerLogWeight(-0.5)
+        Hw = hilbert_weighted(MeshFunction.indicator(Mesh(1.0, 2), 0.25, 0.75), w, power=-0.5)
+        outside, inside = (-0.6, -0.1, 0.1, 0.9), (0.4, 0.6)
+        errs = []
+        for level in (4, 6, 8):
+            mesh = Mesh(1.0, level)
+            out = multiplier_apply("H", w, 2.0, MeshFunction.indicator(mesh, 0.25, 0.75)).values
+            cells = [mesh.cell_of(x) for x in outside + inside]
+            x = mesh.centers()[cells]
+            errs.append(np.abs(out[cells] / (w(x) ** 0.5 * np.array([Hw(c) for c in x])) - 1))
+        errs = np.array(errs)
+        n = len(outside)
+        assert np.all(errs[1:, :n] < errs[:-1, :n] / 12) and np.all(errs[-1, :n] < 1e-5)
+        assert np.all(errs[1:, n:] < errs[:-1, n:] / 3) and np.all(errs[-1, n:] < 3e-3)
 
 
 class TestMultiplier:

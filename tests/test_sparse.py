@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_step
+from geometry_oracle import cells_inside
 from weaklab import (
     DyadicGrid,
     MeshFunction,
@@ -15,7 +16,7 @@ from weaklab import (
     sparse_apply,
     verify_sparseness,
 )
-from weaklab.grid import average, cells_inside
+from weaklab.grid import average
 from weaklab.sparse import SparseFamily, root_cubes
 
 

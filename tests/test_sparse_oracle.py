@@ -5,13 +5,16 @@ replaced), compared with exact equality (cube order, the bytes of every
 designated set, of ``apply`` and of the CZ outputs, and the messages of
 ``verify_sparseness``)."""
 
+import sys
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_step
-from geometry_oracle import oracle_sparse_apply
+from geometry_oracle import cells_inside, children, oracle_sparse_apply, parent
 from sparse_oracle import (
     oracle_cz_decompose,
     oracle_sparse_family,
@@ -19,8 +22,7 @@ from sparse_oracle import (
     table_sparse_family,
     table_verify_sparseness,
 )
-from weaklab import DyadicGrid, Mesh, MeshFunction, build_sparse_family, cz_decompose, shifted_grids
-from weaklab.grid import cells_inside
+from weaklab import DyadicGrid, Mesh, MeshFunction, build_sparse_family, cz_decompose, shifted_grids, sparse
 from weaklab.sparse import SparseFamily, covering_roots, verify_sparseness
 
 seeds = st.integers(0, 2**32 - 1)
@@ -209,7 +211,57 @@ def test_repeated_or_nested_roots_rejected():
     shifted = DyadicGrid(1)
     outer = shifted.cube_containing(-1, 0.0)
     with pytest.raises(ValueError, match="disjoint"):
-        build_sparse_family(h, grid=shifted, roots=[outer.children()[1], outer])
+        build_sparse_family(h, grid=shifted, roots=[children(outer)[1], outer])
+
+
+def walk_visits(build):
+    """Run ``build()`` and return {(level, index): average} of every cube the
+    stopping-time walk asks ``stops`` about, and the roots it was given.
+    The wrapper reads the level ``k`` and the live indices ``m`` from the
+    walk's frame, the only place they exist together with the averages."""
+    visits, roots = {}, []
+    walk = sparse._stopping_walk
+
+    def recording_walk(grid, k0, tables, walk_roots, k_last, stops, generations):
+        roots.extend(walk_roots)
+
+        def recording_stops(avg, base):
+            frame = sys._getframe(1).f_locals
+            visits.update(((frame["k"], int(m)), a) for m, a in zip(frame["m"], avg))
+            return stops(avg, base)
+
+        return walk(grid, k0, tables, walk_roots, k_last, recording_stops, generations)
+
+    with mock.patch.object(sparse, "_stopping_walk", recording_walk):
+        build()
+    return visits, roots
+
+
+@settings(max_examples=40)
+@given(
+    radius=st.sampled_from([0.5, 1.0, 4.0]),
+    level=st.integers(3, 9),
+    shift=st.sampled_from([0, 1, 2]),
+    seed=seeds,
+    rel_height=st.floats(0.1, 3.0),
+)
+def test_walk_visits_no_cube_below_a_zero_average(radius, level, shift, seed, rel_height):
+    # for f >= 0 a cube averaging 0 holds no stopping cube, so the walk must
+    # not descend below one; the outputs still match the oracles above
+    f = step_function(Mesh(radius, level), seed, False, span=(-radius / 2, radius / 2))
+    grid = DyadicGrid(shift)
+    builds = [lambda: assert_same_family(f, oracle=table_sparse_family, grid=grid)]
+    if shift == 0:
+        height = rel_height * float(f.values.mean())
+        builds.append(lambda: assert_same_cz(f, height, oracle=table_cz_decompose))
+    for build in builds:
+        visits, roots = walk_visits(build)
+        assert visits
+        for k, m in visits:
+            cube = grid.cube(k, m)
+            if cube not in roots:
+                p = parent(cube)
+                assert visits[(p.level, p.index)] > 0, f"{cube} visited below {p}, which averages 0"
 
 
 # ---------------------------------------------------------------------------

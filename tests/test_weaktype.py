@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_step
+from geometry_oracle import cells_inside
 from weaklab import (
     DyadicGrid,
     Mesh,
@@ -22,7 +23,6 @@ from weaklab import (
     weak_quotient,
 )
 from weaklab.operators import distribution
-from weaklab.grid import cells_inside
 from weaklab.sparse import SparseFamily
 from weaklab.weaktype import fractional_proof_constants
 
