@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize
+from scipy import special
 
 from .weights import PowerLogWeight, SearchSpace, a1_characteristic, sharp_rh_exponent
 
@@ -69,8 +69,10 @@ _E = math.e
 # cross-check allows beyond the straddling cell
 _ROOT_RTOL = 1e-12
 # Newton steps per root before the solve gives up; bisecting the widest bracket,
-# [1e-60, 1/2] in x, down to _ROOT_RTOL takes 50
+# about [e^-711, 1/2] in x at the smallest delta, down to _ROOT_RTOL / 4 takes 52
 _ROOT_MAX_STEPS = 64
+# 1/delta above this makes lam* = e^(1/delta) overflow
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 class MeshResolutionError(RuntimeError):
@@ -114,12 +116,11 @@ def mu_inverse(lam: float) -> float:
     """The x in (0, 1] with mu(x) = lam, for lam >= 1 (mu is decreasing)."""
     if lam < 1:
         raise ValueError(f"mu maps (0,1] onto [1, inf); got lam = {lam}")
-    if lam == 1.0:
-        return 1.0
-    # sandwich: x = nu(mu(x)) in [x, 2x] gives the bracket [nu(lam)/2, nu(lam)]
-    lo = 0.49 * nu(lam)
-    hi = min(1.0, 1.01 * nu(lam))
-    return float(optimize.brentq(lambda x: mu(x) - lam, lo, hi, xtol=1e-300, rtol=8.9e-16))
+    # L = log(e/x) solves L e^L = e lam, so L = W(e lam) (principal branch),
+    # and x = L / lam since mu(x) = L / x
+    if not _E * lam < np.inf:
+        raise ValueError(f"mu_inverse needs e lam finite, got lam = {lam}")
+    return float(special.lambertw(_E * lam).real / lam)
 
 
 def necessary_condition_violation(t: float, lam: float) -> tuple[float, float]:
@@ -187,7 +188,13 @@ def F_lambda(delta: float, lam) -> float | np.ndarray:
 
 
 def F_argmax(delta: float) -> tuple[float, float]:
-    """Analytic maximizer: lam* = e^(1/delta), F* = e^(-1/(1-delta)) delta^(-delta/(1-delta)) / delta."""
+    """Analytic maximizer: lam* = e^(1/delta), F* = e^(-1/(1-delta)) delta^(-delta/(1-delta)) / delta.
+
+    lam* is a float for delta >= 1/log(float max), 0.00140888...
+    """
+    if 1.0 / delta > _LOG_FLOAT_MAX:
+        smallest = 1.0 / _LOG_FLOAT_MAX
+        raise ValueError(f"lam* = e^(1/delta) overflows: delta must exceed {smallest:.6g}, got {delta:g}")
     lam_star = math.exp(1.0 / delta)
     f_star = (
         math.exp(-1.0 / (1.0 - delta)) * delta ** (-delta / (1.0 - delta)) / delta
@@ -226,10 +233,12 @@ def level_set_endpoints(delta: float, lams, x_hi: float = 0.5) -> np.ndarray:
 
         d/du log G = -1/(1-u) + (delta-1) + x / ((1-x)(2-x) h(x)).
 
-    Each lam keeps a bracket inside [1e-60, x_hi], and a step that leaves it
-    is replaced by bisection.  A root is returned once its Newton step is
-    below _ROOT_RTOL / 4; a root still moving after _ROOT_MAX_STEPS raises
-    MeshResolutionError.  Lams with G(x_hi) >= lam return x_hi: the whole
+    Each lam keeps a bracket in u, and a step that leaves it is replaced by
+    bisection.  The bracket's lower end comes from the data: on (0, 1/2],
+    log(e/x) > 1 and h(x) >= log 2, so G(x) > log(2) x^(delta-1), which is
+    lam at u = -log(lam / log 2) / (1 - delta).  A root is returned once its
+    Newton step is below _ROOT_RTOL / 4; a root still moving after
+    _ROOT_MAX_STEPS raises MeshResolutionError.  Lams with G(x_hi) >= lam return x_hi: the whole
     interval lies in the level set.
     """
     lams = np.asarray(lams, dtype=float)
@@ -237,9 +246,9 @@ def level_set_endpoints(delta: float, lams, x_hi: float = 0.5) -> np.ndarray:
         raise ValueError("lam must be positive")
     out = np.full(lams.shape, float(x_hi))
     idx = np.flatnonzero(output_magnitude(delta, x_hi) < lams)
-    lo = np.full(idx.size, math.log(1e-60))
-    hi = np.full(idx.size, math.log(x_hi))
     target = np.log(lams[idx])
+    hi = np.full(idx.size, math.log(x_hi))
+    lo = np.minimum(-(target - math.log(math.log(2.0))) / (1.0 - delta), hi)
     u = hi.copy()
     for _ in range(_ROOT_MAX_STEPS):
         x = np.exp(u)
@@ -259,7 +268,7 @@ def level_set_endpoints(delta: float, lams, x_hi: float = 0.5) -> np.ndarray:
         u = np.where((u > lo) & (u < hi), u, 0.5 * (lo + hi))
     raise MeshResolutionError(
         f"level-set roots at lam={lams[idx][:3]} did not converge in {_ROOT_MAX_STEPS} "
-        "Newton steps; G must decrease on (0, x_hi] and cross lam above x = 1e-60"
+        "Newton steps; G must decrease on (0, x_hi]"
     )
 
 
@@ -368,6 +377,11 @@ def lower_bound_experiment(
     closed form or falls short of it by more than one cell.
     """
     mesh = mesh or GradedMesh()
+    smallest = 1.0 / (_LOG_FLOAT_MAX - math.log(lambda_window))
+    if delta <= smallest:
+        raise ValueError(
+            f"lambda window lam* x {lambda_window:g} overflows: delta must exceed {smallest:.6g}, got {delta:g}"
+        )
     lam_star, _ = F_argmax(delta)
     lams = np.geomspace(lam_star / lambda_window, lam_star * lambda_window, n_lambda)
     lams = np.unique(np.append(lams, lam_star))

@@ -204,7 +204,7 @@ def _cell_kernel(u: np.ndarray, v: np.ndarray, alpha: float) -> np.ndarray:
     return np.where(v >= 0, au - av, np.where(u <= 0, av - au, au + av)) / alpha
 
 
-def fractional_integral(f: MeshFunction, alpha: float, points: np.ndarray | None = None):
+def fractional_integral(f: MeshFunction, alpha: float) -> MeshFunction:
     """I_alpha f(x) = ∫ f(y) |x-y|^(alpha-1) dy at cell centers (n = 1).
 
     The integrable singularity is handled in closed form per source cell:
@@ -215,31 +215,17 @@ def fractional_integral(f: MeshFunction, alpha: float, points: np.ndarray | None
     At the center of cell i and the source cell j, u = (i-j+1/2)h and
     v = (i-j-1/2)h, so the centre values are one convolution of f (each
     component of a vector f) with the kernel row over the offsets
-    -(n-1)..n-1.  Returns a MeshFunction when ``points`` is None, else the
-    values at the requested points (a dense point-by-cell kernel).
+    -(n-1)..n-1.
     """
     if not (0 < alpha < 1):
         raise ValueError(f"fractional order must satisfy 0 < alpha < n = 1, got {alpha}")
     mesh = f.mesh
     n = mesh.n_cells
-    if points is None:
-        d = np.arange(1 - n, n)
-        row = _cell_kernel((d + 0.5) * mesh.h, (d - 0.5) * mesh.h, alpha)
-        vals = f.values.reshape(n, -1)
-        out = np.stack([np.convolve(c, row)[n - 1 : 2 * n - 1] for c in vals.T], axis=1)
-        return MeshFunction(mesh, out.reshape(f.values.shape))
-    xs = np.asarray(points, dtype=float)
-    edges = mesh.edges()
-    a = edges[:-1]
-    b = edges[1:]
+    d = np.arange(1 - n, n)
+    row = _cell_kernel((d + 0.5) * mesh.h, (d - 0.5) * mesh.h, alpha)
     vals = f.values.reshape(n, -1)
-    out = np.empty((len(xs), vals.shape[1]))
-    chunk = max(1, int(2**22 / max(n, 1)))
-    for s in range(0, len(xs), chunk):
-        x = xs[s : s + chunk, None]
-        kernel = _cell_kernel(x - a[None, :], x - b[None, :], alpha)
-        out[s : s + chunk] = np.stack([kernel @ c for c in vals.T], axis=1)  # per component, as at the centres
-    return out.reshape(len(xs), *f.values.shape[1:])
+    out = np.stack([np.convolve(c, row)[n - 1 : 2 * n - 1] for c in vals.T], axis=1)
+    return MeshFunction(mesh, out.reshape(f.values.shape))
 
 
 # ---------------------------------------------------------------------------

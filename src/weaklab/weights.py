@@ -4,11 +4,12 @@ Two representations are supported:
 
 * :class:`PowerLogWeight` -- the closed-form family
   ``w(x) = c |x|^a log(e/|x|)^b`` on ``0 < |x| <= 1`` and ``w = c`` outside.
-  The family is closed under powers.  Interval integrals come from an
-  integration-by-parts recursion in ``b`` for integer ``b >= 0``; other ``b``
-  substitute ``x = e^(1-s)``, which gives the incomplete gamma function on
-  intervals [0, t] (``a > -1``, ``b > -1``; a closed form at ``a = -1``) and
-  a fixed composite Gauss-Legendre rule in ``s`` elsewhere.
+  The family is closed under powers.  Interval integrals are elementary at
+  ``b = 0``; every other ``b`` substitutes ``x = e^(1-s)``, which gives the
+  incomplete gamma function on intervals [0, t] (``a > -1``, ``b > -1``; a
+  closed form at ``a = -1``) and a fixed composite Gauss-Legendre rule in
+  ``s`` elsewhere.  An interval is folded onto |x| and integrated piece by
+  piece; a piece [0, t] needs ``anchored_integrable``.
 * :class:`SampledWeight` -- positive cell values on a :class:`~weaklab.grid.Mesh`,
   with piecewise-constant semantics (interval integrals are exact cell sums,
   essential infima are minima over touched cells).  Within one search, a
@@ -100,29 +101,27 @@ def dual_exponent(p: float) -> float:
 
 
 def _powerlog_core_batch(a: float, b: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """∫ x^a log(e/x)^b dx over [lo, hi] ⊆ [0, 1], elementwise.
+    """∫ x^a log(e/x)^b dx over [lo, hi] ⊆ [0, 1], elementwise, on pieces the
+    callers found integrable; empty pieces give 0.
 
-    Integer b >= 0 uses the exact parts recursion
+    b = 0 is elementary: (hi^c - lo^c) / c with c = a + 1, or
+    log(e/lo) - log(e/hi) at c = 0.  Every other b substitutes x = e^(1-s),
+    which turns the integral into e^c ∫ s^b e^(-cs) ds over
+    [log(e/hi), log(e/lo)]:
 
-        (a+1) ∫ x^a L^b = [x^(a+1) L^b] + b ∫ x^a L^(b-1),   L = log(e/x),
-
-    anchored at b = 0.  Other b substitute x = e^(1-s), c = a + 1, which
-    turns the integral into e^c ∫ s^b e^(-cs) ds over [log(e/hi), log(e/lo)]:
-
-    * anchored, a > -1, b > -1: the closed form e^c Γ(b+1) Q(b+1, cS) / c^(b+1),
-      S = log(e/hi), with Q the regularized upper incomplete gamma function;
-    * anchored, a = -1, b < -1: the closed form S^(b+1) / (-(b+1));
+    * anchored (lo = 0): ``_anchored_core``, the incomplete gamma function
+      or its closed form at c = 0;
     * interior (lo > 0), any a and b: composite Gauss-Legendre in s
-      (``_log_variable_rule``);
-    * anchored, a > -1, b <= -1: the same rule on [S, S + 40/c], where the
-      decreasing integrand has fallen by e^-40; also where Q underflows.
+      (``_log_variable_rule``).
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    if float(b).is_integer() and b >= 0:
-        return _core_recursive(a, int(b), lo, hi)
     out = np.zeros(np.broadcast(lo, hi).shape)
     live = hi > lo
+    if b == 0:
+        u, v, c = lo[live], hi[live], a + 1.0
+        out[live] = np.log(_E / u) - np.log(_E / v) if c == 0 else (v**c - u**c) / c
+        return out
     anchored = live & (lo == 0.0)
     if np.any(anchored):
         out[anchored] = _anchored_core(a, b, hi[anchored])
@@ -133,8 +132,15 @@ def _powerlog_core_batch(a: float, b: float, lo: np.ndarray, hi: np.ndarray) -> 
 
 
 def _anchored_core(a: float, b: float, t: np.ndarray) -> np.ndarray:
-    """∫_0^t x^a log(e/x)^b dx for 0 < t <= 1 and b not a non-negative integer,
-    on a weight the callers found ``anchored_integrable``."""
+    """∫_0^t x^a log(e/x)^b dx for 0 < t <= 1 and b != 0, on a weight the
+    callers found ``anchored_integrable``, with c = a + 1 and S = log(e/t):
+
+    * a > -1, b > -1: e^c Γ(b+1) Q(b+1, cS) / c^(b+1), with Q the regularized
+      upper incomplete gamma function;
+    * a = -1, b < -1: S^(b+1) / (-(b+1));
+    * a > -1, b <= -1, and wherever Q underflows: ``_log_variable_rule`` on
+      [S, S + 40/c], where the decreasing integrand has fallen by e^-40.
+    """
     c = a + 1.0
     S = np.log(_E / t)
     if c == 0:
@@ -204,28 +210,6 @@ def _log_variable_rule(a: float, b: float, s0, span, x0, x1) -> np.ndarray:
     return g_ref * np.bincount(i, weights=(vals @ _GL_WEIGHTS) * half, minlength=len(n))
 
 
-def _core_recursive(a: float, b: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    if a == -1.0:
-        # ∫ x^-1 L^b dx = -L^(b+1)/(b+1); diverges at 0
-        if np.any(lo == 0.0):
-            raise NonIntegrableError("x^-1 log(e/x)^b is not integrable at 0")
-        Lhi = np.log(_E / hi)
-        Llo = np.log(_E / lo)
-        return (Llo ** (b + 1) - Lhi ** (b + 1)) / (b + 1)
-    if a < -1.0 and np.any(lo == 0.0):
-        raise NonIntegrableError(f"x^{a} log(e/x)^{b} is not integrable at 0")
-    ap1 = a + 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        Lhi = np.where(hi > 0, np.log(_E / np.where(hi > 0, hi, 1.0)), 0.0)
-        Llo = np.where(lo > 0, np.log(_E / np.where(lo > 0, lo, 1.0)), 0.0)
-    term_hi = hi**ap1
-    term_lo = np.where(lo > 0, lo**ap1, 0.0)
-    out = (term_hi - term_lo) / ap1  # b = 0
-    for j in range(1, b + 1):
-        out = (term_hi * Lhi**j - term_lo * Llo**j + j * out) / ap1
-    return out
-
-
 @dataclass(frozen=True)
 class PowerLogWeight:
     """w(x) = scale * |x|^exponent * log(e/|x|)^log_exponent on 0 < |x| <= 1, scale outside."""
@@ -264,30 +248,16 @@ class PowerLogWeight:
 
     # -- exact integrals ---------------------------------------------------------
 
-    def _anchored(self, t: np.ndarray) -> np.ndarray:
-        """∫_0^t w for t >= 0 (vectorized)."""
-        t = np.asarray(t, dtype=float)
-        if not self.anchored_integrable and np.any(t > 0):
-            raise NonIntegrableError(
-                f"PowerLog(a={self.exponent}, b={self.log_exponent}) is not integrable at 0"
-            )
-        t1 = np.minimum(t, 1.0)
-        inner = _powerlog_core_batch(self.exponent, self.log_exponent, np.zeros_like(t1), t1)
-        return self.scale * (inner + np.maximum(t - 1.0, 0.0))
-
     def _one_sided(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """∫_u^v w for 0 <= u <= v (vectorized)."""
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        u1 = np.minimum(u, 1.0)
-        v1 = np.minimum(v, 1.0)
-        if np.any(u1 == 0.0):
-            if not self.anchored_integrable:
-                bad = np.where(u1 == 0.0)[0]
-                raise NonIntegrableError(
-                    f"PowerLog(a={self.exponent}, b={self.log_exponent}) is not integrable "
-                    f"on an interval touching 0 (first witness hi={v.reshape(-1)[bad[0]]:.6g})"
-                )
+        """∫_u^v w for 0 <= u <= v (vectorized); the one place that rejects a
+        piece [0, v], v > 0, of a weight that is not ``anchored_integrable``."""
+        touching = (u == 0.0) & (v > 0.0)
+        if not self.anchored_integrable and np.any(touching):
+            raise NonIntegrableError(
+                f"PowerLog(a={self.exponent}, b={self.log_exponent}) is not integrable "
+                f"on an interval touching 0 (first witness hi={v[touching][0]:.6g})"
+            )
+        u1, v1 = np.minimum(u, 1.0), np.minimum(v, 1.0)
         inner = _powerlog_core_batch(self.exponent, self.log_exponent, u1, np.maximum(v1, u1))
         outer = np.maximum(v - 1.0, 0.0) - np.maximum(u - 1.0, 0.0)
         return self.scale * (inner + outer)
@@ -298,23 +268,16 @@ class PowerLogWeight:
         hi = np.asarray(hi, dtype=float)
         if np.any(hi < lo):
             raise ValueError("interval endpoints out of order")
-        # decompose into positive-side pieces by evenness
-        both = (lo < 0) & (hi > 0)
-        out = np.zeros(np.broadcast(lo, hi).shape)
-        if np.any(both):
-            out[both] = self._anchored(-lo[both]) + self._anchored(hi[both])
-        pos = ~both
-        if np.any(pos):
-            u = np.where(hi[pos] <= 0, -hi[pos], lo[pos])
-            v = np.where(hi[pos] <= 0, -lo[pos], hi[pos])
-            zero_touch = u == 0.0
-            vals = np.empty(u.shape)
-            if np.any(zero_touch):
-                vals[zero_touch] = self._anchored(v[zero_touch])
-            if np.any(~zero_touch):
-                vals[~zero_touch] = self._one_sided(u[~zero_touch], v[~zero_touch])
-            out[pos] = vals
-        return out
+        # fold onto |x|: one piece [u, v], and [0, -lo] besides [0, hi] when
+        # the interval straddles 0
+        shape, lo, hi = hi.shape, lo.ravel(), hi.ravel()
+        neg, both = hi <= 0, (lo < 0) & (hi > 0)
+        u = np.where(neg, -hi, np.where(both, 0.0, lo))
+        v = np.where(neg, -lo, hi)
+        pieces = self._one_sided(np.append(u, np.zeros(np.count_nonzero(both))), np.append(v, -lo[both]))
+        out = pieces[: u.size]
+        out[both] += pieces[u.size :]
+        return out.reshape(shape)
 
     def integral(self, lo, hi) -> float:
         return float(self.integral_batch(np.array([float(lo)]), np.array([float(hi)]))[0])

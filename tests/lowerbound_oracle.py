@@ -31,8 +31,8 @@ from weaklab.lowerbound import (
 from weaklab.weights import SearchSpace, a1_characteristic
 
 
-def brentq_endpoint(delta: float, lam: float, x_hi: float = 0.5) -> float:
-    """x with G(x) = lam by brentq in u = log x over [1e-60, x_hi]; x_hi when
+def brentq_endpoint(delta: float, lam: float, x_hi: float = 0.5, x_lo: float = 1e-60) -> float:
+    """x with G(x) = lam by brentq in u = log x over [x_lo, x_hi]; x_hi when
     G(x_hi) >= lam."""
     if lam <= 0:
         raise ValueError("lam must be positive")
@@ -42,7 +42,7 @@ def brentq_endpoint(delta: float, lam: float, x_hi: float = 0.5) -> float:
     def g_log(u):
         return math.log(output_magnitude(delta, math.exp(u))) - math.log(lam)
 
-    u_lo = math.log(1e-60)
+    u_lo = math.log(x_lo)
     u_hi = math.log(x_hi)
     return float(math.exp(optimize.brentq(g_log, u_lo, u_hi, xtol=1e-14, rtol=8.9e-16)))
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, optimize
 
 from conftest import argmax_inside_window, exact_lower_bound_supremum
 from lowerbound_oracle import F_grid_max, brentq_endpoint, per_lambda_experiment, sweep_lambdas
@@ -18,6 +18,7 @@ from weaklab import (
     nu,
     w_delta,
 )
+from weaklab import lowerbound
 from weaklab.lowerbound import (
     _ROOT_RTOL,
     F_argmax,
@@ -64,9 +65,19 @@ class TestMuNu:
         assert np.all(np.diff(vals) < 0)
 
     def test_mu_inverse_roundtrip(self):
-        for lam in (1.0, 5.0, 1e3, 1e8):
+        for lam in (1.0, 5.0, 1e3, 1e8, 1e100, 1e300):
             x = mu_inverse(lam)
             assert mu(x) == pytest.approx(lam, rel=1e-12)
+
+    def test_mu_inverse_matches_brentq_and_rejects_overflow(self):
+        # the Lambert W closed form against the bracketed brentq solve it replaced
+        for lam in np.geomspace(1.0, 1e100, 41):
+            lo, hi = 0.49 * nu(lam), min(1.0, 1.01 * nu(lam))
+            ref = optimize.brentq(lambda x: mu(x) - lam, lo, hi, xtol=1e-300, rtol=8.9e-16)
+            assert mu_inverse(lam) == pytest.approx(ref, rel=1e-15)
+        for lam in (0.5, 1e308, math.inf):
+            with pytest.raises(ValueError):
+                mu_inverse(lam)
 
 
 class TestNecessaryCondition:
@@ -223,11 +234,19 @@ class TestVectorRoots:
         with pytest.raises(ValueError, match="lam must be positive"):
             level_set_endpoint(0.1, lams[-1])
 
-    def test_root_below_the_bracket_raises(self):
-        # at delta = 0.005, G(1e-60) < e^200: the solve must not return the
-        # bracket's end as a root
-        with pytest.raises(MeshResolutionError, match="did not converge"):
-            level_set_endpoints(0.005, [1e3, math.exp(200.0)])
+    def test_roots_below_1e_minus_60(self):
+        # at delta = 0.005, G(1e-60) < e^200: the root lies near e^-200, below the
+        # fixed 1e-60 floor the bracket once had
+        lams = np.array([1e3, math.exp(200.0), 1e300])
+        roots = level_set_endpoints(0.005, lams)
+        expected = np.array([brentq_endpoint(0.005, lam, x_lo=1e-305) for lam in lams])
+        assert roots[1] < 1e-60
+        assert np.all(np.abs(roots - expected) <= _ROOT_RTOL * expected)
+
+    def test_unconverged_roots_raise(self, monkeypatch):
+        monkeypatch.setattr(lowerbound, "_ROOT_MAX_STEPS", 1)
+        with pytest.raises(MeshResolutionError, match="did not converge in 1 Newton steps"):
+            level_set_endpoints(0.1, [1e6])
 
     @pytest.mark.parametrize("delta", [0.05, 0.1, 0.2])
     def test_report_is_bit_identical_to_per_lambda_loop(self, delta):
@@ -290,6 +309,35 @@ class TestExperiment:
         exact = exact_lower_bound_supremum(delta)
         rep = lower_bound_experiment(delta, compute_nu=False)
         assert exact * (1 - 0.02) <= rep.quotient <= exact * (1 + 1e-9)
+
+    @pytest.mark.parametrize("delta", [0.007, 0.005, 0.003, 0.0015])
+    def test_small_delta_runs_on_closed_form_roots(self, delta):
+        # the level sets lie far below 1e-60; every root comes from the data's
+        # own bracket, so the quotient is lam x root and stays below the
+        # supremum of s G(s) (within 1e-4 of it, though the sweep's argmax sits
+        # on the window's end there)
+        rep = lower_bound_experiment(delta, compute_nu=False)
+        assert rep.measure_path == "closed-form"
+        root = level_set_endpoint(delta, rep.best_lambda)
+        assert rep.quotient == pytest.approx(rep.best_lambda * root, rel=_ROOT_RTOL)
+        sup = -optimize.minimize_scalar(
+            lambda u: -math.exp(u) * output_magnitude(delta, math.exp(u)),
+            bounds=(-1.0 / delta - 10.0, math.log(0.5)),
+            method="bounded",
+            options={"xatol": 1e-10},
+        ).fun
+        assert sup * (1 - 1e-4) <= rep.quotient <= sup * (1 + 1e-9)
+        assert rep.a1_char == pytest.approx(1 / delta + 1 / delta**2, rel=1e-9)
+
+    @pytest.mark.parametrize("delta, window", [(0.0014, 4.0), (0.001, 4.0), (0.00141, 4.0), (0.0014, 1.0)])
+    def test_delta_below_the_finite_window_is_a_value_error(self, delta, window):
+        with pytest.raises(ValueError, match="delta must exceed 0.0014"):
+            lower_bound_experiment(delta, lambda_window=window, compute_nu=False)
+
+    def test_f_argmax_overflow_is_a_value_error(self):
+        with pytest.raises(ValueError, match="delta must exceed 0.00140888"):
+            F_argmax(0.0014)
+        assert math.isfinite(F_argmax(0.001409)[0])
 
     def test_unresolvable_without_closed_form_raises(self):
         coarse = GradedMesh(x_min=1e-4, cells_per_band=4)

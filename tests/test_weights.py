@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 import weaklab.weights as weights_module
+from powerlog_oracle import split_integral_batch
 from search_oracle import (
     fsum_segment_sums,
     oracle_aligned_intervals,
@@ -758,7 +759,7 @@ def test_fujii_wilson_segment_sums_match_fsum(radius):
 
 
 # ---------------------------------------------------------------------------
-# non-integer log powers against mpmath oracles
+# log powers against mpmath oracles
 # ---------------------------------------------------------------------------
 
 
@@ -799,7 +800,7 @@ def _assert_positive_and_close(got, want, rel):
     assert err.max() <= rel, f"worst relative error {err.max():.3g} at entry {err.argmax()}"
 
 
-# non-integer b (the parts recursion serves integer b >= 0)
+# non-integer b (integer b has its own cases in TestIntegerLogPowers)
 ANCHORED_EXPONENTS = [
     (0.5, -0.5),
     (0.3, 1.7),
@@ -856,6 +857,95 @@ class TestNonIntegerLogPowers:
         # Q(b+1, cS) underflows here, though the integral (about 3e-302) does not
         got = PowerLogWeight(30.0, 0.5).integral(0.0, 2e-10)
         assert got == pytest.approx(_anchored_oracle(30.0, 0.5, 2e-10), rel=1e-12, abs=0.0)
+
+
+INTEGER_ANCHORED_EXPONENTS = [(0.5, 1.0), (-0.9, 1.0), (-0.995, 1.0), (2.0, 2.0), (-0.5, 3.0), (32.0, 160.0)]
+INTEGER_INTERIOR_EXPONENTS = INTEGER_ANCHORED_EXPONENTS + [(-1.0, 1.0), (-1.5, 2.0), (-3.0, 3.0)]
+
+
+class TestIntegerLogPowers:
+    """Integer b >= 1 goes through the same incomplete-gamma and Gauss-Legendre
+    rules as every other b != 0; the parts recursion that served it cancelled."""
+
+    @pytest.mark.parametrize("a, b", INTEGER_ANCHORED_EXPONENTS)
+    def test_anchored_matches_incomplete_gamma_oracle(self, a, b):
+        t = np.sort(2.0 ** np.random.default_rng(8).uniform(-40.0, 0.0, 12))
+        t[0] = 1e-11
+        got = PowerLogWeight(a, b).integral_batch(np.zeros_like(t), t)
+        _assert_positive_and_close(got, [_anchored_oracle(a, b, x) for x in t], 1e-12)
+
+    @pytest.mark.parametrize("a, b", INTEGER_INTERIOR_EXPONENTS)
+    def test_interior_matches_log_variable_oracle(self, a, b):
+        # includes the 1e-9-wide interval [0.5, 0.5 + 1e-9]
+        u, v = np.array(INTERIOR_INTERVALS).T
+        got = PowerLogWeight(a, b).integral_batch(u, v)
+        _assert_positive_and_close(got, [_interior_oracle(a, b, x, y) for x, y in INTERIOR_INTERVALS], 1e-12)
+
+    @pytest.mark.parametrize(
+        "a, b, lo, hi",
+        [
+            (32.0, 160.0, 0.25, 0.75),  # the recursion gave 1.483e40, 14 times the integral
+            (0.5, 2.0, 0.5, 0.5 + 1e-9),  # the recursion was 2.5e-8 off
+            (32.0, 160.0, 0.0, 9.1e-13),  # the recursion gave 0: t^33 underflows
+        ],
+    )
+    def test_cases_the_parts_recursion_lost(self, a, b, lo, hi):
+        want = _anchored_oracle(a, b, hi) if lo == 0 else _interior_oracle(a, b, lo, hi)
+        assert PowerLogWeight(a, b).integral(lo, hi) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_underflowing_anchored_value(self):
+        assert _anchored_oracle(32.0, 160.0, 9.1e-13) == pytest.approx(3.4075098278734e-166, rel=1e-13)
+
+
+_FOLD_EXPONENTS = st.one_of(
+    st.tuples(st.floats(-0.99, 3.0), st.just(0.0)),
+    st.tuples(st.floats(-0.99, 3.0), st.floats(-3.0, 4.0).filter(lambda b: not b.is_integer())),
+    st.just((-1.0, -2.0)),
+    st.tuples(st.just(-1.0), st.floats(-4.0, -1.01)),
+)
+_FOLD_POINTS = st.one_of(
+    st.just(0.0), st.just(1.0), st.just(-1.0), st.floats(-3.0, 3.0), st.floats(1e-12, 1e-3), st.floats(-1e-3, -1e-12)
+)
+
+
+@settings(max_examples=80)
+@given(
+    exponents=_FOLD_EXPONENTS,
+    scale=st.sampled_from([1.0, 0.3, 7.5]),
+    ends=st.lists(st.tuples(_FOLD_POINTS, _FOLD_POINTS), min_size=1, max_size=16),
+)
+def test_folded_pieces_match_the_anchored_one_sided_split(exponents, scale, ends):
+    # straddling, 0-touching (either side), negative and beyond-1 intervals, in
+    # one batch: b = 0 keeps its elementary arithmetic and non-integer b its
+    # rule, so folding onto |x| changes no bit
+    w = PowerLogWeight(*exponents, scale)
+    lo, hi = np.sort(np.array(ends), axis=1).T
+    assert w.integral_batch(lo, hi).tobytes() == split_integral_batch(w, lo, hi).tobytes()
+
+
+@settings(max_examples=40)
+@given(
+    exponents=st.tuples(st.floats(-4.0, -1.0), st.one_of(st.just(0.0), st.floats(-0.99, 3.0))),
+    ends=st.lists(st.tuples(st.floats(1e-9, 3.0), st.floats(1e-9, 3.0)), min_size=1, max_size=8),
+    side=st.sampled_from([1.0, -1.0]),
+)
+def test_folded_pieces_away_from_zero_match_the_split_for_any_a(exponents, ends, side):
+    w = PowerLogWeight(*exponents)
+    lo, hi = np.sort(side * np.array(ends), axis=1).T
+    assert w.integral_batch(lo, hi).tobytes() == split_integral_batch(w, lo, hi).tobytes()
+
+
+@pytest.mark.parametrize("a, b", [(-1.0, 0.0), (-1.0, 1.0), (-1.0, -0.5), (-1.5, 0.0), (-1.5, 2.0), (-2.0, 0.3)])
+def test_nonintegrable_error_has_one_message(a, b):
+    # a piece [0, 0.5] from the right, the left, or a straddling interval: one
+    # rule rejects all three, with one message
+    w = PowerLogWeight(a, b)
+    want = f"PowerLog(a={a}, b={b}) is not integrable on an interval touching 0 (first witness hi=0.5)"
+    for lo, hi in ((0.0, 0.5), (-0.5, 0.0), (-0.25, 0.5)):
+        with pytest.raises(NonIntegrableError) as err:
+            w.integral(lo, hi)
+        assert str(err.value) == want
+    assert w.integral(0.0, 0.0) == 0.0
 
 
 class TestLogarithmicEndpoint:
