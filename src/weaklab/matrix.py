@@ -9,11 +9,14 @@ symmetry.
 Reducing matrices: for a norm rho(v) = (avg_Q |A(x) v|^r dx)^(1/r) the
 constant SPD matrix with |Mv| comparable to rho(v) is computed exactly when
 r = 2 (M = (avg A^2)^(1/2)) and otherwise by a minimum-volume-ellipsoid fit
-of the sampled points p = v / rho(v): primal-dual Newton on the dual
-(D-optimal design) problem, which stops only on the Kiefer-Wolfowitz
-certificate max_p p^T A p <= 1 + 1e-10 and raises EllipsoidFitError when it
-cannot reach it.  Every fit records certified
-two-sided factors (c_minus, c_plus) with
+of the sampled points p = v / rho(v).  The sampled norms come from the
+per-cell Gram matrices A(x)^T A(x), all directions in one product.  The fit
+is primal-dual Newton on the dual (D-optimal design) problem; each Newton
+system is solved through its rank-d(d+1)/2 structure (a dense block for the
+near-support points, Woodbury for the rest), never as a dense n x n matrix.
+It stops only on the Kiefer-Wolfowitz certificate max_p p^T A p <= 1 + 1e-10
+and raises EllipsoidFitError when it cannot reach it.  Every fit records
+certified two-sided factors (c_minus, c_plus) with
 
     c_minus |Mv| <= rho(v) <= c_plus |Mv|   on the sampled directions,
 
@@ -28,7 +31,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .grid import Cube, DyadicGrid, Mesh, MeshFunction, _level_affine, cube_span, default_levels, shifted_grids
 from .operators import _maximal_sweep
@@ -183,14 +185,19 @@ def unit_directions(d: int, n: int) -> np.ndarray:
 
 
 def _rho_values(field: np.ndarray, r: float, dirs: np.ndarray) -> np.ndarray:
-    """rho(v) = (mean_x |field_x v|^r)^(1/r) for each sampled direction."""
-    prod = np.einsum("xij,nj->xni", field, dirs)
-    norms = np.linalg.norm(prod, axis=2)
-    return (np.mean(norms**r, axis=0)) ** (1.0 / r)
+    """rho(v) = (mean_x |field_x v|^r)^(1/r) for each sampled direction.
+
+    |A_x v|^2 = vec(A_x^T A_x) . vec(v v^T), so one (cells, d^2) @ (d^2, dirs)
+    product of per-cell Gram matrices gives every squared norm.
+    """
+    n, d, _ = field.shape
+    gram = (np.swapaxes(field, 1, 2) @ field).reshape(n, d * d)
+    sq = gram @ (dirs[:, :, None] * dirs[:, None, :]).reshape(len(dirs), d * d).T
+    return np.mean(sq ** (0.5 * r), axis=0) ** (1.0 / r)
 
 
 # Newton steps an ellipsoid fit may take before it raises; fits of seeded
-# random weights (d = 2 and 3, cubes of 1 to 64 cells) take 6 to 17
+# random weights (d = 2 and 3, cubes of 1 to 64 cells) take 5 to 17
 _MVEE_NEWTON_STEPS = 60
 
 
@@ -201,12 +208,12 @@ class EllipsoidFitError(RuntimeError):
 def _step_to_boundary(x: np.ndarray, dx: np.ndarray) -> float:
     """Largest a with x + a dx >= 0 (inf when dx >= 0)."""
     neg = dx < 0
-    return float(np.min(-x[neg] / dx[neg])) if neg.any() else math.inf
+    return float(np.min(-x[neg] / dx[neg], initial=math.inf))
 
 
-def _centered_mvee(points: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def _centered_mvee(points: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, int]:
     """Minimum-volume origin-centred ellipsoid {x : x^T A x <= 1} containing
-    the points and their negatives.
+    the points and their negatives, as (A, Newton steps taken).
 
     Solves the dual (D-optimal design) problem: maximise log det X(u),
     X(u) = sum u_j p_j p_j^T, over weights u >= 0 with sum u = 1.  With
@@ -217,35 +224,68 @@ def _centered_mvee(points: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     stops on the certificate max g <= d (1 + tol), that is
     max_j p_j^T A p_j <= 1 + tol, and raises EllipsoidFitError when
     _MVEE_NEWTON_STEPS steps do not reach it.
+
+    The Newton matrix H = K o K + diag(z/u) is never formed (after Sun and
+    Freund, Oper. Res. 52, 2004).  K o K = Q G Q^T has rank d(d+1)/2, with
+    the rows of Q the vec(p_j p_j^T) and G = X^-1 (x) X^-1.  The points
+    S = {j : z_j/u_j < 1e-2 g_j^2}, where the diagonal no longer dominates
+    (the near-support points), keep a dense block; H on the others, L, is
+    inverted by Woodbury,
+
+        H_LL^-1 = D_L^-1 - D_L^-1 Q_L (X (x) X + Q_L^T D_L^-1 Q_L)^-1 Q_L^T D_L^-1,
+
+    which stays accurate because every D_L = z/u there is bounded below.  The
+    Schur complement on [du_S, dnu], of size |S| + 1, is formed once per
+    step and serves both the predictor and the corrector.
     """
     n, d = points.shape
+    Q = (points[:, :, None] * points[:, None, :]).reshape(n, d * d)
     u = np.full(n, 1.0 / n)
     for step in range(_MVEE_NEWTON_STEPS + 1):
-        Xi = np.linalg.inv(points.T @ (u[:, None] * points))
-        K = points @ Xi @ points.T
-        g = np.diag(K)
+        X = points.T @ (u[:, None] * points)
+        Xi = np.linalg.inv(X)
+        PXi = points @ Xi
+        g = (PXi * points).sum(axis=1)
         if g.max() <= d * (1 + tol):
             A = Xi / d
-            return 0.5 * (A + A.T)
+            return 0.5 * (A + A.T), step
         if step == _MVEE_NEWTON_STEPS:
             break
         if step == 0:
             nu = 1.5 * g.max()
             z = nu - g
         mu = u @ z / n
-        # (K o K + diag(z/u)) du + dnu 1 = r_d - r_c/u,  1^T du = -r_p,
-        # dz = -(r_c + z du)/u, where r_c is the complementarity residual
+        # H du + dnu 1 = r_d - r_c/u,  1^T du = -r_p,  dz = -(r_c + z du)/u,
+        # where r_c is the complementarity residual
         r_d = g + z - nu
         r_p = u.sum() - 1.0
-        M = np.zeros((n + 1, n + 1))
-        M[:n, :n] = K * K + np.diag(z / u)
-        M[:n, n] = M[n, :n] = 1.0
-        lu = lu_factor(M, check_finite=False)
+        D = z / u
+        S = np.flatnonzero(D < 1e-2 * g**2)  # the near-support points
+        m = len(S)
+        D_L = 1.0 / D  # D_L^-1, held as zero on S so that the rows S drop out
+        D_L[S] = 0.0
+        V = Q * D_L[:, None]
+        XX = (X[:, None, :, None] * X[None, :, None, :]).reshape(d * d, d * d)  # X (x) X = G^-1
+        W = np.linalg.solve(XX + Q.T @ V, V.T)
+
+        def solve_LL(R):  # H_LL^-1 R, zero on the rows S
+            return D_L[:, None] * R - V @ (W @ R)
+
+        E = np.ones((n, m + 1))  # the columns S of K o K, then 1
+        E[:, :m] = ((PXi[S] @ points.T) ** 2).T
+        schur = np.zeros((m + 1, m + 1))
+        schur[:m, :m] = E[S, :m] + np.diag(D[S])
+        schur[:m, m] = schur[m, :m] = 1.0
+        Y = solve_LL(E)
+        schur -= E.T @ Y
 
         def direction(r_c):
-            sol = lu_solve(lu, np.append(r_d - r_c / u, -r_p), check_finite=False)
-            du = sol[:n]
-            return du, -(r_c + z * du) / u, sol[n]
+            rhs = r_d - r_c / u
+            y = solve_LL(rhs[:, None])[:, 0]
+            x = np.linalg.solve(schur, np.append(rhs[S], -r_p) - E.T @ y)
+            du = y - Y @ x
+            du[S] = x[:m]
+            return du, -(r_c + z * du) / u, x[m]
 
         du, dz, _ = direction(u * z)  # predictor: aim at mu = 0
         a = min(1.0, _step_to_boundary(u, du), _step_to_boundary(z, dz))
@@ -275,7 +315,7 @@ def _reduce_field(field: np.ndarray, r: float, n_dirs: int | None = None):
     rho = _rho_values(field, r, dirs)
     if np.any(rho <= 0) or not np.all(np.isfinite(rho)):
         raise ValueError("cube-averaged matrix norm is degenerate on a sampled direction")
-    A = _centered_mvee(dirs / rho[:, None])
+    A, _ = _centered_mvee(dirs / rho[:, None])
     m_raw = _sym_power(A[None], 0.5)[0]
     mv = np.linalg.norm(dirs @ m_raw.T, axis=1)
     ratios = rho / mv

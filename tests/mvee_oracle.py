@@ -18,13 +18,24 @@ at least the optimum's volume.
 ``khachiyan_mvee`` is the first-order Khachiyan ascent the package used
 before the Newton solver, capped at 2000 steps: a feasible but not optimal
 reference in any dimension.
+
+``dense_newton_mvee`` is the package's Newton iteration as it stood before
+the structured solve: the same iterates, but each step factors the dense
+(n+1) x (n+1) system with ``scipy.linalg.lu_factor``.  It returns the step
+count with the fit, so differential tests can compare both.
+
+``einsum_rho_values`` is the direction norm ``rho(v) = (mean_x |A_x v|^r)^(1/r)``
+as the package computed it before the Gram form: every ``A_x v`` formed, then
+its Euclidean norm.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
+from scipy.linalg import lu_factor, lu_solve
 
 
 def exact_mvee_2d(points: np.ndarray, slack: float = 1e-12) -> np.ndarray:
@@ -64,6 +75,56 @@ def khachiyan_mvee(points: np.ndarray, tol: float = 1e-10, max_iter: int = 2000)
         u[j] += step
     A = np.linalg.inv(np.einsum("n,nij->ij", u, pp)) / d
     return 0.5 * (A + A.T)
+
+
+def _step_to_boundary(x: np.ndarray, dx: np.ndarray) -> float:
+    neg = dx < 0
+    return float(np.min(-x[neg] / dx[neg])) if neg.any() else math.inf
+
+
+def dense_newton_mvee(points: np.ndarray, tol: float = 1e-10, max_steps: int = 60):
+    """``(A, steps)``: the dual Mehrotra iteration of ``_centered_mvee`` on the
+    dense (n+1) x (n+1) Newton system, or ``(None, max_steps)`` when it misses
+    the certificate ``max g <= d (1 + tol)``."""
+    n, d = points.shape
+    u = np.full(n, 1.0 / n)
+    for step in range(max_steps + 1):
+        Xi = np.linalg.inv(points.T @ (u[:, None] * points))
+        K = points @ Xi @ points.T
+        g = np.diag(K)
+        if g.max() <= d * (1 + tol):
+            A = Xi / d
+            return 0.5 * (A + A.T), step
+        if step == max_steps:
+            return None, max_steps
+        if step == 0:
+            nu = 1.5 * g.max()
+            z = nu - g
+        mu = u @ z / n
+        r_d = g + z - nu
+        r_p = u.sum() - 1.0
+        M = np.zeros((n + 1, n + 1))
+        M[:n, :n] = K * K + np.diag(z / u)
+        M[:n, n] = M[n, :n] = 1.0
+        lu = lu_factor(M, check_finite=False)
+
+        def direction(r_c):
+            sol = lu_solve(lu, np.append(r_d - r_c / u, -r_p), check_finite=False)
+            du = sol[:n]
+            return du, -(r_c + z * du) / u, sol[n]
+
+        du, dz, _ = direction(u * z)
+        a = min(1.0, _step_to_boundary(u, du), _step_to_boundary(z, dz))
+        sigma = ((u + a * du) @ (z + a * dz) / (n * mu)) ** 3
+        du, dz, dnu = direction(u * z + du * dz - sigma * mu)
+        a = min(1.0, 0.99 * min(_step_to_boundary(u, du), _step_to_boundary(z, dz)))
+        u, z, nu = u + a * du, z + a * dz, nu + a * dnu
+
+
+def einsum_rho_values(field: np.ndarray, r: float, dirs: np.ndarray) -> np.ndarray:
+    """``rho(v)`` for each direction from the products ``field_x v`` and their norms."""
+    norms = np.linalg.norm(np.einsum("xij,nj->xni", field, dirs), axis=2)
+    return np.mean(norms**r, axis=0) ** (1.0 / r)
 
 
 def certified_factors(A: np.ndarray, dirs: np.ndarray, rho: np.ndarray) -> tuple[float, float]:

@@ -4,13 +4,16 @@ replaced (``geometry_oracle``), byte for byte; the all-level tables against
 the one-level builders they replaced; its int64 headroom at the extreme
 meshes; and the rules that only ``grid.py`` imports ``fractions``, reads a
 grid's ``shift_index`` and writes the cube-label format, and that no module
-imports ``scipy.integrate``.
+imports ``scipy.integrate``, ``scipy.optimize`` or ``scipy.linalg``.
 """
 
 import ast
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -341,7 +344,8 @@ def test_no_module_imports_scipy_integrate():
     # power-log integrals are closed forms and a fixed Gauss-Legendre rule;
     # the quadrature Hilbert transform is the test oracle tests/hilbert_oracle.py.
     # Roots are closed forms or a vector Newton solve: brentq survives only as
-    # the test oracle tests/lowerbound_oracle.py
+    # the test oracle tests/lowerbound_oracle.py.  Ellipsoid fits solve their
+    # Newton systems with numpy: the dense LU solve is tests/mvee_oracle.py
     src = pathlib.Path(__file__).resolve().parents[1] / "src" / "weaklab"
     importers = {}
     for path in src.glob("*.py"):
@@ -351,10 +355,19 @@ def test_no_module_imports_scipy_integrate():
                 imported += [a.name for a in node.names]
             elif isinstance(node, ast.ImportFrom):
                 imported += [f"{node.module}.{a.name}" for a in node.names] + [node.module or ""]
-        found = [name for name in imported if name.startswith(("scipy.integrate", "scipy.optimize"))]
+        found = [name for name in imported if name.startswith(("scipy.integrate", "scipy.optimize", "scipy.linalg"))]
         if found:
             importers[path.name] = found
     assert importers == {}
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    code = "import sys, weaklab; print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
 
 
 def test_weights_and_lower_bound_run_without_quad(monkeypatch):
