@@ -154,18 +154,24 @@ class MeshFunction:
     ``values`` has shape ``(n_cells,)`` for scalar functions or
     ``(n_cells, d)`` for vector-valued ones.  The function is extended by
     zero outside the mesh domain wherever an integral asks for it.
+
+    A mesh function is an immutable value: ``values`` is a read-only copy
+    of the input, so the per-level cube tables ``level_cube_integrals``
+    keeps on it (``_tables``, one per grid) hold for its whole lifetime.
     """
 
-    __slots__ = ("mesh", "values")
+    __slots__ = ("mesh", "values", "_tables")
 
     def __init__(self, mesh: Mesh, values):
-        values = np.asarray(values, dtype=float)
+        values = np.array(values, dtype=float)
         if values.shape[0] != mesh.n_cells:
             raise ValueError(f"expected {mesh.n_cells} cell values, got {values.shape[0]}")
         if not np.all(np.isfinite(values)):
             raise ValueError("mesh function values must be finite")
+        values.flags.writeable = False
         self.mesh = mesh
         self.values = values
+        self._tables = {}  # grid -> {level k: (q0, read-only integrals)}, see level_cube_integrals
 
     # -- construction helpers -------------------------------------------------
 
@@ -207,8 +213,11 @@ class MeshFunction:
         return self.values.ndim == 2
 
     def magnitude(self) -> "MeshFunction":
+        """|f|: f itself (and its tables) when no value has its sign bit set."""
         if self.is_vector:
             return MeshFunction(self.mesh, np.linalg.norm(self.values, axis=1))
+        if not np.signbit(self.values).any():
+            return self
         return MeshFunction(self.mesh, np.abs(self.values))
 
     def integral(self, a=None, b=None) -> float:
@@ -478,25 +487,30 @@ def level_cube_integrals(f: MeshFunction, grid: DyadicGrid, k0: int, k1: int) ->
     one ``(q0, integrals)`` per level, with ``integrals[m]`` over cube ``q0 + m``.
 
     Cells straddling a cube edge are split exactly; f is zero outside the
-    domain.  All levels go through one ``_span_integrals`` call, each span
-    with its own level's denominator, so each entry is bit-identical to
-    ``f.integral(cube.left, cube.right)``.  A vector f integrates component
-    by component: ``integrals[m, c]`` is cube ``q0 + m``'s integral of c.
+    domain.  The levels not yet in ``f._tables[grid]`` go through one
+    ``_span_integrals`` call, each span with its own level's denominator,
+    so each entry is bit-identical to ``f.integral(cube.left, cube.right)``
+    whichever window built it.  The tables are read-only and stay on f.  A
+    vector f integrates component by component: ``integrals[m, c]`` is cube
+    ``q0 + m``'s integral of c.
     """
     n = f.mesh.n_cells
+    memo = f._tables.setdefault(grid, {})
+    missing = [k for k in range(k0, k1 + 1) if k not in memo]
     q0s, edges, dens = [], [], []
-    for k in range(k0, k1 + 1):
+    for k in missing:
         a0, step, den = _level_affine(f.mesh, grid, k)
         # cube m spans cell positions [(m den - a0)/step, ((m+1) den - a0)/step)
         q0s.append(a0 // den)
         inner = np.arange(a0 // den + 1, -(-(a0 + n * step) // den), dtype=np.int64) * den - a0
         edges.append(np.concatenate(([0], inner, [n * step])))
         dens.append(np.full(len(inner) + 1, step))
-    if not q0s:
-        return []
-    lo, hi = np.concatenate([e[:-1] for e in edges]), np.concatenate([e[1:] for e in edges])
-    ints = _span_integrals(f, lo, hi, np.concatenate(dens))
-    return list(zip(q0s, np.split(ints, np.cumsum([len(d) for d in dens])[:-1])))
+    if missing:
+        lo, hi = np.concatenate([e[:-1] for e in edges]), np.concatenate([e[1:] for e in edges])
+        ints = _span_integrals(f, lo, hi, np.concatenate(dens))
+        ints.flags.writeable = False  # the per-level views inherit it
+        memo.update(zip(missing, zip(q0s, np.split(ints, np.cumsum([len(d) for d in dens])[:-1]))))
+    return [memo[k] for k in range(k0, k1 + 1)]
 
 
 def cell_cube_integrals(f: MeshFunction, grid: DyadicGrid, k0: int, k1: int) -> np.ndarray:

@@ -14,12 +14,14 @@ Both constructions are one stopping-time walk (Lerner-Nazarov, *Intuitive
 dyadic calculus*, section 6): stop at the maximal cubes whose average jumps.
 The walk is level-synchronous.  Each level holds the live cubes as integer
 arrays (grid index, root position, inherited base average) and reads their
-averages with one vector lookup in the tables of one ``level_cube_integrals``
-call per function (bit-identical to ``grid.average``); an index off a
-level's table is off the domain.  The roots must be pairwise disjoint.  Only
-the kept cubes are sorted into the order the constructions report and become
-``Cube`` objects, and the cells each one holds are the integer range
-``grid.inner_cell_range``.
+averages with one vector lookup in the function's per-level tables
+(``level_cube_integrals``, bit-identical to ``grid.average``); an index off
+a level's table is off the domain.  The tables stay on the function, so
+``cz_decompose``, ``build_sparse_family`` and ``SparseFamily.apply`` on one
+``f`` (and ``dyadic_maximal``) share them instead of each integrating anew.
+The roots must be pairwise disjoint.  Only the kept cubes are sorted into
+the order the constructions report and become ``Cube`` objects, and the
+cells each one holds are the integer range ``grid.inner_cell_range``.
 """
 
 from __future__ import annotations

@@ -3,8 +3,9 @@
 replaced (``geometry_oracle``), byte for byte; the all-level tables against
 the one-level builders they replaced; its int64 headroom at the extreme
 meshes; and the rules that only ``grid.py`` imports ``fractions``, reads a
-grid's ``shift_index`` and writes the cube-label format, and that no module
-imports ``scipy.integrate``, ``scipy.optimize`` or ``scipy.linalg``.
+grid's ``shift_index``, touches a function's cube tables and writes the
+cube-label format, and that no module imports ``scipy.integrate``,
+``scipy.optimize`` or ``scipy.linalg``.
 """
 
 import ast
@@ -338,6 +339,20 @@ def test_only_grid_reads_shift_index():
             if isinstance(node, ast.Attribute) and node.attr == "shift_index":
                 readers.add(path.name)
     assert readers == {"grid.py"}
+
+
+def test_only_grid_touches_cube_tables():
+    # the per-level tables kept on a MeshFunction are read and filled only by
+    # grid.level_cube_integrals; every other module asks it for them
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "weaklab"
+    users = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "_tables":
+                users.add(path.name)
+            elif isinstance(node, ast.Constant) and node.value == "_tables":  # getattr/setattr
+                users.add(path.name)
+    assert users == {"grid.py"}
 
 
 def test_no_module_imports_scipy_integrate():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geometry_oracle import children, contains_cube, covering_cube, edge_fraction, enumerate_cubes, intersects, parent
@@ -15,7 +15,7 @@ from weaklab import (
     average,
     shifted_grids,
 )
-from weaklab.grid import level_cube_integrals
+from weaklab.grid import default_levels, level_cube_integrals
 from weaklab.sparse import covering_roots
 
 
@@ -255,6 +255,104 @@ class TestAverage:
         f = MeshFunction.constant(mesh, 1.0)
         with pytest.raises(ValueError):
             f.average(0.5, 0.5)
+
+
+def _table_bytes(tables):
+    return [(q0, ints.shape, ints.tobytes()) for q0, ints in tables]
+
+
+class TestCubeTableMemo:
+    """``level_cube_integrals`` keeps each level's table on the function; a
+    fresh ``MeshFunction`` with the same values is the oracle."""
+
+    @given(
+        radius=st.sampled_from([0.75, 1.0, 3.0, 5.25]),
+        level=st.integers(0, 9),
+        shift=st.sampled_from([0, 1, 2]),
+        components=st.sampled_from([0, 1, 3]),  # 0: a scalar f
+        windows=st.lists(st.tuples(st.integers(0, 20), st.integers(0, 8)), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    # Mesh(1.0, 7) asks for levels -3..9 (start 0 is level -3): overlapping,
+    # nested (inner window second, then first), disjoint and repeated windows
+    @example(radius=1.0, level=7, shift=1, components=0, windows=[(6, 5), (2, 6)], seed=1)
+    @example(radius=1.0, level=7, shift=0, components=0, windows=[(2, 8), (4, 2)], seed=2)
+    @example(radius=1.0, level=7, shift=2, components=3, windows=[(4, 2), (2, 8)], seed=3)
+    @example(radius=1.0, level=7, shift=2, components=0, windows=[(8, 3), (1, 2)], seed=4)
+    @example(radius=1.0, level=7, shift=0, components=1, windows=[(5, 0), (5, 0)], seed=5)
+    def test_memo_tables_equal_fresh_tables_bit_for_bit(self, radius, level, shift, components, windows, seed):
+        # windows in draw order: repeated, overlapping, nested and disjoint ones all occur
+        mesh = Mesh(radius, level)
+        rng = np.random.default_rng(seed)
+        shape = (mesh.n_cells, components) if components else (mesh.n_cells,)
+        v = rng.uniform(-1, 1, shape) * (rng.uniform(size=shape) < 0.6)
+        f, grid = MeshFunction(mesh, v), DyadicGrid(shift)
+        k_top, k_fine = default_levels(mesh)
+        k_lo, k_hi = k_top - 2, k_fine + 2  # two levels past each end of the default range
+        levels = set()
+        for start, length in windows:
+            k0 = k_lo + start % (k_hi - k_lo + 1)
+            k1 = min(k0 + length, k_hi)
+            got = level_cube_integrals(f, grid, k0, k1)
+            fresh = level_cube_integrals(MeshFunction(mesh, v), grid, k0, k1)
+            assert _table_bytes(got) == _table_bytes(fresh)
+            levels |= set(range(k0, k1 + 1))
+        assert sorted(f._tables[grid]) == sorted(levels)
+
+    def test_tables_are_kept_per_grid(self):
+        mesh = Mesh(1.0, 5)
+        f = MeshFunction(mesh, np.arange(mesh.n_cells, dtype=float))
+        std = level_cube_integrals(f, DyadicGrid(0), 0, 3)
+        shifted = level_cube_integrals(f, DyadicGrid(1), 0, 3)
+        assert set(f._tables) == {DyadicGrid(0), DyadicGrid(1)}
+        assert _table_bytes(level_cube_integrals(f, DyadicGrid(0), 0, 3)) == _table_bytes(std)
+        assert _table_bytes(shifted) != _table_bytes(std)
+        assert level_cube_integrals(f, DyadicGrid(2), 3, 2) == []
+
+
+class TestImmutableMeshFunction:
+    def test_values_are_read_only(self, mesh):
+        f = MeshFunction.constant(mesh, 1.0)
+        with pytest.raises(ValueError, match="read-only"):
+            f.values[0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            f.values += 1.0
+
+    def test_values_are_copied_from_the_caller(self, mesh):
+        v = np.linspace(0, 1, mesh.n_cells)
+        f = MeshFunction(mesh, v)
+        before = level_cube_integrals(f, DyadicGrid(), 0, 7)
+        v[:] = 5.0
+        assert np.array_equal(f.values, np.linspace(0, 1, mesh.n_cells))
+        assert v.flags.writeable  # the caller's array stays the caller's
+        assert _table_bytes(level_cube_integrals(f, DyadicGrid(), 0, 7)) == _table_bytes(before)
+
+    def test_tables_are_read_only(self, mesh):
+        f = MeshFunction(mesh, np.random.default_rng(4).uniform(size=(mesh.n_cells, 2)))
+        for grid in shifted_grids(1):
+            for _, ints in level_cube_integrals(f, grid, -1, 7):
+                assert not ints.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    ints[0] = 1.0
+
+    def test_magnitude_of_a_nonnegative_scalar_is_itself(self, mesh):
+        f = MeshFunction(mesh, np.random.default_rng(5).uniform(0, 1, mesh.n_cells))
+        assert f.magnitude() is f and abs(f) is f
+        assert MeshFunction.zeros(mesh).magnitude().values.tobytes() == np.zeros(mesh.n_cells).tobytes()
+
+    @pytest.mark.parametrize("entry", [-0.0, -0.25])
+    def test_magnitude_with_a_sign_bit_is_a_new_function(self, mesh, entry):
+        v = np.random.default_rng(6).uniform(0, 1, mesh.n_cells)
+        v[17] = entry
+        f = MeshFunction(mesh, v)
+        g = f.magnitude()
+        assert g is not f and g.values.tobytes() == np.abs(v).tobytes()
+        assert not np.signbit(g.values).any() and g.magnitude() is g
+
+    def test_magnitude_of_a_vector_is_a_new_scalar(self, mesh):
+        f = MeshFunction(mesh, np.ones((mesh.n_cells, 2)))
+        assert f.magnitude() is not f and not f.magnitude().is_vector
 
 
 class TestMeshExactness:

@@ -7,6 +7,7 @@ from conftest import random_step
 from geometry_oracle import cells_inside
 from weaklab import (
     DyadicGrid,
+    Mesh,
     MeshFunction,
     build_sparse_family,
     cz_decompose,
@@ -16,8 +17,9 @@ from weaklab import (
     sparse_apply,
     verify_sparseness,
 )
+from weaklab import grid as grid_module
 from weaklab.grid import average
-from weaklab.sparse import SparseFamily, root_cubes
+from weaklab.sparse import SparseFamily, covering_roots, root_cubes
 
 
 class TestCZDecomposition:
@@ -239,6 +241,51 @@ class TestSparseApply:
         out = fam.apply(f, alpha=0.5)
         c = mesh.centers()
         assert np.allclose(out.values[(c > 0) & (c < 0.5)], 0.5**0.5 * 1.0)
+
+
+class TestTableWork:
+    """Table batches (``grid._span_integrals`` calls) per (function, grid):
+    the stopping-time layers read one table kept on the function."""
+
+    @pytest.fixture
+    def batches(self, monkeypatch):
+        calls = []
+        span_integrals = grid_module._span_integrals
+
+        def counted(f, lo, *args, **kwargs):
+            calls.append(len(lo))
+            return span_integrals(f, lo, *args, **kwargs)
+
+        monkeypatch.setattr(grid_module, "_span_integrals", counted)
+        return calls
+
+    @pytest.mark.parametrize("level", [7, 9])
+    def test_sparse_check_sequence_builds_at_most_two_batches(self, batches, level):
+        # the `weaklab sparse-check` sequence on one f: the levels down to the
+        # cells, then the coarser ones dyadic_maximal adds; nothing is rebuilt
+        mesh = Mesh(1.0, level)
+        f = random_step(mesh, np.random.default_rng(level))
+        cz_decompose(f, 0.5 * f.values.mean())
+        fam = build_sparse_family(f)
+        dyadic_maximal(f, max_level=mesh.aligned_cell_level())
+        fam.apply(f)
+        assert 1 <= len(batches) <= 2
+        assert batches[0] >= mesh.n_cells
+
+    def test_h_domination_builds_one_batch_per_grid(self, batches, wide_mesh):
+        f = random_step(wide_mesh, np.random.default_rng(8), lo=0.25, span=(-2.0, 2.0)).embedded(16.0)
+        mag = f.magnitude()
+        for g in shifted_grids(1):
+            fam = build_sparse_family(mag, grid=g, roots=covering_roots(f.mesh, g, (-4.0, 4.0)))
+            fam.apply(mag)
+        assert len(batches) == 3
+        assert mag is f  # a nonnegative f is its own magnitude, tables and all
+
+    def test_a_new_function_builds_its_own_table(self, batches, mesh):
+        f = random_step(mesh, np.random.default_rng(10))
+        build_sparse_family(f)
+        build_sparse_family(MeshFunction(mesh, f.values))
+        assert len(batches) == 2
 
 
 class TestVerifySparseness:
