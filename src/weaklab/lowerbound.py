@@ -37,8 +37,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy import special
 
+from ._special import lambertw
 from .weights import PowerLogWeight, SearchSpace, a1_characteristic, sharp_rh_exponent
 
 __all__ = [
@@ -120,7 +120,7 @@ def mu_inverse(lam: float) -> float:
     # and x = L / lam since mu(x) = L / x
     if not _E * lam < np.inf:
         raise ValueError(f"mu_inverse needs e lam finite, got lam = {lam}")
-    return float(special.lambertw(_E * lam).real / lam)
+    return float(lambertw(_E * lam) / lam)
 
 
 def necessary_condition_violation(t: float, lam: float) -> tuple[float, float]:

@@ -111,7 +111,13 @@ def _sym_power(mats: np.ndarray, s: float) -> np.ndarray:
 
 
 class MatrixWeight:
-    """SPD matrix per mesh cell."""
+    """SPD matrix per mesh cell.
+
+    A matrix weight is an immutable value: ``values`` is a read-only,
+    symmetrized copy of the input, and the powers and reducing matrices
+    cached on it (``_powers``, ``_reducing``) are read-only too, so no write
+    can make a cached result stale.
+    """
 
     def __init__(self, mesh: Mesh, values: np.ndarray):
         values = np.asarray(values, dtype=float)
@@ -121,9 +127,10 @@ class MatrixWeight:
             raise ValueError("matrix weight entries must be finite")
         if np.max(np.abs(values - np.swapaxes(values, 1, 2))) > 1e-12:
             raise ValueError("matrix weight must be symmetric")
-        values = 0.5 * (values + np.swapaxes(values, 1, 2))
+        values = 0.5 * (values + np.swapaxes(values, 1, 2))  # a copy of the input
         if np.any(np.linalg.eigvalsh(values)[..., 0] <= 0):
             raise ValueError("matrix weight must be positive definite on every cell")
+        values.flags.writeable = False
         self.mesh = mesh
         self.values = values
         self._powers: dict[float, np.ndarray] = {1.0: values}
@@ -135,7 +142,9 @@ class MatrixWeight:
 
     def power(self, s: float) -> np.ndarray:
         if s not in self._powers:
-            self._powers[s] = _sym_power(self.values, s)
+            power = _sym_power(self.values, s)
+            power.flags.writeable = False
+            self._powers[s] = power
         return self._powers[s]
 
     def cells_of(self, cube: Cube) -> slice:
@@ -155,13 +164,19 @@ class MatrixWeight:
 
 @dataclass(frozen=True)
 class ReducingMatrix:
-    """Constant SPD matrix equivalent to a cube-averaged matrix norm."""
+    """Constant SPD matrix equivalent to a cube-averaged matrix norm;
+    ``matrix`` is a read-only copy."""
 
     cube: Cube
     exponent: float
     matrix: np.ndarray
     lower_factor: float
     upper_factor: float
+
+    def __post_init__(self):
+        matrix = np.array(self.matrix, dtype=float)
+        matrix.flags.writeable = False
+        object.__setattr__(self, "matrix", matrix)
 
     @property
     def inverse(self) -> np.ndarray:

@@ -47,8 +47,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special
 
+from ._special import gammaincc
 from .grid import (
     DyadicGrid,
     Mesh,
@@ -78,6 +78,7 @@ __all__ = [
 ]
 
 _E = math.e
+_TINY = np.finfo(float).tiny  # smallest normal float
 
 
 class NonIntegrableError(ValueError):
@@ -100,6 +101,26 @@ def dual_exponent(p: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _log_e_over(x: np.ndarray) -> np.ndarray:
+    """log(e/x) for x > 0, also at subnormal x, where e/x can overflow."""
+    if x.min(initial=1.0) >= _TINY:
+        return np.log(_E / x)
+    with np.errstate(over="ignore"):
+        out = np.log(_E / x)
+    return np.where(np.isinf(out), 1.0 - np.log(x), out)
+
+
+def _log_ratio(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """log(v/u) for 0 < u <= v <= 1, as log1p((v-u)/u), which keeps its digits
+    on narrow intervals, or as log v - log u at subnormal u, where (v-u)/u
+    can overflow."""
+    if u.min(initial=1.0) >= _TINY:
+        return np.log1p((v - u) / u)
+    with np.errstate(over="ignore"):
+        out = np.log1p((v - u) / u)
+    return np.where(np.isinf(out), np.log(v) - np.log(u), out)
+
+
 def _powerlog_core_batch(a: float, b: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """∫ x^a log(e/x)^b dx over [lo, hi] ⊆ [0, 1], elementwise, on pieces the
     callers found integrable; empty pieces give 0.
@@ -120,14 +141,14 @@ def _powerlog_core_batch(a: float, b: float, lo: np.ndarray, hi: np.ndarray) -> 
     live = hi > lo
     if b == 0:
         u, v, c = lo[live], hi[live], a + 1.0
-        out[live] = np.log(_E / u) - np.log(_E / v) if c == 0 else (v**c - u**c) / c
+        out[live] = _log_e_over(u) - _log_e_over(v) if c == 0 else (v**c - u**c) / c
         return out
     anchored = live & (lo == 0.0)
     if np.any(anchored):
         out[anchored] = _anchored_core(a, b, hi[anchored])
     interior = live & (lo > 0.0)
     u, v = lo[interior], hi[interior]
-    out[interior] = _log_variable_rule(a, b, np.log(_E / v), np.log1p((v - u) / u), v, u)
+    out[interior] = _log_variable_rule(a, b, _log_e_over(v), _log_ratio(u, v), v, u)
     return out
 
 
@@ -142,13 +163,13 @@ def _anchored_core(a: float, b: float, t: np.ndarray) -> np.ndarray:
       [S, S + 40/c], where the decreasing integrand has fallen by e^-40.
     """
     c = a + 1.0
-    S = np.log(_E / t)
+    S = _log_e_over(t)
     if c == 0:
         return S ** (b + 1.0) / -(b + 1.0)
     if b > -1:
-        q = special.gammaincc(b + 1.0, c * S)
+        q = gammaincc(b + 1.0, c * S)
         out = _gamma_prefactor(c, b, q)
-        tail = q < np.finfo(float).tiny  # Q underflowed, so cS > b + 1 and the integrand decreases
+        tail = q < _TINY  # Q underflowed, so cS > b + 1 and the integrand decreases
     else:
         out, tail = np.empty(S.shape), np.ones(S.shape, dtype=bool)
     if np.any(tail):
@@ -160,12 +181,16 @@ def _anchored_core(a: float, b: float, t: np.ndarray) -> np.ndarray:
 
 def _gamma_prefactor(c: float, b: float, q: np.ndarray) -> np.ndarray:
     """e^c Γ(b+1) q / c^(b+1), in log space where a factor leaves the float range."""
+    try:
+        gamma = math.gamma(b + 1.0)
+    except OverflowError:  # past b + 1 = 171.6
+        gamma = math.inf
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):  # float64: overflow gives inf
-        pref = np.exp(c) * special.gamma(b + 1.0) / np.float64(c) ** (b + 1.0)
-    if np.finfo(float).tiny <= pref < np.inf:
+        pref = np.exp(c) * gamma / np.float64(c) ** (b + 1.0)
+    if _TINY <= pref < np.inf:
         return pref * q
     with np.errstate(divide="ignore"):
-        return np.exp(c + special.gammaln(b + 1.0) - (b + 1.0) * math.log(c) + np.log(q))
+        return np.exp(c + math.lgamma(b + 1.0) - (b + 1.0) * math.log(c) + np.log(q))
 
 
 # 16-node Gauss-Legendre rule on [-1, 1]
@@ -176,7 +201,7 @@ def _power_product(x, c: float, s, b: float) -> np.ndarray:
     """x^c s^b, through logs where a factor leaves the normal float range."""
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         xc, sb = x**c, s**b
-        normal = (np.finfo(float).tiny <= np.minimum(xc, sb)) & (np.maximum(xc, sb) < np.inf)
+        normal = (_TINY <= np.minimum(xc, sb)) & (np.maximum(xc, sb) < np.inf)
         return np.where(normal, xc * sb, np.exp(c * np.log(x) + b * np.log(s)))
 
 
@@ -340,17 +365,19 @@ class PowerLogWeight:
 
 @dataclass(frozen=True)
 class SampledWeight:
-    """Positive piecewise-constant weight given by cell values on a mesh."""
+    """Positive piecewise-constant weight given by cell values on a mesh;
+    ``values`` is a read-only copy of the input."""
 
     mesh: Mesh
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float)
         if v.shape != (self.mesh.n_cells,):
             raise ValueError(f"expected {self.mesh.n_cells} values, got {v.shape}")
         if not np.all(v > 0) or not np.all(np.isfinite(v)):
             raise ValueError("sampled weight values must be positive and finite")
+        v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
     def __call__(self, x):

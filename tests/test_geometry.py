@@ -4,8 +4,8 @@ replaced (``geometry_oracle``), byte for byte; the all-level tables against
 the one-level builders they replaced; its int64 headroom at the extreme
 meshes; and the rules that only ``grid.py`` imports ``fractions``, reads a
 grid's ``shift_index``, touches a function's cube tables and writes the
-cube-label format, and that no module imports ``scipy.integrate``,
-``scipy.optimize`` or ``scipy.linalg``.
+cube-label format, that only ``matrix.py`` touches a matrix weight's
+caches, and that no module imports or loads ``scipy``.
 """
 
 import ast
@@ -341,26 +341,38 @@ def test_only_grid_reads_shift_index():
     assert readers == {"grid.py"}
 
 
-def test_only_grid_touches_cube_tables():
-    # the per-level tables kept on a MeshFunction are read and filled only by
-    # grid.level_cube_integrals; every other module asks it for them
+def _modules_touching(attr: str) -> set[str]:
     src = pathlib.Path(__file__).resolve().parents[1] / "src" / "weaklab"
     users = set()
     for path in src.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Attribute) and node.attr == "_tables":
+            if isinstance(node, ast.Attribute) and node.attr == attr:
                 users.add(path.name)
-            elif isinstance(node, ast.Constant) and node.value == "_tables":  # getattr/setattr
+            elif isinstance(node, ast.Constant) and node.value == attr:  # getattr/setattr
                 users.add(path.name)
-    assert users == {"grid.py"}
+    return users
+
+
+def test_only_grid_touches_cube_tables():
+    # the per-level tables kept on a MeshFunction are read and filled only by
+    # grid.level_cube_integrals; every other module asks it for them
+    assert _modules_touching("_tables") == {"grid.py"}
+
+
+def test_only_matrix_touches_matrix_weight_caches():
+    # a MatrixWeight's cached powers and reducing matrices are filled only by
+    # MatrixWeight.power and matrix._cached_reduce
+    assert _modules_touching("_powers") == _modules_touching("_reducing") == {"matrix.py"}
 
 
 def test_no_module_imports_scipy_integrate():
-    # power-log integrals are closed forms and a fixed Gauss-Legendre rule;
-    # the quadrature Hilbert transform is the test oracle tests/hilbert_oracle.py.
-    # Roots are closed forms or a vector Newton solve: brentq survives only as
-    # the test oracle tests/lowerbound_oracle.py.  Ellipsoid fits solve their
-    # Newton systems with numpy: the dense LU solve is tests/mvee_oracle.py
+    # no module imports scipy at all.  Power-log integrals are closed forms and
+    # a fixed Gauss-Legendre rule; the quadrature Hilbert transform is the test
+    # oracle tests/hilbert_oracle.py.  Roots are closed forms or a vector Newton
+    # solve: brentq survives only as the test oracle tests/lowerbound_oracle.py.
+    # Ellipsoid fits solve their Newton systems with numpy: the dense LU solve
+    # is tests/mvee_oracle.py.  The incomplete gamma function and Lambert W are
+    # weaklab._special, checked against mpmath in test_weights/test_lowerbound
     src = pathlib.Path(__file__).resolve().parents[1] / "src" / "weaklab"
     importers = {}
     for path in src.glob("*.py"):
@@ -370,16 +382,17 @@ def test_no_module_imports_scipy_integrate():
                 imported += [a.name for a in node.names]
             elif isinstance(node, ast.ImportFrom):
                 imported += [f"{node.module}.{a.name}" for a in node.names] + [node.module or ""]
-        found = [name for name in imported if name.startswith(("scipy.integrate", "scipy.optimize", "scipy.linalg"))]
+        found = [name for name in imported if name == "scipy" or name.startswith("scipy.")]
         if found:
             importers[path.name] = found
     assert importers == {}
 
 
-def test_import_leaves_scipy_linalg_unloaded():
+@pytest.mark.parametrize("module", ["weaklab", "weaklab.cli"])
+def test_import_loads_no_scipy(module):
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    code = "import sys, weaklab; print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))"
+    code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, optimize
 
 from conftest import argmax_inside_window, exact_lower_bound_supremum
@@ -19,6 +21,7 @@ from weaklab import (
     w_delta,
 )
 from weaklab import lowerbound
+from weaklab._special import lambertw
 from weaklab.lowerbound import (
     _ROOT_RTOL,
     F_argmax,
@@ -78,6 +81,16 @@ class TestMuNu:
         for lam in (0.5, 1e308, math.inf):
             with pytest.raises(ValueError):
                 mu_inverse(lam)
+
+
+@settings(max_examples=200, deadline=None)
+@given(z=st.one_of(st.floats(1.0, math.log(1e300)).map(math.exp), st.sampled_from([E, 3.0, 1e300])))
+def test_lambertw_within_4e16_of_mpmath(z):
+    import mpmath
+
+    with mpmath.workdps(40):
+        ref = mpmath.lambertw(mpmath.mpf(z)).real
+        assert abs(lambertw(z) - ref) <= 4e-16 * ref
 
 
 class TestNecessaryCondition:

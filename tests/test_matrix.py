@@ -11,6 +11,7 @@ from weaklab import (
     Mesh,
     MeshFunction,
     PowerLogWeight,
+    ReducingMatrix,
     SampledWeight,
     alt_norm_sum,
     ap_characteristic,
@@ -155,6 +156,42 @@ class TestReducingMatrices:
                     prod = max(prod, float(op_norm(r1.matrix @ r2.matrix)))
             ratio = prod / char ** (1 / p)
             assert 0.25 <= ratio <= 4.0
+
+
+class TestImmutableMatrixWeight:
+    """values, every cached power and every reducing matrix are read-only, so
+    a cached result cannot go stale."""
+
+    def test_a_write_cannot_stale_the_cached_reducing_matrix(self):
+        W = random_matrix_weight(Mesh(1.0, 6), 2, np.random.default_rng(0))
+        cube = DyadicGrid().cube(0, 0)
+        first = reducing_matrix(W, cube, 2.0).matrix.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            W.values[:] = 4 * W.values
+        fresh = reducing_matrix(MatrixWeight(W.mesh, W.values), cube, 2.0).matrix.tobytes()
+        assert reducing_matrix(W, cube, 2.0).matrix.tobytes() == fresh == first
+
+    def test_writes_raise(self, mmesh):
+        W = random_matrix_weight(mmesh, 2, np.random.default_rng(1))
+        cube = DyadicGrid().cube(0, 0)
+        arrays = [W.values, W.power(1.0), W.power(0.5), W.power(-1.0)]
+        arrays += [reducing_matrix(W, cube, p).matrix for p in (2.0, 3.0)] + [dual_reducing_matrix(W, cube, 3.0).matrix]
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                arr *= 2.0
+
+    def test_values_are_copied_from_the_caller(self, mmesh):
+        mats = np.tile(np.diag([4.0, 1.0]), (mmesh.n_cells, 1, 1))
+        W = MatrixWeight(mmesh, mats)
+        mats[:] = np.eye(2)
+        assert mats.flags.writeable
+        assert np.array_equal(W.values[0], np.diag([4.0, 1.0]))
+        m = np.eye(2)
+        red = ReducingMatrix(DyadicGrid().cube(0, 0), 2.0, m, 1.0, 1.0)
+        m[0, 0] = 3.0
+        assert red.matrix[0, 0] == 1.0 and not red.matrix.flags.writeable
 
 
 class TestMatrixCharacteristics:

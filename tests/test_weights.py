@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 import weaklab.weights as weights_module
+from weaklab._special import gammaincc
 from powerlog_oracle import split_integral_batch
 from search_oracle import (
     fsum_segment_sums,
@@ -452,6 +453,19 @@ class TestSampledWeights:
         with pytest.raises(ValueError):
             w.integral(-2, 0)
 
+    def test_values_are_a_read_only_copy(self, mesh):
+        v = np.linspace(1.0, 2.0, mesh.n_cells)
+        w = SampledWeight(mesh, v)
+        before = ap_characteristic(w, 2.0).value
+        v[:] = 100.0 * np.arange(1, mesh.n_cells + 1)
+        assert v.flags.writeable  # the caller's array stays the caller's
+        assert np.array_equal(w.values, np.linspace(1.0, 2.0, mesh.n_cells))
+        assert ap_characteristic(w, 2.0).value == before
+        with pytest.raises(ValueError, match="read-only"):
+            w.values[0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            w.power(2.0).values[:] = 1.0
+
     @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 0.5), (math.nan, 0.5), (0.0, math.nan)])
     def test_non_finite_endpoints_rejected(self, lo, hi):
         w = SampledWeight(Mesh(1.0, 3), np.ones(16))
@@ -800,6 +814,71 @@ def _assert_positive_and_close(got, want, rel):
     assert err.max() <= rel, f"worst relative error {err.max():.3g} at entry {err.argmax()}"
 
 
+# the incomplete gamma function of the anchored core: s = b + 1 in (0, 202],
+# x = c S with c = a + 1 in (0, 41] and S = log(e/t) in [1, 28.7]
+_GAMMA_S = st.one_of(st.floats(0.01, 202.0), st.sampled_from([2.0, 2.000001, 2.06, 2.09, 10.0, 202.0]))
+_GAMMA_X = st.one_of(
+    st.floats(0.0, 1200.0, exclude_min=True),
+    st.floats(1e-3, 10.0),
+    st.sampled_from([1e-300, 1e-9, 5.828, 5.83, 3.0, 203.0, 1200.0]),
+)
+
+
+def _mp_gammaincc(s: float, x: float):
+    import mpmath
+
+    with mpmath.workdps(40):
+        return mpmath.gammainc(mpmath.mpf(s), mpmath.mpf(x), mpmath.inf, regularized=True)
+
+
+@settings(max_examples=120, deadline=None)
+@given(s=_GAMMA_S, x=st.lists(_GAMMA_X, max_size=20), u=st.lists(st.floats(0.0, 2.5, exclude_min=True), max_size=30))
+def test_gammaincc_is_elementwise(s, x, u):
+    # every element stops on its own test: a batch gives each element the
+    # bytes it gets alone, whatever else the batch holds.  u scales the point
+    # where the series hands over to the continued fraction
+    x = np.array(x + [ui * (s + 1 + 2 * math.sqrt(s)) for ui in u])
+    assume(len(x) > 0)
+    full = gammaincc(s, x)
+    assert [full[i].tobytes() for i in range(len(x))] == [gammaincc(s, x[i : i + 1])[0].tobytes() for i in range(len(x))]
+    assert gammaincc(s, x[::-1]).tobytes() == full[::-1].tobytes()
+
+
+@pytest.mark.parametrize("s", [0.5, 2.06, 9.5, 50.0])
+def test_gammaincc_is_elementwise_on_a_dense_batch(s):
+    # a terms row added past an element's own stop moves its sum by less than
+    # an ulp, so only a few hundredths of a percent of elements would show it
+    x = np.random.default_rng(6).uniform(0.0, 1.5 * (s + 1 + 2 * math.sqrt(s)), 3000)
+    full = gammaincc(s, x)
+    assert [v.tobytes() for v in full] == [gammaincc(s, x[i : i + 1])[0].tobytes() for i in range(len(x))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=_GAMMA_S, c=st.floats(1e-3, 41.0), S=st.lists(st.floats(1.0, 28.7), min_size=1, max_size=8))
+def test_gammaincc_within_1e12_of_mpmath(s, c, S):
+    # where Q underflows the anchored core switches to its tail rule, so there
+    # Q only has to fall below the smallest normal float as well
+    x = c * np.array(S)
+    tiny = np.finfo(float).tiny
+    for xi, q in zip(x, gammaincc(s, x)):
+        ref = _mp_gammaincc(s, xi)
+        if ref >= tiny:
+            assert abs(q - ref) <= 1e-12 * ref, (s, xi, q, float(ref))
+        else:
+            assert q < tiny * (1 + 1e-12), (s, xi, q, float(ref))
+
+
+@pytest.mark.parametrize("s, bound", [(0.003, 1e-12), (0.001, 5e-12), (0.0001, 5e-11)])
+def test_gammaincc_below_s_001(s, bound):
+    # below the anchored core's tested range Q = -expm1(log P) loses the digits
+    # of P/Q: on these 300 points the worst errors are 3.6e-13, 1.2e-12 and
+    # 1.9e-11 (scipy's Temme expansion stays below 1e-13)
+    x = np.exp(np.random.default_rng(5).uniform(math.log(1e-3), math.log(700.0), 300))
+    ref = [float(_mp_gammaincc(s, xi)) for xi in x]
+    err = [abs(q - r) / r for q, r in zip(gammaincc(s, x), ref) if r > 1e-300]
+    assert max(err) < bound
+
+
 # non-integer b (integer b has its own cases in TestIntegerLogPowers)
 ANCHORED_EXPONENTS = [
     (0.5, -0.5),
@@ -852,6 +931,12 @@ class TestNonIntegerLogPowers:
         assert w.integral(-0.75, -0.25) == w.integral(0.25, 0.75)
         two_sided = w.integral(-0.25, 0.5)
         assert two_sided == pytest.approx(_anchored_oracle(-0.3, 0.7, 0.25) + _anchored_oracle(-0.3, 0.7, 0.5), rel=1e-13)
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 2.2e-311), (2.2e-311, 1.0), (5e-324, 1e-320), (1e-310, 0.5)])
+    def test_subnormal_endpoints(self, lo, hi):
+        # e/x and (v-u)/u overflow below x = 1.5e-308
+        want = _anchored_oracle(-0.5, 1.5, hi) if lo == 0 else _interior_oracle(-0.5, 1.5, lo, hi)
+        assert PowerLogWeight(-0.5, 1.5).integral(lo, hi) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_underflowing_gamma_tail_still_positive(self):
         # Q(b+1, cS) underflows here, though the integral (about 3e-302) does not
