@@ -48,9 +48,9 @@ from .matrix import (
     reducing_matrix,
     scalar_restriction_characteristic,
 )
-from .operators import dyadic_maximal, multiplier_apply
+from .operators import dyadic_maximal
 from .sparse import build_sparse_family, cz_decompose
-from .weaktype import proof_constants, quotient_from_output
+from .weaktype import proof_constants, weak_quotient
 from .weights import (
     DegenerateWeightError,
     NonIntegrableError,
@@ -301,21 +301,13 @@ def cmd_weaktype(args) -> int:
         char1 = ap_characteristic(w, p, search).value if p > 1 else a1_characteristic(w, search).value
         char2 = ainfty_characteristic(w, mesh=mesh).value
         product = char1 * char2**p
+    op, kwargs = args.operator, {}
+    if fractional:
+        op = {"AS": "ASalpha", "M": "Malpha", "Md": "Malpha"}.get(op, op)
+        kwargs = {"alpha": alpha, "weight_power": 1.0}
     rows = []
     for trial in range(args.trials):
-        f = random_step(mesh, rng)
-        kwargs = {}
-        op = args.operator
-        if op in ("AS", "ASalpha"):
-            wv = w.cell_averages(mesh) if isinstance(w, PowerLogWeight) else w.values
-            gmag = MeshFunction(mesh, np.abs(f.values) * wv ** (-(1.0 if fractional else 1.0 / p)))
-            kwargs["family"] = build_sparse_family(gmag)
-        if fractional:
-            kwargs["alpha"] = alpha
-            kwargs["weight_power"] = 1.0
-            op = {"AS": "ASalpha", "M": "Malpha", "Md": "Malpha", "Ialpha": "Ialpha"}.get(op, op)
-        out = multiplier_apply(op, w, p, f, **kwargs)
-        wq = quotient_from_output(out.magnitude(), f.lp_norm(p), p, q, operator=op)
+        wq = weak_quotient(op, w, p, random_step(mesh, rng), q, **kwargs)
         rows.append([trial, wq.quotient, wq.best_lambda, char1, char2, product,
                      wq.quotient / product])
     header = CSV_COLUMNS["weaktype"]

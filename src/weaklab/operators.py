@@ -36,6 +36,7 @@ from .grid import (
     default_levels,
     shifted_grids,
 )
+from .sparse import build_sparse_family
 from .weights import SampledWeight
 
 __all__ = [
@@ -307,8 +308,11 @@ def multiplier_apply(
 
     ``T`` is one of ``M`` (shifted-grid maximal), ``Md`` (one-grid dyadic
     maximal), ``Malpha``, ``Ialpha``, ``H``, ``AS`` and ``ASalpha`` (sparse
-    averaging operators; pass the family).  ``weight_power`` overrides the
-    exponent 1/p (the fractional theorems multiply by w^1).
+    averaging operators).  The sparse family is built on |g| for the
+    g = f w^(-1/p) formed here (w at cell centres), over ``grid``, unless
+    ``family`` passes one; building and applying then share g's tables.
+    ``weight_power`` overrides the exponent 1/p (the fractional theorems
+    multiply by w^1).
     """
     mesh = f.mesh
     wp = (1.0 / p) if weight_power is None else float(weight_power)
@@ -334,7 +338,7 @@ def multiplier_apply(
         out = hilbert_to_mesh(g)
     elif T in ("AS", "ASalpha"):
         if family is None:
-            raise ValueError("sparse operator tags require the sparse family")
+            family = build_sparse_family(g.magnitude(), grid)
         out = family.apply(g, alpha=alpha or 0.0)
     else:
         raise ValueError(f"unknown operator tag {T!r}")

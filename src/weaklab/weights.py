@@ -250,17 +250,13 @@ class PowerLogWeight:
     # -- pointwise -------------------------------------------------------------
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        ax = np.abs(x)
-        inner = ax <= 1.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            core = np.where(
-                ax > 0,
-                np.where(ax, ax, 1.0) ** self.exponent
-                * np.log(_E / np.where(ax > 0, ax, 1.0)) ** self.log_exponent,
-                np.inf if (self.exponent < 0 or (self.exponent == 0 and self.log_exponent > 0)) else 0.0,
-            )
-        return self.scale * np.where(inner, core, 1.0)
+        ax = np.abs(np.asarray(x, dtype=float))
+        core = np.where(
+            ax > 0,
+            self._core_at(np.where(ax > 0, np.minimum(ax, 1.0), 1.0)),
+            np.inf if (self.exponent < 0 or (self.exponent == 0 and self.log_exponent > 0)) else 0.0,
+        )
+        return self.scale * np.where(ax <= 1.0, core, 1.0)
 
     @property
     def anchored_integrable(self) -> bool:
@@ -313,9 +309,8 @@ class PowerLogWeight:
     # -- essential infimum ---------------------------------------------------------
 
     def _core_at(self, x: np.ndarray) -> np.ndarray:
-        """|x|^a log(e/|x|)^b on (0, 1] without the scale."""
-        x = np.asarray(x, dtype=float)
-        return x**self.exponent * np.log(_E / x) ** self.log_exponent
+        """x^a log(e/x)^b on (0, 1] without the scale, also at subnormal x."""
+        return x**self.exponent * _log_e_over(x) ** self.log_exponent
 
     def essinf_batch(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Essential infimum over [lo, hi], elementwise, exact via monotonicity.
@@ -382,9 +377,13 @@ class SampledWeight:
 
     def __call__(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        idx = np.floor((x + self.mesh.radius) / self.mesh.h).astype(int)
-        if np.any((idx < 0) | (idx >= self.mesh.n_cells)):
-            raise ValueError("point outside the sampled domain")
+        # the mesh edges are exact floats, so comparing against them is exact
+        idx = np.searchsorted(self.mesh.edges(), x, side="right") - 1
+        outside = (idx < 0) | (idx >= self.mesh.n_cells)
+        if outside.any():
+            bad = x[outside][0]
+            where = f"outside the sampled domain [-{self.mesh.radius}, {self.mesh.radius})"
+            raise ValueError(f"point {bad} {where if np.isfinite(bad) else 'is not a finite number'}")
         return self.values[idx]
 
     @property

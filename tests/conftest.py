@@ -6,6 +6,7 @@ from hypothesis import settings
 from scipy import optimize
 
 from weaklab import Mesh, MeshFunction
+from weaklab.cli import random_step  # the CLI's seeded step generator, re-exported for the tests
 from weaklab.lowerbound import output_magnitude
 
 settings.register_profile("stable", derandomize=True, deadline=None)
@@ -20,23 +21,6 @@ def mesh() -> Mesh:
 @pytest.fixture
 def wide_mesh() -> Mesh:
     return Mesh(4.0, 8)  # 512 cells on [-4, 4)
-
-
-def random_step(mesh, rng, max_blocks=6, lo=0.0, hi=1.0, span=None):
-    """Seeded nonnegative random step function on aligned cells."""
-    n = mesh.n_cells
-    vals = np.zeros(n)
-    if span is None:
-        i0, i1 = 0, n
-    else:
-        i0, i1 = mesh.cell_span(*span)
-    for _ in range(int(rng.integers(1, max_blocks + 1))):
-        a = int(rng.integers(i0, i1))
-        b = int(rng.integers(a + 1, min(a + max(2, (i1 - i0) // 2), i1) + 1))
-        vals[a:b] = rng.uniform(lo, hi)
-    if not vals.any():
-        vals[i0] = rng.uniform(max(lo, 0.1), hi)
-    return MeshFunction(mesh, vals)
 
 
 def random_signed_step(mesh, rng, max_blocks=6):

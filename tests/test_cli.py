@@ -3,7 +3,10 @@ from pathlib import Path
 
 import pytest
 
+from weaklab import grid as grid_module
+from weaklab import operators
 from weaklab.cli import main, parse_weight
+from weaklab.sparse import SparseFamily, build_sparse_family, sparse_apply
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -54,6 +57,47 @@ class TestSubcommands:
         code, out = run(tmp_path, "k.csv", ["constants", "--a-list", "0.3,0.6"])
         assert code == 0
         assert len(out.read_text().splitlines()) == 3
+
+
+class TestWeaktypeFamilies:
+    """`weaktype --operator AS` builds each trial's family in
+    ``multiplier_apply``, on the g = f w^(-1/p) it applies it to."""
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--weight", "powerlog:a=0.5"], ["--weight", "powerlog:a=0.2", "--alpha", "0.25", "--q", "4"]],
+        ids=["AS", "ASalpha"],
+    )
+    def test_each_trial_applies_its_family_to_the_function_it_was_built_on(self, tmp_path, monkeypatch, extra):
+        built, applied = {}, []
+
+        def build(g, *args, **kwargs):
+            family = build_sparse_family(g, *args, **kwargs)
+            built[id(family)] = (family, g)  # kept alive, so ids stay unique
+            return family
+
+        def apply(family, g, alpha=0.0):
+            applied.append((family, g))
+            return sparse_apply(family, g, alpha)
+
+        monkeypatch.setattr(operators, "build_sparse_family", build)
+        monkeypatch.setattr(SparseFamily, "apply", apply)
+        code, _ = run(tmp_path, "w.csv", ["weaktype", "--operator", "AS", "--p", "2", "--trials", "6",
+                                          "--level", "6", "--seed", "7", *extra])
+        assert code == 0
+        assert len(built) == len(applied) == 6
+        assert all(built[id(family)][1] is g for family, g in applied)
+
+    def test_readme_invocation_builds_one_table_batch_per_trial(self, tmp_path, monkeypatch):
+        batches = []
+        span_integrals = grid_module._span_integrals
+        monkeypatch.setattr(grid_module, "_span_integrals", lambda *a, **k: batches.append(1) or span_integrals(*a, **k))
+        code, _ = run(tmp_path, "w.csv", ["weaktype", "--operator", "AS", "--weight", "powerlog:a=0.5",
+                                          "--p", "2", "--trials", "100", "--seed", "7"])
+        assert code == 0
+        # three for the A_inf characteristic, then one per trial, which the
+        # family's construction and its application share
+        assert len(batches) == 103
 
 
 class TestExitCodes:

@@ -5,7 +5,8 @@ the one-level builders they replaced; its int64 headroom at the extreme
 meshes; and the rules that only ``grid.py`` imports ``fractions``, reads a
 grid's ``shift_index``, touches a function's cube tables and writes the
 cube-label format, that only ``matrix.py`` touches a matrix weight's
-caches, and that no module imports or loads ``scipy``.
+caches, that sparse families are built in two places only, and that no
+module imports or loads ``scipy``.
 """
 
 import ast
@@ -365,6 +366,24 @@ def test_only_matrix_touches_matrix_weight_caches():
     assert _modules_touching("_powers") == _modules_touching("_reducing") == {"matrix.py"}
 
 
+def test_sparse_families_are_built_in_two_places():
+    # multiplier_apply builds the family on the g = f w^(-1/p) it applies it
+    # to, and sparse-check on its own f; a second site would fit a family to
+    # another discretization of the function the operator acts on
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "weaklab"
+    callers = set()
+    for path in src.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        defs = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]  # outer before inner
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call) and "build_sparse_family" in (
+                getattr(call.func, "id", None), getattr(call.func, "attr", None)
+            ):
+                inside = [d.name for d in defs if d.lineno <= call.lineno <= d.end_lineno]
+                callers.add(".".join([path.stem] + inside[-1:]))
+    assert callers == {"operators.multiplier_apply", "cli.cmd_sparse_check"}
+
+
 def test_no_module_imports_scipy_integrate():
     # no module imports scipy at all.  Power-log integrals are closed forms and
     # a fixed Gauss-Legendre rule; the quadrature Hilbert transform is the test
@@ -396,20 +415,6 @@ def test_import_loads_no_scipy(module):
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
-
-
-def test_weights_and_lower_bound_run_without_quad(monkeypatch):
-    from scipy import integrate
-
-    from weaklab import PowerLogWeight, ap_characteristic
-    from weaklab.lowerbound import lower_bound_experiment
-
-    def no_quad(*args, **kwargs):
-        raise AssertionError("scipy.integrate.quad called")
-
-    monkeypatch.setattr(integrate, "quad", no_quad)
-    assert lower_bound_experiment(0.1).quotient > 0
-    assert ap_characteristic(PowerLogWeight(-0.3, 0.7), 2.0).value > 1
 
 
 def test_only_grid_writes_the_cube_label_format():

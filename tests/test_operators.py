@@ -12,6 +12,8 @@ from weaklab import (
     Mesh,
     MeshFunction,
     PowerLogWeight,
+    SampledWeight,
+    build_sparse_family,
     distribution,
     dyadic_maximal,
     fractional_integral,
@@ -357,12 +359,22 @@ class TestMultiplier:
         expected = np.asarray(wd(c[sel])) * np.log((2 - c[sel]) / (1 - c[sel]))
         assert np.allclose(np.abs(out.values[sel]), expected, rtol=1e-12)
 
+    @pytest.mark.parametrize("T, alpha, power", [("AS", None, None), ("ASalpha", 0.25, 1.0)])
+    @pytest.mark.parametrize("sampled", [False, True], ids=["powerlog", "sampled"])
+    def test_sparse_family_defaults_to_one_built_on_its_own_g(self, mesh, T, alpha, power, sampled):
+        rng = np.random.default_rng(83)
+        w = SampledWeight(mesh, rng.uniform(0.5, 2.0, mesh.n_cells)) if sampled else PowerLogWeight(0.5)
+        kwargs = {"alpha": alpha, "weight_power": power}
+        for f in [random_step(mesh, rng) for _ in range(4)] + [random_signed_step(mesh, rng)]:
+            # g = f w^(-1/p) with w at cell centres (or the sampled values)
+            g = MeshFunction(mesh, f.values * np.asarray(w(mesh.centers())) ** -(power or 0.5))
+            given = multiplier_apply(T, w, 2.0, f, family=build_sparse_family(g.magnitude()), **kwargs)
+            assert multiplier_apply(T, w, 2.0, f, **kwargs).values.tobytes() == given.values.tobytes()
+
     def test_vanishing_weight_on_support_rejected(self, mesh):
         f = MeshFunction.indicator(mesh, -0.25, 0.25)
         vals = np.ones(mesh.n_cells)
         vals[mesh.cell_of(0.1)] = 0.0
-        from weaklab import SampledWeight
-
         with pytest.raises(ValueError):
             # sampled weights must be positive, so emulate through a zeroing mask
             SampledWeight(mesh, vals * 0.0 + np.where(vals > 0, vals, 0))

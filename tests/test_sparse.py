@@ -9,10 +9,13 @@ from weaklab import (
     DyadicGrid,
     Mesh,
     MeshFunction,
+    PowerLogWeight,
+    SampledWeight,
     build_sparse_family,
     cz_decompose,
     dyadic_maximal,
     exceptional_set,
+    multiplier_apply,
     shifted_grids,
     sparse_apply,
     verify_sparseness,
@@ -280,6 +283,14 @@ class TestTableWork:
             fam.apply(mag)
         assert len(batches) == 3
         assert mag is f  # a nonnegative f is its own magnitude, tables and all
+
+    @pytest.mark.parametrize("sampled", [False, True], ids=["powerlog", "sampled"])
+    def test_sparse_multiplier_builds_one_batch(self, batches, mesh, sampled):
+        # multiplier_apply builds the family on the g it applies it to, so
+        # building and applying read one table
+        w = SampledWeight(mesh, np.linspace(0.5, 2.0, mesh.n_cells)) if sampled else PowerLogWeight(0.5)
+        multiplier_apply("AS", w, 2.0, random_step(mesh, np.random.default_rng(84)))
+        assert len(batches) == 1
 
     def test_a_new_function_builds_its_own_table(self, batches, mesh):
         f = random_step(mesh, np.random.default_rng(10))

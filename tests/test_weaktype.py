@@ -52,6 +52,12 @@ class TestQuotient:
         w2 = weak_quotient("AS", ONE, 2.0, f * 7.5, family=fam)
         assert w1.quotient == pytest.approx(w2.quotient, rel=1e-12)
 
+    def test_sparse_tag_builds_its_own_family(self, mesh):
+        # with w = 1, g = f w^(-1/p) is f exactly, so the family built on g
+        # is build_sparse_family(f)
+        f = random_step(mesh, np.random.default_rng(17))
+        assert weak_quotient("AS", ONE, 2.0, f) == weak_quotient("AS", ONE, 2.0, f, family=build_sparse_family(f))
+
     def test_lambda_grid_refinement_never_increases(self, mesh):
         rng = np.random.default_rng(15)
         f = random_step(mesh, rng)
@@ -73,6 +79,13 @@ class TestQuotient:
 
 
 class TestDualEstimate:
+    def test_sparse_tag_builds_its_own_family(self, mesh):
+        f = random_step(mesh, np.random.default_rng(18))
+        f = f * (1.0 / f.lp_norm(2.0))
+        e_cells = np.arange(40, 90)
+        est = dual_weak_estimate("AS", ONE, 2.0, f, e_cells)
+        assert est == dual_weak_estimate("AS", ONE, 2.0, f, e_cells, family=build_sparse_family(f))
+
     def test_hand_value_single_cube(self, mesh):
         q = DyadicGrid().cube(0, 0)  # [0, 1)
         fam = SparseFamily(mesh, DyadicGrid(), [q], [cells_inside(mesh, q)])

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -465,6 +465,28 @@ class TestSampledWeights:
             w.values[0] = 5.0
         with pytest.raises(ValueError, match="read-only"):
             w.power(2.0).values[:] = 1.0
+
+    @pytest.mark.parametrize("radius, level", [(1.0, 7), (4.0, 3), (0.75, 5)])
+    def test_points_at_cell_edges_read_their_own_cell(self, radius, level):
+        # in floats, x + R rounds up onto the next edge for most points one
+        # ulp below an interior edge (191 of 255 edges of Mesh(1.0, 7))
+        mesh = Mesh(radius, level)
+        w = SampledWeight(mesh, np.arange(1.0, mesh.n_cells + 1))
+        edges = mesh.edges()[1:-1]
+        x = np.concatenate([np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf), [-1e-20]])
+        assert (w(x) - 1).tolist() == [mesh.cell_of(float(t)) for t in x]
+
+    @pytest.mark.parametrize("x, message", [
+        (math.nan, "point nan is not a finite number"),
+        (math.inf, "point inf is not a finite number"),
+        (-math.inf, "point -inf is not a finite number"),
+        (1.0, r"point 1.0 outside the sampled domain \[-1.0, 1.0\)"),
+        (-1.5, r"point -1.5 outside the sampled domain"),
+    ])
+    def test_points_off_the_domain_are_named(self, x, message):
+        w = SampledWeight(Mesh(1.0, 3), np.ones(16))
+        with pytest.raises(ValueError, match=message):
+            w(np.array([0.0, x]))
 
     @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 0.5), (math.nan, 0.5), (0.0, math.nan)])
     def test_non_finite_endpoints_rejected(self, lo, hi):
@@ -938,6 +960,16 @@ class TestNonIntegerLogPowers:
         want = _anchored_oracle(-0.5, 1.5, hi) if lo == 0 else _interior_oracle(-0.5, 1.5, lo, hi)
         assert PowerLogWeight(-0.5, 1.5).integral(lo, hi) == pytest.approx(want, rel=1e-12, abs=0.0)
 
+    def test_pointwise_at_subnormal_points(self):
+        # w and essinf share the integrals' log(e/x) = 1 - log x where e/x overflows
+        w = PowerLogWeight(0.0, 1.5)
+        want = (1.0 - math.log(2e-311)) ** 1.5
+        assert want == pytest.approx(19175.35, rel=1e-6)
+        assert w(np.array([2e-311, -2e-311])).tolist() == pytest.approx([want, want], rel=1e-15)
+        assert w.essinf(0.0, 2e-311) == pytest.approx(want, rel=1e-15)
+        assert w.essinf(-2e-311, 5e-324) == w.essinf(0.0, 2e-311)  # folds onto [0, 2e-311]
+        assert w.essinf(5e-324, 1e-320) == w(1e-320)  # decreasing
+
     def test_underflowing_gamma_tail_still_positive(self):
         # Q(b+1, cS) underflows here, though the integral (about 3e-302) does not
         got = PowerLogWeight(30.0, 0.5).integral(0.0, 2e-10)
@@ -999,6 +1031,9 @@ _FOLD_POINTS = st.one_of(
     scale=st.sampled_from([1.0, 0.3, 7.5]),
     ends=st.lists(st.tuples(_FOLD_POINTS, _FOLD_POINTS), min_size=1, max_size=16),
 )
+# subnormal endpoints, where e/x overflows, pinned rather than left to the draw
+@example(exponents=(-0.99, 2.5), scale=7.5, ends=[(0.0, 2.2e-311), (5e-324, 1e-320)])
+@example(exponents=(-1.0, -2.0), scale=1.0, ends=[(0.0, 2.2e-311), (5e-324, 1e-320)])
 def test_folded_pieces_match_the_anchored_one_sided_split(exponents, scale, ends):
     # straddling, 0-touching (either side), negative and beyond-1 intervals, in
     # one batch: b = 0 keeps its elementary arithmetic and non-integer b its
