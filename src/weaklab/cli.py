@@ -18,7 +18,8 @@ digits, so identical configurations reproduce byte-identical files.  A
 Exit codes: 0 success; 1 invariant-suite violation; 2 invalid exponent
 relation or malformed input (the parser rejects non-finite numbers and
 weight-descriptor parameters before anything runs; an unreadable weight file,
-or one without its keys, is malformed input); 3 numerical failure
+or one without its keys, and a missing or unreadable config file are malformed
+input); 3 numerical failure
 (non-integrable weight, degenerate data, unresolved level set, an ellipsoid
 fit that misses its certificate).
 """
@@ -153,13 +154,17 @@ def _descriptor(spec: str) -> str:
     return spec
 
 
-def _read_json(path: str):
-    """The JSON document in ``path``; an unreadable file is malformed input."""
+def _read_text(path: str) -> str:
+    """The text of ``path``; an unreadable file is malformed input."""
     try:
         with open(path) as f:
-            return json.load(f)
+            return f.read()
     except OSError as e:
         raise ValueError(f"cannot read {path!r}: {e.strerror or e}") from None
+
+
+def _read_json(path: str):
+    return json.loads(_read_text(path))
 
 
 def parse_weight(spec: str):
@@ -303,7 +308,7 @@ def cmd_weaktype(args) -> int:
         product = char1 * char2**p
     op, kwargs = args.operator, {}
     if fractional:
-        op = {"AS": "ASalpha", "M": "Malpha", "Md": "Malpha"}.get(op, op)
+        op = {"AS": "ASalpha", "Md": "Malpha"}.get(op, op)
         kwargs = {"alpha": alpha, "weight_power": 1.0}
     rows = []
     for trial in range(args.trials):
@@ -521,20 +526,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+def _apply_config(argv: list[str]) -> list[str]:
     """Prepend config-file values as flags so the command line overrides them."""
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
-    path = argv[i + 1]
+    if i + 1 == len(argv):
+        raise ValueError("--config needs a file path")
     extra: list[str] = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, val = line.partition("=")
-            extra.extend([f"--{key.strip().replace('_', '-')}", val.strip()])
+    for line in _read_text(argv[i + 1]).splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, val = line.partition("=")
+        extra.extend([f"--{key.strip().replace('_', '-')}", val.strip()])
     head = argv[: i + 2]
     rest = argv[i + 2 :]
     if rest and not rest[0].startswith("-"):
@@ -545,14 +550,13 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # the config flag may appear before the subcommand; fold its values in
-    argv = _apply_config(build_parser(), argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.output is None:
-        out_dir = args.out or os.environ.get("WEAKLAB_OUT", ".")
-        args.output = os.path.join(out_dir, args.default_name)
     try:
+        # the config flag may appear before the subcommand; fold its values in
+        args = parser.parse_args(_apply_config(argv))
+        if args.output is None:
+            out_dir = args.out or os.environ.get("WEAKLAB_OUT", ".")
+            args.output = os.path.join(out_dir, args.default_name)
         return args.func(args)
     except (NonIntegrableError, DegenerateWeightError, lb.MeshResolutionError, EllipsoidFitError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)

@@ -272,9 +272,9 @@ def level_set_endpoints(delta: float, lams, x_hi: float = 0.5) -> np.ndarray:
     )
 
 
-def level_set_endpoint(delta: float, lam: float, x_hi: float = 0.5) -> float:
-    """x with G(x) = lam, or x_hi when G(x_hi) >= lam (see level_set_endpoints)."""
-    return float(level_set_endpoints(delta, [lam], x_hi)[0])
+def level_set_endpoint(delta: float, lam: float) -> float:
+    """x with G(x) = lam, or 1/2 when G(1/2) >= lam (see level_set_endpoints)."""
+    return float(level_set_endpoints(delta, [lam])[0])
 
 
 def level_set_measure_bounds(delta: float, lam: float) -> tuple[float, float]:
@@ -354,14 +354,13 @@ def lower_bound_experiment(
     delta: float,
     mesh: GradedMesh | None = None,
     lambda_window: float = 4.0,
-    n_lambda: int = 161,
     allow_closed_form: bool = True,
     compute_nu: bool = True,
 ) -> LowerBoundReport:
     """Weak (1,1) quotient of the endpoint pair (H, w_delta, f = chi_[1,2]).
 
-    Sweeps lam over [lam*/window, lam* window] around lam* = e^(1/delta)
-    and maximizes lam |{x in (0,1/2] : G(x) > lam}| (with ∫|f| = 1 this is
+    Sweeps lam over 161 log-spaced points of [lam*/window, lam* window] and
+    lam* = e^(1/delta) itself, and maximizes lam |{x in (0,1/2] : G(x) > lam}| (with ∫|f| = 1 this is
     directly a lower bound for the weak-type constant).  Cell counting on
     the graded mesh is used while the level set holds at least 4 cells;
     below resolution the measure is the closed-form root of G = lam.  With
@@ -383,7 +382,7 @@ def lower_bound_experiment(
             f"lambda window lam* x {lambda_window:g} overflows: delta must exceed {smallest:.6g}, got {delta:g}"
         )
     lam_star, _ = F_argmax(delta)
-    lams = np.geomspace(lam_star / lambda_window, lam_star * lambda_window, n_lambda)
+    lams = np.geomspace(lam_star / lambda_window, lam_star * lambda_window, 161)
     lams = np.unique(np.append(lams, lam_star))
     values = output_magnitude(delta, mesh.edges[1:])
     widths = mesh.widths

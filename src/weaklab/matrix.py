@@ -214,6 +214,8 @@ def _rho_values(field: np.ndarray, r: float, dirs: np.ndarray) -> np.ndarray:
 # Newton steps an ellipsoid fit may take before it raises; fits of seeded
 # random weights (d = 2 and 3, cubes of 1 to 64 cells) take 5 to 17
 _MVEE_NEWTON_STEPS = 60
+# the fit's certificate: max_j p_j^T A p_j <= 1 + _MVEE_TOL
+_MVEE_TOL = 1e-10
 
 
 class EllipsoidFitError(RuntimeError):
@@ -226,7 +228,7 @@ def _step_to_boundary(x: np.ndarray, dx: np.ndarray) -> float:
     return float(np.min(-x[neg] / dx[neg], initial=math.inf))
 
 
-def _centered_mvee(points: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, int]:
+def _centered_mvee(points: np.ndarray) -> tuple[np.ndarray, int]:
     """Minimum-volume origin-centred ellipsoid {x : x^T A x <= 1} containing
     the points and their negatives, as (A, Newton steps taken).
 
@@ -236,8 +238,8 @@ def _centered_mvee(points: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, 
     (Kiefer-Wolfowitz), and then A = X(u)^-1 / d.  Each step is a
     primal-dual Newton step (Mehrotra predictor-corrector) on
     g + z = nu 1, u z = sigma mu, sum u = 1 with slacks z >= 0.  The fit
-    stops on the certificate max g <= d (1 + tol), that is
-    max_j p_j^T A p_j <= 1 + tol, and raises EllipsoidFitError when
+    stops on the certificate max g <= d (1 + _MVEE_TOL), that is
+    max_j p_j^T A p_j <= 1 + _MVEE_TOL, and raises EllipsoidFitError when
     _MVEE_NEWTON_STEPS steps do not reach it.
 
     The Newton matrix H = K o K + diag(z/u) is never formed (after Sun and
@@ -261,7 +263,7 @@ def _centered_mvee(points: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, 
         Xi = np.linalg.inv(X)
         PXi = points @ Xi
         g = (PXi * points).sum(axis=1)
-        if g.max() <= d * (1 + tol):
+        if g.max() <= d * (1 + _MVEE_TOL):
             A = Xi / d
             return 0.5 * (A + A.T), step
         if step == _MVEE_NEWTON_STEPS:
@@ -309,34 +311,31 @@ def _centered_mvee(points: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, 
         a = min(1.0, 0.99 * min(_step_to_boundary(u, du), _step_to_boundary(z, dz)))
         u, z, nu = u + a * du, z + a * dz, nu + a * dnu
     raise EllipsoidFitError(
-        f"ellipsoid fit missed its certificate max p^T A p <= 1 + {tol:g} after "
+        f"ellipsoid fit missed its certificate max p^T A p <= 1 + {_MVEE_TOL:g} after "
         f"{_MVEE_NEWTON_STEPS} Newton steps (reached {g.max() / d:.12g})"
     )
 
 
-def _reduce_field(field: np.ndarray, r: float, n_dirs: int | None = None):
-    """Reducing matrix of rho(v) = (mean |field v|^r)^(1/r) with certificates."""
+def _reduce_field(field: np.ndarray, r: float):
+    """Reducing matrix of rho(v) = (mean |field v|^r)^(1/r) with certificates.
+
+    At r = 2 the matrix is exact, (mean_x A_x^T A_x)^(1/2) from the Gram
+    matrices of ``_rho_values``; otherwise it is the ellipsoid fit of the
+    points v / rho(v), scaled so that its factors straddle 1.
+    """
     d = field.shape[1]
-    if r == 2.0:
-        mean_sq = np.mean(np.einsum("xij,xjk->xik", field, field), axis=0)
-        m = _sym_power(mean_sq[None], 0.5)[0]
-        dirs = unit_directions(d, 8 * d)
-        rho = _rho_values(field, r, dirs)
-        mv = np.linalg.norm(dirs @ m.T, axis=1)
-        ratios = rho / mv
-        return m, float(ratios.min()), float(ratios.max())
-    n_dirs = n_dirs or 64 * d
-    dirs = unit_directions(d, n_dirs)
+    dirs = unit_directions(d, 8 * d if r == 2.0 else 64 * d)
     rho = _rho_values(field, r, dirs)
     if np.any(rho <= 0) or not np.all(np.isfinite(rho)):
         raise ValueError("cube-averaged matrix norm is degenerate on a sampled direction")
-    A, _ = _centered_mvee(dirs / rho[:, None])
-    m_raw = _sym_power(A[None], 0.5)[0]
-    mv = np.linalg.norm(dirs @ m_raw.T, axis=1)
-    ratios = rho / mv
-    scale = math.sqrt(ratios.min() * ratios.max())
-    m = m_raw * scale
-    ratios = ratios / scale
+    if r == 2.0:
+        m = _sym_power(np.mean(np.swapaxes(field, 1, 2) @ field, axis=0)[None], 0.5)[0]
+    else:
+        m = _sym_power(_centered_mvee(dirs / rho[:, None])[0][None], 0.5)[0]
+    ratios = rho / np.linalg.norm(dirs @ m.T, axis=1)
+    if r != 2.0:
+        scale = math.sqrt(ratios.min() * ratios.max())
+        m, ratios = m * scale, ratios / scale
     return m, float(ratios.min()), float(ratios.max())
 
 
@@ -386,12 +385,11 @@ def fractional_dual_reducing_matrix(W: MatrixWeight, cube: Cube, p: float) -> Re
 # ---------------------------------------------------------------------------
 
 
-def _aligned_levels(mesh: Mesh, min_level: int | None) -> list[tuple[int, int]]:
-    """(level, cells-per-cube) pairs for aligned cubes inside the domain."""
+def _aligned_levels(mesh: Mesh) -> list[tuple[int, int]]:
+    """(level, cells-per-cube) pairs for aligned cubes inside the domain,
+    from the cubes of width R down to the cells."""
     k_cell = mesh.aligned_cell_level()
-    k_root = k_cell - mesh.level  # cubes of width R
-    k_lo = k_root if min_level is None else max(min_level, k_root)
-    return [(k, 2 ** (k_cell - k)) for k in range(k_lo, k_cell + 1)]
+    return [(k, 2 ** (k_cell - k)) for k in range(k_cell - mesh.level, k_cell + 1)]
 
 
 def _matrix_char_engine(
@@ -399,7 +397,6 @@ def _matrix_char_engine(
     pair_norm: np.ndarray,
     inner_exp: float,
     outer_exp: float | None,
-    min_level: int | None,
     quantity: str,
 ) -> CharacteristicReport:
     """sup over aligned cubes of mean_x (mean_y pair_norm^inner)^(outer) or
@@ -407,7 +404,7 @@ def _matrix_char_engine(
     mesh = W.mesh
     G = pair_norm**inner_exp
     value, cube = -np.inf, None
-    levels = _aligned_levels(mesh, min_level)
+    levels = _aligned_levels(mesh)
     grid = DyadicGrid()
     for k, B in levels:
         nb = mesh.n_cells // B
@@ -447,9 +444,7 @@ def _pair_norms(Wx: np.ndarray, Wy: np.ndarray) -> np.ndarray:
     return _sigma_max_2x2(entry(0, 0), entry(0, 1), entry(1, 0), entry(1, 1))
 
 
-def matrix_ap_characteristic(
-    W: MatrixWeight, p: float, min_level: int | None = None
-) -> CharacteristicReport:
+def matrix_ap_characteristic(W: MatrixWeight, p: float) -> CharacteristicReport:
     """[W]_Ap = sup_Q avg_x (avg_y ||W^(1/p)(x) W^(-1/p)(y)||^p')^(p/p') dx.
 
     The supremum (restored over Q) runs over the aligned dyadic cubes of
@@ -459,34 +454,30 @@ def matrix_ap_characteristic(
         raise ValueError(f"matrix A_p requires p > 1, got {p}")
     pp = dual_exponent(p)
     P = _pair_norms(W.power(1.0 / p), W.power(-1.0 / p))
-    return _matrix_char_engine(W, P, pp, p / pp, min_level, f"mat-A_{p:g}")
+    return _matrix_char_engine(W, P, pp, p / pp, f"mat-A_{p:g}")
 
 
-def matrix_a1_characteristic(W: MatrixWeight, min_level: int | None = None) -> CharacteristicReport:
+def matrix_a1_characteristic(W: MatrixWeight) -> CharacteristicReport:
     """[W]_A1 = sup_Q esssup_{x in Q} avg_y ||W(y) W^(-1)(x)|| dy."""
     P = _pair_norms(W.values, W.power(-1.0)).T  # P[x, y] = ||W(y) W^-1(x)||
-    return _matrix_char_engine(W, P, 1.0, None, min_level, "mat-A_1")
+    return _matrix_char_engine(W, P, 1.0, None, "mat-A_1")
 
 
-def matrix_apq_characteristic(
-    W: MatrixWeight, p: float, q: float, min_level: int | None = None
-) -> CharacteristicReport:
+def matrix_apq_characteristic(W: MatrixWeight, p: float, q: float) -> CharacteristicReport:
     """[W]_A(p,q) = sup_Q avg_x (avg_y ||W(x) W^(-1)(y)||^p')^(q/p') dx."""
     if not (1 < p < q):
         raise ValueError(f"fractional matrix class requires 1 < p < q, got p={p}, q={q}")
     pp = dual_exponent(p)
     P = _pair_norms(W.values, W.power(-1.0))
-    return _matrix_char_engine(W, P, pp, q / pp, min_level, f"mat-A_({p:g},{q:g})")
+    return _matrix_char_engine(W, P, pp, q / pp, f"mat-A_({p:g},{q:g})")
 
 
-def matrix_a1q_characteristic(
-    W: MatrixWeight, q: float, min_level: int | None = None
-) -> CharacteristicReport:
+def matrix_a1q_characteristic(W: MatrixWeight, q: float) -> CharacteristicReport:
     """[W]_A(1,q) = sup_Q esssup_{x in Q} avg_y ||W(y) W^(-1)(x)||^q dy."""
     if q <= 1:
         raise ValueError(f"A_(1,q) requires q > 1, got {q}")
     P = _pair_norms(W.values, W.power(-1.0)).T
-    return _matrix_char_engine(W, P, q, None, min_level, f"mat-A_(1,{q:g})")
+    return _matrix_char_engine(W, P, q, None, f"mat-A_(1,{q:g})")
 
 
 # ---------------------------------------------------------------------------
@@ -502,16 +493,14 @@ def scalar_restriction(W: MatrixWeight, p: float, v: np.ndarray) -> SampledWeigh
     return SampledWeight(W.mesh, vals)
 
 
-def scalar_restriction_characteristic(
-    W: MatrixWeight, p: float, v: np.ndarray, search: SearchSpace | None = None
-) -> CharacteristicReport:
+def scalar_restriction_characteristic(W: MatrixWeight, p: float, v: np.ndarray) -> CharacteristicReport:
     """[w_v]_{A_p} for the direction weight w_v (delegates to the scalar module).
 
-    By default the supremum runs over the same aligned dyadic cubes as the
-    matrix characteristics, which makes the comparison
-    [w_v]_{A_p} <= [W]_{A_p} exact cube by cube (no grid slack).
+    The supremum runs over the same aligned dyadic cubes as the matrix
+    characteristics, which makes the comparison [w_v]_{A_p} <= [W]_{A_p}
+    exact cube by cube (no grid slack).
     """
-    search = search or SearchSpace.aligned_cubes()
+    search = SearchSpace.aligned_cubes()
     wv = scalar_restriction(W, p, v)
     if p == 1:
         return a1_characteristic(wv, search)
@@ -662,21 +651,15 @@ def sharp_rhi_matrix_bound(W: MatrixWeight, p: float, cube: Cube, nu: float) -> 
 # ---------------------------------------------------------------------------
 
 
-def random_matrix_weight(
-    mesh: Mesh,
-    d: int,
-    rng: np.random.Generator,
-    log_eig_range: float = 1.5,
-    smooth: int = 8,
-) -> MatrixWeight:
+def random_matrix_weight(mesh: Mesh, d: int, rng: np.random.Generator) -> MatrixWeight:
     """Seeded SPD matrix weight with moderate characteristic.
 
-    Eigenvalues are exp of a (block-smoothed) random walk within
-    +-log_eig_range; eigenvectors rotate smoothly across cells.
+    Eigenvalues are exp of uniform draws in [-1.5, 1.5], one per block of
+    about 8 cells; eigenvectors rotate smoothly across cells.
     """
     n = mesh.n_cells
-    blocks = max(1, n // smooth)
-    lam = rng.uniform(-log_eig_range, log_eig_range, size=(blocks, d))
+    blocks = max(1, n // 8)
+    lam = rng.uniform(-1.5, 1.5, size=(blocks, d))
     lam = np.exp(np.repeat(lam, math.ceil(n / blocks), axis=0)[:n])
     theta = np.cumsum(rng.uniform(-0.3, 0.3, size=n))
     mats = np.empty((n, d, d))

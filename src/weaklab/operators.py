@@ -153,44 +153,40 @@ def _maximal_sweep(
 
 def dyadic_maximal(
     f: MeshFunction,
-    grid: DyadicGrid | None = None,
     min_level: int | None = None,
     max_level: int | None = None,
     alpha: float = 0.0,
 ) -> MeshFunction:
     """Dyadic (fractional, for alpha > 0) maximal function on the mesh.
 
-    Per cell: max over grid cubes containing the cell, levels in range, of
-    |Q|^alpha <|f|>_Q.  Cube averages are exact; cells only see cubes that
-    contain them entirely.
+    Per cell: max over the standard grid's cubes containing the cell, levels
+    in range, of |Q|^alpha <|f|>_Q.  Cube averages are exact; cells only see
+    cubes that contain them entirely.
     """
-    return _maximal_sweep(f.magnitude(), [grid or DyadicGrid()], min_level, max_level, alpha)
+    return _maximal_sweep(f.magnitude(), [DyadicGrid()], min_level, max_level, alpha)
 
 
 def hl_maximal(
     f: MeshFunction,
-    grids: Sequence[DyadicGrid] | None = None,
     min_level: int | None = None,
     max_level: int | None = None,
     alpha: float = 0.0,
 ) -> MeshFunction:
-    """Hardy-Littlewood maximal function approximated by the max of the
+    """Hardy-Littlewood maximal function approximated by the max of the three
     shifted-grid dyadic maximal functions (one-third trick: the loss against
     the true sup over all intervals is a bounded factor)."""
-    return _maximal_sweep(f.magnitude(), grids, min_level, max_level, alpha)
+    return _maximal_sweep(f.magnitude(), None, min_level, max_level, alpha)
 
 
-def fractional_maximal(
-    f: MeshFunction,
-    alpha: float,
-    grid: DyadicGrid | None = None,
-    min_level: int | None = None,
-    max_level: int | None = None,
-) -> MeshFunction:
-    """M_alpha^D f = sup_Q |Q|^alpha <|f|>_Q chi_Q over one dyadic grid (n = 1)."""
+def _fractional_order(alpha: float) -> float:
     if not (0 < alpha < 1):
         raise ValueError(f"fractional order must satisfy 0 < alpha < n = 1, got {alpha}")
-    return dyadic_maximal(f, grid, min_level, max_level, alpha=alpha)
+    return alpha
+
+
+def fractional_maximal(f: MeshFunction, alpha: float) -> MeshFunction:
+    """M_alpha^D f = sup_Q |Q|^alpha <|f|>_Q chi_Q over the standard dyadic grid (n = 1)."""
+    return dyadic_maximal(f, alpha=_fractional_order(alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +214,7 @@ def fractional_integral(f: MeshFunction, alpha: float) -> MeshFunction:
     component of a vector f) with the kernel row over the offsets
     -(n-1)..n-1.
     """
-    if not (0 < alpha < 1):
-        raise ValueError(f"fractional order must satisfy 0 < alpha < n = 1, got {alpha}")
+    _fractional_order(alpha)
     mesh = f.mesh
     n = mesh.n_cells
     d = np.arange(1 - n, n)
@@ -273,10 +268,9 @@ def hilbert_transform(f: MeshFunction) -> HilbertTransform:
     return HilbertTransform(f)
 
 
-def hilbert_to_mesh(f: MeshFunction, out_mesh: Mesh | None = None) -> MeshFunction:
-    """Hf evaluated at cell centers of ``out_mesh`` (default: f's mesh)."""
-    out_mesh = out_mesh or f.mesh
-    return MeshFunction(out_mesh, HilbertTransform(f)(out_mesh.centers()))
+def hilbert_to_mesh(f: MeshFunction) -> MeshFunction:
+    """Hf evaluated at the cell centers of f's mesh."""
+    return MeshFunction(f.mesh, HilbertTransform(f)(f.mesh.centers()))
 
 
 # ---------------------------------------------------------------------------
@@ -299,18 +293,18 @@ def multiplier_apply(
     p: float,
     f: MeshFunction,
     alpha: float | None = None,
-    grid: DyadicGrid | None = None,
-    grids: Sequence[DyadicGrid] | None = None,
     family=None,
     weight_power: float | None = None,
 ) -> MeshFunction:
     """x -> w(x)^(1/p) * T(f w^(-1/p))(x), computed cell-wise on f's mesh.
 
-    ``T`` is one of ``M`` (shifted-grid maximal), ``Md`` (one-grid dyadic
-    maximal), ``Malpha``, ``Ialpha``, ``H``, ``AS`` and ``ASalpha`` (sparse
+    ``T`` is one of ``M`` (shifted-grid maximal, fractional when ``alpha``
+    is given), ``Md`` (standard-grid dyadic maximal), ``Malpha`` (its
+    fractional form), ``Ialpha``, ``H``, ``AS`` and ``ASalpha`` (sparse
     averaging operators).  The sparse family is built on |g| for the
-    g = f w^(-1/p) formed here (w at cell centres), over ``grid``, unless
-    ``family`` passes one; building and applying then share g's tables.
+    g = f w^(-1/p) formed here (w at cell centres), over the standard grid,
+    unless ``family`` passes one; building and applying then share g's
+    tables.
     ``weight_power`` overrides the exponent 1/p (the fractional theorems
     multiply by w^1).
     """
@@ -323,13 +317,13 @@ def multiplier_apply(
         inner = np.where(f.values != 0, f.values * wv ** (-wp), 0.0)
     g = MeshFunction(mesh, inner)
     if T == "M":
-        out = hl_maximal(g, grids)
+        out = hl_maximal(g, alpha=_fractional_order(alpha) if alpha else 0.0)
     elif T == "Md":
-        out = dyadic_maximal(g, grid)
+        out = dyadic_maximal(g)
     elif T == "Malpha":
         if alpha is None:
             raise ValueError("Malpha requires alpha")
-        out = hl_maximal(g, grids, alpha=alpha) if grids is not None else fractional_maximal(g, alpha, grid)
+        out = fractional_maximal(g, alpha)
     elif T == "Ialpha":
         if alpha is None:
             raise ValueError("Ialpha requires alpha")
@@ -338,7 +332,7 @@ def multiplier_apply(
         out = hilbert_to_mesh(g)
     elif T in ("AS", "ASalpha"):
         if family is None:
-            family = build_sparse_family(g.magnitude(), grid)
+            family = build_sparse_family(g.magnitude())
         out = family.apply(g, alpha=alpha or 0.0)
     else:
         raise ValueError(f"unknown operator tag {T!r}")

@@ -300,20 +300,19 @@ def build_sparse_family(
     f: MeshFunction,
     grid: DyadicGrid | None = None,
     roots: Sequence[Cube] | None = None,
-    threshold: float = 4.0,
     min_width_cells: int | None = None,
 ) -> SparseFamily:
     """Stopping-time sparse family adapted to f >= 0.
 
     Starting from each root, the children of a family cube Q are the
-    maximal descendants Q' with <f>_Q' > threshold * <f>_Q (threshold
-    4 = 2^(n+1) at n = 1).  E_Q is Q minus the next-generation stopping
-    cubes.  The construction guarantees |Q| <= 2 |E_Q| (indeed
-    |E_Q| >= 3|Q|/4 up to cell quantization) and the pointwise domination
-    M^D f <= 4 A_S f on each root for f supported there.
+    maximal descendants Q' with <f>_Q' > 4 <f>_Q (4 = 2^(n+1) at n = 1).
+    E_Q is Q minus the next-generation stopping cubes.  The construction
+    guarantees |Q| <= 2 |E_Q| (indeed |E_Q| >= 3|Q|/4 up to cell
+    quantization) and the pointwise domination M^D f <= 4 A_S f on each
+    root for f supported there.
 
     One level-synchronous walk finds every generation: a cube below a
-    family cube Q stops when ``avg > 0 and avg >= threshold * <f>_Q``, and
+    family cube Q stops when ``avg > 0 and avg >= 4 <f>_Q``, and
     no cube narrower than ``min_width_cells`` cells is visited.  The
     family lists each root's cubes in left-to-right preorder (a cube before
     the cubes inside it), root after root in the given order.  E_Q holds
@@ -345,7 +344,7 @@ def build_sparse_family(
     k0, tables = _average_tables(f, grid, roots, max_level)
     _check_disjoint(grid, roots)
     levels, index, rid, _ = _stopping_walk(
-        grid, k0, tables, roots, max_level, lambda avg, base: (avg > 0) & (avg >= threshold * base), True
+        grid, k0, tables, roots, max_level, lambda avg, base: (avg > 0) & (avg >= 4.0 * base), True
     )
     _, cubes = _kept_cubes(grid, levels, index, rid)
     # each cell belongs to E_Q of the deepest family cube Q wholly containing
@@ -389,7 +388,6 @@ class CZDecomposition:
 def cz_decompose(
     h: MeshFunction,
     height: float,
-    grid: DyadicGrid | None = None,
     roots: Sequence[Cube] | None = None,
 ) -> CZDecomposition:
     """Calderon-Zygmund decomposition of h >= 0 at the given height.
@@ -399,17 +397,15 @@ def cz_decompose(
     walk as ``build_sparse_family``, down to the cell level.  They come in
     reverse root order, right to left within each root.  The roots must be
     disjoint (``ValueError`` otherwise), so Omega counts each cell once.
-    Requires the standard grid on a
-    power-of-two mesh so cubes align with cells and all identities hold in
-    exact cell arithmetic.  The classical bound ||good||_inf <= 2^n * height
+    The cubes are those of the standard grid on a power-of-two mesh, so
+    they align with cells and all identities hold in exact cell
+    arithmetic.  The classical bound ||good||_inf <= 2^n * height
     holds whenever no root itself stops (roots average below the height).
     """
     if height <= 0:
         raise ValueError(f"height must be positive, got {height}")
     mesh = h.mesh
-    grid = grid or DyadicGrid()
-    if not grid.is_standard():
-        raise ValueError("decomposition requires the standard (unshifted) grid")
+    grid = DyadicGrid()
     if np.any(h.values < 0):
         raise ValueError("decomposition expects h >= 0")
     if roots is None:
@@ -443,7 +439,6 @@ def exceptional_set(
     p: float,
     e_cells: np.ndarray,
     K: float,
-    grid: DyadicGrid | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(Omega, E') for the duality argument.
 
@@ -464,7 +459,7 @@ def exceptional_set(
     mesh = f.mesh
     e_measure = len(e_cells) * mesh.h
     hp = f.power(p)
-    decomp = cz_decompose(hp, K / e_measure, grid=grid)
+    decomp = cz_decompose(hp, K / e_measure)
     omega = decomp.omega_cells
     eprime = np.setdiff1d(e_cells, omega)
     return omega, eprime

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import DyadicGrid, MeshFunction
+from .grid import MeshFunction
 from .operators import distribution, multiplier_apply
 from .sparse import exceptional_set
 from .weights import dual_exponent
@@ -118,7 +118,6 @@ def dual_weak_estimate(
     f: MeshFunction,
     e_cells: np.ndarray,
     K: float = 4.0,
-    grid: DyadicGrid | None = None,
     **op_kwargs,
 ) -> DualEstimate:
     """Duality functional bounding the weak norm from below.
@@ -129,7 +128,7 @@ def dual_weak_estimate(
     to the standard factor.
     """
     output = multiplier_apply(T, weight, p, f, **op_kwargs)
-    omega, eprime = exceptional_set(f.magnitude(), p, e_cells, K, grid=grid)
+    omega, eprime = exceptional_set(f.magnitude(), p, e_cells, K)
     h = f.mesh.h
     inner = float(output.values[eprime].sum() * h)
     e_measure = len(e_cells) * h

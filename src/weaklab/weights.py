@@ -235,6 +235,18 @@ def _log_variable_rule(a: float, b: float, s0, span, x0, x1) -> np.ndarray:
     return g_ref * np.bincount(i, weights=(vals @ _GL_WEIGHTS) * half, minlength=len(n))
 
 
+def _ordered(lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """lo, hi as float arrays with lo <= hi elementwise; an interval out of
+    order or with a NaN endpoint is a ValueError that names it."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    ok = lo <= hi  # false at a NaN endpoint too
+    if not np.all(ok):
+        a, b = (x.ravel()[np.argmin(ok.ravel())] for x in np.broadcast_arrays(lo, hi))
+        raise ValueError(f"interval endpoints out of order or NaN: [{a}, {b}]")
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class PowerLogWeight:
     """w(x) = scale * |x|^exponent * log(e/|x|)^log_exponent on 0 < |x| <= 1, scale outside."""
@@ -251,6 +263,8 @@ class PowerLogWeight:
 
     def __call__(self, x):
         ax = np.abs(np.asarray(x, dtype=float))
+        if not np.all(ax >= 0):  # false at NaN only
+            raise ValueError(f"point {ax[~(ax >= 0)].flat[0]} is not a number")
         core = np.where(
             ax > 0,
             self._core_at(np.where(ax > 0, np.minimum(ax, 1.0), 1.0)),
@@ -285,10 +299,7 @@ class PowerLogWeight:
 
     def integral_batch(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Exact ∫_lo^hi w, any signs, elementwise (weight is even)."""
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        if np.any(hi < lo):
-            raise ValueError("interval endpoints out of order")
+        lo, hi = _ordered(lo, hi)
         # fold onto |x|: one piece [u, v], and [0, -lo] besides [0, hi] when
         # the interval straddles 0
         shape, lo, hi = hi.shape, lo.ravel(), hi.ravel()
@@ -321,8 +332,7 @@ class PowerLogWeight:
         constant outer branch.
         """
         a, b = self.exponent, self.log_exponent
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
+        lo, hi = _ordered(lo, hi)
         u = np.where((lo < 0) & (hi > 0), 0.0, np.where(hi <= 0, -hi, lo))
         v = np.maximum(np.abs(lo), np.abs(hi))
         out = np.full(u.shape, np.inf)
@@ -560,13 +570,15 @@ def _grid_cubes(grids, min_level: int, max_level: int, domain):
     return np.concatenate(los), np.concatenate(his), label
 
 
-def _sampled_intervals(mesh: Mesh, domain, max_pairs: int = 1 << 21):
+def _sampled_intervals(mesh: Mesh, domain):
+    """Intervals between mesh edges in ``domain``, every stride-th edge so
+    that at most about 2^21 pairs remain."""
     a, b = domain
     i0, i1 = mesh.cell_span(max(a, -mesh.radius), min(b, mesh.radius))
     edges = mesh.edges()[i0 : i1 + 1]
     n = len(edges)
     stride = 1
-    while (n // stride) ** 2 // 2 > max_pairs:
+    while (n // stride) ** 2 // 2 > 1 << 21:
         stride += 1
     pts = edges[::stride] if stride > 1 else edges
     m = len(pts)
@@ -716,11 +728,9 @@ def rh_characteristic(weight, s: float, search: SearchSpace | None = None) -> Ch
 def sharp_rh_exponent(
     weight,
     search: SearchSpace | None = None,
-    bound: float = 2.0,
     ceiling: float = 64.0,
-    rel_tol: float = 1e-4,
 ) -> float:
-    """Largest exponent nu (by bisection) with [w]_{RH_nu} <= bound.
+    """Largest exponent nu (by bisection, to relative 1e-4) with [w]_{RH_nu} <= 2.
 
     Returns ``ceiling`` when every tested exponent qualifies (constant-like
     weights).  Raises when not even exponents barely above 1 qualify, which
@@ -738,7 +748,7 @@ def sharp_rh_exponent(
         try:
             avg_ws = plan.averages(weight.power(s))
             avg_w = plan.averages(weight) if avg_w is None else avg_w
-            return plan.report("RH", avg_ws ** (1.0 / s) / avg_w).value <= bound
+            return plan.report("RH", avg_ws ** (1.0 / s) / avg_w).value <= 2.0
         except NonIntegrableError:
             return False
 
@@ -750,7 +760,7 @@ def sharp_rh_exponent(
             "no reverse-Holder exponent > 1 found; weight outside numerical A_infinity"
         )
     hi = ceiling
-    while (hi - lo) > rel_tol * lo:
+    while (hi - lo) > 1e-4 * lo:
         mid = 0.5 * (lo + hi)
         if ok(mid):
             lo = mid

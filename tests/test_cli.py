@@ -59,6 +59,38 @@ class TestSubcommands:
         assert len(out.read_text().splitlines()) == 3
 
 
+FRACTIONAL = ["--alpha", "0.25", "--q", "4", "--weight", "powerlog:a=0.2"]
+
+
+class TestWeaktypeOperators:
+    @pytest.mark.parametrize("fractional", [False, True], ids=["plain", "alpha"])
+    @pytest.mark.parametrize("operator", ["AS", "M", "Md", "H", "Ialpha", "Malpha"])
+    def test_every_operator_choice_runs(self, tmp_path, capsys, operator, fractional):
+        extra = FRACTIONAL if fractional else ["--weight", "powerlog:a=0.5"]
+        code, out = run(tmp_path, "w.csv", ["weaktype", "--operator", operator, "--p", "2",
+                                            "--trials", "3", "--level", "6", *extra])
+        if not fractional and operator in ("Ialpha", "Malpha"):
+            assert code == 2 and f"{operator} requires alpha" in capsys.readouterr().err
+            return
+        assert code == 0
+        assert len(out.read_text().splitlines()) == 4
+
+    def test_fractional_m_keeps_its_three_grids(self, tmp_path):
+        """With --alpha, M is the fractional maximal function over the three
+        shifted grids, not the one-grid Malpha that Md becomes."""
+        csv = {}
+        for operator in ("M", "Md", "Malpha"):
+            code, out = run(tmp_path, f"{operator}.csv", ["weaktype", "--operator", operator, "--p", "2",
+                                                          "--trials", "3", "--level", "6", *FRACTIONAL])
+            assert code == 0
+            csv[operator] = out.read_bytes()
+        assert csv["Md"] == csv["Malpha"]
+        assert csv["M"] != csv["Md"]
+        rows = [line.split(",") for line in csv["M"].decode().splitlines()[1:]]
+        one_grid = [line.split(",") for line in csv["Md"].decode().splitlines()[1:]]
+        assert all(float(r[1]) >= float(o[1]) for r, o in zip(rows, one_grid))
+
+
 class TestWeaktypeFamilies:
     """`weaktype --operator AS` builds each trial's family in
     ``multiplier_apply``, on the g = f w^(-1/p) it applies it to."""
@@ -205,6 +237,22 @@ class TestExitCodes:
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--config", "{missing}", "constants"], "cannot read"),
+            (["constants", "--config"], "--config needs a file path"),
+        ],
+        ids=["config-missing-file", "config-without-path"],
+    )
+    def test_config_errors_are_2(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        code = main([arg.format(missing=tmp_path / "absent" / "run.cfg") for arg in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
 
     def test_unresolved_level_set_is_3(self, tmp_path):
         code, _ = run(

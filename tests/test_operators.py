@@ -335,6 +335,24 @@ class TestMultiplier:
         out = multiplier_apply("Md", one, 2.0, f)
         assert np.allclose(out.values, dyadic_maximal(f).values, rtol=1e-13)
 
+    def test_fractional_m_is_the_three_grid_fractional_maximal(self, mesh):
+        rng = np.random.default_rng(67)
+        f = random_signed_step(mesh, rng)
+        w = PowerLogWeight(0.2)
+        wv = np.asarray(w(mesh.centers()))
+        g = MeshFunction(mesh, f.values * wv**-1.0)  # g = f w^(-1), as multiplier_apply forms it
+        out = multiplier_apply("M", w, 1.6, f, alpha=0.25, weight_power=1.0)
+        assert out.values.tobytes() == (wv * hl_maximal(g, alpha=0.25).values).tobytes()
+        one_grid = multiplier_apply("Malpha", w, 1.6, f, alpha=0.25, weight_power=1.0)
+        assert np.all(out.values >= one_grid.values) and np.any(out.values > one_grid.values)
+        # no alpha (or alpha 0): the plain three-grid maximal function
+        plain = multiplier_apply("M", w, 2.0, f).values.tobytes()
+        assert plain == (wv**0.5 * hl_maximal(MeshFunction(mesh, f.values * wv**-0.5)).values).tobytes()
+        assert multiplier_apply("M", w, 2.0, f, alpha=0.0).values.tobytes() == plain
+        for bad in (1.0, 1.5, -0.2, math.nan):
+            with pytest.raises(ValueError, match="fractional order"):
+                multiplier_apply("M", w, 2.0, f, alpha=bad)
+
     def test_single_cube_lower_bound(self, mesh):
         # on Q the maximal output dominates w^(1/p)(x) <w^(-1/p) f>_Q
         rng = np.random.default_rng(71)

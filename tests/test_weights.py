@@ -125,6 +125,40 @@ class TestPowerLogIntegrals:
         w = PowerLogWeight(0.5)
         assert w.essinf(0, 0.5) == 0.0
 
+    def test_endpoints_out_of_order_are_named(self):
+        w = PowerLogWeight(0.5)
+        for batch in (w.integral_batch, w.essinf_batch):
+            with pytest.raises(ValueError, match=re.escape("out of order or NaN: [0.5, 0.25]")):
+                batch(np.array([0.0, 0.5]), np.array([1.0, 0.25]))
+
+
+# NaN is pinned by the examples and the body, never drawn: hypothesis also
+# draws literals of the code under test, so its draws move with that code
+@given(
+    a=st.floats(-0.9, 2.0),
+    scale=st.floats(0.5, 4.0),
+    other=st.floats(-2.0, 2.0),
+    nan_first=st.booleans(),
+)
+@example(a=0.5, scale=1.0, other=0.5, nan_first=True)
+@example(a=-0.5, scale=3.0, other=-0.5, nan_first=False)
+@example(a=0.0, scale=1.0, other=0.0, nan_first=True)
+def test_powerlog_rejects_nan_naming_it(a, scale, other, nan_first):
+    """README "Endpoints": a NaN point is a ValueError that names it, also
+    for PowerLogWeight's pointwise values, integrals and essential infima."""
+    w = PowerLogWeight(a, 0.0, scale)
+    with pytest.raises(ValueError, match="point nan is not a number"):
+        w(np.array([other, math.nan]))
+    lo, hi = (math.nan, other) if nan_first else (other, math.nan)
+    named = re.escape(f"out of order or NaN: [{lo}, {hi}]")
+    for batch in (w.integral_batch, w.essinf_batch):
+        with pytest.raises(ValueError, match=named):
+            batch(np.array([0.25, lo]), np.array([0.5, hi]))
+    with pytest.raises(ValueError, match=named):
+        w.integral(lo, hi)
+    with pytest.raises(ValueError, match=named):
+        w.essinf(lo, hi)
+
 
 # ---------------------------------------------------------------------------
 # A_p
