@@ -19,7 +19,7 @@ Exit codes: 0 success; 1 invariant-suite violation; 2 invalid exponent
 relation or malformed input (the parser rejects non-finite numbers and
 weight-descriptor parameters before anything runs; an unreadable weight file,
 or one without its keys, and a missing or unreadable config file are malformed
-input); 3 numerical failure
+input, and so is ``weaktype --operator H`` with ``--alpha``); 3 numerical failure
 (non-integrable weight, degenerate data, unresolved level set, an ellipsoid
 fit that misses its certificate).
 """
@@ -293,6 +293,11 @@ def cmd_weaktype(args) -> int:
     if p < 1:
         raise ValueError(f"weak-type quotients need p >= 1, got {p}")
     fractional = alpha is not None and alpha > 0
+    if fractional and args.operator == "H":
+        raise ValueError(
+            "H with --alpha pairs the Hilbert transform with the fractional characteristic "
+            "[w]_A(p,q) [w^q]_A_inf^q, which no theorem bounds; drop --alpha"
+        )
     if fractional:
         _check_pq(p, q, alpha)
     else:
@@ -527,11 +532,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(argv: list[str]) -> list[str]:
-    """Prepend config-file values as flags so the command line overrides them."""
+    """Prepend config-file values as flags so the command line overrides them.
+    ``--config=PATH`` is the same flag as ``--config PATH``."""
+    argv = [part for arg in argv for part in (arg.split("=", 1) if arg.startswith("--config=") else [arg])]
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
-    if i + 1 == len(argv):
+    if i + 1 == len(argv) or not argv[i + 1]:
         raise ValueError("--config needs a file path")
     extra: list[str] = []
     for line in _read_text(argv[i + 1]).splitlines():

@@ -10,6 +10,16 @@ Lerner-Nazarov, *Intuitive dyadic calculus*).  ``Fraction`` remains only at
 the boundaries: the mesh positions of points a caller supplies
 (``Mesh._position``) and ``Cube.left``/``Cube.right``.
 
+Geometry once per (mesh, grid, level), values per function: which cells a
+cube covers, and the exact shares of the cells straddling its edges, depend
+only on the mesh, the grid and the level.  ``_level_affine``, the cube
+spans (``_Spans``) of each window of levels a table batch builds
+(``_table_spans``), ``cube_indices_per_cell`` and the (cube, cell) pairs of
+``cell_cube_integrals`` are therefore computed once per such key, kept by
+``functools.lru_cache`` (a fixed size, frozen keys only) as read-only
+arrays, and ``_span_integrals`` only gathers and sums a function's values
+over them.
+
 The shifted dyadic grids implement the one-third-trick family
 
     D_j = { 2^{-k} ([0,1) + m + (-1)^k * j/3) : k, m integers },  j in {0,1,2}
@@ -31,6 +41,8 @@ cheap; see :mod:`weaklab.weights`).
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -235,7 +247,7 @@ class MeshFunction:
         den = math.lcm(pos_lo.denominator, pos_hi.denominator)
         # Python integers: a float endpoint such as 0.1 overflows int64
         nums = np.array([pos.numerator * (den // pos.denominator) for pos in (pos_lo, pos_hi)], dtype=object)
-        return float(_span_integrals(self, nums[:1], nums[1:], den)[0])
+        return float(_span_integrals(self, _Spans(nums[:1], nums[1:], den))[0])
 
     def average(self, a, b) -> float:
         """Integral over [a, b) divided by the full length b - a."""
@@ -385,11 +397,11 @@ def average(f: MeshFunction, Q: Cube) -> float:
     lo, hi = max(lo, 0), min(hi, n * den)
     if hi <= lo:
         return 0.0
-    return float(_span_integrals(f, np.array([lo]), np.array([hi]), den)[0]) / Q.width
+    return float(_span_integrals(f, _Spans(np.array([lo]), np.array([hi]), den))[0]) / Q.width
 
 
 # ---------------------------------------------------------------------------
-# integer cube geometry and all-level tables (one call per grid)
+# integer cube geometry (once per mesh, grid and level) and all-level tables
 # ---------------------------------------------------------------------------
 
 
@@ -398,6 +410,7 @@ def default_levels(mesh: Mesh) -> tuple[int, int]:
     return -math.ceil(math.log2(2 * mesh.radius)), math.floor(math.log2(1.0 / mesh.h))
 
 
+@functools.lru_cache(maxsize=1024, typed=True)
 def _level_affine(mesh: Mesh, grid: DyadicGrid, k: int) -> tuple[int, int, int]:
     """Integer constants (a0, step, den) such that, exactly,
 
@@ -412,7 +425,8 @@ def _level_affine(mesh: Mesh, grid: DyadicGrid, k: int) -> tuple[int, int, int]:
     edge numerators m*den - a0 of cubes meeting the domain stay below 2^53
     (44 bits at most), so int64 arrays and their float conversions are exact.
     A level far enough outside that range to break the bound raises
-    ``ValueError``, naming the coarsest (or finest) level that keeps it.
+    ``ValueError``, naming the coarsest (or finest) level that keeps it
+    (an exception is never cached, so every such call raises).
     """
     affine = _unchecked_level_affine(mesh, grid, k)
     if not _exact_affine(mesh, *affine):
@@ -469,17 +483,38 @@ def _level_affines(mesh: Mesh, grid: DyadicGrid, k0: int, k1: int) -> np.ndarray
     return affine.reshape(-1, 3).T
 
 
+@functools.lru_cache(maxsize=32, typed=True)
 def cube_indices_per_cell(mesh: Mesh, grid: DyadicGrid, k0: int, k1: int) -> tuple[np.ndarray, np.ndarray]:
     """(q, contained) per grid level k0..k1 (rows) and mesh cell (columns).
 
     ``q[j, i]`` is the index of the level-(k0 + j) cube containing the left
     endpoint of cell i; ``contained[j, i]`` says whether the whole cell sits
-    inside that cube.  Exact integer arithmetic, all levels in one pass.
+    inside that cube.  Exact integer arithmetic, all levels in one pass; the
+    arrays are read-only and shared by every call with the same key.
     """
     a0, step, den = _level_affines(mesh, grid, k0, k1)[..., None]
     num = a0 + np.arange(mesh.n_cells + 1, dtype=np.int64) * step
     q = num[:, :-1] // den
-    return q, -(-num[:, 1:] // den) == q + 1  # the cell's right edge is at most the cube's
+    return _read_only(q), _read_only(-(-num[:, 1:] // den) == q + 1)  # the cell's right edge is at most the cube's
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _table_spans(mesh: Mesh, grid: DyadicGrid, levels: tuple[int, ...]) -> tuple[tuple, "_Spans", tuple]:
+    """(q0s, spans, cuts): one batch of the cubes of the given levels that
+    meet the mesh domain, each span the part of its cube inside the domain
+    with its own level's denominator; span m of level i (at ``cuts[i] + m``)
+    is cube ``q0s[i] + m``."""
+    n = mesh.n_cells
+    q0s, edges, dens = [], [], []
+    for k in levels:
+        a0, step, den = _level_affine(mesh, grid, k)
+        # cube m spans cell positions [(m den - a0)/step, ((m+1) den - a0)/step)
+        inner = np.arange(a0 // den + 1, -(-(a0 + n * step) // den), dtype=np.int64) * den - a0
+        q0s.append(a0 // den)
+        edges.append(np.concatenate(([0], inner, [n * step])))
+        dens.append(np.full(len(inner) + 1, step))
+    lo, hi = np.concatenate([e[:-1] for e in edges]), np.concatenate([e[1:] for e in edges])
+    return tuple(q0s), _Spans(lo, hi, np.concatenate(dens)), (0, *itertools.accumulate(map(len, dens)))
 
 
 def level_cube_integrals(f: MeshFunction, grid: DyadicGrid, k0: int, k1: int) -> list[tuple[int, np.ndarray]]:
@@ -488,29 +523,33 @@ def level_cube_integrals(f: MeshFunction, grid: DyadicGrid, k0: int, k1: int) ->
 
     Cells straddling a cube edge are split exactly; f is zero outside the
     domain.  The levels not yet in ``f._tables[grid]`` go through one
-    ``_span_integrals`` call, each span with its own level's denominator,
-    so each entry is bit-identical to ``f.integral(cube.left, cube.right)``
-    whichever window built it.  The tables are read-only and stay on f.  A
-    vector f integrates component by component: ``integrals[m, c]`` is cube
-    ``q0 + m``'s integral of c.
+    ``_span_integrals`` call over their ``_table_spans``, each span with its
+    own level's denominator, so each entry is bit-identical to
+    ``f.integral(cube.left, cube.right)`` whichever window built it.  The
+    tables are read-only and stay on f.  A vector f integrates component by
+    component: ``integrals[m, c]`` is cube ``q0 + m``'s integral of c.
     """
-    n = f.mesh.n_cells
     memo = f._tables.setdefault(grid, {})
-    missing = [k for k in range(k0, k1 + 1) if k not in memo]
-    q0s, edges, dens = [], [], []
-    for k in missing:
-        a0, step, den = _level_affine(f.mesh, grid, k)
-        # cube m spans cell positions [(m den - a0)/step, ((m+1) den - a0)/step)
-        q0s.append(a0 // den)
-        inner = np.arange(a0 // den + 1, -(-(a0 + n * step) // den), dtype=np.int64) * den - a0
-        edges.append(np.concatenate(([0], inner, [n * step])))
-        dens.append(np.full(len(inner) + 1, step))
+    missing = tuple(k for k in range(k0, k1 + 1) if k not in memo)
     if missing:
-        lo, hi = np.concatenate([e[:-1] for e in edges]), np.concatenate([e[1:] for e in edges])
-        ints = _span_integrals(f, lo, hi, np.concatenate(dens))
+        q0s, spans, cuts = _table_spans(f.mesh, grid, missing)
+        ints = _span_integrals(f, spans)
         ints.flags.writeable = False  # the per-level views inherit it
-        memo.update(zip(missing, zip(q0s, np.split(ints, np.cumsum([len(d) for d in dens])[:-1]))))
+        memo.update((k, (q0, ints[a:b])) for k, q0, a, b in zip(missing, q0s, cuts, cuts[1:]))
     return [memo[k] for k in range(k0, k1 + 1)]
+
+
+@functools.lru_cache(maxsize=32, typed=True)
+def _cell_pair_spans(mesh: Mesh, grid: DyadicGrid, k0: int, k1: int) -> tuple[np.ndarray, np.ndarray, "_Spans"]:
+    """(j, x, spans): span s is the part inside the domain of the level-(k0 + j[s])
+    cube that wholly contains cell x[s], for every such (level, cell) pair."""
+    n = mesh.n_cells
+    q, contained = cube_indices_per_cell(mesh, grid, k0, k1)
+    a0, step, den = _level_affines(mesh, grid, k0, k1)
+    j, x = np.nonzero(contained)
+    lo = q[j, x] * den[j] - a0[j]  # cube q spans cell positions [(q den - a0)/step, ((q+1) den - a0)/step)
+    hi = np.minimum(lo + den[j], n * step[j])
+    return _read_only(j), _read_only(x), _Spans(np.maximum(lo, 0), hi, step[j])
 
 
 def cell_cube_integrals(f: MeshFunction, grid: DyadicGrid, k0: int, k1: int) -> np.ndarray:
@@ -518,12 +557,11 @@ def cell_cube_integrals(f: MeshFunction, grid: DyadicGrid, k0: int, k1: int) -> 
     over the level's cube that wholly contains cell x, 0 where none does.
 
     A vector f has one component per cell, and cell x reads component x.
-    Only those (cube, cell) pairs are integrated, all levels in one
-    ``_span_integrals`` call, so each entry is bit-identical to column x of
-    its cube's ``level_cube_integrals`` entry.  A scalar f is gathered from
-    the ``level_cube_integrals`` table.
+    Only those (cube, cell) pairs (``_cell_pair_spans``) are integrated, all
+    levels in one ``_span_integrals`` call, so each entry is bit-identical to
+    column x of its cube's ``level_cube_integrals`` entry.  A scalar f is
+    gathered from the ``level_cube_integrals`` table.
     """
-    n = f.mesh.n_cells
     q, contained = cube_indices_per_cell(f.mesh, grid, k0, k1)
     out = np.zeros(q.shape)
     if k1 < k0:
@@ -534,18 +572,46 @@ def cell_cube_integrals(f: MeshFunction, grid: DyadicGrid, k0: int, k1: int) -> 
         offset = np.cumsum([0] + [len(ints) for _, ints in tables[:-1]]) - [q0 for q0, _ in tables]
         out[contained] = np.concatenate([ints for _, ints in tables])[(q + offset[:, None])[contained]]
         return out
-    a0, step, den = _level_affines(f.mesh, grid, k0, k1)
-    j, x = np.nonzero(contained)
-    lo = q[j, x] * den[j] - a0[j]  # cube q spans cell positions [(q den - a0)/step, ((q+1) den - a0)/step)
-    hi = np.minimum(lo + den[j], n * step[j])
-    out[j, x] = _span_integrals(f, np.maximum(lo, 0), hi, step[j], comp=x)
+    j, x, spans = _cell_pair_spans(f.mesh, grid, k0, k1)
+    out[j, x] = _span_integrals(f, spans, comp=x)
     return out
 
 
-def _span_integrals(f: MeshFunction, lo: np.ndarray, hi: np.ndarray, den, comp=None) -> np.ndarray:
-    """Integrals of f over the spans [lo/den, hi/den), in cell units from the
-    left mesh edge (integer arrays, 0 <= lo <= hi <= n_cells * den; ``den``
-    one integer or one per span).
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class _Spans:
+    """The geometry of a batch of spans [lo/den, hi/den), in cell units from
+    the left mesh edge (integer arrays, 0 <= lo <= hi <= n_cells * den;
+    ``den`` one integer or one per span), derived from the integers once and
+    kept as read-only arrays.  ``ends`` holds each span's whole cells
+    [first, stop) as the pair first, stop; its straddling cells are ``i_lo``
+    and ``stop`` (one cell when both ends lie in it), and ``w_lo``/``w_hi``
+    the shares of them it covers.  The shares are correctly rounded
+    quotients of exact integers, so a span has the same geometry whatever
+    ``den`` expresses it.  ``len`` is the number of spans.
+    """
+
+    __slots__ = ("ends", "i_lo", "w_lo", "w_hi")
+
+    def __init__(self, lo: np.ndarray, hi: np.ndarray, den):
+        i_lo, r_lo = lo // den, lo % den
+        i_hi, r_hi = hi // den, hi % den
+        same = i_lo == i_hi  # both ends in one cell
+        first = i_lo + (r_lo > 0)
+        self.ends = _read_only(np.stack([first, i_hi], axis=1).astype(np.int64).ravel())
+        self.i_lo = _read_only(i_lo.astype(np.int64))
+        self.w_lo = _read_only(np.array(np.where(same, hi - lo, np.where(r_lo > 0, den - r_lo, 0)) / den, dtype=float))
+        self.w_hi = _read_only(np.array(np.where(same, 0, r_hi) / den, dtype=float))
+
+    def __len__(self) -> int:
+        return len(self.i_lo)
+
+
+def _span_integrals(f: MeshFunction, spans: _Spans, comp=None) -> np.ndarray:
+    """Integrals of f over the ``spans``: only f's values are read here.
 
     Each span sums its own whole cells and adds the covered shares of its
     two straddling cells, so the rounding error scales with the span's own
@@ -555,9 +621,8 @@ def _span_integrals(f: MeshFunction, lo: np.ndarray, hi: np.ndarray, den, comp=N
     So spans holding the same blocks, or blocks of one height whose cell
     counts differ by a power of two, get floats in the exact ratio, and an
     exact stopping tie (such as a block alone in a cube and in its
-    ancestor) stays a tie.  The shares are correctly rounded quotients of
-    exact integers, so a span gives the same float whatever ``den``
-    expresses it.
+    ancestor) stays a tie.  A span gives the same float whatever ``den``
+    expressed it (see ``_Spans``).
 
     A vector f (values ``(n_cells, r)``) gives ``(n_spans, r)``, each
     component summed as one contiguous row over the cells where any is
@@ -569,23 +634,16 @@ def _span_integrals(f: MeshFunction, lo: np.ndarray, hi: np.ndarray, den, comp=N
     h = f.mesh.h
     rows = f.values.T  # one row per component; a scalar f is its own row
     v = np.concatenate((rows, np.zeros((*rows.shape[:-1], 1))), axis=-1)  # a zero cell past the right edge
-    i_lo, r_lo = lo // den, lo % den
-    i_hi, r_hi = hi // den, hi % den
-    first = (i_lo + (r_lo > 0)).astype(np.int64)  # whole cells [first, stop)
-    stop = i_hi.astype(np.int64)
-    i_lo = i_lo.astype(np.int64)
     nz = np.flatnonzero(rows.any(axis=0) if f.is_vector else rows)
-    bounds = np.searchsorted(nz, np.stack([first, stop], axis=1).ravel())
+    bounds = np.searchsorted(nz, spans.ends)
     vals = v.take(np.append(nz, len(f.values)), axis=-1)  # the nonzero cells, then a zero
     count = bounds[1::2] - bounds[::2]  # nonzero whole cells
-    same = i_lo == stop  # both ends in one cell
+    i_lo, stop = spans.i_lo, spans.ends[1::2]
     if comp is not None:  # span s reads row comp[s] of the flattened rows
         bounds = bounds + np.repeat(comp * vals.shape[-1], 2)
         i_lo, stop = i_lo + comp * v.shape[-1], stop + comp * v.shape[-1]
         vals, v = vals.ravel(), v.ravel()
     low, high, total = (u.reduceat(vals, bounds, axis=-1)[..., ::2] for u in (np.minimum, np.maximum, np.add))
     whole = np.where(count <= 0, 0.0, np.where(low == high, count * low, total))
-    w_lo = np.where(same, hi - lo, np.where(r_lo > 0, den - r_lo, 0)) / den
-    w_hi = np.where(same, 0, r_hi) / den
-    out = whole * h + v.take(i_lo, axis=-1) * h * w_lo + v.take(stop, axis=-1) * h * w_hi
+    out = whole * h + v.take(i_lo, axis=-1) * h * spans.w_lo + v.take(stop, axis=-1) * h * spans.w_hi
     return np.asarray(out, dtype=float).T

@@ -378,7 +378,6 @@ class CZDecomposition:
     good: MeshFunction
     bad: MeshFunction
     omega_cells: np.ndarray
-    grid: DyadicGrid
 
     @property
     def omega_measure(self) -> float:
@@ -430,7 +429,6 @@ def cz_decompose(
         good=good_f,
         bad=bad_f,
         omega_cells=omega_cells,
-        grid=grid,
     )
 
 

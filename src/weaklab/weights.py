@@ -55,6 +55,7 @@ from .grid import (
     MeshFunction,
     _level_affine,
     _span_integrals,
+    _Spans,
     default_levels,
     level_cube_integrals,
     shifted_grids,
@@ -620,6 +621,8 @@ class _Plan:
     so their rounding scales with their own mass, not with the mass to their
     left; infima are running minima along the same rows.  So all cell-aligned
     intervals cost one triangle of blocks, and nested cubes their total length.
+    The blocks' geometry (``blocks``, one ``grid._Spans``) is laid out once,
+    so each average, such as a step of ``sharp_rh_exponent``, only sums values.
     """
 
     def __init__(self, weight, search: SearchSpace | None):
@@ -646,6 +649,7 @@ class _Plan:
             self.rows.append(rows[:, None] + np.arange(w))  # block indices of each row, padding past the end
         self.pick = start[first] + length - 1
         self.pad = width.max(initial=0)
+        self.blocks = _Spans(self.edges[:-1], self.edges[1:], 1)
 
     def _runs(self, blocks: np.ndarray, accumulate, fill: float) -> np.ndarray:
         """``accumulate`` along each candidate's row of per-block values, read
@@ -658,7 +662,7 @@ class _Plan:
         """Averages on the candidates of ``weight``, the planned weight or a power of it."""
         if isinstance(weight, PowerLogWeight):
             return weight.integral_batch(self.lo, self.hi) / (self.hi - self.lo)
-        blocks = _span_integrals(weight.as_mesh_function(), self.edges[:-1], self.edges[1:], 1)
+        blocks = _span_integrals(weight.as_mesh_function(), self.blocks)
         return self._runs(blocks, np.cumsum, 0.0) / (self.hi - self.lo)
 
     def essinfs(self) -> np.ndarray:

@@ -13,7 +13,10 @@ reducing-matrix sparse operator with one ``grid.average`` call per cube.
 So does the Christ-Goldberg sweep that ``grid.cell_cube_integrals``
 replaced, which integrated every component over every cube.  So do the
 one-level-per-call table builders that ``grid.level_cube_integrals`` and
-``grid.cube_indices_per_cell`` replaced by one call for all levels, and the
+``grid.cube_indices_per_cell`` replaced by one call for all levels, the
+one-pass span integrals ``oracle_span_integrals`` that derive each call's
+cell geometry afresh (``grid._span_integrals`` reads it from a ``_Spans``
+built once per mesh, grid and level), and the
 ``Fraction`` cube locators ``enumerate_cubes`` and ``covering_cube`` and the
 cell range ``cells_inside``, which only tests use, and the ``Fraction``
 locator ``oracle_cube_index_of`` that ``DyadicGrid.cube_index_of`` replaced
@@ -35,7 +38,6 @@ from weaklab.grid import (
     Mesh,
     MeshFunction,
     _level_affine,
-    _span_integrals,
     average,
     cube_indices_per_cell,
     default_levels,
@@ -125,7 +127,7 @@ def oracle_cube_indices_per_cell(mesh: Mesh, grid: DyadicGrid, k: int) -> tuple[
 
 
 def oracle_level_cube_integrals(f: MeshFunction, grid: DyadicGrid, k: int) -> tuple[int, np.ndarray]:
-    """``level_cube_integrals`` one level at a time: one ``_span_integrals``
+    """``level_cube_integrals`` one level at a time: one ``oracle_span_integrals``
     call over the level's cubes, all with the level's own denominator."""
     n = f.mesh.n_cells
     a0, step, den = _level_affine(f.mesh, grid, k)
@@ -133,7 +135,37 @@ def oracle_level_cube_integrals(f: MeshFunction, grid: DyadicGrid, k: int) -> tu
     q1 = -(-(a0 + n * step) // den) - 1
     inner = np.arange(q0 + 1, q1 + 1, dtype=np.int64) * den - a0
     edges = np.concatenate(([0], inner, [n * step]))
-    return q0, _span_integrals(f, edges[:-1], edges[1:], step)
+    return q0, oracle_span_integrals(f, edges[:-1], edges[1:], step)
+
+
+def oracle_span_integrals(f: MeshFunction, lo: np.ndarray, hi: np.ndarray, den, comp=None) -> np.ndarray:
+    """``grid._span_integrals`` in one pass: integrals of f over the spans
+    [lo/den, hi/den) in cell units from the left mesh edge (integer arrays,
+    0 <= lo <= hi <= n_cells * den; ``den`` one integer or one per span),
+    the whole-cell bounds and straddling shares derived in the same call."""
+    h = f.mesh.h
+    rows = f.values.T  # one row per component; a scalar f is its own row
+    v = np.concatenate((rows, np.zeros((*rows.shape[:-1], 1))), axis=-1)  # a zero cell past the right edge
+    i_lo, r_lo = lo // den, lo % den
+    i_hi, r_hi = hi // den, hi % den
+    first = (i_lo + (r_lo > 0)).astype(np.int64)  # whole cells [first, stop)
+    stop = i_hi.astype(np.int64)
+    i_lo = i_lo.astype(np.int64)
+    nz = np.flatnonzero(rows.any(axis=0) if f.is_vector else rows)
+    bounds = np.searchsorted(nz, np.stack([first, stop], axis=1).ravel())
+    vals = v.take(np.append(nz, len(f.values)), axis=-1)  # the nonzero cells, then a zero
+    count = bounds[1::2] - bounds[::2]  # nonzero whole cells
+    same = i_lo == stop  # both ends in one cell
+    if comp is not None:  # span s reads row comp[s] of the flattened rows
+        bounds = bounds + np.repeat(comp * vals.shape[-1], 2)
+        i_lo, stop = i_lo + comp * v.shape[-1], stop + comp * v.shape[-1]
+        vals, v = vals.ravel(), v.ravel()
+    low, high, total = (u.reduceat(vals, bounds, axis=-1)[..., ::2] for u in (np.minimum, np.maximum, np.add))
+    whole = np.where(count <= 0, 0.0, np.where(low == high, count * low, total))
+    w_lo = np.where(same, hi - lo, np.where(r_lo > 0, den - r_lo, 0)) / den
+    w_hi = np.where(same, 0, r_hi) / den
+    out = whole * h + v.take(i_lo, axis=-1) * h * w_lo + v.take(stop, axis=-1) * h * w_hi
+    return np.asarray(out, dtype=float).T
 
 
 def enumerate_cubes(grid: DyadicGrid, domain: tuple[float, float], min_level: int, max_level: int) -> list[Cube]:
@@ -269,7 +301,7 @@ def oracle_integral(f: MeshFunction, a, b) -> float:
     pos_hi = (hi - mesh_left(mesh)) / mesh_h(mesh)
     den = math.lcm(pos_lo.denominator, pos_hi.denominator)
     nums = np.array([pos.numerator * (den // pos.denominator) for pos in (pos_lo, pos_hi)], dtype=object)
-    return float(_span_integrals(f, nums[:1], nums[1:], den)[0])
+    return float(oracle_span_integrals(f, nums[:1], nums[1:], den)[0])
 
 
 def oracle_average(f: MeshFunction, cube: Cube) -> float:

@@ -132,7 +132,6 @@ def oracle_cz_decompose(
         good=MeshFunction(mesh, good),
         bad=MeshFunction(mesh, h.values - good),
         omega_cells=omega_cells,
-        grid=grid,
     )
 
 
@@ -237,7 +236,6 @@ def table_cz_decompose(
         good=MeshFunction(mesh, good),
         bad=MeshFunction(mesh, h.values - good),
         omega_cells=omega_cells,
-        grid=grid,
     )
 
 

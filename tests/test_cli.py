@@ -72,6 +72,10 @@ class TestWeaktypeOperators:
         if not fractional and operator in ("Ialpha", "Malpha"):
             assert code == 2 and f"{operator} requires alpha" in capsys.readouterr().err
             return
+        if fractional and operator == "H":  # no theorem pairs H with the fractional characteristic
+            assert code == 2 and "H with --alpha" in capsys.readouterr().err
+            assert not out.exists()
+            return
         assert code == 0
         assert len(out.read_text().splitlines()) == 4
 
@@ -243,8 +247,9 @@ class TestExitCodes:
         [
             (["--config", "{missing}", "constants"], "cannot read"),
             (["constants", "--config"], "--config needs a file path"),
+            (["--config=", "constants"], "--config needs a file path"),
         ],
-        ids=["config-missing-file", "config-without-path"],
+        ids=["config-missing-file", "config-without-path", "config-equals-without-path"],
     )
     def test_config_errors_are_2(self, tmp_path, monkeypatch, capsys, argv, message):
         monkeypatch.chdir(tmp_path)
@@ -313,6 +318,16 @@ class TestConfigAndEnv:
         code = main(["--config", str(cfg), "characteristic", "--output", str(out)])
         assert code == 0
         assert "powerlog:a=-0.5" in out.read_text()
+
+    def test_config_equals_path_is_config_path(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("weight = powerlog:a=-0.5\np = 2\n")
+        csv = []
+        for form in (["--config", str(cfg)], [f"--config={cfg}"]):
+            out = tmp_path / f"c{len(csv)}.csv"
+            assert main([*form, "characteristic", "--output", str(out)]) == 0
+            csv.append(out.read_bytes())
+        assert csv[0] == csv[1]
 
     def test_flags_override_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -1,12 +1,13 @@
 """The integer cube-to-cell map (``grid.cube_span``) and cube locator
 (``DyadicGrid.cube_index_of``) against the ``Fraction`` geometry they
-replaced (``geometry_oracle``), byte for byte; the all-level tables against
-the one-level builders they replaced; its int64 headroom at the extreme
-meshes; and the rules that only ``grid.py`` imports ``fractions``, reads a
-grid's ``shift_index``, touches a function's cube tables and writes the
-cube-label format, that only ``matrix.py`` touches a matrix weight's
-caches, that sparse families are built in two places only, and that no
-module imports or loads ``scipy``.
+replaced (``geometry_oracle``), byte for byte; the all-level tables, read
+through the geometry cached per mesh, grid and level, against the one-level
+builders they replaced; its int64 headroom at the extreme meshes; and the
+rules that only ``grid.py`` imports ``fractions``, reads a grid's
+``shift_index``, touches a function's cube tables, caches results (on
+frozen keys only) and writes the cube-label format, that only ``matrix.py``
+touches a matrix weight's caches, that sparse families are built in two
+places only, and that no module imports or loads ``scipy``.
 """
 
 import ast
@@ -43,8 +44,12 @@ from weaklab.grid import (
     DyadicGrid,
     Mesh,
     MeshFunction,
+    _cell_pair_spans,
     _level_affine,
+    _Spans,
+    _table_spans,
     average,
+    cell_cube_integrals,
     cube_indices_per_cell,
     cube_span,
     default_levels,
@@ -262,6 +267,98 @@ def test_range_tables_match_per_level_oracle(radius, level, components):
     assert cube_indices_per_cell(mesh, GRIDS[0], k_fine + 1, k_fine)[0].shape == (0, mesh.n_cells)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    radius=st.sampled_from([0.75, 1.0, 3.0, 5.25]),
+    level=st.integers(0, 12),
+    j=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_cached_geometry_matches_one_level_oracle(radius, level, j, seed, data):
+    """Tables and cell-cube integrals read through the geometry cached per
+    (mesh, grid, level) equal the one-level oracle bit for bit, whichever
+    windows, in whatever order, built the function's tables.  A vector f has
+    one component per cell (the Christ-Goldberg shape, read with ``comp``),
+    so it is drawn only on meshes of at most 128 cells."""
+    mesh, grid = Mesh(radius, level), DyadicGrid(j)
+    vector = mesh.n_cells <= 128 and data.draw(st.booleans())
+    rng = np.random.default_rng(seed)
+    shape = (mesh.n_cells, mesh.n_cells) if vector else (mesh.n_cells,)
+    f = MeshFunction(mesh, rng.uniform(0, 1, shape) * (rng.uniform(size=shape) < 0.6))
+    levels = level_range(mesh)
+    window = st.tuples(st.sampled_from(levels), st.sampled_from(levels)).map(sorted)
+    windows = data.draw(st.lists(window, min_size=1, max_size=4))
+    for k0, k1 in windows:
+        tables = level_cube_integrals(f, grid, k0, k1)
+        q, contained = cube_indices_per_cell(mesh, grid, k0, k1)
+        cells = cell_cube_integrals(f, grid, k0, k1)
+        assert len(tables) == len(q) == len(contained) == len(cells) == k1 - k0 + 1
+        for k, (q0, ints), q_k, cont_k, cells_k in zip(range(k0, k1 + 1), tables, q, contained, cells):
+            want_q0, want_ints = oracle_level_cube_integrals(f, grid, k)
+            assert q0 == want_q0 and ints.shape == want_ints.shape and ints.tobytes() == want_ints.tobytes()
+            want_q, want_cont = oracle_cube_indices_per_cell(mesh, grid, k)
+            assert np.array_equal(q_k, want_q) and np.array_equal(cont_k, want_cont)
+            x = np.flatnonzero(want_cont)
+            want_cells = np.zeros(mesh.n_cells)
+            want_cells[x] = want_ints[want_q[x] - want_q0, x] if vector else want_ints[want_q[x] - want_q0]
+            assert cells_k.tobytes() == want_cells.tobytes()
+
+
+def test_cached_geometry_is_read_only():
+    mesh, grid = Mesh(3.0, 5), GRIDS[1]
+    k_top, k_fine = default_levels(mesh)
+    _, spans, _ = _table_spans(mesh, grid, (k_fine, k_top))
+    j, x, pairs = _cell_pair_spans(mesh, grid, k_top, k_fine)
+    arrays = [*cube_indices_per_cell(mesh, grid, k_top, k_fine), j, x]
+    arrays += [getattr(s, name) for s in (spans, pairs) for name in _Spans.__slots__]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[0]
+
+
+def test_out_of_range_levels_raise_on_every_call():
+    """A level whose integers pass 2^53 is never cached: the second call
+    raises the first call's ``ValueError`` again."""
+    mesh, grid = Mesh(1.0, 3), GRIDS[2]
+    f = MeshFunction.indicator(mesh, -0.5, 0.25)
+    calls = [
+        lambda: _level_affine(mesh, grid, -60),
+        lambda: _table_spans(mesh, grid, (0, -60)),
+        lambda: level_cube_integrals(f, grid, -60, 0),
+        lambda: cube_indices_per_cell(mesh, grid, -60, 0),
+        lambda: cell_cube_integrals(MeshFunction(mesh, np.eye(mesh.n_cells)), grid, -60, 0),
+    ]
+    for call in calls:
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ValueError, match="too coarse") as err:
+                call()
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+    assert f._tables == {grid: {}}
+
+
+@pytest.mark.parametrize("radii", [(1.0, 3.0), (0.75, 5.25)], ids=["1-3", "0.75-5.25"])
+def test_meshes_with_equal_cell_counts_never_share_geometry(radii):
+    """Meshes of one level have the same cells in number but not in width:
+    each gets its own cube map and tables, both equal to the oracle's."""
+    meshes = [Mesh(radius, 5) for radius in radii]
+    values = np.random.default_rng(5).uniform(0, 1, meshes[0].n_cells)
+    k0 = min(default_levels(mesh)[0] for mesh in meshes)
+    k1 = max(default_levels(mesh)[1] for mesh in meshes)
+    for grid in GRIDS:
+        for k in range(k0, k1 + 1):
+            affines = [_level_affine(mesh, grid, k) for mesh in meshes]
+            assert affines == [oracle_level_affine(mesh, grid, k) for mesh in meshes]
+            assert affines[0] != affines[1]
+        for mesh in meshes:
+            f = MeshFunction(mesh, values)
+            for k, (q0, ints) in enumerate(level_cube_integrals(f, grid, k0, k1), k0):
+                want_q0, want_ints = oracle_level_cube_integrals(f, grid, k)
+                assert q0 == want_q0 and ints.tobytes() == want_ints.tobytes()
+
+
 @pytest.mark.parametrize("radius", [2.0**20, 2.0**-10, 2.0**20 - 1, (2.0**20 - 1) / 1024])
 def test_level_affine_int64_headroom(radius):
     """At the extreme meshes (level 20) every integer of the map stays below
@@ -358,6 +455,36 @@ def test_only_grid_touches_cube_tables():
     # the per-level tables kept on a MeshFunction are read and filled only by
     # grid.level_cube_integrals; every other module asks it for them
     assert _modules_touching("_tables") == {"grid.py"}
+
+
+def test_caches_live_in_grid_on_frozen_keys():
+    # caches never return a result computed for different parameters: only
+    # grid.py caches, with a fixed size and typed keys, and only functions
+    # whose parameters are all frozen values (a mesh, a grid, ints)
+    frozen = {"Mesh", "DyadicGrid", "int", "tuple[int, ...]"}
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "weaklab"
+    users, cached = set(), {}
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache"):
+                users.add(path.name)
+            elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+                users.update(path.name for a in node.names if a.name in ("lru_cache", "cache"))
+            if isinstance(node, ast.FunctionDef):
+                for dec in node.decorator_list:
+                    if "lru_cache" in ast.unparse(dec):
+                        cached[node.name] = (dec, node.args)
+    assert users == {"grid.py"}
+    assert {"_level_affine", "_table_spans", "cube_indices_per_cell", "_cell_pair_spans"} <= set(cached)
+    for name, (dec, args) in cached.items():
+        assert isinstance(dec, ast.Call) and not dec.args, name
+        options = {kw.arg: kw.value for kw in dec.keywords}
+        assert set(options) == {"maxsize", "typed"}, name
+        assert isinstance(options["maxsize"], ast.Constant) and type(options["maxsize"].value) is int, name
+        assert isinstance(options["typed"], ast.Constant) and options["typed"].value is True, name
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        assert args.vararg is None and args.kwarg is None and params, name
+        assert all(p.annotation is not None and ast.unparse(p.annotation) in frozen for p in params), name
 
 
 def test_only_matrix_touches_matrix_weight_caches():

@@ -19,11 +19,13 @@ from geometry_oracle import (
     oracle_ainfty_scalar_characteristic,
     oracle_christ_goldberg_maximal,
     oracle_dominating_scalar_sparse,
+    oracle_span_integrals,
 )
 from weaklab.grid import (
     DyadicGrid,
     Mesh,
     MeshFunction,
+    _Spans,
     _span_integrals,
     average,
     cell_cube_integrals,
@@ -160,8 +162,9 @@ def test_cell_cube_integrals_gather_the_level_tables(radius, level, shift, dk, v
 )
 def test_span_integrals_of_one_component_equal_its_column(level, r, den, seed):
     """Arbitrary spans, straddling cells or inside one, each reading one
-    component: the floats of that column of the all-components call.  Blocks
-    of one height make spans whose whole cells sum to ``count * v``."""
+    component: the floats of that column of the all-components call, which
+    are those of the one-pass oracle.  Blocks of one height make spans whose
+    whole cells sum to ``count * v``."""
     mesh = Mesh(1.0, level)
     rng = np.random.default_rng(seed)
     block = 2 ** int(rng.integers(0, level + 1))
@@ -169,8 +172,10 @@ def test_span_integrals_of_one_component_equal_its_column(level, r, den, seed):
     f = MeshFunction(mesh, np.repeat(heights, block, axis=0))
     ends = np.sort(rng.integers(0, mesh.n_cells * den + 1, (50, 2)), axis=1)
     comp = rng.integers(0, r, 50)
-    every = _span_integrals(f, ends[:, 0], ends[:, 1], den)
-    got = _span_integrals(f, ends[:, 0], ends[:, 1], den, comp=comp)
+    spans = _Spans(ends[:, 0], ends[:, 1], den)
+    every = _span_integrals(f, spans)
+    assert every.tobytes() == oracle_span_integrals(f, ends[:, 0], ends[:, 1], den).tobytes()
+    got = _span_integrals(f, spans, comp=comp)
     assert got.tobytes() == every[np.arange(50), comp].tobytes()
 
 
