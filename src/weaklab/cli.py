@@ -450,6 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="weaklab",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
+        allow_abbrev=False,  # _apply_config reads --config only, so --conf must not parse
     )
     parser.add_argument("--config", help="key = value file with defaults; flags override")
     sub = parser.add_subparsers(dest="command", required=True)

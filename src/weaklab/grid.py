@@ -12,13 +12,15 @@ the boundaries: the mesh positions of points a caller supplies
 
 Geometry once per (mesh, grid, level), values per function: which cells a
 cube covers, and the exact shares of the cells straddling its edges, depend
-only on the mesh, the grid and the level.  ``_level_affine``, the cube
-spans (``_Spans``) of each window of levels a table batch builds
-(``_table_spans``), ``cube_indices_per_cell`` and the (cube, cell) pairs of
-``cell_cube_integrals`` are therefore computed once per such key, kept by
-``functools.lru_cache`` (a fixed size, frozen keys only) as read-only
-arrays, and ``_span_integrals`` only gathers and sums a function's values
-over them.
+only on the mesh, the grid and the level.  ``_level_affine`` and the cube
+spans of each level (``_level_spans``, one read-only ``_Spans``) are
+therefore computed once per such key and kept by ``functools.lru_cache`` (a
+fixed size, frozen keys only).  ``level_cube_integrals`` and
+``cell_cube_integrals`` join the spans of the levels they read, and
+``_span_integrals`` only gathers and sums a function's values over them.
+The spans are kept for meshes of at most ``_CACHED_CELLS`` cells: they take
+about 80 bytes a cell per grid, which on a level-20 mesh would keep 0.5 GB
+for the three grids after the tables are gone.
 
 The shifted dyadic grids implement the one-third-trick family
 
@@ -42,7 +44,6 @@ cheap; see :mod:`weaklab.weights`).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -483,38 +484,32 @@ def _level_affines(mesh: Mesh, grid: DyadicGrid, k0: int, k1: int) -> np.ndarray
     return affine.reshape(-1, 3).T
 
 
-@functools.lru_cache(maxsize=32, typed=True)
 def cube_indices_per_cell(mesh: Mesh, grid: DyadicGrid, k0: int, k1: int) -> tuple[np.ndarray, np.ndarray]:
     """(q, contained) per grid level k0..k1 (rows) and mesh cell (columns).
 
     ``q[j, i]`` is the index of the level-(k0 + j) cube containing the left
     endpoint of cell i; ``contained[j, i]`` says whether the whole cell sits
-    inside that cube.  Exact integer arithmetic, all levels in one pass; the
-    arrays are read-only and shared by every call with the same key.
+    inside that cube.  Exact integer arithmetic, all levels in one pass.
     """
     a0, step, den = _level_affines(mesh, grid, k0, k1)[..., None]
     num = a0 + np.arange(mesh.n_cells + 1, dtype=np.int64) * step
     q = num[:, :-1] // den
-    return _read_only(q), _read_only(-(-num[:, 1:] // den) == q + 1)  # the cell's right edge is at most the cube's
+    return q, -(-num[:, 1:] // den) == q + 1  # the cell's right edge is at most the cube's
+
+
+_CACHED_CELLS = 2**13  # finer meshes derive their level spans per table batch
 
 
 @functools.lru_cache(maxsize=64, typed=True)
-def _table_spans(mesh: Mesh, grid: DyadicGrid, levels: tuple[int, ...]) -> tuple[tuple, "_Spans", tuple]:
-    """(q0s, spans, cuts): one batch of the cubes of the given levels that
-    meet the mesh domain, each span the part of its cube inside the domain
-    with its own level's denominator; span m of level i (at ``cuts[i] + m``)
-    is cube ``q0s[i] + m``."""
+def _level_spans(mesh: Mesh, grid: DyadicGrid, k: int) -> tuple[int, "_Spans"]:
+    """(q0, spans): the level-k cubes that meet the mesh domain, span m the
+    part of cube q0 + m inside the domain."""
     n = mesh.n_cells
-    q0s, edges, dens = [], [], []
-    for k in levels:
-        a0, step, den = _level_affine(mesh, grid, k)
-        # cube m spans cell positions [(m den - a0)/step, ((m+1) den - a0)/step)
-        inner = np.arange(a0 // den + 1, -(-(a0 + n * step) // den), dtype=np.int64) * den - a0
-        q0s.append(a0 // den)
-        edges.append(np.concatenate(([0], inner, [n * step])))
-        dens.append(np.full(len(inner) + 1, step))
-    lo, hi = np.concatenate([e[:-1] for e in edges]), np.concatenate([e[1:] for e in edges])
-    return tuple(q0s), _Spans(lo, hi, np.concatenate(dens)), (0, *itertools.accumulate(map(len, dens)))
+    a0, step, den = _level_affine(mesh, grid, k)
+    # cube m spans cell positions [(m den - a0)/step, ((m+1) den - a0)/step)
+    inner = np.arange(a0 // den + 1, -(-(a0 + n * step) // den), dtype=np.int64) * den - a0
+    edges = np.concatenate(([0], inner, [n * step]))
+    return a0 // den, _Spans(edges[:-1], edges[1:], step)
 
 
 def level_cube_integrals(f: MeshFunction, grid: DyadicGrid, k0: int, k1: int) -> list[tuple[int, np.ndarray]]:
@@ -523,57 +518,58 @@ def level_cube_integrals(f: MeshFunction, grid: DyadicGrid, k0: int, k1: int) ->
 
     Cells straddling a cube edge are split exactly; f is zero outside the
     domain.  The levels not yet in ``f._tables[grid]`` go through one
-    ``_span_integrals`` call over their ``_table_spans``, each span with its
-    own level's denominator, so each entry is bit-identical to
+    ``_span_integrals`` call over their ``_level_spans`` joined, each span
+    with its own level's denominator, so each entry is bit-identical to
     ``f.integral(cube.left, cube.right)`` whichever window built it.  The
     tables are read-only and stay on f.  A vector f integrates component by
     component: ``integrals[m, c]`` is cube ``q0 + m``'s integral of c.
     """
     memo = f._tables.setdefault(grid, {})
-    missing = tuple(k for k in range(k0, k1 + 1) if k not in memo)
+    missing = [k for k in range(k0, k1 + 1) if k not in memo]
     if missing:
-        q0s, spans, cuts = _table_spans(f.mesh, grid, missing)
+        q0s, sizes, spans = _joined_level_spans(f.mesh, grid, missing)
         ints = _span_integrals(f, spans)
         ints.flags.writeable = False  # the per-level views inherit it
-        memo.update((k, (q0, ints[a:b])) for k, q0, a, b in zip(missing, q0s, cuts, cuts[1:]))
+        memo.update(zip(missing, zip(q0s, np.split(ints, np.cumsum(sizes)[:-1]))))
     return [memo[k] for k in range(k0, k1 + 1)]
 
 
-@functools.lru_cache(maxsize=32, typed=True)
-def _cell_pair_spans(mesh: Mesh, grid: DyadicGrid, k0: int, k1: int) -> tuple[np.ndarray, np.ndarray, "_Spans"]:
-    """(j, x, spans): span s is the part inside the domain of the level-(k0 + j[s])
-    cube that wholly contains cell x[s], for every such (level, cell) pair."""
-    n = mesh.n_cells
-    q, contained = cube_indices_per_cell(mesh, grid, k0, k1)
-    a0, step, den = _level_affines(mesh, grid, k0, k1)
-    j, x = np.nonzero(contained)
-    lo = q[j, x] * den[j] - a0[j]  # cube q spans cell positions [(q den - a0)/step, ((q+1) den - a0)/step)
-    hi = np.minimum(lo + den[j], n * step[j])
-    return _read_only(j), _read_only(x), _Spans(np.maximum(lo, 0), hi, step[j])
+def _joined_level_spans(mesh: Mesh, grid: DyadicGrid, levels) -> tuple[tuple, list, "_Spans"]:
+    """(q0s, sizes, spans): the ``_level_spans`` of ``levels`` joined in order,
+    with each level's first cube and span count."""
+    level_spans = _level_spans if mesh.n_cells <= _CACHED_CELLS else _level_spans.__wrapped__
+    q0s, parts = zip(*(level_spans(mesh, grid, k) for k in levels))
+    return q0s, [len(part) for part in parts], _Spans.join(parts)
 
 
 def cell_cube_integrals(f: MeshFunction, grid: DyadicGrid, k0: int, k1: int) -> np.ndarray:
     """Per level k0..k1 (rows) and mesh cell x (columns): the integral of f
     over the level's cube that wholly contains cell x, 0 where none does.
 
-    A vector f has one component per cell, and cell x reads component x.
-    Only those (cube, cell) pairs (``_cell_pair_spans``) are integrated, all
-    levels in one ``_span_integrals`` call, so each entry is bit-identical to
-    column x of its cube's ``level_cube_integrals`` entry.  A scalar f is
-    gathered from the ``level_cube_integrals`` table.
+    The cells a cube wholly contains are the whole cells of its span, so the
+    (cube, cell) pairs come from the joined ``_level_spans``.  A vector f
+    has one component per cell, and cell x reads component x: only those
+    pairs are integrated, all levels in one ``_span_integrals`` call, so
+    each entry is bit-identical to column x of its cube's
+    ``level_cube_integrals`` entry.  A scalar f is gathered from the
+    ``level_cube_integrals`` table.
     """
-    q, contained = cube_indices_per_cell(f.mesh, grid, k0, k1)
-    out = np.zeros(q.shape)
+    n = f.mesh.n_cells
+    out = np.zeros((max(k1 - k0 + 1, 0), n))
     if k1 < k0:
         return out
-    if not f.is_vector:
-        tables = level_cube_integrals(f, grid, k0, k1)
-        # cube q of level j sits at q + offset[j] in the concatenated tables
-        offset = np.cumsum([0] + [len(ints) for _, ints in tables[:-1]]) - [q0 for q0, _ in tables]
-        out[contained] = np.concatenate([ints for _, ints in tables])[(q + offset[:, None])[contained]]
-        return out
-    j, x, spans = _cell_pair_spans(f.mesh, grid, k0, k1)
-    out[j, x] = _span_integrals(f, spans, comp=x)
+    _, sizes, spans = _joined_level_spans(f.mesh, grid, range(k0, k1 + 1))
+    first, stop = spans.ends[::2], spans.ends[1::2]
+    counts = np.maximum(stop - first, 0)  # cells wholly inside each span's cube
+    # the flat index j * n + x in out of each (cube, cell) pair, x running up
+    # from first along each span
+    at = np.arange(counts.sum())
+    at -= np.repeat(np.cumsum(counts) - counts - first - np.repeat(np.arange(k1 - k0 + 1) * n, sizes), counts)
+    if f.is_vector:
+        pairs = spans.take(np.repeat(np.arange(len(spans)), counts))
+        np.put(out, at, _span_integrals(f, pairs, comp=at % n))
+    else:
+        np.put(out, at, np.repeat(np.concatenate([ints for _, ints in level_cube_integrals(f, grid, k0, k1)]), counts))
     return out
 
 
@@ -601,13 +597,28 @@ class _Spans:
         i_hi, r_hi = hi // den, hi % den
         same = i_lo == i_hi  # both ends in one cell
         first = i_lo + (r_lo > 0)
-        self.ends = _read_only(np.stack([first, i_hi], axis=1).astype(np.int64).ravel())
-        self.i_lo = _read_only(i_lo.astype(np.int64))
-        self.w_lo = _read_only(np.array(np.where(same, hi - lo, np.where(r_lo > 0, den - r_lo, 0)) / den, dtype=float))
-        self.w_hi = _read_only(np.array(np.where(same, 0, r_hi) / den, dtype=float))
+        self.ends = _read_only(np.stack([first, i_hi], axis=1).astype(np.int64, copy=False).ravel())
+        self.i_lo = _read_only(i_lo.astype(np.int64, copy=False))
+        self.w_lo = _read_only(np.asarray(np.where(same, hi - lo, np.where(r_lo > 0, den - r_lo, 0)) / den, dtype=float))
+        self.w_hi = _read_only(np.asarray(np.where(same, 0, r_hi) / den, dtype=float))
 
     def __len__(self) -> int:
         return len(self.i_lo)
+
+    @classmethod
+    def _of(cls, ends, i_lo, w_lo, w_hi) -> "_Spans":
+        spans = object.__new__(cls)
+        spans.ends, spans.i_lo, spans.w_lo, spans.w_hi = map(_read_only, (ends, i_lo, w_lo, w_hi))
+        return spans
+
+    @classmethod
+    def join(cls, parts) -> "_Spans":
+        """One batch of the spans of ``parts``, in order."""
+        return cls._of(*(np.concatenate([getattr(part, name) for part in parts]) for name in cls.__slots__))
+
+    def take(self, idx: np.ndarray) -> "_Spans":
+        """The spans at ``idx``, in that order."""
+        return self._of(self.ends.reshape(-1, 2)[idx].ravel(), self.i_lo[idx], self.w_lo[idx], self.w_hi[idx])
 
 
 def _span_integrals(f: MeshFunction, spans: _Spans, comp=None) -> np.ndarray:

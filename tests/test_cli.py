@@ -329,6 +329,19 @@ class TestConfigAndEnv:
             csv.append(out.read_bytes())
         assert csv[0] == csv[1]
 
+    @pytest.mark.parametrize("flag", ["--conf", "--conf=", "--confi="])
+    def test_config_abbreviations_are_2(self, tmp_path, capsys, flag):
+        # an abbreviation of --config would parse and silently drop the file
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("p = 3\n")
+        out = tmp_path / "c.csv"
+        argv = [f"{flag}{cfg}"] if flag.endswith("=") else [flag, str(cfg)]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "characteristic", "--weight", "powerlog:a=-0.5", "--output", str(out)])
+        assert exc.value.code == 2
+        assert "weaklab: error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_flags_override_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("weight = powerlog:a=-0.5\ntrials = 50\n")

@@ -44,10 +44,10 @@ from weaklab.grid import (
     DyadicGrid,
     Mesh,
     MeshFunction,
-    _cell_pair_spans,
+    _CACHED_CELLS,
     _level_affine,
+    _level_spans,
     _Spans,
-    _table_spans,
     average,
     cell_cube_integrals,
     cube_indices_per_cell,
@@ -308,13 +308,26 @@ def test_cached_geometry_matches_one_level_oracle(radius, level, j, seed, data):
 def test_cached_geometry_is_read_only():
     mesh, grid = Mesh(3.0, 5), GRIDS[1]
     k_top, k_fine = default_levels(mesh)
-    _, spans, _ = _table_spans(mesh, grid, (k_fine, k_top))
-    j, x, pairs = _cell_pair_spans(mesh, grid, k_top, k_fine)
-    arrays = [*cube_indices_per_cell(mesh, grid, k_top, k_fine), j, x]
-    arrays += [getattr(s, name) for s in (spans, pairs) for name in _Spans.__slots__]
-    for a in arrays:
+    spans = [_level_spans(mesh, grid, k)[1] for k in (k_top, k_fine)]
+    spans.append(_Spans.join(spans))
+    for a in [getattr(s, name) for s in spans for name in _Spans.__slots__]:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = a[0]
+
+
+def test_fine_meshes_keep_no_geometry():
+    """Past ``_CACHED_CELLS`` cells the level spans are derived per table
+    batch and the cache is not consulted; the tables still equal the
+    oracle's."""
+    mesh, grid = Mesh(1.0, 13), GRIDS[2]
+    assert mesh.n_cells == 2 * _CACHED_CELLS
+    k_top, k_fine = default_levels(mesh)
+    f = MeshFunction(mesh, np.random.default_rng(13).uniform(0, 1, mesh.n_cells))
+    lookups = _level_spans.cache_info()[:2]  # hits, misses
+    for k, (q0, ints) in enumerate(level_cube_integrals(f, grid, k_top, k_fine), k_top):
+        want_q0, want_ints = oracle_level_cube_integrals(f, grid, k)
+        assert q0 == want_q0 and ints.tobytes() == want_ints.tobytes()
+    assert _level_spans.cache_info()[:2] == lookups
 
 
 def test_out_of_range_levels_raise_on_every_call():
@@ -324,7 +337,7 @@ def test_out_of_range_levels_raise_on_every_call():
     f = MeshFunction.indicator(mesh, -0.5, 0.25)
     calls = [
         lambda: _level_affine(mesh, grid, -60),
-        lambda: _table_spans(mesh, grid, (0, -60)),
+        lambda: _level_spans(mesh, grid, -60),
         lambda: level_cube_integrals(f, grid, -60, 0),
         lambda: cube_indices_per_cell(mesh, grid, -60, 0),
         lambda: cell_cube_integrals(MeshFunction(mesh, np.eye(mesh.n_cells)), grid, -60, 0),
@@ -475,7 +488,7 @@ def test_caches_live_in_grid_on_frozen_keys():
                     if "lru_cache" in ast.unparse(dec):
                         cached[node.name] = (dec, node.args)
     assert users == {"grid.py"}
-    assert {"_level_affine", "_table_spans", "cube_indices_per_cell", "_cell_pair_spans"} <= set(cached)
+    assert set(cached) == {"_level_affine", "_level_spans"}
     for name, (dec, args) in cached.items():
         assert isinstance(dec, ast.Call) and not dec.args, name
         options = {kw.arg: kw.value for kw in dec.keywords}
