@@ -19,7 +19,8 @@ Exit codes: 0 success; 1 invariant-suite violation; 2 invalid exponent
 relation or malformed input (the parser rejects non-finite numbers and
 weight-descriptor parameters before anything runs; an unreadable weight file,
 or one without its keys, and a missing or unreadable config file are malformed
-input, and so is ``weaktype --operator H`` with ``--alpha``); 3 numerical failure
+input, and so are ``weaktype --operator H`` with ``--alpha``, an ``--alpha``
+outside (0, 1) and a ``--q`` without ``--alpha``); 3 numerical failure
 (non-integrable weight, degenerate data, unresolved level set, an ellipsoid
 fit that misses its certificate).
 """
@@ -292,7 +293,11 @@ def cmd_weaktype(args) -> int:
     p, q, alpha = args.p, args.q, args.alpha
     if p < 1:
         raise ValueError(f"weak-type quotients need p >= 1, got {p}")
-    fractional = alpha is not None and alpha > 0
+    if alpha is not None and not 0 < alpha < 1:
+        raise ValueError(f"fractional order must satisfy 0 < alpha < n = 1, got {alpha}")
+    if q is not None and alpha is None:
+        raise ValueError("--q needs --alpha: without it the quotients take q = p")
+    fractional = alpha is not None
     if fractional and args.operator == "H":
         raise ValueError(
             "H with --alpha pairs the Hilbert transform with the fractional characteristic "

@@ -6,9 +6,11 @@ intervals.  Every cube/cell question is answered in integers, so set
 measures are exact sums of cell widths: ``cube_span`` places a cube at
 ``[lo/den, hi/den)`` in cell units from the left mesh edge, read off the
 per-level constants of ``_level_affine`` (integer indexing as in
-Lerner-Nazarov, *Intuitive dyadic calculus*).  ``Fraction`` remains only at
-the boundaries: the mesh positions of points a caller supplies
-(``Mesh._position``) and ``Cube.left``/``Cube.right``.
+Lerner-Nazarov, *Intuitive dyadic calculus*), and ``inside_cubes`` names a
+level's cubes that lie wholly inside the domain; no other module reads
+``_level_affine``.  ``Fraction`` remains only at the boundaries: the mesh
+positions of points a caller supplies (``Mesh._position``, called only
+here) and ``Cube.left``/``Cube.right``.
 
 Geometry once per (mesh, grid, level), values per function: which cells a
 cube covers, and the exact shares of the cells straddling its edges, depend
@@ -60,6 +62,7 @@ __all__ = [
     "average",
     "cube_span",
     "inner_cell_range",
+    "inside_cubes",
     "default_levels",
 ]
 
@@ -476,6 +479,14 @@ def inner_cell_range(mesh: Mesh, cube: Cube) -> tuple[int, int]:
     lo, hi, den = cube_span(mesh, cube)
     i0 = max(-(-lo // den), 0)
     return i0, max(min(hi // den, mesh.n_cells), i0)
+
+
+def inside_cubes(mesh: Mesh, grid: DyadicGrid, k: int) -> range:
+    """The indices m of the level-k cubes lying wholly inside the mesh
+    domain (an empty range when none does)."""
+    a0, step, den = _level_affine(mesh, grid, k)
+    # cube m spans cell positions [(m den - a0)/step, ((m+1) den - a0)/step)
+    return range(-(-a0 // den), (a0 + mesh.n_cells * step) // den)
 
 
 def _level_affines(mesh: Mesh, grid: DyadicGrid, k0: int, k1: int) -> np.ndarray:

@@ -32,14 +32,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import Cube, DyadicGrid, Mesh, MeshFunction, _level_affine, cube_span, default_levels, shifted_grids
+from .grid import Cube, DyadicGrid, Mesh, MeshFunction, cube_span, default_levels, inside_cubes, shifted_grids
 from .operators import _maximal_sweep
 from .sparse import _cube_averages
 from .weights import (
     CharacteristicReport,
     SampledWeight,
     SearchSpace,
-    _fujii_wilson_one_grid,
+    _cubes,
+    _fujii_wilson,
+    _report,
     a1_characteristic,
     ap_characteristic,
     dual_exponent,
@@ -385,13 +387,6 @@ def fractional_dual_reducing_matrix(W: MatrixWeight, cube: Cube, p: float) -> Re
 # ---------------------------------------------------------------------------
 
 
-def _aligned_levels(mesh: Mesh) -> list[tuple[int, int]]:
-    """(level, cells-per-cube) pairs for aligned cubes inside the domain,
-    from the cubes of width R down to the cells."""
-    k_cell = mesh.aligned_cell_level()
-    return [(k, 2 ** (k_cell - k)) for k in range(k_cell - mesh.level, k_cell + 1)]
-
-
 def _matrix_char_engine(
     W: MatrixWeight,
     pair_norm: np.ndarray,
@@ -400,35 +395,20 @@ def _matrix_char_engine(
     quantity: str,
 ) -> CharacteristicReport:
     """sup over aligned cubes of mean_x (mean_y pair_norm^inner)^(outer) or
-    max_x mean_y pair_norm^inner when outer_exp is None (A_1-type)."""
-    mesh = W.mesh
+    max_x mean_y pair_norm^inner when outer_exp is None (A_1-type); the
+    cubes run from width R down to the cells (the matrix order of ``_cubes``)."""
+    mesh, grid = W.mesh, DyadicGrid()
     G = pair_norm**inner_exp
-    value, cube = -np.inf, None
-    levels = _aligned_levels(mesh)
-    grid = DyadicGrid()
-    for k, B in levels:
-        nb = mesh.n_cells // B
-        # mean over y within each block, for every x: (n, nb)
-        Y = G.reshape(mesh.n_cells, nb, B).mean(axis=2)
-        # restrict x to the same block (diagonal blocks)
-        D = Y.reshape(nb, B, nb)
-        diag = D[np.arange(nb), :, np.arange(nb)]  # (nb, B)
-        if outer_exp is None:
-            vals = diag.max(axis=1)
-        else:
-            vals = (diag**outer_exp).mean(axis=1)
-        j = int(np.argmax(vals))
-        if vals[j] > value:
-            a0, _, den = _level_affine(mesh, grid, k)
-            value, cube = float(vals[j]), grid.cube(k, a0 // den + j)  # a0 // den: the cube holding the left edge
-    return CharacteristicReport(
-        quantity=quantity,
-        value=value,
-        witness=cube.interval(),
-        witness_label=cube.label,
-        search_levels=(levels[0][0], levels[-1][0]),
-        grids_used=1,
-    )
+    k_cell = mesh.aligned_cell_level()
+    vals, blocks = [], []
+    for k in range(k_cell - mesh.level, k_cell + 1):
+        inside = inside_cubes(mesh, grid, k)
+        nb, B = len(inside), mesh.n_cells // len(inside)  # cubes, cells per cube
+        i = np.arange(nb)
+        diag = G.reshape(nb, B, nb, B)[i, :, i].mean(axis=2)  # (nb, B): mean over y in x's own cube
+        vals.append(diag.max(axis=1) if outer_exp is None else (diag**outer_exp).mean(axis=1))
+        blocks.append((grid, k, np.arange(inside.start, inside.stop)))
+    return _report(quantity, np.concatenate(vals), *_cubes(blocks), ((k_cell - mesh.level, k_cell), 1))
 
 
 def _pair_norms(Wx: np.ndarray, Wy: np.ndarray) -> np.ndarray:
@@ -531,15 +511,9 @@ def ainfty_scalar_characteristic(
     wv = np.linalg.norm(np.einsum("xij,nj->xni", W.power(mp), dirs), axis=2) ** npow
     if not np.all(wv > 0):
         raise ValueError("direction weights must be positive")
-    wbar = MeshFunction(W.mesh, wv)
     grids = list(grids) if grids is not None else shifted_grids(1)
-    k_lo, k_fine = default_levels(W.mesh)
-    best = np.full(n_dirs, -np.inf)
-    for g in grids:
-        best = np.maximum(best, _fujii_wilson_one_grid(wbar, g, k_lo, k_fine)[0])
+    best = _fujii_wilson(MeshFunction(W.mesh, wv), grids, *default_levels(W.mesh))[0].max(axis=0)
     j = int(np.argmax(best))
-    if best[j] == -np.inf:
-        raise ValueError("no grid cube fits inside the mesh domain")
     return float(best[j]), dirs[j]
 
 

@@ -40,6 +40,7 @@ from .grid import (
     cube_span,
     default_levels,
     inner_cell_range,
+    inside_cubes,
     level_cube_integrals,
 )
 
@@ -73,7 +74,10 @@ def covering_roots(mesh: Mesh, grid: DyadicGrid, span: tuple[float, float]) -> l
     rejected (embed the function into a larger mesh instead).
     """
     lo, hi = span
-    if mesh._position(lo) < 0 or mesh._position(hi) > mesh.n_cells:
+    for x in span:
+        if not math.isfinite(x):
+            raise ValueError(f"point {x} is not a finite number")
+    if lo < -mesh.radius or hi > mesh.radius:
         raise ValueError(f"span [{lo}, {hi}) leaves the mesh domain")
     roots: list[Cube] = []
     k_top, k_cell = default_levels(mesh)
@@ -82,8 +86,7 @@ def covering_roots(mesh: Mesh, grid: DyadicGrid, span: tuple[float, float]) -> l
         placed = None
         for k in range(k_top, k_cell + 1):
             c = grid.cube_containing(k, pos)
-            c_lo, c_hi, den = cube_span(mesh, c)
-            if c_lo >= 0 and c_hi <= mesh.n_cells * den:
+            if c.index in inside_cubes(mesh, grid, k):
                 placed = c
                 break
         if placed is None:

@@ -33,11 +33,14 @@ cubes in a level range, optionally augmented by origin-anchored intervals
 their extremal intervals hug the origin, where dyadic cubes alone are too
 rigid).  The report records the witness interval so every value can be
 recomputed from its definition, and its label, formatted for the witness
-alone (a grid cube by ``Cube.label``).  Each grid level's cubes are built as
-integer arrays: cube m of level k in grid j is [(3m + sj) 2^-k, (3m + 3 + sj)
-2^-k) / 3 with sj = (-1)^k j.  While |3m + 3 + sj| < 2^53 the numerator times
-2^-k is an exact float, so one division by 3 is the correctly rounded exact
-endpoint, bit for bit what float() of the rational cube endpoint gives.
+alone (a grid cube by ``Cube.label``).  Every report, the matrix
+characteristics' too, comes from ``_report``: the witness is the first
+maximum in candidate order (see ``_cubes``).  Each grid level's cubes are
+built as integer arrays: cube m of level k in grid j is [(3m + sj) 2^-k,
+(3m + 3 + sj) 2^-k) / 3 with sj = (-1)^k j.  While |3m + 3 + sj| < 2^53 the
+numerator times 2^-k is an exact float, so one division by 3 is the
+correctly rounded exact endpoint, bit for bit what float() of the rational
+cube endpoint gives.
 """
 
 from __future__ import annotations
@@ -53,10 +56,10 @@ from .grid import (
     DyadicGrid,
     Mesh,
     MeshFunction,
-    _level_affine,
     _span_integrals,
     _Spans,
     default_levels,
+    inside_cubes,
     level_cube_integrals,
     shifted_grids,
 )
@@ -410,7 +413,7 @@ class SampledWeight:
     def _require_inside(self, lo, hi):
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"interval [{lo}, {hi}) has a non-finite endpoint")
-        if self.mesh._position(lo) < 0 or self.mesh._position(hi) > self.mesh.n_cells:
+        if lo < -self.mesh.radius or hi > self.mesh.radius:
             raise ValueError(
                 f"interval [{lo}, {hi}) leaves the sampled domain "
                 f"[-{self.mesh.radius}, {self.mesh.radius})"
@@ -526,9 +529,9 @@ class SearchSpace:
             if not self.sampled_aligned_cubes:
                 return _sampled_intervals(mesh, self.domain)
             (k_lo, k_hi), _ = self.levels_for(weight)
-            return _grid_cubes((DyadicGrid(),), k_lo, k_hi, (-mesh.radius, mesh.radius))
+            return _cubes(_grid_cubes((DyadicGrid(),), k_lo, k_hi, (-mesh.radius, mesh.radius)))
         b = self.domain[1]
-        lo, hi, cube_label = _grid_cubes(self.grids, self.min_level, self.max_level, self.domain)
+        lo, hi, cube_label = _cubes(_grid_cubes(self.grids, self.min_level, self.max_level, self.domain))
         n = len(lo)
         t = np.array([x for x in self.anchored if 0 < x <= b], dtype=float)
         ts = np.array([x for x in self.two_sided if 0 < x <= b], dtype=float)
@@ -545,30 +548,40 @@ class SearchSpace:
         return lo, np.concatenate((hi, t, np.tile(ts, len(ts)))), label
 
 
-def _grid_cubes(grids, min_level: int, max_level: int, domain):
-    """(lo, hi, label) of the grid cubes meeting the open interval ``domain``,
-    grid by grid and level by level, each level one integer array of cube
-    indices m; ``label(i)`` names cube i by its ``Cube``."""
+def _grid_cubes(grids, min_level: int, max_level: int, domain) -> list:
+    """The grid cubes meeting the open interval ``domain`` = (a, b) in the
+    floats of ``_cubes``, as ``(grid, k, m)`` blocks, grid by grid and level
+    by level.  Only the cubes holding a and b can miss (a, b): under the
+    bound of ``SearchSpace`` every cube is at least two ulps of a and b wide."""
     a, b = domain
-    los, his, blocks = [np.empty(0)], [np.empty(0)], []
+    blocks = []
     for g in grids:
         for k in range(min_level, max_level + 1):
-            m = np.arange(g.cube_index_of(k, a), g.cube_index_of(k, b) + 1)
-            num = g.numerator(k, m)
-            lo = num * 2.0**-k / 3.0
-            hi = (num + 3) * 2.0**-k / 3.0
-            keep = (hi > a) & (lo < b)
-            los.append(lo[keep])
-            his.append(hi[keep])
-            blocks.append((g, k, m[keep]))
-    starts = np.cumsum([0] + [len(m) for _, _, m in blocks])
+            q_a, q_b = g.cube_index_of(k, a), g.cube_index_of(k, b)
+            hi_a, lo_b = (g.numerator(k, q) * 2.0**-k / 3.0 for q in (q_a + 1, q_b))
+            blocks.append((g, k, np.arange(q_a + (hi_a <= a), q_b + (lo_b < b))))
+    return blocks
+
+
+def _cubes(blocks):
+    """(lo, hi, label) of the cubes of the ``(grid, k, m)`` blocks, in block
+    order; ``label(i)`` names cube i by its ``Cube``.  The order is the tie
+    rule of ``_report``, the first maximum: for a search space grid by grid,
+    coarse to fine, left to right (``_grid_cubes``); for Fujii-Wilson grid by
+    grid, fine to coarse, left to right (``_fujii_wilson``); for the matrix
+    weights the standard cubes of the mesh from width R down to one cell,
+    left to right, the list of ``SearchSpace.aligned_cubes()``."""
+    sizes = [len(m) for _, _, m in blocks]
+    num = np.concatenate([np.empty(0, dtype=np.int64)] + [g.numerator(k, m) for g, k, m in blocks])
+    scale = np.repeat([2.0**-k for _, k, _ in blocks], sizes)  # each cube's width
+    starts = np.cumsum([0] + sizes)
 
     def label(i: int) -> str:
         j = int(np.searchsorted(starts, i, side="right")) - 1
         g, k, m = blocks[j]
         return g.cube(k, int(m[i - starts[j]])).label
 
-    return np.concatenate(los), np.concatenate(his), label
+    return num * scale / 3.0, (num + 3) * scale / 3.0, label
 
 
 def _sampled_intervals(mesh: Mesh, domain):
@@ -674,23 +687,33 @@ class _Plan:
             mins = np.minimum.reduceat(np.append(w.values, np.inf), self.edges)[:-1]
             out = self._runs(mins, np.minimum.accumulate, np.inf)
         if np.any(out == 0):
-            raise DegenerateWeightError(f"essinf vanishes on {self._where(int(np.argmax(out == 0)))}")
+            where = _where(self.lo, self.hi, self.label, int(np.argmax(out == 0)))
+            raise DegenerateWeightError(f"essinf vanishes on {where}")
         return out
 
-    def _where(self, i: int) -> str:
-        return f"cube [{self.lo[i]:.6g}, {self.hi[i]:.6g}) ({self.label(i)})"
-
     def report(self, quantity: str, values) -> CharacteristicReport:
-        """Report the largest of ``values``, one per candidate."""
-        values = np.asarray(values, dtype=float)
-        if values.size == 0:
-            raise ValueError("empty search space")
-        if not np.all(np.isfinite(values)):
-            bad = int(np.argmax(~np.isfinite(values)))
-            raise NonIntegrableError(f"{quantity} is not finite on {self._where(bad)}")
-        i = int(np.argmax(values))
-        (levels, grids), witness = self.searched, (float(self.lo[i]), float(self.hi[i]))
-        return CharacteristicReport(quantity, float(values[i]), witness, self.label(i), levels, grids)
+        """Report the largest of ``values``, one per candidate (``_report``)."""
+        return _report(quantity, values, self.lo, self.hi, self.label, self.searched)
+
+
+def _where(lo, hi, label, i: int) -> str:
+    return f"cube [{lo[i]:.6g}, {hi[i]:.6g}) ({label(i)})"
+
+
+def _report(quantity: str, values, lo, hi, label, searched) -> CharacteristicReport:
+    """Report ``values``, one per candidate ``[lo[i], hi[i])`` named
+    ``label(i)``, in candidate order (see ``_cubes``): the first maximum is
+    the witness, and a non-finite value is a ``NonIntegrableError`` that
+    names its candidate.  ``searched`` is ``(search_levels, grids_used)``."""
+    values = np.asarray(values, dtype=float)
+    if values.size == 0:
+        raise ValueError("empty search space")
+    if not np.all(np.isfinite(values)):
+        bad = int(np.argmax(~np.isfinite(values)))
+        raise NonIntegrableError(f"{quantity} is not finite on {_where(lo, hi, label, bad)}")
+    i = int(np.argmax(values))
+    (levels, grids), witness = searched, (float(lo[i]), float(hi[i]))
+    return CharacteristicReport(quantity, float(values[i]), witness, label(i), levels, grids)
 
 
 # ---------------------------------------------------------------------------
@@ -815,12 +838,8 @@ def ainfty_characteristic(
     Realization: the weight is discretized to exact cell averages on
     ``mesh``; for each shifted dyadic grid, Q runs over the grid cubes
     inside the mesh domain, and M is that grid's own dyadic maximal
-    operator.  Within one grid any cube is nested in or disjoint from Q,
-    so on Q the maximal function of w χ_Q only sees cubes contained in Q;
-    ∫_Q M(w χ_Q) is then computed exactly (for the discretized weight) by a
-    single bottom-up sweep that maintains, per finest-level cube, the
-    running maximum of ancestor averages.  The reported value is the max
-    over the three grids, and is exact for constant weights (= 1).
+    operator (see ``_fujii_wilson``).  The reported value is the max over
+    the three grids, and is exact for constant weights (= 1).
     """
     if mesh is None:
         mesh = weight.mesh if isinstance(weight, SampledWeight) else Mesh(4.0, 9)
@@ -830,62 +849,45 @@ def ainfty_characteristic(
     wbar = MeshFunction(mesh, weight.cell_averages(mesh))
     if np.any(wbar.values <= 0):
         raise DegenerateWeightError("discretized weight must be positive")
-    value, cube = -np.inf, None
-    for g in grids:
-        val, k, m = _fujii_wilson_one_grid(wbar, g, min_level, k_fine)
-        if val > value:
-            value, cube = float(val), g.cube(int(k), int(m))
-    if cube is None:
-        raise ValueError("no grid cube fits inside the mesh domain")
-    return CharacteristicReport(
-        quantity="A_inf(FW)",
-        value=value,
-        witness=cube.interval(),
-        witness_label=cube.label,
-        search_levels=(min_level, k_fine),
-        grids_used=len(grids),
-    )
+    values, blocks = _fujii_wilson(wbar, grids, min_level, k_fine)
+    return _report("A_inf(FW)", values, *_cubes(blocks), ((min_level, k_fine), len(grids)))
 
 
-def _fujii_wilson_one_grid(wbar: MeshFunction, grid: DyadicGrid, k_lo: int, k_fine: int):
-    """(value, k, m) per component of ``wbar``: the largest w(Q)^-1 ∫_Q M(w χ_Q)
-    over the grid's cubes inside the domain, levels k_lo..k_fine, and its
-    cube; the finer level, then the left cube wins a tie; -inf if none.
+def _fujii_wilson(wbar: MeshFunction, grids, k_lo: int, k_fine: int):
+    """(values, blocks): w(Q)^-1 ∫_Q M(w χ_Q) per component of ``wbar`` (one
+    row per cube Q), over each grid's cubes inside the mesh domain, levels
+    k_lo..k_fine, and those cubes as ``_cubes`` blocks: grid by grid, the
+    finer level first, then left to right; -inf where w(Q) = 0.
+
+    Within one grid any cube is nested in or disjoint from Q, so on Q the
+    maximal function of w χ_Q only sees cubes contained in Q; ∫_Q M(w χ_Q)
+    is then computed exactly (for the discretized weight) by a single
+    bottom-up sweep that maintains, per finest-level cube, the running
+    maximum of ancestor averages.
     """
-    mesh = wbar.mesh
-    tables = level_cube_integrals(wbar, grid, min(k_lo, k_fine), k_fine)  # k_fine even if k_lo > k_fine
-    q0f, ints_f = tables[-1]  # finest-level geometry
-    nf = len(ints_f)
     width_f = 2.0**-k_fine
-    lefts_f_num = grid.numerator(k_fine, q0f + np.arange(nf, dtype=np.int64))
-    # left endpoint of finest cube i is lefts_f_num[i] / (3 * 2^k_fine), exactly
-    profile = np.zeros(ints_f.shape)
-    vals, levels, cubes = [], [], []  # per level: ratios of the inside cubes, k, their indices m
-    for k, (q0, ints) in zip(range(k_fine, k_lo - 1, -1), reversed(tables)):
-        avgs = ints / 2.0**-k
-        anc = grid.index_at(k, lefts_f_num, 3, k_fine)  # each finest cube's level-k ancestor
-        profile = np.maximum(profile, avgs[anc - q0])
-        # cubes at level k fully inside the mesh domain: cube m spans edge
-        # positions [(m den - a0)/step, ((m+1) den - a0)/step) of the n cells
-        a0, step, den = _level_affine(mesh, grid, k)
-        inside_lo = -(-a0 // den)
-        inside_hi = (a0 + mesh.n_cells * step) // den - 1
-        if inside_hi < inside_lo:
-            continue
-        # sums of profile * width_f over each ancestor cube's own segment
-        seg = np.searchsorted(anc, np.arange(inside_lo, inside_hi + 2))
-        mass = np.concatenate((profile * width_f, np.zeros((1, *profile.shape[1:]))))
-        m_int = np.add.reduceat(mass, seg, axis=0)[:-1]
-        m_int[seg[1:] == seg[:-1]] = 0.0  # reduceat gives an empty segment its first entry
-        wq = ints[inside_lo - q0 : inside_hi - q0 + 1]
-        ok = wq > 0
-        vals.append(np.where(ok, m_int / np.where(ok, wq, 1.0), -np.inf))
-        levels.append(k)
-        cubes.append(np.arange(inside_lo, inside_hi + 1))
-    if not vals:
-        return np.full(ints_f.shape[1:], -np.inf), 0, 0
-    # the first maximum: finer levels come first, so a finer cube wins a tie
-    vals = np.concatenate(vals)
-    j = vals.argmax(axis=0)
-    k = np.repeat(levels, [len(m) for m in cubes])[j]
-    return vals.max(axis=0), k, np.concatenate(cubes)[j]
+    vals, blocks = [], []
+    for grid in grids:
+        tables = level_cube_integrals(wbar, grid, min(k_lo, k_fine), k_fine)  # k_fine even if k_lo > k_fine
+        q0f, ints_f = tables[-1]  # finest-level geometry
+        # left endpoint of finest cube i is lefts_f_num[i] / (3 * 2^k_fine), exactly
+        lefts_f_num = grid.numerator(k_fine, q0f + np.arange(len(ints_f), dtype=np.int64))
+        profile = np.zeros(ints_f.shape)
+        for k, (q0, ints) in zip(range(k_fine, k_lo - 1, -1), reversed(tables)):
+            anc = grid.index_at(k, lefts_f_num, 3, k_fine)  # each finest cube's level-k ancestor
+            profile = np.maximum(profile, (ints / 2.0**-k)[anc - q0])
+            inside = inside_cubes(wbar.mesh, grid, k)
+            if not inside:
+                continue
+            # sums of profile * width_f over each inside cube's own segment
+            seg = np.searchsorted(anc, np.arange(inside.start, inside.stop + 1))
+            mass = np.concatenate((profile * width_f, np.zeros((1, *profile.shape[1:]))))
+            m_int = np.add.reduceat(mass, seg, axis=0)[:-1]
+            m_int[seg[1:] == seg[:-1]] = 0.0  # reduceat gives an empty segment its first entry
+            wq = ints[inside.start - q0 : inside.stop - q0]
+            ok = wq > 0
+            vals.append(np.where(ok, m_int / np.where(ok, wq, 1.0), -np.inf))
+            blocks.append((grid, k, np.arange(inside.start, inside.stop)))
+    if not blocks:
+        raise ValueError("no grid cube fits inside the mesh domain")
+    return np.concatenate(vals), blocks

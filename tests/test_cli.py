@@ -94,6 +94,23 @@ class TestWeaktypeOperators:
         one_grid = [line.split(",") for line in csv["Md"].decode().splitlines()[1:]]
         assert all(float(r[1]) >= float(o[1]) for r, o in zip(rows, one_grid))
 
+    @pytest.mark.parametrize("alpha", ["-0.25", "0", "1", "1.5"])
+    @pytest.mark.parametrize("operator", ["M", "H", "Ialpha"])
+    def test_alpha_outside_the_unit_interval_is_2(self, tmp_path, capsys, operator, alpha):
+        """An --alpha outside (0, 1) is named, not dropped together with --q."""
+        code, out = run(tmp_path, "w.csv", ["weaktype", "--operator", operator, "--p", "2", "--trials", "1",
+                                            "--level", "4", "--weight", "powerlog:a=0.2", "--alpha", alpha, "--q", "4"])
+        assert code == 2
+        assert f"0 < alpha < n = 1, got {float(alpha)}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_q_without_alpha_is_2(self, tmp_path, capsys):
+        code, out = run(tmp_path, "w.csv", ["weaktype", "--operator", "M", "--p", "2", "--q", "4", "--trials", "1",
+                                            "--level", "4", "--weight", "powerlog:a=0.5"])
+        assert code == 2
+        assert "--q needs --alpha" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestWeaktypeFamilies:
     """`weaktype --operator AS` builds each trial's family in

@@ -440,6 +440,53 @@ def test_only_grid_imports_fractions():
     assert importers == {"grid.py"}
 
 
+def _src_trees() -> dict[str, ast.Module]:
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "weaklab"
+    return {path.name: ast.parse(path.read_text()) for path in src.glob("*.py")}
+
+
+def _modules_naming(name: str) -> set[str]:
+    """The modules that name ``name``: a variable, an import, an attribute or
+    a string (getattr/setattr)."""
+    users = set()
+    for module, tree in _src_trees().items():
+        for node in ast.walk(tree):
+            named = (
+                (isinstance(node, ast.Name) and node.id == name)
+                or (isinstance(node, ast.alias) and node.name == name)
+                or (isinstance(node, ast.Attribute) and node.attr == name)
+                or (isinstance(node, ast.Constant) and node.value == name)
+            )
+            if named:
+                users.add(module)
+    return users
+
+
+def test_only_weights_report_builds_characteristic_reports():
+    # every supremum is reported by one rule, weights._report: the first
+    # maximum in candidate order, and a named non-finite candidate
+    def builds(node):
+        callee = getattr(node, "func", None)
+        return getattr(callee, "id", getattr(callee, "attr", None)) == "CharacteristicReport"
+
+    trees = _src_trees()
+    calls = {module: [n for n in ast.walk(tree) if builds(n)] for module, tree in trees.items()}
+    report = next(n for n in ast.walk(trees["weights.py"]) if isinstance(n, ast.FunctionDef) and n.name == "_report")
+    assert {module for module, nodes in calls.items() if nodes} == {"weights.py"}
+    assert calls["weights.py"] == [n for n in ast.walk(report) if builds(n)] and len(calls["weights.py"]) == 1
+
+
+def test_only_grid_names_level_affine():
+    # other modules ask grid.cube_span or grid.inside_cubes
+    assert _modules_naming("_level_affine") == {"grid.py"}
+
+
+def test_only_grid_calls_mesh_position():
+    # the Fraction position of a caller's point; elsewhere a float comparison
+    # with the domain edges is exact
+    assert _modules_naming("_position") == {"grid.py"}
+
+
 def test_only_grid_reads_shift_index():
     # the sign rule (-1)^k j lives in DyadicGrid.numerator; matrix caches key
     # on the hashable Cube itself

@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -39,9 +40,17 @@ from weaklab import (
     shifted_grids,
 )
 from geometry_oracle import enumerate_cubes
-from weaklab.grid import Cube, _level_affine, default_levels
+from weaklab.grid import Cube, default_levels, inside_cubes
 from weaklab.lowerbound import w_delta
-from weaklab.matrix import random_matrix_weight, scalar_restriction, unit_directions
+from weaklab.matrix import (
+    MatrixWeight,
+    ainfty_scalar_characteristic,
+    matrix_a1_characteristic,
+    matrix_ap_characteristic,
+    random_matrix_weight,
+    scalar_restriction,
+    unit_directions,
+)
 
 E = math.e
 ONE = PowerLogWeight(0.0)
@@ -599,6 +608,16 @@ class TestCandidateIntervals:
         )
         assert_same_intervals(search)
 
+    @pytest.mark.parametrize("nudge", [-1, 0, 1], ids=["ulp-below", "rounded", "ulp-above"])
+    @pytest.mark.parametrize("edge", [Fraction(1, 3), Fraction(-1, 3), Fraction(5, 6), Fraction(-7, 12)])
+    def test_domains_ending_at_rounded_shifted_edges(self, edge, nudge):
+        """A domain end at a shifted-grid edge rounded to a float (or an ulp
+        off it): the cube holding that end can miss the domain in floats, and
+        the kept cubes are still the oracle's."""
+        x = math.nextafter(float(edge), nudge * math.inf) if nudge else float(edge)
+        for domain in ((x, x + 1.5), (x - 1.5, x)):
+            assert_same_intervals(SearchSpace(domain=domain, min_level=-2, max_level=8))
+
     @pytest.mark.parametrize("domain", [(-2.5, 7.3), (0.1, 0.2), (-3.0, -0.5), (1e-3, 5.0)])
     @pytest.mark.parametrize("grids", [(0,), (1,), (2,), (0, 2), (2, 1, 0)])
     def test_non_dyadic_and_one_sided_domains(self, domain, grids):
@@ -777,30 +796,32 @@ FW_RADII = (0.5, 0.75, 1.0, 3.0, 4.0, 5.25, 16.0)
 
 @pytest.mark.parametrize("radius", FW_RADII)
 def test_inside_range_matches_fraction_scan(radius):
-    """The integer range ``_fujii_wilson_one_grid`` takes from ``_level_affine``
-    equals the inward ``Fraction`` scan at every level it visits."""
+    """``grid.inside_cubes``, the integer range the Fujii-Wilson sweep and the
+    matrix characteristics take, equals the inward ``Fraction`` scan from the
+    cubes holding the domain edges, at every level the sweep visits."""
     for level in (3, 6, 9):
         mesh = Mesh(radius, level)
         k_fine = math.floor(math.log2(1.0 / mesh.h))
         for grid in shifted_grids(1):
             for k in range(-math.ceil(math.log2(2 * radius)), k_fine + 1):
-                a0, step, den = _level_affine(mesh, grid, k)
-                q0, q1 = a0 // den, -(-(a0 + mesh.n_cells * step) // den) - 1
-                expected = oracle_inside_range(mesh, grid, k, q0, q1 - q0 + 1)
-                assert (-(-a0 // den), (a0 + mesh.n_cells * step) // den - 1) == expected
+                q0, q1 = grid.cube_index_of(k, -radius), grid.cube_index_of(k, radius)
+                first, last = oracle_inside_range(mesh, grid, k, q0, q1 - q0 + 1)
+                assert inside_cubes(mesh, grid, k) == range(first, last + 1)
 
 
 @pytest.mark.parametrize("radius", FW_RADII)
-def test_ainfty_report_matches_fraction_scan(radius, monkeypatch):
+def test_ainfty_report_matches_fraction_scan(radius):
     mesh = Mesh(radius, 7)
     sampled = SampledWeight(mesh, np.random.default_rng(int(radius * 4)).uniform(0.1, 3.0, mesh.n_cells))
+    k_top, k_fine = default_levels(mesh)
     for w in (PowerLogWeight(-0.4), PowerLogWeight(0.5, 1.0), sampled):
-        for grids in ([g] for g in shifted_grids(1)):
-            new = ainfty_characteristic(w, mesh=mesh, grids=grids)
-            with monkeypatch.context() as mp:
-                mp.setattr(weights_module, "_fujii_wilson_one_grid", oracle_fujii_wilson_one_grid)
-                old = ainfty_characteristic(w, mesh=mesh, grids=grids)
-            assert same_report(new, old)
+        wbar = MeshFunction(mesh, w.cell_averages(mesh))
+        for g in shifted_grids(1):
+            report = ainfty_characteristic(w, mesh=mesh, grids=[g])
+            value, k, m = oracle_fujii_wilson_one_grid(wbar, g, k_top, k_fine)
+            cube = g.cube(k, m)
+            assert (report.value, report.witness, report.witness_label) == (value, cube.interval(), cube.label)
+            assert (report.search_levels, report.grids_used) == ((k_top, k_fine), 1)
 
 
 @pytest.mark.parametrize("radius", FW_RADII)
@@ -822,10 +843,56 @@ def test_fujii_wilson_segment_sums_match_fsum(radius):
     for w in (PowerLogWeight(-0.4), PowerLogWeight(0.5, 1.0), sampled):
         wbar = MeshFunction(mesh, w.cell_averages(mesh))
         for g in shifted_grids(1):
-            value = weights_module._fujii_wilson_one_grid(wbar, g, k_top, k_fine)[0]
+            value = weights_module._fujii_wilson(wbar, [g], k_top, k_fine)[0].max()
             assert oracle_fujii_wilson_one_grid(wbar, g, k_top, k_fine, checked)[0] == value
             want = oracle_fujii_wilson_one_grid(wbar, g, k_top, k_fine, fsum_segment_sums)[0]
             assert value == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# candidate order: every report takes the first maximum (the tie rule)
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("radius, level", [(1.0, 5), (0.75, 6), (3.0, 4), (4.0, 9)])
+def test_constant_weight_ainfty_witness_is_finest_leftmost_cube_of_grid0(radius, level):
+    """A constant weight makes every cube's value 1 (exactly, for the value
+    3 on these meshes; the shifted grids' cubes split cells, so other
+    constants can round a few of them to 1 + 2^-52).  Grid 0 comes first,
+    and within it the finest level, left to right."""
+    mesh = Mesh(radius, level)
+    k_top, k_fine = default_levels(mesh)
+    grid0 = DyadicGrid(0)
+    cube = grid0.cube(k_fine, inside_cubes(mesh, grid0, k_fine)[0])
+    for value, grids in ((3.0, shifted_grids(1)), (2.5, [grid0])):
+        weight = SampledWeight(mesh, np.full(mesh.n_cells, value))
+        values, _ = weights_module._fujii_wilson(weight.as_mesh_function(), grids, k_top, k_fine)
+        assert np.all(values == 1.0)  # every candidate ties
+        report = ainfty_characteristic(weight, grids=grids)
+        assert (report.value, report.witness, report.witness_label) == (1.0, cube.interval(), cube.label)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("radius, level", [(1.0, 3), (0.5, 5), (2.0, 4)])
+def test_identity_matrix_weight_witness_is_coarsest_left_cube(radius, level, d):
+    """Every aligned cube ties at 1; the coarsest level (width R) comes
+    first, and within it the cube [-R, 0)."""
+    mesh = Mesh(radius, level)
+    W = MatrixWeight(mesh, np.broadcast_to(np.eye(d), (mesh.n_cells, d, d)))
+    cube = DyadicGrid().cube_containing(mesh.aligned_cell_level() - level, -radius)
+    for report in (matrix_ap_characteristic(W, 2.0), matrix_ap_characteristic(W, 3.0), matrix_a1_characteristic(W)):
+        assert report.value == pytest.approx(1.0, rel=1e-14)
+        assert (report.witness, report.witness_label) == ((-radius, 0.0), cube.label)
+
+
+def test_ainfty_scalar_characteristic_takes_the_first_direction_on_a_tie():
+    """A multiple of the identity at d = 2 makes every direction weight
+    constant, and every direction's value 1 exactly."""
+    mesh = Mesh(1.0, 5)
+    W = MatrixWeight(mesh, np.broadcast_to(3.0 * np.eye(2), (mesh.n_cells, 2, 2)))
+    value, direction = ainfty_scalar_characteristic(W, 2.0, n_dirs=16)
+    assert value == 1.0
+    assert np.array_equal(direction, unit_directions(2, 16)[0])
 
 
 # ---------------------------------------------------------------------------
