@@ -20,9 +20,14 @@ therefore computed once per such key and kept by ``functools.lru_cache`` (a
 fixed size, frozen keys only).  ``level_cube_integrals`` and
 ``cell_cube_integrals`` join the spans of the levels they read, and
 ``_span_integrals`` only gathers and sums a function's values over them.
-The spans are kept for meshes of at most ``_CACHED_CELLS`` cells: they take
-about 80 bytes a cell per grid, which on a level-20 mesh would keep 0.5 GB
-for the three grids after the tables are gone.
+The Fujii-Wilson sweep over a range of levels reads its geometry the same
+way, once per (mesh, grid, level range) (``_ancestor_sweep``): each finest
+cube's table index at every level, and the segments of finest cubes that
+the inside cubes hold; the sweep itself only gathers, maximizes and sums.
+Both are kept for meshes of at most ``_CACHED_CELLS`` cells: the spans take
+about 80 bytes a cell per grid and the sweep 8 bytes per finest cube and
+level, which on a level-20 mesh would keep 0.5 GB and 1.1 GB for the three
+grids after the tables are gone.
 
 The shifted dyadic grids implement the one-third-trick family
 
@@ -508,19 +513,25 @@ def cube_indices_per_cell(mesh: Mesh, grid: DyadicGrid, k0: int, k1: int) -> tup
     return q, -(-num[:, 1:] // den) == q + 1  # the cell's right edge is at most the cube's
 
 
-_CACHED_CELLS = 2**13  # finer meshes derive their level spans per table batch
+_CACHED_CELLS = 2**13  # finer meshes derive their level spans and sweeps per call
+
+
+def _level_cubes(mesh: Mesh, grid: DyadicGrid, k: int) -> range:
+    """The indices of the level-k cubes that meet the mesh domain."""
+    a0, step, den = _level_affine(mesh, grid, k)
+    # cube m spans cell positions [(m den - a0)/step, ((m+1) den - a0)/step)
+    return range(a0 // den, max(-(-(a0 + mesh.n_cells * step) // den), a0 // den + 1))
 
 
 @functools.lru_cache(maxsize=64, typed=True)
 def _level_spans(mesh: Mesh, grid: DyadicGrid, k: int) -> tuple[int, "_Spans"]:
     """(q0, spans): the level-k cubes that meet the mesh domain, span m the
     part of cube q0 + m inside the domain."""
-    n = mesh.n_cells
     a0, step, den = _level_affine(mesh, grid, k)
-    # cube m spans cell positions [(m den - a0)/step, ((m+1) den - a0)/step)
-    inner = np.arange(a0 // den + 1, -(-(a0 + n * step) // den), dtype=np.int64) * den - a0
-    edges = np.concatenate(([0], inner, [n * step]))
-    return a0 // den, _Spans(edges[:-1], edges[1:], step)
+    cubes = _level_cubes(mesh, grid, k)
+    inner = np.arange(cubes.start + 1, cubes.stop, dtype=np.int64) * den - a0
+    edges = np.concatenate(([0], inner, [mesh.n_cells * step]))
+    return cubes.start, _Spans(edges[:-1], edges[1:], step)
 
 
 def level_cube_integrals(f: MeshFunction, grid: DyadicGrid, k0: int, k1: int) -> list[tuple[int, np.ndarray]]:
@@ -582,6 +593,57 @@ def cell_cube_integrals(f: MeshFunction, grid: DyadicGrid, k0: int, k1: int) -> 
     else:
         np.put(out, at, np.repeat(np.concatenate([ints for _, ints in level_cube_integrals(f, grid, k0, k1)]), counts))
     return out
+
+
+def _ancestor_sweep(mesh: Mesh, grid: DyadicGrid, k_lo: int, k_fine: int) -> tuple:
+    """The geometry of a sweep over the finest-level cubes of ``grid``, levels
+    k_lo..k_fine (none when k_lo > k_fine), read-only and kept for meshes of at
+    most ``_CACHED_CELLS`` cells (see ``_sweep_geometry``)."""
+    build = _sweep_geometry if mesh.n_cells <= _CACHED_CELLS else _sweep_geometry.__wrapped__
+    return build(mesh, grid, k_lo, k_fine)
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _sweep_geometry(mesh: Mesh, grid: DyadicGrid, k_lo: int, k_fine: int) -> tuple:
+    """(gather, seg, cubes, empty, inside, blocks) for the tables of
+    ``level_cube_integrals(f, grid, k_lo, k_fine)`` joined level by level
+    (``joined``), read through the cubes of the finest level k_fine:
+
+    * ``gather`` (levels + 1, finest cubes): row r the index into
+      ``[0, *joined]`` of each finest cube's level-(k_fine - r) ancestor, so
+      the rows run from the finest level to the coarsest, and a last row of
+      0;
+    * ``seg``: ``np.add.reduceat`` bounds into the rows of a value per
+      (row, finest cube), flattened: per row with cubes inside the mesh
+      domain (``inside_cubes``), the first finest cube of each such cube
+      and the end of the last (at most the start of the last row);
+    * ``cubes``: the reduceat sums that are inside cubes, in row order, left
+      to right, and ``empty`` those of them with no finest cube;
+    * ``inside``: the same cubes' indices into ``joined``;
+    * ``blocks``: the same cubes as ``(grid, k, m)`` blocks.
+    """
+    levels = range(k_lo, k_fine + 1)
+    per_level = [_level_cubes(mesh, grid, k) for k in levels]
+    first = np.cumsum([0] + [len(c) for c in per_level])  # each level's offset in joined
+    fine = per_level[-1] if per_level else range(0)
+    lefts = grid.numerator(k_fine, np.arange(fine.start, fine.stop, dtype=np.int64))
+    gather = np.zeros((len(levels) + 1, len(fine)), dtype=np.intp)
+    seg, cubes, empty, inside, blocks = [], [], [], [], []
+    for r, k in enumerate(reversed(levels)):
+        j, q0 = k - k_lo, per_level[k - k_lo].start
+        anc = grid.index_at(k, lefts, 3, k_fine)  # each finest cube's level-k ancestor
+        gather[r] = 1 + first[j] + anc - q0
+        ins = inside_cubes(mesh, grid, k)
+        if not ins:
+            continue
+        bounds = np.searchsorted(anc, np.arange(ins.start, ins.stop + 1))
+        cubes.append(sum(map(len, seg)) + np.arange(len(ins)))
+        seg.append(r * len(fine) + bounds)
+        empty.append(bounds[1:] == bounds[:-1])
+        inside.append(first[j] + np.arange(ins.start - q0, ins.stop - q0))
+        blocks.append((grid, k, _read_only(np.arange(ins.start, ins.stop))))
+    arrays = [np.concatenate([np.zeros(0, dtype=t)] + parts) for t, parts in ((np.intp, seg), (np.intp, cubes), (bool, empty), (np.intp, inside))]
+    return (_read_only(gather), *map(_read_only, arrays), tuple(blocks))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -315,8 +315,12 @@ class GradedMesh:
             lo = hi / 2.0
             bands.append(np.linspace(lo, hi, self.cells_per_band, endpoint=False))
             hi = lo
-        edges = np.concatenate([[0.0]] + bands[::-1] + [[self.x_hi]])
-        object.__setattr__(self, "edges", np.unique(edges))
+        edges = np.sort(np.concatenate([[0.0]] + bands[::-1] + [[self.x_hi]]))
+        # np.unique, whose first call imports numpy.ma (about 10 ms): the
+        # default mesh is built when weaklab is imported
+        edges = edges[np.append(True, edges[1:] != edges[:-1])]
+        edges.flags.writeable = False
+        object.__setattr__(self, "edges", edges)
 
     @property
     def centers(self) -> np.ndarray:
@@ -326,10 +330,21 @@ class GradedMesh:
     def widths(self) -> np.ndarray:
         return np.diff(self.edges)
 
-    def counted_measure(self, values: np.ndarray, lam: float) -> tuple[float, int]:
-        """(sum of widths of cells whose value exceeds lam, cell count)."""
-        sel = values > lam
-        return float(self.widths[sel].sum()), int(sel.sum())
+    def counted_measure(self, values: np.ndarray, lam):
+        """(sum of widths of cells whose value exceeds lam, cell count), or one
+        array of each for an array of lams.  Superlevel sets are nested, so
+        lams with one count select the same cells: the widths are summed once
+        per distinct count, each sum the float a lone lam gets."""
+        sel = values > np.asarray(lam, dtype=float)[..., None]
+        counts = sel.sum(axis=-1)
+        if counts.ndim == 0:
+            return float(self.widths[sel].sum()), int(counts)
+        _, first, inverse = np.unique(counts, return_index=True, return_inverse=True)
+        widths = self.widths
+        return np.array([widths[sel[i]].sum() for i in first])[inverse], counts
+
+
+_DEFAULT_MESH = GradedMesh()
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +388,11 @@ def lower_bound_experiment(
     exact one by less than the straddling cell and never exceeds it.  With
     closed forms allowed, the two paths are cross-checked on the overlap and
     MeshResolutionError is raised when the counted measure exceeds the
-    closed form or falls short of it by more than one cell.
+    closed form or falls short of it by more than one cell.  The whole
+    sweep is counted, checked and scored at once; the first lam that fails
+    raises, and the first maximum is the best lam.
     """
-    mesh = mesh or GradedMesh()
+    mesh = mesh or _DEFAULT_MESH
     smallest = 1.0 / (_LOG_FLOAT_MAX - math.log(lambda_window))
     if delta <= smallest:
         raise ValueError(
@@ -384,40 +401,34 @@ def lower_bound_experiment(
     lam_star, _ = F_argmax(delta)
     lams = np.geomspace(lam_star / lambda_window, lam_star * lambda_window, 161)
     lams = np.unique(np.append(lams, lam_star))
-    values = output_magnitude(delta, mesh.edges[1:])
-    widths = mesh.widths
+    counted, n_cells = mesh.counted_measure(output_magnitude(delta, mesh.edges[1:]), lams)
+    resolved = n_cells >= 4
     if allow_closed_form:
-        roots = level_set_endpoints(delta, lams, mesh.x_hi)
-
-    best = (-np.inf, lam_star, "cells")
-    for i, lam in enumerate(lams):
-        counted, n_cells = mesh.counted_measure(values, lam)
-        if n_cells >= 4:
-            measure, path = counted, "cells"
-            if allow_closed_form:
-                exact = roots[i]
-                # the counted cells are the prefix [0, edges[n_cells]); the edge of
-                # the level set lies in the next cell (none when all are counted)
-                straddling = widths[n_cells] if n_cells < widths.size else 0.0
-                slack = _ROOT_RTOL * exact
-                if not -slack <= exact - counted <= straddling + slack:
-                    raise MeshResolutionError(
-                        f"cell-counted measure {counted:.3e} is not within one cell "
-                        f"below the closed form {exact:.3e} at lam={lam:.3e}; G must "
-                        "decrease on (0, x_hi]"
-                    )
-        elif allow_closed_form:
-            measure, path = roots[i], "closed-form"
-        else:
+        exact = level_set_endpoints(delta, lams, mesh.x_hi)
+        # the counted cells are the prefix [0, edges[n_cells]); the edge of the
+        # level set lies in the next cell (none when all are counted)
+        straddling = np.append(mesh.widths, 0.0)[n_cells]
+        slack = _ROOT_RTOL * exact
+        gap = exact - counted
+        failed = resolved & ~((-slack <= gap) & (gap <= straddling + slack))
+        measure = np.where(resolved, counted, exact)
+    else:
+        failed, measure = ~resolved, counted
+    if failed.any():
+        i = int(np.argmax(failed))
+        if resolved[i]:
             raise MeshResolutionError(
-                f"level set at lam={lam:.3e} spans {n_cells} < 4 cells; refine the mesh "
-                "below x_min or enable closed-form measures"
+                f"cell-counted measure {counted[i]:.3e} is not within one cell "
+                f"below the closed form {exact[i]:.3e} at lam={lams[i]:.3e}; G must "
+                "decrease on (0, x_hi]"
             )
-        score = lam * measure
-        if score > best[0]:
-            best = (float(score), float(lam), path)
-
-    quotient, best_lambda, path = best
+        raise MeshResolutionError(
+            f"level set at lam={lams[i]:.3e} spans {n_cells[i]} < 4 cells; refine the mesh "
+            "below x_min or enable closed-form measures"
+        )
+    score = lams * measure
+    i = int(np.argmax(score))
+    quotient, best_lambda, path = float(score[i]), float(lams[i]), "cells" if resolved[i] else "closed-form"
     a1 = a1_characteristic(w_delta(delta), SearchSpace.anchored_only()).value
     nu_sharp = (
         sharp_rh_exponent(w_delta(delta), SearchSpace.anchored_only(n=48))

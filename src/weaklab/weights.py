@@ -46,7 +46,7 @@ cube endpoint gives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -56,10 +56,11 @@ from .grid import (
     DyadicGrid,
     Mesh,
     MeshFunction,
+    _ancestor_sweep,
+    _read_only,
     _span_integrals,
     _Spans,
     default_levels,
-    inside_cubes,
     level_cube_integrals,
     shifted_grids,
 )
@@ -251,6 +252,30 @@ def _ordered(lo, hi) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
+class _Folded:
+    """A batch of intervals [lo, hi] folded onto |x|, for the even
+    ``PowerLogWeight``: each interval becomes one piece [u, v] of [0, inf),
+    and an interval that straddles 0 (``both``) one more piece [0, -lo],
+    after all the others.  The geometry of the pieces is derived once and
+    kept read-only: ``u1`` and ``v1`` clip them to [0, 1], ``outer`` is
+    their length beyond 1, and ``touching`` holds the v of the pieces
+    [0, v], v > 0, in order.  ``shape`` is the shape of lo and hi.
+    """
+
+    __slots__ = ("shape", "both", "u1", "v1", "outer", "touching")
+
+    def __init__(self, lo, hi):
+        lo, hi = _ordered(lo, hi)
+        self.shape, lo, hi = hi.shape, lo.ravel(), hi.ravel()
+        neg, both = hi <= 0, (lo < 0) & (hi > 0)
+        u = np.append(np.where(neg, -hi, np.where(both, 0.0, lo)), np.zeros(np.count_nonzero(both)))
+        v = np.append(np.where(neg, -lo, hi), -lo[both])
+        u1, v1 = np.minimum(u, 1.0), np.minimum(v, 1.0)
+        self.both, self.u1, self.v1 = _read_only(both), _read_only(u1), _read_only(np.maximum(v1, u1))
+        self.outer = _read_only(np.maximum(v - 1.0, 0.0) - np.maximum(u - 1.0, 0.0))
+        self.touching = _read_only(v[(u == 0.0) & (v > 0.0)])
+
+
 @dataclass(frozen=True)
 class PowerLogWeight:
     """w(x) = scale * |x|^exponent * log(e/|x|)^log_exponent on 0 < |x| <= 1, scale outside."""
@@ -287,33 +312,25 @@ class PowerLogWeight:
 
     # -- exact integrals ---------------------------------------------------------
 
-    def _one_sided(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """∫_u^v w for 0 <= u <= v (vectorized); the one place that rejects a
-        piece [0, v], v > 0, of a weight that is not ``anchored_integrable``."""
-        touching = (u == 0.0) & (v > 0.0)
-        if not self.anchored_integrable and np.any(touching):
+    def _integrals(self, folded: "_Folded") -> np.ndarray:
+        """∫ w over the intervals ``folded`` folds, in their shape, from the
+        pieces' geometry: only the weight's values are computed here.  The
+        one place that rejects a piece [0, v], v > 0, of a weight that is not
+        ``anchored_integrable``."""
+        if not self.anchored_integrable and folded.touching.size:
             raise NonIntegrableError(
                 f"PowerLog(a={self.exponent}, b={self.log_exponent}) is not integrable "
-                f"on an interval touching 0 (first witness hi={v[touching][0]:.6g})"
+                f"on an interval touching 0 (first witness hi={folded.touching[0]:.6g})"
             )
-        u1, v1 = np.minimum(u, 1.0), np.minimum(v, 1.0)
-        inner = _powerlog_core_batch(self.exponent, self.log_exponent, u1, np.maximum(v1, u1))
-        outer = np.maximum(v - 1.0, 0.0) - np.maximum(u - 1.0, 0.0)
-        return self.scale * (inner + outer)
+        inner = _powerlog_core_batch(self.exponent, self.log_exponent, folded.u1, folded.v1)
+        pieces = self.scale * (inner + folded.outer)
+        out = pieces[: folded.both.size]
+        out[folded.both] += pieces[folded.both.size :]
+        return out.reshape(folded.shape)
 
     def integral_batch(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Exact ∫_lo^hi w, any signs, elementwise (weight is even)."""
-        lo, hi = _ordered(lo, hi)
-        # fold onto |x|: one piece [u, v], and [0, -lo] besides [0, hi] when
-        # the interval straddles 0
-        shape, lo, hi = hi.shape, lo.ravel(), hi.ravel()
-        neg, both = hi <= 0, (lo < 0) & (hi > 0)
-        u = np.where(neg, -hi, np.where(both, 0.0, lo))
-        v = np.where(neg, -lo, hi)
-        pieces = self._one_sided(np.append(u, np.zeros(np.count_nonzero(both))), np.append(v, -lo[both]))
-        out = pieces[: u.size]
-        out[both] += pieces[u.size :]
-        return out.reshape(shape)
+        return self._integrals(_Folded(lo, hi))
 
     def integral(self, lo, hi) -> float:
         return float(self.integral_batch(np.array([float(lo)]), np.array([float(hi)]))[0])
@@ -473,6 +490,10 @@ class SearchSpace:
     # standard-grid dyadic cubes (for comparisons against the matrix
     # characteristics, which use exactly that family)
     sampled_aligned_cubes: bool = False
+    # a closed-form weight's candidates (lo, hi, label, folded) depend on the
+    # search alone: ``_Plan`` keeps them here, read-only, on first use (as a
+    # MeshFunction keeps its tables); not part of equality or hashing
+    _candidates: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         a, b = self.domain
@@ -627,6 +648,12 @@ class _Plan:
     """The candidates of one search (the default one for None) for one weight,
     from ``search.intervals_for`` and ``search.levels_for``, laid out once.
 
+    A closed-form weight's candidates depend only on the search, so the first
+    plan on a search builds them, folds them onto |x| (``_Folded``) and keeps
+    both on it, read-only (``SearchSpace._candidates``); every later plan on
+    that search reads them, and each average computes only the weight's
+    values.
+
     A sampled weight's candidates are cell-aligned.  The blocks, the cell
     runs between consecutive candidate edges, get one row per left edge, as
     far as its longest candidate reaches, padded to the next power of two.
@@ -641,10 +668,14 @@ class _Plan:
     def __init__(self, weight, search: SearchSpace | None):
         search = search or SearchSpace.default()
         self.weight = weight
-        self.lo, self.hi, self.label = search.intervals_for(weight)
         self.searched = search.levels_for(weight)
         if isinstance(weight, PowerLogWeight):
+            if search._candidates is None:
+                lo, hi, label = search.intervals_for(weight)
+                object.__setattr__(search, "_candidates", (_read_only(lo), _read_only(hi), label, _Folded(lo, hi)))
+            self.lo, self.hi, self.label, self.folded = search._candidates
             return
+        self.lo, self.hi, self.label = search.intervals_for(weight)
         mesh = weight.mesh
         i_lo, i_hi = (np.round((x + mesh.radius) / mesh.h).astype(np.int64) for x in (self.lo, self.hi))
         is_edge = np.zeros(mesh.n_cells + 1, dtype=bool)
@@ -674,7 +705,7 @@ class _Plan:
     def averages(self, weight) -> np.ndarray:
         """Averages on the candidates of ``weight``, the planned weight or a power of it."""
         if isinstance(weight, PowerLogWeight):
-            return weight.integral_batch(self.lo, self.hi) / (self.hi - self.lo)
+            return weight._integrals(self.folded) / (self.hi - self.lo)
         blocks = _span_integrals(weight.as_mesh_function(), self.blocks)
         return self._runs(blocks, np.cumsum, 0.0) / (self.hi - self.lo)
 
@@ -839,7 +870,10 @@ def ainfty_characteristic(
     ``mesh``; for each shifted dyadic grid, Q runs over the grid cubes
     inside the mesh domain, and M is that grid's own dyadic maximal
     operator (see ``_fujii_wilson``).  The reported value is the max over
-    the three grids, and is exact for constant weights (= 1).
+    the three grids.  For a constant weight it is 1 within a few ulp, not
+    exactly: the shifted grids' cubes split cells, so ∫_Q M(w χ_Q), summed
+    over the finest cubes, and w(Q) round differently (at most 3 ulp above 1
+    on 520 constant sampled weights, radii 0.5-5.25, levels 0-10).
     """
     if mesh is None:
         mesh = weight.mesh if isinstance(weight, SampledWeight) else Mesh(4.0, 9)
@@ -861,33 +895,39 @@ def _fujii_wilson(wbar: MeshFunction, grids, k_lo: int, k_fine: int):
 
     Within one grid any cube is nested in or disjoint from Q, so on Q the
     maximal function of w χ_Q only sees cubes contained in Q; ∫_Q M(w χ_Q)
-    is then computed exactly (for the discretized weight) by a single
-    bottom-up sweep that maintains, per finest-level cube, the running
-    maximum of ancestor averages.
+    is then computed exactly (for the discretized weight) by a bottom-up
+    sweep that keeps, per finest-level cube, the running maximum of its
+    ancestors' averages.  The sweep's geometry (``grid._ancestor_sweep``)
+    is laid out once per mesh, grid and level range: per grid, one gather
+    stacks every level's ancestor averages, a running maximum over its rows
+    takes them from fine to coarse, and one ``np.add.reduceat`` integrates
+    it over every inside cube of every level.
     """
     width_f = 2.0**-k_fine
     vals, blocks = [], []
     for grid in grids:
-        tables = level_cube_integrals(wbar, grid, min(k_lo, k_fine), k_fine)  # k_fine even if k_lo > k_fine
-        q0f, ints_f = tables[-1]  # finest-level geometry
-        # left endpoint of finest cube i is lefts_f_num[i] / (3 * 2^k_fine), exactly
-        lefts_f_num = grid.numerator(k_fine, q0f + np.arange(len(ints_f), dtype=np.int64))
-        profile = np.zeros(ints_f.shape)
-        for k, (q0, ints) in zip(range(k_fine, k_lo - 1, -1), reversed(tables)):
-            anc = grid.index_at(k, lefts_f_num, 3, k_fine)  # each finest cube's level-k ancestor
-            profile = np.maximum(profile, (ints / 2.0**-k)[anc - q0])
-            inside = inside_cubes(wbar.mesh, grid, k)
-            if not inside:
-                continue
-            # sums of profile * width_f over each inside cube's own segment
-            seg = np.searchsorted(anc, np.arange(inside.start, inside.stop + 1))
-            mass = np.concatenate((profile * width_f, np.zeros((1, *profile.shape[1:]))))
-            m_int = np.add.reduceat(mass, seg, axis=0)[:-1]
-            m_int[seg[1:] == seg[:-1]] = 0.0  # reduceat gives an empty segment its first entry
-            wq = ints[inside.start - q0 : inside.stop - q0]
-            ok = wq > 0
-            vals.append(np.where(ok, m_int / np.where(ok, wq, 1.0), -np.inf))
-            blocks.append((grid, k, np.arange(inside.start, inside.stop)))
+        # the tables first: on a fine mesh, building them peaks higher than the sweep
+        tables = [ints for _, ints in level_cube_integrals(wbar, grid, k_lo, k_fine)]
+        gather, seg, cubes, empty, inside, grid_blocks = _ancestor_sweep(wbar.mesh, grid, k_lo, k_fine)
+        if not grid_blocks:
+            continue
+        rest = tables[0].shape[1:]  # (components,) for a vector wbar
+        avgs = np.concatenate([np.zeros((1, *rest))] + [ints / 2.0**-k for k, ints in enumerate(tables, k_lo)])
+        # indexing, not take: take copies a read-only index array first
+        profile = avgs[gather]  # its last row is zero
+        # the running maximum from zero, fine to coarse, in place row by row
+        # (np.maximum.accumulate is slower), then the mass, also in place
+        np.maximum(0.0, profile[0], out=profile[0])
+        for r in range(1, len(profile) - 1):
+            np.maximum(profile[r - 1], profile[r], out=profile[r])
+        profile *= width_f
+        m_int = np.add.reduceat(profile.reshape(-1, *rest), seg, axis=0)[cubes]
+        m_int[empty] = 0.0  # reduceat gives an empty segment its first entry
+        wq = np.concatenate(tables)[inside]
+        ok = wq > 0
+        vals.append(np.where(ok, m_int / np.where(ok, wq, 1.0), -np.inf))
+        blocks += grid_blocks
+        del gather, profile  # a fine mesh's sweep is as large as its tables
     if not blocks:
         raise ValueError("no grid cube fits inside the mesh domain")
     return np.concatenate(vals), blocks

@@ -1,7 +1,8 @@
 """Reference level-set roots: the scalar ``brentq`` solve in ``log x`` that
 ``level_set_endpoint`` made before one vectorised Newton solve served the
-whole lambda sweep, and ``lower_bound_experiment`` as it ran then, one
-``brentq`` root per lambda.
+whole lambda sweep, ``lower_bound_experiment`` as it ran then, one
+``brentq`` root per lambda, and as it ran before it counted, checked and
+scored the whole sweep at once, one lambda at a time.
 
 The differential tests in ``test_lowerbound.py`` require the vector roots
 to agree with these within ``_ROOT_RTOL`` and the experiment's report to
@@ -25,10 +26,11 @@ from weaklab.lowerbound import (
     GradedMesh,
     LowerBoundReport,
     MeshResolutionError,
+    level_set_endpoints,
     output_magnitude,
     w_delta,
 )
-from weaklab.weights import SearchSpace, a1_characteristic
+from weaklab.weights import SearchSpace, a1_characteristic, sharp_rh_exponent
 
 
 def brentq_endpoint(delta: float, lam: float, x_hi: float = 0.5, x_lo: float = 1e-60) -> float:
@@ -84,6 +86,71 @@ def per_lambda_experiment(delta: float, mesh: GradedMesh | None = None) -> Lower
         delta=delta,
         a1_char=a1,
         sharp_rh_nu=float("nan"),
+        lambda_star=lam_star,
+        best_lambda=best_lambda,
+        quotient=quotient,
+        c0_lower=quotient,
+        ratio_to_sqrt_a1=quotient / math.sqrt(a1),
+        measure_path=path,
+    )
+
+
+def per_lambda_loop_experiment(
+    delta: float,
+    mesh: GradedMesh | None = None,
+    lambda_window: float = 4.0,
+    allow_closed_form: bool = True,
+    compute_nu: bool = True,
+) -> LowerBoundReport:
+    """``lower_bound_experiment`` one lambda at a time: each lambda's cells
+    counted by its own ``mesh.counted_measure`` call, cross-checked against
+    the vector roots, and scored against the best so far."""
+    mesh = mesh or GradedMesh()
+    smallest = 1.0 / (math.log(np.finfo(float).max) - math.log(lambda_window))
+    if delta <= smallest:
+        raise ValueError(
+            f"lambda window lam* x {lambda_window:g} overflows: delta must exceed {smallest:.6g}, got {delta:g}"
+        )
+    lam_star, _ = F_argmax(delta)
+    lams = sweep_lambdas(delta, lambda_window)
+    values = output_magnitude(delta, mesh.edges[1:])
+    widths = mesh.widths
+    if allow_closed_form:
+        roots = level_set_endpoints(delta, lams, mesh.x_hi)
+
+    best = (-np.inf, lam_star, "cells")
+    for i, lam in enumerate(lams):
+        counted, n_cells = mesh.counted_measure(values, lam)
+        if n_cells >= 4:
+            measure, path = counted, "cells"
+            if allow_closed_form:
+                exact = roots[i]
+                straddling = widths[n_cells] if n_cells < widths.size else 0.0
+                slack = _ROOT_RTOL * exact
+                if not -slack <= exact - counted <= straddling + slack:
+                    raise MeshResolutionError(
+                        f"cell-counted measure {counted:.3e} is not within one cell "
+                        f"below the closed form {exact:.3e} at lam={lam:.3e}; G must "
+                        "decrease on (0, x_hi]"
+                    )
+        elif allow_closed_form:
+            measure, path = roots[i], "closed-form"
+        else:
+            raise MeshResolutionError(
+                f"level set at lam={lam:.3e} spans {n_cells} < 4 cells; refine the mesh "
+                "below x_min or enable closed-form measures"
+            )
+        score = lam * measure
+        if score > best[0]:
+            best = (float(score), float(lam), path)
+
+    quotient, best_lambda, path = best
+    a1 = a1_characteristic(w_delta(delta), SearchSpace.anchored_only()).value
+    nu_sharp = sharp_rh_exponent(w_delta(delta), SearchSpace.anchored_only(n=48)) if compute_nu else float("nan")
+    return LowerBoundReport(
+        delta=delta,
+        a1_char=a1,
+        sharp_rh_nu=nu_sharp,
         lambda_star=lam_star,
         best_lambda=best_lambda,
         quotient=quotient,

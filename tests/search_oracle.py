@@ -3,8 +3,10 @@
 integer arrays, the cell-edge loop that gave the aligned cubes of a sampled
 weight before they came from the same integer builder, and the
 Fujii-Wilson per-grid sweep with its range of inside cubes found by
-``Fraction`` scans instead of integer division, and the sharp reverse-Holder
-bisection over the public ``rh_characteristic``, one full call per step.
+``Fraction`` scans instead of integer division, the Fujii-Wilson sweep one
+level at a time that ``weights._fujii_wilson`` ran before it stacked every
+level of a grid into one pass, and the sharp reverse-Holder bisection over
+the public ``rh_characteristic``, one full call per step.
 
 Every grid endpoint here is ``float(cube.left)`` / ``float(cube.right)`` of a
 freshly built ``Cube``, i.e. the correctly rounded value of the exact
@@ -21,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from geometry_oracle import oracle_level_cube_integrals
-from weaklab.grid import DyadicGrid, Mesh, MeshFunction
+from weaklab.grid import DyadicGrid, Mesh, MeshFunction, inside_cubes, level_cube_integrals
 from weaklab.weights import DegenerateWeightError, NonIntegrableError, SearchSpace, rh_characteristic
 
 
@@ -134,6 +136,39 @@ def oracle_fujii_wilson_one_grid(
     if best_cube is None:
         return -np.inf, 0, 0
     return best_val, *best_cube
+
+
+def oracle_fujii_wilson(wbar: MeshFunction, grids, k_lo: int, k_fine: int):
+    """``weights._fujii_wilson`` one level at a time: per grid and level, the
+    ancestor of each finest cube located by ``DyadicGrid.index_at``, the
+    running maximum updated, and the inside cubes' segments found by
+    ``searchsorted`` and summed by their own ``np.add.reduceat``."""
+    width_f = 2.0**-k_fine
+    vals, blocks = [], []
+    for grid in grids:
+        tables = level_cube_integrals(wbar, grid, min(k_lo, k_fine), k_fine)  # k_fine even if k_lo > k_fine
+        q0f, ints_f = tables[-1]  # finest-level geometry
+        # left endpoint of finest cube i is lefts_f_num[i] / (3 * 2^k_fine), exactly
+        lefts_f_num = grid.numerator(k_fine, q0f + np.arange(len(ints_f), dtype=np.int64))
+        profile = np.zeros(ints_f.shape)
+        for k, (q0, ints) in zip(range(k_fine, k_lo - 1, -1), reversed(tables)):
+            anc = grid.index_at(k, lefts_f_num, 3, k_fine)  # each finest cube's level-k ancestor
+            profile = np.maximum(profile, (ints / 2.0**-k)[anc - q0])
+            inside = inside_cubes(wbar.mesh, grid, k)
+            if not inside:
+                continue
+            # sums of profile * width_f over each inside cube's own segment
+            seg = np.searchsorted(anc, np.arange(inside.start, inside.stop + 1))
+            mass = np.concatenate((profile * width_f, np.zeros((1, *profile.shape[1:]))))
+            m_int = np.add.reduceat(mass, seg, axis=0)[:-1]
+            m_int[seg[1:] == seg[:-1]] = 0.0  # reduceat gives an empty segment its first entry
+            wq = ints[inside.start - q0 : inside.stop - q0]
+            ok = wq > 0
+            vals.append(np.where(ok, m_int / np.where(ok, wq, 1.0), -np.inf))
+            blocks.append((grid, k, np.arange(inside.start, inside.stop)))
+    if not blocks:
+        raise ValueError("no grid cube fits inside the mesh domain")
+    return np.concatenate(vals), blocks
 
 
 def oracle_sharp_rh_exponent(weight, search=None, bound=2.0, ceiling=64.0, rel_tol=1e-4) -> float:

@@ -45,8 +45,10 @@ from weaklab.grid import (
     Mesh,
     MeshFunction,
     _CACHED_CELLS,
+    _ancestor_sweep,
     _level_affine,
     _level_spans,
+    _sweep_geometry,
     _Spans,
     average,
     cell_cube_integrals,
@@ -330,6 +332,22 @@ def test_fine_meshes_keep_no_geometry():
     assert _level_spans.cache_info()[:2] == lookups
 
 
+def test_sweep_geometry_is_read_only_and_kept_for_small_meshes_only():
+    """Every array of the Fujii-Wilson sweep geometry is read-only, on a
+    mesh that keeps it and on one past ``_CACHED_CELLS`` cells, which is
+    derived per call without consulting the cache."""
+    for mesh, kept in ((Mesh(3.0, 5), True), (Mesh(1.0, 13), False)):
+        grid = GRIDS[1]
+        lookups = _sweep_geometry.cache_info()[:2]  # hits, misses
+        sweep = _ancestor_sweep(mesh, grid, *default_levels(mesh))
+        assert (_sweep_geometry.cache_info()[:2] != lookups) == kept
+        *arrays, blocks = sweep
+        assert blocks and all(g == grid for g, _, _ in blocks)
+        for a in arrays + [m for _, _, m in blocks]:
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = a[(0,) * a.ndim]
+
+
 def test_out_of_range_levels_raise_on_every_call():
     """A level whose integers pass 2^53 is never cached: the second call
     raises the first call's ``ValueError`` again."""
@@ -535,7 +553,7 @@ def test_caches_live_in_grid_on_frozen_keys():
                     if "lru_cache" in ast.unparse(dec):
                         cached[node.name] = (dec, node.args)
     assert users == {"grid.py"}
-    assert set(cached) == {"_level_affine", "_level_spans"}
+    assert set(cached) == {"_level_affine", "_level_spans", "_sweep_geometry"}
     for name, (dec, args) in cached.items():
         assert isinstance(dec, ast.Call) and not dec.args, name
         options = {kw.arg: kw.value for kw in dec.keywords}

@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +11,13 @@ from hypothesis import strategies as st
 from scipy import integrate, optimize
 
 from conftest import argmax_inside_window, exact_lower_bound_supremum
-from lowerbound_oracle import F_grid_max, brentq_endpoint, per_lambda_experiment, sweep_lambdas
+from lowerbound_oracle import (
+    F_grid_max,
+    brentq_endpoint,
+    per_lambda_experiment,
+    per_lambda_loop_experiment,
+    sweep_lambdas,
+)
 from weaklab import (
     GradedMesh,
     Mesh,
@@ -277,6 +287,92 @@ class TestVectorRoots:
         assert new.measure_path == old.measure_path == "closed-form"
         assert new.best_lambda == old.best_lambda
         assert new.quotient == pytest.approx(old.quotient, rel=_ROOT_RTOL)
+
+
+def _outcome(experiment, delta, **kwargs):
+    """The report of ``experiment``, or the type and message of its error."""
+    try:
+        return experiment(delta, **kwargs)
+    except MeshResolutionError as e:
+        return type(e), str(e)
+
+
+class TestOnePassSweep:
+    """The sweep counted, cross-checked and scored at once, against the loop
+    one lambda at a time it replaced (``per_lambda_loop_experiment``)."""
+
+    @pytest.mark.parametrize("allow_closed_form", [True, False], ids=["closed-form", "cells-only"])
+    @pytest.mark.parametrize("delta", [0.2, 0.1, 0.05, 0.02, 0.007])
+    def test_report_equals_the_per_lambda_loop(self, delta, allow_closed_form):
+        # below the mesh's resolution, cells only, both raise the same error
+        got, want = (
+            _outcome(run, delta, allow_closed_form=allow_closed_form)
+            for run in (lower_bound_experiment, per_lambda_loop_experiment)
+        )
+        assert got == want
+        assert isinstance(got, lowerbound.LowerBoundReport) or (not allow_closed_form and delta <= 0.02)
+
+    def test_first_failing_lambda_raises_the_loops_error(self):
+        delta = 0.2
+
+        class CentreCountingMesh(GradedMesh):
+            def counted_measure(self, values, lam):
+                return super().counted_measure(output_magnitude(delta, self.centers), lam)
+
+        coarse = GradedMesh(x_min=1e-4, cells_per_band=4)
+        for mesh, d, allow_closed_form, match in (
+            (CentreCountingMesh(), 0.2, True, "cell-counted measure 4.297e-02"),
+            (CentreCountingMesh(), 0.1, True, "cell-counted measure 2.213e-04"),
+            (coarse, 0.1, False, "spans 3 < 4 cells"),  # a lam inside the sweep
+            (coarse, 0.05, False, "spans 0 < 4 cells"),
+            (GradedMesh(cells_per_band=4), 0.03, False, "spans 0 < 4 cells"),
+        ):
+            got, want = (
+                _outcome(run, d, mesh=mesh, allow_closed_form=allow_closed_form, compute_nu=False)
+                for run in (lower_bound_experiment, per_lambda_loop_experiment)
+            )
+            assert got == want and got[0] is MeshResolutionError and match in got[1]
+
+    def test_counted_measure_of_many_lams_equals_one_lam_at_a_time(self):
+        mesh = GradedMesh()
+        rng = np.random.default_rng(9)
+        n = mesh.widths.size
+        with_nan = rng.lognormal(0.0, 3.0, n)
+        with_nan[::7] = np.nan
+        for values in (
+            output_magnitude(0.1, mesh.edges[1:]),
+            rng.lognormal(0.0, 3.0, n),
+            rng.integers(0, 6, n).astype(float),  # ties
+            with_nan,
+        ):
+            lams = np.concatenate((values[rng.integers(0, n, 40)], rng.lognormal(0.0, 3.0, 40), [-1.0, np.inf]))
+            counted, counts = mesh.counted_measure(values, lams)
+            want = [(float(mesh.widths[values > lam].sum()), int(np.sum(values > lam))) for lam in lams]
+            assert counted.tolist() == [c for c, _ in want] and counts.tolist() == [k for _, k in want]
+            assert [mesh.counted_measure(values, lam) for lam in lams] == want
+
+    def test_default_mesh_edges_are_read_only(self):
+        with pytest.raises(ValueError, match="read-only"):
+            lowerbound._DEFAULT_MESH.edges[0] = 1.0
+        assert np.array_equal(lowerbound._DEFAULT_MESH.edges, GradedMesh().edges)
+
+    @pytest.mark.parametrize("x_hi, x_min, m", [(0.5, 1e-12, 16), (0.5, 1e-4, 4), (0.3, 1e-9, 7), (0.5, 0.4, 64)])
+    def test_mesh_edges_are_the_sorted_distinct_band_points(self, x_hi, x_min, m):
+        mesh = GradedMesh(x_hi=x_hi, x_min=x_min, cells_per_band=m)
+        bands, hi = [], x_hi
+        while hi > x_min:
+            bands.append(np.linspace(hi / 2.0, hi, m, endpoint=False))
+            hi /= 2.0
+        assert mesh.edges.tobytes() == np.unique(np.concatenate([[0.0], *bands, [x_hi]])).tobytes()
+
+    def test_import_leaves_numpy_ma_unloaded(self):
+        # building the default mesh at import must not pull in numpy.ma
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        code = "import sys, weaklab; print('numpy.ma' in sys.modules)"
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "False"
 
 
 class TestExperiment:
