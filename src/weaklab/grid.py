@@ -12,22 +12,21 @@ level's cubes that lie wholly inside the domain; no other module reads
 positions of points a caller supplies (``Mesh._position``, called only
 here) and ``Cube.left``/``Cube.right``.
 
-Geometry once per (mesh, grid, level), values per function: which cells a
-cube covers, and the exact shares of the cells straddling its edges, depend
-only on the mesh, the grid and the level.  ``_level_affine`` and the cube
-spans of each level (``_level_spans``, one read-only ``_Spans``) are
-therefore computed once per such key and kept by ``functools.lru_cache`` (a
-fixed size, frozen keys only).  ``level_cube_integrals`` and
-``cell_cube_integrals`` join the spans of the levels they read, and
-``_span_integrals`` only gathers and sums a function's values over them.
-The Fujii-Wilson sweep over a range of levels reads its geometry the same
-way, once per (mesh, grid, level range) (``_ancestor_sweep``): each finest
-cube's table index at every level, and the segments of finest cubes that
-the inside cubes hold; the sweep itself only gathers, maximizes and sums.
-Both are kept for meshes of at most ``_CACHED_CELLS`` cells: the spans take
-about 80 bytes a cell per grid and the sweep 8 bytes per finest cube and
-level, which on a level-20 mesh would keep 0.5 GB and 1.1 GB for the three
-grids after the tables are gone.
+Geometry once per key, values per function: which cells a cube covers,
+and the exact shares of the cells straddling its edges, depend only on the
+mesh, the grid and the level.  So ``_level_affine`` and each level's cube
+spans (``_level_spans``, one read-only ``_Spans``) are kept by
+``functools.lru_cache`` (a fixed size, frozen keys only), a table batch
+joins the spans of its levels, and ``_span_integrals`` only gathers and
+sums values.  Each sweep over a range of levels keeps one read-only index
+per (mesh, grid, level range), over its own leaves: ``_cell_cube_index``
+places each cell's containing cube at every level in the joined tables
+(the maximal sweep), ``_sweep_geometry`` each finest cube's ancestors and
+the inside cubes' segments (the Fujii-Wilson sweep).  One size rule,
+``_kept``, keeps all of it on meshes of at most ``_CACHED_CELLS`` cells and
+derives it per call on finer ones, where the spans (80 bytes a cell) would
+keep 0.5 GB for three grids at level 20, and each index (8 bytes a cell
+and level) 1.1 GB.
 
 The shifted dyadic grids implement the one-third-trick family
 
@@ -494,12 +493,6 @@ def inside_cubes(mesh: Mesh, grid: DyadicGrid, k: int) -> range:
     return range(-(-a0 // den), (a0 + mesh.n_cells * step) // den)
 
 
-def _level_affines(mesh: Mesh, grid: DyadicGrid, k0: int, k1: int) -> np.ndarray:
-    """``_level_affine`` of levels k0..k1 as int64 rows a0, step, den (one entry per level)."""
-    affine = np.array([_level_affine(mesh, grid, k) for k in range(k0, k1 + 1)], dtype=np.int64)
-    return affine.reshape(-1, 3).T
-
-
 def cube_indices_per_cell(mesh: Mesh, grid: DyadicGrid, k0: int, k1: int) -> tuple[np.ndarray, np.ndarray]:
     """(q, contained) per grid level k0..k1 (rows) and mesh cell (columns).
 
@@ -507,13 +500,20 @@ def cube_indices_per_cell(mesh: Mesh, grid: DyadicGrid, k0: int, k1: int) -> tup
     endpoint of cell i; ``contained[j, i]`` says whether the whole cell sits
     inside that cube.  Exact integer arithmetic, all levels in one pass.
     """
-    a0, step, den = _level_affines(mesh, grid, k0, k1)[..., None]
+    affine = [_level_affine(mesh, grid, k) for k in range(k0, k1 + 1)]
+    a0, step, den = np.array(affine, dtype=np.int64).reshape(-1, 3).T[..., None]
     num = a0 + np.arange(mesh.n_cells + 1, dtype=np.int64) * step
     q = num[:, :-1] // den
     return q, -(-num[:, 1:] // den) == q + 1  # the cell's right edge is at most the cube's
 
 
-_CACHED_CELLS = 2**13  # finer meshes derive their level spans and sweeps per call
+_CACHED_CELLS = 2**13  # finer meshes derive their kept geometry per call
+
+
+def _kept(build, mesh: Mesh, *key):
+    """``build(mesh, *key)`` through its cache on meshes of at most
+    ``_CACHED_CELLS`` cells, derived afresh (and not kept) on finer ones."""
+    return (build if mesh.n_cells <= _CACHED_CELLS else build.__wrapped__)(mesh, *key)
 
 
 def _level_cubes(mesh: Mesh, grid: DyadicGrid, k: int) -> range:
@@ -559,8 +559,7 @@ def level_cube_integrals(f: MeshFunction, grid: DyadicGrid, k0: int, k1: int) ->
 def _joined_level_spans(mesh: Mesh, grid: DyadicGrid, levels) -> tuple[tuple, list, "_Spans"]:
     """(q0s, sizes, spans): the ``_level_spans`` of ``levels`` joined in order,
     with each level's first cube and span count."""
-    level_spans = _level_spans if mesh.n_cells <= _CACHED_CELLS else _level_spans.__wrapped__
-    q0s, parts = zip(*(level_spans(mesh, grid, k) for k in levels))
+    q0s, parts = zip(*(_kept(_level_spans, mesh, grid, k) for k in levels))
     return q0s, [len(part) for part in parts], _Spans.join(parts)
 
 
@@ -568,39 +567,36 @@ def cell_cube_integrals(f: MeshFunction, grid: DyadicGrid, k0: int, k1: int) -> 
     """Per level k0..k1 (rows) and mesh cell x (columns): the integral of f
     over the level's cube that wholly contains cell x, 0 where none does.
 
-    The cells a cube wholly contains are the whole cells of its span, so the
-    (cube, cell) pairs come from the joined ``_level_spans``.  A vector f
-    has one component per cell, and cell x reads component x: only those
-    pairs are integrated, all levels in one ``_span_integrals`` call, so
-    each entry is bit-identical to column x of its cube's
-    ``level_cube_integrals`` entry.  A scalar f is gathered from the
-    ``level_cube_integrals`` table.
+    The (cube, cell) pairs are the nonzero entries of ``_cell_cube_index``.
+    A scalar f is gathered from its ``level_cube_integrals`` tables.  A
+    vector f has one component per cell, and cell x reads component x: only
+    those pairs are integrated, in one ``_span_integrals`` call, each entry
+    bit-identical to column x of its cube's ``level_cube_integrals`` entry.
     """
-    n = f.mesh.n_cells
-    out = np.zeros((max(k1 - k0 + 1, 0), n))
-    if k1 < k0:
-        return out
-    _, sizes, spans = _joined_level_spans(f.mesh, grid, range(k0, k1 + 1))
-    first, stop = spans.ends[::2], spans.ends[1::2]
-    counts = np.maximum(stop - first, 0)  # cells wholly inside each span's cube
-    # the flat index j * n + x in out of each (cube, cell) pair, x running up
-    # from first along each span
-    at = np.arange(counts.sum())
-    at -= np.repeat(np.cumsum(counts) - counts - first - np.repeat(np.arange(k1 - k0 + 1) * n, sizes), counts)
-    if f.is_vector:
-        pairs = spans.take(np.repeat(np.arange(len(spans)), counts))
-        np.put(out, at, _span_integrals(f, pairs, comp=at % n))
-    else:
-        np.put(out, at, np.repeat(np.concatenate([ints for _, ints in level_cube_integrals(f, grid, k0, k1)]), counts))
+    index = _kept(_cell_cube_index, f.mesh, grid, k0, k1)
+    if not f.is_vector:
+        return np.concatenate([[0.0]] + [ints for _, ints in level_cube_integrals(f, grid, k0, k1)])[index]
+    out = np.zeros(index.shape)
+    at = np.flatnonzero(index)
+    if len(at):
+        spans = _joined_level_spans(f.mesh, grid, range(k0, k1 + 1))[2].take(index.flat[at] - 1)
+        out.flat[at] = _span_integrals(f, spans, comp=at % f.mesh.n_cells)
     return out
 
 
-def _ancestor_sweep(mesh: Mesh, grid: DyadicGrid, k_lo: int, k_fine: int) -> tuple:
-    """The geometry of a sweep over the finest-level cubes of ``grid``, levels
-    k_lo..k_fine (none when k_lo > k_fine), read-only and kept for meshes of at
-    most ``_CACHED_CELLS`` cells (see ``_sweep_geometry``)."""
-    build = _sweep_geometry if mesh.n_cells <= _CACHED_CELLS else _sweep_geometry.__wrapped__
-    return build(mesh, grid, k_lo, k_fine)
+@functools.lru_cache(maxsize=16, typed=True)  # a workload process reads 2-3 keys
+def _cell_cube_index(mesh: Mesh, grid: DyadicGrid, k0: int, k1: int) -> np.ndarray:
+    """(levels k0..k1, cells), read-only: entry [j, x] is 1 plus the position,
+    in the ``level_cube_integrals`` tables of k0..k1 joined, of the
+    level-(k0 + j) cube that wholly contains cell x, 0 where none does.
+    Built level by level, so the int64 temporaries take one row."""
+    levels = range(k0, k1 + 1)
+    first = np.cumsum([1] + [len(_level_cubes(mesh, grid, k)) for k in levels])  # 1 + each level's offset
+    index = np.zeros((len(levels), mesh.n_cells), dtype=np.intp)
+    for row, k, at in zip(index, levels, first):
+        (q,), (contained,) = cube_indices_per_cell(mesh, grid, k, k)
+        np.add(q, at - _level_cubes(mesh, grid, k).start, out=row, where=contained)
+    return _read_only(index)
 
 
 @functools.lru_cache(maxsize=64, typed=True)

@@ -307,6 +307,8 @@ class GradedMesh:
     edges: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not (math.isfinite(self.x_hi) and math.isfinite(self.x_min)):  # x_hi = inf: NaN bands without end
+            raise ValueError(f"GradedMesh needs a finite x_hi and x_min, got x_hi={self.x_hi}, x_min={self.x_min}")
         if not (0 < self.x_min < self.x_hi):
             raise ValueError("need 0 < x_min < x_hi")
         bands = []

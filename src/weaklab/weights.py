@@ -56,10 +56,11 @@ from .grid import (
     DyadicGrid,
     Mesh,
     MeshFunction,
-    _ancestor_sweep,
+    _kept,
     _read_only,
     _span_integrals,
     _Spans,
+    _sweep_geometry,
     default_levels,
     level_cube_integrals,
     shifted_grids,
@@ -897,7 +898,7 @@ def _fujii_wilson(wbar: MeshFunction, grids, k_lo: int, k_fine: int):
     maximal function of w χ_Q only sees cubes contained in Q; ∫_Q M(w χ_Q)
     is then computed exactly (for the discretized weight) by a bottom-up
     sweep that keeps, per finest-level cube, the running maximum of its
-    ancestors' averages.  The sweep's geometry (``grid._ancestor_sweep``)
+    ancestors' averages.  The sweep's geometry (``grid._sweep_geometry``)
     is laid out once per mesh, grid and level range: per grid, one gather
     stacks every level's ancestor averages, a running maximum over its rows
     takes them from fine to coarse, and one ``np.add.reduceat`` integrates
@@ -908,7 +909,7 @@ def _fujii_wilson(wbar: MeshFunction, grids, k_lo: int, k_fine: int):
     for grid in grids:
         # the tables first: on a fine mesh, building them peaks higher than the sweep
         tables = [ints for _, ints in level_cube_integrals(wbar, grid, k_lo, k_fine)]
-        gather, seg, cubes, empty, inside, grid_blocks = _ancestor_sweep(wbar.mesh, grid, k_lo, k_fine)
+        gather, seg, cubes, empty, inside, grid_blocks = _kept(_sweep_geometry, wbar.mesh, grid, k_lo, k_fine)
         if not grid_blocks:
             continue
         rest = tables[0].shape[1:]  # (components,) for a vector wbar

@@ -11,7 +11,10 @@ cube-by-cube Christ-Goldberg maximal function over these overlap widths,
 the direction-by-direction scalar ``A_inf`` characteristic, and the
 reducing-matrix sparse operator with one ``grid.average`` call per cube.
 So does the Christ-Goldberg sweep that ``grid.cell_cube_integrals``
-replaced, which integrated every component over every cube.  So do the
+replaced, which integrated every component over every cube, and
+``oracle_cell_cube_integrals``, the ``cell_cube_integrals`` that derived
+its (cube, cell) pairs on every call before ``grid._cell_cube_index`` kept
+them.  So do the
 one-level-per-call table builders that ``grid.level_cube_integrals`` and
 ``grid.cube_indices_per_cell`` replaced by one call for all levels, the
 one-pass span integrals ``oracle_span_integrals`` that derive each call's
@@ -37,7 +40,9 @@ from weaklab.grid import (
     DyadicGrid,
     Mesh,
     MeshFunction,
+    _joined_level_spans,
     _level_affine,
+    _span_integrals,
     average,
     cube_indices_per_cell,
     default_levels,
@@ -136,6 +141,30 @@ def oracle_level_cube_integrals(f: MeshFunction, grid: DyadicGrid, k: int) -> tu
     inner = np.arange(q0 + 1, q1 + 1, dtype=np.int64) * den - a0
     edges = np.concatenate(([0], inner, [n * step]))
     return q0, oracle_span_integrals(f, edges[:-1], edges[1:], step)
+
+
+def oracle_cell_cube_integrals(f: MeshFunction, grid: DyadicGrid, k0: int, k1: int) -> np.ndarray:
+    """``cell_cube_integrals`` with its (cube, cell) pairs derived per call:
+    three ``np.repeat``s over the joined level spans give each pair's flat
+    index ``j * n + x`` into the output, and the pairs' values are scattered
+    there."""
+    n = f.mesh.n_cells
+    out = np.zeros((max(k1 - k0 + 1, 0), n))
+    if k1 < k0:
+        return out
+    _, sizes, spans = _joined_level_spans(f.mesh, grid, range(k0, k1 + 1))
+    first, stop = spans.ends[::2], spans.ends[1::2]
+    counts = np.maximum(stop - first, 0)  # cells wholly inside each span's cube
+    # the flat index j * n + x in out of each (cube, cell) pair, x running up
+    # from first along each span
+    at = np.arange(counts.sum())
+    at -= np.repeat(np.cumsum(counts) - counts - first - np.repeat(np.arange(k1 - k0 + 1) * n, sizes), counts)
+    if f.is_vector:
+        pairs = spans.take(np.repeat(np.arange(len(spans)), counts))
+        np.put(out, at, _span_integrals(f, pairs, comp=at % n))
+    else:
+        np.put(out, at, np.repeat(np.concatenate([ints for _, ints in level_cube_integrals(f, grid, k0, k1)]), counts))
+    return out
 
 
 def oracle_span_integrals(f: MeshFunction, lo: np.ndarray, hi: np.ndarray, den, comp=None) -> np.ndarray:

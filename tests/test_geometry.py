@@ -45,7 +45,8 @@ from weaklab.grid import (
     Mesh,
     MeshFunction,
     _CACHED_CELLS,
-    _ancestor_sweep,
+    _cell_cube_index,
+    _kept,
     _level_affine,
     _level_spans,
     _sweep_geometry,
@@ -333,19 +334,40 @@ def test_fine_meshes_keep_no_geometry():
 
 
 def test_sweep_geometry_is_read_only_and_kept_for_small_meshes_only():
-    """Every array of the Fujii-Wilson sweep geometry is read-only, on a
-    mesh that keeps it and on one past ``_CACHED_CELLS`` cells, which is
-    derived per call without consulting the cache."""
+    """Every array of the Fujii-Wilson sweep geometry and the cell-to-cube
+    index of the maximal sweep is read-only, on a mesh that keeps it and on
+    one past ``_CACHED_CELLS`` cells, which is derived per call without
+    consulting the cache."""
     for mesh, kept in ((Mesh(3.0, 5), True), (Mesh(1.0, 13), False)):
-        grid = GRIDS[1]
-        lookups = _sweep_geometry.cache_info()[:2]  # hits, misses
-        sweep = _ancestor_sweep(mesh, grid, *default_levels(mesh))
-        assert (_sweep_geometry.cache_info()[:2] != lookups) == kept
-        *arrays, blocks = sweep
+        grid, (k_top, k_fine) = GRIDS[1], default_levels(mesh)
+        for build in (_sweep_geometry, _cell_cube_index):
+            lookups = build.cache_info()[:2]  # hits, misses
+            _kept(build, mesh, grid, k_top, k_fine)
+            assert (build.cache_info()[:2] != lookups) == kept, build.__name__
+        *arrays, blocks = _kept(_sweep_geometry, mesh, grid, k_top, k_fine)
         assert blocks and all(g == grid for g, _, _ in blocks)
-        for a in arrays + [m for _, _, m in blocks]:
+        index = _kept(_cell_cube_index, mesh, grid, k_top, k_fine)
+        assert index.shape == (k_fine - k_top + 1, mesh.n_cells)
+        for a in arrays + [m for _, _, m in blocks] + [index]:
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] = a[(0,) * a.ndim]
+
+
+def test_only_kept_reads_past_the_cache():
+    # one size rule decides which geometry is kept: ``grid._kept`` is the
+    # only code that reaches past an lru_cache to the function it wraps
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "weaklab"
+    users = set()
+    for path in src.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        defs = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]  # outer before inner
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "__wrapped__") or (
+                isinstance(node, ast.Constant) and node.value == "__wrapped__"
+            ):
+                inside = [d.name for d in defs if d.lineno <= node.lineno <= d.end_lineno]
+                users.add(".".join([path.stem] + inside[-1:]))
+    assert users == {"grid._kept"}
 
 
 def test_out_of_range_levels_raise_on_every_call():
@@ -553,7 +575,7 @@ def test_caches_live_in_grid_on_frozen_keys():
                     if "lru_cache" in ast.unparse(dec):
                         cached[node.name] = (dec, node.args)
     assert users == {"grid.py"}
-    assert set(cached) == {"_level_affine", "_level_spans", "_sweep_geometry"}
+    assert set(cached) == {"_level_affine", "_level_spans", "_sweep_geometry", "_cell_cube_index"}
     for name, (dec, args) in cached.items():
         assert isinstance(dec, ast.Call) and not dec.args, name
         options = {kw.arg: kw.value for kw in dec.keywords}

@@ -365,6 +365,22 @@ class TestOnePassSweep:
             hi /= 2.0
         assert mesh.edges.tobytes() == np.unique(np.concatenate([[0.0], *bands, [x_hi]])).tobytes()
 
+    @pytest.mark.parametrize(
+        "kwargs, named",
+        [
+            ({"x_hi": math.inf}, "x_hi=inf"),
+            ({"x_hi": math.nan}, "x_hi=nan"),
+            ({"x_min": math.nan}, "x_min=nan"),
+            ({"x_min": -math.inf}, "x_min=-inf"),
+            ({"x_hi": math.inf, "x_min": math.inf}, "x_hi=inf, x_min=inf"),
+        ],
+    )
+    def test_non_finite_bounds_are_a_value_error_naming_the_field(self, kwargs, named):
+        # x_hi = inf passes 0 < x_min < x_hi, and its band loop never ended
+        with pytest.raises(ValueError, match="GradedMesh needs a finite x_hi and x_min") as err:
+            GradedMesh(**kwargs)
+        assert named in str(err.value)
+
     def test_import_leaves_numpy_ma_unloaded(self):
         # building the default mesh at import must not pull in numpy.ma
         src = pathlib.Path(__file__).resolve().parents[1] / "src"

@@ -7,6 +7,7 @@ read; and the level windows and exponents the shared sweep accepts.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ import weaklab.operators
 from geometry_oracle import (
     all_components_christ_goldberg_maximal,
     oracle_ainfty_scalar_characteristic,
+    oracle_cell_cube_integrals,
     oracle_christ_goldberg_maximal,
     oracle_dominating_scalar_sparse,
     oracle_span_integrals,
@@ -34,7 +36,7 @@ from weaklab.grid import (
     level_cube_integrals,
     shifted_grids,
 )
-from weaklab.operators import dyadic_maximal, hl_maximal
+from weaklab.operators import dyadic_maximal, fractional_maximal, hl_maximal
 from weaklab.sparse import build_sparse_family
 from weaklab.matrix import (
     MatrixWeight,
@@ -179,6 +181,68 @@ def test_span_integrals_of_one_component_equal_its_column(level, r, den, seed):
     assert got.tobytes() == every[np.arange(50), comp].tobytes()
 
 
+def _windows(mesh: Mesh) -> dict[str, tuple[int, int]]:
+    k_top, k_fine = default_levels(mesh)
+    return {
+        "full": (k_top, k_fine),
+        "inner": (k_top + 1, k_fine - 1),
+        "finest": (k_fine, k_fine),
+        "past-coarsest": (k_top - 2, k_fine),
+        "reversed": (k_fine, k_fine - 1),
+    }
+
+
+@pytest.mark.parametrize("level", range(13))
+@pytest.mark.parametrize("radius", [0.75, 1.0, 4.0, 5.25])
+def test_cell_cube_integrals_match_the_scatter_oracle(radius, level):
+    """Read through the kept cell-to-cube index, every window of every grid
+    gives the bytes of the per-call repeat/scatter pairs: a scalar f on
+    every mesh, and a vector f (one component per cell, whole blocks of
+    cells and of components zero) on meshes of at most 256 cells."""
+    mesh = Mesh(radius, level)
+    rng = np.random.default_rng(level)
+    f = MeshFunction(mesh, rng.uniform(0, 1, mesh.n_cells) * (rng.uniform(size=mesh.n_cells) < 0.6))
+    functions = [f]
+    if mesh.n_cells <= 256:
+        values = block_zeroed(rng, mesh.n_cells, mesh.n_cells)  # blocks of cells zero
+        values[:, block_zeroed(rng, mesh.n_cells, 1)[:, 0] == 0] = 0.0  # and blocks of components
+        functions.append(MeshFunction(mesh, values))
+    for g in functions:
+        for grid in shifted_grids(1):
+            for name, (k0, k1) in _windows(mesh).items():
+                got = cell_cube_integrals(g, grid, k0, k1)
+                want = oracle_cell_cube_integrals(g, grid, k0, k1)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (name, g.is_vector)
+
+
+@pytest.mark.parametrize("level", [0, 2, 5, 7, 10])
+@pytest.mark.parametrize("radius", [0.75, 1.0, 4.0, 5.25])
+def test_maximal_operators_match_the_scatter_oracle(monkeypatch, radius, level):
+    """The four maximal operators on the kept index give the bytes they gave
+    on the repeat/scatter pairs (Christ-Goldberg on meshes of at most 256
+    cells)."""
+    mesh = Mesh(radius, level)
+    rng = np.random.default_rng(level)
+    f = MeshFunction(mesh, (np.abs(mesh.centers()) + 1e-3) ** -0.3 * rng.uniform(0, 1, mesh.n_cells))
+    k_top, k_fine = default_levels(mesh)
+    calls = {
+        "hl_maximal": lambda: hl_maximal(f),
+        "hl_maximal-inner": lambda: hl_maximal(f, k_top + 1, k_fine),
+        "dyadic_maximal": lambda: dyadic_maximal(f, k_top - 2, k_fine),
+        "dyadic_maximal-alpha": lambda: dyadic_maximal(f, alpha=0.3),
+        "fractional_maximal": lambda: fractional_maximal(f, 0.5),
+    }
+    if mesh.n_cells <= 256:
+        W = random_matrix_weight(mesh, 2, rng)
+        fv = MeshFunction(mesh, block_zeroed(rng, mesh.n_cells, 2))
+        calls["christ_goldberg_maximal"] = lambda: christ_goldberg_maximal(W, 2.0, fv)
+        calls["christ_goldberg_maximal-alpha"] = lambda: christ_goldberg_maximal(W, 3.0, fv, alpha=0.25)
+    got = {name: call().values.tobytes() for name, call in calls.items()}
+    monkeypatch.setattr(weaklab.operators, "cell_cube_integrals", oracle_cell_cube_integrals)
+    for name, call in calls.items():
+        assert got[name] == call().values.tobytes(), name
+
+
 def _spy_windows(monkeypatch) -> list[tuple[int, int]]:
     windows = []
     real = weaklab.operators.cell_cube_integrals
@@ -247,6 +311,47 @@ def test_christ_goldberg_rejects_an_exponent_below_one(p):
         christ_goldberg_maximal(W, p, MeshFunction(mesh, np.ones((mesh.n_cells, 2))))
     with pytest.raises(ValueError, match="exponent"):  # before the shape of f is looked at
         christ_goldberg_maximal(W, p, MeshFunction(mesh, np.ones(mesh.n_cells)))
+
+
+def _peak_bytes_per_cell(operator, level: int) -> float:
+    """tracemalloc peak of live bytes per cell over one call on a fresh
+    function, after a first call has filled the kept geometry."""
+    mesh = Mesh(1.0, level)
+    values = (np.abs(mesh.centers()) + 1e-3) ** -0.3 * np.random.default_rng(level).uniform(0.5, 1.0, mesh.n_cells)
+    operator(MeshFunction(mesh, values))
+    f = MeshFunction(mesh, values)
+    tracemalloc.start()
+    try:
+        operator(f)
+        return tracemalloc.get_traced_memory()[1] / mesh.n_cells
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("operator", [dyadic_maximal, hl_maximal])
+def test_peak_bytes_per_cell_stay_within_twice_from_level_10_to_14(operator):
+    """The per-cell cost grows with the level count only (12 levels at
+    L = 10, 16 at L = 14; about 330-370 against 460-490 bytes a cell):
+    a cost that grew with the cell count would read 16 times higher."""
+    assert _peak_bytes_per_cell(operator, 14) <= 2.0 * _peak_bytes_per_cell(operator, 10)
+
+
+def test_christ_goldberg_names_its_cell_limit(monkeypatch):
+    """Past 4,096 cells (level 11 on radius 1) the n x n x d integrand is
+    refused before a matrix power is taken for it: at 8,192 cells it alone
+    would take 1 GiB."""
+
+    def formed(*_):
+        raise AssertionError("the integrand is being formed")
+
+    for mesh in (Mesh(1.0, 12), Mesh(0.75, 12)):
+        W = MatrixWeight(mesh, np.tile(np.eye(2), (mesh.n_cells, 1, 1)))
+        f = MeshFunction(mesh, np.ones((mesh.n_cells, 2)))
+        with monkeypatch.context() as patch:
+            patch.setattr(MatrixWeight, "power", formed)
+            for alpha in (0.0, 0.5):
+                with pytest.raises(ValueError, match="use meshes of <= 4096 cells"):
+                    christ_goldberg_maximal(W, 2.0, f, alpha=alpha)
 
 
 def test_christ_goldberg_accepts_an_exponent_of_one():
