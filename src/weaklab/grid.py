@@ -68,6 +68,7 @@ __all__ = [
     "inner_cell_range",
     "inside_cubes",
     "default_levels",
+    "exact_ratio",
 ]
 
 
@@ -306,6 +307,13 @@ class MeshFunction:
 # ---------------------------------------------------------------------------
 
 
+def exact_ratio(x) -> tuple[int, int]:
+    """(p, q), q > 0, with x = p / q exactly, for a finite int, float or ``Fraction``."""
+    if x != x or x in (-math.inf, math.inf):
+        raise ValueError(f"point {x} is not a finite number")
+    return (int(x), 1) if isinstance(x, numbers.Integral) else x.as_integer_ratio()
+
+
 @dataclass(frozen=True)
 class DyadicGrid:
     """One shifted dyadic grid of the line: its shift at level k is ``(-1)**k * shift_index / 3``."""
@@ -319,11 +327,12 @@ class DyadicGrid:
     def is_standard(self) -> bool:
         return self.shift_index == 0
 
-    def numerator(self, k: int, m):
-        """3 * 2^k times the left edge of cube (k, m): ``3m + (-1)^k j`` for an
-        int or an int64 array m.  Cube (k, m) is ``[N, N + 3) / (3 * 2^k)``;
-        every index rule of the grid derives from this one."""
-        return 3 * m + (-self.shift_index if k & 1 else self.shift_index)
+    def numerator(self, k, m):
+        """3 * 2^k times the left edge of cube (k, m): ``3m + (-1)^k j`` for
+        ints, or int64 arrays of levels k and indices m.  Cube (k, m) is
+        ``[N, N + 3) / (3 * 2^k)``; every index rule of the grid derives
+        from this one."""
+        return 3 * m + self.shift_index * (1 - 2 * (k & 1))
 
     def index_at(self, k: int, num, den: int, scale: int = 0):
         """Index of the level-k cube containing the exact point
@@ -339,11 +348,8 @@ class DyadicGrid:
 
     def cube_index_of(self, k: int, x) -> int:
         """Index m of the level-k cube containing the point x (int, float or
-        ``Fraction``), in integers on ``x.as_integer_ratio()``."""
-        if x != x or x in (-math.inf, math.inf):
-            raise ValueError(f"point {x} is not a finite number")
-        p, q = (int(x), 1) if isinstance(x, numbers.Integral) else x.as_integer_ratio()
-        return self.index_at(k, p, q)
+        ``Fraction``), in integers on ``exact_ratio(x)``."""
+        return self.index_at(k, *exact_ratio(x))
 
     def cube(self, k: int, m: int) -> "Cube":
         return Cube(level=k, index=m, grid=self)

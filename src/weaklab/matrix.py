@@ -34,7 +34,6 @@ import numpy as np
 
 from .grid import Cube, DyadicGrid, Mesh, MeshFunction, cube_span, default_levels, inside_cubes, shifted_grids
 from .operators import _maximal_sweep
-from .sparse import _cube_averages
 from .weights import (
     CharacteristicReport,
     SampledWeight,
@@ -590,7 +589,7 @@ def dominating_scalar_sparse(
         raise ValueError("f and W live on different meshes")
     if f.is_vector:
         raise ValueError("the dominating operator acts on scalar f (apply to |f|)")
-    avg = _cube_averages(f.power(p), family.grid, family.cubes, max((c.level for c in family.cubes), default=0))
+    avg = family.averages(f.power(p))
     out = np.zeros(mesh.n_cells)
     if alpha == 0.0:
         Apow = W.power(1.0 / p)
@@ -598,7 +597,7 @@ def dominating_scalar_sparse(
         if q is None:
             raise ValueError("fractional variant needs q")
         Apow = W.values
-    for cube in family.cubes:
+    for cube, a in zip(family.cubes, avg):
         cells = W.cells_of(cube)  # a cube leaving the domain raises
         red = (
             reducing_matrix(W, cube, p)
@@ -606,8 +605,7 @@ def dominating_scalar_sparse(
             else fractional_reducing_matrix(W, cube, q)
         )
         coeff = op_norm(np.einsum("xij,jk->xik", Apow[cells], red.inverse))
-        avg_p = avg(cube.level, cube.index) ** (1.0 / p)
-        out[cells] += cube.width**alpha * coeff * avg_p
+        out[cells] += cube.width**alpha * coeff * a ** (1.0 / p)
     return MeshFunction(mesh, out)
 
 

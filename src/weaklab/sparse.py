@@ -11,17 +11,18 @@ stop above a minimum cube width (default 32 cells) so that the
 cell-quantized E_Q still certify the sparseness inequality |Q| <= 2 |E_Q|.
 
 Both constructions are one stopping-time walk (Lerner-Nazarov, *Intuitive
-dyadic calculus*, section 6): stop at the maximal cubes whose average jumps.
-The walk is level-synchronous.  Each level holds the live cubes as integer
-arrays (grid index, root position, inherited base average) and reads their
-averages with one vector lookup in the function's per-level tables
-(``level_cube_integrals``, bit-identical to ``grid.average``); an index off
-a level's table is off the domain.  The tables stay on the function, so
-``cz_decompose``, ``build_sparse_family`` and ``SparseFamily.apply`` on one
-``f`` (and ``dyadic_maximal``) share them instead of each integrating anew.
-The roots must be pairwise disjoint.  Only the kept cubes are sorted into
-the order the constructions report and become ``Cube`` objects, and the
-cells each one holds are the integer range ``grid.inner_cell_range``.
+dyadic calculus*, section 6), behind one front, ``_walk``: stop at the
+maximal cubes whose average jumps.  The walk is level-synchronous; each
+level holds the live cubes as integer arrays and reads their averages with
+one vector lookup, ``_lookup``, in the function's per-level tables
+(``level_cube_integrals``, bit-identical to ``grid.average``), where an
+index off the table is off the domain and reads 0.  The tables stay on the
+function, so ``cz_decompose``, ``build_sparse_family`` and
+``SparseFamily.apply`` on one ``f`` share them.  The kept cubes stay
+integer arrays until the report: one ``np.lexsort`` on (root position,
+exact left edge, level), the edges read off ``DyadicGrid.numerator`` in
+int64, orders them, and only then do they become ``Cube`` objects.
+``covering_roots`` works in integers too, its position an exact ratio.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .grid import (
     MeshFunction,
     cube_span,
     default_levels,
+    exact_ratio,
     inner_cell_range,
     inside_cubes,
     level_cube_integrals,
@@ -71,88 +73,67 @@ def covering_roots(mesh: Mesh, grid: DyadicGrid, span: tuple[float, float]) -> l
     Every designated-set computation stays exact at cell granularity because
     the roots never leave the mesh.  For shifted grids near the domain edge
     the maximal cubes shrink; a span that touches the edge of the domain is
-    rejected (embed the function into a larger mesh instead).
+    rejected (embed the function into a larger mesh instead).  The position
+    is an exact integer ratio: the span's left end, then the right edge of
+    each root placed.
     """
+    (num, den), (end, end_den) = (exact_ratio(x) for x in span)
     lo, hi = span
-    for x in span:
-        if not math.isfinite(x):
-            raise ValueError(f"point {x} is not a finite number")
     if lo < -mesh.radius or hi > mesh.radius:
         raise ValueError(f"span [{lo}, {hi}) leaves the mesh domain")
     roots: list[Cube] = []
     k_top, k_cell = default_levels(mesh)
-    pos = lo
-    while pos < hi:  # pos becomes an exact Cube.right; the comparison stays exact
-        placed = None
+    while num * end_den < end * den:  # position num / den < hi
         for k in range(k_top, k_cell + 1):
-            c = grid.cube_containing(k, pos)
-            if c.index in inside_cubes(mesh, grid, k):
-                placed = c
+            m = grid.index_at(k, num, den)
+            if m in inside_cubes(mesh, grid, k):
                 break
-        if placed is None:
+        else:
             raise ValueError(
-                f"no grid cube inside the domain covers x = {float(pos):.6g}; "
+                f"no grid cube inside the domain covers x = {num / den:.6g}; "
                 "embed the data into a larger mesh"
             )
-        roots.append(placed)
-        pos = placed.right
+        roots.append(grid.cube(k, m))
+        num, den = grid.numerator(k, m + 1) << max(-k, 0), 3 << max(k, 0)  # its right edge
     return roots
 
 
 def _average_tables(f: MeshFunction, grid: DyadicGrid, cubes: Sequence[Cube], k_deep: int):
-    """(k0, tables): ``tables[k - k0] = (q0, averages)``, the average <f> of
-    every level-k cube q0, q0 + 1, ... meeting the domain, for k from the
+    """(levels, index, k0, tables): the given cubes' levels and indices as
+    int64 arrays, and ``tables[k - k0] = (q0, averages)``, the average <f>
+    of every level-k cube q0, q0 + 1, ... meeting the domain, for k from the
     coarsest given cube (of the grid) down to k_deep or the deepest one."""
     if any(c.grid != grid for c in cubes):
         raise ValueError("root cubes must belong to the construction's grid")
-    levels = [c.level for c in cubes]
-    k0, k1 = min(levels, default=k_deep), max(levels + [k_deep])
-    tables = level_cube_integrals(f, grid, k0, k1)
-    return k0, [(q0, ints / 2.0**-k) for k, (q0, ints) in enumerate(tables, k0)]
+    levels = np.array([c.level for c in cubes], dtype=np.int64)
+    index = np.array([c.index for c in cubes], dtype=np.int64)
+    k0 = int(levels.min()) if len(cubes) else k_deep
+    tables = level_cube_integrals(f, grid, k0, int(levels.max(initial=k_deep)))
+    return levels, index, k0, [(q0, ints / 2.0**-k) for k, (q0, ints) in enumerate(tables, k0)]
 
 
-def _cube_averages(f: MeshFunction, grid: DyadicGrid, cubes: Sequence[Cube], k_deep: int):
-    """avg(k, m) = <f> over grid cube (k, m), None off the domain, over the
-    levels of ``_average_tables``."""
-    k0, tables = _average_tables(f, grid, cubes, k_deep)
-    tables = [(q0, avgs.tolist()) for q0, avgs in tables]
-
-    def avg(k: int, m: int) -> float | None:
-        q0, avgs = tables[k - k0]
-        j = m - q0
-        return avgs[j] if 0 <= j < len(avgs) else None
-
-    return avg
+def _lookup(table, m: np.ndarray) -> np.ndarray:
+    """The averages of the cubes ``m`` in one level's ``(q0, averages)``
+    table; a cube off the table is off the domain and reads 0."""
+    q0, avgs = table
+    j = m - q0
+    return np.where((j >= 0) & (j < len(avgs)), avgs.take(j, mode="clip"), 0.0)
 
 
-def _left_key(grid: DyadicGrid, k: int, m: int, k_fine: int) -> int:
-    """3 * 2^k_fine times the left edge of cube (k, m), k <= k_fine: an exact integer."""
-    return grid.numerator(k, m) << (k_fine - k)
+def _edges(grid: DyadicGrid, levels: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """3 * 2^k_fine times the left edges of the cubes (levels, index), k_fine
+    the finest of them or 0: exact int64 integers on one scale."""
+    return grid.numerator(levels, index) << (levels.max(initial=0) - levels)
 
 
-def _kept_cubes(grid: DyadicGrid, levels, index, rid, reverse: bool = False) -> tuple[list[int], list[Cube]]:
-    """The walk's kept cubes sorted by (root position, exact left edge,
-    level), each root's left-to-right preorder, or the reverse: (the
-    permutation, the cubes)."""
-    k_fine = max(levels, default=0)
-    order = sorted(
-        range(len(levels)),
-        key=lambda i: (rid[i], _left_key(grid, levels[i], index[i], k_fine), levels[i]),
-        reverse=reverse,
-    )
-    return order, [grid.cube(levels[i], index[i]) for i in order]
-
-
-def _check_disjoint(grid: DyadicGrid, roots: Sequence[Cube]) -> None:
+def _check_disjoint(grid: DyadicGrid, roots: Sequence[Cube], levels: np.ndarray, index: np.ndarray) -> None:
     """Reject repeated or nested roots: the walk gives every cell one owner."""
-    k_fine = max((c.level for c in roots), default=0)
-    spans = sorted(
-        (_left_key(grid, c.level, c.index, k_fine), _left_key(grid, c.level, c.index + 1, k_fine), i)
-        for i, c in enumerate(roots)
-    )
-    for (_, hi, i), (lo, _, j) in zip(spans, spans[1:]):
-        if lo < hi:
-            raise ValueError(f"root cubes must be disjoint: {roots[i]} and {roots[j]} overlap")
+    lo, hi = _edges(grid, levels, index), _edges(grid, levels, index + 1)
+    by_lo = np.lexsort((hi, lo))  # stable: ties in the given order
+    clash = np.flatnonzero(lo[by_lo[1:]] < hi[by_lo[:-1]])
+    if len(clash):
+        i, j = by_lo[clash[0]], by_lo[clash[0] + 1]
+        raise ValueError(f"root cubes must be disjoint: {roots[i]} and {roots[j]} overlap")
 
 
 def _stopping_walk(grid, k0, tables, roots, k_last, stops, generations):
@@ -171,15 +152,15 @@ def _stopping_walk(grid, k0, tables, roots, k_last, stops, generations):
     domain reads average 0, at which ``stops`` must be false, and the walk
     never descends below a cube averaging 0: for f >= 0 nothing there stops.
 
-    Returns the kept cubes as Python lists (level, index, root position,
-    average), in no particular order.
+    Returns the kept cubes as arrays (level, index, root position, average),
+    in no particular order.
     """
     by_level: dict[int, list[tuple[int, int]]] = {}
     for r, c in enumerate(roots):
         by_level.setdefault(c.level, []).append((c.index, r))
     m = rid = np.zeros(0, dtype=np.int64)
     base = np.zeros(0)
-    kept: list[tuple[np.ndarray, ...]] = []
+    kept: list[tuple[np.ndarray, ...]] = [(m, m, m, base)]
     for k in range(min(by_level, default=k_last + 1), max([k_last, *by_level]) + 1):
         n_live = len(m)
         if k in by_level:
@@ -188,9 +169,7 @@ def _stopping_walk(grid, k0, tables, roots, k_last, stops, generations):
             base = np.concatenate((base, np.zeros(len(new_m))))
         if not len(m):
             continue
-        q0, avgs = tables[k - k0]
-        j = m - q0
-        avg = np.where((j >= 0) & (j < len(avgs)), avgs.take(j, mode="clip"), 0.0)  # 0 never stops
+        avg = _lookup(tables[k - k0], m)  # 0 never stops
         stop = stops(avg, base)
         keep, down = stop, (avg > 0) & (~stop | generations)  # nothing below a zero average stops
         if generations and n_live < len(m):  # roots: kept, and descended from if they stop
@@ -205,9 +184,20 @@ def _stopping_walk(grid, k0, tables, roots, k_last, stops, generations):
         base = np.where(stop, avg, base)[down]
         rid = rid[down]
         m, rid, base = np.concatenate((lo, lo + 1)), np.concatenate((rid, rid)), np.concatenate((base, base))
-    if not kept:
-        return [], [], [], []
-    return [np.concatenate(col).tolist() for col in zip(*kept)]
+    return [np.concatenate(col) for col in zip(*kept)]
+
+
+def _walk(f: MeshFunction, grid: DyadicGrid, roots: Sequence[Cube], k_last, stops, generations, reverse=False):
+    """The front of both constructions: read the average tables, check the
+    roots and run ``_stopping_walk``.  Returns the kept cubes in report
+    order, by (root position, exact left edge, level), which is each root's
+    left-to-right preorder, root after root, or the reverse of it, and
+    their averages."""
+    levels, index, k0, tables = _average_tables(f, grid, roots, k_last)
+    _check_disjoint(grid, roots, levels, index)
+    levels, index, rid, avg = _stopping_walk(grid, k0, tables, roots, k_last, stops, generations)
+    order = np.lexsort((levels, _edges(grid, levels, index), rid))[:: -1 if reverse else 1]
+    return [grid.cube(k, m) for k, m in zip(levels[order].tolist(), index[order].tolist())], avg[order]
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +232,16 @@ class SparseFamily:
     def verify(self) -> list[str]:
         return verify_sparseness(self)
 
+    def averages(self, f: MeshFunction) -> list[float]:
+        """<f>_Q of every cube Q, in family order (0.0 off the domain)."""
+        k_deep = max((c.level for c in self.cubes), default=0)
+        levels, index, k0, tables = _average_tables(f, self.grid, self.cubes, k_deep)
+        avg = np.zeros(len(levels))
+        for k in np.unique(levels).tolist():
+            at = levels == k
+            avg[at] = _lookup(tables[k - k0], index[at])
+        return avg.tolist()
+
 
 def sparse_apply(family: SparseFamily, f: MeshFunction, alpha: float = 0.0) -> MeshFunction:
     if f.mesh != family.mesh:
@@ -249,9 +249,7 @@ def sparse_apply(family: SparseFamily, f: MeshFunction, alpha: float = 0.0) -> M
     mesh = family.mesh
     n = mesh.n_cells
     out = np.zeros(n)
-    avg = _cube_averages(f, family.grid, family.cubes, max((c.level for c in family.cubes), default=0))
-    for cube in family.cubes:
-        a = avg(cube.level, cube.index) or 0.0  # None: no cell centre inside
+    for cube, a in zip(family.cubes, family.averages(f)):
         # cell i is in the cube when its centre is: 2 lo <= (2i + 1) den < 2 hi
         lo, hi, den = cube_span(mesh, cube)
         i0 = -((den - 2 * lo) // (2 * den))
@@ -344,12 +342,7 @@ def build_sparse_family(
         min_width_cells = 1 if grid.is_standard() else 32
     max_level = math.floor(math.log2(1.0 / (min_width_cells * mesh.h)))
 
-    k0, tables = _average_tables(f, grid, roots, max_level)
-    _check_disjoint(grid, roots)
-    levels, index, rid, _ = _stopping_walk(
-        grid, k0, tables, roots, max_level, lambda avg, base: (avg > 0) & (avg >= 4.0 * base), True
-    )
-    _, cubes = _kept_cubes(grid, levels, index, rid)
+    cubes, _ = _walk(f, grid, roots, max_level, lambda avg, base: (avg > 0) & (avg >= 4.0 * base), True)
     # each cell belongs to E_Q of the deepest family cube Q wholly containing
     # it; in preorder that cube is the last to claim the cell
     owner = np.full(mesh.n_cells, -1)
@@ -412,27 +405,13 @@ def cz_decompose(
         raise ValueError("decomposition expects h >= 0")
     if roots is None:
         roots = root_cubes(mesh, grid)
-    k_cell = mesh.aligned_cell_level()
-    k0, tables = _average_tables(h, grid, roots, k_cell)
-    _check_disjoint(grid, roots)
-    levels, index, rid, avg = _stopping_walk(grid, k0, tables, roots, k_cell, lambda a, _: a > height, False)
-    order, stopping = _kept_cubes(grid, levels, index, rid, reverse=True)  # the cubes are disjoint
-    good = h.values.copy()
-    in_omega = np.zeros(mesh.n_cells, dtype=bool)
-    for i, cube in zip(order, stopping):
+    stopping, avg = _walk(h, grid, roots, mesh.aligned_cell_level(), lambda a, _: a > height, False, reverse=True)
+    good, in_omega = h.values.copy(), np.zeros(mesh.n_cells, dtype=bool)
+    for cube, a in zip(stopping, avg):
         i0, i1 = inner_cell_range(mesh, cube)
-        good[i0:i1] = avg[i]
-        in_omega[i0:i1] = True
-    omega_cells = np.flatnonzero(in_omega)
-    good_f = MeshFunction(mesh, good)
-    bad_f = MeshFunction(mesh, h.values - good)
-    return CZDecomposition(
-        height=height,
-        cubes=stopping,
-        good=good_f,
-        bad=bad_f,
-        omega_cells=omega_cells,
-    )
+        good[i0:i1], in_omega[i0:i1] = a, True
+    bad = MeshFunction(mesh, h.values - good)
+    return CZDecomposition(height, stopping, MeshFunction(mesh, good), bad, np.flatnonzero(in_omega))
 
 
 def exceptional_set(

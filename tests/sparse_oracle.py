@@ -11,8 +11,13 @@ off-domain cubes are recognised by ``geometry_oracle.intersects``.
 pairs that ``weaklab.sparse`` ran before the level-synchronous walk: they
 read the same ``level_cube_integrals`` tables, so they are fast enough for
 wider differential tests, and the set-based verify loop fixes the message
-list.  The tests in ``test_sparse_oracle.py`` require the walk to agree
-with all of them byte for byte.
+list.  They read averages through ``_cube_averages``, the per-cube closure
+over those tables that ``weaklab.sparse`` once shared with ``matrix``.  The
+tests in ``test_sparse_oracle.py`` require the walk to agree with all of
+them byte for byte.
+
+``oracle_covering_roots`` is ``covering_roots`` as it stood before it kept
+its position as an integer ratio: ``Fraction`` positions on ``Cube.right``.
 """
 
 from __future__ import annotations
@@ -33,8 +38,56 @@ from geometry_oracle import (
     oracle_average,
     oracle_cells_inside,
 )
-from weaklab.grid import Cube, DyadicGrid, MeshFunction
-from weaklab.sparse import CZDecomposition, SparseFamily, _cube_averages, covering_roots, root_cubes
+from weaklab.grid import Cube, DyadicGrid, Mesh, MeshFunction, default_levels, inside_cubes, level_cube_integrals
+from weaklab.sparse import CZDecomposition, SparseFamily, covering_roots, root_cubes
+
+
+def oracle_covering_roots(mesh: Mesh, grid: DyadicGrid, span: tuple[float, float]) -> list[Cube]:
+    """``sparse.covering_roots`` as it was before it worked in integers: the
+    position an exact ``Cube.right`` (a ``Fraction``), each cube from
+    ``DyadicGrid.cube_containing``."""
+    lo, hi = span
+    for x in span:
+        if not math.isfinite(x):
+            raise ValueError(f"point {x} is not a finite number")
+    if lo < -mesh.radius or hi > mesh.radius:
+        raise ValueError(f"span [{lo}, {hi}) leaves the mesh domain")
+    roots: list[Cube] = []
+    k_top, k_cell = default_levels(mesh)
+    pos = lo
+    while pos < hi:  # pos becomes an exact Cube.right; the comparison stays exact
+        placed = None
+        for k in range(k_top, k_cell + 1):
+            c = grid.cube_containing(k, pos)
+            if c.index in inside_cubes(mesh, grid, k):
+                placed = c
+                break
+        if placed is None:
+            raise ValueError(
+                f"no grid cube inside the domain covers x = {float(pos):.6g}; "
+                "embed the data into a larger mesh"
+            )
+        roots.append(placed)
+        pos = placed.right
+    return roots
+
+
+def _cube_averages(f: MeshFunction, grid: DyadicGrid, cubes: Sequence[Cube], k_deep: int):
+    """avg(k, m) = <f> over grid cube (k, m), None off the domain, for k from
+    the coarsest given cube down to k_deep or the deepest one: a per-cube
+    closure over the ``level_cube_integrals`` tables."""
+    if any(c.grid != grid for c in cubes):
+        raise ValueError("root cubes must belong to the construction's grid")
+    levels = [c.level for c in cubes]
+    k0, k1 = min(levels, default=k_deep), max(levels + [k_deep])
+    tables = [(q0, (ints / 2.0**-k).tolist()) for k, (q0, ints) in enumerate(level_cube_integrals(f, grid, k0, k1), k0)]
+
+    def avg(k: int, m: int) -> float | None:
+        q0, avgs = tables[k - k0]
+        j = m - q0
+        return avgs[j] if 0 <= j < len(avgs) else None
+
+    return avg
 
 
 def oracle_sparse_family(

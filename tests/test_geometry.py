@@ -480,6 +480,14 @@ def test_only_grid_imports_fractions():
     assert importers == {"grid.py"}
 
 
+def test_sparse_reads_no_fraction_geometry():
+    # the stopping-time walk keeps its cubes as integer arrays until the
+    # report, and covering_roots keeps its position as an integer ratio: no
+    # exact Cube.left/Cube.right and no Fraction of its own
+    readers = _modules_naming("Fraction") | _modules_touching("left") | _modules_touching("right")
+    assert "sparse.py" not in readers
+
+
 def _src_trees() -> dict[str, ast.Module]:
     src = pathlib.Path(__file__).resolve().parents[1] / "src" / "weaklab"
     return {path.name: ast.parse(path.read_text()) for path in src.glob("*.py")}

@@ -6,16 +6,18 @@ designated set, of ``apply`` and of the CZ outputs, and the messages of
 ``verify_sparseness``)."""
 
 import sys
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_step
 from geometry_oracle import cells_inside, children, oracle_sparse_apply, parent
 from sparse_oracle import (
+    oracle_covering_roots,
     oracle_cz_decompose,
     oracle_sparse_family,
     table_cz_decompose,
@@ -23,6 +25,7 @@ from sparse_oracle import (
     table_verify_sparseness,
 )
 from weaklab import DyadicGrid, Mesh, MeshFunction, build_sparse_family, cz_decompose, shifted_grids, sparse
+from weaklab.grid import default_levels
 from weaklab.sparse import SparseFamily, covering_roots, verify_sparseness
 
 seeds = st.integers(0, 2**32 - 1)
@@ -382,3 +385,54 @@ def test_verify_matches_set_based_loop_on_random_corruptions(seed, level, moves)
             designated[i] = np.append(designated[i], designated[j][: len(designated[j]) // 2])
     corrupted = SparseFamily(mesh, fam.grid, fam.cubes, designated)
     assert verify_sparseness(corrupted) == table_verify_sparseness(corrupted)
+
+
+# ---------------------------------------------------------------------------
+# covering roots against the Fraction loop they replaced
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def covering_cases(draw):
+    """(radius, level, shift, span): span ends at cell edges (one cell past
+    the domain included), near or on shifted-grid cube edges (the float next
+    to one, or the exact ``Fraction``), or anywhere within 1.25 R."""
+    radius = draw(st.sampled_from([0.75, 1.0, 4.0, 5.25, 16.0]))
+    level, shift = draw(st.integers(0, 12)), draw(st.integers(0, 2))
+    mesh, grid = Mesh(radius, level), DyadicGrid(shift)
+    k_top, k_cell = default_levels(mesh)
+
+    def cube_edge(k, x, exact):
+        edge = Fraction(grid.numerator(k, grid.cube_index_of(k, x)), 3) / Fraction(2) ** k
+        return edge if exact else float(edge)
+
+    cell_edge = st.integers(-1, mesh.n_cells + 1).map(lambda i: -radius + i * mesh.h)
+    anywhere = st.floats(-1.25 * radius, 1.25 * radius)
+    grid_edge = st.builds(cube_edge, st.integers(k_top, k_cell), anywhere, st.booleans())
+    point = st.one_of(cell_edge, grid_edge, anywhere)
+    return radius, level, shift, tuple(sorted(draw(st.tuples(point, point))))
+
+
+@settings(max_examples=300)
+@given(case=covering_cases())
+@example(case=(1.0, 5, 1, (-1.0, 1.0)))  # the domain edge on a shifted grid
+@example(case=(4.0, 6, 0, (-4.0, 4.0)))
+@example(case=(16.0, 10, 2, (16.0, 16.0)))  # an empty span at the domain edge
+@example(case=(0.75, 3, 1, (Fraction(1, 3), 0.75)))  # a grid-1 edge at level 0 to the domain edge
+@example(case=(0.75, 3, 2, (Fraction(-1, 3), Fraction(1, 6))))  # grid-2 edges at levels 0 and 1
+@example(case=(5.25, 12, 1, (float(Fraction(-5, 3)), 5.0)))  # from the float next to a grid-1 edge
+@example(case=(4.0, 8, 1, (Fraction(-11, 3), Fraction(7, 3))))  # grid-1 edges at level 0
+@example(case=(5.25, 12, 2, (Fraction(-21, 4), Fraction(-29, 6))))  # the domain edge to a grid-2 edge
+@example(case=(16.0, 0, 1, (-16.0, 16.0)))  # two cells
+@example(case=(1.0, 12, 2, (-1.0, -1.0 + 2.0**-11)))  # the first cell of a fine mesh
+def test_covering_roots_match_the_fraction_loop(case):
+    radius, level, shift, span = case
+    mesh, grid = Mesh(radius, level), DyadicGrid(shift)
+
+    def outcome(roots_of):
+        try:
+            return [(c.level, c.index) for c in roots_of(mesh, grid, span)]
+        except ValueError as err:
+            return str(err)
+
+    assert outcome(covering_roots) == outcome(oracle_covering_roots)
