@@ -20,7 +20,9 @@ relation or malformed input (the parser rejects non-finite numbers and
 weight-descriptor parameters before anything runs; an unreadable weight file,
 or one without its keys, and a missing or unreadable config file are malformed
 input, and so are ``weaktype --operator H`` with ``--alpha``, an ``--alpha``
-outside (0, 1) and a ``--q`` without ``--alpha``); 3 numerical failure
+outside (0, 1), a ``--q`` without ``--alpha`` and an ``H`` whose (points x
+jumps) array would pass its limit of 2^27 entries, which every mesh of level
+<= 12 keeps); 3 numerical failure
 (non-integrable weight, degenerate data, unresolved level set, an ellipsoid
 fit that misses its certificate).
 """

@@ -229,6 +229,9 @@ def fractional_integral(f: MeshFunction, alpha: float) -> MeshFunction:
 # ---------------------------------------------------------------------------
 
 
+_HILBERT_ENTRIES = 2**27  # (points x jumps) entries of one HilbertTransform call
+
+
 class HilbertTransform:
     """Hilbert transform of a step function, exact closed form.
 
@@ -239,6 +242,10 @@ class HilbertTransform:
     which is also the principal value at points inside the support (the
     symmetric excision around x cancels exactly for constant pieces).
     Evaluation exactly at a jump of f is an error (logarithmic singularity).
+    One call forms a dense (points x jumps) array, so more than
+    ``_HILBERT_ENTRIES`` = 2^27 entries (1 GiB of floats) is a ``ValueError``
+    that names the limit: every call at cell centres on a mesh of level
+    <= 12 (at most 8,192 x 8,193) fits.
     """
 
     def __init__(self, f: MeshFunction):
@@ -256,11 +263,16 @@ class HilbertTransform:
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         xv = np.atleast_1d(x)
+        if len(xv) * len(self.edges) > _HILBERT_ENTRIES:
+            raise ValueError(
+                f"the Hilbert transform at {len(xv)} points of a function with {len(self.edges)} jumps "
+                f"needs a {len(xv)} x {len(self.edges)} array, above its limit of 2^27 entries"
+            )
         d = xv[:, None] - self.edges[None, :]
         if np.any(d == 0.0):
             bad = xv[np.any(d == 0.0, axis=1)][0]
             raise ValueError(f"evaluation at a jump point x = {bad} of the integrand")
-        out = np.log(np.abs(d)) @ self.coeffs
+        out = np.log(np.abs(d, out=d), out=d) @ self.coeffs  # in place: one array at a time
         return float(out[0]) if scalar else out
 
 

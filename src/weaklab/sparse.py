@@ -73,14 +73,16 @@ def covering_roots(mesh: Mesh, grid: DyadicGrid, span: tuple[float, float]) -> l
     Every designated-set computation stays exact at cell granularity because
     the roots never leave the mesh.  For shifted grids near the domain edge
     the maximal cubes shrink; a span that touches the edge of the domain is
-    rejected (embed the function into a larger mesh instead).  The position
-    is an exact integer ratio: the span's left end, then the right edge of
-    each root placed.
+    rejected (embed the function into a larger mesh instead), and so is one
+    that ends before it starts.  The position is an exact integer ratio:
+    the span's left end, then the right edge of each root placed.
     """
     (num, den), (end, end_den) = (exact_ratio(x) for x in span)
     lo, hi = span
     if lo < -mesh.radius or hi > mesh.radius:
         raise ValueError(f"span [{lo}, {hi}) leaves the mesh domain")
+    if hi < lo:
+        raise ValueError(f"span [{lo}, {hi}) ends before it starts")
     roots: list[Cube] = []
     k_top, k_cell = default_levels(mesh)
     while num * end_den < end * den:  # position num / den < hi
@@ -313,8 +315,8 @@ def build_sparse_family(
     root for f supported there.
 
     One level-synchronous walk finds every generation: a cube below a
-    family cube Q stops when ``avg > 0 and avg >= 4 <f>_Q``, and
-    no cube narrower than ``min_width_cells`` cells is visited.  The
+    family cube Q stops when ``avg > 0 and avg >= 4 <f>_Q``, and no cube
+    narrower than ``min_width_cells`` cells (at least 1) is visited.  The
     family lists each root's cubes in left-to-right preorder (a cube before
     the cubes inside it), root after root in the given order.  E_Q holds
     the cells whose deepest wholly containing family cube is Q, so the
@@ -340,6 +342,8 @@ def build_sparse_family(
             roots = covering_roots(mesh, grid, span)
     if min_width_cells is None:
         min_width_cells = 1 if grid.is_standard() else 32
+    if not min_width_cells >= 1:
+        raise ValueError(f"min_width_cells must be at least 1, got {min_width_cells}")
     max_level = math.floor(math.log2(1.0 / (min_width_cells * mesh.h)))
 
     cubes, _ = _walk(f, grid, roots, max_level, lambda avg, base: (avg > 0) & (avg >= 4.0 * base), True)
@@ -397,7 +401,7 @@ def cz_decompose(
     arithmetic.  The classical bound ||good||_inf <= 2^n * height
     holds whenever no root itself stops (roots average below the height).
     """
-    if height <= 0:
+    if not height > 0:
         raise ValueError(f"height must be positive, got {height}")
     mesh = h.mesh
     grid = DyadicGrid()
@@ -426,17 +430,26 @@ def exceptional_set(
     cubes of the decomposition of |f|^p at height K/|E|; E' = E minus
     Omega.  Requires ||f||_p = 1 (the caller normalizes) and K > 2, which
     forces |Omega| <= |E|/K < |E|/2 and hence |E'| > |E|/2 by the exact
-    weak (1,1) bound (constant one) of the dyadic maximal operator.
+    weak (1,1) bound (constant one) of the dyadic maximal operator.  E is
+    a list of distinct mesh cells; a repeated or out-of-range cell is a
+    ``ValueError`` that names the first one.
     """
-    if K <= 2:
+    if not K > 2:
         raise ValueError(f"exceptional-set constant must satisfy K > 2, got {K}")
     e_cells = np.asarray(e_cells, dtype=int)
     if len(e_cells) == 0:
         raise ValueError("E must have positive measure")
+    mesh, n = f.mesh, f.mesh.n_cells
+    repeated = np.ones(len(e_cells), dtype=bool)
+    repeated[np.unique(e_cells, return_index=True)[1]] = False
+    bad = np.flatnonzero(repeated | (e_cells < 0) | (e_cells >= n))
+    if len(bad):
+        c = int(e_cells[bad[0]])
+        fault = "repeated" if 0 <= c < n else "off the mesh"
+        raise ValueError(f"E must list distinct cells 0..{n - 1}: cell {c} is {fault}")
     norm = f.lp_norm(p)
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"caller must normalize ||f||_p to 1, got {norm}")
-    mesh = f.mesh
     e_measure = len(e_cells) * mesh.h
     hp = f.power(p)
     decomp = cz_decompose(hp, K / e_measure)

@@ -104,6 +104,14 @@ class TestWeaktypeOperators:
         assert f"0 < alpha < n = 1, got {float(alpha)}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_hilbert_beyond_its_entry_limit_is_2(self, tmp_path, capsys):
+        """The L = 14 mesh needs a 32,768 x 5,155 array; it ended in a MemoryError (exit 1)."""
+        code, out = run(tmp_path, "w.csv", ["weaktype", "--operator", "H", "--weight", "powerlog:a=0.5", "--p", "2",
+                                            "--trials", "1", "--seed", "7", "--level", "14"])
+        assert code == 2
+        assert "32768 x 5155 array, above its limit of 2^27 entries" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_q_without_alpha_is_2(self, tmp_path, capsys):
         code, out = run(tmp_path, "w.csv", ["weaktype", "--operator", "M", "--p", "2", "--q", "4", "--trials", "1",
                                             "--level", "4", "--weight", "powerlog:a=0.5"])

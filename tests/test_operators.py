@@ -23,6 +23,7 @@ from weaklab import (
     multiplier_apply,
     weak_lp_norm,
 )
+from weaklab import operators
 from weaklab.lowerbound import w_delta
 
 
@@ -240,6 +241,17 @@ class TestFractionalIntegral:
 
 
 class TestHilbert:
+    def test_more_than_two_to_the_27_entries_refused_before_allocating(self):
+        # 8,192 jumps at 2^14 points is the limit; one point more is refused (the
+        # array would take 1 GiB, its temporaries formerly three times that)
+        mesh = Mesh(1.0, 12)
+        v = np.arange(1.0, mesh.n_cells + 1)
+        v[-1] = v[-2]
+        H = hilbert_transform(MeshFunction(mesh, v))
+        assert len(H.edges) == 8192 and operators._HILBERT_ENTRIES == 2**14 * 8192 >= 8192 * 8193
+        with pytest.raises(ValueError, match=r"16385 x 8192 array, above its limit of 2\^27 entries"):
+            H(np.linspace(-0.99, 0.99, 2**14 + 1) + 1e-7)
+
     def test_unit_interval_at_zero(self, wide_mesh):
         H = hilbert_transform(MeshFunction.indicator(wide_mesh, 1, 2))
         assert H(0.0) == pytest.approx(-math.log(2), rel=1e-14)

@@ -26,6 +26,11 @@ from weaklab.sparse import SparseFamily, covering_roots, root_cubes
 
 
 class TestCZDecomposition:
+    def test_nan_height_rejected(self, mesh):
+        # a NaN height compares false both ways: it stopped nothing and gave an empty Omega
+        with pytest.raises(ValueError, match="height must be positive, got nan"):
+            cz_decompose(MeshFunction.indicator(mesh, 0, 0.25), float("nan"))
+
     def test_no_stopping_cube(self, mesh):
         h = MeshFunction.constant(mesh, 0.5)
         dec = cz_decompose(h, 1.0)
@@ -141,6 +146,26 @@ class TestExceptionalSet:
         with pytest.raises(ValueError):
             exceptional_set(f, 2.0, np.arange(4), K=2.0)
 
+    def test_nan_K_rejected(self, mesh):
+        f = MeshFunction.indicator(mesh, 0, 1)
+        f = f * (1.0 / f.lp_norm(2))
+        with pytest.raises(ValueError, match="K > 2, got nan"):
+            exceptional_set(f, 2.0, np.arange(4), K=float("nan"))
+
+    @pytest.mark.parametrize(
+        "cells, message",
+        [([0, 1, 1, 1], "cell 1 is repeated"), ([0, 1, -3], "cell -3 is off the mesh"),
+         ([0, 1, 40], "cell 40 is off the mesh"), ([40, 40, 1], "cell 40 is off the mesh")],
+        ids=["repeated", "negative", "past-the-end", "first-bad-one"],
+    )
+    def test_repeated_or_off_mesh_cells_rejected(self, cells, message):
+        # a repeated cell counted twice in |E|, a negative one indexed from the end
+        mesh = Mesh(1.0, 4)  # 32 cells
+        f = MeshFunction.indicator(mesh, 0, 1)
+        f = f * (1.0 / f.lp_norm(2))
+        with pytest.raises(ValueError, match=f"distinct cells 0..31: {message}$"):
+            exceptional_set(f, 2.0, np.array(cells), K=4.0)
+
     def test_unnormalized_rejected(self, mesh):
         f = MeshFunction.indicator(mesh, 0, 1) * 3
         with pytest.raises(ValueError):
@@ -148,6 +173,17 @@ class TestExceptionalSet:
 
 
 class TestBuildSparseFamily:
+    @pytest.mark.parametrize("min_width_cells", [0, -2, float("nan")])
+    def test_min_width_below_one_cell_rejected(self, mesh, min_width_cells):
+        with pytest.raises(ValueError, match=f"at least 1, got {min_width_cells}"):
+            build_sparse_family(MeshFunction.indicator(mesh, 0, 1), min_width_cells=min_width_cells)
+
+    def test_covering_roots_refuse_a_reversed_span(self, mesh):
+        grid = DyadicGrid(1)
+        with pytest.raises(ValueError, match=r"span \[0.5, -0.5\) ends before it starts"):
+            covering_roots(mesh, grid, (0.5, -0.5))
+        assert covering_roots(mesh, grid, (0.5, 0.5)) == []
+
     def test_constant_single_cube(self, mesh):
         f = MeshFunction.indicator(mesh, 0, 1)
         root = DyadicGrid().cube(0, 0)

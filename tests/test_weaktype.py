@@ -86,6 +86,16 @@ class TestDualEstimate:
         est = dual_weak_estimate("AS", ONE, 2.0, f, e_cells)
         assert est == dual_weak_estimate("AS", ONE, 2.0, f, e_cells, family=build_sparse_family(f))
 
+    @pytest.mark.parametrize("cells", [[0, 1, 1, 1], [0, 1, -3], [0, 1, 40]], ids=["repeated", "negative", "past-the-end"])
+    def test_cells_that_are_not_distinct_mesh_cells_rejected(self, cells):
+        # they read 0.2165 for [0, 1, 1, 1] (|E| counted 1 twice, [0, 1] gives 0.3062), the
+        # estimate of [0, 1, 29] for [0, 1, -3], and an IndexError for [0, 1, 40]
+        mesh = Mesh(1.0, 4)  # 32 cells
+        f = MeshFunction.indicator(mesh, -1.0, -0.5)
+        f = f * (1.0 / f.lp_norm(2.0))
+        with pytest.raises(ValueError, match=f"cell {cells[-1]} is"):
+            dual_weak_estimate("M", ONE, 2.0, f, np.array(cells))
+
     def test_hand_value_single_cube(self, mesh):
         q = DyadicGrid().cube(0, 0)  # [0, 1)
         fam = SparseFamily(mesh, DyadicGrid(), [q], [cells_inside(mesh, q)])
