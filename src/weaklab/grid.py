@@ -329,9 +329,8 @@ class DyadicGrid:
 
     def numerator(self, k, m):
         """3 * 2^k times the left edge of cube (k, m): ``3m + (-1)^k j`` for
-        ints, or int64 arrays of levels k and indices m.  Cube (k, m) is
-        ``[N, N + 3) / (3 * 2^k)``; every index rule of the grid derives
-        from this one."""
+        ints or int64 arrays k and m.  Cube (k, m) is ``[N, N + 3) / (3 * 2^k)``;
+        every index rule of the grid derives from this one."""
         return 3 * m + self.shift_index * (1 - 2 * (k & 1))
 
     def index_at(self, k: int, num, den: int, scale: int = 0):

@@ -101,41 +101,41 @@ def covering_roots(mesh: Mesh, grid: DyadicGrid, span: tuple[float, float]) -> l
 
 
 def _average_tables(f: MeshFunction, grid: DyadicGrid, cubes: Sequence[Cube], k_deep: int):
-    """(levels, index, k0, tables): the given cubes' levels and indices as
-    int64 arrays, and ``tables[k - k0] = (q0, averages)``, the average <f>
-    of every level-k cube q0, q0 + 1, ... meeting the domain, for k from the
-    coarsest given cube (of the grid) down to k_deep or the deepest one."""
+    """(k0, tables): ``tables[k - k0] = (q0, averages)``, the average <f> of
+    every level-k cube q0, q0 + 1, ... meeting the domain and a 0 at each end,
+    from the coarsest given cube (of the grid) to k_deep or the finest one."""
     if any(c.grid != grid for c in cubes):
         raise ValueError("root cubes must belong to the construction's grid")
-    levels = np.array([c.level for c in cubes], dtype=np.int64)
-    index = np.array([c.index for c in cubes], dtype=np.int64)
-    k0 = int(levels.min()) if len(cubes) else k_deep
-    tables = level_cube_integrals(f, grid, k0, int(levels.max(initial=k_deep)))
-    return levels, index, k0, [(q0, ints / 2.0**-k) for k, (q0, ints) in enumerate(tables, k0)]
+    levels = [c.level for c in cubes]
+    k0, k1 = min(levels, default=k_deep), max(levels + [k_deep])
+    tables = level_cube_integrals(f, grid, k0, k1)
+    pad = [0.0]
+    return k0, [(q0, np.concatenate((pad, ints / 2.0**-k, pad))) for k, (q0, ints) in enumerate(tables, k0)]
 
 
 def _lookup(table, m: np.ndarray) -> np.ndarray:
-    """The averages of the cubes ``m`` in one level's ``(q0, averages)``
-    table; a cube off the table is off the domain and reads 0."""
+    """The averages of the cubes ``m`` in one level's ``(q0, averages)`` table;
+    a cube off the domain clips to a table end and reads 0."""
     q0, avgs = table
-    j = m - q0
-    return np.where((j >= 0) & (j < len(avgs)), avgs.take(j, mode="clip"), 0.0)
+    return avgs.take(m - (q0 - 1), mode="clip")
 
 
-def _edges(grid: DyadicGrid, levels: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """3 * 2^k_fine times the left edges of the cubes (levels, index), k_fine
-    the finest of them or 0: exact int64 integers on one scale."""
-    return grid.numerator(levels, index) << (levels.max(initial=0) - levels)
+def _edges(grid: DyadicGrid, levels, index, k_fine):
+    """3 * 2^k_fine times the left edges of the cubes (levels, index), for
+    ints or int64 arrays, k_fine >= every level: exact integers on one scale."""
+    return grid.numerator(levels, index) << (k_fine - levels)
 
 
-def _check_disjoint(grid: DyadicGrid, roots: Sequence[Cube], levels: np.ndarray, index: np.ndarray) -> None:
+def _check_disjoint(grid: DyadicGrid, roots: Sequence[Cube]) -> None:
     """Reject repeated or nested roots: the walk gives every cell one owner."""
-    lo, hi = _edges(grid, levels, index), _edges(grid, levels, index + 1)
-    by_lo = np.lexsort((hi, lo))  # stable: ties in the given order
-    clash = np.flatnonzero(lo[by_lo[1:]] < hi[by_lo[:-1]])
-    if len(clash):
-        i, j = by_lo[clash[0]], by_lo[clash[0] + 1]
-        raise ValueError(f"root cubes must be disjoint: {roots[i]} and {roots[j]} overlap")
+    k_fine = max((c.level for c in roots), default=0)
+    spans = sorted(
+        (_edges(grid, c.level, c.index, k_fine), _edges(grid, c.level, c.index + 1, k_fine), i)
+        for i, c in enumerate(roots)
+    )
+    for (_, hi, i), (lo, _, j) in zip(spans, spans[1:]):
+        if lo < hi:
+            raise ValueError(f"root cubes must be disjoint: {roots[i]} and {roots[j]} overlap")
 
 
 def _stopping_walk(grid, k0, tables, roots, k_last, stops, generations):
@@ -189,16 +189,17 @@ def _stopping_walk(grid, k0, tables, roots, k_last, stops, generations):
     return [np.concatenate(col) for col in zip(*kept)]
 
 
-def _walk(f: MeshFunction, grid: DyadicGrid, roots: Sequence[Cube], k_last, stops, generations, reverse=False):
+def _walk(f, grid, roots, k_last, stops, generations, reverse=False):
     """The front of both constructions: read the average tables, check the
     roots and run ``_stopping_walk``.  Returns the kept cubes in report
     order, by (root position, exact left edge, level), which is each root's
     left-to-right preorder, root after root, or the reverse of it, and
     their averages."""
-    levels, index, k0, tables = _average_tables(f, grid, roots, k_last)
-    _check_disjoint(grid, roots, levels, index)
+    k0, tables = _average_tables(f, grid, roots, k_last)
+    _check_disjoint(grid, roots)
     levels, index, rid, avg = _stopping_walk(grid, k0, tables, roots, k_last, stops, generations)
-    order = np.lexsort((levels, _edges(grid, levels, index), rid))[:: -1 if reverse else 1]
+    left = _edges(grid, levels, index, levels.max(initial=0))
+    order = np.lexsort((levels, left, rid))[:: -1 if reverse else 1]
     return [grid.cube(k, m) for k, m in zip(levels[order].tolist(), index[order].tolist())], avg[order]
 
 
@@ -236,11 +237,12 @@ class SparseFamily:
 
     def averages(self, f: MeshFunction) -> list[float]:
         """<f>_Q of every cube Q, in family order (0.0 off the domain)."""
-        k_deep = max((c.level for c in self.cubes), default=0)
-        levels, index, k0, tables = _average_tables(f, self.grid, self.cubes, k_deep)
+        levels = [c.level for c in self.cubes]
+        k0, tables = _average_tables(f, self.grid, self.cubes, max(levels, default=0))
+        index = np.array([c.index for c in self.cubes], dtype=np.int64)
         avg = np.zeros(len(levels))
-        for k in np.unique(levels).tolist():
-            at = levels == k
+        for k in set(levels):
+            at = np.equal(levels, k)
             avg[at] = _lookup(tables[k - k0], index[at])
         return avg.tolist()
 
@@ -409,7 +411,8 @@ def cz_decompose(
         raise ValueError("decomposition expects h >= 0")
     if roots is None:
         roots = root_cubes(mesh, grid)
-    stopping, avg = _walk(h, grid, roots, mesh.aligned_cell_level(), lambda a, _: a > height, False, reverse=True)
+    k_cell = mesh.aligned_cell_level()
+    stopping, avg = _walk(h, grid, roots, k_cell, lambda a, _: a > height, False, reverse=True)
     good, in_omega = h.values.copy(), np.zeros(mesh.n_cells, dtype=bool)
     for cube, a in zip(stopping, avg):
         i0, i1 = inner_cell_range(mesh, cube)
@@ -436,7 +439,10 @@ def exceptional_set(
     """
     if not K > 2:
         raise ValueError(f"exceptional-set constant must satisfy K > 2, got {K}")
-    e_cells = np.asarray(e_cells, dtype=int)
+    cells = np.asarray(e_cells)
+    e_cells = cells.astype(int)
+    if e_cells.ndim != 1 or not np.array_equal(e_cells, cells):
+        raise ValueError("E must be a one-dimensional array of integer cell indices")
     if len(e_cells) == 0:
         raise ValueError("E must have positive measure")
     mesh, n = f.mesh, f.mesh.n_cells

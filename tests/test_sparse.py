@@ -166,6 +166,15 @@ class TestExceptionalSet:
         with pytest.raises(ValueError, match=f"distinct cells 0..31: {message}$"):
             exceptional_set(f, 2.0, np.array(cells), K=4.0)
 
+    @pytest.mark.parametrize("cells", [[[0, 1], [2, 3]], [0.5, 1.7, 2.9]], ids=["two-dimensional", "fractional"])
+    def test_cells_that_are_not_a_list_of_indices_rejected(self, cells):
+        # a fractional cell was truncated to its integer part, a 2-D array counted by rows
+        mesh = Mesh(1.0, 4)
+        f = MeshFunction.indicator(mesh, 0, 1)
+        f = f * (1.0 / f.lp_norm(2))
+        with pytest.raises(ValueError, match="one-dimensional array of integer cell indices"):
+            exceptional_set(f, 2.0, np.array(cells), K=4.0)
+
     def test_unnormalized_rejected(self, mesh):
         f = MeshFunction.indicator(mesh, 0, 1) * 3
         with pytest.raises(ValueError):
