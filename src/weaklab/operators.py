@@ -261,8 +261,7 @@ class HilbertTransform:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xv = np.atleast_1d(x)
+        xv = x.reshape(-1)
         if len(xv) * len(self.edges) > _HILBERT_ENTRIES:
             raise ValueError(
                 f"the Hilbert transform at {len(xv)} points of a function with {len(self.edges)} jumps "
@@ -273,7 +272,7 @@ class HilbertTransform:
             bad = xv[np.any(d == 0.0, axis=1)][0]
             raise ValueError(f"evaluation at a jump point x = {bad} of the integrand")
         out = np.log(np.abs(d, out=d), out=d) @ self.coeffs  # in place: one array at a time
-        return float(out[0]) if scalar else out
+        return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 def hilbert_transform(f: MeshFunction) -> HilbertTransform:

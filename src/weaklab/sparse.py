@@ -441,7 +441,7 @@ def exceptional_set(
         raise ValueError(f"exceptional-set constant must satisfy K > 2, got {K}")
     cells = np.asarray(e_cells)
     e_cells = cells.astype(int)
-    if e_cells.ndim != 1 or not np.array_equal(e_cells, cells):
+    if e_cells.ndim != 1 or cells.dtype == bool or not np.array_equal(e_cells, cells):
         raise ValueError("E must be a one-dimensional array of integer cell indices")
     if len(e_cells) == 0:
         raise ValueError("E must have positive measure")

@@ -252,6 +252,13 @@ class TestHilbert:
         with pytest.raises(ValueError, match=r"16385 x 8192 array, above its limit of 2\^27 entries"):
             H(np.linspace(-0.99, 0.99, 2**14 + 1) + 1e-7)
 
+    def test_array_of_points_keeps_its_shape(self, wide_mesh):
+        # a 2-D array of points was read by rows: one value per row, from its first point
+        H = hilbert_transform(MeshFunction.indicator(wide_mesh, 1, 2))
+        x = np.array([[0.1, 0.2, 0.3], [1.6, 2.5, -3.0]])
+        out = H(x)
+        assert out.shape == x.shape and out.tobytes() == H(x.ravel()).tobytes()
+
     def test_unit_interval_at_zero(self, wide_mesh):
         H = hilbert_transform(MeshFunction.indicator(wide_mesh, 1, 2))
         assert H(0.0) == pytest.approx(-math.log(2), rel=1e-14)

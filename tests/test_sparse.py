@@ -166,9 +166,12 @@ class TestExceptionalSet:
         with pytest.raises(ValueError, match=f"distinct cells 0..31: {message}$"):
             exceptional_set(f, 2.0, np.array(cells), K=4.0)
 
-    @pytest.mark.parametrize("cells", [[[0, 1], [2, 3]], [0.5, 1.7, 2.9]], ids=["two-dimensional", "fractional"])
+    @pytest.mark.parametrize(
+        "cells", [[[0, 1], [2, 3]], [0.5, 1.7, 2.9], [True, False]], ids=["two-dimensional", "fractional", "mask"]
+    )
     def test_cells_that_are_not_a_list_of_indices_rejected(self, cells):
-        # a fractional cell was truncated to its integer part, a 2-D array counted by rows
+        # a fractional cell was truncated to its integer part, a 2-D array counted by
+        # rows, and a boolean mask read as the cells 1 and 0
         mesh = Mesh(1.0, 4)
         f = MeshFunction.indicator(mesh, 0, 1)
         f = f * (1.0 / f.lp_norm(2))
