@@ -30,7 +30,6 @@ from .operators import (
     fractional_integral,
     fractional_maximal,
     hilbert_to_mesh,
-    hilbert_transform,
     hl_maximal,
     multiplier_apply,
     weak_lp_norm,

@@ -16,13 +16,12 @@ digits, so identical configurations reproduce byte-identical files.  A
 ``key = value`` config file supplies defaults; command-line flags override.
 
 Exit codes: 0 success; 1 invariant-suite violation; 2 invalid exponent
-relation or malformed input (the parser rejects non-finite numbers and
-weight-descriptor parameters before anything runs; an unreadable weight file,
-or one without its keys, and a missing or unreadable config file are malformed
-input, and so are ``weaktype --operator H`` with ``--alpha``, an ``--alpha``
-outside (0, 1), a ``--q`` without ``--alpha`` and an ``H`` whose (points x
-jumps) array would pass its limit of 2^27 entries, which every mesh of level
-<= 12 keeps); 3 numerical failure
+relation or malformed input (the parser rejects non-finite numbers,
+weight-descriptor parameters and a ``--trials`` below 1 before anything runs;
+an unreadable weight file, or one without its keys, and a missing or
+unreadable config file are malformed input, and so are ``weaktype --operator
+H`` with ``--alpha``, an ``--alpha`` outside (0, 1) and a ``--q`` without
+``--alpha``); 3 numerical failure
 (non-integrable weight, degenerate data, unresolved level set, an ellipsoid
 fit that misses its certificate).
 """
@@ -52,7 +51,7 @@ from .matrix import (
     reducing_matrix,
     scalar_restriction_characteristic,
 )
-from .operators import dyadic_maximal
+from .operators import _fractional_order, dyadic_maximal
 from .sparse import build_sparse_family, cz_decompose
 from .weaktype import proof_constants, weak_quotient
 from .weights import (
@@ -131,6 +130,17 @@ def _finite(text: str) -> float:
     return x
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return n
+
+
 def _finite_list(text: str) -> list[float]:
     return [_finite(item) for item in text.split(",")]
 
@@ -179,7 +189,7 @@ def parse_weight(spec: str):
     if kind == "sampled":
         data = _read_json(rest)
         try:
-            mesh = Mesh(float(data["mesh"]["radius"]), int(data["mesh"]["level"]))
+            mesh = Mesh(float(data["mesh"]["radius"]), data["mesh"]["level"])
             values = data["values"]
         except (KeyError, TypeError):
             raise ValueError(f"{rest}: a sampled weight needs mesh.radius, mesh.level and values") from None
@@ -295,8 +305,8 @@ def cmd_weaktype(args) -> int:
     p, q, alpha = args.p, args.q, args.alpha
     if p < 1:
         raise ValueError(f"weak-type quotients need p >= 1, got {p}")
-    if alpha is not None and not 0 < alpha < 1:
-        raise ValueError(f"fractional order must satisfy 0 < alpha < n = 1, got {alpha}")
+    if alpha is not None:
+        _fractional_order(alpha)
     if q is not None and alpha is None:
         raise ValueError("--q needs --alpha: without it the quotients take q = p")
     fractional = alpha is not None
@@ -494,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=_finite, default=2.0)
     p.add_argument("--q", type=_finite, default=None)
     p.add_argument("--alpha", type=_finite, default=None)
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_positive_int, default=20)
     p.add_argument("--radius", type=_finite, default=4.0)
     p.add_argument("--level", type=int, default=7)
     p.set_defaults(func=cmd_weaktype, default_name="weaktype.csv")
@@ -513,14 +523,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("sparse-check", "CZ + sparse-family invariant suite")
     common(p)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--radius", type=_finite, default=1.0)
     p.add_argument("--level", type=int, default=7)
     p.set_defaults(func=cmd_sparse_check, default_name="sparse_check.csv")
 
     p = add("matrix-check", "matrix-weight invariant suite")
     common(p)
-    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--trials", type=_positive_int, default=10)
     p.add_argument("--d", type=int, default=2, choices=[2, 3])
     p.add_argument("--p", type=_finite, default=2.0)
     p.add_argument("--weight", default="random", type=_descriptor,

@@ -99,6 +99,9 @@ class Mesh:
     def __post_init__(self):
         if not (self.radius > 0 and math.isfinite(self.radius)):
             raise ValueError(f"mesh radius must be positive and finite, got {self.radius}")
+        if not isinstance(self.level, numbers.Integral) or isinstance(self.level, bool):
+            raise ValueError(f"mesh level must be an integer, got {self.level!r}")
+        object.__setattr__(self, "level", int(self.level))
         if not (0 <= self.level <= 20):
             raise ValueError(f"mesh level must be in 0..20, got {self.level}")
         num, den = float(self.radius).as_integer_ratio()

@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .grid import Cube, DyadicGrid, Mesh, MeshFunction, cube_span, default_levels, inside_cubes, shifted_grids
-from .operators import _maximal_sweep
+from .operators import _fractional_order, _maximal_sweep
 from .weights import (
     CharacteristicReport,
     SampledWeight,
@@ -551,8 +551,8 @@ def christ_goldberg_maximal(
     mesh = f.mesh
     if mesh != W.mesh:
         raise ValueError("f and W live on different meshes")
-    if alpha != 0.0 and not (0 < alpha < 1):
-        raise ValueError(f"fractional order must satisfy 0 < alpha < 1, got {alpha}")
+    if alpha != 0.0:
+        _fractional_order(alpha)
     if mesh.n_cells > 4096:
         raise ValueError("the Christ-Goldberg integrand has n^2 d entries: use meshes of <= 4096 cells")
     A, g_power = (W.power(1.0 / p), -1.0 / p) if alpha == 0.0 else (W.values, -1.0)

@@ -3,10 +3,10 @@
 Distribution functions and weak L^p norms are exact for step functions
 (measures are sums of cell widths, suprema over thresholds are attained at
 output values).  The maximal operators are realized over shifted dyadic
-grids; the fractional integral and the Hilbert transform evaluate at cell
-centers through exact per-cell antiderivatives.  At the centers of the
-uniform mesh the fractional-integral kernel depends only on the cell offset,
-so I_alpha is one Toeplitz convolution with a row of 2n - 1 kernel values.
+grids.  The fractional integral and the Hilbert transform integrate their
+kernels exactly over each cell; at the centers this depends only on the cell
+offset, so both are one ``_centre_convolution``: O(n) memory, O(n x support)
+time, no size limit, each value within 1e-12 sum_j |f_j| |K(i - j)| of exact.
 
 Convention: the Hilbert transform here is
 
@@ -47,8 +47,6 @@ __all__ = [
     "hl_maximal",
     "fractional_maximal",
     "fractional_integral",
-    "HilbertTransform",
-    "hilbert_transform",
     "hilbert_to_mesh",
     "multiplier_apply",
     "default_levels",
@@ -190,8 +188,26 @@ def fractional_maximal(f: MeshFunction, alpha: float) -> MeshFunction:
 
 
 # ---------------------------------------------------------------------------
-# fractional integral
+# kernel operators at the cell centres
 # ---------------------------------------------------------------------------
+
+
+def _centre_convolution(f: MeshFunction, kernel) -> MeshFunction:
+    """sum_j f_j K(i - j) at every cell centre i, for K on integer offsets.
+
+    Each component is trimmed to its cells a..b-1 from the first to the last
+    nonzero one and convolved with K over the offsets 1 - b .. n - 1 - a, so
+    a vector f's column c is the scalar call on that column, byte for byte.
+    """
+    n = f.mesh.n_cells
+    vals = f.values.reshape(n, -1)
+    out = np.zeros(vals.shape)
+    for c, col in enumerate(vals.T):
+        nz = np.flatnonzero(col)
+        if len(nz):
+            a, b = nz[0], nz[-1] + 1
+            out[:, c] = np.convolve(col[a:b], kernel(np.arange(1 - b, n - a)))[b - a - 1 : b - a - 1 + n]
+    return MeshFunction(f.mesh, out.reshape(f.values.shape))
 
 
 def _cell_kernel(u: np.ndarray, v: np.ndarray, alpha: float) -> np.ndarray:
@@ -210,78 +226,24 @@ def fractional_integral(f: MeshFunction, alpha: float) -> MeshFunction:
         ∫_a^b |x-y|^(alpha-1) dy = (sgn-split of u, v) / alpha.
 
     At the center of cell i and the source cell j, u = (i-j+1/2)h and
-    v = (i-j-1/2)h, so the centre values are one convolution of f (each
-    component of a vector f) with the kernel row over the offsets
-    -(n-1)..n-1.
+    v = (i-j-1/2)h, so the kernel depends on the offset i - j only and the
+    centre values are one ``_centre_convolution``.
     """
     _fractional_order(alpha)
-    mesh = f.mesh
-    n = mesh.n_cells
-    d = np.arange(1 - n, n)
-    row = _cell_kernel((d + 0.5) * mesh.h, (d - 0.5) * mesh.h, alpha)
-    vals = f.values.reshape(n, -1)
-    out = np.stack([np.convolve(c, row)[n - 1 : 2 * n - 1] for c in vals.T], axis=1)
-    return MeshFunction(mesh, out.reshape(f.values.shape))
-
-
-# ---------------------------------------------------------------------------
-# Hilbert transform
-# ---------------------------------------------------------------------------
-
-
-_HILBERT_ENTRIES = 2**27  # (points x jumps) entries of one HilbertTransform call
-
-
-class HilbertTransform:
-    """Hilbert transform of a step function, exact closed form.
-
-    Writing f = sum over cells, the kernel 1/(x-y) integrates to logs:
-
-        Hf(x) = sum_j c_j log|x - e_j|,   c_j = jump of f at edge e_j,
-
-    which is also the principal value at points inside the support (the
-    symmetric excision around x cancels exactly for constant pieces).
-    Evaluation exactly at a jump of f is an error (logarithmic singularity).
-    One call forms a dense (points x jumps) array, so more than
-    ``_HILBERT_ENTRIES`` = 2^27 entries (1 GiB of floats) is a ``ValueError``
-    that names the limit: every call at cell centres on a mesh of level
-    <= 12 (at most 8,192 x 8,193) fits.
-    """
-
-    def __init__(self, f: MeshFunction):
-        if f.is_vector:
-            raise TypeError("Hilbert transform of a vector function is not defined here")
-        self.mesh = f.mesh
-        edges = f.mesh.edges()
-        vals = f.values
-        jumps = np.diff(np.concatenate(([0.0], vals, [0.0])))
-        keep = jumps != 0.0
-        self.edges = edges[keep]
-        self.coeffs = jumps[keep]
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        xv = x.reshape(-1)
-        if len(xv) * len(self.edges) > _HILBERT_ENTRIES:
-            raise ValueError(
-                f"the Hilbert transform at {len(xv)} points of a function with {len(self.edges)} jumps "
-                f"needs a {len(xv)} x {len(self.edges)} array, above its limit of 2^27 entries"
-            )
-        d = xv[:, None] - self.edges[None, :]
-        if np.any(d == 0.0):
-            bad = xv[np.any(d == 0.0, axis=1)][0]
-            raise ValueError(f"evaluation at a jump point x = {bad} of the integrand")
-        out = np.log(np.abs(d, out=d), out=d) @ self.coeffs  # in place: one array at a time
-        return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
-
-
-def hilbert_transform(f: MeshFunction) -> HilbertTransform:
-    return HilbertTransform(f)
+    h = f.mesh.h
+    return _centre_convolution(f, lambda d: _cell_kernel((d + 0.5) * h, (d - 0.5) * h, alpha))
 
 
 def hilbert_to_mesh(f: MeshFunction) -> MeshFunction:
-    """Hf evaluated at the cell centers of f's mesh."""
-    return MeshFunction(f.mesh, HilbertTransform(f)(f.mesh.centers()))
+    """Hf = p.v. ∫ f(y) / (x - y) dy at the cell centres of f's mesh.
+
+    Cell j contributes f_j K(i - j), K(d) = log|d + 1/2| - log|d - 1/2|
+    = sgn(d) log1p(2 / (2|d| - 1)) (accurate at every offset): the cell
+    width cancels, and K(0) = 0 is the principal value.
+    """
+    if f.is_vector:
+        raise TypeError("Hilbert transform of a vector function is not defined here")
+    return _centre_convolution(f, lambda d: np.sign(d) * np.log1p(2.0 / (2 * np.maximum(np.abs(d), 1) - 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,9 @@
-"""Reference weighted Hilbert transform by adaptive quadrature.
+"""Reference Hilbert transforms: the dense jump sum and adaptive quadrature.
+
+``HilbertTransform`` evaluates the exact log closed form of a step
+function's Hilbert transform at arbitrary points, one dense (points x jumps)
+array per call; it is the oracle of ``weaklab.hilbert_to_mesh``, which
+evaluates at the cell centres by one convolution over the cell offsets.
 
 ``hilbert_weighted`` integrates ``f(y) w(y)^power / (x - y)`` against the
 continuous weight, with principal values by symmetric excision and
@@ -16,6 +21,52 @@ from scipy import integrate
 
 from weaklab.grid import MeshFunction
 from weaklab.weights import PowerLogWeight
+
+
+_HILBERT_ENTRIES = 2**27  # (points x jumps) entries of one HilbertTransform call
+
+
+class HilbertTransform:
+    """Hilbert transform of a step function, exact closed form.
+
+    Writing f = sum over cells, the kernel 1/(x-y) integrates to logs:
+
+        Hf(x) = sum_j c_j log|x - e_j|,   c_j = jump of f at edge e_j,
+
+    which is also the principal value at points inside the support (the
+    symmetric excision around x cancels exactly for constant pieces).
+    Evaluation exactly at a jump of f is an error (logarithmic singularity).
+    One call forms a dense (points x jumps) array, so more than
+    ``_HILBERT_ENTRIES`` = 2^27 entries (1 GiB of floats) is a ``ValueError``
+    that names the limit: every call at cell centres on a mesh of level
+    <= 12 (at most 8,192 x 8,193) fits.
+    """
+
+    def __init__(self, f: MeshFunction):
+        if f.is_vector:
+            raise TypeError("Hilbert transform of a vector function is not defined here")
+        self.mesh = f.mesh
+        edges = f.mesh.edges()
+        vals = f.values
+        jumps = np.diff(np.concatenate(([0.0], vals, [0.0])))
+        keep = jumps != 0.0
+        self.edges = edges[keep]
+        self.coeffs = jumps[keep]
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        xv = x.reshape(-1)
+        if len(xv) * len(self.edges) > _HILBERT_ENTRIES:
+            raise ValueError(
+                f"the Hilbert transform at {len(xv)} points of a function with {len(self.edges)} jumps "
+                f"needs a {len(xv)} x {len(self.edges)} array, above its limit of 2^27 entries"
+            )
+        d = xv[:, None] - self.edges[None, :]
+        if np.any(d == 0.0):
+            bad = xv[np.any(d == 0.0, axis=1)][0]
+            raise ValueError(f"evaluation at a jump point x = {bad} of the integrand")
+        out = np.log(np.abs(d, out=d), out=d) @ self.coeffs  # in place: one array at a time
+        return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 def hilbert_weighted(

@@ -104,13 +104,14 @@ class TestWeaktypeOperators:
         assert f"0 < alpha < n = 1, got {float(alpha)}" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_hilbert_beyond_its_entry_limit_is_2(self, tmp_path, capsys):
-        """The L = 14 mesh needs a 32,768 x 5,155 array; it ended in a MemoryError (exit 1)."""
+    def test_hilbert_at_level_14_writes_its_row(self, tmp_path, capsys):
+        """The L = 14 mesh once needed a 32,768 x 5,155 array: a MemoryError
+        (exit 1), then a refusal (exit 2).  The cell convolution needs O(n)."""
         code, out = run(tmp_path, "w.csv", ["weaktype", "--operator", "H", "--weight", "powerlog:a=0.5", "--p", "2",
                                             "--trials", "1", "--seed", "7", "--level", "14"])
-        assert code == 2
-        assert "32768 x 5155 array, above its limit of 2^27 entries" in capsys.readouterr().err
-        assert not out.exists()
+        assert code == 0
+        assert "H: 1 trials" in capsys.readouterr().out
+        assert len(out.read_text().splitlines()) == 2
 
     def test_q_without_alpha_is_2(self, tmp_path, capsys):
         code, out = run(tmp_path, "w.csv", ["weaktype", "--operator", "M", "--p", "2", "--q", "4", "--trials", "1",
@@ -208,6 +209,25 @@ class TestExitCodes:
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize(
+        "args",
+        [
+            ["weaktype", "--weight", "powerlog:a=0.5", "--trials", "0"],
+            ["sparse-check", "--trials", "-3"],
+            ["matrix-check", "--trials", "-3"],
+            ["weaktype", "--weight", "powerlog:a=0.5", "--trials", "1.5"],
+        ],
+        ids=["weaktype-0", "sparse-check-negative", "matrix-check-negative", "weaktype-fraction"],
+    )
+    def test_trials_below_one_is_2_at_parse_time(self, tmp_path, capsys, args):
+        """--trials 0 ended in "max() arg is an empty sequence"; a negative
+        count wrote an empty table and exited 0."""
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "x.csv", args)
+        assert exc.value.code == 2
+        assert f"--trials: must be a positive integer, got {args[-1]!r}" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize(
         "args,message",
         [
             (["characteristic", "--weight", "powerlog:a=-0.3", "--kind", "rh"], "--kind rh needs --s"),
@@ -243,12 +263,14 @@ class TestExitCodes:
             ("sampled", '{"values": [1.0, 1.0]}', "needs mesh.radius, mesh.level and values"),
             ("sampled", '{"mesh": {"radius": 1.0}, "values": [1.0, 1.0]}', "needs mesh.radius"),
             ("sampled", "[1.0, 1.0]", "needs mesh.radius"),
+            ("sampled", '{"mesh": {"radius": 1.0, "level": 2.9}, "values": [1, 1, 1, 1, 1, 1, 1, 1]}',
+             "mesh level must be an integer, got 2.9"),
             ("json", None, "No such file or directory"),
             ("json", '{"values": []}', "needs matrices"),
             ("json", '"matrices"', "needs matrices"),
         ],
         ids=["sampled-missing", "sampled-directory", "sampled-no-mesh", "sampled-no-level",
-             "sampled-list", "json-missing", "json-no-matrices", "json-string"],
+             "sampled-list", "sampled-fractional-level", "json-missing", "json-no-matrices", "json-string"],
     )
     def test_unreadable_weight_file_is_2(self, tmp_path, capsys, kind, content, message):
         path = tmp_path / "w.json"

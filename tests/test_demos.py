@@ -1,4 +1,5 @@
-"""Every script in ``demos/`` runs to completion in a fresh interpreter."""
+"""Every script in ``demos/`` runs to completion in a fresh interpreter and
+prints exactly its golden output, ``tests/golden/demos/<name>.txt``."""
 
 import os
 import pathlib
@@ -8,6 +9,7 @@ import sys
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden" / "demos"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
@@ -24,3 +26,4 @@ def test_demo_runs(demo):
     )
     assert run.returncode == 0, run.stderr
     assert "Traceback" not in run.stdout + run.stderr
+    assert run.stdout == (GOLDEN / f"{demo.stem}.txt").read_text()

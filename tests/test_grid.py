@@ -367,6 +367,27 @@ class TestMeshExactness:
         with pytest.raises(ValueError, match="binary rational"):
             Mesh(Fraction(1, 3), 3)
 
+    def test_non_integral_level_is_refused(self):
+        # a mesh of 2^3.5 = 11.31 "cells"
+        with pytest.raises(ValueError, match="mesh level must be an integer, got 2.5"):
+            Mesh(1.0, 2.5)
+
+    def test_float_level_is_refused(self):
+        # Mesh(1.0, 3.0) built, equalled Mesh(1.0, 3) as a cache key, and its
+        # MeshFunction failed inside numpy
+        with pytest.raises(ValueError, match="mesh level must be an integer, got 3.0"):
+            Mesh(1.0, 3.0)
+
+    def test_boolean_level_is_refused(self):
+        # Mesh(1.0, True) was a 4-cell mesh
+        with pytest.raises(ValueError, match="mesh level must be an integer, got True"):
+            Mesh(1.0, True)
+
+    def test_numpy_integer_level_is_stored_as_int(self):
+        m = Mesh(1.0, np.int64(3))
+        assert type(m.level) is int and m == Mesh(1.0, 3) and hash(m) == hash(Mesh(1.0, 3))
+        assert MeshFunction.zeros(m).values.shape == (16,)
+
     @pytest.mark.parametrize("new_radius, grow", [(1.5, 0), (3.0, 1), (12.0, 3)])
     def test_embedded_grows_by_powers_of_two(self, new_radius, grow):
         f = MeshFunction.indicator(Mesh(1.5, 3), -0.75, 0.375)

@@ -354,6 +354,14 @@ def test_christ_goldberg_names_its_cell_limit(monkeypatch):
                     christ_goldberg_maximal(W, 2.0, f, alpha=alpha)
 
 
+@pytest.mark.parametrize("alpha", [-0.25, 1.0, 1.5])
+def test_christ_goldberg_names_the_fractional_range_as_the_scalar_operators_do(alpha):
+    mesh = Mesh(1.0, 3)
+    W = MatrixWeight(mesh, np.tile(np.eye(2), (mesh.n_cells, 1, 1)))
+    with pytest.raises(ValueError, match=rf"0 < alpha < n = 1, got {alpha}"):
+        christ_goldberg_maximal(W, 2.0, MeshFunction(mesh, np.ones((mesh.n_cells, 2))), alpha=alpha)
+
+
 def test_christ_goldberg_accepts_an_exponent_of_one():
     mesh = Mesh(1.0, 3)
     W = MatrixWeight(mesh, np.tile(np.eye(2), (mesh.n_cells, 1, 1)))

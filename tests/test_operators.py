@@ -1,13 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
 from conftest import random_signed_step, random_step
-from hilbert_oracle import hilbert_weighted
+from hilbert_oracle import _HILBERT_ENTRIES, HilbertTransform, hilbert_weighted
 from weaklab import (
     Mesh,
     MeshFunction,
@@ -18,12 +19,11 @@ from weaklab import (
     dyadic_maximal,
     fractional_integral,
     fractional_maximal,
-    hilbert_transform,
+    hilbert_to_mesh,
     hl_maximal,
     multiplier_apply,
     weak_lp_norm,
 )
-from weaklab import operators
 from weaklab.lowerbound import w_delta
 
 
@@ -241,31 +241,33 @@ class TestFractionalIntegral:
 
 
 class TestHilbert:
+    """The dense jump-sum oracle of ``hilbert_to_mesh``, at arbitrary points."""
+
     def test_more_than_two_to_the_27_entries_refused_before_allocating(self):
         # 8,192 jumps at 2^14 points is the limit; one point more is refused (the
         # array would take 1 GiB, its temporaries formerly three times that)
         mesh = Mesh(1.0, 12)
         v = np.arange(1.0, mesh.n_cells + 1)
         v[-1] = v[-2]
-        H = hilbert_transform(MeshFunction(mesh, v))
-        assert len(H.edges) == 8192 and operators._HILBERT_ENTRIES == 2**14 * 8192 >= 8192 * 8193
+        H = HilbertTransform(MeshFunction(mesh, v))
+        assert len(H.edges) == 8192 and _HILBERT_ENTRIES == 2**14 * 8192 >= 8192 * 8193
         with pytest.raises(ValueError, match=r"16385 x 8192 array, above its limit of 2\^27 entries"):
             H(np.linspace(-0.99, 0.99, 2**14 + 1) + 1e-7)
 
     def test_array_of_points_keeps_its_shape(self, wide_mesh):
         # a 2-D array of points was read by rows: one value per row, from its first point
-        H = hilbert_transform(MeshFunction.indicator(wide_mesh, 1, 2))
+        H = HilbertTransform(MeshFunction.indicator(wide_mesh, 1, 2))
         x = np.array([[0.1, 0.2, 0.3], [1.6, 2.5, -3.0]])
         out = H(x)
         assert out.shape == x.shape and out.tobytes() == H(x.ravel()).tobytes()
 
     def test_unit_interval_at_zero(self, wide_mesh):
-        H = hilbert_transform(MeshFunction.indicator(wide_mesh, 1, 2))
+        H = HilbertTransform(MeshFunction.indicator(wide_mesh, 1, 2))
         assert H(0.0) == pytest.approx(-math.log(2), rel=1e-14)
         assert abs(H(0.0)) > 0.5
 
     def test_magnitude_exceeds_half_left_of_support(self, wide_mesh):
-        H = hilbert_transform(MeshFunction.indicator(wide_mesh, 1, 2))
+        H = HilbertTransform(MeshFunction.indicator(wide_mesh, 1, 2))
         for x in (0.0, 0.25, 0.49):
             expected = math.log((2 - x) / (1 - x))
             assert abs(H(x)) == pytest.approx(expected, rel=1e-13)
@@ -273,24 +275,24 @@ class TestHilbert:
 
     def test_kernel_antisymmetry(self, wide_mesh):
         bump = MeshFunction.indicator(wide_mesh, -1, 1)
-        H = hilbert_transform(bump)
+        H = HilbertTransform(bump)
         for x in (1.5, 2.0, 3.7):
             assert H(x) == pytest.approx(-H(-x), rel=1e-13)
 
     def test_jump_point_rejected(self, wide_mesh):
-        H = hilbert_transform(MeshFunction.indicator(wide_mesh, 1, 2))
+        H = HilbertTransform(MeshFunction.indicator(wide_mesh, 1, 2))
         with pytest.raises(ValueError):
             H(2.0)
 
     def test_principal_value_inside_support(self, wide_mesh):
-        H = hilbert_transform(MeshFunction.indicator(wide_mesh, 1, 2))
+        H = HilbertTransform(MeshFunction.indicator(wide_mesh, 1, 2))
         assert H(1.5) == pytest.approx(0.0, abs=1e-14)
 
     def test_closed_form_vs_cauchy_quadrature(self, mesh):
         # p.v. ∫ f(y)/(x-y) dy = -quad(f, weight='cauchy', wvar=x)
         rng = np.random.default_rng(51)
         f = random_step(mesh, rng)
-        H = hilbert_transform(f)
+        H = HilbertTransform(f)
         edges = mesh.edges()
         for x in (1.25 + mesh.h / 2, -0.9 + mesh.h / 2, 0.33 + mesh.h / 2):
             ref = 0.0
@@ -313,7 +315,7 @@ class TestHilbert:
         # constant weight: the weighted path must reproduce the step closed form,
         # including the principal value inside the support
         f = MeshFunction.indicator(mesh, 0.25, 0.75)
-        H = hilbert_transform(f)
+        H = HilbertTransform(f)
         Hw = hilbert_weighted(f, PowerLogWeight(0.0), power=1.0)
         for x in (-0.6 + mesh.h / 2, 0.5 + mesh.h / 2):
             assert Hw(x) == pytest.approx(H(x), rel=1e-8, abs=1e-10)
@@ -344,6 +346,127 @@ class TestHilbert:
         n = len(outside)
         assert np.all(errs[1:, :n] < errs[:-1, :n] / 12) and np.all(errs[-1, :n] < 1e-5)
         assert np.all(errs[1:, n:] < errs[:-1, n:] / 3) and np.all(errs[-1, n:] < 3e-3)
+
+
+HILBERT_RADII = [1.0, 0.75, 3.0, 5.25]
+HILBERT_INPUTS = ["wide", "spike", "two-scale", "narrow", "full", "zero"]
+
+
+def hilbert_input(mesh, kind, seed):
+    """Cell values of one differential-test input for ``hilbert_to_mesh``."""
+    rng = np.random.default_rng(seed)
+    n = mesh.n_cells
+    v = np.zeros(n)
+    if kind == "wide":  # magnitudes over 22 decades, random signs
+        v = np.exp(rng.uniform(-25.0, 25.0, n)) * rng.choice([-1.0, 1.0], n)
+    elif kind == "spike":  # one cell at 1e8, the rest at 1e-6
+        v = np.full(n, 1e-6)
+        v[rng.integers(n)] = 1e8
+    elif kind == "two-scale":
+        v = np.where(rng.uniform(size=n) < 0.5, 1e6, 1e-6) * rng.standard_normal(n)
+    elif kind == "narrow":
+        a = rng.integers(n)
+        v[a : a + 4] = rng.standard_normal(len(v[a : a + 4]))
+    elif kind == "full":
+        v = rng.standard_normal(n)
+    return MeshFunction(mesh, v)
+
+
+def hilbert_scale(f):
+    """Per centre i: sum_j |f_j| |K(i - j)| with K(d) = log|d + 1/2| - log|d - 1/2|."""
+    n = f.mesh.n_cells
+    d = np.arange(1 - n, n)
+    k = np.abs(np.log(np.abs(d + 0.5)) - np.log(np.abs(d - 0.5)))
+    return np.convolve(np.abs(f.values), k)[n - 1 : 2 * n - 1]
+
+
+def dense_rounding_bound(H, x):
+    """Rounding bound of the dense oracle's sum_j c_j log|x - e_j| at x
+    (Higham's gamma_(J+2) times the sum of absolute terms), 256 points at a
+    time.  On a spike input its cancellation costs far more than 1e-12 of
+    the scale: the 40-digit check below is the strict one there."""
+    terms = [np.abs(np.log(np.abs(x[a : a + 256, None] - H.edges))) @ np.abs(H.coeffs) for a in range(0, len(x), 256)]
+    return (len(H.edges) + 2) * 2.0**-53 * np.concatenate(terms)
+
+
+def mp_hilbert_centre(f, i):
+    """sum_j f_j K(i - j) at centre i in 40-digit arithmetic."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        half = mpmath.mpf(1) / 2
+        offsets = [(int(i) - int(j), float(f.values[j])) for j in np.flatnonzero(f.values)]
+        return float(mpmath.fsum(v * (mpmath.log(abs(d + half)) - mpmath.log(abs(d - half))) for d, v in offsets))
+
+
+class TestHilbertToMesh:
+    @settings(max_examples=60)
+    @example(radius=5.25, level=11, kind="full", seed=0)
+    @example(radius=0.75, level=11, kind="spike", seed=1)
+    @given(
+        radius=st.sampled_from(HILBERT_RADII),
+        level=st.integers(0, 11),
+        kind=st.sampled_from(HILBERT_INPUTS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_dense_jump_sum(self, radius, level, kind, seed):
+        f = hilbert_input(Mesh(radius, level), kind, seed)
+        out = hilbert_to_mesh(f).values
+        x = f.mesh.centers()
+        H = HilbertTransform(f)
+        ref = np.concatenate([H(x[a : a + 256]) for a in range(0, len(x), 256)])
+        assert out.shape == f.values.shape
+        assert np.all(np.abs(out - ref) <= 1e-12 * hilbert_scale(f) + dense_rounding_bound(H, x))
+        if kind == "zero":
+            assert not np.any(out)
+
+    @pytest.mark.parametrize("radius", HILBERT_RADII)
+    @pytest.mark.parametrize("kind", HILBERT_INPUTS[:-1])
+    def test_cells_match_a_40_digit_sum(self, radius, kind):
+        f = hilbert_input(Mesh(radius, 9), kind, 3)
+        out = hilbert_to_mesh(f).values
+        scale = hilbert_scale(f)
+        top = int(np.argmax(np.abs(f.values)))
+        n = f.mesh.n_cells
+        for i in {0, n - 1, n // 3, max(top - 1, 0), top, min(top + 1, n - 1)}:
+            assert abs(out[i] - mp_hilbert_centre(f, i)) <= 1e-12 * scale[i]
+
+    def test_far_offsets_keep_their_relative_accuracy(self):
+        # one cell: Hf(x_i) = K(i), which at i ~ 1e5 is ~1e-5; the log
+        # difference log|i + 1/2| - log|i - 1/2| would lose 1e-10 of it
+        f = MeshFunction(Mesh(1.0, 16), np.eye(1, 2**17)[0])
+        out = hilbert_to_mesh(f).values
+        for i in (1, 2, 1000, 2**16, 2**17 - 1):
+            assert abs(out[i] - mp_hilbert_centre(f, i)) <= 1e-12 * abs(out[i])
+
+    def test_vector_function_is_a_type_error(self, mesh):
+        with pytest.raises(TypeError, match="vector function"):
+            hilbert_to_mesh(MeshFunction(mesh, np.ones((mesh.n_cells, 2))))
+
+
+def _kernel_peak_bytes_per_cell(operator, level):
+    """tracemalloc peak of live bytes per cell over one call on a function
+    supported on a sixteenth of the mesh, with its own value in every cell."""
+    mesh = Mesh(1.0, level)
+    n = mesh.n_cells
+    values = np.zeros(n)
+    values[n // 2 : n // 2 + n // 16] = np.random.default_rng(level).uniform(0.5, 1.0, n // 16)
+    f = MeshFunction(mesh, values)
+    tracemalloc.start()
+    try:
+        operator(f)
+        return tracemalloc.get_traced_memory()[1] / n
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "operator", [hilbert_to_mesh, lambda f: fractional_integral(f, 0.5)], ids=["H", "I_alpha"]
+)
+def test_kernel_operators_peak_bytes_per_cell_stay_within_twice_from_level_10_to_14(operator):
+    """Memory is O(n): a dense (cells x jumps) array would read 16 times
+    higher per cell at L = 14 (32,768 cells, 4,097 jumps) than at L = 10."""
+    assert _kernel_peak_bytes_per_cell(operator, 14) <= 2.0 * _kernel_peak_bytes_per_cell(operator, 10)
 
 
 class TestMultiplier:
