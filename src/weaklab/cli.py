@@ -17,7 +17,9 @@ digits, so identical configurations reproduce byte-identical files.  A
 
 Exit codes: 0 success; 1 invariant-suite violation; 2 invalid exponent
 relation or malformed input (the parser rejects non-finite numbers,
-weight-descriptor parameters and a ``--trials`` below 1 before anything runs;
+weight-descriptor parameters, a ``--trials`` or ``--cells-per-band`` below 1,
+a ``--radius`` or ``--window`` that is not positive and a ``--level`` outside
+0..20 before anything runs;
 an unreadable weight file, or one without its keys, and a missing or
 unreadable config file are malformed input, and so are ``weaktype --operator
 H`` with ``--alpha``, an ``--alpha`` outside (0, 1) and a ``--q`` without
@@ -130,15 +132,32 @@ def _finite(text: str) -> float:
     return x
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer of at least 1."""
+def _positive_finite(text: str) -> float:
+    """argparse type: a finite float above 0."""
+    if not 0 < (x := float(text)) < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return x
+
+
+def _integer(text: str, low: int, high: float, domain: str) -> int:
+    """An integer in [low, high], or an argparse error that names ``domain``."""
     try:
         n = int(text)
     except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+        n = low - 1
+    if not low <= n <= high:
+        raise argparse.ArgumentTypeError(f"must be {domain}, got {text!r}")
     return n
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    return _integer(text, 1, math.inf, "a positive integer")
+
+
+def _mesh_level(text: str) -> int:
+    """argparse type: a mesh level, an integer in 0..20 (``grid.Mesh``)."""
+    return _integer(text, 0, 20, "a mesh level in 0..20")
 
 
 def _finite_list(text: str) -> list[float]:
@@ -492,8 +511,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=_finite, default=None)
     p.add_argument("--s", type=_finite, default=None)
     p.add_argument("--alpha", type=_finite, default=None)
-    p.add_argument("--radius", type=_finite, default=4.0)
-    p.add_argument("--level", type=int, default=8)
+    p.add_argument("--radius", type=_positive_finite, default=4.0)
+    p.add_argument("--level", type=_mesh_level, default=8)
     p.add_argument("--max-level", type=int, default=8)
     p.set_defaults(func=cmd_characteristic, default_name="characteristic.csv")
 
@@ -505,17 +524,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=_finite, default=None)
     p.add_argument("--alpha", type=_finite, default=None)
     p.add_argument("--trials", type=_positive_int, default=20)
-    p.add_argument("--radius", type=_finite, default=4.0)
-    p.add_argument("--level", type=int, default=7)
+    p.add_argument("--radius", type=_positive_finite, default=4.0)
+    p.add_argument("--level", type=_mesh_level, default=7)
     p.set_defaults(func=cmd_weaktype, default_name="weaktype.csv")
 
     p = add("lowerbound", "endpoint lower-bound delta sweep")
     common(p)
     p.add_argument("--delta", default="0.05,0.1,0.2", type=_finite_list,
                    help="comma-separated deltas in (0, 1/2)")
-    p.add_argument("--cells-per-band", type=int, default=16)
+    p.add_argument("--cells-per-band", type=_positive_int, default=16)
     p.add_argument("--x-min", type=_finite, default=1e-12)
-    p.add_argument("--window", type=_finite, default=4.0, help="lambda window factor around e^(1/delta)")
+    p.add_argument("--window", type=_positive_finite, default=4.0, help="lambda window factor around e^(1/delta)")
     p.add_argument("--no-closed-form", action="store_true",
                    help="cell-counted measures only (errors below resolution)")
     p.add_argument("--json-output", default=None, help="also write a JSON report")
@@ -524,8 +543,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("sparse-check", "CZ + sparse-family invariant suite")
     common(p)
     p.add_argument("--trials", type=_positive_int, default=100)
-    p.add_argument("--radius", type=_finite, default=1.0)
-    p.add_argument("--level", type=int, default=7)
+    p.add_argument("--radius", type=_positive_finite, default=1.0)
+    p.add_argument("--level", type=_mesh_level, default=7)
     p.set_defaults(func=cmd_sparse_check, default_name="sparse_check.csv")
 
     p = add("matrix-check", "matrix-weight invariant suite")
@@ -535,16 +554,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=_finite, default=2.0)
     p.add_argument("--weight", default="random", type=_descriptor,
                    help="random | diag:a1=..,a2=.. | rotdiag:a1=..,a2=..,turns=.. | json:file")
-    p.add_argument("--radius", type=_finite, default=1.0)
-    p.add_argument("--level", type=int, default=6)
+    p.add_argument("--radius", type=_positive_finite, default=1.0)
+    p.add_argument("--level", type=_mesh_level, default=6)
     p.set_defaults(func=cmd_matrix_check, default_name="matrix_check.csv")
 
     p = add("constants", "proof-exponent table over |x|^-a weights")
     common(p)
     p.add_argument("--p", type=_finite, default=2.0)
     p.add_argument("--a-list", default="0.3,0.6,0.9", type=_finite_list)
-    p.add_argument("--radius", type=_finite, default=4.0)
-    p.add_argument("--level", type=int, default=8)
+    p.add_argument("--radius", type=_positive_finite, default=4.0)
+    p.add_argument("--level", type=_mesh_level, default=8)
     p.set_defaults(func=cmd_constants, default_name="constants.csv")
     return parser
 

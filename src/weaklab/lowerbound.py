@@ -33,6 +33,7 @@ log(2) e^(delta-1)/delta <= Q* <= log(3) e^(delta-1)/delta.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -311,6 +312,9 @@ class GradedMesh:
             raise ValueError(f"GradedMesh needs a finite x_hi and x_min, got x_hi={self.x_hi}, x_min={self.x_min}")
         if not (0 < self.x_min < self.x_hi):
             raise ValueError("need 0 < x_min < x_hi")
+        n = self.cells_per_band
+        if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
+            raise ValueError(f"cells_per_band must be an integer of at least 1, got {n!r}")
         bands = []
         hi = self.x_hi
         while hi > self.x_min:
@@ -395,6 +399,8 @@ def lower_bound_experiment(
     raises, and the first maximum is the best lam.
     """
     mesh = mesh or _DEFAULT_MESH
+    if not 0 < lambda_window < math.inf:  # false at NaN too
+        raise ValueError(f"lambda_window must be positive and finite, got {lambda_window}")
     smallest = 1.0 / (_LOG_FLOAT_MAX - math.log(lambda_window))
     if delta <= smallest:
         raise ValueError(

@@ -173,10 +173,8 @@ def _stopping_walk(grid, k0, tables, roots, k_last, stops, generations):
             continue
         avg = _lookup(tables[k - k0], m)  # 0 never stops
         stop = stops(avg, base)
-        keep, down = stop, (avg > 0) & (~stop | generations)  # nothing below a zero average stops
-        if generations and n_live < len(m):  # roots: kept, and descended from if they stop
-            keep = stop.copy()
-            keep[n_live:], down[n_live:] = True, stop[n_live:]
+        keep = stop | (generations & (np.arange(len(m)) >= n_live))  # roots too: base 0, so stop is avg > 0
+        down = (avg > 0) & (~stop | generations)  # nothing below a zero average stops
         if keep.any():
             kept.append((np.full(np.count_nonzero(keep), k), m[keep], rid[keep], avg[keep]))
         if k >= k_last or not down.any():

@@ -8,8 +8,8 @@ Two representations are supported:
   ``b = 0``; every other ``b`` substitutes ``x = e^(1-s)``, which gives the
   incomplete gamma function on intervals [0, t] (``a > -1``, ``b > -1``; a
   closed form at ``a = -1``) and a fixed composite Gauss-Legendre rule in
-  ``s`` elsewhere.  An interval is folded onto |x| and integrated piece by
-  piece; a piece [0, t] needs ``anchored_integrable``.
+  ``s`` elsewhere.  Integrals and essential infima read one fold of the
+  intervals onto |x| (``_Folded``); a piece [0, t] needs ``anchored_integrable``.
 * :class:`SampledWeight` -- positive cell values on a :class:`~weaklab.grid.Mesh`,
   with piecewise-constant semantics (interval integrals are exact cell sums,
   essential infima are minima over touched cells).  Within one search, a
@@ -260,7 +260,8 @@ class _Folded:
     after all the others.  The geometry of the pieces is derived once and
     kept read-only: ``u1`` and ``v1`` clip them to [0, 1], ``outer`` is
     their length beyond 1, and ``touching`` holds the v of the pieces
-    [0, v], v > 0, in order.  ``shape`` is the shape of lo and hi.
+    [0, v], v > 0, in order.  ``shape`` is the shape of lo and hi.  Both
+    ``PowerLogWeight._integrals`` and ``PowerLogWeight._essinfs`` read them.
     """
 
     __slots__ = ("shape", "both", "u1", "v1", "outer", "touching")
@@ -345,42 +346,35 @@ class PowerLogWeight:
         """x^a log(e/x)^b on (0, 1] without the scale, also at subnormal x."""
         return x**self.exponent * _log_e_over(x) ** self.log_exponent
 
-    def essinf_batch(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Essential infimum over [lo, hi], elementwise, exact via monotonicity.
+    def _essinfs(self, folded: "_Folded") -> np.ndarray:
+        """Essential infima over the intervals ``folded`` folds, in their shape:
+        a piece's least value at an end in (0, 1), at the one interior
+        critical point x* = e^(1 - b/a) of x^a log(e/x)^b, at the origin
+        limit or on the constant branch.  A straddling interval reads only
+        the longer of its nested pieces [0, hi] and [0, -lo]."""
+        a, b, u1, v1 = self.exponent, self.log_exponent, folded.u1, folded.v1
+        n, both = folded.both.size, folded.both
+        live = np.ones(v1.size, dtype=bool)
+        live[n:] = v1[n:] > v1[:n][both]
+        live[:n][both] = ~live[n:]
+        pieces = np.where((folded.outer > 0) | (u1 == 1.0), self.scale, np.inf)
+        inner = live & (u1 < 1.0) & (v1 > 0.0)
+        for pt, ok in ((u1, inner & (u1 > 0.0)), (v1, inner)):
+            pieces[ok] = np.minimum(pieces[ok], self.scale * self._core_at(pt[ok]))
+        if a != 0.0 and b / a >= 1.0:
+            xstar = math.exp(1.0 - b / a)
+            ok = (u1 < xstar) & (xstar < v1)
+            if np.any(ok):  # one 0-d evaluation: a vector one can differ in the last ulp
+                pieces[ok] = np.minimum(pieces[ok], self.scale * self._core_at(np.array(xstar)))
+        if a > 0 or (a == 0 and b < 0):  # the profile tends to 0 at the origin
+            pieces[(u1 == 0.0) & (v1 > 0.0)] = 0.0
+        out = pieces[:n]
+        out[both] = np.where(live[n:], pieces[n:], out[both])
+        return out.reshape(folded.shape)
 
-        On (0, 1] the profile x^a log(e/x)^b has at most one interior
-        critical point x* = e^(1 - b/a); the infimum over an interval is
-        attained at an endpoint, at x*, at the origin limit, or on the
-        constant outer branch.
-        """
-        a, b = self.exponent, self.log_exponent
-        lo, hi = _ordered(lo, hi)
-        u = np.where((lo < 0) & (hi > 0), 0.0, np.where(hi <= 0, -hi, lo))
-        v = np.maximum(np.abs(lo), np.abs(hi))
-        out = np.full(u.shape, np.inf)
-        # outer branch
-        out = np.where(v > 1.0, self.scale, out)
-        # inner endpoints
-        lo_in = np.clip(u, None, 1.0)
-        hi_in = np.clip(v, None, 1.0)
-        has_inner = hi_in > 0
-        for pt in (lo_in, hi_in):
-            ok = has_inner & (pt > 0) & (pt <= 1.0) & (pt >= u)
-            if np.any(ok):
-                out[ok] = np.minimum(out[ok], self.scale * self._core_at(pt[ok]))
-        # interior critical point
-        if a != 0.0:
-            ratio = b / a
-            if ratio >= 1.0:
-                xstar = math.exp(1.0 - ratio)
-                ok = has_inner & (u < xstar) & (xstar < hi_in)
-                if np.any(ok):
-                    out[ok] = np.minimum(out[ok], self.scale * self._core_at(np.array(xstar)))
-        # origin limit
-        zero_limit = a > 0 or (a == 0 and b < 0)
-        if zero_limit:
-            out = np.where(u == 0.0, np.where(hi_in > 0, 0.0, out), out)
-        return out
+    def essinf_batch(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Essential infimum over [lo, hi], any signs, elementwise (weight is even)."""
+        return self._essinfs(_Folded(lo, hi))
 
     def essinf(self, lo, hi) -> float:
         return float(self.essinf_batch(np.array([float(lo)]), np.array([float(hi)]))[0])
@@ -505,7 +499,7 @@ class SearchSpace:
 
     @classmethod
     def default(cls, radius: float = 4.0, max_level: int = 8) -> "SearchSpace":
-        min_level = -math.ceil(math.log2(2 * radius))
+        min_level = -math.ceil(math.log2(2 * _radius(radius)))
         anchored = tuple(np.geomspace(2.0**-30, radius, 64)) + (1.0,)
         two_sided = tuple(np.geomspace(2.0**-20, radius, 24))
         return cls(
@@ -519,7 +513,7 @@ class SearchSpace:
     @classmethod
     def anchored_only(cls, radius: float = 4.0, n: int = 96) -> "SearchSpace":
         return cls(
-            domain=(-radius, radius),
+            domain=(-_radius(radius), radius),
             grids=(),
             min_level=0,
             max_level=-1,
@@ -568,6 +562,12 @@ class SearchSpace:
 
         lo = np.concatenate((lo, np.zeros(len(t)), -np.repeat(ts, len(ts))))
         return lo, np.concatenate((hi, t, np.tile(ts, len(ts)))), label
+
+
+def _radius(radius: float) -> float:
+    if not 0 < radius < math.inf:  # false at NaN too
+        raise ValueError(f"search radius must be positive and finite, got {radius}")
+    return radius
 
 
 def _grid_cubes(grids, min_level: int, max_level: int, domain) -> list:
@@ -652,8 +652,8 @@ class _Plan:
     A closed-form weight's candidates depend only on the search, so the first
     plan on a search builds them, folds them onto |x| (``_Folded``) and keeps
     both on it, read-only (``SearchSpace._candidates``); every later plan on
-    that search reads them, and each average computes only the weight's
-    values.
+    that search reads them, and each average and each set of infima computes
+    only the weight's values.
 
     A sampled weight's candidates are cell-aligned.  The blocks, the cell
     runs between consecutive candidate edges, get one row per left edge, as
@@ -714,7 +714,7 @@ class _Plan:
         """Essential infima of the planned weight on the candidates, none of them zero."""
         w = self.weight
         if isinstance(w, PowerLogWeight):
-            out = w.essinf_batch(self.lo, self.hi)
+            out = w._essinfs(self.folded)
         else:  # reduceat's segment from the last edge runs to the end; it is dropped
             mins = np.minimum.reduceat(np.append(w.values, np.inf), self.edges)[:-1]
             out = self._runs(mins, np.minimum.accumulate, np.inf)

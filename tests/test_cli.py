@@ -230,6 +230,52 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "args,message",
         [
+            (["lowerbound", "--cells-per-band", "0", "--delta", "0.2"], "--cells-per-band: must be a positive integer, got '0'"),
+            (["lowerbound", "--cells-per-band", "0", "--delta", "0.2", "--no-closed-form"],
+             "--cells-per-band: must be a positive integer, got '0'"),
+            (["lowerbound", "--cells-per-band", "-2"], "--cells-per-band: must be a positive integer, got '-2'"),
+            (["lowerbound", "--window", "0"], "--window: must be positive and finite, got '0'"),
+            (["lowerbound", "--window", "-3"], "--window: must be positive and finite, got '-3'"),
+            (["characteristic", "--weight", "powerlog:a=0.5", "--radius", "0"], "--radius: must be positive and finite, got '0'"),
+            (["characteristic", "--weight", "powerlog:a=0.5", "--radius", "-1"], "--radius: must be positive and finite, got '-1'"),
+            (["weaktype", "--weight", "powerlog:a=0.5", "--radius", "0"], "--radius: must be positive and finite, got '0'"),
+            (["sparse-check", "--radius", "-0.5"], "--radius: must be positive and finite, got '-0.5'"),
+            (["matrix-check", "--radius", "inf"], "--radius: must be positive and finite, got 'inf'"),
+            (["constants", "--radius", "nan"], "--radius: must be positive and finite, got 'nan'"),
+            (["characteristic", "--weight", "powerlog:a=0.5", "--level", "25"], "--level: must be a mesh level in 0..20, got '25'"),
+            (["characteristic", "--weight", "powerlog:a=-0.3", "--level", "30", "--kind", "ainfty"],
+             "--level: must be a mesh level in 0..20, got '30'"),
+            (["weaktype", "--weight", "powerlog:a=0.5", "--level", "-1"], "--level: must be a mesh level in 0..20, got '-1'"),
+            (["sparse-check", "--level", "21"], "--level: must be a mesh level in 0..20, got '21'"),
+            (["matrix-check", "--level", "2.5"], "--level: must be a mesh level in 0..20, got '2.5'"),
+            (["constants", "--level", "99"], "--level: must be a mesh level in 0..20, got '99'"),
+        ],
+        ids=["cells-per-band-0", "cells-per-band-0-counted", "cells-per-band-negative", "window-0", "window-negative",
+             "characteristic-radius-0", "characteristic-radius-negative", "weaktype-radius-0",
+             "sparse-check-radius-negative", "matrix-check-radius-inf", "constants-radius-nan",
+             "characteristic-level-25", "level-30", "weaktype-level-negative", "sparse-check-level-21",
+             "matrix-check-level-fraction", "constants-level-99"],
+    )
+    def test_out_of_domain_flag_is_2_at_parse_time(self, tmp_path, capsys, args, message):
+        """Before, --cells-per-band 0 exited 0 (3 when counted), --window 0 and
+        --radius 0 "math domain error", and --level 25 exited 0 for every
+        characteristic kind but ainfty, which alone reads it."""
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "x.csv", args)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_mesh_level_bounds_parse(self, tmp_path):
+        # 0 and 20 are mesh levels; a1 reads neither
+        for level in ("0", "20"):
+            code, out = run(tmp_path, "x.csv", ["characteristic", "--weight", "powerlog:a=-0.3", "--kind", "a1",
+                                                "--level", level, "--max-level", "3"])
+            assert code == 0 and out.exists()
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
             (["characteristic", "--weight", "powerlog:a=-0.3", "--kind", "rh"], "--kind rh needs --s"),
             (["characteristic", "--weight", "powerlog:a=-0.3", "--kind", "apq"], "--kind apq needs --q"),
             (["characteristic", "--weight", "powerlog:a=-0.3", "--kind", "a1q"], "--kind a1q needs --q"),
@@ -240,13 +286,11 @@ class TestExitCodes:
              "A_(p,q) requires q > p"),
             (["matrix-check", "--p", "1", "--trials", "1"], "matrix A_p requires p > 1"),
             (["constants", "--p", "0.5", "--a-list", "0.3"], "p must be >= 1"),
-            (["characteristic", "--weight", "powerlog:a=-0.3", "--level", "30", "--kind", "ainfty"],
-             "mesh level must be in 0..20"),
             (["weaktype", "--weight", "powerlog:a=-0.3", "--p", "0.5", "--trials", "1", "--level", "5"],
              "weak-type quotients need p >= 1"),
         ],
         ids=["rh-no-s", "apq-no-q", "a1q-no-q", "rh-s-below-1", "ap-p-1", "apq-q-below-p", "matrix-p-1",
-             "constants-p-below-1", "level-30", "weaktype-p-below-1"],
+             "constants-p-below-1", "weaktype-p-below-1"],
     )
     def test_malformed_exponent_is_2(self, tmp_path, capsys, args, message):
         code, out = run(tmp_path, "x.csv", args)

@@ -11,6 +11,7 @@ places only, and that no module imports or loads ``scipy``.
 """
 
 import ast
+import inspect
 import math
 import os
 import pathlib
@@ -40,6 +41,7 @@ from geometry_oracle import (
     oracle_level_cube_integrals,
     oracle_sparse_apply,
 )
+import weaklab
 from weaklab.grid import (
     DyadicGrid,
     Mesh,
@@ -522,6 +524,36 @@ def test_only_weights_report_builds_characteristic_reports():
     report = next(n for n in ast.walk(trees["weights.py"]) if isinstance(n, ast.FunctionDef) and n.name == "_report")
     assert {module for module, nodes in calls.items() if nodes} == {"weights.py"}
     assert calls["weights.py"] == [n for n in ast.walk(report) if builds(n)] and len(calls["weights.py"]) == 1
+
+
+def test_only_the_fold_orders_power_log_intervals():
+    # a closed-form weight's integrals and infima read one fold of [lo, hi]
+    # onto |x| (weights._Folded); another caller of _ordered is another fold
+    def calls_ordered(fn):
+        return any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_ordered" for n in ast.walk(fn))
+
+    tree = _src_trees()["weights.py"]
+    callers = {
+        f"{top.name}.{fn.name}" if fn is not top else fn.name
+        for top in tree.body
+        if isinstance(top, (ast.ClassDef, ast.FunctionDef))
+        for fn in (top.body if isinstance(top, ast.ClassDef) else [top])
+        if isinstance(fn, ast.FunctionDef) and calls_ordered(fn)
+    }
+    assert callers == {"_Folded.__init__"} and _modules_naming("_ordered") == {"weights.py"}
+
+
+def test_exported_functions_keep_their_defaulted_parameters():
+    # an option stays only while a caller sets it: a defaulted parameter added
+    # to (or retired from) a function weaklab exports shows up here by name
+    defaulted = sorted(
+        f"{name}({param.name})"
+        for name, obj in vars(weaklab).items()
+        if inspect.isfunction(obj) and not name.startswith("_")
+        for param in inspect.signature(obj).parameters.values()
+        if param.default is not inspect.Parameter.empty
+    )
+    assert len(defaulted) == 44, "\n".join(defaulted)
 
 
 def test_only_grid_names_level_affine():

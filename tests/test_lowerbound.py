@@ -1,6 +1,7 @@
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -381,6 +382,13 @@ class TestOnePassSweep:
             GradedMesh(**kwargs)
         assert named in str(err.value)
 
+    @pytest.mark.parametrize("m", [0, -2, 2.5, True, "16"], ids=["0", "-2", "2.5", "True", "str"])
+    def test_cells_per_band_below_one_or_not_an_integer_is_a_value_error(self, m):
+        # 0 built a mesh without bands, -2 raised numpy's "Number of samples"
+        with pytest.raises(ValueError, match=re.escape(f"cells_per_band must be an integer of at least 1, got {m!r}")):
+            GradedMesh(cells_per_band=m)
+        assert np.array_equal(GradedMesh(cells_per_band=np.int64(4)).edges, GradedMesh(cells_per_band=4).edges)
+
     def test_import_leaves_numpy_ma_unloaded(self):
         # building the default mesh at import must not pull in numpy.ma
         src = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -458,6 +466,12 @@ class TestExperiment:
     def test_delta_below_the_finite_window_is_a_value_error(self, delta, window):
         with pytest.raises(ValueError, match="delta must exceed 0.0014"):
             lower_bound_experiment(delta, lambda_window=window, compute_nu=False)
+
+    @pytest.mark.parametrize("window", [0.0, -3.0, math.inf, math.nan])
+    def test_window_not_positive_and_finite_is_a_value_error(self, window):
+        # 0 and -3 ended in "math domain error"
+        with pytest.raises(ValueError, match=f"lambda_window must be positive and finite, got {window}"):
+            lower_bound_experiment(0.1, lambda_window=window, compute_nu=False)
 
     def test_f_argmax_overflow_is_a_value_error(self):
         with pytest.raises(ValueError, match="delta must exceed 0.00140888"):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ from scipy import integrate
 
 import weaklab.weights as weights_module
 from weaklab._special import gammaincc
-from powerlog_oracle import split_integral_batch
+from powerlog_oracle import essinf_batch_oracle, split_integral_batch
 from search_oracle import (
     fsum_segment_sums,
     oracle_aligned_intervals,
@@ -723,6 +724,13 @@ class TestSearchSpaceDomain:
         lo, _, _ = assert_same_intervals(search)
         assert len(lo) == 3 * 128 + 2
 
+    @pytest.mark.parametrize("factory", [SearchSpace.default, SearchSpace.anchored_only], ids=["default", "anchored"])
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.inf, math.nan], ids=["0", "-1", "inf", "nan"])
+    def test_radius_not_positive_and_finite_rejected(self, factory, radius):
+        # default(0) and default(-1) ended in "math domain error"
+        with pytest.raises(ValueError, match=f"search radius must be positive and finite, got {radius}"):
+            factory(radius)
+
     def test_domain_too_wide_for_exact_endpoints_rejected(self):
         SearchSpace(domain=(-(2.0**43), 1.0), max_level=8)  # 2^51 exactly: allowed
         with pytest.raises(ValueError, match="too wide"):
@@ -1203,6 +1211,124 @@ def test_folded_pieces_away_from_zero_match_the_split_for_any_a(exponents, ends,
     w = PowerLogWeight(*exponents)
     lo, hi = np.sort(side * np.array(ends), axis=1).T
     assert w.integral_batch(lo, hi).tobytes() == split_integral_batch(w, lo, hi).tobytes()
+
+
+_ESSINF_EXPONENTS = st.one_of(
+    st.tuples(st.floats(-3.0, 3.0), st.floats(-5.0, 5.0)),
+    st.floats(-3.0, 3.0).filter(lambda a: a != 0.0).map(lambda a: (a, 2.0 * a)),  # x* = 1/e
+    st.tuples(st.just(0.0), st.floats(-5.0, 5.0)),
+)
+_ESSINF_POINTS = st.one_of(
+    _FOLD_POINTS,
+    st.floats(1.0, 4.0),
+    st.floats(-4.0, -1.0),
+    st.sampled_from([5e-324, -5e-324, 1e-320, 2.2e-311, -2.2e-311]),
+)
+
+
+def _recorded(batch, *args):
+    """``batch(*args)`` and the messages of the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = batch(*args)
+    return out, {str(w.message) for w in caught}
+
+
+@settings(max_examples=150)
+@given(
+    exponents=_ESSINF_EXPONENTS,
+    scale=st.sampled_from([1.0, 0.3, 7.5]),
+    ends=st.lists(
+        st.one_of(st.tuples(_ESSINF_POINTS, _ESSINF_POINTS), _ESSINF_POINTS.map(lambda x: (x, x))),
+        min_size=1,
+        max_size=16,
+    ),
+)
+# a straddling interval whose shorter piece ends within rounding of x* = 1/e:
+# the least over both pieces read 1 ulp below the infimum of the longer one
+@example(exponents=(-1.0, -2.0), scale=1.0, ends=[(-0.36787944242223247, 0.75)])
+@example(exponents=(-0.5, -1.0), scale=7.5, ends=[(-0.3678794413185941, 0.75)])
+# the shorter piece of a straddle ends at a subnormal, where x^a overflows
+@example(exponents=(-1.0, -2.0), scale=1.0, ends=[(-5e-324, 0.5), (-0.5, 5e-324)])
+# x* = 1 (b = a), degenerate, signed-zero, past-1 and origin-touching intervals
+@example(exponents=(-0.7, -0.7), scale=0.3, ends=[(-0.99999999, 1.5), (1.0, 1.0), (-1.0, -1.0), (-0.0, 0.0), (2.0, 3.0)])
+@example(exponents=(0.5, 1.0), scale=1.0, ends=[(0.0, 0.25), (-0.25, 0.0), (0.0, 0.0), (-3.0, 2.0), (1.0, 4.0)])
+@example(exponents=(-0.99, 2.5), scale=7.5, ends=[(0.0, 2.2e-311), (5e-324, 1e-320), (-2.2e-311, 5e-324)])
+def test_essinf_batch_matches_the_unfolded_oracle(exponents, scale, ends):
+    # infima read the pieces of the fold the integrals read: the same bytes as
+    # the parent's own fold onto [min |x|, max |x|], and no warning it lacked
+    w = PowerLogWeight(*exponents, scale)
+    lo, hi = np.sort(np.array(ends), axis=1).T
+    new, new_warned = _recorded(w.essinf_batch, lo, hi)
+    old, old_warned = _recorded(essinf_batch_oracle, w, lo, hi)
+    assert new.tobytes() == old.tobytes()
+    assert new_warned <= old_warned
+
+
+_INFIMUM_WEIGHTS = [
+    PowerLogWeight(-0.5),
+    PowerLogWeight(-0.3, 1.0),
+    PowerLogWeight(-0.9, 1.0, 5.0),
+    PowerLogWeight(-0.2, 0.5, 3.0),
+    PowerLogWeight(-0.5, -1.0),  # x* = 1/e
+    PowerLogWeight(-0.4, -2.0, 0.3),  # x* = e^-4
+    PowerLogWeight(-0.7, -0.7),  # x* = 1
+    PowerLogWeight(-1.0, -2.0),
+    PowerLogWeight(0.0, 1.0),
+    PowerLogWeight(0.0, 0.0, 2.5),
+    PowerLogWeight(0.0, -1.0),  # vanishes at the origin
+    PowerLogWeight(0.5),
+    PowerLogWeight(0.3, 1.0),
+    PowerLogWeight(-2.0),  # not integrable at the origin
+    w_delta(0.1),
+    w_delta(0.05),
+]
+
+
+def _infimum_reports(w, search):
+    out = []
+    for call in (a1_characteristic, lambda w, s: a1q_characteristic(w, 2.0, s)):
+        try:
+            rep = call(w, search)
+        except (DegenerateWeightError, NonIntegrableError) as e:
+            out.append((type(e).__name__, str(e)))
+        else:
+            out.append((rep.value.hex(), rep.witness, rep.witness_label, rep.search_levels, rep.grids_used))
+    return out
+
+
+@pytest.mark.parametrize("search", ["default", "anchored_only"])
+@pytest.mark.parametrize("w", _INFIMUM_WEIGHTS, ids=repr)
+def test_infimum_reports_match_the_unfolded_oracle(w, search, monkeypatch):
+    # A_1 and A_(1,q): value, witness and label, or the error, as with the
+    # parent's essinf_batch on the candidates
+    new = _infimum_reports(w, getattr(SearchSpace, search)())
+    space = getattr(SearchSpace, search)()
+
+    def essinfs(weight, folded):
+        lo, hi, _, kept = space._candidates
+        assert folded is kept
+        return essinf_batch_oracle(weight, lo, hi)
+
+    monkeypatch.setattr(PowerLogWeight, "_essinfs", essinfs)
+    assert _infimum_reports(w, space) == new
+
+
+def test_plan_infima_read_the_kept_fold(monkeypatch):
+    # after the plan is built, its infima fold nothing: they read the fold
+    # the search keeps, as its averages do
+    w, search = PowerLogWeight(-0.3, 1.0), SearchSpace.default(0.75, 5)
+    plan = weights_module._Plan(w, search)
+    calls = []
+    folded_init, ordered = weights_module._Folded.__init__, weights_module._ordered
+    monkeypatch.setattr(weights_module._Folded, "__init__", lambda self, lo, hi: calls.append("_Folded") or folded_init(self, lo, hi))
+    monkeypatch.setattr(weights_module, "_ordered", lambda lo, hi: calls.append("_ordered") or ordered(lo, hi))
+    plan.essinfs()
+    a1_characteristic(w, search)
+    a1q_characteristic(w, 2.0, search)
+    assert calls == []
+    w.essinf_batch(np.array([-0.5]), np.array([0.25]))  # the counters see a fold
+    assert calls == ["_Folded", "_ordered"]
 
 
 @pytest.mark.parametrize("a, b", [(-1.0, 0.0), (-1.0, 1.0), (-1.0, -0.5), (-1.5, 0.0), (-1.5, 2.0), (-2.0, 0.3)])
