@@ -19,7 +19,9 @@ Exit codes: 0 success; 1 invariant-suite violation; 2 invalid exponent
 relation or malformed input (the parser rejects non-finite numbers,
 weight-descriptor parameters, a ``--trials`` or ``--cells-per-band`` below 1,
 a ``--radius`` or ``--window`` that is not positive and a ``--level`` outside
-0..20 before anything runs;
+0..20 before anything runs; a ``characteristic --max-level`` below the
+coarsest search level of its ``--radius``, or one whose search has more than
+2^22 dyadic cubes, before the search runs;
 an unreadable weight file, or one without its keys, and a missing or
 unreadable config file are malformed input, and so are ``weaktype --operator
 H`` with ``--alpha``, an ``--alpha`` outside (0, 1) and a ``--q`` without
@@ -282,6 +284,11 @@ def random_step(mesh: Mesh, rng: np.random.Generator, max_blocks: int = 6,
 def cmd_characteristic(args) -> int:
     w = parse_weight(args.weight)
     search = SearchSpace.default(radius=args.radius, max_level=args.max_level)
+    if search.max_level < search.min_level:  # no grid candidate at all
+        raise ValueError(
+            f"--max-level {args.max_level} is below the coarsest search level {search.min_level} "
+            f"of --radius {args.radius:g}"
+        )
     kind = args.kind
     needs = {"rh": "s", "apq": "q", "a1q": "q"}.get(kind)
     if needs and getattr(args, needs) is None:

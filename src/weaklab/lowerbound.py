@@ -295,6 +295,14 @@ def level_set_measure_bounds(delta: float, lam: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values in ascending order, as np.unique gives them: its
+    first call imports numpy.ma (10-14 ms), and the default GradedMesh is
+    built when weaklab is imported."""
+    values = np.sort(values)
+    return values[np.append(True, values[1:] != values[:-1])]
+
+
 @dataclass(frozen=True)
 class GradedMesh:
     """Geometric bands (ratio 1/2) over (x_min, x_hi], m cells per band.
@@ -321,10 +329,7 @@ class GradedMesh:
             lo = hi / 2.0
             bands.append(np.linspace(lo, hi, self.cells_per_band, endpoint=False))
             hi = lo
-        edges = np.sort(np.concatenate([[0.0]] + bands[::-1] + [[self.x_hi]]))
-        # np.unique, whose first call imports numpy.ma (about 10 ms): the
-        # default mesh is built when weaklab is imported
-        edges = edges[np.append(True, edges[1:] != edges[:-1])]
+        edges = _sorted_distinct(np.concatenate([[0.0]] + bands[::-1] + [[self.x_hi]]))
         edges.flags.writeable = False
         object.__setattr__(self, "edges", edges)
 
@@ -408,7 +413,7 @@ def lower_bound_experiment(
         )
     lam_star, _ = F_argmax(delta)
     lams = np.geomspace(lam_star / lambda_window, lam_star * lambda_window, 161)
-    lams = np.unique(np.append(lams, lam_star))
+    lams = _sorted_distinct(np.append(lams, lam_star))
     counted, n_cells = mesh.counted_measure(output_magnitude(delta, mesh.edges[1:]), lams)
     resolved = n_cells >= 4
     if allow_closed_form:

@@ -11,11 +11,13 @@ constant SPD matrix with |Mv| comparable to rho(v) is computed exactly when
 r = 2 (M = (avg A^2)^(1/2)) and otherwise by a minimum-volume-ellipsoid fit
 of the sampled points p = v / rho(v).  The sampled norms come from the
 per-cell Gram matrices A(x)^T A(x), all directions in one product.  The fit
-is primal-dual Newton on the dual (D-optimal design) problem; each Newton
-system is solved through its rank-d(d+1)/2 structure (a dense block for the
-near-support points, Woodbury for the rest), never as a dense n x n matrix.
-It stops only on the Kiefer-Wolfowitz certificate max_p p^T A p <= 1 + 1e-10
-and raises EllipsoidFitError when it cannot reach it.  Every fit records
+works on the dual (D-optimal design) problem.  At d = 2 it is exact: a
+support exchange over closed-form optima on two or three points.  For
+d >= 3 it is primal-dual Newton, each Newton system solved through its
+rank-d(d+1)/2 structure (a dense block for the near-support points, Woodbury
+for the rest), never as a dense n x n matrix.  Either stops only on the
+Kiefer-Wolfowitz certificate max_p p^T A p <= 1 + 1e-10 and raises
+EllipsoidFitError when it cannot reach it.  Every fit records
 certified two-sided factors (c_minus, c_plus) with
 
     c_minus |Mv| <= rho(v) <= c_plus |Mv|   on the sampled directions,
@@ -26,6 +28,7 @@ c_plus/c_minus near sqrt(d).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -212,15 +215,23 @@ def _rho_values(field: np.ndarray, r: float, dirs: np.ndarray) -> np.ndarray:
     return np.mean(sq ** (0.5 * r), axis=0) ** (1.0 / r)
 
 
-# Newton steps an ellipsoid fit may take before it raises; fits of seeded
-# random weights (d = 2 and 3, cubes of 1 to 64 cells) take 5 to 17
-_MVEE_NEWTON_STEPS = 60
+# steps an ellipsoid fit may take before it raises: the exchange (d = 2)
+# takes at most 10 on benchmark-shaped fits; Newton took 5 to 17 on seeded
+# random weights (d = 2 and 3, cubes of 1 to 64 cells)
+_MVEE_STEPS = 60
 # the fit's certificate: max_j p_j^T A p_j <= 1 + _MVEE_TOL
 _MVEE_TOL = 1e-10
 
 
 class EllipsoidFitError(RuntimeError):
     """An ellipsoid fit did not reach its optimality certificate."""
+
+
+def _missed_certificate(reached: float) -> EllipsoidFitError:
+    return EllipsoidFitError(
+        f"ellipsoid fit missed its certificate max p^T A p <= 1 + {_MVEE_TOL:g} after "
+        f"{_MVEE_STEPS} steps (reached {reached:.12g})"
+    )
 
 
 def _step_to_boundary(x: np.ndarray, dx: np.ndarray) -> float:
@@ -231,17 +242,84 @@ def _step_to_boundary(x: np.ndarray, dx: np.ndarray) -> float:
 
 def _centered_mvee(points: np.ndarray) -> tuple[np.ndarray, int]:
     """Minimum-volume origin-centred ellipsoid {x : x^T A x <= 1} containing
-    the points and their negatives, as (A, Newton steps taken).
+    the points and their negatives, as (A, steps taken).
 
-    Solves the dual (D-optimal design) problem: maximise log det X(u),
-    X(u) = sum u_j p_j p_j^T, over weights u >= 0 with sum u = 1.  With
-    g_j = p_j^T X(u)^-1 p_j, the weights are optimal exactly when max g = d
-    (Kiefer-Wolfowitz), and then A = X(u)^-1 / d.  Each step is a
-    primal-dual Newton step (Mehrotra predictor-corrector) on
-    g + z = nu 1, u z = sigma mu, sum u = 1 with slacks z >= 0.  The fit
-    stops on the certificate max g <= d (1 + _MVEE_TOL), that is
+    Both solvers work on the dual (D-optimal design) problem: maximise
+    log det X(u), X(u) = sum u_j p_j p_j^T, over weights u >= 0 with
+    sum u = 1.  With g_j = p_j^T X(u)^-1 p_j, the weights are optimal exactly
+    when max g = d (Kiefer-Wolfowitz), and then A = X(u)^-1 / d.  A fit stops
+    only on the certificate max g <= d (1 + _MVEE_TOL), that is
     max_j p_j^T A p_j <= 1 + _MVEE_TOL, and raises EllipsoidFitError when
-    _MVEE_NEWTON_STEPS steps do not reach it.
+    _MVEE_STEPS steps do not reach it.  The plane is solved exactly by
+    ``_exchange_mvee``; d >= 3 takes the Newton iteration ``_newton_mvee``.
+    """
+    if points.shape[1] == 2:
+        return _exchange_mvee(points)
+    return _newton_mvee(points)
+
+
+_QUARTER_TURN = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+def _exchange_mvee(points: np.ndarray) -> tuple[np.ndarray, int]:
+    """The exact d = 2 fit by support exchange.
+
+    An optimal design in the plane has at most three support points
+    (Kiefer and Wolfowitz, 1960), and by Cauchy-Binet
+    det X(u) = sum_{a<b} u_a u_b c_ab with c_ab = (p_a x p_b)^2, so the
+    optimum on a few points has a closed form: a pair takes weights 1/2 and
+    det c_ab / 4, and a triple whose weights u_a ~ c_bc (c_ab + c_ac - c_bc)
+    are all positive takes them.  The fit starts from the pair of the longest
+    point and the point of largest c with it.  Each step adds the point k of
+    largest g and re-solves the support and k exactly.  The design was
+    optimal on its support and g_k > 2, so the new optimum gives k weight:
+    only the pairs and triples holding k are candidates, the support changes
+    and det X strictly grows, so no support repeats.  X^-1 is the adjugate
+    sum_s u_s n_s n_s^T, n_s the normal of p_s, over the Cauchy-Binet
+    determinant, so g_j = sum_s u_s (p_j x p_s)^2 / det X adds non-negative
+    terms: a thin point set loses nothing to cancellation.
+    """
+    x, y = points[:, 0], points[:, 1]
+    xy = points.tolist()
+
+    def c(s: int, t: int) -> float:
+        return (xy[s][0] * xy[t][1] - xy[s][1] * xy[t][0]) ** 2
+
+    i = int(np.argmax(x * x + y * y))
+    j = int(np.argmax((xy[i][0] * y - xy[i][1] * x) ** 2))
+    det, design = c(i, j) / 4, {i: 0.5, j: 0.5}
+    if not det > 0:
+        raise EllipsoidFitError("ellipsoid fit needs points that span the plane")
+    for step in range(_MVEE_STEPS + 1):
+        u = np.array(list(design.values()))
+        normals = points[list(design)] @ _QUARTER_TURN  # p x p_s = p . normal_s
+        g = ((points @ normals.T) ** 2) @ u / det
+        k = int(np.argmax(g))
+        if g[k] <= 2 * (1 + _MVEE_TOL):
+            A = normals.T @ (u[:, None] * normals) / (2 * det)
+            A[1, 0] = A[0, 1]
+            return A, step
+        if step == _MVEE_STEPS:
+            break
+        candidates = [(c(k, s) / 4, {k: 0.5, s: 0.5}) for s in design]
+        for s, t in itertools.combinations(design, 2):
+            c_ks, c_kt, c_st = c(k, s), c(k, t), c(s, t)
+            w = (c_st * (c_ks + c_kt - c_st), c_kt * (c_ks + c_st - c_kt), c_ks * (c_kt + c_st - c_ks))
+            if min(w) > 0:
+                u_k, u_s, u_t = (v / sum(w) for v in w)
+                det3 = u_k * u_s * c_ks + u_k * u_t * c_kt + u_s * u_t * c_st
+                candidates.append((det3, {k: u_k, s: u_s, t: u_t}))
+        det, design = max(candidates, key=lambda cand: cand[0])
+    raise _missed_certificate(g[k] / 2)
+
+
+def _newton_mvee(points: np.ndarray) -> tuple[np.ndarray, int]:
+    """The fit of ``_centered_mvee`` by primal-dual Newton steps, used for
+    d >= 3.
+
+    Each step is a primal-dual Newton step (Mehrotra predictor-corrector) on
+    g + z = nu 1, u z = sigma mu, sum u = 1 with slacks z >= 0, from the
+    uniform weights.
 
     The Newton matrix H = K o K + diag(z/u) is never formed (after Sun and
     Freund, Oper. Res. 52, 2004).  K o K = Q G Q^T has rank d(d+1)/2, with
@@ -259,7 +337,7 @@ def _centered_mvee(points: np.ndarray) -> tuple[np.ndarray, int]:
     n, d = points.shape
     Q = (points[:, :, None] * points[:, None, :]).reshape(n, d * d)
     u = np.full(n, 1.0 / n)
-    for step in range(_MVEE_NEWTON_STEPS + 1):
+    for step in range(_MVEE_STEPS + 1):
         X = points.T @ (u[:, None] * points)
         Xi = np.linalg.inv(X)
         PXi = points @ Xi
@@ -267,7 +345,7 @@ def _centered_mvee(points: np.ndarray) -> tuple[np.ndarray, int]:
         if g.max() <= d * (1 + _MVEE_TOL):
             A = Xi / d
             return 0.5 * (A + A.T), step
-        if step == _MVEE_NEWTON_STEPS:
+        if step == _MVEE_STEPS:
             break
         if step == 0:
             nu = 1.5 * g.max()
@@ -311,10 +389,7 @@ def _centered_mvee(points: np.ndarray) -> tuple[np.ndarray, int]:
         du, dz, dnu = direction(u * z + du * dz - sigma * mu)  # corrector
         a = min(1.0, 0.99 * min(_step_to_boundary(u, du), _step_to_boundary(z, dz)))
         u, z, nu = u + a * du, z + a * dz, nu + a * dnu
-    raise EllipsoidFitError(
-        f"ellipsoid fit missed its certificate max p^T A p <= 1 + {_MVEE_TOL:g} after "
-        f"{_MVEE_NEWTON_STEPS} Newton steps (reached {g.max() / d:.12g})"
-    )
+    raise _missed_certificate(g.max() / d)
 
 
 def _reduce_field(field: np.ndarray, r: float):

@@ -296,11 +296,7 @@ class PowerLogWeight:
         ax = np.abs(np.asarray(x, dtype=float))
         if not np.all(ax >= 0):  # false at NaN only
             raise ValueError(f"point {ax[~(ax >= 0)].flat[0]} is not a number")
-        core = np.where(
-            ax > 0,
-            self._core_at(np.where(ax > 0, np.minimum(ax, 1.0), 1.0)),
-            np.inf if (self.exponent < 0 or (self.exponent == 0 and self.log_exponent > 0)) else 0.0,
-        )
+        core = np.where(ax > 0, self._core_at(np.where(ax > 0, np.minimum(ax, 1.0), 1.0)), self._origin_limit)
         return self.scale * np.where(ax <= 1.0, core, 1.0)
 
     @property
@@ -346,6 +342,15 @@ class PowerLogWeight:
         """x^a log(e/x)^b on (0, 1] without the scale, also at subnormal x."""
         return x**self.exponent * _log_e_over(x) ** self.log_exponent
 
+    @property
+    def _origin_limit(self) -> float:
+        """lim x^a log(e/x)^b as x -> 0+, without the scale, which is the
+        value at 0: 0, 1 (the constant weight, a = b = 0) or inf."""
+        a, b = self.exponent, self.log_exponent
+        if a > 0 or (a == 0 and b < 0):
+            return 0.0
+        return 1.0 if a == b == 0 else math.inf
+
     def _essinfs(self, folded: "_Folded") -> np.ndarray:
         """Essential infima over the intervals ``folded`` folds, in their shape:
         a piece's least value at an end in (0, 1), at the one interior
@@ -366,8 +371,10 @@ class PowerLogWeight:
             ok = (u1 < xstar) & (xstar < v1)
             if np.any(ok):  # one 0-d evaluation: a vector one can differ in the last ulp
                 pieces[ok] = np.minimum(pieces[ok], self.scale * self._core_at(np.array(xstar)))
-        if a > 0 or (a == 0 and b < 0):  # the profile tends to 0 at the origin
-            pieces[(u1 == 0.0) & (v1 > 0.0)] = 0.0
+        origin = self._origin_limit
+        if origin < math.inf:
+            touching = (u1 == 0.0) & (v1 > 0.0)
+            pieces[touching] = np.minimum(pieces[touching], self.scale * origin)
         out = pieces[:n]
         out[both] = np.where(live[n:], pieces[n:], out[both])
         return out.reshape(folded.shape)
@@ -570,19 +577,32 @@ def _radius(radius: float) -> float:
     return radius
 
 
+# dyadic cubes one search may build: a search of 2^22 cubes peaks near
+# 400 MiB, and SearchSpace.default() reaches max_level 16 within the limit
+_MAX_SEARCH_CUBES = 2**22
+
+
 def _grid_cubes(grids, min_level: int, max_level: int, domain) -> list:
     """The grid cubes meeting the open interval ``domain`` = (a, b) in the
     floats of ``_cubes``, as ``(grid, k, m)`` blocks, grid by grid and level
     by level.  Only the cubes holding a and b can miss (a, b): under the
-    bound of ``SearchSpace`` every cube is at least two ulps of a and b wide."""
+    bound of ``SearchSpace`` every cube is at least two ulps of a and b wide.
+    More than ``_MAX_SEARCH_CUBES`` cubes is a ValueError, raised before any
+    is built."""
     a, b = domain
-    blocks = []
+    spans = []
     for g in grids:
         for k in range(min_level, max_level + 1):
             q_a, q_b = g.cube_index_of(k, a), g.cube_index_of(k, b)
             hi_a, lo_b = (g.numerator(k, q) * 2.0**-k / 3.0 for q in (q_a + 1, q_b))
-            blocks.append((g, k, np.arange(q_a + (hi_a <= a), q_b + (lo_b < b))))
-    return blocks
+            spans.append((g, k, q_a + (hi_a <= a), q_b + (lo_b < b)))
+    total = sum(stop - start for _, _, start, stop in spans)
+    if total > _MAX_SEARCH_CUBES:
+        raise ValueError(
+            f"a search to max_level {max_level} over {domain} has {total:,} dyadic cubes, "
+            f"above the limit of {_MAX_SEARCH_CUBES:,}"
+        )
+    return [(g, k, np.arange(start, stop)) for g, k, start, stop in spans]
 
 
 def _cubes(blocks):

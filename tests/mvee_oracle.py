@@ -47,7 +47,7 @@ def exact_mvee_2d(points: np.ndarray, slack: float = 1e-12) -> np.ndarray:
     X = np.einsum("sni,snj->sij", points[pairs], points[pairs])
     two = np.linalg.inv(X[np.abs(np.linalg.det(X)) > 1e-14])
     two = np.stack([two[:, 0, 0], two[:, 0, 1], two[:, 1, 1]], axis=1)
-    triples = np.array(list(itertools.combinations(range(len(points)), 3)))
+    triples = np.array(list(itertools.combinations(range(len(points)), 3)), dtype=int).reshape(-1, 3)
     F = q[triples]
     F = F[np.abs(np.linalg.det(F)) > 1e-12 * np.abs(F).max(axis=(1, 2)) ** 3]
     three = np.linalg.solve(F, np.ones((len(F), 3, 1)))[:, :, 0]

@@ -276,6 +276,28 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "args,message",
         [
+            (["--max-level", "-40"], "--max-level -40 is below the coarsest search level -3 of --radius 4"),
+            (["--max-level", "-1", "--radius", "0.25"], "--max-level -1 is below the coarsest search level 1"),
+            (["--max-level", "20"], "above the limit of 4,194,304"),
+        ],
+        ids=["below-coarsest", "below-coarsest-small-radius", "too-many-cubes"],
+    )
+    def test_max_level_outside_the_search_is_2(self, tmp_path, capsys, args, message):
+        """Before, --max-level -40 exited 0 with no grid candidate, and
+        --max-level 20 ended in a MemoryError traceback under a 3 GB cap."""
+        code, out = run(tmp_path, "x.csv", ["characteristic", "--weight", "powerlog:a=0.5", *args])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_max_level_at_the_coarsest_search_level_runs(self, tmp_path):
+        code, out = run(tmp_path, "x.csv", ["characteristic", "--weight", "powerlog:a=0.5", "--max-level", "-3"])
+        assert code == 0 and out.exists()
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
             (["characteristic", "--weight", "powerlog:a=-0.3", "--kind", "rh"], "--kind rh needs --s"),
             (["characteristic", "--weight", "powerlog:a=-0.3", "--kind", "apq"], "--kind apq needs --q"),
             (["characteristic", "--weight", "powerlog:a=-0.3", "--kind", "a1q"], "--kind a1q needs --q"),

@@ -389,14 +389,22 @@ class TestOnePassSweep:
             GradedMesh(cells_per_band=m)
         assert np.array_equal(GradedMesh(cells_per_band=np.int64(4)).edges, GradedMesh(cells_per_band=4).edges)
 
-    def test_import_leaves_numpy_ma_unloaded(self):
-        # building the default mesh at import must not pull in numpy.ma
+    @staticmethod
+    def numpy_ma_loaded_after(code):
         src = pathlib.Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-        code = "import sys, weaklab; print('numpy.ma' in sys.modules)"
+        code = f"import sys, weaklab; {code}; print('numpy.ma' in sys.modules)"
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
-        assert run.stdout.strip() == "False"
+        return run.stdout.strip() == "True"
+
+    def test_import_leaves_numpy_ma_unloaded(self):
+        # building the default mesh at import must not pull in numpy.ma
+        assert not self.numpy_ma_loaded_after("pass")
+
+    def test_experiment_leaves_numpy_ma_unloaded(self):
+        # nor may the lambda sweep: np.unique's first call imports it (10-14 ms)
+        assert not self.numpy_ma_loaded_after("weaklab.lower_bound_experiment(0.2)")
 
 
 class TestExperiment:

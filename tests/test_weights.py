@@ -119,6 +119,17 @@ class TestPowerLogIntegrals:
         x = np.array([0.3, 0.9, 2.0])
         assert np.allclose(ws(x), w(x) ** 1.7, rtol=1e-13)
 
+    def test_origin_value_is_the_limit_of_the_profile(self):
+        # w(0) = lim w(x) as x -> 0: the constant scale at a = b = 0, 0 where
+        # the profile vanishes, inf where it blows up; infima read the same
+        assert ONE(0.0) == 1.0
+        assert PowerLogWeight(0.0, 0.0, 2.5)(np.array([0.0, 1e-300])).tolist() == [2.5, 2.5]
+        assert PowerLogWeight(0.0, 0.0, 2.5).essinf(0.0, 0.5) == 2.5
+        for w in (PowerLogWeight(0.5), PowerLogWeight(0.0, -1.0, 3.0)):
+            assert w(0.0) == 0.0 == w.essinf(0.0, 0.5)
+        for w in (PowerLogWeight(-0.5), PowerLogWeight(0.0, 1.0), PowerLogWeight(-0.5, -3.0)):
+            assert w(0.0) == math.inf
+
     def test_essinf_decreasing_weight(self):
         wd = w_delta(0.1)
         assert wd.essinf(0, 0.5) == pytest.approx(float(wd(0.5)), rel=1e-14)
@@ -730,6 +741,26 @@ class TestSearchSpaceDomain:
         # default(0) and default(-1) ended in "math domain error"
         with pytest.raises(ValueError, match=f"search radius must be positive and finite, got {radius}"):
             factory(radius)
+
+    def test_too_many_cubes_rejected_before_any_is_built(self, monkeypatch):
+        # the default radius reaches level 16 (3.1 million cubes, 300 MiB at
+        # its peak); level 20 had 50 million and ran out of memory
+        class Built(Exception):
+            pass
+
+        def arange(*args, **kwargs):
+            raise Built
+
+        searches = {level: SearchSpace.default(max_level=level) for level in (16, 17, 20)}
+        wide = SearchSpace(domain=(-(2.0**43), 1.0), max_level=8)  # constructing it is allowed
+        monkeypatch.setattr(weights_module.np, "arange", arange)
+        with pytest.raises(Built):
+            searches[16].intervals_for(ONE)
+        for level, cubes in ((17, "6,291,496"), (20, "50,331,694")):
+            with pytest.raises(ValueError, match=f"max_level {level} over .* has {cubes} dyadic cubes, above the limit"):
+                searches[level].intervals_for(ONE)
+        with pytest.raises(ValueError, match="above the limit of 4,194,304"):
+            wide.intervals_for(ONE)
 
     def test_domain_too_wide_for_exact_endpoints_rejected(self):
         SearchSpace(domain=(-(2.0**43), 1.0), max_level=8)  # 2^51 exactly: allowed
