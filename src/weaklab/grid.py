@@ -21,12 +21,16 @@ joins the spans of its levels, and ``_span_integrals`` only gathers and
 sums values.  Each sweep over a range of levels keeps one read-only index
 per (mesh, grid, level range), over its own leaves: ``_cell_cube_index``
 places each cell's containing cube at every level in the joined tables
-(the maximal sweep), ``_sweep_geometry`` each finest cube's ancestors and
-the inside cubes' segments (the Fujii-Wilson sweep).  One size rule,
-``_kept``, keeps all of it on meshes of at most ``_CACHED_CELLS`` cells and
-derives it per call on finer ones, where the spans (80 bytes a cell) would
-keep 0.5 GB for three grids at level 20, and each index (8 bytes a cell
-and level) 1.1 GB.
+(the maximal sweep), ``_cell_cube_pairs`` lays out the (cube, cell) pairs
+a vector integrand reads (Christ-Goldberg), and ``_sweep_geometry`` each
+finest cube's ancestors and the inside cubes' segments (the Fujii-Wilson
+sweep).  A sampled weight's candidates and their running-sum layout
+(``_cell_runs``) are kept the same way: the aligned cubes per (mesh, grid,
+level range), ``_aligned_layout``, and the cell scan per (mesh, cell
+range), ``_scan_layout``.  One size rule, ``_kept``, keeps all of
+it on meshes of at most ``_CACHED_CELLS`` cells and derives it per call
+on finer ones, where the spans (80 bytes a cell) would keep 0.5 GB for
+three grids at level 20, and each index (8 bytes a cell and level) 1.1 GB.
 
 The shifted dyadic grids implement the one-third-trick family
 
@@ -578,17 +582,17 @@ def cell_cube_integrals(f: MeshFunction, grid: DyadicGrid, k0: int, k1: int) -> 
     The (cube, cell) pairs are the nonzero entries of ``_cell_cube_index``.
     A scalar f is gathered from its ``level_cube_integrals`` tables.  A
     vector f has one component per cell, and cell x reads component x: only
-    those pairs are integrated, in one ``_span_integrals`` call, each entry
-    bit-identical to column x of its cube's ``level_cube_integrals`` entry.
+    those pairs (``_cell_cube_pairs``) are integrated, in one
+    ``_span_integrals`` call, each entry bit-identical to column x of its
+    cube's ``level_cube_integrals`` entry.
     """
-    index = _kept(_cell_cube_index, f.mesh, grid, k0, k1)
     if not f.is_vector:
+        index = _kept(_cell_cube_index, f.mesh, grid, k0, k1)
         return np.concatenate([[0.0]] + [ints for _, ints in level_cube_integrals(f, grid, k0, k1)])[index]
-    out = np.zeros(index.shape)
-    at = np.flatnonzero(index)
+    out = np.zeros((len(range(k0, k1 + 1)), f.mesh.n_cells))
+    at, comp, spans = _kept(_cell_cube_pairs, f.mesh, grid, k0, k1)
     if len(at):
-        spans = _joined_level_spans(f.mesh, grid, range(k0, k1 + 1))[2].take(index.flat[at] - 1)
-        out.flat[at] = _span_integrals(f, spans, comp=at % f.mesh.n_cells)
+        out.flat[at] = _span_integrals(f, spans, comp=comp)
     return out
 
 
@@ -605,6 +609,23 @@ def _cell_cube_index(mesh: Mesh, grid: DyadicGrid, k0: int, k1: int) -> np.ndarr
         (q,), (contained,) = cube_indices_per_cell(mesh, grid, k, k)
         np.add(q, at - _level_cubes(mesh, grid, k).start, out=row, where=contained)
     return _read_only(index)
+
+
+@functools.lru_cache(maxsize=16, typed=True)  # as _cell_cube_index
+def _cell_cube_pairs(mesh: Mesh, grid: DyadicGrid, k0: int, k1: int) -> tuple:
+    """(at, comp, spans), read-only: the (cube, cell) pairs of the nonzero
+    ``_cell_cube_index`` entries, cell by cell and coarse to fine within a
+    cell.  ``at`` is each pair's flat position in the (levels, cells)
+    output, ``comp`` its cell and ``spans`` its cube's span.  In this order
+    consecutive spans read one component and nest, so the gaps that
+    ``_span_integrals``' reductions also sum (and drop) between them stay
+    short; each span's floats depend on its own cells alone.  ``spans`` is
+    None when there is no pair (an empty level window)."""
+    index = _kept(_cell_cube_index, mesh, grid, k0, k1)
+    comp, level = np.nonzero(index.T)
+    at = level * mesh.n_cells + comp
+    spans = _joined_level_spans(mesh, grid, range(k0, k1 + 1))[2].take(index[level, comp] - 1) if len(at) else None
+    return _read_only(at), _read_only(comp), spans
 
 
 @functools.lru_cache(maxsize=64, typed=True)
@@ -648,6 +669,83 @@ def _sweep_geometry(mesh: Mesh, grid: DyadicGrid, k_lo: int, k_fine: int) -> tup
         blocks.append((grid, k, _read_only(np.arange(ins.start, ins.stop))))
     arrays = [np.concatenate([np.zeros(0, dtype=t)] + parts) for t, parts in ((np.intp, seg), (np.intp, cubes), (bool, empty), (np.intp, inside))]
     return (_read_only(gather), *map(_read_only, arrays), tuple(blocks))
+
+
+def _cubes(blocks):
+    """(lo, hi, label) of the cubes of the ``(grid, k, m)`` blocks, in block
+    order; ``label(i)`` names cube i by its ``Cube``.  The order is the tie
+    rule of ``weights._report``, the first maximum: for a search space grid
+    by grid, coarse to fine, left to right (``weights._grid_cubes``); for
+    Fujii-Wilson grid by grid, fine to coarse, left to right
+    (``weights._fujii_wilson``); for the matrix weights the standard cubes of
+    the mesh from width R down to one cell, left to right, the list of
+    ``SearchSpace.aligned_cubes()`` (``_aligned_layout``)."""
+    sizes = [len(m) for _, _, m in blocks]
+    num = np.concatenate([np.empty(0, dtype=np.int64)] + [g.numerator(k, m) for g, k, m in blocks])
+    scale = np.repeat([2.0**-k for _, k, _ in blocks], sizes)  # each cube's width
+    starts = np.cumsum([0] + sizes)
+
+    def label(i: int) -> str:
+        j = int(np.searchsorted(starts, i, side="right")) - 1
+        g, k, m = blocks[j]
+        return g.cube(k, int(m[i - starts[j]])).label
+
+    return num * scale / 3.0, (num + 3) * scale / 3.0, label
+
+
+def _cell_runs(mesh: Mesh, lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """(edges, rows, pick, pad, blocks): the run layout of the cell-aligned
+    candidates [lo, hi), read-only.  ``edges`` are the cell edges that end a
+    candidate, and ``blocks`` (one ``_Spans``) the cell runs between
+    consecutive ones.  Each left edge gets one row of block indices, as far
+    as its longest candidate reaches, padded to the next power of two past
+    the last block (``pad`` entries); ``rows`` holds the rows of each width
+    as one array, and ``pick`` is each candidate's position, in the rows
+    flattened, at its last block.  A running sum or minimum along the rows
+    read at ``pick`` gives every candidate's, each from its own left edge."""
+    i_lo, i_hi = (np.round((x + mesh.radius) / mesh.h).astype(np.int64) for x in (lo, hi))
+    is_edge = np.zeros(mesh.n_cells + 1, dtype=bool)
+    is_edge[i_lo] = is_edge[i_hi] = True
+    edges = np.flatnonzero(is_edge)
+    block_of = np.cumsum(is_edge) - 1  # block index at each cell edge
+    first, length = block_of[i_lo], block_of[i_hi] - block_of[i_lo]
+    reach = np.zeros(len(edges), dtype=np.int64)
+    np.maximum.at(reach, first, length)  # blocks the row from each edge covers
+    width = np.where(reach > 0, 1 << np.ceil(np.log2(np.maximum(reach, 1))).astype(np.int64), 0)
+    rows, start = [], np.zeros(len(edges), dtype=np.int64)  # start: a row's offset in the runs
+    for w in np.unique(width[width > 0]):
+        at = np.flatnonzero(width == w)
+        start[at] = sum(map(np.size, rows)) + w * np.arange(len(at))
+        rows.append(_read_only(at[:, None] + np.arange(w)))  # padding past the end reads the pad
+    pick = start[first] + length - 1
+    return _read_only(edges), tuple(rows), _read_only(pick), int(width.max(initial=0)), _Spans(edges[:-1], edges[1:], 1)
+
+
+@functools.lru_cache(maxsize=16, typed=True)
+def _aligned_layout(mesh: Mesh, grid: DyadicGrid, k_lo: int, k_hi: int) -> tuple:
+    """(lo, hi, label, *``_cell_runs``): the grid's cubes of levels
+    k_lo..k_hi that meet the mesh domain, coarse to fine, left to right
+    (``_cubes``), and their run layout.  The cubes must be cell-aligned (the
+    standard grid on a power-of-two radius, down to the cell level)."""
+    blocks = [(grid, k, np.arange(c.start, c.stop)) for k in range(k_lo, k_hi + 1) for c in [_level_cubes(mesh, grid, k)]]
+    lo, hi, label = _cubes(blocks)
+    return _read_only(lo), _read_only(hi), label, *_cell_runs(mesh, lo, hi)
+
+
+@functools.lru_cache(maxsize=2, typed=True)
+def _scan_layout(mesh: Mesh, i0: int, i1: int) -> tuple:
+    """(lo, hi, label, *``_cell_runs``): every interval between two of the
+    mesh edges i0..i1, by left edge, then right edge, and their run layout;
+    every stride-th edge only, so that at most about 2^21 intervals remain.
+    A scan keeps about 35 bytes a candidate (measured with ``tracemalloc``):
+    0.3 MiB at 128 cells and at most 70 MiB.  So only two scans are kept."""
+    stride = 1
+    while ((i1 - i0 + 1) // stride) ** 2 // 2 > 1 << 21:
+        stride += 1
+    pts = mesh.edges()[i0 : i1 + 1 : stride]
+    lo_idx, hi_idx = np.triu_indices(len(pts), k=1)
+    lo, hi = pts[lo_idx], pts[hi_idx]
+    return _read_only(lo), _read_only(hi), lambda i: "cells", *_cell_runs(mesh, lo, hi)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -56,10 +56,12 @@ from .grid import (
     DyadicGrid,
     Mesh,
     MeshFunction,
+    _aligned_layout,
+    _cubes,
     _kept,
     _read_only,
+    _scan_layout,
     _span_integrals,
-    _Spans,
     _sweep_geometry,
     default_levels,
     level_cube_integrals,
@@ -548,11 +550,7 @@ class SearchSpace:
         """Candidate intervals ``(lo, hi, label)`` adapted to the weight kind;
         ``label(i)`` formats the name of candidate i on demand."""
         if isinstance(weight, SampledWeight):
-            mesh = weight.mesh
-            if not self.sampled_aligned_cubes:
-                return _sampled_intervals(mesh, self.domain)
-            (k_lo, k_hi), _ = self.levels_for(weight)
-            return _cubes(_grid_cubes((DyadicGrid(),), k_lo, k_hi, (-mesh.radius, mesh.radius)))
+            return self._sampled_layout(weight)[:3]
         b = self.domain[1]
         lo, hi, cube_label = _cubes(_grid_cubes(self.grids, self.min_level, self.max_level, self.domain))
         n = len(lo)
@@ -569,6 +567,19 @@ class SearchSpace:
 
         lo = np.concatenate((lo, np.zeros(len(t)), -np.repeat(ts, len(ts))))
         return lo, np.concatenate((hi, t, np.tile(ts, len(ts)))), label
+
+    def _sampled_layout(self, weight: SampledWeight) -> tuple:
+        """``(lo, hi, label, edges, rows, pick, pad, blocks)``: a sampled
+        weight's candidates and their run layout (``grid._cell_runs``).  They
+        depend on the mesh and the search alone, so grid keeps them: the
+        aligned cubes per (mesh, standard grid, level range), the scan of
+        the mesh edges in ``domain`` per (mesh, cell range)."""
+        mesh = weight.mesh
+        if self.sampled_aligned_cubes:
+            (k_lo, k_hi), _ = self.levels_for(weight)
+            return _kept(_aligned_layout, mesh, DyadicGrid(), k_lo, k_hi)
+        a, b = self.domain
+        return _kept(_scan_layout, mesh, *mesh.cell_span(max(a, -mesh.radius), min(b, mesh.radius)))
 
 
 def _radius(radius: float) -> float:
@@ -605,43 +616,6 @@ def _grid_cubes(grids, min_level: int, max_level: int, domain) -> list:
     return [(g, k, np.arange(start, stop)) for g, k, start, stop in spans]
 
 
-def _cubes(blocks):
-    """(lo, hi, label) of the cubes of the ``(grid, k, m)`` blocks, in block
-    order; ``label(i)`` names cube i by its ``Cube``.  The order is the tie
-    rule of ``_report``, the first maximum: for a search space grid by grid,
-    coarse to fine, left to right (``_grid_cubes``); for Fujii-Wilson grid by
-    grid, fine to coarse, left to right (``_fujii_wilson``); for the matrix
-    weights the standard cubes of the mesh from width R down to one cell,
-    left to right, the list of ``SearchSpace.aligned_cubes()``."""
-    sizes = [len(m) for _, _, m in blocks]
-    num = np.concatenate([np.empty(0, dtype=np.int64)] + [g.numerator(k, m) for g, k, m in blocks])
-    scale = np.repeat([2.0**-k for _, k, _ in blocks], sizes)  # each cube's width
-    starts = np.cumsum([0] + sizes)
-
-    def label(i: int) -> str:
-        j = int(np.searchsorted(starts, i, side="right")) - 1
-        g, k, m = blocks[j]
-        return g.cube(k, int(m[i - starts[j]])).label
-
-    return num * scale / 3.0, (num + 3) * scale / 3.0, label
-
-
-def _sampled_intervals(mesh: Mesh, domain):
-    """Intervals between mesh edges in ``domain``, every stride-th edge so
-    that at most about 2^21 pairs remain."""
-    a, b = domain
-    i0, i1 = mesh.cell_span(max(a, -mesh.radius), min(b, mesh.radius))
-    edges = mesh.edges()[i0 : i1 + 1]
-    n = len(edges)
-    stride = 1
-    while (n // stride) ** 2 // 2 > 1 << 21:
-        stride += 1
-    pts = edges[::stride] if stride > 1 else edges
-    m = len(pts)
-    lo_idx, hi_idx = np.triu_indices(m, k=1)
-    return pts[lo_idx], pts[hi_idx], lambda i: "cells"
-
-
 @dataclass(frozen=True)
 class CharacteristicReport:
     """Value of a characteristic together with the witnessing interval.
@@ -667,7 +641,9 @@ class CharacteristicReport:
 
 class _Plan:
     """The candidates of one search (the default one for None) for one weight,
-    from ``search.intervals_for`` and ``search.levels_for``, laid out once.
+    laid out once: a closed-form weight's from ``search.intervals_for``, a
+    sampled weight's from ``search._sampled_layout``, both searched as
+    ``search.levels_for`` says.
 
     A closed-form weight's candidates depend only on the search, so the first
     plan on a search builds them, folds them onto |x| (``_Folded``) and keeps
@@ -677,13 +653,16 @@ class _Plan:
 
     A sampled weight's candidates are cell-aligned.  The blocks, the cell
     runs between consecutive candidate edges, get one row per left edge, as
-    far as its longest candidate reaches, padded to the next power of two.
-    Averages are running sums along the rows, each from its own left edge,
-    so their rounding scales with their own mass, not with the mass to their
-    left; infima are running minima along the same rows.  So all cell-aligned
-    intervals cost one triangle of blocks, and nested cubes their total length.
-    The blocks' geometry (``blocks``, one ``grid._Spans``) is laid out once,
-    so each average, such as a step of ``sharp_rh_exponent``, only sums values.
+    far as its longest candidate reaches, padded to the next power of two
+    (``grid._cell_runs``).  Averages are running sums along the rows, each
+    from its own left edge, so their rounding scales with their own mass,
+    not with the mass to their left; infima are running minima along the
+    same rows.  So all cell-aligned intervals cost one triangle of blocks,
+    and nested cubes their total length.  The candidates and this layout
+    depend on the mesh and the search alone, so grid keeps them per mesh and
+    search (read-only), and every plan on an equal mesh and search reads
+    them: each average, such as a step of ``sharp_rh_exponent``, only sums
+    values.
     """
 
     def __init__(self, weight, search: SearchSpace | None):
@@ -696,25 +675,7 @@ class _Plan:
                 object.__setattr__(search, "_candidates", (_read_only(lo), _read_only(hi), label, _Folded(lo, hi)))
             self.lo, self.hi, self.label, self.folded = search._candidates
             return
-        self.lo, self.hi, self.label = search.intervals_for(weight)
-        mesh = weight.mesh
-        i_lo, i_hi = (np.round((x + mesh.radius) / mesh.h).astype(np.int64) for x in (self.lo, self.hi))
-        is_edge = np.zeros(mesh.n_cells + 1, dtype=bool)
-        is_edge[i_lo] = is_edge[i_hi] = True
-        self.edges = np.flatnonzero(is_edge)
-        block_of = np.cumsum(is_edge) - 1  # block index at each cell edge
-        first, length = block_of[i_lo], block_of[i_hi] - block_of[i_lo]
-        reach = np.zeros(len(self.edges), dtype=np.int64)
-        np.maximum.at(reach, first, length)  # blocks the row from each edge covers
-        width = np.where(reach > 0, 1 << np.ceil(np.log2(np.maximum(reach, 1))).astype(np.int64), 0)
-        self.rows, start = [], np.zeros(len(self.edges), dtype=np.int64)  # start: a row's offset in the runs
-        for w in np.unique(width[width > 0]):
-            rows = np.flatnonzero(width == w)
-            start[rows] = sum(map(np.size, self.rows)) + w * np.arange(len(rows))
-            self.rows.append(rows[:, None] + np.arange(w))  # block indices of each row, padding past the end
-        self.pick = start[first] + length - 1
-        self.pad = width.max(initial=0)
-        self.blocks = _Spans(self.edges[:-1], self.edges[1:], 1)
+        self.lo, self.hi, self.label, self.edges, self.rows, self.pick, self.pad, self.blocks = search._sampled_layout(weight)
 
     def _runs(self, blocks: np.ndarray, accumulate, fill: float) -> np.ndarray:
         """``accumulate`` along each candidate's row of per-block values, read

@@ -13,7 +13,12 @@ optimum is one of these candidates:
 
 Of the positive-definite candidates that contain every point (up to
 ``slack``) the optimum has the largest ``det A``: every feasible ellipse has
-at least the optimum's volume.
+at least the optimum's volume.  Both thresholds are relative, so they hold
+on ill-conditioned sets (points near a line, where ``A`` has a condition
+number of 1e5 and more): a pair or triple is solved when its determinant
+is at least 1e-14 (1e-12) of the product of its columns' norms, its
+Hadamard bound, and a point counts as inside when ``p^T A p <= 1 + slack *
+|q| . |(a, b, c)|``, the scale of the rounding of that sum.
 
 ``khachiyan_mvee`` is the first-order Khachiyan ascent the package used
 before the Newton solver, capped at 2000 steps: a feasible but not optimal
@@ -45,15 +50,16 @@ def exact_mvee_2d(points: np.ndarray, slack: float = 1e-12) -> np.ndarray:
     q = np.stack([x * x, 2 * x * y, y * y], axis=1)  # q_i . (a, b, c) = p_i^T A p_i
     pairs = np.array(list(itertools.combinations(range(len(points)), 2)))
     X = np.einsum("sni,snj->sij", points[pairs], points[pairs])
-    two = np.linalg.inv(X[np.abs(np.linalg.det(X)) > 1e-14])
+    two = np.linalg.inv(X[np.abs(np.linalg.det(X)) > 1e-14 * X[:, 0, 0] * X[:, 1, 1]])
     two = np.stack([two[:, 0, 0], two[:, 0, 1], two[:, 1, 1]], axis=1)
     triples = np.array(list(itertools.combinations(range(len(points)), 3)), dtype=int).reshape(-1, 3)
     F = q[triples]
-    F = F[np.abs(np.linalg.det(F)) > 1e-12 * np.abs(F).max(axis=(1, 2)) ** 3]
+    F = F[np.abs(np.linalg.det(F)) > 1e-12 * np.linalg.norm(F, axis=1).prod(axis=1)]
     three = np.linalg.solve(F, np.ones((len(F), 3, 1)))[:, :, 0]
     abc = np.concatenate([two, three])
     det = abc[:, 0] * abc[:, 2] - abc[:, 1] ** 2
-    ok = (abc[:, 0] > 0) & (det > 0) & ((q @ abc.T).max(axis=0) <= 1 + slack)
+    inside = q @ abc.T <= 1 + slack * (np.abs(q) @ np.abs(abc).T)
+    ok = (abc[:, 0] > 0) & (det > 0) & inside.all(axis=0)
     a, b, c = abc[ok][np.argmax(det[ok])]
     return np.array([[a, b], [b, c]])
 

@@ -48,6 +48,7 @@ from weaklab.grid import (
     MeshFunction,
     _CACHED_CELLS,
     _cell_cube_index,
+    _cell_cube_pairs,
     _kept,
     _level_affine,
     _level_spans,
@@ -61,7 +62,7 @@ from weaklab.grid import (
     level_cube_integrals,
     shifted_grids,
 )
-from weaklab.matrix import MatrixWeight
+from weaklab.matrix import MatrixWeight, christ_goldberg_maximal, random_matrix_weight
 from weaklab.operators import hl_maximal
 from weaklab.sparse import SparseFamily, build_sparse_family, covering_roots, sparse_apply
 
@@ -355,6 +356,28 @@ def test_sweep_geometry_is_read_only_and_kept_for_small_meshes_only():
                 a[(0,) * a.ndim] = a[(0,) * a.ndim]
 
 
+def test_christ_goldberg_builds_its_pairs_once_per_grid():
+    """Two Christ-Goldberg calls on one mesh, with W and with the identity,
+    lay out the (cube, cell) pairs once per grid; the pairs are read-only
+    and run cell by cell, coarse to fine."""
+    mesh, (k_top, k_fine) = Mesh(1.0, 4), default_levels(Mesh(1.0, 4))
+    rng = np.random.default_rng(11)
+    W = random_matrix_weight(mesh, 2, rng)
+    f = MeshFunction(mesh, rng.uniform(-1, 1, (mesh.n_cells, 2)))
+    _cell_cube_pairs.cache_clear()
+    christ_goldberg_maximal(W, 2.0, f)
+    christ_goldberg_maximal(MatrixWeight(mesh, np.tile(np.eye(2), (mesh.n_cells, 1, 1))), 2.0, f)
+    assert _cell_cube_pairs.cache_info()[:2] == (len(GRIDS), len(GRIDS))  # hits, misses
+    for grid in GRIDS:
+        at, comp, spans = _cell_cube_pairs(mesh, grid, k_top, k_fine)
+        level = at // mesh.n_cells
+        assert np.array_equal(comp, at % mesh.n_cells) and np.all(np.diff(comp) >= 0)
+        assert np.all(np.diff(level)[np.diff(comp) == 0] > 0)
+        for a in (at, comp, spans.ends, spans.i_lo, spans.w_lo, spans.w_hi):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[0]
+
+
 def test_only_kept_reads_past_the_cache():
     # one size rule decides which geometry is kept: ``grid._kept`` is the
     # only code that reaches past an lru_cache to the function it wraps
@@ -615,7 +638,10 @@ def test_caches_live_in_grid_on_frozen_keys():
                     if "lru_cache" in ast.unparse(dec):
                         cached[node.name] = (dec, node.args)
     assert users == {"grid.py"}
-    assert set(cached) == {"_level_affine", "_level_spans", "_sweep_geometry", "_cell_cube_index"}
+    assert set(cached) == {
+        "_level_affine", "_level_spans", "_sweep_geometry", "_cell_cube_index", "_cell_cube_pairs",
+        "_aligned_layout", "_scan_layout",
+    }
     for name, (dec, args) in cached.items():
         assert isinstance(dec, ast.Call) and not dec.args, name
         options = {kw.arg: kw.value for kw in dec.keywords}

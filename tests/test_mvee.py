@@ -103,6 +103,18 @@ def test_plane_exchange_is_the_exact_optimum(kind, seed, n, eps):
     assert np.abs(both - A).max() <= 1e-9 * np.abs(A).max()
 
 
+@given(seed=st.integers(0, 2**16), n=st.integers(3, 32), eps=st.floats(1e-3, 0.3))
+@example(seed=15, n=24, eps=1.3e-3)  # absolute thresholds kept det A = 8,513 of the optimum's 53,222
+@settings(max_examples=40, deadline=None)
+def test_oracle_is_exact_on_near_collinear_sets_unstretched(seed, n, eps):
+    # the enumeration's thresholds scale with the set's conditioning, so it
+    # needs no stretched frame
+    points, _ = plane_points("collinear", seed, n, eps)
+    A, _ = _centered_mvee(points)
+    exact = exact_mvee_2d(points)
+    assert np.abs(A - exact).max() <= 1e-9 * np.abs(exact).max()
+
+
 @pytest.mark.parametrize(
     "points",
     [np.array([[1.0, 2.0], [-2.0, -4.0], [0.5, 1.0]]), np.array([[0.0, 3.0]])],

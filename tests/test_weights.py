@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -43,7 +44,7 @@ from weaklab import (
     shifted_grids,
 )
 from geometry_oracle import enumerate_cubes
-from weaklab.grid import Cube, default_levels, inside_cubes
+from weaklab.grid import Cube, _aligned_layout, _cell_runs, _scan_layout, default_levels, inside_cubes
 from weaklab.lowerbound import w_delta
 from weaklab.matrix import (
     MatrixWeight,
@@ -1426,8 +1427,8 @@ class _Given:
     def __init__(self, lo, hi):
         self.lo, self.hi = lo, hi
 
-    def intervals_for(self, weight):
-        return self.lo, self.hi, lambda i: "given"
+    def _sampled_layout(self, weight):
+        return self.lo, self.hi, lambda i: "given", *_cell_runs(weight.mesh, self.lo, self.hi)
 
     def levels_for(self, weight):
         return (0, -1), 0
@@ -1488,17 +1489,57 @@ ONE_BUILD = {
     ids=["powerlog", "sampled-cells", "sampled-aligned"],
 )
 def test_one_candidate_build_per_call(call, weight, search, monkeypatch):
-    # a bisection or a second power reads the candidates of the first build;
-    # a closed-form weight's candidates stay on the search, so a second call
-    # on the same search builds none (a sampled weight's depend on its mesh)
+    # a bisection or a second power reads the candidates of the first build,
+    # and a second call on an equal mesh and search builds none: a
+    # closed-form weight's candidates stay on the search, a sampled weight's
+    # in grid, per mesh and search
     search = dataclasses.replace(search)  # an equal search with no kept candidates
-    built = []
-    intervals_for = SearchSpace.intervals_for
-    monkeypatch.setattr(SearchSpace, "intervals_for", lambda self, w: built.append(w) or intervals_for(self, w))
+    if isinstance(weight, PowerLogWeight):
+        built = []
+        intervals_for = SearchSpace.intervals_for
+        monkeypatch.setattr(SearchSpace, "intervals_for", lambda self, w: built.append(w) or intervals_for(self, w))
+        builds = lambda: len(built) if all(w is weight for w in built) else None
+    else:
+        _aligned_layout.cache_clear()  # an equal mesh and search with no kept layout
+        _scan_layout.cache_clear()
+        builds = lambda: _aligned_layout.cache_info().misses + _scan_layout.cache_info().misses
     ONE_BUILD[call](weight, search)
-    assert len(built) == 1 and built[0] is weight
+    assert builds() == 1
     ONE_BUILD[call](weight, search)
-    assert len(built) == (1 if isinstance(weight, PowerLogWeight) else 2) and built[-1] is weight
+    assert builds() == 1
+
+
+def _report_key(rep):
+    return rep.value.hex(), rep.witness, rep.witness_label, rep.search_levels, rep.grids_used
+
+
+def test_kept_sampled_layouts_are_keyed_by_mesh_and_search(monkeypatch):
+    # two meshes of 64 cells, one twice as wide, and a cell scan, a narrower
+    # cell scan and the aligned cubes, interleaved: every report equals the
+    # one from a freshly built layout
+    meshes = [Mesh(1.0, 5), Mesh(2.0, 5)]
+    weights = [SampledWeight(m, np.random.default_rng(i).lognormal(0.0, 1.0, m.n_cells)) for i, m in enumerate(meshes)]
+    searches = [SearchSpace(), SearchSpace(domain=(-0.75, 1.5)), SearchSpace.aligned_cubes()]
+    calls = [lambda w, s: ap_characteristic(w, 2.0, s), a1_characteristic, lambda w, s: rh_characteristic(w, 1.5, s)]
+    cases = [(w, s, c) for _ in range(2) for s in searches for w in weights for c in calls]
+    kept = [_report_key(c(w, s)) for w, s, c in cases]
+    monkeypatch.setattr(weights_module, "_aligned_layout", _aligned_layout.__wrapped__)
+    monkeypatch.setattr(weights_module, "_scan_layout", _scan_layout.__wrapped__)
+    fresh = [_report_key(c(w, s)) for w, s, c in cases]
+    assert kept == fresh
+
+
+def test_a_kept_cell_scan_keeps_at_most_40_bytes_a_candidate():
+    # so the 2^21 candidates a scan is held to keep at most 80 MiB
+    mesh = Mesh(1.0, 8)
+    _scan_layout.__wrapped__(Mesh(1.0, 2), 0, 8)  # numpy's first-use allocations
+    tracemalloc.start()
+    try:
+        layout = _scan_layout.__wrapped__(mesh, 0, mesh.n_cells)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(layout[0]) == 513 * 512 // 2 and kept <= 40 * len(layout[0])
 
 
 def test_degenerate_sharp_rh_builds_candidates_once(monkeypatch):
