@@ -360,7 +360,8 @@ def test_christ_goldberg_builds_its_pairs_once_per_grid():
     """Two Christ-Goldberg calls on one mesh, with W and with the identity,
     lay out the (cube, cell) pairs once per grid; the pairs are read-only
     and run cell by cell, coarse to fine."""
-    mesh, (k_top, k_fine) = Mesh(1.0, 4), default_levels(Mesh(1.0, 4))
+    mesh = Mesh(1.0, 4)
+    k_top, k_fine = default_levels(mesh)
     rng = np.random.default_rng(11)
     W = random_matrix_weight(mesh, 2, rng)
     f = MeshFunction(mesh, rng.uniform(-1, 1, (mesh.n_cells, 2)))

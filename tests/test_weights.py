@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import re
 import tracemalloc
@@ -1521,8 +1522,14 @@ def test_kept_sampled_layouts_are_keyed_by_mesh_and_search(monkeypatch):
     weights = [SampledWeight(m, np.random.default_rng(i).lognormal(0.0, 1.0, m.n_cells)) for i, m in enumerate(meshes)]
     searches = [SearchSpace(), SearchSpace(domain=(-0.75, 1.5)), SearchSpace.aligned_cubes()]
     calls = [lambda w, s: ap_characteristic(w, 2.0, s), a1_characteristic, lambda w, s: rh_characteristic(w, 1.5, s)]
-    cases = [(w, s, c) for _ in range(2) for s in searches for w in weights for c in calls]
+    cases = [(w, s, c) for _ in range(2) for w in weights for s in searches for c in calls]
     kept = [_report_key(c(w, s)) for w, s, c in cases]
+    for w in weights:  # a scan lists the pairs of mesh edges in its domain (edges of both meshes)
+        for s in searches[:2]:
+            lo, hi, label = s.intervals_for(w)
+            a, b = max(s.domain[0], -w.mesh.radius), min(s.domain[1], w.mesh.radius)
+            pairs = list(itertools.combinations([e for e in w.mesh.edges() if a <= e <= b], 2))
+            assert list(zip(lo, hi)) == pairs and label(0) == "cells"
     monkeypatch.setattr(weights_module, "_aligned_layout", _aligned_layout.__wrapped__)
     monkeypatch.setattr(weights_module, "_scan_layout", _scan_layout.__wrapped__)
     fresh = [_report_key(c(w, s)) for w, s, c in cases]
