@@ -24,11 +24,10 @@ places each cell's containing cube at every level in the joined tables
 (the maximal sweep), ``_cell_cube_pairs`` lays out the (cube, cell) pairs
 a vector integrand reads (Christ-Goldberg), and ``_sweep_geometry`` each
 finest cube's ancestors and the inside cubes' segments (the Fujii-Wilson
-sweep).  A sampled weight's candidates and their running-sum layout
-(``_cell_runs``) are kept the same way: the aligned cubes per (mesh, grid,
-level range), ``_aligned_layout``, and the cell scan per (mesh, cell
-range), ``_scan_layout``.  One size rule, ``_kept``, keeps all of
-it on meshes of at most ``_CACHED_CELLS`` cells and derives it per call
+sweep).  A sampled weight's aligned cubes and their running-sum layout
+(``_cell_runs``) are kept the same way, per (mesh, grid, level range),
+``_aligned_layout``; its cell scan (``_scan_layout``, O(n^2) candidates)
+is built per call.  One size rule, ``_kept``, keeps all of it on meshes of at most ``_CACHED_CELLS`` cells and derives it per call
 on finer ones, where the spans (80 bytes a cell) would keep 0.5 GB for
 three grids at level 20, and each index (8 bytes a cell and level) 1.1 GB.
 
@@ -732,13 +731,11 @@ def _aligned_layout(mesh: Mesh, grid: DyadicGrid, k_lo: int, k_hi: int) -> tuple
     return _read_only(lo), _read_only(hi), label, *_cell_runs(mesh, lo, hi)
 
 
-@functools.lru_cache(maxsize=2, typed=True)
 def _scan_layout(mesh: Mesh, i0: int, i1: int) -> tuple:
     """(lo, hi, label, *``_cell_runs``): every interval between two of the
     mesh edges i0..i1, by left edge, then right edge, and their run layout;
     every stride-th edge only, so that at most about 2^21 intervals remain.
-    A scan keeps about 35 bytes a candidate (measured with ``tracemalloc``):
-    0.3 MiB at 128 cells and at most 70 MiB.  So only two scans are kept."""
+    Built per call: a scan holds O(n^2) candidates."""
     stride = 1
     while ((i1 - i0 + 1) // stride) ** 2 // 2 > 1 << 21:
         stride += 1

@@ -581,10 +581,7 @@ def ainfty_scalar_characteristic(
     dirs = unit_directions(W.d, n_dirs)
     mp = 1.0 / p if matrix_power is None else matrix_power
     npow = p if norm_power is None else norm_power
-    if W.d == 2:  # (cells, directions), contiguous as the einsum's norms below
-        wv = np.ascontiguousarray(_image_norms(W.power(mp), dirs).T) ** npow
-    else:
-        wv = np.linalg.norm(np.einsum("xij,nj->xni", W.power(mp), dirs), axis=2) ** npow
+    wv = np.ascontiguousarray(_image_norms(W.power(mp), dirs).T) ** npow  # (cells, directions)
     if not np.all(wv > 0):
         raise ValueError("direction weights must be positive")
     grids = list(grids) if grids is not None else shifted_grids(1)
@@ -618,10 +615,9 @@ def christ_goldberg_maximal(
     (cube, cell) pair per level and grid.  Averages divide by the full cube
     width with f extended by zero.  With W = Id every component is |f|, so
     M_W f equals ``hl_maximal(f.magnitude())`` bit for bit.  p must be
-    finite and at least 1.  The integrand has n^2 entries on n cells (n^2 d
-    while it is formed at d >= 3): past 4,096 cells (at 4,096, about 2.6 s
-    and 565 MiB peak at d = 2, 3.8 s and 1,064 MiB at d = 3) it is a
-    ``ValueError``.
+    finite and at least 1.  The integrand has n^2 entries on n cells: past
+    4,096 cells (at 4,096, about 2.7 s and 565 MiB peak at d = 2 and 3) it
+    is a ``ValueError``.
     """
     if not (math.isfinite(p) and p >= 1):
         raise ValueError(f"Christ-Goldberg exponent must be finite and >= 1, got {p}")
@@ -633,7 +629,7 @@ def christ_goldberg_maximal(
     if alpha != 0.0:
         _fractional_order(alpha)
     if mesh.n_cells > 4096:
-        raise ValueError("the Christ-Goldberg integrand has n^2 d entries: use meshes of <= 4096 cells")
+        raise ValueError("the Christ-Goldberg integrand has n^2 entries: use meshes of <= 4096 cells")
     A, g_power = (W.power(1.0 / p), -1.0 / p) if alpha == 0.0 else (W.values, -1.0)
     g = np.einsum("xij,xj->xi", W.power(g_power), f.values)
     N = MeshFunction(mesh, _image_norms(A, g))  # the only (n, n) array the sweep keeps alive
@@ -643,14 +639,18 @@ def christ_goldberg_maximal(
 def _image_norms(A: np.ndarray, g: np.ndarray) -> np.ndarray:
     """N[y, x] = |A[x] g[y]| for every matrix A[x] and vector g[y].
 
-    At d = 2 in closed form, e_i = g_0 A_i0 + g_1 A_i1 for i = 0, 1 as two
-    outer products and N = sqrt(e_0^2 + e_1^2): ``np.linalg.norm`` along an
-    axis is sqrt(add.reduce(e * e)), so these are its floats, without the
-    (y, x, d) temporary.  d >= 3 forms that temporary with ``einsum``."""
-    if A.shape[-1] != 2:
+    The floats of ``np.linalg.norm(np.einsum("xij,yj->yxi", A, g), axis=2)``
+    without its (y, x, d) temporary: each image coordinate e_i is that
+    einsum's row i (the same products, summed by the same kernel), and the
+    squares are added in order, as ``norm``'s reduction adds fewer than
+    eight terms.  Two (y, x) arrays are alive at once."""
+    if A.shape[-1] >= 8:  # norm adds eight or more squares pairwise, not in order
         return np.linalg.norm(np.einsum("xij,yj->yxi", A, g), axis=2)
-    e0, e1 = (np.outer(g[:, 0], A[:, i, 0]) + np.outer(g[:, 1], A[:, i, 1]) for i in (0, 1))
-    return np.sqrt(e0 * e0 + e1 * e1)
+    sq = np.zeros((len(g), len(A)))
+    for i in range(A.shape[1]):
+        e = np.einsum("xj,yj->yx", A[:, i], g)
+        sq += np.multiply(e, e, out=e)
+    return np.sqrt(sq, out=sq)
 
 
 # ---------------------------------------------------------------------------

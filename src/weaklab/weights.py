@@ -571,15 +571,15 @@ class SearchSpace:
     def _sampled_layout(self, weight: SampledWeight) -> tuple:
         """``(lo, hi, label, edges, rows, pick, pad, blocks)``: a sampled
         weight's candidates and their run layout (``grid._cell_runs``).  They
-        depend on the mesh and the search alone, so grid keeps them: the
-        aligned cubes per (mesh, standard grid, level range), the scan of
-        the mesh edges in ``domain`` per (mesh, cell range)."""
+        depend on the mesh and the search alone, so grid keeps the aligned
+        cubes' per (mesh, standard grid, level range); the scan of the mesh
+        edges in ``domain``, O(n^2) candidates, is built per call."""
         mesh = weight.mesh
         if self.sampled_aligned_cubes:
             (k_lo, k_hi), _ = self.levels_for(weight)
             return _kept(_aligned_layout, mesh, DyadicGrid(), k_lo, k_hi)
         a, b = self.domain
-        return _kept(_scan_layout, mesh, *mesh.cell_span(max(a, -mesh.radius), min(b, mesh.radius)))
+        return _scan_layout(mesh, *mesh.cell_span(max(a, -mesh.radius), min(b, mesh.radius)))
 
 
 def _radius(radius: float) -> float:
@@ -659,10 +659,11 @@ class _Plan:
     not with the mass to their left; infima are running minima along the
     same rows.  So all cell-aligned intervals cost one triangle of blocks,
     and nested cubes their total length.  The candidates and this layout
-    depend on the mesh and the search alone, so grid keeps them per mesh and
-    search (read-only), and every plan on an equal mesh and search reads
-    them: each average, such as a step of ``sharp_rh_exponent``, only sums
-    values.
+    depend on the mesh and the search alone and are laid out once per plan,
+    so each average, such as a step of ``sharp_rh_exponent``, only sums
+    values.  The aligned cubes' layout is kept in grid per mesh and search
+    (read-only), so every plan on an equal mesh and search reads it; a cell
+    scan, O(n^2) candidates, is laid out afresh for each plan.
     """
 
     def __init__(self, weight, search: SearchSpace | None):

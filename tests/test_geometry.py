@@ -641,7 +641,7 @@ def test_caches_live_in_grid_on_frozen_keys():
     assert users == {"grid.py"}
     assert set(cached) == {
         "_level_affine", "_level_spans", "_sweep_geometry", "_cell_cube_index", "_cell_cube_pairs",
-        "_aligned_layout", "_scan_layout",
+        "_aligned_layout",
     }
     for name, (dec, args) in cached.items():
         assert isinstance(dec, ast.Call) and not dec.args, name

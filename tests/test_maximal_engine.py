@@ -337,9 +337,9 @@ def test_peak_bytes_per_cell_stay_within_twice_from_level_10_to_14(operator):
 
 
 def test_christ_goldberg_names_its_cell_limit(monkeypatch):
-    """Past 4,096 cells (level 11 on radius 1) the n x n x d integrand is
+    """Past 4,096 cells (level 11 on radius 1) the n x n integrand is
     refused before a matrix power is taken for it: at 8,192 cells it alone
-    would take 1 GiB."""
+    would take 512 MiB."""
 
     def formed(*_):
         raise AssertionError("the integrand is being formed")

@@ -2,7 +2,6 @@ import dataclasses
 import itertools
 import math
 import re
-import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -45,7 +44,7 @@ from weaklab import (
     shifted_grids,
 )
 from geometry_oracle import enumerate_cubes
-from weaklab.grid import Cube, _aligned_layout, _cell_runs, _scan_layout, default_levels, inside_cubes
+from weaklab.grid import Cube, _aligned_layout, _cell_runs, default_levels, inside_cubes
 from weaklab.lowerbound import w_delta
 from weaklab.matrix import (
     MatrixWeight,
@@ -1490,24 +1489,23 @@ ONE_BUILD = {
     ids=["powerlog", "sampled-cells", "sampled-aligned"],
 )
 def test_one_candidate_build_per_call(call, weight, search, monkeypatch):
-    # a bisection or a second power reads the candidates of the first build,
-    # and a second call on an equal mesh and search builds none: a
-    # closed-form weight's candidates stay on the search, a sampled weight's
-    # in grid, per mesh and search
+    # a bisection or a second power reads the candidates of the first build.
+    # A second call on an equal search builds no closed-form candidates (they
+    # stay on the search) and lays out no aligned cubes (grid keeps them per
+    # mesh and search); a cell scan is laid out once per call
     search = dataclasses.replace(search)  # an equal search with no kept candidates
-    if isinstance(weight, PowerLogWeight):
-        built = []
-        intervals_for = SearchSpace.intervals_for
-        monkeypatch.setattr(SearchSpace, "intervals_for", lambda self, w: built.append(w) or intervals_for(self, w))
-        builds = lambda: len(built) if all(w is weight for w in built) else None
-    else:
-        _aligned_layout.cache_clear()  # an equal mesh and search with no kept layout
-        _scan_layout.cache_clear()
-        builds = lambda: _aligned_layout.cache_info().misses + _scan_layout.cache_info().misses
+    _aligned_layout.cache_clear()  # and no kept aligned layout
+    built = []
+    name = "intervals_for" if isinstance(weight, PowerLogWeight) else "_sampled_layout"
+    build = getattr(SearchSpace, name)
+    monkeypatch.setattr(SearchSpace, name, lambda self, w: built.append(w) or build(self, w))
+    aligned = 1 if isinstance(weight, SampledWeight) and search.sampled_aligned_cubes else 0
     ONE_BUILD[call](weight, search)
-    assert builds() == 1
+    assert len(built) == 1 and built[0] is weight
+    assert _aligned_layout.cache_info().misses == aligned
     ONE_BUILD[call](weight, search)
-    assert builds() == 1
+    assert len(built) == (1 if isinstance(weight, PowerLogWeight) else 2) and built[-1] is weight
+    assert _aligned_layout.cache_info().misses == aligned
 
 
 def _report_key(rep):
@@ -1531,22 +1529,8 @@ def test_kept_sampled_layouts_are_keyed_by_mesh_and_search(monkeypatch):
             pairs = list(itertools.combinations([e for e in w.mesh.edges() if a <= e <= b], 2))
             assert list(zip(lo, hi)) == pairs and label(0) == "cells"
     monkeypatch.setattr(weights_module, "_aligned_layout", _aligned_layout.__wrapped__)
-    monkeypatch.setattr(weights_module, "_scan_layout", _scan_layout.__wrapped__)
     fresh = [_report_key(c(w, s)) for w, s, c in cases]
     assert kept == fresh
-
-
-def test_a_kept_cell_scan_keeps_at_most_40_bytes_a_candidate():
-    # so the 2^21 candidates a scan is held to keep at most 80 MiB
-    mesh = Mesh(1.0, 8)
-    _scan_layout.__wrapped__(Mesh(1.0, 2), 0, 8)  # numpy's first-use allocations
-    tracemalloc.start()
-    try:
-        layout = _scan_layout.__wrapped__(mesh, 0, mesh.n_cells)
-        kept = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert len(layout[0]) == 513 * 512 // 2 and kept <= 40 * len(layout[0])
 
 
 def test_degenerate_sharp_rh_builds_candidates_once(monkeypatch):
