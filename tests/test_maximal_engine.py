@@ -40,6 +40,7 @@ from weaklab.operators import dyadic_maximal, fractional_maximal, hl_maximal
 from weaklab.sparse import build_sparse_family
 from weaklab.matrix import (
     MatrixWeight,
+    _image_norms,
     ainfty_scalar_characteristic,
     christ_goldberg_maximal,
     dominating_scalar_sparse,
@@ -115,6 +116,19 @@ def test_christ_goldberg_is_byte_identical_to_all_components_sweep(radius, level
     got = christ_goldberg_maximal(W, p, f, grids, min_level, max_level, alpha).values
     want = all_components_christ_goldberg_maximal(W, p, f, grids, min_level, max_level, alpha)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_image_norms_are_the_norms_of_the_whole_einsum(d):
+    """One image coordinate at a time gives the floats of ``norm`` over the
+    (y, x, d) ``einsum``, in both layouts the matrix path reads, on either
+    side of the eight terms where ``norm`` starts adding pairwise."""
+    rng = np.random.default_rng(d)
+    A = rng.normal(size=(37, d, d)) * rng.lognormal(0.0, 3.0, (37, 1, 1))
+    g = rng.normal(size=(23, d)) * rng.lognormal(0.0, 3.0, (23, 1))
+    got = _image_norms(A, g)
+    assert got.tobytes() == np.linalg.norm(np.einsum("xij,yj->yxi", A, g), axis=2).tobytes()
+    assert np.ascontiguousarray(got.T).tobytes() == np.linalg.norm(np.einsum("xij,nj->xni", A, g), axis=2).tobytes()
 
 
 def _gather(tables, q, contained, column=False):
