@@ -571,8 +571,8 @@ class SearchSpace:
     def _sampled_layout(self, weight: SampledWeight) -> tuple:
         """``(lo, hi, label, edges, rows, pick, pad, blocks)``: a sampled
         weight's candidates and their run layout (``grid._cell_runs``).  They
-        depend on the mesh and the search alone, so grid keeps the aligned
-        cubes' per (mesh, standard grid, level range); the scan of the mesh
+        depend on the mesh and the search alone, so grid keeps those of the
+        aligned cubes per (mesh, standard grid, level range); the scan of the mesh
         edges in ``domain``, O(n^2) candidates, is built per call."""
         mesh = weight.mesh
         if self.sampled_aligned_cubes:
