@@ -572,8 +572,8 @@ class SearchSpace:
         """``(lo, hi, label, edges, rows, pick, pad, blocks)``: a sampled
         weight's candidates and their run layout (``grid._cell_runs``).  They
         depend on the mesh and the search alone, so grid keeps those of the
-        aligned cubes per (mesh, standard grid, level range); the scan of the mesh
-        edges in ``domain``, O(n^2) candidates, is built per call."""
+        aligned cubes per (mesh, standard grid, level range); the scan of
+        the mesh edges in ``domain``, O(n^2) candidates, is built per call."""
         mesh = weight.mesh
         if self.sampled_aligned_cubes:
             (k_lo, k_hi), _ = self.levels_for(weight)
