@@ -44,7 +44,7 @@ import tempfile
 import numpy as np
 
 from . import lowerbound as lb
-from .grid import DyadicGrid, Mesh, MeshFunction
+from .grid import DyadicGrid, Mesh, MeshFunction, _fractional_order
 from .matrix import (
     EllipsoidFitError,
     MatrixWeight,
@@ -55,7 +55,7 @@ from .matrix import (
     reducing_matrix,
     scalar_restriction_characteristic,
 )
-from .operators import _fractional_order, dyadic_maximal
+from .operators import dyadic_maximal
 from .sparse import build_sparse_family, cz_decompose
 from .weaktype import proof_constants, weak_quotient
 from .weights import (
@@ -329,7 +329,7 @@ def cmd_weaktype(args) -> int:
     mesh = Mesh(args.radius, args.level)
     rng = np.random.default_rng(args.seed)
     p, q, alpha = args.p, args.q, args.alpha
-    if p < 1:
+    if not p >= 1:
         raise ValueError(f"weak-type quotients need p >= 1, got {p}")
     if alpha is not None:
         _fractional_order(alpha)

@@ -191,6 +191,8 @@ class MeshFunction:
 
     def __init__(self, mesh: Mesh, values):
         values = np.array(values, dtype=float)
+        if values.ndim not in (1, 2):
+            raise ValueError(f"mesh function values must be 1-d or 2-d, got shape {values.shape}")
         if values.shape[0] != mesh.n_cells:
             raise ValueError(f"expected {mesh.n_cells} cell values, got {values.shape[0]}")
         if not np.all(np.isfinite(values)):
@@ -272,6 +274,8 @@ class MeshFunction:
         return self.integral(a, b) / length
 
     def lp_norm(self, p: float) -> float:
+        if not p > 0:
+            raise ValueError(f"L^p norm needs p > 0, got {p}")
         mag = np.linalg.norm(self.values, axis=1) if self.is_vector else np.abs(self.values)
         if math.isinf(p):
             return float(mag.max(initial=0.0))
@@ -327,8 +331,10 @@ class DyadicGrid:
     shift_index: int = 0
 
     def __post_init__(self):
-        if self.shift_index not in (0, 1, 2):
-            raise ValueError(f"shift index must be 0, 1 or 2, got {self.shift_index}")
+        j = self.shift_index
+        if not isinstance(j, numbers.Integral) or isinstance(j, bool) or j not in (0, 1, 2):
+            raise ValueError(f"shift index must be 0, 1 or 2, got {j!r}")
+        object.__setattr__(self, "shift_index", int(j))
 
     def is_standard(self) -> bool:
         return self.shift_index == 0
@@ -427,6 +433,14 @@ def average(f: MeshFunction, Q: Cube) -> float:
 def default_levels(mesh: Mesh) -> tuple[int, int]:
     """Default dyadic level range: cube widths from ~2R down to one cell."""
     return -math.ceil(math.log2(2 * mesh.radius)), math.floor(math.log2(1.0 / mesh.h))
+
+
+def _fractional_order(alpha: float) -> float:
+    """alpha when it is a fractional order, 0 < alpha < n = 1.  Every
+    operator that takes an order accepts 0 or such an alpha."""
+    if not (0 < alpha < 1):
+        raise ValueError(f"fractional order must satisfy 0 < alpha < n = 1, got {alpha}")
+    return alpha
 
 
 @functools.lru_cache(maxsize=1024, typed=True)

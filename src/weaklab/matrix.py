@@ -13,9 +13,8 @@ of the sampled points p = v / rho(v).  The sampled norms come from the
 per-cell Gram matrices A(x)^T A(x), all directions in one product.  The fit
 works on the dual (D-optimal design) problem.  At d = 2 it is exact: a
 support exchange over closed-form optima on two or three points.  For
-d >= 3 it is primal-dual Newton, each Newton system solved through its
-rank-d(d+1)/2 structure (a dense block for the near-support points, Woodbury
-for the rest), never as a dense n x n matrix.  Either stops only on the
+d >= 3 it is primal-dual Newton, each step one dense (n+1) x (n+1) solve for
+the predictor and one for the corrector.  Either stops only on the
 Kiefer-Wolfowitz certificate max_p p^T A p <= 1 + 1e-10 and raises
 EllipsoidFitError when it cannot reach it.  Every fit records
 certified two-sided factors (c_minus, c_plus) with
@@ -35,8 +34,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import Cube, DyadicGrid, Mesh, MeshFunction, _cubes, cube_span, default_levels, inside_cubes, shifted_grids
-from .operators import _fractional_order, _maximal_sweep
+from .grid import Cube, DyadicGrid, Mesh, MeshFunction, _cubes, _fractional_order, cube_span, default_levels, inside_cubes, shifted_grids
+from .operators import _maximal_sweep
 from .weights import (
     CharacteristicReport,
     SampledWeight,
@@ -188,6 +187,8 @@ class ReducingMatrix:
 
 def unit_directions(d: int, n: int) -> np.ndarray:
     """n unit directions: half-circle angles at d = 2, Fibonacci sphere at d = 3."""
+    if not (isinstance(n, (int, np.integer)) and n >= 1):
+        raise ValueError(f"the number of directions must be a positive integer, got {n!r}")
     if d == 2:
         theta = np.pi * (np.arange(n) + 0.5) / n
         return np.stack([np.cos(theta), np.sin(theta)], axis=1)
@@ -313,32 +314,18 @@ def _exchange_mvee(points: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _newton_mvee(points: np.ndarray) -> tuple[np.ndarray, int]:
-    """The fit of ``_centered_mvee`` by primal-dual Newton steps, used for
-    d >= 3.
-
-    Each step is a primal-dual Newton step (Mehrotra predictor-corrector) on
-    g + z = nu 1, u z = sigma mu, sum u = 1 with slacks z >= 0, from the
-    uniform weights.
-
-    The Newton matrix H = K o K + diag(z/u) is never formed (after Sun and
-    Freund, Oper. Res. 52, 2004).  K o K = Q G Q^T has rank d(d+1)/2, with
-    the rows of Q the vec(p_j p_j^T) and G = X^-1 (x) X^-1.  The points
-    S = {j : z_j/u_j < 1e-2 g_j^2}, where the diagonal no longer dominates
-    (the near-support points), keep a dense block; H on the others, L, is
-    inverted by Woodbury,
-
-        H_LL^-1 = D_L^-1 - D_L^-1 Q_L (X (x) X + Q_L^T D_L^-1 Q_L)^-1 Q_L^T D_L^-1,
-
-    which stays accurate because every D_L = z/u there is bounded below.  The
-    Schur complement on [du_S, dnu], of size |S| + 1, is formed once per
-    step and serves both the predictor and the corrector.
+    """The fit of ``_centered_mvee`` for d >= 3: primal-dual Newton steps
+    (Mehrotra predictor-corrector) on g + z = nu 1, u z = sigma mu, sum u = 1
+    with slacks z >= 0, from the uniform weights.  The predictor and the
+    corrector each solve the bordered system [[H, 1], [1^T, 0]] of size n + 1,
+    H = K o K + diag(z/u) with K = P X^-1 P^T, by one dense solve.
     """
     n, d = points.shape
-    Q = (points[:, :, None] * points[:, None, :]).reshape(n, d * d)
     u = np.full(n, 1.0 / n)
+    M = np.ones((n + 1, n + 1))
+    M[n, n] = 0.0
     for step in range(_MVEE_STEPS + 1):
-        X = points.T @ (u[:, None] * points)
-        Xi = np.linalg.inv(X)
+        Xi = np.linalg.inv(points.T @ (u[:, None] * points))
         PXi = points @ Xi
         g = (PXi * points).sum(axis=1)
         if g.max() <= d * (1 + _MVEE_TOL):
@@ -354,33 +341,12 @@ def _newton_mvee(points: np.ndarray) -> tuple[np.ndarray, int]:
         # where r_c is the complementarity residual
         r_d = g + z - nu
         r_p = u.sum() - 1.0
-        D = z / u
-        S = np.flatnonzero(D < 1e-2 * g**2)  # the near-support points
-        m = len(S)
-        D_L = 1.0 / D  # D_L^-1, held as zero on S so that the rows S drop out
-        D_L[S] = 0.0
-        V = Q * D_L[:, None]
-        XX = (X[:, None, :, None] * X[None, :, None, :]).reshape(d * d, d * d)  # X (x) X = G^-1
-        W = np.linalg.solve(XX + Q.T @ V, V.T)
-
-        def solve_LL(R):  # H_LL^-1 R, zero on the rows S
-            return D_L[:, None] * R - V @ (W @ R)
-
-        E = np.ones((n, m + 1))  # the columns S of K o K, then 1
-        E[:, :m] = ((PXi[S] @ points.T) ** 2).T
-        schur = np.zeros((m + 1, m + 1))
-        schur[:m, :m] = E[S, :m] + np.diag(D[S])
-        schur[:m, m] = schur[m, :m] = 1.0
-        Y = solve_LL(E)
-        schur -= E.T @ Y
+        M[:n, :n] = (PXi @ points.T) ** 2 + np.diag(z / u)
 
         def direction(r_c):
-            rhs = r_d - r_c / u
-            y = solve_LL(rhs[:, None])[:, 0]
-            x = np.linalg.solve(schur, np.append(rhs[S], -r_p) - E.T @ y)
-            du = y - Y @ x
-            du[S] = x[:m]
-            return du, -(r_c + z * du) / u, x[m]
+            sol = np.linalg.solve(M, np.append(r_d - r_c / u, -r_p))
+            du = sol[:n]
+            return du, -(r_c + z * du) / u, sol[n]
 
         du, dz, _ = direction(u * z)  # predictor: aim at mu = 0
         a = min(1.0, _step_to_boundary(u, du), _step_to_boundary(z, dz))
@@ -430,28 +396,35 @@ def _cached_reduce(W: MatrixWeight, cube: Cube, power: float, r: float) -> Reduc
     return W._reducing[key]
 
 
+def _exponent(p: float, what: str = "matrix exponent") -> float:
+    """p when it is finite and >= 1, else a ValueError that names it."""
+    if not (math.isfinite(p) and p >= 1):
+        raise ValueError(f"{what} must be finite and >= 1, got {p}")
+    return p
+
+
 def reducing_matrix(W: MatrixWeight, cube: Cube, p: float) -> ReducingMatrix:
     """Reducing matrix of rho_{W,p}(v) = (avg_Q |W^(1/p) v|^p)^(1/p).
 
     Exact for p = 2 (both certified factors are 1 up to arithmetic);
     ellipsoid-fitted otherwise.
     """
-    return _cached_reduce(W, cube, 1.0 / p, p)
+    return _cached_reduce(W, cube, 1.0 / _exponent(p), p)
 
 
 def dual_reducing_matrix(W: MatrixWeight, cube: Cube, p: float) -> ReducingMatrix:
     """Reducing matrix of rho_{W^(-p'/p), p'} (the dual norm)."""
-    pp = dual_exponent(p)
+    pp = dual_exponent(_exponent(p))
     return _cached_reduce(W, cube, -1.0 / p, pp)
 
 
 def fractional_reducing_matrix(W: MatrixWeight, cube: Cube, q: float) -> ReducingMatrix:
     """|V_Q^q v| ~ (avg_Q |W v|^q)^(1/q)."""
-    return _cached_reduce(W, cube, 1.0, q)
+    return _cached_reduce(W, cube, 1.0, _exponent(q))
 
 
 def fractional_dual_reducing_matrix(W: MatrixWeight, cube: Cube, p: float) -> ReducingMatrix:
-    pp = dual_exponent(p)
+    pp = dual_exponent(_exponent(p))
     return _cached_reduce(W, cube, -1.0, pp)
 
 
@@ -503,8 +476,8 @@ def matrix_ap_characteristic(W: MatrixWeight, p: float) -> CharacteristicReport:
     The supremum (restored over Q) runs over the aligned dyadic cubes of
     the carrying mesh; all averages are exact cell means.
     """
-    if p <= 1:
-        raise ValueError(f"matrix A_p requires p > 1, got {p}")
+    if not 1 < p < math.inf:
+        raise ValueError(f"matrix A_p requires p > 1 and finite, got {p}")
     pp = dual_exponent(p)
     P = _pair_norms(W.power(1.0 / p), W.power(-1.0 / p))
     return _matrix_char_engine(W, P, pp, p / pp, f"mat-A_{p:g}")
@@ -527,8 +500,8 @@ def matrix_apq_characteristic(W: MatrixWeight, p: float, q: float) -> Characteri
 
 def matrix_a1q_characteristic(W: MatrixWeight, q: float) -> CharacteristicReport:
     """[W]_A(1,q) = sup_Q esssup_{x in Q} avg_y ||W(y) W^(-1)(x)||^q dy."""
-    if q <= 1:
-        raise ValueError(f"A_(1,q) requires q > 1, got {q}")
+    if not 1 < q < math.inf:
+        raise ValueError(f"A_(1,q) requires q > 1 and finite, got {q}")
     P = _pair_norms(W.values, W.power(-1.0)).T
     return _matrix_char_engine(W, P, q, None, f"mat-A_(1,{q:g})")
 
@@ -540,7 +513,10 @@ def matrix_a1q_characteristic(W: MatrixWeight, q: float) -> CharacteristicReport
 
 def scalar_restriction(W: MatrixWeight, p: float, v: np.ndarray) -> SampledWeight:
     """w_v(x) = |W^(1/p)(x) v|^p as a sampled scalar weight."""
+    _exponent(p)
     v = np.asarray(v, dtype=float)
+    if v.shape != (W.d,) or not 0 < np.linalg.norm(v) < math.inf:
+        raise ValueError(f"direction must be a nonzero finite vector of length {W.d}, got {v}")
     v = v / np.linalg.norm(v)
     vals = np.linalg.norm(np.einsum("xij,j->xi", W.power(1.0 / p), v), axis=1) ** p
     return SampledWeight(W.mesh, vals)
@@ -578,6 +554,7 @@ def ainfty_scalar_characteristic(
     direction weights are the components of one vector function, so each
     grid takes one Fujii-Wilson sweep, with the floats per direction.
     """
+    _exponent(p)
     dirs = unit_directions(W.d, n_dirs)
     mp = 1.0 / p if matrix_power is None else matrix_power
     npow = p if norm_power is None else norm_power
@@ -619,8 +596,7 @@ def christ_goldberg_maximal(
     4,096 cells (at 4,096, about 2.7 s and 565 MiB peak at d = 2 and 3) it
     is a ``ValueError``.
     """
-    if not (math.isfinite(p) and p >= 1):
-        raise ValueError(f"Christ-Goldberg exponent must be finite and >= 1, got {p}")
+    _exponent(p, "Christ-Goldberg exponent")
     if not f.is_vector or f.values.shape[1] != W.d:
         raise ValueError("f must be vector-valued with the weight's dimension")
     mesh = f.mesh
@@ -676,6 +652,9 @@ def dominating_scalar_sparse(
 
     <f>_{p,Q} = (avg_Q |f|^p)^(1/p); coefficients are evaluated per cell.
     """
+    _exponent(p)
+    if alpha != 0.0:
+        _fractional_order(alpha)
     mesh = f.mesh
     if mesh != W.mesh:
         raise ValueError("f and W live on different meshes")

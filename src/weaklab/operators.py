@@ -32,6 +32,7 @@ from .grid import (
     DyadicGrid,
     Mesh,
     MeshFunction,
+    _fractional_order,
     cell_cube_integrals,
     default_levels,
     shifted_grids,
@@ -102,7 +103,7 @@ def weak_lp_norm(g: MeshFunction, p: float) -> float:
     For a step function the supremum over lam on [v_i, v_{i+1}) is attained
     as lam -> v_{i+1}, so it equals max over values v of v |{|g| >= v}|^(1/p).
     """
-    if p < 1:
+    if not p >= 1:
         raise ValueError(f"weak norm needs p >= 1, got {p}")
     curve = distribution(g)
     pos = curve.thresholds > 0
@@ -134,8 +135,11 @@ def _maximal_sweep(
     Christ-Goldberg operator.  Each grid makes one ``cell_cube_integrals``
     call, which integrates only the (cube, cell) pairs read.  Levels past
     the cell level are left out: their cubes are narrower than a cell.  An
-    empty level window (min_level > max_level) is a ``ValueError``.
+    empty level window (min_level > max_level) and an alpha that is neither
+    0 nor a fractional order are ``ValueError``s.
     """
+    if alpha != 0:
+        _fractional_order(alpha)
     mesh = f.mesh
     k_top, k_fine = default_levels(mesh)
     k0, k1 = (k_top if min_level is None else min_level), (k_fine if max_level is None else max_level)
@@ -174,12 +178,6 @@ def hl_maximal(
     shifted-grid dyadic maximal functions (one-third trick: the loss against
     the true sup over all intervals is a bounded factor)."""
     return _maximal_sweep(f.magnitude(), None, min_level, max_level, alpha)
-
-
-def _fractional_order(alpha: float) -> float:
-    if not (0 < alpha < 1):
-        raise ValueError(f"fractional order must satisfy 0 < alpha < n = 1, got {alpha}")
-    return alpha
 
 
 def fractional_maximal(f: MeshFunction, alpha: float) -> MeshFunction:
@@ -281,6 +279,8 @@ def multiplier_apply(
     ``weight_power`` overrides the exponent 1/p (the fractional theorems
     multiply by w^1).
     """
+    if T in ("Malpha", "Ialpha", "ASalpha") and alpha is None:
+        raise ValueError(f"{T} requires alpha")
     mesh = f.mesh
     wp = (1.0 / p) if weight_power is None else float(weight_power)
     wv = _weight_on_cells(w, mesh)
@@ -290,16 +290,12 @@ def multiplier_apply(
         inner = np.where(f.values != 0, f.values * wv ** (-wp), 0.0)
     g = MeshFunction(mesh, inner)
     if T == "M":
-        out = hl_maximal(g, alpha=_fractional_order(alpha) if alpha else 0.0)
+        out = hl_maximal(g, alpha=alpha or 0.0)
     elif T == "Md":
         out = dyadic_maximal(g)
     elif T == "Malpha":
-        if alpha is None:
-            raise ValueError("Malpha requires alpha")
         out = fractional_maximal(g, alpha)
     elif T == "Ialpha":
-        if alpha is None:
-            raise ValueError("Ialpha requires alpha")
         out = fractional_integral(g, alpha)
     elif T == "H":
         out = hilbert_to_mesh(g)

@@ -38,6 +38,7 @@ from .grid import (
     DyadicGrid,
     Mesh,
     MeshFunction,
+    _fractional_order,
     cube_span,
     default_levels,
     exact_ratio,
@@ -246,6 +247,8 @@ class SparseFamily:
 
 
 def sparse_apply(family: SparseFamily, f: MeshFunction, alpha: float = 0.0) -> MeshFunction:
+    if alpha != 0:
+        _fractional_order(alpha)
     if f.mesh != family.mesh:
         raise ValueError("function and family live on different meshes")
     mesh = family.mesh

@@ -57,9 +57,13 @@ def quotient_from_output(
     output: MeshFunction, f_norm: float, p: float, q: float | None = None, operator: str = "T"
 ) -> WeakTypeQuotient:
     """Exact weak-type quotient of a step output, normalized by ||f||_p^q."""
-    if f_norm <= 0:
+    if not f_norm > 0:
         raise ValueError("f must have positive norm")
+    if not p >= 1:
+        raise ValueError(f"weak-type quotients need p >= 1, got {p}")
     q = p if q is None else q
+    if not p <= q < math.inf:
+        raise ValueError(f"weak-type quotients need a finite q >= p, got p={p}, q={q}")
     curve = distribution(output)
     pos = curve.thresholds > 0
     if not np.any(pos):
@@ -177,9 +181,9 @@ class ProofConstants:
 
 def proof_constants(nu: float, p: float) -> ProofConstants:
     """Exponent bookkeeping for the sparse weak-type argument at L^p."""
-    if nu <= 1:
+    if not nu > 1:
         raise ValueError(f"sharp reverse-Holder exponent must exceed 1, got {nu}")
-    if p < 1:
+    if not p >= 1:
         raise ValueError(f"p must be >= 1, got {p}")
     nu_prime = nu / (nu - 1.0)
     r_prime = p * nu_prime + 1.0
@@ -234,7 +238,7 @@ def bound_check(
     (for the sparse weak-type bound: [w]_{A_p} [w]_{A_inf}^p; fractional:
     [w]_{A_(p,q)} [w^q]_{A_inf}^q; matrix maximal: [W]_{A_p} [W]_{A_inf^sc}^p).
     """
-    if product <= 0:
+    if not product > 0:
         raise ValueError("characteristic product must be positive")
     if len(outputs) == 0:
         raise ValueError("empty family")

@@ -24,10 +24,11 @@ Hadamard bound, and a point counts as inside when ``p^T A p <= 1 + slack *
 before the Newton solver, capped at 2000 steps: a feasible but not optimal
 reference in any dimension.
 
-``dense_newton_mvee`` is the package's Newton iteration as it stood before
-the structured solve: the same iterates, but each step factors the dense
-(n+1) x (n+1) system with ``scipy.linalg.lu_factor``.  It returns the step
-count with the fit, so differential tests can compare both.
+``dense_newton_mvee`` is the package's Newton iteration factored by scipy's
+LU: the same iterates and the same dense (n+1) x (n+1) system, but each step
+factors it once with ``scipy.linalg.lu_factor`` and serves the predictor and
+the corrector from that factor.  It returns the step count with the fit, so
+differential tests can compare both.
 
 ``einsum_rho_values`` is the direction norm ``rho(v) = (mean_x |A_x v|^r)^(1/r)``
 as the package computed it before the Gram form: every ``A_x v`` formed, then

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -433,3 +434,21 @@ class TestMeshExactness:
         f = MeshFunction.constant(mesh, 1.0)
         # [1/16, 3/16) covers half of cell 8 and half of cell 9
         assert f.integral(Fraction(1, 16), Fraction(3, 16)) == pytest.approx(1 / 8, abs=1e-16)
+
+
+@pytest.mark.parametrize("shift", [1.0, 2.0, np.float64(0.0), True, False], ids=["1.0", "2.0", "np0.0", "True", "False"])
+def test_shift_index_must_be_an_integer(shift):
+    # DyadicGrid(1.0) == DyadicGrid(1) would share the frozen-key caches
+    with pytest.raises(ValueError, match=re.escape(f"shift index must be 0, 1 or 2, got {shift!r}")):
+        DyadicGrid(shift)
+
+
+def test_numpy_integer_shift_index_is_a_python_int():
+    grid = DyadicGrid(np.int64(1))
+    assert grid == DyadicGrid(1) and type(grid.shift_index) is int
+
+
+@pytest.mark.parametrize("shape", [(), (16, 2, 2)], ids=["scalar", "3-d"])
+def test_mesh_function_values_are_one_or_two_dimensional(shape):
+    with pytest.raises(ValueError, match=re.escape(f"mesh function values must be 1-d or 2-d, got shape {shape}")):
+        MeshFunction(Mesh(1.0, 3), np.ones(shape))

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from weaklab import (
     PowerLogWeight,
     ReducingMatrix,
     SampledWeight,
+    ainfty_scalar_characteristic,
     alt_norm_sum,
     ap_characteristic,
     build_sparse_family,
@@ -459,3 +461,53 @@ class TestSharpRhiBound:
                 nus.append(sharp_rh_exponent(scalar_restriction(W, p, v)))
             val = sharp_rhi_matrix_bound(W, p, cube, min(nus))
             assert val <= 4 * W.d
+
+
+_BAD_MESH = Mesh(1.0, 4)
+_BAD_W = random_matrix_weight(_BAD_MESH, 2, np.random.default_rng(35))
+_BAD_ROOT = DyadicGrid().cube(_BAD_MESH.aligned_cell_level() - _BAD_MESH.level, 0)  # [0, 1)
+_BAD_F = MeshFunction(_BAD_MESH, np.linspace(0.5, 2.0, _BAD_MESH.n_cells))
+
+
+def _exponent_message(p):
+    return f"matrix exponent must be finite and >= 1, got {p}"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: reducing_matrix(_BAD_W, _BAD_ROOT, 0.0), _exponent_message(0.0)),
+        (lambda: reducing_matrix(_BAD_W, _BAD_ROOT, -2.0), _exponent_message(-2.0)),
+        (lambda: reducing_matrix(_BAD_W, _BAD_ROOT, 0.5), _exponent_message(0.5)),
+        (lambda: reducing_matrix(_BAD_W, _BAD_ROOT, math.inf), _exponent_message(math.inf)),
+        (lambda: reducing_matrix(_BAD_W, _BAD_ROOT, math.nan), _exponent_message(math.nan)),
+        (lambda: dual_reducing_matrix(_BAD_W, _BAD_ROOT, math.inf), _exponent_message(math.inf)),
+        (lambda: fractional_reducing_matrix(_BAD_W, _BAD_ROOT, 0.5), _exponent_message(0.5)),
+        (lambda: scalar_restriction(_BAD_W, 0.0, np.array([1.0, 0.0])), _exponent_message(0.0)),
+        (lambda: ainfty_scalar_characteristic(_BAD_W, 0.0), _exponent_message(0.0)),
+        (lambda: ainfty_scalar_characteristic(_BAD_W, -1.0), _exponent_message(-1.0)),
+        (
+            lambda: dominating_scalar_sparse(_BAD_W, math.nan, build_sparse_family(_BAD_F), _BAD_F),
+            _exponent_message(math.nan),
+        ),
+        (lambda: matrix_ap_characteristic(_BAD_W, math.nan), "matrix A_p requires p > 1 and finite, got nan"),
+        (lambda: matrix_a1q_characteristic(_BAD_W, math.nan), "A_(1,q) requires q > 1 and finite, got nan"),
+        (
+            lambda: scalar_restriction(_BAD_W, 2.0, np.zeros(2)),
+            "direction must be a nonzero finite vector of length 2, got [0. 0.]",
+        ),
+        (
+            lambda: ainfty_scalar_characteristic(_BAD_W, 2.0, n_dirs=0),
+            "the number of directions must be a positive integer, got 0",
+        ),
+    ],
+    ids=[
+        "reducing-0", "reducing-neg", "reducing-half", "reducing-inf", "reducing-nan", "dual-reducing-inf",
+        "fractional-reducing-half", "restriction-0", "ainf-sc-0", "ainf-sc-neg", "dominating-nan",
+        "matrix-ap-nan", "matrix-a1q-nan", "restriction-zero-direction", "ainf-sc-no-directions",
+    ],
+)
+def test_matrix_layer_names_a_bad_exponent(call, message):
+    # exponents are finite and >= 1, checked where they enter, before any 1 / p
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

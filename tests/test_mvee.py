@@ -1,7 +1,7 @@
 """The centred minimum-volume ellipsoid fit behind the p != 2 reducing
 matrices: its certificate, the exact plane exchange against the enumeration
-oracle, the Newton solve (d >= 3) against the dense one and a first-order
-reference, and its failure modes."""
+oracle, the Newton solve (d >= 3) against the same iteration factored by
+scipy's LU and a first-order reference, and its failure modes."""
 
 import numpy as np
 import pytest
@@ -129,8 +129,8 @@ def test_points_on_a_line_raise_by_name(points):
 @pytest.mark.parametrize("cube", [ROOT, QUARTER], ids=["unit", "quarter"])
 @pytest.mark.parametrize("power,r", P3_FITS, ids=["p3", "dual-r1.5"])
 def test_structured_solve_matches_dense_newton(d, cube, power, r):
-    # the same iterates as the dense (n+1) x (n+1) LU solve, so the same fit
-    # after the same number of steps, up to rounding
+    # the same iterates as scipy's LU of the same (n+1) x (n+1) system, so
+    # the same fit after the same number of steps, up to rounding
     for seed in range(4):
         W = random_matrix_weight(MESH, d, np.random.default_rng([d, seed]))
         _, _, points = fit_sample(W, power, r, cube)
@@ -213,3 +213,19 @@ def test_missed_certificate_exits_3(monkeypatch, tmp_path, capsys):
     code = main(["matrix-check", "--p", "3", "--trials", "1", "--output", str(tmp_path / "m.csv")])
     assert code == 3
     assert "numerical failure: ellipsoid fit missed its certificate" in capsys.readouterr().err
+
+
+def test_matrix_suite_fits_never_reach_newton(monkeypatch):
+    # matrix-suite reduces d = 2 weights at p = 3 on [0, 1), and every plane
+    # fit takes the exact exchange: a change that sends them through Newton
+    # fails here, not as a fourfold slower benchmark fit
+    def refuse(points):
+        raise AssertionError(f"a d = {points.shape[1]} fit reached _newton_mvee")
+
+    monkeypatch.setattr(matrix, "_newton_mvee", refuse)
+    for seed in range(20):
+        W = random_matrix_weight(MESH, 2, np.random.default_rng([35, seed]))
+        reducing_matrix(W, ROOT, 3.0)
+        dual_reducing_matrix(W, ROOT, 3.0)
+    with pytest.raises(AssertionError, match="a d = 3 fit reached _newton_mvee"):
+        reducing_matrix(random_matrix_weight(MESH, 3, np.random.default_rng(35)), ROOT, 3.0)

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -16,12 +17,15 @@ from weaklab import (
     SampledWeight,
     build_sparse_family,
     distribution,
+    dominating_scalar_sparse,
     dyadic_maximal,
     fractional_integral,
     fractional_maximal,
     hilbert_to_mesh,
     hl_maximal,
     multiplier_apply,
+    random_matrix_weight,
+    sparse_apply,
     weak_lp_norm,
 )
 from weaklab.lowerbound import w_delta
@@ -541,3 +545,42 @@ class TestMultiplier:
         # PowerLog weight vanishing at the origin limit is fine off-support
         out = multiplier_apply("Md", PowerLogWeight(0.5), 2.0, f)
         assert np.all(np.isfinite(out.values))
+
+
+_ORDER_MESH = Mesh(1.0, 4)
+_ORDER_F = MeshFunction(_ORDER_MESH, np.linspace(0.5, 2.0, _ORDER_MESH.n_cells))
+_ORDER_FAMILY = build_sparse_family(_ORDER_F)
+_ORDER_W = random_matrix_weight(_ORDER_MESH, 2, np.random.default_rng(35))
+_ORDER_ONE = PowerLogWeight(0.0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: multiplier_apply("ASalpha", _ORDER_ONE, 2.0, _ORDER_F), "ASalpha requires alpha"),
+        (lambda: multiplier_apply("AS", _ORDER_ONE, 2.0, _ORDER_F, alpha=1.5), "got 1.5"),
+        (lambda: multiplier_apply("ASalpha", _ORDER_ONE, 2.0, _ORDER_F, alpha=-0.3), "got -0.3"),
+        (lambda: hl_maximal(_ORDER_F, alpha=2.0), "got 2.0"),
+        (lambda: hl_maximal(_ORDER_F, alpha=math.nan), "got nan"),
+        (lambda: dyadic_maximal(_ORDER_F, alpha=2.0), "got 2.0"),
+        (lambda: sparse_apply(_ORDER_FAMILY, _ORDER_F, alpha=2.0), "got 2.0"),
+        (lambda: dominating_scalar_sparse(_ORDER_W, 2.0, _ORDER_FAMILY, _ORDER_F, alpha=2.0, q=3.0), "got 2.0"),
+    ],
+    ids=["ASalpha-without", "AS-1.5", "ASalpha-neg", "hl-2", "hl-nan", "dyadic-2", "sparse-apply-2", "dominating-2"],
+)
+def test_every_operator_that_takes_alpha_refuses_one_outside_the_rule(call, message):
+    # the rule: alpha == 0, or a fractional order 0 < alpha < 1
+    if message.startswith("got"):
+        message = f"fractional order must satisfy 0 < alpha < n = 1, {message}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.25, 0.3, 0.5])
+def test_the_orders_callers_pass_stay_legal(alpha):
+    hl_maximal(_ORDER_F, alpha=alpha)
+    dyadic_maximal(_ORDER_F, alpha=alpha)
+    sparse_apply(_ORDER_FAMILY, _ORDER_F, alpha=alpha)
+    multiplier_apply("AS", _ORDER_ONE, 2.0, _ORDER_F, alpha=alpha)
+    multiplier_apply("ASalpha", _ORDER_ONE, 2.0, _ORDER_F, alpha=alpha)
+    multiplier_apply("M", _ORDER_ONE, 2.0, _ORDER_F, alpha=alpha)

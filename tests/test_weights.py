@@ -46,6 +46,8 @@ from weaklab import (
 from geometry_oracle import enumerate_cubes
 from weaklab.grid import Cube, _aligned_layout, _cell_runs, default_levels, inside_cubes
 from weaklab.lowerbound import w_delta
+from weaklab.operators import weak_lp_norm
+from weaklab.weaktype import bound_check, proof_constants, quotient_from_output
 from weaklab.matrix import (
     MatrixWeight,
     ainfty_scalar_characteristic,
@@ -1606,3 +1608,38 @@ def test_fujii_wilson_segments_sum_locally():
     assert rep.value == pytest.approx(_fw_fsum_oracle(w, k, m), rel=1e-13)
     best = max(_fw_fsum_oracle(w, j, i) for j in range(0, mesh.level + 1) for i in range(-(2**j), 2**j))
     assert rep.value == pytest.approx(best, rel=1e-13)
+
+
+_GUARD_MESH = Mesh(1.0, 4)
+_GUARD_F = MeshFunction(_GUARD_MESH, np.linspace(0.5, 2.0, _GUARD_MESH.n_cells))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ap_characteristic(PowerLogWeight(-0.5), math.nan), "A_p requires p > 1, got nan"),
+        (lambda: rh_characteristic(ONE, math.nan), "reverse Holder requires s > 1, got nan"),
+        (lambda: a1q_characteristic(ONE, math.nan), "A_(1,q) requires q > 1, got nan"),
+        (lambda: apq_characteristic(ONE, math.nan, 3.0), "A_(p,q) with p = 1 is a1q_characteristic; got p=nan"),
+        (lambda: apq_characteristic(ONE, 2.0, math.nan), "A_(p,q) requires q > p, got p=2.0, q=nan"),
+        (lambda: sharp_rh_exponent(ONE, ceiling=math.nan), "reverse Holder requires s > 1, got nan"),
+        (lambda: dual_exponent(math.nan), "dual exponent needs p > 1, got nan"),
+        (lambda: weak_lp_norm(_GUARD_F, math.nan), "weak norm needs p >= 1, got nan"),
+        (lambda: quotient_from_output(_GUARD_F, 1.0, math.nan), "weak-type quotients need p >= 1, got nan"),
+        (lambda: quotient_from_output(_GUARD_F, 1.0, 2.0, math.nan), "need a finite q >= p, got p=2.0, q=nan"),
+        (lambda: quotient_from_output(_GUARD_F, math.nan, 2.0), "f must have positive norm"),
+        (lambda: proof_constants(math.nan, 2.0), "sharp reverse-Holder exponent must exceed 1, got nan"),
+        (lambda: proof_constants(2.0, math.nan), "p must be >= 1, got nan"),
+        (lambda: bound_check("T", math.nan, [_GUARD_F], [1.0], 2.0), "characteristic product must be positive"),
+        (lambda: _GUARD_F.lp_norm(0), "L^p norm needs p > 0, got 0"),
+        (lambda: MeshFunction.constant(_GUARD_MESH, 2.0).lp_norm(-1), "L^p norm needs p > 0, got -1"),
+    ],
+    ids=[
+        "ap", "rh", "a1q", "apq-p", "apq-q", "sharp-rh-ceiling", "dual", "weak-norm", "quotient-p",
+        "quotient-q", "quotient-f-norm", "proof-nu", "proof-p", "bound-product", "lp-norm-0", "lp-norm-neg",
+    ],
+)
+def test_exponent_guards_name_nan_and_out_of_range_values(call, message):
+    # each guard states the condition that must hold, so NaN fails it
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
