@@ -16,18 +16,20 @@ digits, so identical configurations reproduce byte-identical files.  A
 ``key = value`` config file supplies defaults; command-line flags override.
 
 Exit codes: 0 success; 1 invariant-suite violation; 2 invalid exponent
-relation or malformed input (the parser rejects non-finite numbers,
-weight-descriptor parameters, a ``--trials`` or ``--cells-per-band`` below 1,
-a ``--radius`` or ``--window`` that is not positive and a ``--level`` outside
-0..20 before anything runs; a ``characteristic --max-level`` below the
-coarsest search level of its ``--radius``, or one whose search has more than
-2^22 dyadic cubes, before the search runs;
-an unreadable weight file, or one without its keys, and a missing or
-unreadable config file are malformed input, and so are ``weaktype --operator
-H`` with ``--alpha``, an ``--alpha`` outside (0, 1) and a ``--q`` without
-``--alpha``); 3 numerical failure
-(non-integrable weight, degenerate data, unresolved level set, an ellipsoid
-fit that misses its certificate).
+relation or malformed input (the parser refuses, before anything runs and
+naming the flag, non-finite numbers and weight-descriptor parameters, a
+``--trials`` or ``--cells-per-band`` below 1, a ``--radius`` or ``--window``
+that is not positive, a ``--level`` outside 0..20, a ``--seed`` that is not
+a non-negative integer and an ``--x-min`` outside (0, 0.5); a
+``characteristic --max-level`` below the coarsest search level of its
+``--radius``, or one whose search has more than 2^22 dyadic cubes, exits
+before the search runs; so do an unreadable weight or config file, a weight
+file without its keys, ``weaktype --operator H`` with ``--alpha``, an
+``--alpha`` outside (0, 1), a ``--q`` without ``--alpha`` and an unwritable
+``--output``, "cannot write PATH: REASON", which leaves no temporary file);
+3 numerical failure (non-integrable weight, degenerate data, unresolved
+level set, an ellipsoid fit that misses its certificate, and in ``weaktype``
+"the characteristic product C1 * C2^p overflows").
 """
 
 from __future__ import annotations
@@ -116,29 +118,35 @@ def write_rows(path: str, header: list[str], rows: list[list]) -> None:
 
 def _atomic_write(path: str, text: str) -> None:
     d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", newline="") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        os.makedirs(d, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", newline="") as f:
+                f.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as e:
+        raise ValueError(f"cannot write {path!r}: {e.strerror or e}") from None
+
+
+def _real(text: str, low: float, high: float, domain: str) -> float:
+    """A float strictly between low and high, or an argparse error that names ``domain``."""
+    if not low < (x := float(text)) < high:
+        raise argparse.ArgumentTypeError(f"must be {domain}, got {text!r}")
+    return x
 
 
 def _finite(text: str) -> float:
     """argparse type: a finite float."""
-    if not math.isfinite(x := float(text)):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return x
+    return _real(text, -math.inf, math.inf, "finite")
 
 
 def _positive_finite(text: str) -> float:
     """argparse type: a finite float above 0."""
-    if not 0 < (x := float(text)) < math.inf:
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
-    return x
+    return _real(text, 0, math.inf, "positive and finite")
 
 
 def _integer(text: str, low: int, high: float, domain: str) -> int:
@@ -155,6 +163,16 @@ def _integer(text: str, low: int, high: float, domain: str) -> int:
 def _positive_int(text: str) -> int:
     """argparse type: an integer of at least 1."""
     return _integer(text, 1, math.inf, "a positive integer")
+
+
+def _seed(text: str) -> int:
+    """argparse type: a seed, an integer of at least 0 (``numpy.random.default_rng``)."""
+    return _integer(text, 0, math.inf, "a non-negative integer")
+
+
+def _x_min(text: str) -> float:
+    """argparse type: the graded mesh's x_min, in (0, x_hi) (``lowerbound.GradedMesh``)."""
+    return _real(text, 0, lb.GradedMesh.x_hi, f"in (0, {lb.GradedMesh.x_hi:g}), below the graded mesh's x_hi")
 
 
 def _mesh_level(text: str) -> int:
@@ -349,18 +367,19 @@ def cmd_weaktype(args) -> int:
     if fractional:
         char1 = apq_characteristic(w, p, q, search).value if p > 1 else a1q_characteristic(w, q, search).value
         char2 = ainfty_characteristic(w.power(q), mesh=mesh).value
-        product = char1 * char2**q
     else:
         char1 = ap_characteristic(w, p, search).value if p > 1 else a1_characteristic(w, search).value
         char2 = ainfty_characteristic(w, mesh=mesh).value
-        product = char1 * char2**p
-    op, kwargs = args.operator, {}
-    if fractional:
-        op = {"AS": "ASalpha", "Md": "Malpha"}.get(op, op)
-        kwargs = {"alpha": alpha, "weight_power": 1.0}
+    try:
+        product = char1 * char2**q
+    except OverflowError:
+        product = math.inf
+    if product == math.inf:
+        raise OverflowError(f"the characteristic product {fmt(char1)} * {fmt(char2)}^{fmt(q)} overflows")
+    kwargs = {"alpha": alpha, "weight_power": 1.0} if fractional else {}
     rows = []
     for trial in range(args.trials):
-        wq = weak_quotient(op, w, p, random_step(mesh, rng), q, **kwargs)
+        wq = weak_quotient(args.operator, w, p, random_step(mesh, rng), q, **kwargs)
         rows.append([trial, wq.quotient, wq.best_lambda, char1, char2, product,
                      wq.quotient / product])
     header = CSV_COLUMNS["weaktype"]
@@ -507,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out", default=None, help="output directory (default $WEAKLAB_OUT or .)")
         p.add_argument("--output", default=None, help="output file path (overrides --out)")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
 
     p = add("characteristic", "weight characteristic with witness cube")
     common(p)
@@ -540,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", default="0.05,0.1,0.2", type=_finite_list,
                    help="comma-separated deltas in (0, 1/2)")
     p.add_argument("--cells-per-band", type=_positive_int, default=16)
-    p.add_argument("--x-min", type=_finite, default=1e-12)
+    p.add_argument("--x-min", type=_x_min, default=1e-12)
     p.add_argument("--window", type=_positive_finite, default=4.0, help="lambda window factor around e^(1/delta)")
     p.add_argument("--no-closed-form", action="store_true",
                    help="cell-counted measures only (errors below resolution)")
@@ -609,7 +628,7 @@ def main(argv: list[str] | None = None) -> int:
             out_dir = args.out or os.environ.get("WEAKLAB_OUT", ".")
             args.output = os.path.join(out_dir, args.default_name)
         return args.func(args)
-    except (NonIntegrableError, DegenerateWeightError, lb.MeshResolutionError, EllipsoidFitError) as e:
+    except (NonIntegrableError, DegenerateWeightError, lb.MeshResolutionError, EllipsoidFitError, OverflowError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
     except ValueError as e:  # after its numerical subclasses: a malformed exponent or input

@@ -14,10 +14,10 @@ here) and ``Cube.left``/``Cube.right``.
 
 Geometry once per key, values per function: which cells a cube covers,
 and the exact shares of the cells straddling its edges, depend only on the
-mesh, the grid and the level.  So ``_level_affine`` and each level's cube
-spans (``_level_spans``, one read-only ``_Spans``) are kept by
-``functools.lru_cache`` (a fixed size, frozen keys only), a table batch
-joins the spans of its levels, and ``_span_integrals`` only gathers and
+mesh, the grid and the level.  So ``_level_affine`` (per level) and the
+cube spans of a table batch (``_level_window``, one read-only ``_Spans``
+once per (mesh, grid, level window)) are kept by ``functools.lru_cache``
+(a fixed size, frozen keys only), and ``_span_integrals`` only gathers and
 sums values.  Each sweep over a range of levels keeps one read-only index
 per (mesh, grid, level range), over its own leaves: ``_cell_cube_index``
 places each cell's containing cube at every level in the joined tables
@@ -426,7 +426,7 @@ def average(f: MeshFunction, Q: Cube) -> float:
 
 
 # ---------------------------------------------------------------------------
-# integer cube geometry (once per mesh, grid and level) and all-level tables
+# integer cube geometry (once per mesh, grid and level window) and all-level tables
 # ---------------------------------------------------------------------------
 
 
@@ -548,15 +548,22 @@ def _level_cubes(mesh: Mesh, grid: DyadicGrid, k: int) -> range:
     return range(a0 // den, max(-(-(a0 + mesh.n_cells * step) // den), a0 // den + 1))
 
 
-@functools.lru_cache(maxsize=64, typed=True)
-def _level_spans(mesh: Mesh, grid: DyadicGrid, k: int) -> tuple[int, "_Spans"]:
-    """(q0, spans): the level-k cubes that meet the mesh domain, span m the
-    part of cube q0 + m inside the domain."""
-    a0, step, den = _level_affine(mesh, grid, k)
-    cubes = _level_cubes(mesh, grid, k)
-    inner = np.arange(cubes.start + 1, cubes.stop, dtype=np.int64) * den - a0
-    edges = np.concatenate(([0], inner, [mesh.n_cells * step]))
-    return cubes.start, _Spans(edges[:-1], edges[1:], step)
+@functools.lru_cache(maxsize=16, typed=True)  # a workload process reads 6-11 keys
+def _level_window(mesh: Mesh, grid: DyadicGrid, levels: tuple[int, ...]) -> tuple[tuple, tuple, "_Spans"]:
+    """(q0s, sizes, spans): the cubes of each level of ``levels`` that meet
+    the mesh domain, level by level in one read-only ``_Spans``, each span
+    with its own level's denominator; level j's span m is the part of cube
+    ``q0s[j] + m`` inside the domain, and ``sizes[j]`` counts its spans."""
+    q0s, lo, hi, den = [], [], [], []
+    for k in levels:
+        a0, step, d = _level_affine(mesh, grid, k)
+        cubes = _level_cubes(mesh, grid, k)
+        edges = np.clip(np.arange(cubes.start, cubes.stop + 1, dtype=np.int64) * d - a0, 0, mesh.n_cells * step)
+        q0s.append(cubes.start)
+        lo.append(edges[:-1])
+        hi.append(edges[1:])
+        den.append(np.full(len(cubes), step, dtype=np.int64))
+    return tuple(q0s), tuple(map(len, lo)), _Spans(*map(np.concatenate, (lo, hi, den)))
 
 
 def level_cube_integrals(f: MeshFunction, grid: DyadicGrid, k0: int, k1: int) -> list[tuple[int, np.ndarray]]:
@@ -565,8 +572,9 @@ def level_cube_integrals(f: MeshFunction, grid: DyadicGrid, k0: int, k1: int) ->
 
     Cells straddling a cube edge are split exactly; f is zero outside the
     domain.  The levels not yet in ``f._tables[grid]`` go through one
-    ``_span_integrals`` call over their ``_level_spans`` joined, each span
-    with its own level's denominator, so each entry is bit-identical to
+    ``_span_integrals`` call over their ``_level_window``, the geometry kept
+    once per (mesh, grid, level window), each span with its own level's
+    denominator, so each entry is bit-identical to
     ``f.integral(cube.left, cube.right)`` whichever window built it.  The
     tables are read-only and stay on f.  A vector f integrates component by
     component: ``integrals[m, c]`` is cube ``q0 + m``'s integral of c.
@@ -574,18 +582,11 @@ def level_cube_integrals(f: MeshFunction, grid: DyadicGrid, k0: int, k1: int) ->
     memo = f._tables.setdefault(grid, {})
     missing = [k for k in range(k0, k1 + 1) if k not in memo]
     if missing:
-        q0s, sizes, spans = _joined_level_spans(f.mesh, grid, missing)
+        q0s, sizes, spans = _kept(_level_window, f.mesh, grid, tuple(missing))
         ints = _span_integrals(f, spans)
         ints.flags.writeable = False  # the per-level views inherit it
         memo.update(zip(missing, zip(q0s, np.split(ints, np.cumsum(sizes)[:-1]))))
     return [memo[k] for k in range(k0, k1 + 1)]
-
-
-def _joined_level_spans(mesh: Mesh, grid: DyadicGrid, levels) -> tuple[tuple, list, "_Spans"]:
-    """(q0s, sizes, spans): the ``_level_spans`` of ``levels`` joined in order,
-    with each level's first cube and span count."""
-    q0s, parts = zip(*(_kept(_level_spans, mesh, grid, k) for k in levels))
-    return q0s, [len(part) for part in parts], _Spans.join(parts)
 
 
 def cell_cube_integrals(f: MeshFunction, grid: DyadicGrid, k0: int, k1: int) -> np.ndarray:
@@ -637,7 +638,7 @@ def _cell_cube_pairs(mesh: Mesh, grid: DyadicGrid, k0: int, k1: int) -> tuple:
     index = _kept(_cell_cube_index, mesh, grid, k0, k1)
     comp, level = np.nonzero(index.T)
     at = level * mesh.n_cells + comp
-    spans = _joined_level_spans(mesh, grid, range(k0, k1 + 1))[2].take(index[level, comp] - 1) if len(at) else None
+    spans = _kept(_level_window, mesh, grid, tuple(range(k0, k1 + 1)))[2].take(index[level, comp] - 1) if len(at) else None
     return _read_only(at), _read_only(comp), spans
 
 
@@ -791,20 +792,12 @@ class _Spans:
     def __len__(self) -> int:
         return len(self.i_lo)
 
-    @classmethod
-    def _of(cls, ends, i_lo, w_lo, w_hi) -> "_Spans":
-        spans = object.__new__(cls)
-        spans.ends, spans.i_lo, spans.w_lo, spans.w_hi = map(_read_only, (ends, i_lo, w_lo, w_hi))
-        return spans
-
-    @classmethod
-    def join(cls, parts) -> "_Spans":
-        """One batch of the spans of ``parts``, in order."""
-        return cls._of(*(np.concatenate([getattr(part, name) for part in parts]) for name in cls.__slots__))
-
     def take(self, idx: np.ndarray) -> "_Spans":
         """The spans at ``idx``, in that order."""
-        return self._of(self.ends.reshape(-1, 2)[idx].ravel(), self.i_lo[idx], self.w_lo[idx], self.w_hi[idx])
+        spans = object.__new__(_Spans)
+        ends = self.ends.reshape(-1, 2)[idx].ravel()
+        spans.ends, spans.i_lo, spans.w_lo, spans.w_hi = map(_read_only, (ends, self.i_lo[idx], self.w_lo[idx], self.w_hi[idx]))
+        return spans
 
 
 def _span_integrals(f: MeshFunction, spans: _Spans, comp=None) -> np.ndarray:

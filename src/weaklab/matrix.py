@@ -491,8 +491,8 @@ def matrix_a1_characteristic(W: MatrixWeight) -> CharacteristicReport:
 
 def matrix_apq_characteristic(W: MatrixWeight, p: float, q: float) -> CharacteristicReport:
     """[W]_A(p,q) = sup_Q avg_x (avg_y ||W(x) W^(-1)(y)||^p')^(q/p') dx."""
-    if not (1 < p < q):
-        raise ValueError(f"fractional matrix class requires 1 < p < q, got p={p}, q={q}")
+    if not 1 < p < q < math.inf:
+        raise ValueError(f"fractional matrix class requires 1 < p < q and q finite, got p={p}, q={q}")
     pp = dual_exponent(p)
     P = _pair_norms(W.values, W.power(-1.0))
     return _matrix_char_engine(W, P, pp, q / pp, f"mat-A_({p:g},{q:g})")

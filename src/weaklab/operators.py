@@ -269,18 +269,21 @@ def multiplier_apply(
 ) -> MeshFunction:
     """x -> w(x)^(1/p) * T(f w^(-1/p))(x), computed cell-wise on f's mesh.
 
-    ``T`` is one of ``M`` (shifted-grid maximal, fractional when ``alpha``
-    is given), ``Md`` (standard-grid dyadic maximal), ``Malpha`` (its
-    fractional form), ``Ialpha``, ``H``, ``AS`` and ``ASalpha`` (sparse
-    averaging operators).  The sparse family is built on |g| for the
-    g = f w^(-1/p) formed here (w at cell centres), over the standard grid,
-    unless ``family`` passes one; building and applying then share g's
-    tables.
+    ``T`` is one of ``M`` (shifted-grid maximal), ``Md`` (standard-grid
+    dyadic maximal), ``AS`` (sparse averaging), ``H`` and ``Ialpha``.  With
+    ``alpha``, ``M``, ``Md`` and ``AS`` are their fractional forms (``Md``
+    is then ``Malpha``, ``AS`` is ``ASalpha``); ``Malpha``, ``ASalpha`` and
+    ``Ialpha`` require it, and ``H`` refuses it.  The sparse family is built
+    on |g| for the g = f w^(-1/p) formed here (w at cell centres), over the
+    standard grid, unless ``family`` passes one; building and applying then
+    share g's tables.
     ``weight_power`` overrides the exponent 1/p (the fractional theorems
     multiply by w^1).
     """
     if T in ("Malpha", "Ialpha", "ASalpha") and alpha is None:
         raise ValueError(f"{T} requires alpha")
+    if T == "H" and alpha is not None:
+        raise ValueError(f"H has no fractional order, got alpha={alpha}")
     mesh = f.mesh
     wp = (1.0 / p) if weight_power is None else float(weight_power)
     wv = _weight_on_cells(w, mesh)
@@ -291,10 +294,8 @@ def multiplier_apply(
     g = MeshFunction(mesh, inner)
     if T == "M":
         out = hl_maximal(g, alpha=alpha or 0.0)
-    elif T == "Md":
-        out = dyadic_maximal(g)
-    elif T == "Malpha":
-        out = fractional_maximal(g, alpha)
+    elif T in ("Md", "Malpha"):
+        out = dyadic_maximal(g, alpha=alpha or 0.0)
     elif T == "Ialpha":
         out = fractional_integral(g, alpha)
     elif T == "H":

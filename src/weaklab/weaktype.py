@@ -181,10 +181,10 @@ class ProofConstants:
 
 def proof_constants(nu: float, p: float) -> ProofConstants:
     """Exponent bookkeeping for the sparse weak-type argument at L^p."""
-    if not nu > 1:
-        raise ValueError(f"sharp reverse-Holder exponent must exceed 1, got {nu}")
-    if not p >= 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    if not 1 < nu < math.inf:
+        raise ValueError(f"sharp reverse-Holder exponent requires nu > 1 and finite, got {nu}")
+    if not 1 <= p < math.inf:
+        raise ValueError(f"p must be >= 1 and finite, got {p}")
     nu_prime = nu / (nu - 1.0)
     r_prime = p * nu_prime + 1.0
     r = r_prime / (r_prime - 1.0)

@@ -99,8 +99,8 @@ class DegenerateWeightError(ValueError):
 
 def dual_exponent(p: float) -> float:
     """Holder conjugate p' = p/(p-1)."""
-    if not p > 1:
-        raise ValueError(f"dual exponent needs p > 1, got {p}")
+    if not 1 < p < math.inf:
+        raise ValueError(f"dual exponent needs p > 1 and finite, got {p}")
     return p / (p - 1.0)
 
 
@@ -737,8 +737,8 @@ def _report(quantity: str, values, lo, hi, label, searched) -> CharacteristicRep
 
 def ap_characteristic(weight, p: float, search: SearchSpace | None = None) -> CharacteristicReport:
     """Muckenhoupt A_p characteristic sup_Q (avg w)(avg w^(1-p'))^(p-1)."""
-    if not p > 1:
-        raise ValueError(f"A_p requires p > 1, got {p}; use a1_characteristic for p = 1")
+    if not 1 < p < math.inf:
+        raise ValueError(f"A_p requires p > 1 and finite, got {p}; use a1_characteristic for p = 1")
     plan = _Plan(weight, search)
     dual = weight.power(1.0 - dual_exponent(p))
     try:
@@ -756,8 +756,8 @@ def a1_characteristic(weight, search: SearchSpace | None = None) -> Characterist
 
 def rh_characteristic(weight, s: float, search: SearchSpace | None = None) -> CharacteristicReport:
     """Reverse-Holder characteristic sup_Q (avg_Q w^s)^(1/s) / avg_Q w."""
-    if not s > 1:
-        raise ValueError(f"reverse Holder requires s > 1, got {s}")
+    if not 1 < s < math.inf:
+        raise ValueError(f"reverse Holder requires s > 1 and finite, got {s}")
     plan = _Plan(weight, search)
     try:
         avg_ws = plan.averages(weight.power(s))
@@ -779,8 +779,8 @@ def sharp_rh_exponent(
     reads one plan and fails where ``rh_characteristic`` would raise; avg_Q w
     is taken once, after the first integrable w^s.
     """
-    if not ceiling > 1:
-        raise ValueError(f"reverse Holder requires s > 1, got {ceiling}")
+    if not 1 < ceiling < math.inf:  # hi = inf would never close the bisection
+        raise ValueError(f"reverse Holder requires s > 1 and finite, got {ceiling}")
     plan = _Plan(weight, search or SearchSpace.anchored_only())
     avg_w = None
 
@@ -816,8 +816,8 @@ def apq_characteristic(
     """Fractional characteristic sup_Q (avg_Q w^q)(avg_Q w^(-p'))^(q/p')."""
     if not p > 1:
         raise ValueError(f"A_(p,q) with p = 1 is a1q_characteristic; got p={p}")
-    if not q > p:
-        raise ValueError(f"A_(p,q) requires q > p, got p={p}, q={q}")
+    if not p < q < math.inf:
+        raise ValueError(f"A_(p,q) requires q > p and finite, got p={p}, q={q}")
     plan = _Plan(weight, search)
     pprime = dual_exponent(p)
     wq, wdual = weight.power(q), weight.power(-pprime)
@@ -830,8 +830,8 @@ def apq_characteristic(
 
 def a1q_characteristic(weight, q: float, search: SearchSpace | None = None) -> CharacteristicReport:
     """sup_Q esssup_{x in Q} w(x)^-q (avg_Q w^q) = sup_Q (avg_Q w^q)/(essinf_Q w)^q."""
-    if not q > 1:
-        raise ValueError(f"A_(1,q) requires q > 1, got {q}")
+    if not 1 < q < math.inf:
+        raise ValueError(f"A_(1,q) requires q > 1 and finite, got {q}")
     plan = _Plan(weight, search)
     return plan.report(f"A_(1,{q:g})", plan.averages(weight.power(q)) / plan.essinfs() ** q)
 

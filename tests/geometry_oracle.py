@@ -14,12 +14,14 @@ So does the Christ-Goldberg sweep that ``grid.cell_cube_integrals``
 replaced, which integrated every component over every cube, and
 ``oracle_cell_cube_integrals``, the ``cell_cube_integrals`` that derived
 its (cube, cell) pairs on every call before ``grid._cell_cube_index`` kept
-them.  So do the
+them, and ``oracle_level_window``, the per-level spans joined per table
+batch that ``grid._level_window`` replaced by one span batch kept per
+(mesh, grid, level window).  So do the
 one-level-per-call table builders that ``grid.level_cube_integrals`` and
 ``grid.cube_indices_per_cell`` replaced by one call for all levels, the
 one-pass span integrals ``oracle_span_integrals`` that derive each call's
 cell geometry afresh (``grid._span_integrals`` reads it from a ``_Spans``
-built once per mesh, grid and level), and the
+built once per mesh, grid and level window), and the
 ``Fraction`` cube locators ``enumerate_cubes`` and ``covering_cube`` and the
 cell range ``cells_inside``, which only tests use, and the ``Fraction``
 locator ``oracle_cube_index_of`` that ``DyadicGrid.cube_index_of`` replaced
@@ -40,9 +42,10 @@ from weaklab.grid import (
     DyadicGrid,
     Mesh,
     MeshFunction,
-    _joined_level_spans,
     _level_affine,
+    _level_cubes,
     _span_integrals,
+    _Spans,
     average,
     cube_indices_per_cell,
     default_levels,
@@ -143,6 +146,29 @@ def oracle_level_cube_integrals(f: MeshFunction, grid: DyadicGrid, k: int) -> tu
     return q0, oracle_span_integrals(f, edges[:-1], edges[1:], step)
 
 
+def oracle_level_spans(mesh: Mesh, grid: DyadicGrid, k: int) -> tuple[int, _Spans]:
+    """(q0, spans): the level-k cubes that meet the mesh domain, span m the
+    part of cube q0 + m inside the domain, all with the level's one
+    denominator."""
+    a0, step, den = _level_affine(mesh, grid, k)
+    cubes = _level_cubes(mesh, grid, k)
+    inner = np.arange(cubes.start + 1, cubes.stop, dtype=np.int64) * den - a0
+    edges = np.concatenate(([0], inner, [mesh.n_cells * step]))
+    return cubes.start, _Spans(edges[:-1], edges[1:], step)
+
+
+def oracle_level_window(mesh: Mesh, grid: DyadicGrid, levels) -> tuple[tuple, list, _Spans]:
+    """``grid._level_window`` by joining: (q0s, sizes, spans), the
+    ``oracle_level_spans`` of ``levels`` joined in order, with each level's
+    first cube and span count."""
+    q0s, parts = zip(*(oracle_level_spans(mesh, grid, k) for k in levels))
+    spans = object.__new__(_Spans)
+    for name in _Spans.__slots__:
+        setattr(spans, name, np.concatenate([getattr(part, name) for part in parts]))
+        getattr(spans, name).flags.writeable = False
+    return q0s, [len(part) for part in parts], spans
+
+
 def oracle_cell_cube_integrals(f: MeshFunction, grid: DyadicGrid, k0: int, k1: int) -> np.ndarray:
     """``cell_cube_integrals`` with its (cube, cell) pairs derived per call:
     three ``np.repeat``s over the joined level spans give each pair's flat
@@ -152,7 +178,7 @@ def oracle_cell_cube_integrals(f: MeshFunction, grid: DyadicGrid, k0: int, k1: i
     out = np.zeros((max(k1 - k0 + 1, 0), n))
     if k1 < k0:
         return out
-    _, sizes, spans = _joined_level_spans(f.mesh, grid, range(k0, k1 + 1))
+    _, sizes, spans = oracle_level_window(f.mesh, grid, range(k0, k1 + 1))
     first, stop = spans.ends[::2], spans.ends[1::2]
     counts = np.maximum(stop - first, 0)  # cells wholly inside each span's cube
     # the flat index j * n + x in out of each (cube, cell) pair, x running up

@@ -249,12 +249,18 @@ class TestExitCodes:
             (["sparse-check", "--level", "21"], "--level: must be a mesh level in 0..20, got '21'"),
             (["matrix-check", "--level", "2.5"], "--level: must be a mesh level in 0..20, got '2.5'"),
             (["constants", "--level", "99"], "--level: must be a mesh level in 0..20, got '99'"),
+            (["sparse-check", "--seed", "-1"], "--seed: must be a non-negative integer, got '-1'"),
+            (["weaktype", "--weight", "powerlog:a=0.5", "--seed", "1.5"], "--seed: must be a non-negative integer, got '1.5'"),
+            (["lowerbound", "--x-min", "0"], "--x-min: must be in (0, 0.5), below the graded mesh's x_hi, got '0'"),
+            (["lowerbound", "--x-min", "0.5"], "--x-min: must be in (0, 0.5), below the graded mesh's x_hi, got '0.5'"),
+            (["lowerbound", "--x-min", "nan"], "--x-min: must be in (0, 0.5), below the graded mesh's x_hi, got 'nan'"),
         ],
         ids=["cells-per-band-0", "cells-per-band-0-counted", "cells-per-band-negative", "window-0", "window-negative",
              "characteristic-radius-0", "characteristic-radius-negative", "weaktype-radius-0",
              "sparse-check-radius-negative", "matrix-check-radius-inf", "constants-radius-nan",
              "characteristic-level-25", "level-30", "weaktype-level-negative", "sparse-check-level-21",
-             "matrix-check-level-fraction", "constants-level-99"],
+             "matrix-check-level-fraction", "constants-level-99", "sparse-check-seed-negative", "weaktype-seed-fraction",
+             "x-min-0", "x-min-at-x-hi", "x-min-nan"],
     )
     def test_out_of_domain_flag_is_2_at_parse_time(self, tmp_path, capsys, args, message):
         """Before, --cells-per-band 0 exited 0 (3 when counted), --window 0 and
@@ -371,6 +377,28 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
         assert not list(tmp_path.iterdir())
+
+    def test_overflowing_characteristic_product_is_3(self, tmp_path, capsys):
+        """[w]_A_inf^p overflowed a float at p = 1e300: an OverflowError
+        traceback and exit 1."""
+        code, out = run(tmp_path, "x.csv", ["weaktype", "--operator", "M", "--weight", "powerlog:a=0.5",
+                                            "--p", "1e300", "--trials", "1"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("numerical failure: the characteristic product 1 * ") and err.count("\n") == 1
+        assert err.rstrip().endswith("^1e+300 overflows")
+        assert not out.exists()
+
+    def test_output_directory_is_2(self, tmp_path, capsys):
+        """An existing directory as --output ended in an IsADirectoryError
+        traceback and exit 1."""
+        target = tmp_path / "out"
+        target.mkdir()
+        code = main(["characteristic", "--weight", "powerlog:a=-0.5", "--output", str(target)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: cannot write {str(target)!r}: Is a directory\n"
+        assert list(tmp_path.iterdir()) == [target] and not list(target.iterdir())
 
     def test_unresolved_level_set_is_3(self, tmp_path):
         code, _ = run(

@@ -1,8 +1,9 @@
 """The integer cube-to-cell map (``grid.cube_span``) and cube locator
 (``DyadicGrid.cube_index_of``) against the ``Fraction`` geometry they
 replaced (``geometry_oracle``), byte for byte; the all-level tables, read
-through the geometry cached per mesh, grid and level, against the one-level
-builders they replaced; its int64 headroom at the extreme meshes; and the
+through the geometry cached per mesh, grid and level window, against the
+one-level builders they replaced, and that geometry against the per-level
+spans joined; its int64 headroom at the extreme meshes; and the
 rules that only ``grid.py`` imports ``fractions``, reads a grid's
 ``shift_index``, touches a function's cube tables, caches results (on
 frozen keys only) and writes the cube-label format, that only ``matrix.py``
@@ -39,6 +40,7 @@ from geometry_oracle import (
     oracle_integral,
     oracle_level_affine,
     oracle_level_cube_integrals,
+    oracle_level_window,
     oracle_sparse_apply,
 )
 import weaklab
@@ -51,7 +53,7 @@ from weaklab.grid import (
     _cell_cube_pairs,
     _kept,
     _level_affine,
-    _level_spans,
+    _level_window,
     _sweep_geometry,
     _Spans,
     average,
@@ -283,7 +285,7 @@ def test_range_tables_match_per_level_oracle(radius, level, components):
 )
 def test_cached_geometry_matches_one_level_oracle(radius, level, j, seed, data):
     """Tables and cell-cube integrals read through the geometry cached per
-    (mesh, grid, level) equal the one-level oracle bit for bit, whichever
+    (mesh, grid, level window) equal the one-level oracle bit for bit, whichever
     windows, in whatever order, built the function's tables.  A vector f has
     one component per cell (the Christ-Goldberg shape, read with ``comp``),
     so it is drawn only on meshes of at most 128 cells."""
@@ -314,11 +316,40 @@ def test_cached_geometry_matches_one_level_oracle(radius, level, j, seed, data):
 def test_cached_geometry_is_read_only():
     mesh, grid = Mesh(3.0, 5), GRIDS[1]
     k_top, k_fine = default_levels(mesh)
-    spans = [_level_spans(mesh, grid, k)[1] for k in (k_top, k_fine)]
-    spans.append(_Spans.join(spans))
+    spans = [_level_window(mesh, grid, (k,))[2] for k in (k_top, k_fine)]
+    spans.append(_level_window(mesh, grid, (k_top, k_fine))[2])
     for a in [getattr(s, name) for s in spans for name in _Spans.__slots__]:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = a[0]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    mesh=st.one_of(
+        st.builds(Mesh, st.sampled_from([0.75, 1.0, 3.0, 5.25]), st.integers(0, 10)),
+        st.just(Mesh(1.0, 13)),
+    ),
+    j=st.integers(0, 2),
+    data=st.data(),
+)
+def test_level_window_matches_joined_per_level_spans(mesh, j, data):
+    """The span batch kept per (mesh, grid, level window) equals the
+    per-level spans joined, field for field in hex, for contiguous and
+    non-contiguous windows in any order; ``Mesh(1.0, 13)`` is past
+    ``_CACHED_CELLS`` and derives its window per call."""
+    grid, levels = DyadicGrid(j), level_range(mesh)
+    window = data.draw(
+        st.one_of(
+            st.tuples(st.sampled_from(levels), st.sampled_from(levels)).map(lambda ks: tuple(range(min(ks), max(ks) + 1))),
+            st.lists(st.sampled_from(levels), min_size=1, max_size=5, unique=True).map(tuple),
+        )
+    )
+    q0s, sizes, spans = _kept(_level_window, mesh, grid, window)
+    want_q0s, want_sizes, want = oracle_level_window(mesh, grid, window)
+    assert q0s == want_q0s and list(sizes) == want_sizes and len(spans) == sum(want_sizes)
+    for name in _Spans.__slots__:
+        got, ref = getattr(spans, name), getattr(want, name)
+        assert got.dtype == ref.dtype and got.tobytes().hex() == ref.tobytes().hex(), name
 
 
 def test_fine_meshes_keep_no_geometry():
@@ -329,11 +360,11 @@ def test_fine_meshes_keep_no_geometry():
     assert mesh.n_cells == 2 * _CACHED_CELLS
     k_top, k_fine = default_levels(mesh)
     f = MeshFunction(mesh, np.random.default_rng(13).uniform(0, 1, mesh.n_cells))
-    lookups = _level_spans.cache_info()[:2]  # hits, misses
+    lookups = _level_window.cache_info()[:2]  # hits, misses
     for k, (q0, ints) in enumerate(level_cube_integrals(f, grid, k_top, k_fine), k_top):
         want_q0, want_ints = oracle_level_cube_integrals(f, grid, k)
         assert q0 == want_q0 and ints.tobytes() == want_ints.tobytes()
-    assert _level_spans.cache_info()[:2] == lookups
+    assert _level_window.cache_info()[:2] == lookups
 
 
 def test_sweep_geometry_is_read_only_and_kept_for_small_meshes_only():
@@ -403,7 +434,7 @@ def test_out_of_range_levels_raise_on_every_call():
     f = MeshFunction.indicator(mesh, -0.5, 0.25)
     calls = [
         lambda: _level_affine(mesh, grid, -60),
-        lambda: _level_spans(mesh, grid, -60),
+        lambda: _level_window(mesh, grid, (-60,)),
         lambda: level_cube_integrals(f, grid, -60, 0),
         lambda: cube_indices_per_cell(mesh, grid, -60, 0),
         lambda: cell_cube_integrals(MeshFunction(mesh, np.eye(mesh.n_cells)), grid, -60, 0),
@@ -640,7 +671,7 @@ def test_caches_live_in_grid_on_frozen_keys():
                         cached[node.name] = (dec, node.args)
     assert users == {"grid.py"}
     assert set(cached) == {
-        "_level_affine", "_level_spans", "_sweep_geometry", "_cell_cube_index", "_cell_cube_pairs",
+        "_level_affine", "_level_window", "_sweep_geometry", "_cell_cube_index", "_cell_cube_pairs",
         "_aligned_layout",
     }
     for name, (dec, args) in cached.items():

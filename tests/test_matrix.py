@@ -493,6 +493,10 @@ def _exponent_message(p):
         (lambda: matrix_ap_characteristic(_BAD_W, math.nan), "matrix A_p requires p > 1 and finite, got nan"),
         (lambda: matrix_a1q_characteristic(_BAD_W, math.nan), "A_(1,q) requires q > 1 and finite, got nan"),
         (
+            lambda: matrix_apq_characteristic(_BAD_W, 2.0, math.inf),
+            "fractional matrix class requires 1 < p < q and q finite, got p=2.0, q=inf",
+        ),
+        (
             lambda: scalar_restriction(_BAD_W, 2.0, np.zeros(2)),
             "direction must be a nonzero finite vector of length 2, got [0. 0.]",
         ),
@@ -504,7 +508,7 @@ def _exponent_message(p):
     ids=[
         "reducing-0", "reducing-neg", "reducing-half", "reducing-inf", "reducing-nan", "dual-reducing-inf",
         "fractional-reducing-half", "restriction-0", "ainf-sc-0", "ainf-sc-neg", "dominating-nan",
-        "matrix-ap-nan", "matrix-a1q-nan", "restriction-zero-direction", "ainf-sc-no-directions",
+        "matrix-ap-nan", "matrix-a1q-nan", "matrix-apq-q-inf", "restriction-zero-direction", "ainf-sc-no-directions",
     ],
 )
 def test_matrix_layer_names_a_bad_exponent(call, message):

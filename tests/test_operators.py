@@ -560,13 +560,14 @@ _ORDER_ONE = PowerLogWeight(0.0)
         (lambda: multiplier_apply("ASalpha", _ORDER_ONE, 2.0, _ORDER_F), "ASalpha requires alpha"),
         (lambda: multiplier_apply("AS", _ORDER_ONE, 2.0, _ORDER_F, alpha=1.5), "got 1.5"),
         (lambda: multiplier_apply("ASalpha", _ORDER_ONE, 2.0, _ORDER_F, alpha=-0.3), "got -0.3"),
+        (lambda: multiplier_apply("H", _ORDER_ONE, 2.0, _ORDER_F, alpha=0.3), "H has no fractional order, got alpha=0.3"),
         (lambda: hl_maximal(_ORDER_F, alpha=2.0), "got 2.0"),
         (lambda: hl_maximal(_ORDER_F, alpha=math.nan), "got nan"),
         (lambda: dyadic_maximal(_ORDER_F, alpha=2.0), "got 2.0"),
         (lambda: sparse_apply(_ORDER_FAMILY, _ORDER_F, alpha=2.0), "got 2.0"),
         (lambda: dominating_scalar_sparse(_ORDER_W, 2.0, _ORDER_FAMILY, _ORDER_F, alpha=2.0, q=3.0), "got 2.0"),
     ],
-    ids=["ASalpha-without", "AS-1.5", "ASalpha-neg", "hl-2", "hl-nan", "dyadic-2", "sparse-apply-2", "dominating-2"],
+    ids=["ASalpha-without", "AS-1.5", "ASalpha-neg", "H-0.3", "hl-2", "hl-nan", "dyadic-2", "sparse-apply-2", "dominating-2"],
 )
 def test_every_operator_that_takes_alpha_refuses_one_outside_the_rule(call, message):
     # the rule: alpha == 0, or a fractional order 0 < alpha < 1
@@ -574,6 +575,14 @@ def test_every_operator_that_takes_alpha_refuses_one_outside_the_rule(call, mess
         message = f"fractional order must satisfy 0 < alpha < n = 1, {message}"
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+def test_md_with_alpha_is_the_fractional_dyadic_maximal():
+    # the alpha rule of AS: the tag with alpha is its fractional form
+    w = PowerLogWeight(0.5)
+    md = multiplier_apply("Md", w, 2.0, _ORDER_F, alpha=0.3, weight_power=1.0).values
+    assert md.tobytes() == multiplier_apply("Malpha", w, 2.0, _ORDER_F, alpha=0.3, weight_power=1.0).values.tobytes()
+    assert md.tobytes() != multiplier_apply("Md", w, 2.0, _ORDER_F, weight_power=1.0).values.tobytes()
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.3, 0.5])

@@ -1617,29 +1617,41 @@ _GUARD_F = MeshFunction(_GUARD_MESH, np.linspace(0.5, 2.0, _GUARD_MESH.n_cells))
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: ap_characteristic(PowerLogWeight(-0.5), math.nan), "A_p requires p > 1, got nan"),
-        (lambda: rh_characteristic(ONE, math.nan), "reverse Holder requires s > 1, got nan"),
-        (lambda: a1q_characteristic(ONE, math.nan), "A_(1,q) requires q > 1, got nan"),
+        (lambda: ap_characteristic(PowerLogWeight(-0.5), math.nan), "A_p requires p > 1 and finite, got nan"),
+        (lambda: ap_characteristic(PowerLogWeight(-0.5), math.inf), "A_p requires p > 1 and finite, got inf"),
+        (lambda: rh_characteristic(ONE, math.nan), "reverse Holder requires s > 1 and finite, got nan"),
+        (lambda: rh_characteristic(PowerLogWeight(-0.3), math.inf), "reverse Holder requires s > 1 and finite, got inf"),
+        (lambda: a1q_characteristic(ONE, math.nan), "A_(1,q) requires q > 1 and finite, got nan"),
+        (lambda: a1q_characteristic(PowerLogWeight(-0.3), math.inf), "A_(1,q) requires q > 1 and finite, got inf"),
         (lambda: apq_characteristic(ONE, math.nan, 3.0), "A_(p,q) with p = 1 is a1q_characteristic; got p=nan"),
-        (lambda: apq_characteristic(ONE, 2.0, math.nan), "A_(p,q) requires q > p, got p=2.0, q=nan"),
-        (lambda: sharp_rh_exponent(ONE, ceiling=math.nan), "reverse Holder requires s > 1, got nan"),
-        (lambda: dual_exponent(math.nan), "dual exponent needs p > 1, got nan"),
+        (lambda: apq_characteristic(ONE, 2.0, math.nan), "A_(p,q) requires q > p and finite, got p=2.0, q=nan"),
+        (lambda: apq_characteristic(PowerLogWeight(-0.3), 2.0, math.inf),
+         "A_(p,q) requires q > p and finite, got p=2.0, q=inf"),
+        (lambda: sharp_rh_exponent(ONE, ceiling=math.nan), "reverse Holder requires s > 1 and finite, got nan"),
+        (lambda: sharp_rh_exponent(PowerLogWeight(-0.3), ceiling=math.inf),
+         "reverse Holder requires s > 1 and finite, got inf"),
+        (lambda: dual_exponent(math.nan), "dual exponent needs p > 1 and finite, got nan"),
+        (lambda: dual_exponent(math.inf), "dual exponent needs p > 1 and finite, got inf"),
         (lambda: weak_lp_norm(_GUARD_F, math.nan), "weak norm needs p >= 1, got nan"),
         (lambda: quotient_from_output(_GUARD_F, 1.0, math.nan), "weak-type quotients need p >= 1, got nan"),
         (lambda: quotient_from_output(_GUARD_F, 1.0, 2.0, math.nan), "need a finite q >= p, got p=2.0, q=nan"),
         (lambda: quotient_from_output(_GUARD_F, math.nan, 2.0), "f must have positive norm"),
-        (lambda: proof_constants(math.nan, 2.0), "sharp reverse-Holder exponent must exceed 1, got nan"),
-        (lambda: proof_constants(2.0, math.nan), "p must be >= 1, got nan"),
+        (lambda: proof_constants(math.nan, 2.0), "sharp reverse-Holder exponent requires nu > 1 and finite, got nan"),
+        (lambda: proof_constants(math.inf, 2.0), "sharp reverse-Holder exponent requires nu > 1 and finite, got inf"),
+        (lambda: proof_constants(2.0, math.nan), "p must be >= 1 and finite, got nan"),
+        (lambda: proof_constants(2.0, math.inf), "p must be >= 1 and finite, got inf"),
         (lambda: bound_check("T", math.nan, [_GUARD_F], [1.0], 2.0), "characteristic product must be positive"),
         (lambda: _GUARD_F.lp_norm(0), "L^p norm needs p > 0, got 0"),
         (lambda: MeshFunction.constant(_GUARD_MESH, 2.0).lp_norm(-1), "L^p norm needs p > 0, got -1"),
     ],
     ids=[
-        "ap", "rh", "a1q", "apq-p", "apq-q", "sharp-rh-ceiling", "dual", "weak-norm", "quotient-p",
-        "quotient-q", "quotient-f-norm", "proof-nu", "proof-p", "bound-product", "lp-norm-0", "lp-norm-neg",
+        "ap", "ap-inf", "rh", "rh-inf", "a1q", "a1q-inf", "apq-p", "apq-q", "apq-q-inf", "sharp-rh-ceiling",
+        "sharp-rh-ceiling-inf", "dual", "dual-inf", "weak-norm", "quotient-p", "quotient-q", "quotient-f-norm",
+        "proof-nu", "proof-nu-inf", "proof-p", "proof-p-inf", "bound-product", "lp-norm-0", "lp-norm-neg",
     ],
 )
 def test_exponent_guards_name_nan_and_out_of_range_values(call, message):
-    # each guard states the condition that must hold, so NaN fails it
+    # each guard states the condition that must hold, so NaN fails it, and an
+    # exponent is finite (weak_lp_norm and lp_norm alone read inf, as the sup norm)
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
