@@ -12,7 +12,8 @@ Subcommands (one per acceptance cluster):
 
 Conventions: a single integer --seed drives all randomness; outputs are
 written atomically (temp file + rename) with floats at 12 significant
-digits, so identical configurations reproduce byte-identical files.  A
+digits, so identical configurations reproduce byte-identical files, with
+the mode a plain ``open`` gives (0666 less the umask).  A
 ``key = value`` config file supplies defaults; command-line flags override.
 
 Exit codes: 0 success; 1 invariant-suite violation; 2 invalid exponent
@@ -124,6 +125,8 @@ def _atomic_write(path: str, text: str) -> None:
         try:
             with os.fdopen(fd, "w", newline="") as f:
                 f.write(text)
+            os.umask(umask := os.umask(0))  # read the umask (there is no getter)
+            os.chmod(tmp, 0o666 & ~umask)  # the mode open() gives, not mkstemp's 0600
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)

@@ -14,20 +14,19 @@ here) and ``Cube.left``/``Cube.right``.
 
 Geometry once per key, values per function: which cells a cube covers,
 and the exact shares of the cells straddling its edges, depend only on the
-mesh, the grid and the level.  So ``_level_affine`` (per level) and the
-cube spans of a table batch (``_level_window``, one read-only ``_Spans``
-once per (mesh, grid, level window)) are kept by ``functools.lru_cache``
-(a fixed size, frozen keys only), and ``_span_integrals`` only gathers and
-sums values.  Each sweep over a range of levels keeps one read-only index
-per (mesh, grid, level range), over its own leaves: ``_cell_cube_index``
-places each cell's containing cube at every level in the joined tables
-(the maximal sweep), ``_cell_cube_pairs`` lays out the (cube, cell) pairs
-a vector integrand reads (Christ-Goldberg), and ``_sweep_geometry`` each
-finest cube's ancestors and the inside cubes' segments (the Fujii-Wilson
-sweep).  A sampled weight's aligned cubes and their running-sum layout
-(``_cell_runs``) are kept the same way, per (mesh, grid, level range),
-``_aligned_layout``; its cell scan (``_scan_layout``, O(n^2) candidates)
-is built per call.  One size rule, ``_kept``, keeps all of it on meshes of at most ``_CACHED_CELLS`` cells and derives it per call
+mesh, the grid and the level.  So ``_level_affine`` keeps each level's
+integer constants, and one ``_Geometry`` per (mesh, grid, level window)
+holds what the window's readers need, each part built on first use: the
+cube spans of a table batch (``window``, one read-only ``_Spans``), each
+cell's containing cube at every level (``index``, the maximal sweep), the
+(cube, cell) pairs a vector integrand reads (``pairs``, Christ-Goldberg),
+each finest cube's ancestors and the inside cubes' segments (``sweep``,
+Fujii-Wilson), and a sampled weight's aligned cubes with their running-sum
+layout (``aligned_layout``, ``_cell_runs``).  ``_span_integrals`` only
+gathers and sums values; a cell scan (``_scan_layout``, O(n^2) candidates)
+is built per call.  One size rule, ``_geometry``, keeps a window's geometry
+(``_kept_geometry``, one ``functools.lru_cache`` of fixed size on frozen
+keys) on meshes of at most ``_CACHED_CELLS`` cells and builds it per call
 on finer ones, where the spans (80 bytes a cell) would keep 0.5 GB for
 three grids at level 20, and each index (8 bytes a cell and level) 1.1 GB.
 
@@ -412,17 +411,9 @@ def average(f: MeshFunction, Q: Cube) -> float:
     """Cube average <f>_Q = |Q|^-1 ∫_Q f, exact for the piecewise-constant f.
 
     Cells outside the mesh domain contribute zero mass but the full cube
-    measure |Q| is kept in the denominator.  Bit-identical to
-    ``f.integral(Q.left, Q.right) / Q.width`` (the same span, summed alike).
+    measure |Q| is kept in the denominator.
     """
-    if f.is_vector:
-        raise TypeError("integrals of a vector function are undefined")
-    n = f.mesh.n_cells
-    lo, hi, den = cube_span(f.mesh, Q)
-    lo, hi = max(lo, 0), min(hi, n * den)
-    if hi <= lo:
-        return 0.0
-    return float(_span_integrals(f, _Spans(np.array([lo]), np.array([hi]), den))[0]) / Q.width
+    return f.integral(Q.left, Q.right) / Q.width
 
 
 # ---------------------------------------------------------------------------
@@ -532,15 +523,6 @@ def cube_indices_per_cell(mesh: Mesh, grid: DyadicGrid, k0: int, k1: int) -> tup
     return q, -(-num[:, 1:] // den) == q + 1  # the cell's right edge is at most the cube's
 
 
-_CACHED_CELLS = 2**13  # finer meshes derive their kept geometry per call
-
-
-def _kept(build, mesh: Mesh, *key):
-    """``build(mesh, *key)`` through its cache on meshes of at most
-    ``_CACHED_CELLS`` cells, derived afresh (and not kept) on finer ones."""
-    return (build if mesh.n_cells <= _CACHED_CELLS else build.__wrapped__)(mesh, *key)
-
-
 def _level_cubes(mesh: Mesh, grid: DyadicGrid, k: int) -> range:
     """The indices of the level-k cubes that meet the mesh domain."""
     a0, step, den = _level_affine(mesh, grid, k)
@@ -548,22 +530,122 @@ def _level_cubes(mesh: Mesh, grid: DyadicGrid, k: int) -> range:
     return range(a0 // den, max(-(-(a0 + mesh.n_cells * step) // den), a0 // den + 1))
 
 
-@functools.lru_cache(maxsize=16, typed=True)  # a workload process reads 6-11 keys
-def _level_window(mesh: Mesh, grid: DyadicGrid, levels: tuple[int, ...]) -> tuple[tuple, tuple, "_Spans"]:
-    """(q0s, sizes, spans): the cubes of each level of ``levels`` that meet
-    the mesh domain, level by level in one read-only ``_Spans``, each span
-    with its own level's denominator; level j's span m is the part of cube
-    ``q0s[j] + m`` inside the domain, and ``sizes[j]`` counts its spans."""
-    q0s, lo, hi, den = [], [], [], []
-    for k in levels:
-        a0, step, d = _level_affine(mesh, grid, k)
-        cubes = _level_cubes(mesh, grid, k)
-        edges = np.clip(np.arange(cubes.start, cubes.stop + 1, dtype=np.int64) * d - a0, 0, mesh.n_cells * step)
-        q0s.append(cubes.start)
-        lo.append(edges[:-1])
-        hi.append(edges[1:])
-        den.append(np.full(len(cubes), step, dtype=np.int64))
-    return tuple(q0s), tuple(map(len, lo)), _Spans(*map(np.concatenate, (lo, hi, den)))
+_CACHED_CELLS = 2**13  # finer meshes build their geometry per call
+
+
+def _geometry(mesh: Mesh, grid: DyadicGrid, levels: tuple[int, ...]) -> "_Geometry":
+    """The one size rule: the ``_Geometry`` of ``levels`` kept on meshes of at
+    most ``_CACHED_CELLS`` cells, built afresh (and not kept) on finer ones."""
+    return (_kept_geometry if mesh.n_cells <= _CACHED_CELLS else _Geometry)(mesh, grid, levels)
+
+
+@functools.lru_cache(maxsize=16, typed=True)  # a workload process reads 9-11 keys
+def _kept_geometry(mesh: Mesh, grid: DyadicGrid, levels: tuple[int, ...]) -> "_Geometry":
+    return _Geometry(mesh, grid, levels)
+
+
+class _Geometry:
+    """The geometry of a level window: the cubes of ``levels`` of ``grid``
+    that meet the domain of ``mesh`` (``cubes``, one range per level), and
+    ``first``, each level's offset in the window's ``level_cube_integrals``
+    tables joined in order (``joined``).  A level out of the exact range
+    raises here, before anything is kept.  Each part below is built on
+    first use and read-only."""
+
+    def __init__(self, mesh: Mesh, grid: DyadicGrid, levels: tuple[int, ...]):
+        self.mesh, self.grid, self.levels = mesh, grid, levels
+        self.cubes = tuple(_level_cubes(mesh, grid, k) for k in levels)
+        self.first = _read_only(np.cumsum([0] + [len(c) for c in self.cubes]))
+
+    @functools.cached_property
+    def window(self) -> tuple[tuple, tuple, "_Spans"]:
+        """(q0s, sizes, spans): every level's cubes in one ``_Spans``, each
+        span with its own level's denominator; level j's span m is the part
+        of cube ``q0s[j] + m`` inside the domain, and ``sizes[j]`` counts its
+        spans (a table batch)."""
+        n, lo, hi, den = self.mesh.n_cells, [], [], []
+        for k, cubes in zip(self.levels, self.cubes):
+            a0, step, d = _level_affine(self.mesh, self.grid, k)
+            edges = np.clip(np.arange(cubes.start, cubes.stop + 1, dtype=np.int64) * d - a0, 0, n * step)
+            lo.append(edges[:-1])
+            hi.append(edges[1:])
+            den.append(np.full(len(cubes), step, dtype=np.int64))
+        return tuple(c.start for c in self.cubes), tuple(map(len, self.cubes)), _Spans(*map(np.concatenate, (lo, hi, den)))
+
+    @functools.cached_property
+    def index(self) -> np.ndarray:
+        """(levels, cells): entry [j, x] is 1 plus the position in ``joined``
+        of the level-j cube that wholly contains cell x, 0 where none does
+        (the maximal sweep).  Built level by level, so the int64 temporaries
+        take one row."""
+        index = np.zeros((len(self.levels), self.mesh.n_cells), dtype=np.intp)
+        for row, k, cubes, at in zip(index, self.levels, self.cubes, self.first):
+            (q,), (contained,) = cube_indices_per_cell(self.mesh, self.grid, k, k)
+            np.add(q, 1 + at - cubes.start, out=row, where=contained)
+        return _read_only(index)
+
+    @functools.cached_property
+    def pairs(self) -> tuple:
+        """(at, comp, spans): the (cube, cell) pairs of the nonzero ``index``
+        entries that a vector integrand reads (Christ-Goldberg), cell by cell
+        and coarse to fine within a cell.  ``at`` is each pair's flat
+        position in the (levels, cells) output, ``comp`` its cell and
+        ``spans`` its cube's span.  In this order consecutive spans read one
+        component and nest, so the gaps that ``_span_integrals``' reductions
+        also sum (and drop) between them stay short; each span's floats
+        depend on its own cells alone.  ``spans`` is None when there is no
+        pair (an empty level window)."""
+        comp, level = np.nonzero(self.index.T)
+        spans = self.window[2].take(self.index[level, comp] - 1) if len(comp) else None
+        return _read_only(level * self.mesh.n_cells + comp), _read_only(comp), spans
+
+    @functools.cached_property
+    def sweep(self) -> tuple:
+        """(gather, seg, cubes, empty, inside, blocks), the Fujii-Wilson
+        sweep's geometry, read through the cubes of the finest level k_fine:
+
+        * ``gather`` (levels + 1, finest cubes): row r the index into
+          ``[0, *joined]`` of each finest cube's level-(k_fine - r) ancestor,
+          so the rows run from the finest level to the coarsest, and a last
+          row of 0;
+        * ``seg``: ``np.add.reduceat`` bounds into the rows of a value per
+          (row, finest cube), flattened: per row with cubes inside the mesh
+          domain (``inside_cubes``), the first finest cube of each such cube
+          and the end of the last (at most the start of the last row);
+        * ``cubes``: the reduceat sums that are inside cubes, in row order,
+          left to right, and ``empty`` those of them with no finest cube;
+        * ``inside``: the same cubes' indices into ``joined``;
+        * ``blocks``: the same cubes as ``(grid, k, m)`` blocks.
+        """
+        grid, levels = self.grid, self.levels
+        fine, k_fine = (self.cubes[-1], levels[-1]) if levels else (range(0), 0)
+        lefts = grid.numerator(k_fine, np.arange(fine.start, fine.stop, dtype=np.int64))
+        gather = np.zeros((len(levels) + 1, len(fine)), dtype=np.intp)
+        seg, cubes, empty, inside, blocks = [], [], [], [], []
+        for r, j in enumerate(reversed(range(len(levels)))):
+            k, q0 = levels[j], self.cubes[j].start
+            anc = grid.index_at(k, lefts, 3, k_fine)  # each finest cube's level-k ancestor
+            gather[r] = 1 + self.first[j] + anc - q0
+            ins = inside_cubes(self.mesh, grid, k)
+            if not ins:
+                continue
+            bounds = np.searchsorted(anc, np.arange(ins.start, ins.stop + 1))
+            cubes.append(sum(map(len, seg)) + np.arange(len(ins)))
+            seg.append(r * len(fine) + bounds)
+            empty.append(bounds[1:] == bounds[:-1])
+            inside.append(self.first[j] + np.arange(ins.start - q0, ins.stop - q0))
+            blocks.append((grid, k, _read_only(np.arange(ins.start, ins.stop))))
+        arrays = [np.concatenate([np.zeros(0, dtype=t)] + parts) for t, parts in ((np.intp, seg), (np.intp, cubes), (bool, empty), (np.intp, inside))]
+        return (_read_only(gather), *map(_read_only, arrays), tuple(blocks))
+
+    @functools.cached_property
+    def aligned_layout(self) -> tuple:
+        """(lo, hi, label, *``_cell_runs``): the window's cubes, coarse to
+        fine, left to right (``_cubes``), and their run layout (a sampled
+        weight's candidates).  The cubes must be cell-aligned (the standard
+        grid on a power-of-two radius, down to the cell level)."""
+        lo, hi, label = _cubes([(self.grid, k, np.arange(c.start, c.stop)) for k, c in zip(self.levels, self.cubes)])
+        return _read_only(lo), _read_only(hi), label, *_cell_runs(self.mesh, lo, hi)
 
 
 def level_cube_integrals(f: MeshFunction, grid: DyadicGrid, k0: int, k1: int) -> list[tuple[int, np.ndarray]]:
@@ -572,8 +654,8 @@ def level_cube_integrals(f: MeshFunction, grid: DyadicGrid, k0: int, k1: int) ->
 
     Cells straddling a cube edge are split exactly; f is zero outside the
     domain.  The levels not yet in ``f._tables[grid]`` go through one
-    ``_span_integrals`` call over their ``_level_window``, the geometry kept
-    once per (mesh, grid, level window), each span with its own level's
+    ``_span_integrals`` call over the ``window`` of their ``_geometry``,
+    kept once per (mesh, grid, level window), each span with its own level's
     denominator, so each entry is bit-identical to
     ``f.integral(cube.left, cube.right)`` whichever window built it.  The
     tables are read-only and stay on f.  A vector f integrates component by
@@ -582,7 +664,7 @@ def level_cube_integrals(f: MeshFunction, grid: DyadicGrid, k0: int, k1: int) ->
     memo = f._tables.setdefault(grid, {})
     missing = [k for k in range(k0, k1 + 1) if k not in memo]
     if missing:
-        q0s, sizes, spans = _kept(_level_window, f.mesh, grid, tuple(missing))
+        q0s, sizes, spans = _geometry(f.mesh, grid, tuple(missing)).window
         ints = _span_integrals(f, spans)
         ints.flags.writeable = False  # the per-level views inherit it
         memo.update(zip(missing, zip(q0s, np.split(ints, np.cumsum(sizes)[:-1]))))
@@ -593,96 +675,21 @@ def cell_cube_integrals(f: MeshFunction, grid: DyadicGrid, k0: int, k1: int) -> 
     """Per level k0..k1 (rows) and mesh cell x (columns): the integral of f
     over the level's cube that wholly contains cell x, 0 where none does.
 
-    The (cube, cell) pairs are the nonzero entries of ``_cell_cube_index``.
-    A scalar f is gathered from its ``level_cube_integrals`` tables.  A
-    vector f has one component per cell, and cell x reads component x: only
-    those pairs (``_cell_cube_pairs``) are integrated, in one
-    ``_span_integrals`` call, each entry bit-identical to column x of its
-    cube's ``level_cube_integrals`` entry.
+    The (cube, cell) pairs are the nonzero entries of the ``index`` of the
+    window's ``_geometry``.  A scalar f is gathered from its
+    ``level_cube_integrals`` tables.  A vector f has one component per cell,
+    and cell x reads component x: only those pairs (``pairs``) are
+    integrated, in one ``_span_integrals`` call, each entry bit-identical to
+    column x of its cube's ``level_cube_integrals`` entry.
     """
+    geometry = _geometry(f.mesh, grid, tuple(range(k0, k1 + 1)))
     if not f.is_vector:
-        index = _kept(_cell_cube_index, f.mesh, grid, k0, k1)
-        return np.concatenate([[0.0]] + [ints for _, ints in level_cube_integrals(f, grid, k0, k1)])[index]
-    out = np.zeros((len(range(k0, k1 + 1)), f.mesh.n_cells))
-    at, comp, spans = _kept(_cell_cube_pairs, f.mesh, grid, k0, k1)
+        return np.concatenate([[0.0]] + [ints for _, ints in level_cube_integrals(f, grid, k0, k1)])[geometry.index]
+    out = np.zeros((len(geometry.levels), f.mesh.n_cells))
+    at, comp, spans = geometry.pairs
     if len(at):
         out.flat[at] = _span_integrals(f, spans, comp=comp)
     return out
-
-
-@functools.lru_cache(maxsize=16, typed=True)  # a workload process reads 2-3 keys
-def _cell_cube_index(mesh: Mesh, grid: DyadicGrid, k0: int, k1: int) -> np.ndarray:
-    """(levels k0..k1, cells), read-only: entry [j, x] is 1 plus the position,
-    in the ``level_cube_integrals`` tables of k0..k1 joined, of the
-    level-(k0 + j) cube that wholly contains cell x, 0 where none does.
-    Built level by level, so the int64 temporaries take one row."""
-    levels = range(k0, k1 + 1)
-    first = np.cumsum([1] + [len(_level_cubes(mesh, grid, k)) for k in levels])  # 1 + each level's offset
-    index = np.zeros((len(levels), mesh.n_cells), dtype=np.intp)
-    for row, k, at in zip(index, levels, first):
-        (q,), (contained,) = cube_indices_per_cell(mesh, grid, k, k)
-        np.add(q, at - _level_cubes(mesh, grid, k).start, out=row, where=contained)
-    return _read_only(index)
-
-
-@functools.lru_cache(maxsize=16, typed=True)  # as _cell_cube_index
-def _cell_cube_pairs(mesh: Mesh, grid: DyadicGrid, k0: int, k1: int) -> tuple:
-    """(at, comp, spans), read-only: the (cube, cell) pairs of the nonzero
-    ``_cell_cube_index`` entries, cell by cell and coarse to fine within a
-    cell.  ``at`` is each pair's flat position in the (levels, cells)
-    output, ``comp`` its cell and ``spans`` its cube's span.  In this order
-    consecutive spans read one component and nest, so the gaps that
-    ``_span_integrals``' reductions also sum (and drop) between them stay
-    short; each span's floats depend on its own cells alone.  ``spans`` is
-    None when there is no pair (an empty level window)."""
-    index = _kept(_cell_cube_index, mesh, grid, k0, k1)
-    comp, level = np.nonzero(index.T)
-    at = level * mesh.n_cells + comp
-    spans = _kept(_level_window, mesh, grid, tuple(range(k0, k1 + 1)))[2].take(index[level, comp] - 1) if len(at) else None
-    return _read_only(at), _read_only(comp), spans
-
-
-@functools.lru_cache(maxsize=64, typed=True)
-def _sweep_geometry(mesh: Mesh, grid: DyadicGrid, k_lo: int, k_fine: int) -> tuple:
-    """(gather, seg, cubes, empty, inside, blocks) for the tables of
-    ``level_cube_integrals(f, grid, k_lo, k_fine)`` joined level by level
-    (``joined``), read through the cubes of the finest level k_fine:
-
-    * ``gather`` (levels + 1, finest cubes): row r the index into
-      ``[0, *joined]`` of each finest cube's level-(k_fine - r) ancestor, so
-      the rows run from the finest level to the coarsest, and a last row of
-      0;
-    * ``seg``: ``np.add.reduceat`` bounds into the rows of a value per
-      (row, finest cube), flattened: per row with cubes inside the mesh
-      domain (``inside_cubes``), the first finest cube of each such cube
-      and the end of the last (at most the start of the last row);
-    * ``cubes``: the reduceat sums that are inside cubes, in row order, left
-      to right, and ``empty`` those of them with no finest cube;
-    * ``inside``: the same cubes' indices into ``joined``;
-    * ``blocks``: the same cubes as ``(grid, k, m)`` blocks.
-    """
-    levels = range(k_lo, k_fine + 1)
-    per_level = [_level_cubes(mesh, grid, k) for k in levels]
-    first = np.cumsum([0] + [len(c) for c in per_level])  # each level's offset in joined
-    fine = per_level[-1] if per_level else range(0)
-    lefts = grid.numerator(k_fine, np.arange(fine.start, fine.stop, dtype=np.int64))
-    gather = np.zeros((len(levels) + 1, len(fine)), dtype=np.intp)
-    seg, cubes, empty, inside, blocks = [], [], [], [], []
-    for r, k in enumerate(reversed(levels)):
-        j, q0 = k - k_lo, per_level[k - k_lo].start
-        anc = grid.index_at(k, lefts, 3, k_fine)  # each finest cube's level-k ancestor
-        gather[r] = 1 + first[j] + anc - q0
-        ins = inside_cubes(mesh, grid, k)
-        if not ins:
-            continue
-        bounds = np.searchsorted(anc, np.arange(ins.start, ins.stop + 1))
-        cubes.append(sum(map(len, seg)) + np.arange(len(ins)))
-        seg.append(r * len(fine) + bounds)
-        empty.append(bounds[1:] == bounds[:-1])
-        inside.append(first[j] + np.arange(ins.start - q0, ins.stop - q0))
-        blocks.append((grid, k, _read_only(np.arange(ins.start, ins.stop))))
-    arrays = [np.concatenate([np.zeros(0, dtype=t)] + parts) for t, parts in ((np.intp, seg), (np.intp, cubes), (bool, empty), (np.intp, inside))]
-    return (_read_only(gather), *map(_read_only, arrays), tuple(blocks))
 
 
 def _cubes(blocks):
@@ -693,7 +700,7 @@ def _cubes(blocks):
     Fujii-Wilson grid by grid, fine to coarse, left to right
     (``weights._fujii_wilson``); for the matrix weights the standard cubes of
     the mesh from width R down to one cell, left to right, the list of
-    ``SearchSpace.aligned_cubes()`` (``_aligned_layout``)."""
+    ``SearchSpace.aligned_cubes()`` (``_Geometry.aligned_layout``)."""
     sizes = [len(m) for _, _, m in blocks]
     num = np.concatenate([np.empty(0, dtype=np.int64)] + [g.numerator(k, m) for g, k, m in blocks])
     scale = np.repeat([2.0**-k for _, k, _ in blocks], sizes)  # each cube's width
@@ -733,17 +740,6 @@ def _cell_runs(mesh: Mesh, lo: np.ndarray, hi: np.ndarray) -> tuple:
         rows.append(_read_only(at[:, None] + np.arange(w)))  # padding past the end reads the pad
     pick = start[first] + length - 1
     return _read_only(edges), tuple(rows), _read_only(pick), int(width.max(initial=0)), _Spans(edges[:-1], edges[1:], 1)
-
-
-@functools.lru_cache(maxsize=16, typed=True)
-def _aligned_layout(mesh: Mesh, grid: DyadicGrid, k_lo: int, k_hi: int) -> tuple:
-    """(lo, hi, label, *``_cell_runs``): the grid's cubes of levels
-    k_lo..k_hi that meet the mesh domain, coarse to fine, left to right
-    (``_cubes``), and their run layout.  The cubes must be cell-aligned (the
-    standard grid on a power-of-two radius, down to the cell level)."""
-    blocks = [(grid, k, np.arange(c.start, c.stop)) for k in range(k_lo, k_hi + 1) for c in [_level_cubes(mesh, grid, k)]]
-    lo, hi, label = _cubes(blocks)
-    return _read_only(lo), _read_only(hi), label, *_cell_runs(mesh, lo, hi)
 
 
 def _scan_layout(mesh: Mesh, i0: int, i1: int) -> tuple:

@@ -56,13 +56,11 @@ from .grid import (
     DyadicGrid,
     Mesh,
     MeshFunction,
-    _aligned_layout,
     _cubes,
-    _kept,
+    _geometry,
     _read_only,
     _scan_layout,
     _span_integrals,
-    _sweep_geometry,
     default_levels,
     level_cube_integrals,
     shifted_grids,
@@ -571,13 +569,14 @@ class SearchSpace:
     def _sampled_layout(self, weight: SampledWeight) -> tuple:
         """``(lo, hi, label, edges, rows, pick, pad, blocks)``: a sampled
         weight's candidates and their run layout (``grid._cell_runs``).  They
-        depend on the mesh and the search alone, so grid keeps those of the
-        aligned cubes per (mesh, standard grid, level range); the scan of
+        depend on the mesh and the search alone, so those of the aligned
+        cubes are the ``aligned_layout`` of the standard grid's level window
+        (``grid._geometry``, kept like all window geometry); the scan of
         the mesh edges in ``domain``, O(n^2) candidates, is built per call."""
         mesh = weight.mesh
         if self.sampled_aligned_cubes:
             (k_lo, k_hi), _ = self.levels_for(weight)
-            return _kept(_aligned_layout, mesh, DyadicGrid(), k_lo, k_hi)
+            return _geometry(mesh, DyadicGrid(), tuple(range(k_lo, k_hi + 1))).aligned_layout
         a, b = self.domain
         return _scan_layout(mesh, *mesh.cell_span(max(a, -mesh.radius), min(b, mesh.radius)))
 
@@ -661,9 +660,10 @@ class _Plan:
     and nested cubes their total length.  The candidates and this layout
     depend on the mesh and the search alone and are laid out once per plan,
     so each average, such as a step of ``sharp_rh_exponent``, only sums
-    values.  The aligned cubes' layout is kept in grid per mesh and search
-    (read-only), so every plan on an equal mesh and search reads it; a cell
-    scan, O(n^2) candidates, is laid out afresh for each plan.
+    values.  The aligned cubes' layout is part of the standard grid's kept
+    level-window geometry (``grid._geometry``, read-only), so every plan on
+    an equal mesh and search reads it; a cell scan, O(n^2) candidates, is
+    laid out afresh for each plan.
     """
 
     def __init__(self, weight, search: SearchSpace | None):
@@ -880,8 +880,9 @@ def _fujii_wilson(wbar: MeshFunction, grids, k_lo: int, k_fine: int):
     maximal function of w χ_Q only sees cubes contained in Q; ∫_Q M(w χ_Q)
     is then computed exactly (for the discretized weight) by a bottom-up
     sweep that keeps, per finest-level cube, the running maximum of its
-    ancestors' averages.  The sweep's geometry (``grid._sweep_geometry``)
-    is laid out once per mesh, grid and level range: per grid, one gather
+    ancestors' averages.  The sweep's geometry (the ``sweep`` part of
+    ``grid._geometry``) is laid out once per (mesh, grid, level window),
+    beside that window's table spans: per grid, one gather
     stacks every level's ancestor averages, a running maximum over its rows
     takes them from fine to coarse, and one ``np.add.reduceat`` integrates
     it over every inside cube of every level.
@@ -891,7 +892,7 @@ def _fujii_wilson(wbar: MeshFunction, grids, k_lo: int, k_fine: int):
     for grid in grids:
         # the tables first: on a fine mesh, building them peaks higher than the sweep
         tables = [ints for _, ints in level_cube_integrals(wbar, grid, k_lo, k_fine)]
-        gather, seg, cubes, empty, inside, grid_blocks = _kept(_sweep_geometry, wbar.mesh, grid, k_lo, k_fine)
+        gather, seg, cubes, empty, inside, grid_blocks = _geometry(wbar.mesh, grid, tuple(range(k_lo, k_fine + 1))).sweep
         if not grid_blocks:
             continue
         rest = tables[0].shape[1:]  # (components,) for a vector wbar

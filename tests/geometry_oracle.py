@@ -13,10 +13,10 @@ reducing-matrix sparse operator with one ``grid.average`` call per cube.
 So does the Christ-Goldberg sweep that ``grid.cell_cube_integrals``
 replaced, which integrated every component over every cube, and
 ``oracle_cell_cube_integrals``, the ``cell_cube_integrals`` that derived
-its (cube, cell) pairs on every call before ``grid._cell_cube_index`` kept
-them, and ``oracle_level_window``, the per-level spans joined per table
-batch that ``grid._level_window`` replaced by one span batch kept per
-(mesh, grid, level window).  So do the
+its (cube, cell) pairs on every call before grid kept them (now the
+``index`` of ``grid._Geometry``), and ``oracle_level_window``, the per-level
+spans joined per table batch that one span batch kept per (mesh, grid,
+level window) replaced (now ``grid._Geometry.window``).  So do the
 one-level-per-call table builders that ``grid.level_cube_integrals`` and
 ``grid.cube_indices_per_cell`` replaced by one call for all levels, the
 one-pass span integrals ``oracle_span_integrals`` that derive each call's
@@ -158,7 +158,7 @@ def oracle_level_spans(mesh: Mesh, grid: DyadicGrid, k: int) -> tuple[int, _Span
 
 
 def oracle_level_window(mesh: Mesh, grid: DyadicGrid, levels) -> tuple[tuple, list, _Spans]:
-    """``grid._level_window`` by joining: (q0s, sizes, spans), the
+    """``grid._Geometry.window`` by joining: (q0s, sizes, spans), the
     ``oracle_level_spans`` of ``levels`` joined in order, with each level's
     first cube and span count."""
     q0s, parts = zip(*(oracle_level_spans(mesh, grid, k) for k in levels))

@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,19 @@ class TestSubcommands:
         )
         assert code == 0
         assert len(out.read_text().splitlines()) == 4
+
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"])
+    def test_outputs_honour_the_umask(self, tmp_path, umask, mode):
+        """CSV and JSON outputs get 0666 less the umask, as a plain open
+        gives; the temporary file's 0600 was kept whatever the umask."""
+        jout = tmp_path / "lb.json"
+        old = os.umask(umask)
+        try:
+            code, out = run(tmp_path, "lb.csv", ["lowerbound", "--delta", "0.2", "--json-output", str(jout)])
+        finally:
+            os.umask(old)
+        assert code == 0
+        assert [p.stat().st_mode & 0o777 for p in (out, jout)] == [mode, mode]
 
     def test_lowerbound_json(self, tmp_path):
         jout = tmp_path / "lb.json"

@@ -49,12 +49,9 @@ from weaklab.grid import (
     Mesh,
     MeshFunction,
     _CACHED_CELLS,
-    _cell_cube_index,
-    _cell_cube_pairs,
-    _kept,
+    _geometry,
+    _kept_geometry,
     _level_affine,
-    _level_window,
-    _sweep_geometry,
     _Spans,
     average,
     cell_cube_integrals,
@@ -313,14 +310,36 @@ def test_cached_geometry_matches_one_level_oracle(radius, level, j, seed, data):
             assert cells_k.tobytes() == want_cells.tobytes()
 
 
+def _arrays(part) -> list:
+    """Every array in a kept geometry part: tuples and ``_Spans`` opened."""
+    if isinstance(part, np.ndarray):
+        return [part]
+    if isinstance(part, _Spans):
+        return [getattr(part, name) for name in _Spans.__slots__]
+    return [a for p in part for a in _arrays(p)] if isinstance(part, tuple) else []
+
+
 def test_cached_geometry_is_read_only():
     mesh, grid = Mesh(3.0, 5), GRIDS[1]
     k_top, k_fine = default_levels(mesh)
-    spans = [_level_window(mesh, grid, (k,))[2] for k in (k_top, k_fine)]
-    spans.append(_level_window(mesh, grid, (k_top, k_fine))[2])
+    spans = [_geometry(mesh, grid, (k,)).window[2] for k in (k_top, k_fine)]
+    spans.append(_geometry(mesh, grid, (k_top, k_fine)).window[2])
     for a in [getattr(s, name) for s in spans for name in _Spans.__slots__]:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = a[0]
+    # every part of a whole window, its ranges and offsets, on a shifted grid
+    # and on the cell-aligned standard grid that lays out aligned cubes
+    aligned = Mesh(1.0, 5)
+    for geometry, parts in (
+        (_geometry(mesh, grid, tuple(range(k_top, k_fine + 1))), ("window", "index", "pairs", "sweep")),
+        (_geometry(aligned, GRIDS[0], tuple(range(0, 6))), ("window", "index", "pairs", "sweep", "aligned_layout")),
+    ):
+        assert isinstance(geometry.cubes, tuple) and all(isinstance(c, range) for c in geometry.cubes)
+        arrays = [geometry.first] + [a for part in parts for a in _arrays(getattr(geometry, part))]
+        assert len(arrays) > len(parts)
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = a[(0,) * a.ndim]
 
 
 @settings(max_examples=120, deadline=None)
@@ -344,7 +363,7 @@ def test_level_window_matches_joined_per_level_spans(mesh, j, data):
             st.lists(st.sampled_from(levels), min_size=1, max_size=5, unique=True).map(tuple),
         )
     )
-    q0s, sizes, spans = _kept(_level_window, mesh, grid, window)
+    q0s, sizes, spans = _geometry(mesh, grid, window).window
     want_q0s, want_sizes, want = oracle_level_window(mesh, grid, window)
     assert q0s == want_q0s and list(sizes) == want_sizes and len(spans) == sum(want_sizes)
     for name in _Spans.__slots__:
@@ -360,11 +379,11 @@ def test_fine_meshes_keep_no_geometry():
     assert mesh.n_cells == 2 * _CACHED_CELLS
     k_top, k_fine = default_levels(mesh)
     f = MeshFunction(mesh, np.random.default_rng(13).uniform(0, 1, mesh.n_cells))
-    lookups = _level_window.cache_info()[:2]  # hits, misses
+    lookups = _kept_geometry.cache_info()[:2]  # hits, misses
     for k, (q0, ints) in enumerate(level_cube_integrals(f, grid, k_top, k_fine), k_top):
         want_q0, want_ints = oracle_level_cube_integrals(f, grid, k)
         assert q0 == want_q0 and ints.tobytes() == want_ints.tobytes()
-    assert _level_window.cache_info()[:2] == lookups
+    assert _kept_geometry.cache_info()[:2] == lookups
 
 
 def test_sweep_geometry_is_read_only_and_kept_for_small_meshes_only():
@@ -374,13 +393,14 @@ def test_sweep_geometry_is_read_only_and_kept_for_small_meshes_only():
     consulting the cache."""
     for mesh, kept in ((Mesh(3.0, 5), True), (Mesh(1.0, 13), False)):
         grid, (k_top, k_fine) = GRIDS[1], default_levels(mesh)
-        for build in (_sweep_geometry, _cell_cube_index):
-            lookups = build.cache_info()[:2]  # hits, misses
-            _kept(build, mesh, grid, k_top, k_fine)
-            assert (build.cache_info()[:2] != lookups) == kept, build.__name__
-        *arrays, blocks = _kept(_sweep_geometry, mesh, grid, k_top, k_fine)
+        levels = tuple(range(k_top, k_fine + 1))
+        for part in ("sweep", "index"):
+            lookups = _kept_geometry.cache_info()[:2]  # hits, misses
+            getattr(_geometry(mesh, grid, levels), part)
+            assert (_kept_geometry.cache_info()[:2] != lookups) == kept, part
+        *arrays, blocks = _geometry(mesh, grid, levels).sweep
         assert blocks and all(g == grid for g, _, _ in blocks)
-        index = _kept(_cell_cube_index, mesh, grid, k_top, k_fine)
+        index = _geometry(mesh, grid, levels).index
         assert index.shape == (k_fine - k_top + 1, mesh.n_cells)
         for a in arrays + [m for _, _, m in blocks] + [index]:
             with pytest.raises(ValueError, match="read-only"):
@@ -396,12 +416,12 @@ def test_christ_goldberg_builds_its_pairs_once_per_grid():
     rng = np.random.default_rng(11)
     W = random_matrix_weight(mesh, 2, rng)
     f = MeshFunction(mesh, rng.uniform(-1, 1, (mesh.n_cells, 2)))
-    _cell_cube_pairs.cache_clear()
+    _kept_geometry.cache_clear()
     christ_goldberg_maximal(W, 2.0, f)
     christ_goldberg_maximal(MatrixWeight(mesh, np.tile(np.eye(2), (mesh.n_cells, 1, 1))), 2.0, f)
-    assert _cell_cube_pairs.cache_info()[:2] == (len(GRIDS), len(GRIDS))  # hits, misses
+    assert _kept_geometry.cache_info()[:2] == (len(GRIDS), len(GRIDS))  # hits, misses
     for grid in GRIDS:
-        at, comp, spans = _cell_cube_pairs(mesh, grid, k_top, k_fine)
+        at, comp, spans = _geometry(mesh, grid, tuple(range(k_top, k_fine + 1))).pairs
         level = at // mesh.n_cells
         assert np.array_equal(comp, at % mesh.n_cells) and np.all(np.diff(comp) >= 0)
         assert np.all(np.diff(level)[np.diff(comp) == 0] > 0)
@@ -411,8 +431,9 @@ def test_christ_goldberg_builds_its_pairs_once_per_grid():
 
 
 def test_only_kept_reads_past_the_cache():
-    # one size rule decides which geometry is kept: ``grid._kept`` is the
-    # only code that reaches past an lru_cache to the function it wraps
+    # one size rule decides which geometry is kept (``grid._geometry``, which
+    # picks the cache or the class): no code reaches past an lru_cache to the
+    # function it wraps
     src = pathlib.Path(__file__).resolve().parents[1] / "src" / "weaklab"
     users = set()
     for path in src.glob("*.py"):
@@ -424,7 +445,7 @@ def test_only_kept_reads_past_the_cache():
             ):
                 inside = [d.name for d in defs if d.lineno <= node.lineno <= d.end_lineno]
                 users.add(".".join([path.stem] + inside[-1:]))
-    assert users == {"grid._kept"}
+    assert users == set()
 
 
 def test_out_of_range_levels_raise_on_every_call():
@@ -434,7 +455,7 @@ def test_out_of_range_levels_raise_on_every_call():
     f = MeshFunction.indicator(mesh, -0.5, 0.25)
     calls = [
         lambda: _level_affine(mesh, grid, -60),
-        lambda: _level_window(mesh, grid, (-60,)),
+        lambda: _geometry(mesh, grid, (-60,)),
         lambda: level_cube_integrals(f, grid, -60, 0),
         lambda: cube_indices_per_cell(mesh, grid, -60, 0),
         lambda: cell_cube_integrals(MeshFunction(mesh, np.eye(mesh.n_cells)), grid, -60, 0),
@@ -670,10 +691,7 @@ def test_caches_live_in_grid_on_frozen_keys():
                     if "lru_cache" in ast.unparse(dec):
                         cached[node.name] = (dec, node.args)
     assert users == {"grid.py"}
-    assert set(cached) == {
-        "_level_affine", "_level_window", "_sweep_geometry", "_cell_cube_index", "_cell_cube_pairs",
-        "_aligned_layout",
-    }
+    assert set(cached) == {"_level_affine", "_kept_geometry"}
     for name, (dec, args) in cached.items():
         assert isinstance(dec, ast.Call) and not dec.args, name
         options = {kw.arg: kw.value for kw in dec.keywords}

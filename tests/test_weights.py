@@ -44,7 +44,7 @@ from weaklab import (
     shifted_grids,
 )
 from geometry_oracle import enumerate_cubes
-from weaklab.grid import Cube, _aligned_layout, _cell_runs, default_levels, inside_cubes
+from weaklab.grid import Cube, _cell_runs, _Geometry, _kept_geometry, default_levels, inside_cubes
 from weaklab.lowerbound import w_delta
 from weaklab.operators import weak_lp_norm
 from weaklab.weaktype import bound_check, proof_constants, quotient_from_output
@@ -1496,7 +1496,7 @@ def test_one_candidate_build_per_call(call, weight, search, monkeypatch):
     # stay on the search) and lays out no aligned cubes (grid keeps them per
     # mesh and search); a cell scan is laid out once per call
     search = dataclasses.replace(search)  # an equal search with no kept candidates
-    _aligned_layout.cache_clear()  # and no kept aligned layout
+    _kept_geometry.cache_clear()  # and no kept aligned layout
     built = []
     name = "intervals_for" if isinstance(weight, PowerLogWeight) else "_sampled_layout"
     build = getattr(SearchSpace, name)
@@ -1504,10 +1504,10 @@ def test_one_candidate_build_per_call(call, weight, search, monkeypatch):
     aligned = 1 if isinstance(weight, SampledWeight) and search.sampled_aligned_cubes else 0
     ONE_BUILD[call](weight, search)
     assert len(built) == 1 and built[0] is weight
-    assert _aligned_layout.cache_info().misses == aligned
+    assert _kept_geometry.cache_info().misses == aligned
     ONE_BUILD[call](weight, search)
     assert len(built) == (1 if isinstance(weight, PowerLogWeight) else 2) and built[-1] is weight
-    assert _aligned_layout.cache_info().misses == aligned
+    assert _kept_geometry.cache_info().misses == aligned
 
 
 def _report_key(rep):
@@ -1530,7 +1530,7 @@ def test_kept_sampled_layouts_are_keyed_by_mesh_and_search(monkeypatch):
             a, b = max(s.domain[0], -w.mesh.radius), min(s.domain[1], w.mesh.radius)
             pairs = list(itertools.combinations([e for e in w.mesh.edges() if a <= e <= b], 2))
             assert list(zip(lo, hi)) == pairs and label(0) == "cells"
-    monkeypatch.setattr(weights_module, "_aligned_layout", _aligned_layout.__wrapped__)
+    monkeypatch.setattr(weights_module, "_geometry", _Geometry)  # a fresh layout on every call
     fresh = [_report_key(c(w, s)) for w, s, c in cases]
     assert kept == fresh
 
