@@ -24,13 +24,19 @@ that is not positive, a ``--level`` outside 0..20, a ``--seed`` that is not
 a non-negative integer and an ``--x-min`` outside (0, 0.5); a
 ``characteristic --max-level`` below the coarsest search level of its
 ``--radius``, or one whose search has more than 2^22 dyadic cubes, exits
-before the search runs; so do an unreadable weight or config file, a weight
-file without its keys, ``weaktype --operator H`` with ``--alpha``, an
-``--alpha`` outside (0, 1), a ``--q`` without ``--alpha`` and an unwritable
-``--output``, "cannot write PATH: REASON", which leaves no temporary file);
-3 numerical failure (non-integrable weight, degenerate data, unresolved
-level set, an ellipsoid fit that misses its certificate, and in ``weaktype``
-"the characteristic product C1 * C2^p overflows").
+before the search runs; so do a ``characteristic --q``, ``--s`` or
+``--alpha`` that its ``--kind`` does not read (only ``rh`` reads ``--s``,
+``apq`` ``--q`` and ``--alpha``, ``a1q`` ``--q``), an unreadable weight or
+config file, a weight file without its keys, ``weaktype --operator H`` with
+``--alpha``, an ``--alpha`` outside (0, 1), a ``--q`` without ``--alpha``
+and an unwritable ``--output``, "cannot write PATH: REASON", which leaves
+no temporary file); 3 numerical failure (non-integrable weight, degenerate
+data, unresolved level set, an ellipsoid fit that misses its certificate,
+and in ``weaktype`` "the characteristic product C1 * C2^p overflows").
+The defaulted ``--p``, ``--level``, ``--max-level`` and ``--radius`` go
+into every ``characteristic`` row, so every kind accepts them: ``ap`` and
+``apq`` read ``--p``, ``ainfty`` reads ``--level``, the other kinds
+``--max-level``, and every kind ``--radius``.
 """
 
 from __future__ import annotations
@@ -310,27 +316,23 @@ def cmd_characteristic(args) -> int:
             f"--max-level {args.max_level} is below the coarsest search level {search.min_level} "
             f"of --radius {args.radius:g}"
         )
-    kind = args.kind
-    needs = {"rh": "s", "apq": "q", "a1q": "q"}.get(kind)
-    if needs and getattr(args, needs) is None:
-        raise ValueError(f"--kind {kind} needs --{needs}")
-    if kind == "ap":
-        rep = ap_characteristic(w, args.p, search)
-    elif kind == "a1":
-        rep = a1_characteristic(w, search)
-    elif kind == "rh":
-        rep = rh_characteristic(w, args.s, search)
-    elif kind == "ainfty":
-        rep = ainfty_characteristic(w, mesh=Mesh(args.radius, args.level))
-    elif kind == "apq":
-        _check_pq(args.p, args.q, args.alpha)
-        rep = apq_characteristic(w, args.p, args.q, search)
-    elif kind == "a1q":
-        rep = a1q_characteristic(w, args.q, search)
-    else:
-        raise ValueError(f"unknown characteristic kind {kind!r}")
+    kind, p, q, s = args.kind, args.p, args.q, args.s
+    reads, characteristic = {  # kind: the flags of --q, --s and --alpha it reads, its report
+        "ap": ((), lambda: ap_characteristic(w, p, search)),
+        "a1": ((), lambda: a1_characteristic(w, search)),
+        "rh": (("s",), lambda: rh_characteristic(w, s, search)),
+        "ainfty": ((), lambda: ainfty_characteristic(w, mesh=Mesh(args.radius, args.level))),
+        "apq": (("q", "alpha"), lambda: _check_pq(p, q, args.alpha) or apq_characteristic(w, p, q, search)),
+        "a1q": (("q",), lambda: a1q_characteristic(w, q, search)),
+    }[kind]
+    if reads and getattr(args, reads[0]) is None:
+        raise ValueError(f"--kind {kind} needs --{reads[0]}")
+    for flag in ("q", "s", "alpha"):
+        if flag not in reads and getattr(args, flag) is not None:
+            raise ValueError(f"--kind {kind} does not read --{flag}")
+    rep = characteristic()
     header = CSV_COLUMNS["characteristic"]
-    row = [kind, args.weight, args.p, args.q, args.s, rep.value, rep.witness[0],
+    row = [kind, args.weight, p, q, s, rep.value, rep.witness[0],
            rep.witness[1], rep.witness_label, rep.search_levels[0], rep.search_levels[1],
            rep.grids_used]
     write_rows(args.output, header, [row])
@@ -536,13 +538,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", required=True, type=_descriptor,
                    help="powerlog:a=..,b=..,c=.. or sampled:file.json")
     p.add_argument("--kind", default="ap", choices=["ap", "a1", "ainfty", "rh", "apq", "a1q"])
-    p.add_argument("--p", type=_finite, default=2.0)
-    p.add_argument("--q", type=_finite, default=None)
-    p.add_argument("--s", type=_finite, default=None)
-    p.add_argument("--alpha", type=_finite, default=None)
-    p.add_argument("--radius", type=_positive_finite, default=4.0)
-    p.add_argument("--level", type=_mesh_level, default=8)
-    p.add_argument("--max-level", type=int, default=8)
+    p.add_argument("--p", type=_finite, default=2.0, help="read by ap and apq")
+    p.add_argument("--q", type=_finite, default=None, help="apq and a1q only")
+    p.add_argument("--s", type=_finite, default=None, help="rh only")
+    p.add_argument("--alpha", type=_finite, default=None, help="apq only")
+    p.add_argument("--radius", type=_positive_finite, default=4.0, help="read by every kind")
+    p.add_argument("--level", type=_mesh_level, default=8, help="the ainfty mesh; read by ainfty only")
+    p.add_argument("--max-level", type=int, default=8, help="finest search level; read by every kind but ainfty")
     p.set_defaults(func=cmd_characteristic, default_name="characteristic.csv")
 
     p = add("weaktype", "weak-type quotient sweep over seeded step functions")

@@ -16,19 +16,18 @@ Geometry once per key, values per function: which cells a cube covers,
 and the exact shares of the cells straddling its edges, depend only on the
 mesh, the grid and the level.  So ``_level_affine`` keeps each level's
 integer constants, and one ``_Geometry`` per (mesh, grid, level window)
-holds what the window's readers need, each part built on first use: the
-cube spans of a table batch (``window``, one read-only ``_Spans``), each
-cell's containing cube at every level (``index``, the maximal sweep), the
-(cube, cell) pairs a vector integrand reads (``pairs``, Christ-Goldberg),
-each finest cube's ancestors and the inside cubes' segments (``sweep``,
-Fujii-Wilson), and a sampled weight's aligned cubes with their running-sum
-layout (``aligned_layout``, ``_cell_runs``).  ``_span_integrals`` only
-gathers and sums values; a cell scan (``_scan_layout``, O(n^2) candidates)
-is built per call.  One size rule, ``_geometry``, keeps a window's geometry
-(``_kept_geometry``, one ``functools.lru_cache`` of fixed size on frozen
-keys) on meshes of at most ``_CACHED_CELLS`` cells and builds it per call
-on finer ones, where the spans (80 bytes a cell) would keep 0.5 GB for
-three grids at level 20, and each index (8 bytes a cell and level) 1.1 GB.
+holds its readers' parts, each built on first use and addressing the
+layout of a cube table (``at``): a table's spans (``window``), each cell's
+containing cubes (``index``, the maximal sweep), a vector integrand's
+(cube, cell) pairs (``pairs``, Christ-Goldberg), the Fujii-Wilson sweep
+(``sweep``) and a sampled weight's aligned cubes and their running-sum
+layout (``aligned_layout``).  ``_span_integrals`` only gathers and sums
+values; a cell scan (``_scan_layout``, O(n^2) candidates) is built per
+call.  One size rule, ``_geometry``, keeps a window's geometry
+(``_kept_geometry``, a fixed-size ``functools.lru_cache`` on frozen keys) on
+meshes of at most ``_CACHED_CELLS`` cells and builds it per call on finer
+ones, where the spans (80 bytes a cell) would keep 0.5 GB for three grids
+at level 20, and each index (8 bytes a cell and level) 1.1 GB.
 
 The shifted dyadic grids implement the one-third-trick family
 
@@ -182,11 +181,11 @@ class MeshFunction:
     zero outside the mesh domain wherever an integral asks for it.
 
     A mesh function is an immutable value: ``values`` is a read-only copy
-    of the input, so the per-level cube tables ``level_cube_integrals``
-    keeps on it (``_tables``, one per grid) hold for its whole lifetime.
+    of the input, so the one cube table per grid kept on it (``_tables``,
+    see ``_cube_table``) holds for its whole lifetime.
     """
 
-    __slots__ = ("mesh", "values", "_tables")
+    __slots__ = ("mesh", "values", "_tables", "_windows")
 
     def __init__(self, mesh: Mesh, values):
         values = np.array(values, dtype=float)
@@ -199,7 +198,7 @@ class MeshFunction:
         values.flags.writeable = False
         self.mesh = mesh
         self.values = values
-        self._tables = {}  # grid -> {level k: (q0, read-only integrals)}, see level_cube_integrals
+        self._tables, self._windows = {}, {}  # grid -> one read-only table, and its levels
 
     # -- construction helpers -------------------------------------------------
 
@@ -546,57 +545,55 @@ def _kept_geometry(mesh: Mesh, grid: DyadicGrid, levels: tuple[int, ...]) -> "_G
 
 class _Geometry:
     """The geometry of a level window: the cubes of ``levels`` of ``grid``
-    that meet the domain of ``mesh`` (``cubes``, one range per level), and
-    ``first``, each level's offset in the window's ``level_cube_integrals``
-    tables joined in order (``joined``).  A level out of the exact range
-    raises here, before anything is kept.  Each part below is built on
-    first use and read-only."""
+    that meet the domain of ``mesh`` (``cubes``, one range per level), laid
+    out as a cube table, ``[0, level 0 ..., 0, level 1 ..., 0, ..., 0]``:
+    level j's cubes start at ``at[j]``, and ``at[-1]`` is the length.  A
+    level out of the exact range raises here, before anything is kept.
+    Each part below is built on first use and read-only."""
 
     def __init__(self, mesh: Mesh, grid: DyadicGrid, levels: tuple[int, ...]):
         self.mesh, self.grid, self.levels = mesh, grid, levels
         self.cubes = tuple(_level_cubes(mesh, grid, k) for k in levels)
-        self.first = _read_only(np.cumsum([0] + [len(c) for c in self.cubes]))
+        self.at = _read_only(np.cumsum([1] + [len(c) + 1 for c in self.cubes]))
 
     @functools.cached_property
-    def window(self) -> tuple[tuple, tuple, "_Spans"]:
-        """(q0s, sizes, spans): every level's cubes in one ``_Spans``, each
-        span with its own level's denominator; level j's span m is the part
-        of cube ``q0s[j] + m`` inside the domain, and ``sizes[j]`` counts its
-        spans (a table batch)."""
-        n, lo, hi, den = self.mesh.n_cells, [], [], []
+    def window(self) -> "_Spans":
+        """The spans of a table: the part inside the domain of each cube,
+        with its own level's denominator, and an empty span at each zero."""
+        n, empty = self.mesh.n_cells, np.zeros(1, dtype=np.int64)
+        lo, hi, den = [empty], [empty], [empty + 1]
         for k, cubes in zip(self.levels, self.cubes):
             a0, step, d = _level_affine(self.mesh, self.grid, k)
             edges = np.clip(np.arange(cubes.start, cubes.stop + 1, dtype=np.int64) * d - a0, 0, n * step)
-            lo.append(edges[:-1])
-            hi.append(edges[1:])
-            den.append(np.full(len(cubes), step, dtype=np.int64))
-        return tuple(c.start for c in self.cubes), tuple(map(len, self.cubes)), _Spans(*map(np.concatenate, (lo, hi, den)))
+            lo += [edges[:-1], empty]
+            hi += [edges[1:], empty]
+            den.append(np.full(len(cubes) + 1, step, dtype=np.int64))
+        return _Spans(*map(np.concatenate, (lo, hi, den)))
+
+    def table(self, f: MeshFunction) -> np.ndarray:  # one batch over ``window``
+        return _read_only(_span_integrals(f, self.window))
 
     @functools.cached_property
     def index(self) -> np.ndarray:
-        """(levels, cells): entry [j, x] is 1 plus the position in ``joined``
-        of the level-j cube that wholly contains cell x, 0 where none does
-        (the maximal sweep).  Built level by level, so the int64 temporaries
-        take one row."""
+        """(levels, cells): the table position of the level-j cube wholly
+        containing cell x, 0 (a zero) where none does (the maximal sweep);
+        built row by row, so the int64 temporaries take one row."""
         index = np.zeros((len(self.levels), self.mesh.n_cells), dtype=np.intp)
-        for row, k, cubes, at in zip(index, self.levels, self.cubes, self.first):
+        for row, k, cubes, at in zip(index, self.levels, self.cubes, self.at):
             (q,), (contained,) = cube_indices_per_cell(self.mesh, self.grid, k, k)
-            np.add(q, 1 + at - cubes.start, out=row, where=contained)
+            np.add(q, at - cubes.start, out=row, where=contained)
         return _read_only(index)
 
     @functools.cached_property
     def pairs(self) -> tuple:
         """(at, comp, spans): the (cube, cell) pairs of the nonzero ``index``
-        entries that a vector integrand reads (Christ-Goldberg), cell by cell
-        and coarse to fine within a cell.  ``at`` is each pair's flat
-        position in the (levels, cells) output, ``comp`` its cell and
-        ``spans`` its cube's span.  In this order consecutive spans read one
-        component and nest, so the gaps that ``_span_integrals``' reductions
-        also sum (and drop) between them stay short; each span's floats
-        depend on its own cells alone.  ``spans`` is None when there is no
-        pair (an empty level window)."""
+        entries, which a vector integrand reads (Christ-Goldberg), cell by
+        cell and coarse to fine within a cell: each pair's flat position in
+        the (levels, cells) output, its cell and its cube's span.  So
+        consecutive spans read one component and nest, and the gaps that
+        ``_span_integrals``' reductions also sum (and drop) stay short."""
         comp, level = np.nonzero(self.index.T)
-        spans = self.window[2].take(self.index[level, comp] - 1) if len(comp) else None
+        spans = self.window.take(self.index[level, comp])
         return _read_only(level * self.mesh.n_cells + comp), _read_only(comp), spans
 
     @functools.cached_property
@@ -604,17 +601,15 @@ class _Geometry:
         """(gather, seg, cubes, empty, inside, blocks), the Fujii-Wilson
         sweep's geometry, read through the cubes of the finest level k_fine:
 
-        * ``gather`` (levels + 1, finest cubes): row r the index into
-          ``[0, *joined]`` of each finest cube's level-(k_fine - r) ancestor,
-          so the rows run from the finest level to the coarsest, and a last
-          row of 0;
+        * ``gather`` (levels + 1, finest cubes): row r the table position of
+          each finest cube's level-(k_fine - r) ancestor, and a last row of 0;
         * ``seg``: ``np.add.reduceat`` bounds into the rows of a value per
           (row, finest cube), flattened: per row with cubes inside the mesh
           domain (``inside_cubes``), the first finest cube of each such cube
           and the end of the last (at most the start of the last row);
         * ``cubes``: the reduceat sums that are inside cubes, in row order,
           left to right, and ``empty`` those of them with no finest cube;
-        * ``inside``: the same cubes' indices into ``joined``;
+        * ``inside``: the same cubes' table positions;
         * ``blocks``: the same cubes as ``(grid, k, m)`` blocks.
         """
         grid, levels = self.grid, self.levels
@@ -623,9 +618,9 @@ class _Geometry:
         gather = np.zeros((len(levels) + 1, len(fine)), dtype=np.intp)
         seg, cubes, empty, inside, blocks = [], [], [], [], []
         for r, j in enumerate(reversed(range(len(levels)))):
-            k, q0 = levels[j], self.cubes[j].start
+            k, at = levels[j], self.at[j] - self.cubes[j].start  # the position of cube 0
             anc = grid.index_at(k, lefts, 3, k_fine)  # each finest cube's level-k ancestor
-            gather[r] = 1 + self.first[j] + anc - q0
+            gather[r] = at + anc
             ins = inside_cubes(self.mesh, grid, k)
             if not ins:
                 continue
@@ -633,7 +628,7 @@ class _Geometry:
             cubes.append(sum(map(len, seg)) + np.arange(len(ins)))
             seg.append(r * len(fine) + bounds)
             empty.append(bounds[1:] == bounds[:-1])
-            inside.append(self.first[j] + np.arange(ins.start - q0, ins.stop - q0))
+            inside.append(at + np.arange(ins.start, ins.stop))
             blocks.append((grid, k, _read_only(np.arange(ins.start, ins.stop))))
         arrays = [np.concatenate([np.zeros(0, dtype=t)] + parts) for t, parts in ((np.intp, seg), (np.intp, cubes), (bool, empty), (np.intp, inside))]
         return (_read_only(gather), *map(_read_only, arrays), tuple(blocks))
@@ -648,47 +643,53 @@ class _Geometry:
         return _read_only(lo), _read_only(hi), label, *_cell_runs(self.mesh, lo, hi)
 
 
+def _cube_table(f: MeshFunction, grid: DyadicGrid, k0: int, k1: int) -> tuple[_Geometry, np.ndarray, int]:
+    """(geometry, table, j): f's one table on ``grid``, the ``_Geometry`` of
+    its window, the hull of ``default_levels(mesh)[0]`` and the levels asked
+    for so far, and level k0's row in it.  A request outside the window
+    builds the hull in one batch; each span's float depends on its own
+    cells alone, so no entry moves."""
+    lo, hi = f._windows.get(grid) or (default_levels(f.mesh)[0],) * 2
+    window = (min(lo, k0), max(hi, k1)) if k0 <= k1 else (lo, hi)  # an empty request widens nothing
+    levels = tuple(range(window[0], window[1] + 1))
+    if f._windows.get(grid) != window:  # on a fine mesh the spans go with their fresh geometry
+        f._tables[grid], f._windows[grid] = _geometry(f.mesh, grid, levels).table(f), window
+    return _geometry(f.mesh, grid, levels), f._tables[grid], k0 - window[0]
+
+
 def level_cube_integrals(f: MeshFunction, grid: DyadicGrid, k0: int, k1: int) -> list[tuple[int, np.ndarray]]:
     """Integrals of f over every cube of levels k0..k1 meeting the mesh domain:
     one ``(q0, integrals)`` per level, with ``integrals[m]`` over cube ``q0 + m``.
 
     Cells straddling a cube edge are split exactly; f is zero outside the
-    domain.  The levels not yet in ``f._tables[grid]`` go through one
-    ``_span_integrals`` call over the ``window`` of their ``_geometry``,
-    kept once per (mesh, grid, level window), each span with its own level's
-    denominator, so each entry is bit-identical to
-    ``f.integral(cube.left, cube.right)`` whichever window built it.  The
-    tables are read-only and stay on f.  A vector f integrates component by
-    component: ``integrals[m, c]`` is cube ``q0 + m``'s integral of c.
+    domain.  Each level is a read-only view of f's table (``_cube_table``),
+    each entry bit-identical to ``f.integral(cube.left, cube.right)``.  A
+    vector f integrates component by component: ``integrals[m, c]`` is cube
+    ``q0 + m``'s integral of c.
     """
-    memo = f._tables.setdefault(grid, {})
-    missing = [k for k in range(k0, k1 + 1) if k not in memo]
-    if missing:
-        q0s, sizes, spans = _geometry(f.mesh, grid, tuple(missing)).window
-        ints = _span_integrals(f, spans)
-        ints.flags.writeable = False  # the per-level views inherit it
-        memo.update(zip(missing, zip(q0s, np.split(ints, np.cumsum(sizes)[:-1]))))
-    return [memo[k] for k in range(k0, k1 + 1)]
+    if k0 > k1:
+        return []
+    geometry, table, j = _cube_table(f, grid, k0, k1)
+    return [(c.start, table[at : at + len(c)]) for c, at in zip(geometry.cubes[j : j + k1 - k0 + 1], geometry.at[j:])]
 
 
 def cell_cube_integrals(f: MeshFunction, grid: DyadicGrid, k0: int, k1: int) -> np.ndarray:
     """Per level k0..k1 (rows) and mesh cell x (columns): the integral of f
     over the level's cube that wholly contains cell x, 0 where none does.
 
-    The (cube, cell) pairs are the nonzero entries of the ``index`` of the
-    window's ``_geometry``.  A scalar f is gathered from its
-    ``level_cube_integrals`` tables.  A vector f has one component per cell,
-    and cell x reads component x: only those pairs (``pairs``) are
-    integrated, in one ``_span_integrals`` call, each entry bit-identical to
-    column x of its cube's ``level_cube_integrals`` entry.
+    The (cube, cell) pairs are the nonzero entries of a ``_geometry``'s
+    ``index``.  A scalar f reads them from its table (``_cube_table``).  A
+    vector f has one component per cell, and cell x reads component x: only
+    those pairs (``pairs``) are integrated, in one ``_span_integrals`` call,
+    each entry bit-identical to column x of its cube's table entry.
     """
-    geometry = _geometry(f.mesh, grid, tuple(range(k0, k1 + 1)))
     if not f.is_vector:
-        return np.concatenate([[0.0]] + [ints for _, ints in level_cube_integrals(f, grid, k0, k1)])[geometry.index]
+        geometry, table, j = _cube_table(f, grid, k0, k1)
+        return table[geometry.index[j : j + max(k1 - k0 + 1, 0)]]
+    geometry = _geometry(f.mesh, grid, tuple(range(k0, k1 + 1)))
     out = np.zeros((len(geometry.levels), f.mesh.n_cells))
     at, comp, spans = geometry.pairs
-    if len(at):
-        out.flat[at] = _span_integrals(f, spans, comp=comp)
+    out.flat[at] = _span_integrals(f, spans, comp=comp)
     return out
 
 

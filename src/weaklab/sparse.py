@@ -14,11 +14,11 @@ Both constructions are one stopping-time walk (Lerner-Nazarov, *Intuitive
 dyadic calculus*, section 6), behind one front, ``_walk``: stop at the
 maximal cubes whose average jumps.  The walk is level-synchronous; each
 level holds the live cubes as integer arrays and reads their averages with
-one vector lookup, ``_lookup``, in the function's per-level tables
-(``level_cube_integrals``, bit-identical to ``grid.average``), where an
-index off the table is off the domain and reads 0.  The tables stay on the
-function, so ``cz_decompose``, ``build_sparse_family`` and
-``SparseFamily.apply`` on one ``f`` share them.  The kept cubes stay
+one vector lookup, ``_averages``, in the function's one cube table per grid
+(``grid._cube_table``, bit-identical to ``grid.average``), where an index
+off a level clips to the zero beside it, off the domain.  The table stays
+on the function, so ``cz_decompose``, ``build_sparse_family``, the maximal
+sweep and ``SparseFamily.apply`` on one ``f`` share it.  The kept cubes stay
 integer arrays until the report: one ``np.lexsort`` on (root position,
 exact left edge, level), the edges read off ``DyadicGrid.numerator`` in
 int64, orders them, and only then do they become ``Cube`` objects.
@@ -38,13 +38,13 @@ from .grid import (
     DyadicGrid,
     Mesh,
     MeshFunction,
+    _cube_table,
     _fractional_order,
     cube_span,
     default_levels,
     exact_ratio,
     inner_cell_range,
     inside_cubes,
-    level_cube_integrals,
 )
 
 __all__ = [
@@ -101,24 +101,20 @@ def covering_roots(mesh: Mesh, grid: DyadicGrid, span: tuple[float, float]) -> l
     return roots
 
 
-def _average_tables(f: MeshFunction, grid: DyadicGrid, cubes: Sequence[Cube], k_deep: int):
-    """(k0, tables): ``tables[k - k0] = (q0, averages)``, the average <f> of
-    every level-k cube q0, q0 + 1, ... meeting the domain and a 0 at each end,
-    from the coarsest given cube (of the grid) to k_deep or the finest one."""
+def _averages(f: MeshFunction, grid: DyadicGrid, cubes: Sequence[Cube], k_deep: int):
+    """``averages(k, m)``: <f> on the level-k cubes ``m`` (int64), from the
+    coarsest given cube (of the grid) to k_deep or the finest one, read by
+    a clipped take on level k's view ``[0, level k ..., 0]`` of f's table."""
     if any(c.grid != grid for c in cubes):
         raise ValueError("root cubes must belong to the construction's grid")
     levels = [c.level for c in cubes]
-    k0, k1 = min(levels, default=k_deep), max(levels + [k_deep])
-    tables = level_cube_integrals(f, grid, k0, k1)
-    pad = [0.0]
-    return k0, [(q0, np.concatenate((pad, ints / 2.0**-k, pad))) for k, (q0, ints) in enumerate(tables, k0)]
+    geometry, table, _ = _cube_table(f, grid, min(levels, default=k_deep), max(levels + [k_deep]))
 
+    def averages(k: int, m: np.ndarray) -> np.ndarray:
+        at, cubes = geometry.at[k - geometry.levels[0]], geometry.cubes[k - geometry.levels[0]]
+        return table[at - 1 : at + len(cubes) + 1].take(m - (cubes.start - 1), mode="clip") / 2.0**-k
 
-def _lookup(table, m: np.ndarray) -> np.ndarray:
-    """The averages of the cubes ``m`` in one level's ``(q0, averages)`` table;
-    a cube off the domain clips to a table end and reads 0."""
-    q0, avgs = table
-    return avgs.take(m - (q0 - 1), mode="clip")
+    return averages
 
 
 def _edges(grid: DyadicGrid, levels, index, k_fine):
@@ -139,13 +135,13 @@ def _check_disjoint(grid: DyadicGrid, roots: Sequence[Cube]) -> None:
             raise ValueError(f"root cubes must be disjoint: {roots[i]} and {roots[j]} overlap")
 
 
-def _stopping_walk(grid, k0, tables, roots, k_last, stops, generations):
+def _stopping_walk(grid, averages, roots, k_last, stops, generations):
     """Level-synchronous stopping-time walk below the disjoint ``roots``.
 
     Each level holds three arrays: the live cube indices, their roots'
     positions in ``roots`` and the base average each cube inherits.  One
-    vector lookup in ``tables[k - k0]`` (see ``_average_tables``) reads the
-    level's averages; a cube off the table is off the domain and drops out.
+    vector lookup, ``averages(k, m)`` (see ``_averages``), reads the level's
+    averages; a cube off the table is off the domain and drops out.
     A cube stops where ``stops(avg, base)``.  The children of a stopping
     cube inherit its average as their base, those of any other cube its
     base, and no cube below level ``k_last`` is visited but a root.  With
@@ -172,7 +168,7 @@ def _stopping_walk(grid, k0, tables, roots, k_last, stops, generations):
             base = np.concatenate((base, np.zeros(len(new_m))))
         if not len(m):
             continue
-        avg = _lookup(tables[k - k0], m)  # 0 never stops
+        avg = averages(k, m)  # 0 never stops
         stop = stops(avg, base)
         keep = stop | (generations & (np.arange(len(m)) >= n_live))  # roots too: base 0, so stop is avg > 0
         down = (avg > 0) & (~stop | generations)  # nothing below a zero average stops
@@ -194,9 +190,9 @@ def _walk(f, grid, roots, k_last, stops, generations, reverse=False):
     order, by (root position, exact left edge, level), which is each root's
     left-to-right preorder, root after root, or the reverse of it, and
     their averages."""
-    k0, tables = _average_tables(f, grid, roots, k_last)
+    averages = _averages(f, grid, roots, k_last)
     _check_disjoint(grid, roots)
-    levels, index, rid, avg = _stopping_walk(grid, k0, tables, roots, k_last, stops, generations)
+    levels, index, rid, avg = _stopping_walk(grid, averages, roots, k_last, stops, generations)
     left = _edges(grid, levels, index, levels.max(initial=0))
     order = np.lexsort((levels, left, rid))[:: -1 if reverse else 1]
     return [grid.cube(k, m) for k, m in zip(levels[order].tolist(), index[order].tolist())], avg[order]
@@ -236,13 +232,10 @@ class SparseFamily:
 
     def averages(self, f: MeshFunction) -> list[float]:
         """<f>_Q of every cube Q, in family order (0.0 off the domain)."""
-        levels = [c.level for c in self.cubes]
-        k0, tables = _average_tables(f, self.grid, self.cubes, max(levels, default=0))
-        index = np.array([c.index for c in self.cubes], dtype=np.int64)
-        avg = np.zeros(len(levels))
-        for k in set(levels):
-            at = np.equal(levels, k)
-            avg[at] = _lookup(tables[k - k0], index[at])
+        levels, index = np.array([(c.level, c.index) for c in self.cubes], dtype=np.int64).reshape(-1, 2).T
+        averages, avg = _averages(f, self.grid, self.cubes, max(levels.tolist(), default=0)), np.zeros(len(levels))
+        for k in set(levels.tolist()):
+            avg[levels == k] = averages(k, index[levels == k])
         return avg.tolist()
 
 
@@ -358,7 +351,7 @@ def build_sparse_family(
         owner[i0:i1] = i
     by_owner = np.argsort(owner, kind="stable")
     bounds = np.searchsorted(owner[by_owner], np.arange(len(cubes) + 1))
-    designated = np.split(by_owner, bounds)[1:-1]
+    designated = [by_owner[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
     return SparseFamily(mesh=mesh, grid=grid, cubes=cubes, designated=designated)
 
 

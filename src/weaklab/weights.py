@@ -45,8 +45,9 @@ cube endpoint gives.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -62,7 +63,6 @@ from .grid import (
     _scan_layout,
     _span_integrals,
     default_levels,
-    level_cube_integrals,
     shifted_grids,
 )
 
@@ -492,10 +492,6 @@ class SearchSpace:
     # standard-grid dyadic cubes (for comparisons against the matrix
     # characteristics, which use exactly that family)
     sampled_aligned_cubes: bool = False
-    # a closed-form weight's candidates (lo, hi, label, folded) depend on the
-    # search alone: ``_Plan`` keeps them here, read-only, on first use (as a
-    # MeshFunction keeps its tables); not part of equality or hashing
-    _candidates: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         a, b = self.domain
@@ -545,10 +541,14 @@ class SearchSpace:
         return (k0 - weight.mesh.level, k0), 1
 
     def intervals_for(self, weight) -> tuple[np.ndarray, np.ndarray, Callable[[int], str]]:
-        """Candidate intervals ``(lo, hi, label)`` adapted to the weight kind;
-        ``label(i)`` formats the name of candidate i on demand."""
-        if isinstance(weight, SampledWeight):
-            return self._sampled_layout(weight)[:3]
+        """Candidate intervals ``(lo, hi, label)`` adapted to the weight kind,
+        read-only; ``label(i)`` formats the name of candidate i on demand."""
+        return (self._sampled_layout(weight) if isinstance(weight, SampledWeight) else self._candidates)[:3]
+
+    @functools.cached_property
+    def _candidates(self) -> tuple:
+        """A closed-form weight's candidates ``(lo, hi, label, folded)``, built on first
+        use and kept: they depend on the search alone (not on its equality or hash)."""
         b = self.domain[1]
         lo, hi, cube_label = _cubes(_grid_cubes(self.grids, self.min_level, self.max_level, self.domain))
         n = len(lo)
@@ -563,8 +563,9 @@ class SearchSpace:
             s, u = divmod(i - n - len(t), len(ts))
             return f"two-sided:s={ts[s]:.6g},t={ts[u]:.6g}"
 
-        lo = np.concatenate((lo, np.zeros(len(t)), -np.repeat(ts, len(ts))))
-        return lo, np.concatenate((hi, t, np.tile(ts, len(ts)))), label
+        lo = _read_only(np.concatenate((lo, np.zeros(len(t)), -np.repeat(ts, len(ts)))))
+        hi = _read_only(np.concatenate((hi, t, np.tile(ts, len(ts)))))
+        return lo, hi, label, _Folded(lo, hi)
 
     def _sampled_layout(self, weight: SampledWeight) -> tuple:
         """``(lo, hi, label, edges, rows, pick, pad, blocks)``: a sampled
@@ -671,9 +672,6 @@ class _Plan:
         self.weight = weight
         self.searched = search.levels_for(weight)
         if isinstance(weight, PowerLogWeight):
-            if search._candidates is None:
-                lo, hi, label = search.intervals_for(weight)
-                object.__setattr__(search, "_candidates", (_read_only(lo), _read_only(hi), label, _Folded(lo, hi)))
             self.lo, self.hi, self.label, self.folded = search._candidates
             return
         self.lo, self.hi, self.label, self.edges, self.rows, self.pick, self.pad, self.blocks = search._sampled_layout(weight)
@@ -881,24 +879,26 @@ def _fujii_wilson(wbar: MeshFunction, grids, k_lo: int, k_fine: int):
     is then computed exactly (for the discretized weight) by a bottom-up
     sweep that keeps, per finest-level cube, the running maximum of its
     ancestors' averages.  The sweep's geometry (the ``sweep`` part of
-    ``grid._geometry``) is laid out once per (mesh, grid, level window),
-    beside that window's table spans: per grid, one gather
-    stacks every level's ancestor averages, a running maximum over its rows
-    takes them from fine to coarse, and one ``np.add.reduceat`` integrates
-    it over every inside cube of every level.
+    ``grid._geometry``) is laid out once per (mesh, grid, level window) and
+    addresses its cube table, one batch per grid (``_Geometry.table``, not
+    kept: ``wbar`` is built per call).  One gather stacks every level's
+    ancestor averages, a running maximum over its rows takes them from fine
+    to coarse, and one ``np.add.reduceat`` integrates it over every inside
+    cube of every level.
     """
     width_f = 2.0**-k_fine
-    vals, blocks = [], []
+    widths = np.array([2.0**-k for k in range(k_fine, k_lo - 1, -1)] + [1.0])  # gather's rows, then its zeros
+    vals, blocks, levels = [], [], tuple(range(k_lo, k_fine + 1))
     for grid in grids:
-        # the tables first: on a fine mesh, building them peaks higher than the sweep
-        tables = [ints for _, ints in level_cube_integrals(wbar, grid, k_lo, k_fine)]
-        gather, seg, cubes, empty, inside, grid_blocks = _geometry(wbar.mesh, grid, tuple(range(k_lo, k_fine + 1))).sweep
+        # the table first, on its own geometry: on a fine mesh both are fresh, and the spans go first
+        table = _geometry(wbar.mesh, grid, levels).table(wbar)
+        gather, seg, cubes, empty, inside, grid_blocks = _geometry(wbar.mesh, grid, levels).sweep
         if not grid_blocks:
             continue
-        rest = tables[0].shape[1:]  # (components,) for a vector wbar
-        avgs = np.concatenate([np.zeros((1, *rest))] + [ints / 2.0**-k for k, ints in enumerate(tables, k_lo)])
+        rest = table.shape[1:]  # (components,) for a vector wbar
         # indexing, not take: take copies a read-only index array first
-        profile = avgs[gather]  # its last row is zero
+        profile = table[gather]  # its last row is zero
+        profile /= widths.reshape(-1, 1, *(1 for _ in rest))  # the averages
         # the running maximum from zero, fine to coarse, in place row by row
         # (np.maximum.accumulate is slower), then the mass, also in place
         np.maximum(0.0, profile[0], out=profile[0])
@@ -907,11 +907,11 @@ def _fujii_wilson(wbar: MeshFunction, grids, k_lo: int, k_fine: int):
         profile *= width_f
         m_int = np.add.reduceat(profile.reshape(-1, *rest), seg, axis=0)[cubes]
         m_int[empty] = 0.0  # reduceat gives an empty segment its first entry
-        wq = np.concatenate(tables)[inside]
+        wq = table[inside]
         ok = wq > 0
         vals.append(np.where(ok, m_int / np.where(ok, wq, 1.0), -np.inf))
         blocks += grid_blocks
-        del gather, profile  # a fine mesh's sweep is as large as its tables
+        del gather, profile, table  # a fine mesh's sweep is as large as its table
     if not blocks:
         raise ValueError("no grid cube fits inside the mesh domain")
     return np.concatenate(vals), blocks

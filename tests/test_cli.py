@@ -342,6 +342,23 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "kind,unread",
+        [("ap", "q"), ("ap", "s"), ("ap", "alpha"), ("a1", "q"), ("a1", "s"), ("a1", "alpha"),
+         ("ainfty", "q"), ("ainfty", "s"), ("ainfty", "alpha"), ("rh", "q"), ("rh", "alpha"),
+         ("apq", "s"), ("a1q", "s"), ("a1q", "alpha")],
+    )
+    def test_flag_the_kind_does_not_read_is_2(self, tmp_path, capsys, kind, unread):
+        """Before, ``--kind ap --s 3 --alpha 0.3`` exited 0 and wrote the
+        plain A_2 row: the flag was dropped without a word."""
+        needed = {"rh": ["--s", "1.5"], "apq": ["--q", "4"], "a1q": ["--q", "2"]}.get(kind, [])
+        value = {"q": "4", "s": "1.5", "alpha": "0.25"}[unread]
+        code, out = run(tmp_path, "x.csv", ["characteristic", "--weight", "powerlog:a=-0.3", "--kind", kind,
+                                            *needed, f"--{unread}", value])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --kind {kind} does not read --{unread}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "kind,content,message",
         [
             ("sampled", None, "No such file or directory"),

@@ -322,8 +322,8 @@ def _arrays(part) -> list:
 def test_cached_geometry_is_read_only():
     mesh, grid = Mesh(3.0, 5), GRIDS[1]
     k_top, k_fine = default_levels(mesh)
-    spans = [_geometry(mesh, grid, (k,)).window[2] for k in (k_top, k_fine)]
-    spans.append(_geometry(mesh, grid, (k_top, k_fine)).window[2])
+    spans = [_geometry(mesh, grid, (k,)).window for k in (k_top, k_fine)]
+    spans.append(_geometry(mesh, grid, (k_top, k_fine)).window)
     for a in [getattr(s, name) for s in spans for name in _Spans.__slots__]:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = a[0]
@@ -335,7 +335,7 @@ def test_cached_geometry_is_read_only():
         (_geometry(aligned, GRIDS[0], tuple(range(0, 6))), ("window", "index", "pairs", "sweep", "aligned_layout")),
     ):
         assert isinstance(geometry.cubes, tuple) and all(isinstance(c, range) for c in geometry.cubes)
-        arrays = [geometry.first] + [a for part in parts for a in _arrays(getattr(geometry, part))]
+        arrays = [geometry.at] + [a for part in parts for a in _arrays(getattr(geometry, part))]
         assert len(arrays) > len(parts)
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
@@ -353,9 +353,11 @@ def test_cached_geometry_is_read_only():
 )
 def test_level_window_matches_joined_per_level_spans(mesh, j, data):
     """The span batch kept per (mesh, grid, level window) equals the
-    per-level spans joined, field for field in hex, for contiguous and
-    non-contiguous windows in any order; ``Mesh(1.0, 13)`` is past
-    ``_CACHED_CELLS`` and derives its window per call."""
+    per-level spans joined, field for field in hex, at the positions of the
+    table layout (``at``), with an empty span at each zero between them,
+    for contiguous and non-contiguous windows in any order;
+    ``Mesh(1.0, 13)`` is past ``_CACHED_CELLS`` and derives its window per
+    call."""
     grid, levels = DyadicGrid(j), level_range(mesh)
     window = data.draw(
         st.one_of(
@@ -363,12 +365,18 @@ def test_level_window_matches_joined_per_level_spans(mesh, j, data):
             st.lists(st.sampled_from(levels), min_size=1, max_size=5, unique=True).map(tuple),
         )
     )
-    q0s, sizes, spans = _geometry(mesh, grid, window).window
+    geometry = _geometry(mesh, grid, window)
     want_q0s, want_sizes, want = oracle_level_window(mesh, grid, window)
-    assert q0s == want_q0s and list(sizes) == want_sizes and len(spans) == sum(want_sizes)
+    assert tuple(c.start for c in geometry.cubes) == want_q0s and [len(c) for c in geometry.cubes] == want_sizes
+    spans = geometry.window
+    assert len(spans) == geometry.at[-1] == sum(want_sizes) + len(window) + 1
+    cubes = np.concatenate([at + np.arange(len(c)) for at, c in zip(geometry.at, geometry.cubes)])
+    zeros = np.setdiff1d(np.arange(len(spans)), cubes)
+    assert np.array_equal(zeros, np.append(0, geometry.at[1:] - 1))
     for name in _Spans.__slots__:
-        got, ref = getattr(spans, name), getattr(want, name)
+        got, ref = getattr(spans.take(cubes), name), getattr(want, name)
         assert got.dtype == ref.dtype and got.tobytes().hex() == ref.tobytes().hex(), name
+        assert not getattr(spans.take(zeros), name).any(), name  # empty spans at cell 0
 
 
 def test_fine_meshes_keep_no_geometry():
@@ -467,7 +475,7 @@ def test_out_of_range_levels_raise_on_every_call():
                 call()
             messages.append(str(err.value))
         assert messages[0] == messages[1]
-    assert f._tables == {grid: {}}
+    assert f._tables == f._windows == {}
 
 
 @pytest.mark.parametrize("radii", [(1.0, 3.0), (0.75, 5.25)], ids=["1-3", "0.75-5.25"])
@@ -668,9 +676,10 @@ def _modules_touching(attr: str) -> set[str]:
 
 
 def test_only_grid_touches_cube_tables():
-    # the per-level tables kept on a MeshFunction are read and filled only by
-    # grid.level_cube_integrals; every other module asks it for them
-    assert _modules_touching("_tables") == {"grid.py"}
+    # the one table per grid kept on a MeshFunction, and its level window,
+    # are read and filled only by grid._cube_table; every other module asks
+    # grid for them
+    assert _modules_touching("_tables") == _modules_touching("_windows") == {"grid.py"}
 
 
 def test_caches_live_in_grid_on_frozen_keys():

@@ -16,7 +16,7 @@ from weaklab import (
     average,
     shifted_grids,
 )
-from weaklab.grid import default_levels, level_cube_integrals
+from weaklab.grid import _geometry, cell_cube_integrals, default_levels, level_cube_integrals
 from weaklab.sparse import covering_roots
 
 
@@ -263,8 +263,10 @@ def _table_bytes(tables):
 
 
 class TestCubeTableMemo:
-    """``level_cube_integrals`` keeps each level's table on the function; a
-    fresh ``MeshFunction`` with the same values is the oracle."""
+    """``level_cube_integrals`` reads one table per grid kept on the
+    function, over a window that grows to the hull of the levels asked for
+    and the coarsest default level; a fresh ``MeshFunction`` with the same
+    values is the oracle."""
 
     @given(
         radius=st.sampled_from([0.75, 1.0, 3.0, 5.25]),
@@ -282,6 +284,9 @@ class TestCubeTableMemo:
     @example(radius=1.0, level=7, shift=2, components=3, windows=[(4, 2), (2, 8)], seed=3)
     @example(radius=1.0, level=7, shift=2, components=0, windows=[(8, 3), (1, 2)], seed=4)
     @example(radius=1.0, level=7, shift=0, components=1, windows=[(5, 0), (5, 0)], seed=5)
+    # coarser after finer: levels 5..7, then -3..-2 above the top anchor -1
+    @example(radius=1.0, level=7, shift=1, components=0, windows=[(8, 2), (0, 1)], seed=6)
+    @example(radius=1.0, level=7, shift=2, components=3, windows=[(8, 2), (0, 1)], seed=7)
     def test_memo_tables_equal_fresh_tables_bit_for_bit(self, radius, level, shift, components, windows, seed):
         # windows in draw order: repeated, overlapping, nested and disjoint ones all occur
         mesh = Mesh(radius, level)
@@ -299,7 +304,34 @@ class TestCubeTableMemo:
             fresh = level_cube_integrals(MeshFunction(mesh, v), grid, k0, k1)
             assert _table_bytes(got) == _table_bytes(fresh)
             levels |= set(range(k0, k1 + 1))
-        assert sorted(f._tables[grid]) == sorted(levels)
+        hull = (min(levels | {k_top}), max(levels | {k_top}))
+        assert f._windows[grid] == hull
+        table = f._tables[grid]
+        assert isinstance(table, np.ndarray) and not table.flags.writeable
+        assert len(table) == _geometry(mesh, grid, tuple(range(hull[0], hull[1] + 1))).at[-1]
+
+    def test_level_tables_are_views_of_the_one_kept_table(self):
+        mesh = Mesh(3.0, 6)
+        rng = np.random.default_rng(6)
+        for shape in ((mesh.n_cells,), (mesh.n_cells, 2)):
+            f = MeshFunction(mesh, rng.uniform(0, 1, shape))
+            for grid in shifted_grids(1):
+                for k0, k1 in [(2, 5), (-1, 0), (-4, 8), (0, 8)]:  # widened twice
+                    tables = level_cube_integrals(f, grid, k0, k1)
+                    assert len(tables) == k1 - k0 + 1
+                    assert all(np.shares_memory(ints, f._tables[grid]) for _, ints in tables)
+
+    def test_an_empty_request_widens_no_table(self):
+        # dyadic_maximal above the cell level clips its window to nothing
+        mesh, grid = Mesh(1.0, 6), DyadicGrid(1)
+        f = MeshFunction(mesh, np.random.default_rng(6).uniform(0, 1, mesh.n_cells))
+        k_top, k_fine = default_levels(mesh)
+        level_cube_integrals(f, grid, 0, 3)
+        kept = f._tables[grid]
+        assert cell_cube_integrals(f, grid, k_fine + 2, k_fine).shape == (0, mesh.n_cells)
+        assert cell_cube_integrals(f, grid, 0, -4).shape == (0, mesh.n_cells)
+        assert level_cube_integrals(f, grid, k_fine + 2, k_fine) == []
+        assert f._tables[grid] is kept and f._windows[grid] == (k_top, 3)
 
     def test_tables_are_kept_per_grid(self):
         mesh = Mesh(1.0, 5)

@@ -225,7 +225,7 @@ def walk_visits(build):
     visits, roots = {}, []
     walk = sparse._stopping_walk
 
-    def recording_walk(grid, k0, tables, walk_roots, k_last, stops, generations):
+    def recording_walk(grid, averages, walk_roots, k_last, stops, generations):
         roots.extend(walk_roots)
 
         def recording_stops(avg, base):
@@ -233,7 +233,7 @@ def walk_visits(build):
             visits.update(((frame["k"], int(m)), a) for m, a in zip(frame["m"], avg))
             return stops(avg, base)
 
-        return walk(grid, k0, tables, walk_roots, k_last, recording_stops, generations)
+        return walk(grid, averages, walk_roots, k_last, recording_stops, generations)
 
     with mock.patch.object(sparse, "_stopping_walk", recording_walk):
         build()

@@ -774,11 +774,11 @@ class TestSearchSpaceDomain:
 
 
 def oracle_search(monkeypatch):
-    def intervals_for(self, weight):
+    def candidates(self):
         lo, hi, labels = oracle_intervals(self)
-        return lo, hi, labels.__getitem__
+        return lo, hi, labels.__getitem__, weights_module._Folded(lo, hi)
 
-    monkeypatch.setattr(SearchSpace, "intervals_for", intervals_for)
+    monkeypatch.setattr(SearchSpace, "_candidates", property(candidates))
 
 
 def same_report(a, b):
@@ -928,6 +928,26 @@ def test_constant_weight_ainfty_is_one_within_a_few_ulp(radius, level):
         report = ainfty_characteristic(SampledWeight(mesh, np.full(mesh.n_cells, value)))
         assert abs(report.value - 1.0) <= 4 * np.finfo(float).eps
     assert ainfty_characteristic(PowerLogWeight(0.0, 0.0, 2.5), mesh=mesh).value == pytest.approx(1.0, rel=4 * np.finfo(float).eps, abs=0.0)
+
+
+def test_ainfty_keeps_no_table_on_its_function(monkeypatch):
+    """``ainfty_characteristic`` builds its discretized weight per call, so
+    the Fujii-Wilson sweep integrates its own window and keeps no table on
+    it: nothing would read one again."""
+    made = []
+
+    class Recorded(MeshFunction):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(weights_module, "MeshFunction", Recorded)
+    mesh = Mesh(1.0, 6)
+    ainfty_characteristic(PowerLogWeight(-0.3), mesh=mesh)
+    ainfty_characteristic(SampledWeight(mesh, np.linspace(0.5, 2.0, mesh.n_cells)))
+    assert len(made) == 2 and all(f._tables == f._windows == {} for f in made)
 
 
 # ---------------------------------------------------------------------------
@@ -1498,15 +1518,19 @@ def test_one_candidate_build_per_call(call, weight, search, monkeypatch):
     search = dataclasses.replace(search)  # an equal search with no kept candidates
     _kept_geometry.cache_clear()  # and no kept aligned layout
     built = []
-    name = "intervals_for" if isinstance(weight, PowerLogWeight) else "_sampled_layout"
-    build = getattr(SearchSpace, name)
-    monkeypatch.setattr(SearchSpace, name, lambda self, w: built.append(w) or build(self, w))
+    if isinstance(weight, PowerLogWeight):  # the candidates depend on the search alone
+        build, planned = weights_module._grid_cubes, (search.grids, search.min_level, search.max_level, search.domain)
+        monkeypatch.setattr(weights_module, "_grid_cubes", lambda *args: built.append(args) or build(*args))
+    else:
+        build, planned = SearchSpace._sampled_layout, weight
+        monkeypatch.setattr(SearchSpace, "_sampled_layout", lambda self, w: built.append(w) or build(self, w))
     aligned = 1 if isinstance(weight, SampledWeight) and search.sampled_aligned_cubes else 0
     ONE_BUILD[call](weight, search)
-    assert len(built) == 1 and built[0] is weight
+    same = (lambda b: b == planned) if isinstance(weight, PowerLogWeight) else (lambda b: b is planned)
+    assert len(built) == 1 and same(built[0])
     assert _kept_geometry.cache_info().misses == aligned
     ONE_BUILD[call](weight, search)
-    assert len(built) == (1 if isinstance(weight, PowerLogWeight) else 2) and built[-1] is weight
+    assert len(built) == (1 if isinstance(weight, PowerLogWeight) else 2) and same(built[-1])
     assert _kept_geometry.cache_info().misses == aligned
 
 
@@ -1537,16 +1561,16 @@ def test_kept_sampled_layouts_are_keyed_by_mesh_and_search(monkeypatch):
 
 def test_degenerate_sharp_rh_builds_candidates_once(monkeypatch):
     built = []
-    intervals_for = SearchSpace.intervals_for
-    monkeypatch.setattr(SearchSpace, "intervals_for", lambda self, w: built.append(w) or intervals_for(self, w))
+    build = weights_module._grid_cubes
+    monkeypatch.setattr(weights_module, "_grid_cubes", lambda *args: built.append(args) or build(*args))
     w, search = PowerLogWeight(-1.5), SearchSpace.anchored_only()
     with pytest.raises(DegenerateWeightError):
         sharp_rh_exponent(w)  # the default search, a new one on every call
-    assert len(built) == 1 and built[0] is w
+    assert len(built) == 1
     for _ in range(2):  # the first call on a search builds, the second reads
         with pytest.raises(DegenerateWeightError):
             sharp_rh_exponent(w, search)
-    assert len(built) == 2 and built[1] is w
+    assert len(built) == 2 and built[1] == (search.grids, search.min_level, search.max_level, search.domain)
 
 
 KEPT_SEARCH = SearchSpace.default(0.75, 5)
@@ -1569,7 +1593,7 @@ def test_kept_candidates_leave_equality_and_hashing_alone():
     kept, fresh = SearchSpace.default(0.75, 5), SearchSpace.default(0.75, 5)
     before = hash(kept)
     ap_characteristic(PowerLogWeight(-0.3), 2.0, kept)
-    assert kept._candidates is not None and fresh._candidates is None
+    assert "_candidates" in vars(kept) and "_candidates" not in vars(fresh)
     assert kept == fresh and hash(kept) == hash(fresh) == before and repr(kept) == repr(fresh)
     assert {fresh: "found"}[kept] == "found"
     lo, hi, label, folded = kept._candidates
