@@ -16,20 +16,19 @@ digits, so identical configurations reproduce byte-identical files, with
 the mode a plain ``open`` gives (0666 less the umask).  A
 ``key = value`` config file supplies defaults; command-line flags override.
 
-Exit codes: 0 success; 1 invariant-suite violation; 2 invalid exponent
-relation or malformed input (the parser refuses, before anything runs and
+Exit codes: 0 success; 1 invariant-suite violation; 2 an ``--alpha`` not
+below 1/p or malformed input (the parser refuses, before anything runs and
 naming the flag, non-finite numbers and weight-descriptor parameters, a
 ``--trials`` or ``--cells-per-band`` below 1, a ``--radius`` or ``--window``
 that is not positive, a ``--level`` outside 0..20, a ``--seed`` that is not
 a non-negative integer and an ``--x-min`` outside (0, 0.5); a
 ``characteristic --max-level`` below the coarsest search level of its
 ``--radius``, or one whose search has more than 2^22 dyadic cubes, exits
-before the search runs; so do a ``characteristic --q``, ``--s`` or
-``--alpha`` that its ``--kind`` does not read (only ``rh`` reads ``--s``,
-``apq`` ``--q`` and ``--alpha``, ``a1q`` ``--q``), an unreadable weight or
-config file, a weight file without its keys, ``weaktype --operator H`` with
-``--alpha``, an ``--alpha`` outside (0, 1), a ``--q`` without ``--alpha``
-and an unwritable ``--output``, "cannot write PATH: REASON", which leaves
+before the search runs; so do a ``characteristic --q`` or ``--s`` that its
+``--kind`` does not read (only ``rh`` reads ``--s``, ``apq`` and ``a1q``
+``--q``), an unreadable weight or config file, a weight file without its
+keys, ``weaktype --operator H`` with ``--alpha``, an ``--alpha`` outside
+(0, 1) and an unwritable ``--output``, "cannot write PATH: REASON", which leaves
 no temporary file); 3 numerical failure (non-integrable weight, degenerate
 data, unresolved level set, an ellipsoid fit that misses its certificate,
 and in ``weaktype`` "the characteristic product C1 * C2^p overflows").
@@ -53,7 +52,7 @@ import tempfile
 import numpy as np
 
 from . import lowerbound as lb
-from .grid import DyadicGrid, Mesh, MeshFunction, _fractional_order
+from .grid import DyadicGrid, Mesh, MeshFunction, _fractional_exponent
 from .matrix import (
     EllipsoidFitError,
     MatrixWeight,
@@ -84,8 +83,10 @@ from .weights import (
 
 SCHEMA_VERSION = "1"
 
-# CSV column schemas, one per subcommand (also rendered into --help and the
-# docs/cli_schema.md file); the first header cell carries the schema version.
+# CSV column schemas, one per subcommand (also rendered into --help, and
+# listed in docs/cli_schema.md, which tests/test_cli.py::
+# test_csv_columns_are_the_schema_document_lists holds to them); the first
+# header cell carries the schema version.
 CSV_COLUMNS = {
     "characteristic": ["kind", "weight", "p", "q", "s", "value", "witness_lo", "witness_hi",
                        "witness_label", "min_level", "max_level", "grids"],
@@ -258,16 +259,18 @@ def parse_matrix_weight(spec: str, mesh: Mesh, rng: np.random.Generator, d: int)
     if kind == "random":
         return random_matrix_weight(mesh, d, rng)
     if kind in ("diag", "rotdiag"):
+        if kind == "rotdiag" and d != 2:
+            raise ValueError("rotdiag descriptors are two-dimensional")
         params = _params(rest, _PARAMS[kind])
-        exps = [params[f"a{i + 1}"] for i in range(d)]
-        cols = [PowerLogWeight(a).cell_averages(mesh) for a in exps]
+        for i, name in enumerate(("a1", "a2", "a3")):  # one exponent per diagonal entry
+            if (name in params) != (i < d):
+                raise ValueError(f"--d {d} {'needs' if i < d else 'does not read'} the {kind} parameter {name}")
+        cols = [PowerLogWeight(params[f"a{i + 1}"]).cell_averages(mesh) for i in range(d)]
         n = mesh.n_cells
         mats = np.zeros((n, d, d))
         for i, cv in enumerate(cols):
             mats[:, i, i] = cv
         if kind == "rotdiag":
-            if d != 2:
-                raise ValueError("rotdiag descriptors are two-dimensional")
             turns = params.get("turns", 1.0)
             theta = np.pi * turns * (np.arange(n) + 0.5) / n
             c, s = np.cos(theta), np.sin(theta)
@@ -317,17 +320,17 @@ def cmd_characteristic(args) -> int:
             f"of --radius {args.radius:g}"
         )
     kind, p, q, s = args.kind, args.p, args.q, args.s
-    reads, characteristic = {  # kind: the flags of --q, --s and --alpha it reads, its report
+    reads, characteristic = {  # kind: the flags of --q and --s it reads, its report
         "ap": ((), lambda: ap_characteristic(w, p, search)),
         "a1": ((), lambda: a1_characteristic(w, search)),
         "rh": (("s",), lambda: rh_characteristic(w, s, search)),
         "ainfty": ((), lambda: ainfty_characteristic(w, mesh=Mesh(args.radius, args.level))),
-        "apq": (("q", "alpha"), lambda: _check_pq(p, q, args.alpha) or apq_characteristic(w, p, q, search)),
+        "apq": (("q",), lambda: apq_characteristic(w, p, q, search)),
         "a1q": (("q",), lambda: a1q_characteristic(w, q, search)),
     }[kind]
     if reads and getattr(args, reads[0]) is None:
         raise ValueError(f"--kind {kind} needs --{reads[0]}")
-    for flag in ("q", "s", "alpha"):
+    for flag in ("q", "s"):
         if flag not in reads and getattr(args, flag) is not None:
             raise ValueError(f"--kind {kind} does not read --{flag}")
     rep = characteristic()
@@ -340,34 +343,20 @@ def cmd_characteristic(args) -> int:
     return 0
 
 
-def _check_pq(p, q, alpha):
-    if alpha is None:
-        return
-    if q is None or abs((1.0 / p - 1.0 / q) - alpha) > 1e-12:
-        raise ValueError(f"exponent relation 1/p - 1/q = alpha fails: p={p}, q={q}, alpha={alpha}")
-
-
 def cmd_weaktype(args) -> int:
     w = parse_weight(args.weight)
     mesh = Mesh(args.radius, args.level)
     rng = np.random.default_rng(args.seed)
-    p, q, alpha = args.p, args.q, args.alpha
+    p, alpha = args.p, args.alpha
     if not p >= 1:
         raise ValueError(f"weak-type quotients need p >= 1, got {p}")
-    if alpha is not None:
-        _fractional_order(alpha)
-    if q is not None and alpha is None:
-        raise ValueError("--q needs --alpha: without it the quotients take q = p")
     fractional = alpha is not None
+    q = _fractional_exponent(p, alpha) if fractional else p
     if fractional and args.operator == "H":
         raise ValueError(
             "H with --alpha pairs the Hilbert transform with the fractional characteristic "
             "[w]_A(p,q) [w^q]_A_inf^q, which no theorem bounds; drop --alpha"
         )
-    if fractional:
-        _check_pq(p, q, alpha)
-    else:
-        q = p
     search = SearchSpace.default(radius=args.radius, max_level=min(args.level, 8))
     if fractional:
         char1 = apq_characteristic(w, p, q, search).value if p > 1 else a1q_characteristic(w, q, search).value
@@ -384,7 +373,7 @@ def cmd_weaktype(args) -> int:
     kwargs = {"alpha": alpha, "weight_power": 1.0} if fractional else {}
     rows = []
     for trial in range(args.trials):
-        wq = weak_quotient(args.operator, w, p, random_step(mesh, rng), q, **kwargs)
+        wq = weak_quotient(args.operator, w, p, random_step(mesh, rng), **kwargs)
         rows.append([trial, wq.quotient, wq.best_lambda, char1, char2, product,
                      wq.quotient / product])
     header = CSV_COLUMNS["weaktype"]
@@ -541,7 +530,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=_finite, default=2.0, help="read by ap and apq")
     p.add_argument("--q", type=_finite, default=None, help="apq and a1q only")
     p.add_argument("--s", type=_finite, default=None, help="rh only")
-    p.add_argument("--alpha", type=_finite, default=None, help="apq only")
     p.add_argument("--radius", type=_positive_finite, default=4.0, help="read by every kind")
     p.add_argument("--level", type=_mesh_level, default=8, help="the ainfty mesh; read by ainfty only")
     p.add_argument("--max-level", type=int, default=8, help="finest search level; read by every kind but ainfty")
@@ -552,8 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--operator", default="AS", choices=["AS", "M", "Md", "H", "Ialpha", "Malpha"])
     p.add_argument("--weight", required=True, type=_descriptor)
     p.add_argument("--p", type=_finite, default=2.0)
-    p.add_argument("--q", type=_finite, default=None)
-    p.add_argument("--alpha", type=_finite, default=None)
+    p.add_argument("--alpha", type=_finite, default=None, help="fractional order, below 1/p; q from 1/p - 1/q = alpha")
     p.add_argument("--trials", type=_positive_int, default=20)
     p.add_argument("--radius", type=_positive_finite, default=4.0)
     p.add_argument("--level", type=_mesh_level, default=7)

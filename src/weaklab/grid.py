@@ -433,6 +433,14 @@ def _fractional_order(alpha: float) -> float:
     return alpha
 
 
+def _fractional_exponent(p: float, alpha: float) -> float:
+    """The q of 1/p - 1/q = alpha (n = 1), for a fractional order alpha below
+    1/p: the exponent at which the fractional operators map L^p into weak L^q."""
+    if not _fractional_order(alpha) < 1.0 / p:
+        raise ValueError(f"alpha = {alpha} must lie below 1/p = {1.0 / p} (p = {p}), so that 1/q = 1/p - alpha > 0")
+    return 1.0 / (1.0 / p - alpha)
+
+
 @functools.lru_cache(maxsize=1024, typed=True)
 def _level_affine(mesh: Mesh, grid: DyadicGrid, k: int) -> tuple[int, int, int]:
     """Integer constants (a0, step, den) such that, exactly,

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import Cube, DyadicGrid, Mesh, MeshFunction, _cubes, _fractional_order, cube_span, default_levels, inside_cubes, shifted_grids
+from .grid import Cube, DyadicGrid, Mesh, MeshFunction, _cubes, _fractional_exponent, _fractional_order, cube_span, default_levels, inside_cubes, shifted_grids
 from .operators import _maximal_sweep
 from .weights import (
     CharacteristicReport,
@@ -541,14 +541,13 @@ def ainfty_scalar_characteristic(
     p: float,
     n_dirs: int = 64,
     grids: Sequence[DyadicGrid] | None = None,
-    matrix_power: float | None = None,
-    norm_power: float | None = None,
+    alpha: float = 0.0,
 ) -> tuple[float, np.ndarray]:
     """[W]_{A_inf^sc} = sup over directions of [w_v]_{A_inf(FW)}.
 
-    The direction weights are w_v = |W^(matrix_power)(x) v|^(norm_power),
-    defaulting to |W^(1/p) v|^p; the fractional classes use w_v = |W v|^q
-    (matrix_power=1, norm_power=q).  The sup runs over a fixed sample of
+    The direction weights are w_v = |W^(1/p)(x) v|^p; with a fractional
+    order alpha > 0 they are |W(x) v|^q, q from 1/p - 1/q = alpha, as the
+    fractional classes use them.  The sup runs over a fixed sample of
     unit directions, hence is a lower bound on the true direction
     supremum; returns (value, argmax direction), the first on a tie.  The
     direction weights are the components of one vector function, so each
@@ -556,8 +555,7 @@ def ainfty_scalar_characteristic(
     """
     _exponent(p)
     dirs = unit_directions(W.d, n_dirs)
-    mp = 1.0 / p if matrix_power is None else matrix_power
-    npow = p if norm_power is None else norm_power
+    mp, npow = (1.0 / p, p) if alpha == 0.0 else (1.0, _fractional_exponent(p, alpha))
     wv = np.ascontiguousarray(_image_norms(W.power(mp), dirs).T) ** npow  # (cells, directions)
     if not np.all(wv > 0):
         raise ValueError("direction weights must be positive")
@@ -640,7 +638,6 @@ def dominating_scalar_sparse(
     family,
     f: MeshFunction,
     alpha: float = 0.0,
-    q: float | None = None,
 ) -> MeshFunction:
     """Scalar sparse operator with reducing-matrix coefficients:
 
@@ -653,8 +650,7 @@ def dominating_scalar_sparse(
     <f>_{p,Q} = (avg_Q |f|^p)^(1/p); coefficients are evaluated per cell.
     """
     _exponent(p)
-    if alpha != 0.0:
-        _fractional_order(alpha)
+    q = p if alpha == 0.0 else _fractional_exponent(p, alpha)
     mesh = f.mesh
     if mesh != W.mesh:
         raise ValueError("f and W live on different meshes")
@@ -662,12 +658,7 @@ def dominating_scalar_sparse(
         raise ValueError("the dominating operator acts on scalar f (apply to |f|)")
     avg = family.averages(f.power(p))
     out = np.zeros(mesh.n_cells)
-    if alpha == 0.0:
-        Apow = W.power(1.0 / p)
-    else:
-        if q is None:
-            raise ValueError("fractional variant needs q")
-        Apow = W.values
+    Apow = W.power(1.0 / p) if alpha == 0.0 else W.values
     for cube, a in zip(family.cubes, avg):
         cells = W.cells_of(cube)  # a cube leaving the domain raises
         red = (

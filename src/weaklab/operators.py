@@ -50,7 +50,6 @@ __all__ = [
     "fractional_integral",
     "hilbert_to_mesh",
     "multiplier_apply",
-    "default_levels",
 ]
 
 

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import MeshFunction
+from .grid import MeshFunction, _fractional_exponent
 from .operators import distribution, multiplier_apply
 from .sparse import exceptional_set
 from .weights import dual_exponent
@@ -35,7 +35,6 @@ __all__ = [
     "dual_weak_estimate",
     "ProofConstants",
     "proof_constants",
-    "fractional_proof_constants",
     "BoundCheckReport",
     "bound_check",
 ]
@@ -87,15 +86,17 @@ def weak_quotient(
     weight,
     p: float,
     f: MeshFunction,
-    q: float | None = None,
     **op_kwargs,
 ) -> WeakTypeQuotient:
     """Quotient for the multiplier form of a tagged operator.
 
     ``T`` is a :func:`weaklab.operators.multiplier_apply` tag; matrix
     operators produce their output elsewhere and go through
-    :func:`quotient_from_output`.
+    :func:`quotient_from_output`.  The quotient takes q = p, or with an
+    ``alpha`` the q of 1/p - 1/q = alpha.
     """
+    alpha = op_kwargs.get("alpha")
+    q = _fractional_exponent(p, alpha) if alpha else p
     output = multiplier_apply(T, weight, p, f, **op_kwargs)
     return quotient_from_output(output.magnitude(), f.lp_norm(p), p, q, operator=T)
 
@@ -180,7 +181,8 @@ class ProofConstants:
 
 
 def proof_constants(nu: float, p: float) -> ProofConstants:
-    """Exponent bookkeeping for the sparse weak-type argument at L^p."""
+    """Exponent bookkeeping for the sparse weak-type argument at L^p (the
+    fractional argument takes it at L^q, r' = q nu' + 1)."""
     if not 1 < nu < math.inf:
         raise ValueError(f"sharp reverse-Holder exponent requires nu > 1 and finite, got {nu}")
     if not 1 <= p < math.inf:
@@ -198,11 +200,6 @@ def proof_constants(nu: float, p: float) -> ProofConstants:
     )
     pc.validate()
     return pc
-
-
-def fractional_proof_constants(nu: float, q: float) -> ProofConstants:
-    """The q-based variant (r' = q nu' + 1) used in the fractional argument."""
-    return proof_constants(nu, q)
 
 
 # ---------------------------------------------------------------------------

@@ -641,7 +641,7 @@ class CharacteristicReport:
 
 class _Plan:
     """The candidates of one search (the default one for None) for one weight,
-    laid out once: a closed-form weight's from ``search.intervals_for``, a
+    laid out once: a closed-form weight's from ``search._candidates``, a
     sampled weight's from ``search._sampled_layout``, both searched as
     ``search.levels_for`` says.
 

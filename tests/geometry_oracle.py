@@ -420,13 +420,12 @@ def all_components_christ_goldberg_maximal(
 
 
 def oracle_ainfty_scalar_characteristic(
-    W: MatrixWeight, p: float, n_dirs=64, grids=None, matrix_power=None, norm_power=None
+    W: MatrixWeight, p: float, n_dirs=64, grids=None, alpha=0.0
 ) -> tuple[float, np.ndarray]:
     """``ainfty_scalar_characteristic`` with one ``ainfty_characteristic``
     call per direction weight."""
     dirs = unit_directions(W.d, n_dirs)
-    mp = 1.0 / p if matrix_power is None else matrix_power
-    npow = p if norm_power is None else norm_power
+    mp, npow = (1.0 / p, p) if alpha == 0.0 else (1.0, 1.0 / (1.0 / p - alpha))
     best = (-np.inf, dirs[0])
     for v in dirs:
         wv = SampledWeight(W.mesh, np.linalg.norm(np.einsum("xij,j->xi", W.power(mp), v), axis=1) ** npow)
@@ -437,9 +436,10 @@ def oracle_ainfty_scalar_characteristic(
 
 
 def oracle_dominating_scalar_sparse(
-    W: MatrixWeight, p: float, family: SparseFamily, f: MeshFunction, alpha: float = 0.0, q=None
+    W: MatrixWeight, p: float, family: SparseFamily, f: MeshFunction, alpha: float = 0.0
 ) -> np.ndarray:
     """``dominating_scalar_sparse`` with one ``grid.average`` call per family cube."""
+    q = 1.0 / (1.0 / p - alpha)  # used only for alpha > 0
     fp = f.power(p)
     A = W.power(1.0 / p) if alpha == 0.0 else W.values
     out = np.zeros(f.mesh.n_cells)

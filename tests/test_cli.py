@@ -6,7 +6,7 @@ import pytest
 
 from weaklab import grid as grid_module
 from weaklab import operators
-from weaklab.cli import main, parse_weight
+from weaklab.cli import CSV_COLUMNS, main, parse_weight
 from weaklab.sparse import SparseFamily, build_sparse_family, sparse_apply
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -73,7 +73,7 @@ class TestSubcommands:
         assert len(out.read_text().splitlines()) == 3
 
 
-FRACTIONAL = ["--alpha", "0.25", "--q", "4", "--weight", "powerlog:a=0.2"]
+FRACTIONAL = ["--alpha", "0.25", "--weight", "powerlog:a=0.2"]
 
 
 class TestWeaktypeOperators:
@@ -111,9 +111,9 @@ class TestWeaktypeOperators:
     @pytest.mark.parametrize("alpha", ["-0.25", "0", "1", "1.5"])
     @pytest.mark.parametrize("operator", ["M", "H", "Ialpha"])
     def test_alpha_outside_the_unit_interval_is_2(self, tmp_path, capsys, operator, alpha):
-        """An --alpha outside (0, 1) is named, not dropped together with --q."""
+        """An --alpha outside (0, 1) is named as an order, before 1/p is read."""
         code, out = run(tmp_path, "w.csv", ["weaktype", "--operator", operator, "--p", "2", "--trials", "1",
-                                            "--level", "4", "--weight", "powerlog:a=0.2", "--alpha", alpha, "--q", "4"])
+                                            "--level", "4", "--weight", "powerlog:a=0.2", "--alpha", alpha])
         assert code == 2
         assert f"0 < alpha < n = 1, got {float(alpha)}" in capsys.readouterr().err
         assert not out.exists()
@@ -127,12 +127,23 @@ class TestWeaktypeOperators:
         assert "H: 1 trials" in capsys.readouterr().out
         assert len(out.read_text().splitlines()) == 2
 
-    def test_q_without_alpha_is_2(self, tmp_path, capsys):
-        code, out = run(tmp_path, "w.csv", ["weaktype", "--operator", "M", "--p", "2", "--q", "4", "--trials", "1",
-                                            "--level", "4", "--weight", "powerlog:a=0.5"])
-        assert code == 2
-        assert "--q needs --alpha" in capsys.readouterr().err
-        assert not out.exists()
+    @pytest.mark.parametrize(
+        "args, flag",
+        [(["weaktype", "--weight", "powerlog:a=0.2", "--alpha", "0.25", "--q", "4"], "--q")]
+        + [(["characteristic", "--weight", "powerlog:a=-0.3", "--kind", kind, *needed, "--alpha", "0.25"], "--alpha")
+           for kind, needed in [("ap", []), ("a1", []), ("ainfty", []), ("rh", ["--s", "1.5"]),
+                                ("apq", ["--q", "4"]), ("a1q", ["--q", "2"])]],
+        ids=["weaktype-q", "ap-alpha", "a1-alpha", "ainfty-alpha", "rh-alpha", "apq-alpha", "a1q-alpha"],
+    )
+    def test_exponent_the_rule_derives_is_no_flag(self, tmp_path, capsys, args, flag):
+        """q is derived from --p and --alpha, so weaktype takes no --q; and no
+        characteristic kind reads an --alpha (apq read one only to check it
+        against --p and --q)."""
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "x.csv", args)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestWeaktypeFamilies:
@@ -141,7 +152,7 @@ class TestWeaktypeFamilies:
 
     @pytest.mark.parametrize(
         "extra",
-        [["--weight", "powerlog:a=0.5"], ["--weight", "powerlog:a=0.2", "--alpha", "0.25", "--q", "4"]],
+        [["--weight", "powerlog:a=0.5"], ["--weight", "powerlog:a=0.2", "--alpha", "0.25"]],
         ids=["AS", "ASalpha"],
     )
     def test_each_trial_applies_its_family_to_the_function_it_was_built_on(self, tmp_path, monkeypatch, extra):
@@ -177,13 +188,17 @@ class TestWeaktypeFamilies:
 
 
 class TestExitCodes:
-    def test_invalid_exponent_relation_is_2(self, tmp_path):
-        code, _ = run(
+    @pytest.mark.parametrize("alpha", ["0.5", "0.6"])
+    def test_alpha_not_below_one_over_p_is_2(self, tmp_path, capsys, alpha):
+        """q follows from 1/p - 1/q = alpha, so an alpha at or above 1/p has no q."""
+        code, out = run(
             tmp_path, "x.csv",
             ["weaktype", "--operator", "Ialpha", "--weight", "powerlog:a=-0.2",
-             "--p", "2", "--q", "3", "--alpha", "0.25", "--trials", "1"],
+             "--p", "2", "--alpha", alpha, "--trials", "1"],
         )
         assert code == 2
+        assert f"alpha = {float(alpha)} must lie below 1/p = 0.5" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_delta_is_2(self, tmp_path):
         code, _ = run(tmp_path, "x.csv", ["lowerbound", "--delta", "0.7"])
@@ -343,15 +358,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "kind,unread",
-        [("ap", "q"), ("ap", "s"), ("ap", "alpha"), ("a1", "q"), ("a1", "s"), ("a1", "alpha"),
-         ("ainfty", "q"), ("ainfty", "s"), ("ainfty", "alpha"), ("rh", "q"), ("rh", "alpha"),
-         ("apq", "s"), ("a1q", "s"), ("a1q", "alpha")],
+        [("ap", "q"), ("ap", "s"), ("a1", "q"), ("a1", "s"), ("ainfty", "q"), ("ainfty", "s"), ("rh", "q"),
+         ("apq", "s"), ("a1q", "s")],
     )
     def test_flag_the_kind_does_not_read_is_2(self, tmp_path, capsys, kind, unread):
-        """Before, ``--kind ap --s 3 --alpha 0.3`` exited 0 and wrote the
-        plain A_2 row: the flag was dropped without a word."""
+        """Before, ``--kind ap --s 3`` exited 0 and wrote the plain A_2 row:
+        the flag was dropped without a word."""
         needed = {"rh": ["--s", "1.5"], "apq": ["--q", "4"], "a1q": ["--q", "2"]}.get(kind, [])
-        value = {"q": "4", "s": "1.5", "alpha": "0.25"}[unread]
+        value = {"q": "4", "s": "1.5"}[unread]
         code, out = run(tmp_path, "x.csv", ["characteristic", "--weight", "powerlog:a=-0.3", "--kind", kind,
                                             *needed, f"--{unread}", value])
         assert code == 2
@@ -390,6 +404,29 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["--weight", "diag:a1=-0.4"], "--d 2 needs the diag parameter a2"),
+            (["--weight", "diag:a1=-0.4,a2=0.25", "--d", "3"], "--d 3 needs the diag parameter a3"),
+            (["--weight", "diag:a1=-0.4,a2=0.25,a3=0.1"], "--d 2 does not read the diag parameter a3"),
+            (["--weight", "diag:a2=0.25,a3=0.1", "--d", "3"], "--d 3 needs the diag parameter a1"),
+            (["--weight", "rotdiag:a2=0.25,turns=2"], "--d 2 needs the rotdiag parameter a1"),
+            (["--weight", "rotdiag:a1=-0.4,a2=0.25,a3=0.1"], "--d 2 does not read the rotdiag parameter a3"),
+            (["--weight", "rotdiag:a1=-0.4,a2=0.25", "--d", "3"], "rotdiag descriptors are two-dimensional"),
+        ],
+        ids=["diag-d2-no-a2", "diag-d3-no-a3", "diag-d2-surplus-a3", "diag-d3-no-a1", "rotdiag-no-a1",
+             "rotdiag-surplus-a3", "rotdiag-d3"],
+    )
+    def test_diagonal_exponents_must_match_d(self, tmp_path, capsys, args, message):
+        """A missing a{i} ended in a KeyError traceback (exit 1), a surplus one
+        was dropped without a word."""
+        code, out = run(tmp_path, "x.csv", ["matrix-check", "--trials", "1", "--level", "3", *args])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -438,6 +475,18 @@ class TestExitCodes:
              "--no-closed-form"],
         )
         assert code == 3
+
+
+def test_csv_columns_are_the_schema_document_lists():
+    """Each subcommand's CSV_COLUMNS is the bullet list under its heading in
+    docs/cli_schema.md, in order."""
+    lists, heading = {}, None
+    for line in (Path(__file__).parents[1] / "docs" / "cli_schema.md").read_text().splitlines():
+        if line.startswith("## "):
+            heading = lists.setdefault(line[3:].strip("`"), [])
+        elif line.startswith("- `") and heading is not None:
+            heading.append(line[3:].split("`")[0])
+    assert lists == CSV_COLUMNS
 
 
 class TestDeterminism:

@@ -637,7 +637,7 @@ def test_exported_functions_keep_their_defaulted_parameters():
         for param in inspect.signature(obj).parameters.values()
         if param.default is not inspect.Parameter.empty
     )
-    assert len(defaulted) == 44, "\n".join(defaulted)
+    assert len(defaulted) == 41, "\n".join(defaulted)
 
 
 def test_only_grid_names_level_affine():

@@ -379,9 +379,7 @@ class TestDominatingScalarSparse:
         W = random_matrix_weight(mmesh, 2, rng)
         f = random_step(mmesh, rng)
         fam = build_sparse_family(f)
-        p, alpha = 2.0, 0.25
-        q = 1.0 / (1.0 / p - alpha)
-        out = dominating_scalar_sparse(W, p, fam, f, alpha=alpha, q=q)
+        out = dominating_scalar_sparse(W, 2.0, fam, f, alpha=0.25)
         assert np.all(out.values >= 0)
         assert out.values.max() > 0
 
@@ -390,15 +388,13 @@ class TestFractionalMatrix:
     def test_direction_ainfty_below_apq_characteristic(self, mmesh):
         # [W^q]_{A_inf^sc} <= [W]_{A_(p,q)} over sampled directions
         rng = np.random.default_rng(26)
-        p, q = 2.0, 4.0
+        p, q, alpha = 2.0, 4.0, 0.25  # 1/p - 1/q = alpha
         from weaklab import ainfty_scalar_characteristic, matrix_apq_characteristic
 
         for _ in range(5):
             W = random_matrix_weight(mmesh, 2, rng)
             apq = matrix_apq_characteristic(W, p, q).value
-            ainf_sc, _ = ainfty_scalar_characteristic(
-                W, p, n_dirs=32, matrix_power=1.0, norm_power=q
-            )
+            ainf_sc, _ = ainfty_scalar_characteristic(W, p, n_dirs=32, alpha=alpha)
             assert ainf_sc <= apq * (1 + 1e-9)
 
     def test_fractional_reducing_product_tracks_characteristic(self, mmesh):

@@ -388,8 +388,8 @@ def test_christ_goldberg_accepts_an_exponent_of_one():
     [
         (1.0, 5, 2, {}),
         (0.75, 5, 3, {}),
-        (3.0, 4, 2, {"matrix_power": 1.0, "norm_power": 3.0}),
-        (5.25, 4, 3, {"matrix_power": 1.0, "norm_power": 3.0}),
+        (3.0, 4, 2, {"alpha": 0.5 - 1 / 3}),  # q = 3.0 exactly at p = 2
+        (5.25, 4, 3, {"alpha": 0.5 - 1 / 3}),
     ],
 )
 @pytest.mark.parametrize("grids", [None, [DyadicGrid(2)]])
@@ -416,7 +416,6 @@ def test_dominating_sparse_matches_per_cube_average(p, alpha):
     """One table over the family's levels against one ``grid.average`` call
     per cube: the same spans summed alike, so the same floats."""
     mesh = Mesh(1.0, 6)
-    q = None if alpha == 0.0 else 1.0 / (1.0 / p - alpha)
     deepest = set()
     for seed in range(12):
         rng = np.random.default_rng(seed)
@@ -427,8 +426,8 @@ def test_dominating_sparse_matches_per_cube_average(p, alpha):
         f = MeshFunction(mesh, np.repeat(heights, block))
         family = build_sparse_family(f)
         deepest.add(max(c.level for c in family.cubes))
-        got = dominating_scalar_sparse(W, p, family, f, alpha=alpha, q=q).values
-        assert got.tobytes() == oracle_dominating_scalar_sparse(W, p, family, f, alpha=alpha, q=q).tobytes()
+        got = dominating_scalar_sparse(W, p, family, f, alpha=alpha).values
+        assert got.tobytes() == oracle_dominating_scalar_sparse(W, p, family, f, alpha=alpha).tobytes()
     assert len(deepest) > 1  # families stopping at different depths
 
 

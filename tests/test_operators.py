@@ -15,6 +15,7 @@ from weaklab import (
     MeshFunction,
     PowerLogWeight,
     SampledWeight,
+    ainfty_scalar_characteristic,
     build_sparse_family,
     distribution,
     dominating_scalar_sparse,
@@ -27,6 +28,7 @@ from weaklab import (
     random_matrix_weight,
     sparse_apply,
     weak_lp_norm,
+    weak_quotient,
 )
 from weaklab.lowerbound import w_delta
 
@@ -565,12 +567,19 @@ _ORDER_ONE = PowerLogWeight(0.0)
         (lambda: hl_maximal(_ORDER_F, alpha=math.nan), "got nan"),
         (lambda: dyadic_maximal(_ORDER_F, alpha=2.0), "got 2.0"),
         (lambda: sparse_apply(_ORDER_FAMILY, _ORDER_F, alpha=2.0), "got 2.0"),
-        (lambda: dominating_scalar_sparse(_ORDER_W, 2.0, _ORDER_FAMILY, _ORDER_F, alpha=2.0, q=3.0), "got 2.0"),
+        (lambda: dominating_scalar_sparse(_ORDER_W, 2.0, _ORDER_FAMILY, _ORDER_F, alpha=2.0), "got 2.0"),
+        (lambda: dominating_scalar_sparse(_ORDER_W, 2.0, _ORDER_FAMILY, _ORDER_F, alpha=0.6),
+         "alpha = 0.6 must lie below 1/p = 0.5"),
+        (lambda: ainfty_scalar_characteristic(_ORDER_W, 2.0, alpha=2.0), "got 2.0"),
+        (lambda: ainfty_scalar_characteristic(_ORDER_W, 3.0, alpha=0.5), "alpha = 0.5 must lie below 1/p = 0.333"),
+        (lambda: weak_quotient("Ialpha", _ORDER_ONE, 2.0, _ORDER_F, alpha=0.5), "alpha = 0.5 must lie below 1/p = 0.5"),
     ],
-    ids=["ASalpha-without", "AS-1.5", "ASalpha-neg", "H-0.3", "hl-2", "hl-nan", "dyadic-2", "sparse-apply-2", "dominating-2"],
+    ids=["ASalpha-without", "AS-1.5", "ASalpha-neg", "H-0.3", "hl-2", "hl-nan", "dyadic-2", "sparse-apply-2", "dominating-2",
+         "dominating-above-1/p", "ainfty-scalar-2", "ainfty-scalar-above-1/p", "weak-quotient-at-1/p"],
 )
 def test_every_operator_that_takes_alpha_refuses_one_outside_the_rule(call, message):
-    # the rule: alpha == 0, or a fractional order 0 < alpha < 1
+    # the rule: alpha == 0, or a fractional order 0 < alpha < 1 below 1/p
+    # where the operator reads q (1/p - 1/q = alpha)
     if message.startswith("got"):
         message = f"fractional order must satisfy 0 < alpha < n = 1, {message}"
     with pytest.raises(ValueError, match=re.escape(message)):

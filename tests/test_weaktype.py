@@ -1,7 +1,10 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import random_step
 from geometry_oracle import cells_inside
@@ -22,9 +25,9 @@ from weaklab import (
     weak_lp_norm,
     weak_quotient,
 )
+from weaklab.grid import _fractional_exponent
 from weaklab.operators import distribution
 from weaklab.sparse import SparseFamily
-from weaklab.weaktype import fractional_proof_constants
 
 ONE = PowerLogWeight(0.0)
 
@@ -76,6 +79,44 @@ class TestQuotient:
         out = multiplier_apply("Md", ONE, 2.0, f)
         wq = quotient_from_output(out.magnitude(), 1.0, 2.0)
         assert wq.quotient ** 0.5 == pytest.approx(weak_lp_norm(out, 2.0), rel=1e-12)
+
+
+class TestFractionalExponent:
+    """q of 1/p - 1/q = alpha, the one rule every fractional quotient and
+    matrix class reads."""
+
+    @given(p=st.floats(1.0, 64.0), share=st.floats(1e-6, 0.999))
+    def test_rule_is_the_relation_bit_for_bit(self, p, share):
+        alpha = share * min(1.0, 1.0 / p)  # a fractional order below 1/p
+        assert _fractional_exponent(p, alpha).hex() == (1.0 / (1.0 / p - alpha)).hex()
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 7.0])
+    def test_alpha_just_below_one_over_p_gives_a_finite_q(self, p):
+        q = _fractional_exponent(p, np.nextafter(1.0 / p, 0.0))
+        assert p < q < np.inf
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 7.0])
+    def test_alpha_at_one_over_p_names_both(self, p):
+        with pytest.raises(ValueError, match=re.escape(f"alpha = {1.0 / p} must lie below 1/p = {1.0 / p}")):
+            _fractional_exponent(p, 1.0 / p)
+
+    @pytest.mark.parametrize("alpha", [1e-9, 0.25, 0.5, float(np.nextafter(1.0, 0.0))])
+    def test_p_one_takes_every_fractional_order(self, alpha):
+        assert _fractional_exponent(1.0, alpha) == 1.0 / (1.0 - alpha)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.25, np.nan])
+    def test_an_alpha_that_is_no_order_is_named_as_such(self, alpha):
+        with pytest.raises(ValueError, match=re.escape(f"0 < alpha < n = 1, got {alpha}")):
+            _fractional_exponent(1.0, alpha)
+
+    @pytest.mark.parametrize("T", ["Ialpha", "Malpha", "AS"])
+    def test_weak_quotient_takes_q_from_alpha(self, mesh, T):
+        w, f = PowerLogWeight(0.2), random_step(mesh, np.random.default_rng(23))
+        got = weak_quotient(T, w, 2, f, alpha=0.25, weight_power=1.0)
+        output = multiplier_apply(T, w, 2, f, alpha=0.25, weight_power=1.0)
+        want = quotient_from_output(output.magnitude(), f.lp_norm(2), 2, 4.0, operator=T)
+        assert got == want and got.q == 4.0
+        assert np.float64(got.quotient).tobytes() == np.float64(want.quotient).tobytes()
 
 
 class TestDualEstimate:
@@ -168,9 +209,9 @@ class TestProofConstants:
         assert pc.p_r_prime / pc.p_nu_prime == pytest.approx(pc.r, rel=1e-12)
 
     def test_fractional_branch(self):
-        # q-based variant: r' = q nu' + 1
+        # the fractional argument takes the bookkeeping at q: r' = q nu' + 1
         q, nu = 4.0, 1.5
-        pc = fractional_proof_constants(nu, q)
+        pc = proof_constants(nu, q)
         assert pc.r_prime == pytest.approx(q * (nu / (nu - 1)) + 1.0, rel=1e-15)
         pc.validate()
 
