@@ -53,7 +53,6 @@ from .matrix import (
     christ_goldberg_maximal,
     dominating_scalar_sparse,
     dual_reducing_matrix,
-    fractional_reducing_matrix,
     matrix_a1_characteristic,
     matrix_a1q_characteristic,
     matrix_ap_characteristic,

@@ -441,6 +441,12 @@ def _fractional_exponent(p: float, alpha: float) -> float:
     return 1.0 / (1.0 / p - alpha)
 
 
+def _weak_exponent(p: float, alpha: float | None) -> float:
+    """The weak-type exponent of an operator of order alpha at L^p: p at
+    order 0 (or None), else the fractional q of ``_fractional_exponent``."""
+    return _fractional_exponent(p, alpha) if alpha else p
+
+
 @functools.lru_cache(maxsize=1024, typed=True)
 def _level_affine(mesh: Mesh, grid: DyadicGrid, k: int) -> tuple[int, int, int]:
     """Integer constants (a0, step, den) such that, exactly,

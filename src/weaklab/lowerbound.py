@@ -341,15 +341,13 @@ class GradedMesh:
     def widths(self) -> np.ndarray:
         return np.diff(self.edges)
 
-    def counted_measure(self, values: np.ndarray, lam):
-        """(sum of widths of cells whose value exceeds lam, cell count), or one
-        array of each for an array of lams.  Superlevel sets are nested, so
-        lams with one count select the same cells: the widths are summed once
-        per distinct count, each sum the float a lone lam gets."""
-        sel = values > np.asarray(lam, dtype=float)[..., None]
+    def counted_measure(self, values: np.ndarray, lams: np.ndarray):
+        """Per lam of an array of lams: the sum of the widths of the cells
+        whose value exceeds lam, and their count.  Superlevel sets are
+        nested, so lams with one count select the same cells: the widths are
+        summed once per distinct count, each sum the float a lone lam gets."""
+        sel = values > np.asarray(lams, dtype=float)[:, None]
         counts = sel.sum(axis=-1)
-        if counts.ndim == 0:
-            return float(self.widths[sel].sum()), int(counts)
         _, first, inverse = np.unique(counts, return_index=True, return_inverse=True)
         widths = self.widths
         return np.array([widths[sel[i]].sum() for i in first])[inverse], counts

@@ -6,6 +6,10 @@ d x d matrices.  Matrix powers are taken cell-wise through spectral
 decompositions with symmetric reprojection, so numerical drift cannot break
 symmetry.
 
+Field powers: an operator at L^p reads W^(1/p) and its dual W^(-1/p), and
+at a fractional order W and W^-1, by one rule (``_field_power``); their
+norm exponents are ``grid._weak_exponent`` (p, or q) and p'.
+
 Reducing matrices: for a norm rho(v) = (avg_Q |A(x) v|^r dx)^(1/r) the
 constant SPD matrix with |Mv| comparable to rho(v) is computed exactly when
 r = 2 (M = (avg A^2)^(1/2)) and otherwise by a minimum-volume-ellipsoid fit
@@ -34,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import Cube, DyadicGrid, Mesh, MeshFunction, _cubes, _fractional_exponent, _fractional_order, cube_span, default_levels, inside_cubes, shifted_grids
+from .grid import Cube, DyadicGrid, Mesh, MeshFunction, _cubes, _fractional_order, _weak_exponent, cube_span, default_levels, inside_cubes, shifted_grids
 from .operators import _maximal_sweep
 from .weights import (
     CharacteristicReport,
@@ -55,8 +59,6 @@ __all__ = [
     "alt_norm_sum",
     "reducing_matrix",
     "dual_reducing_matrix",
-    "fractional_reducing_matrix",
-    "fractional_dual_reducing_matrix",
     "matrix_ap_characteristic",
     "matrix_a1_characteristic",
     "matrix_apq_characteristic",
@@ -396,11 +398,16 @@ def _cached_reduce(W: MatrixWeight, cube: Cube, power: float, r: float) -> Reduc
     return W._reducing[key]
 
 
-def _exponent(p: float, what: str = "matrix exponent") -> float:
-    """p when it is finite and >= 1, else a ValueError that names it."""
+def _field_power(p: float, alpha: float) -> float:
+    """The power s of W that a matrix operator of order alpha reads at L^p
+    (its dual reads W^-s): 1/p at order 0, 1 at a fractional order.  p must
+    be finite and >= 1; alpha need not lie below 1/p, as only q needs that."""
     if not (math.isfinite(p) and p >= 1):
-        raise ValueError(f"{what} must be finite and >= 1, got {p}")
-    return p
+        raise ValueError(f"matrix exponent must be finite and >= 1, got {p}")
+    if alpha == 0.0:
+        return 1.0 / p
+    _fractional_order(alpha)
+    return 1.0
 
 
 def reducing_matrix(W: MatrixWeight, cube: Cube, p: float) -> ReducingMatrix:
@@ -409,23 +416,12 @@ def reducing_matrix(W: MatrixWeight, cube: Cube, p: float) -> ReducingMatrix:
     Exact for p = 2 (both certified factors are 1 up to arithmetic);
     ellipsoid-fitted otherwise.
     """
-    return _cached_reduce(W, cube, 1.0 / _exponent(p), p)
+    return _cached_reduce(W, cube, _field_power(p, 0.0), p)
 
 
 def dual_reducing_matrix(W: MatrixWeight, cube: Cube, p: float) -> ReducingMatrix:
     """Reducing matrix of rho_{W^(-p'/p), p'} (the dual norm)."""
-    pp = dual_exponent(_exponent(p))
-    return _cached_reduce(W, cube, -1.0 / p, pp)
-
-
-def fractional_reducing_matrix(W: MatrixWeight, cube: Cube, q: float) -> ReducingMatrix:
-    """|V_Q^q v| ~ (avg_Q |W v|^q)^(1/q)."""
-    return _cached_reduce(W, cube, 1.0, _exponent(q))
-
-
-def fractional_dual_reducing_matrix(W: MatrixWeight, cube: Cube, p: float) -> ReducingMatrix:
-    pp = dual_exponent(_exponent(p))
-    return _cached_reduce(W, cube, -1.0, pp)
+    return _cached_reduce(W, cube, -_field_power(p, 0.0), dual_exponent(p))
 
 
 # ---------------------------------------------------------------------------
@@ -513,12 +509,12 @@ def matrix_a1q_characteristic(W: MatrixWeight, q: float) -> CharacteristicReport
 
 def scalar_restriction(W: MatrixWeight, p: float, v: np.ndarray) -> SampledWeight:
     """w_v(x) = |W^(1/p)(x) v|^p as a sampled scalar weight."""
-    _exponent(p)
+    s = _field_power(p, 0.0)
     v = np.asarray(v, dtype=float)
     if v.shape != (W.d,) or not 0 < np.linalg.norm(v) < math.inf:
         raise ValueError(f"direction must be a nonzero finite vector of length {W.d}, got {v}")
     v = v / np.linalg.norm(v)
-    vals = np.linalg.norm(np.einsum("xij,j->xi", W.power(1.0 / p), v), axis=1) ** p
+    vals = np.linalg.norm(np.einsum("xij,j->xi", W.power(s), v), axis=1) ** p
     return SampledWeight(W.mesh, vals)
 
 
@@ -553,10 +549,9 @@ def ainfty_scalar_characteristic(
     direction weights are the components of one vector function, so each
     grid takes one Fujii-Wilson sweep, with the floats per direction.
     """
-    _exponent(p)
+    s, t = _field_power(p, alpha), _weak_exponent(p, alpha)
     dirs = unit_directions(W.d, n_dirs)
-    mp, npow = (1.0 / p, p) if alpha == 0.0 else (1.0, _fractional_exponent(p, alpha))
-    wv = np.ascontiguousarray(_image_norms(W.power(mp), dirs).T) ** npow  # (cells, directions)
+    wv = np.ascontiguousarray(_image_norms(W.power(s), dirs).T) ** t  # (cells, directions)
     if not np.all(wv > 0):
         raise ValueError("direction weights must be positive")
     grids = list(grids) if grids is not None else shifted_grids(1)
@@ -582,11 +577,11 @@ def christ_goldberg_maximal(
     """M_W f(x) = sup_Q avg_Q |W^(1/p)(x) W^(-1/p)(y) f(y)| dy on cells.
 
     The fractional variant (alpha > 0) weights by |Q|^alpha and uses the
-    powers W, W^-1 instead of W^(1/p), W^(-1/p).  The cube family matches
-    the scalar maximal operators, and so does the engine: the sweep of
-    ``hl_maximal`` over N[y, x] = |A(x) g(y)| (A = W^(1/p), g = W^(-1/p) f),
-    one component per cell x, which reads its own.  The sweep integrates
-    component x only over the cubes that wholly contain cell x, one
+    powers W, W^-1 of ``_field_power`` instead of W^(1/p), W^(-1/p).  The
+    cube family matches the scalar maximal operators, and so does the
+    engine: the sweep of ``hl_maximal`` over N[y, x] = |A(x) g(y)| (A = W^s,
+    g = W^-s f), one component per cell x, which reads its own.  The sweep
+    integrates component x only over the cubes that wholly contain cell x, one
     (cube, cell) pair per level and grid.  Averages divide by the full cube
     width with f extended by zero.  With W = Id every component is |f|, so
     M_W f equals ``hl_maximal(f.magnitude())`` bit for bit.  p must be
@@ -594,19 +589,16 @@ def christ_goldberg_maximal(
     4,096 cells (at 4,096, about 2.7 s and 565 MiB peak at d = 2 and 3) it
     is a ``ValueError``.
     """
-    _exponent(p, "Christ-Goldberg exponent")
+    s = _field_power(p, alpha)
     if not f.is_vector or f.values.shape[1] != W.d:
         raise ValueError("f must be vector-valued with the weight's dimension")
     mesh = f.mesh
     if mesh != W.mesh:
         raise ValueError("f and W live on different meshes")
-    if alpha != 0.0:
-        _fractional_order(alpha)
     if mesh.n_cells > 4096:
         raise ValueError("the Christ-Goldberg integrand has n^2 entries: use meshes of <= 4096 cells")
-    A, g_power = (W.power(1.0 / p), -1.0 / p) if alpha == 0.0 else (W.values, -1.0)
-    g = np.einsum("xij,xj->xi", W.power(g_power), f.values)
-    N = MeshFunction(mesh, _image_norms(A, g))  # the only (n, n) array the sweep keeps alive
+    g = np.einsum("xij,xj->xi", W.power(-s), f.values)
+    N = MeshFunction(mesh, _image_norms(W.power(s), g))  # the only (n, n) array the sweep keeps alive
     return _maximal_sweep(N, grids, min_level, max_level, alpha)
 
 
@@ -649,8 +641,7 @@ def dominating_scalar_sparse(
 
     <f>_{p,Q} = (avg_Q |f|^p)^(1/p); coefficients are evaluated per cell.
     """
-    _exponent(p)
-    q = p if alpha == 0.0 else _fractional_exponent(p, alpha)
+    s, q = _field_power(p, alpha), _weak_exponent(p, alpha)  # alpha < 1/p, before any cube is reduced
     mesh = f.mesh
     if mesh != W.mesh:
         raise ValueError("f and W live on different meshes")
@@ -658,24 +649,22 @@ def dominating_scalar_sparse(
         raise ValueError("the dominating operator acts on scalar f (apply to |f|)")
     avg = family.averages(f.power(p))
     out = np.zeros(mesh.n_cells)
-    Apow = W.power(1.0 / p) if alpha == 0.0 else W.values
     for cube, a in zip(family.cubes, avg):
         cells = W.cells_of(cube)  # a cube leaving the domain raises
-        red = (
-            reducing_matrix(W, cube, p)
-            if alpha == 0.0
-            else fractional_reducing_matrix(W, cube, q)
-        )
-        coeff = op_norm(np.einsum("xij,jk->xik", Apow[cells], red.inverse))
-        out[cells] += cube.width**alpha * coeff * a ** (1.0 / p)
+        out[cells] += cube.width**alpha * _coefficients(W, cube, cells, s, q) * a ** (1.0 / p)
     return MeshFunction(mesh, out)
+
+
+def _coefficients(W: MatrixWeight, cube: Cube, cells: slice, s: float, q: float) -> np.ndarray:
+    """||W^s(x) V_Q^-1|| on the cells x of the cube, V_Q the reducing matrix
+    of (avg_Q |W^s v|^q)^(1/q)."""
+    red = _cached_reduce(W, cube, s, q)
+    return op_norm(np.einsum("xij,jk->xik", W.power(s)[cells], red.inverse))
 
 
 def sharp_rhi_matrix_bound(W: MatrixWeight, p: float, cube: Cube, nu: float) -> float:
     """avg_Q ||W^(1/p)(x) (W_Q^p)^(-1)||^(p nu) dx (dimensional-ceiling check)."""
-    red = reducing_matrix(W, cube, p)
-    cells = W.cells_of(cube)
-    coeff = op_norm(np.einsum("xij,jk->xik", W.power(1.0 / p)[cells], red.inverse))
+    coeff = _coefficients(W, cube, W.cells_of(cube), _field_power(p, 0.0), p)
     return float(np.mean(coeff ** (p * nu)))
 
 

@@ -216,9 +216,6 @@ class SparseFamily:
     cubes: list[Cube]
     designated: list[np.ndarray]
 
-    def e_measure(self, i: int) -> float:
-        return len(self.designated[i]) * self.mesh.h
-
     def apply(self, f: MeshFunction, alpha: float = 0.0) -> MeshFunction:
         """A_S f = sum_Q |Q|^alpha <f>_Q chi_Q, evaluated at cell level.
 

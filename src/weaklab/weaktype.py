@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import MeshFunction, _fractional_exponent
+from .grid import MeshFunction, _weak_exponent
 from .operators import distribution, multiplier_apply
 from .sparse import exceptional_set
 from .weights import dual_exponent
@@ -92,11 +92,10 @@ def weak_quotient(
 
     ``T`` is a :func:`weaklab.operators.multiplier_apply` tag; matrix
     operators produce their output elsewhere and go through
-    :func:`quotient_from_output`.  The quotient takes q = p, or with an
-    ``alpha`` the q of 1/p - 1/q = alpha.
+    :func:`quotient_from_output`.  The quotient takes the weak-type
+    exponent of ``grid._weak_exponent`` at the ``alpha`` it is given.
     """
-    alpha = op_kwargs.get("alpha")
-    q = _fractional_exponent(p, alpha) if alpha else p
+    q = _weak_exponent(p, op_kwargs.get("alpha"))
     output = multiplier_apply(T, weight, p, f, **op_kwargs)
     return quotient_from_output(output.magnitude(), f.lp_norm(p), p, q, operator=T)
 
@@ -227,22 +226,24 @@ def bound_check(
     outputs: Sequence[MeshFunction],
     f_norms: Sequence[float],
     p: float,
-    q: float | None = None,
 ) -> BoundCheckReport:
-    """Empirical constants C = quotient / product over a family of outputs.
+    """Empirical constants C = quotient / product over a family of outputs,
+    one norm ||f||_p per output, each quotient taken at q = p.
 
     ``product`` is the characteristic product of the theorem being checked
-    (for the sparse weak-type bound: [w]_{A_p} [w]_{A_inf}^p; fractional:
-    [w]_{A_(p,q)} [w^q]_{A_inf}^q; matrix maximal: [W]_{A_p} [W]_{A_inf^sc}^p).
+    (for the sparse weak-type bound: [w]_{A_p} [w]_{A_inf}^p; matrix
+    maximal: [W]_{A_p} [W]_{A_inf^sc}^p).
     """
     if not product > 0:
         raise ValueError("characteristic product must be positive")
     if len(outputs) == 0:
         raise ValueError("empty family")
+    if len(outputs) != len(f_norms):
+        raise ValueError(f"one norm per output: got {len(outputs)} outputs and {len(f_norms)} norms")
     quotients = []
     constants = []
     for out, fn in zip(outputs, f_norms):
-        wq = quotient_from_output(out.magnitude(), fn, p, q, operator=theorem)
+        wq = quotient_from_output(out.magnitude(), fn, p, operator=theorem)
         quotients.append(wq.quotient)
         constants.append(wq.quotient / product)
     return BoundCheckReport(

@@ -53,7 +53,7 @@ from weaklab.grid import (
     level_cube_integrals,
     shifted_grids,
 )
-from weaklab.matrix import MatrixWeight, fractional_reducing_matrix, op_norm, reducing_matrix, unit_directions
+from weaklab.matrix import MatrixWeight, _cached_reduce, op_norm, reducing_matrix, unit_directions
 from weaklab.sparse import SparseFamily
 from weaklab.weights import SampledWeight, ainfty_characteristic
 
@@ -445,7 +445,7 @@ def oracle_dominating_scalar_sparse(
     out = np.zeros(f.mesh.n_cells)
     for cube in family.cubes:
         cells = W.cells_of(cube)
-        red = reducing_matrix(W, cube, p) if alpha == 0.0 else fractional_reducing_matrix(W, cube, q)
+        red = reducing_matrix(W, cube, p) if alpha == 0.0 else _cached_reduce(W, cube, 1.0, q)
         coeff = op_norm(np.einsum("xij,jk->xik", A[cells], red.inverse))
         out[cells] += cube.width**alpha * coeff * average(fp, cube) ** (1.0 / p)
     return out

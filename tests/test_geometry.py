@@ -637,7 +637,24 @@ def test_exported_functions_keep_their_defaulted_parameters():
         for param in inspect.signature(obj).parameters.values()
         if param.default is not inspect.Parameter.empty
     )
-    assert len(defaulted) == 41, "\n".join(defaulted)
+    assert len(defaulted) == 40, "\n".join(defaulted)
+
+
+def test_only_field_power_picks_a_power_of_w_from_alpha():
+    # matrix operators of order alpha read W^s with s = matrix._field_power(p,
+    # alpha) and the weak-type exponent grid._weak_exponent(p, alpha): no other
+    # conditional in matrix.py branches on alpha to pick a power or exponent
+    path = pathlib.Path(__file__).resolve().parents[1] / "src" / "weaklab" / "matrix.py"
+    tree = ast.parse(path.read_text())
+    rules = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name == "_field_power"]
+    allowed = {id(n) for fn in rules for n in ast.walk(fn)}
+    branches = [
+        ast.unparse(node.test)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.IfExp, ast.If)) and id(node) not in allowed
+        and any(isinstance(n, ast.Name) and n.id == "alpha" for n in ast.walk(node.test))
+    ]
+    assert (len(rules), branches) == (1, [])
 
 
 def test_only_grid_names_level_affine():

@@ -15,6 +15,7 @@ from conftest import argmax_inside_window, exact_lower_bound_supremum
 from lowerbound_oracle import (
     F_grid_max,
     brentq_endpoint,
+    counted_at,
     per_lambda_experiment,
     per_lambda_loop_experiment,
     sweep_lambdas,
@@ -350,7 +351,7 @@ class TestOnePassSweep:
             counted, counts = mesh.counted_measure(values, lams)
             want = [(float(mesh.widths[values > lam].sum()), int(np.sum(values > lam))) for lam in lams]
             assert counted.tolist() == [c for c, _ in want] and counts.tolist() == [k for _, k in want]
-            assert [mesh.counted_measure(values, lam) for lam in lams] == want
+            assert [counted_at(mesh, values, lam) for lam in lams] == want
 
     def test_default_mesh_edges_are_read_only(self):
         with pytest.raises(ValueError, match="read-only"):
@@ -423,12 +424,12 @@ class TestExperiment:
         values = output_magnitude(delta, mesh.centers)
         inner = output_magnitude(delta, mesh.edges[1:])
         for lam in np.geomspace(10, 1e3, 7):
-            counted, n = mesh.counted_measure(values, lam)
+            counted, n = counted_at(mesh, values, lam)
             exact = level_set_endpoint(delta, lam)
             assert counted == pytest.approx(exact, rel=3.0 / 64)
             # counting by right edges keeps only cells wholly inside the level
             # set: short of the exact measure by less than the straddling cell
-            counted, n = mesh.counted_measure(inner, lam)
+            counted, n = counted_at(mesh, inner, lam)
             assert counted <= exact <= counted + mesh.widths[n]
 
     def test_cross_check_rejects_overshooting_count(self):

@@ -21,7 +21,6 @@ from weaklab import (
     christ_goldberg_maximal,
     dominating_scalar_sparse,
     dual_reducing_matrix,
-    fractional_reducing_matrix,
     hl_maximal,
     matrix_a1_characteristic,
     matrix_a1q_characteristic,
@@ -35,7 +34,7 @@ from weaklab import (
     sharp_rhi_matrix_bound,
     unit_directions,
 )
-from weaklab.matrix import _rho_values
+from weaklab.matrix import _cached_reduce, _field_power, _rho_values
 from weaklab.weights import SearchSpace, sharp_rh_exponent
 
 
@@ -400,19 +399,36 @@ class TestFractionalMatrix:
     def test_fractional_reducing_product_tracks_characteristic(self, mmesh):
         # sup-style check on one cube: ||V_Q^q Vbar_Q^p'|| within dimensional
         # factors of [W]_{A_(p,q)}^(1/q)
-        from weaklab.matrix import fractional_dual_reducing_matrix
         from weaklab import matrix_apq_characteristic
 
         rng = np.random.default_rng(27)
-        p, q = 2.0, 4.0
+        p, q, pp = 2.0, 4.0, 2.0
         cube = DyadicGrid().cube(0, 0)
         for _ in range(5):
             W = random_matrix_weight(mmesh, 2, rng)
             apq = matrix_apq_characteristic(W, p, q).value
-            r1 = fractional_reducing_matrix(W, cube, q)
-            r2 = fractional_dual_reducing_matrix(W, cube, p)
+            r1 = _cached_reduce(W, cube, 1.0, q)
+            r2 = _cached_reduce(W, cube, -1.0, pp)
             ratio = float(op_norm(r1.matrix @ r2.matrix)) / apq ** (1.0 / q)
             assert 0.25 <= ratio <= 4.0
+
+    def test_fractional_dominating_reduces_w_at_the_rules_q(self, mmesh):
+        # at order alpha the dominating operator reduces W at the q of
+        # 1/p - 1/q = alpha, on the key (cube, 1.0, q) that the retired
+        # fractional reducing matrix used, with the floats a fresh W gives
+        rng = np.random.default_rng(29)
+        for p, alpha in ((2.0, 0.25), (3.0, 0.1), (1.5, 0.5)):
+            W = random_matrix_weight(mmesh, 2, rng)
+            f = MeshFunction(mmesh, rng.uniform(0.5, 2.0, mmesh.n_cells))
+            fam = build_sparse_family(f)
+            dominating_scalar_sparse(W, p, fam, f, alpha=alpha)
+            q = 1.0 / (1.0 / p - alpha)
+            assert set(W._reducing) == {(cube, 1.0, q) for cube in fam.cubes}
+            fresh = MatrixWeight(W.mesh, W.values)
+            for (cube, _, _), red in W._reducing.items():
+                want = _cached_reduce(fresh, cube, 1.0, q)
+                assert red.matrix.tobytes() == want.matrix.tobytes()
+                assert (red.exponent, red.lower_factor, red.upper_factor) == (q, want.lower_factor, want.upper_factor)
 
     def test_fractional_christ_goldberg_identity_weight(self, mmesh):
         # with W = Id the fractional operator collapses to the scalar
@@ -431,6 +447,9 @@ class TestFractionalMatrix:
         m1 = christ_goldberg_maximal(W, 2.0, f, alpha=0.5)
         m2 = christ_goldberg_maximal(W, 2.0, f * 2.0, alpha=0.5)
         assert np.allclose(m2.values, 2.0 * m1.values, rtol=1e-12)
+        # the fractional field W reads no p, so any order runs at any p
+        for p in (1.0, 3.0):
+            assert christ_goldberg_maximal(W, p, f, alpha=0.5).values.tobytes() == m1.values.tobytes()
 
 
 class TestSharpRhiBound:
@@ -478,7 +497,10 @@ def _exponent_message(p):
         (lambda: reducing_matrix(_BAD_W, _BAD_ROOT, math.inf), _exponent_message(math.inf)),
         (lambda: reducing_matrix(_BAD_W, _BAD_ROOT, math.nan), _exponent_message(math.nan)),
         (lambda: dual_reducing_matrix(_BAD_W, _BAD_ROOT, math.inf), _exponent_message(math.inf)),
-        (lambda: fractional_reducing_matrix(_BAD_W, _BAD_ROOT, 0.5), _exponent_message(0.5)),
+        (
+            lambda: dominating_scalar_sparse(_BAD_W, 0.5, build_sparse_family(_BAD_F), _BAD_F, alpha=0.25),
+            _exponent_message(0.5),
+        ),
         (lambda: scalar_restriction(_BAD_W, 0.0, np.array([1.0, 0.0])), _exponent_message(0.0)),
         (lambda: ainfty_scalar_characteristic(_BAD_W, 0.0), _exponent_message(0.0)),
         (lambda: ainfty_scalar_characteristic(_BAD_W, -1.0), _exponent_message(-1.0)),
@@ -500,14 +522,27 @@ def _exponent_message(p):
             lambda: ainfty_scalar_characteristic(_BAD_W, 2.0, n_dirs=0),
             "the number of directions must be a positive integer, got 0",
         ),
+        (lambda: _field_power(0.5, 0.0), _exponent_message(0.5)),
+        (lambda: _field_power(math.inf, 0.25), _exponent_message(math.inf)),
+        (lambda: _field_power(math.nan, 0.0), _exponent_message(math.nan)),
+        (lambda: _field_power(2.0, 1.0), "fractional order must satisfy 0 < alpha < n = 1, got 1.0"),
+        (lambda: _field_power(2.0, -0.25), "fractional order must satisfy 0 < alpha < n = 1, got -0.25"),
+        (lambda: _field_power(2.0, math.nan), "fractional order must satisfy 0 < alpha < n = 1, got nan"),
     ],
     ids=[
         "reducing-0", "reducing-neg", "reducing-half", "reducing-inf", "reducing-nan", "dual-reducing-inf",
-        "fractional-reducing-half", "restriction-0", "ainf-sc-0", "ainf-sc-neg", "dominating-nan",
+        "fractional-dominating-half", "restriction-0", "ainf-sc-0", "ainf-sc-neg", "dominating-nan",
         "matrix-ap-nan", "matrix-a1q-nan", "matrix-apq-q-inf", "restriction-zero-direction", "ainf-sc-no-directions",
+        "field-power-half", "field-power-inf", "field-power-nan", "field-power-order-1", "field-power-order-neg",
+        "field-power-order-nan",
     ],
 )
 def test_matrix_layer_names_a_bad_exponent(call, message):
     # exponents are finite and >= 1, checked where they enter, before any 1 / p
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+def test_field_power_is_one_over_p_at_order_zero_and_one_at_a_fractional_order():
+    assert [_field_power(p, 0.0).hex() for p in (1.0, 1.5, 3.0)] == [(1.0 / p).hex() for p in (1.0, 1.5, 3.0)]
+    assert [_field_power(p, alpha) for p, alpha in ((2.0, 0.25), (2.0, 0.5), (3.0, 0.75))] == [1.0] * 3

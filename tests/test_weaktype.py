@@ -258,6 +258,14 @@ class TestBoundCheck:
         assert report.max_constant <= 4.0
         assert len(report.constants) == 20
 
+    def test_one_norm_per_output(self, mesh):
+        # zip would drop the outputs past the last norm and report fewer constants
+        f = random_step(mesh, np.random.default_rng(22))
+        with pytest.raises(ValueError, match="got 3 outputs and 1 norms"):
+            bound_check("T", 1.0, [f, f, f], [1.0], 2.0)
+        with pytest.raises(ValueError, match="got 1 outputs and 2 norms"):
+            bound_check("T", 1.0, [f], [1.0, 1.0], 2.0)
+
     def test_power_weight_family_bounded(self, wide_mesh):
         rng = np.random.default_rng(21)
         p = 2.0
