@@ -24,7 +24,9 @@ that is not positive, a ``--level`` outside 0..20, a ``--seed`` that is not
 a non-negative integer and an ``--x-min`` outside (0, 0.5); a
 ``characteristic --max-level`` below the coarsest search level of its
 ``--radius``, or one whose search has more than 2^22 dyadic cubes, exits
-before the search runs; so do a ``characteristic --q`` or ``--s`` that its
+before the search runs, and so does a sampled weight whose cell scan has
+more than 2^21 intervals (more than 2,047 cells in ``--radius``), naming the
+cell count and the limit; so do a ``characteristic --q`` or ``--s`` that its
 ``--kind`` does not read (only ``rh`` reads ``--s``, ``apq`` and ``a1q``
 ``--q``), an unreadable weight or config file, a weight file without its
 keys, ``weaktype --operator H`` with ``--alpha``, an ``--alpha`` outside

@@ -20,14 +20,17 @@ holds its readers' parts, each built on first use and addressing the
 layout of a cube table (``at``): a table's spans (``window``), each cell's
 containing cubes (``index``, the maximal sweep), a vector integrand's
 (cube, cell) pairs (``pairs``, Christ-Goldberg), the Fujii-Wilson sweep
-(``sweep``) and a sampled weight's aligned cubes and their running-sum
-layout (``aligned_layout``).  ``_span_integrals`` only gathers and sums
-values; a cell scan (``_scan_layout``, O(n^2) candidates) is built per
-call.  One size rule, ``_geometry``, keeps a window's geometry
-(``_kept_geometry``, a fixed-size ``functools.lru_cache`` on frozen keys) on
-meshes of at most ``_CACHED_CELLS`` cells and builds it per call on finer
-ones, where the spans (80 bytes a cell) would keep 0.5 GB for three grids
-at level 20, and each index (8 bytes a cell and level) 1.1 GB.
+(``sweep``) and the aligned cubes with their cells per cube of each level
+(``aligned_layout``, a sampled weight's and the matrix characteristics'
+candidates).  ``_span_integrals`` only gathers and sums values.  A cell
+scan (``_scan_layout``: every interval of whole cells, O(n^2) candidates,
+each read from its first to its last cell) is built per call, and one of
+more than 2^21 intervals is refused by name.  One size rule,
+``_geometry``, keeps a window's geometry (``_kept_geometry``, a fixed-size
+``functools.lru_cache`` on frozen keys) on meshes of at most
+``_CACHED_CELLS`` cells and builds it per call on finer ones, where the
+spans (80 bytes a cell) would keep 0.5 GB for three grids at level 20, and
+each index (8 bytes a cell and level) 1.1 GB.
 
 The shifted dyadic grids implement the one-third-trick family
 
@@ -649,12 +652,13 @@ class _Geometry:
 
     @functools.cached_property
     def aligned_layout(self) -> tuple:
-        """(lo, hi, label, *``_cell_runs``): the window's cubes, coarse to
-        fine, left to right (``_cubes``), and their run layout (a sampled
-        weight's candidates).  The cubes must be cell-aligned (the standard
-        grid on a power-of-two radius, down to the cell level)."""
+        """(lo, hi, label, cells): the window's cubes, coarse to fine, left to
+        right (``_cubes``), and each level's cells per cube (a sampled
+        weight's candidates, and the matrix characteristics' cubes).  The
+        cubes must tile the cells (the standard grid on a power-of-two
+        radius, down to the cell level)."""
         lo, hi, label = _cubes([(self.grid, k, np.arange(c.start, c.stop)) for k, c in zip(self.levels, self.cubes)])
-        return _read_only(lo), _read_only(hi), label, *_cell_runs(self.mesh, lo, hi)
+        return _read_only(lo), _read_only(hi), label, tuple(self.mesh.n_cells // len(c) for c in self.cubes)
 
 
 def _cube_table(f: MeshFunction, grid: DyadicGrid, k0: int, k1: int) -> tuple[_Geometry, np.ndarray, int]:
@@ -729,46 +733,27 @@ def _cubes(blocks):
     return num * scale / 3.0, (num + 3) * scale / 3.0, label
 
 
-def _cell_runs(mesh: Mesh, lo: np.ndarray, hi: np.ndarray) -> tuple:
-    """(edges, rows, pick, pad, blocks): the run layout of the cell-aligned
-    candidates [lo, hi), read-only.  ``edges`` are the cell edges that end a
-    candidate, and ``blocks`` (one ``_Spans``) the cell runs between
-    consecutive ones.  Each left edge gets one row of block indices, as far
-    as its longest candidate reaches, padded to the next power of two past
-    the last block (``pad`` entries); ``rows`` holds the rows of each width
-    as one array, and ``pick`` is each candidate's position, in the rows
-    flattened, at its last block.  A running sum or minimum along the rows
-    read at ``pick`` gives every candidate's, each from its own left edge."""
-    i_lo, i_hi = (np.round((x + mesh.radius) / mesh.h).astype(np.int64) for x in (lo, hi))
-    is_edge = np.zeros(mesh.n_cells + 1, dtype=bool)
-    is_edge[i_lo] = is_edge[i_hi] = True
-    edges = np.flatnonzero(is_edge)
-    block_of = np.cumsum(is_edge) - 1  # block index at each cell edge
-    first, length = block_of[i_lo], block_of[i_hi] - block_of[i_lo]
-    reach = np.zeros(len(edges), dtype=np.int64)
-    np.maximum.at(reach, first, length)  # blocks the row from each edge covers
-    width = np.where(reach > 0, 1 << np.ceil(np.log2(np.maximum(reach, 1))).astype(np.int64), 0)
-    rows, start = [], np.zeros(len(edges), dtype=np.int64)  # start: a row's offset in the runs
-    for w in np.unique(width[width > 0]):
-        at = np.flatnonzero(width == w)
-        start[at] = sum(map(np.size, rows)) + w * np.arange(len(at))
-        rows.append(_read_only(at[:, None] + np.arange(w)))  # padding past the end reads the pad
-    pick = start[first] + length - 1
-    return _read_only(edges), tuple(rows), _read_only(pick), int(width.max(initial=0)), _Spans(edges[:-1], edges[1:], 1)
+_MAX_SCAN_INTERVALS = 2**21  # intervals one cell scan may search
 
 
 def _scan_layout(mesh: Mesh, i0: int, i1: int) -> tuple:
-    """(lo, hi, label, *``_cell_runs``): every interval between two of the
-    mesh edges i0..i1, by left edge, then right edge, and their run layout;
-    every stride-th edge only, so that at most about 2^21 intervals remain.
-    Built per call: a scan holds O(n^2) candidates."""
-    stride = 1
-    while ((i1 - i0 + 1) // stride) ** 2 // 2 > 1 << 21:
-        stride += 1
-    pts = mesh.edges()[i0 : i1 + 1 : stride]
-    lo_idx, hi_idx = np.triu_indices(len(pts), k=1)
-    lo, hi = pts[lo_idx], pts[hi_idx]
-    return _read_only(lo), _read_only(hi), lambda i: "cells", *_cell_runs(mesh, lo, hi)
+    """(lo, hi, label, (cells, at)): every interval between two of the mesh
+    edges i0..i1, by left edge, then right edge, read-only.  Of the n cells
+    ``cells = slice(i0, i1)``, a candidate holds those from its first to its
+    last and is read at ``at = first * n + last - first``: in the row of
+    running values from its left edge, at its last cell (one flat take).
+    Built per call (O(n^2) candidates); more than ``_MAX_SCAN_INTERVALS`` of
+    them is a ValueError, raised before any is built."""
+    n = i1 - i0
+    if n * (n + 1) // 2 > _MAX_SCAN_INTERVALS:
+        raise ValueError(
+            f"a cell scan of {n:,} cells has {n * (n + 1) // 2:,} intervals, above the limit of "
+            f"{_MAX_SCAN_INTERVALS:,}; search the aligned cubes or a narrower domain"
+        )
+    first, stop = np.triu_indices(n + 1, k=1)
+    edges = mesh.edges()[i0 : i1 + 1]
+    at = first * n + (stop - 1 - first)
+    return _read_only(edges[first]), _read_only(edges[stop]), lambda i: "cells", (slice(i0, i1), _read_only(at))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

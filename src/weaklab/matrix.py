@@ -31,6 +31,7 @@ c_plus/c_minus near sqrt(d).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -38,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import Cube, DyadicGrid, Mesh, MeshFunction, _cubes, _fractional_order, _weak_exponent, cube_span, default_levels, inside_cubes, shifted_grids
+from .grid import Cube, DyadicGrid, Mesh, MeshFunction, _fractional_order, _geometry, _weak_exponent, cube_span, default_levels, shifted_grids
 from .operators import _maximal_sweep
 from .weights import (
     CharacteristicReport,
@@ -169,7 +170,8 @@ class MatrixWeight:
 @dataclass(frozen=True)
 class ReducingMatrix:
     """Constant SPD matrix equivalent to a cube-averaged matrix norm;
-    ``matrix`` is a read-only copy."""
+    ``matrix`` is a read-only copy, and ``inverse`` is computed on first
+    use and kept, read-only."""
 
     cube: Cube
     exponent: float
@@ -182,9 +184,11 @@ class ReducingMatrix:
         matrix.flags.writeable = False
         object.__setattr__(self, "matrix", matrix)
 
-    @property
+    @functools.cached_property
     def inverse(self) -> np.ndarray:
-        return np.linalg.inv(self.matrix)
+        inverse = np.linalg.inv(self.matrix)
+        inverse.flags.writeable = False
+        return inverse
 
 
 def unit_directions(d: int, n: int) -> np.ndarray:
@@ -438,19 +442,20 @@ def _matrix_char_engine(
 ) -> CharacteristicReport:
     """sup over aligned cubes of mean_x (mean_y pair_norm^inner)^(outer) or
     max_x mean_y pair_norm^inner when outer_exp is None (A_1-type); the
-    cubes run from width R down to the cells (the matrix order of ``_cubes``)."""
-    mesh, grid = W.mesh, DyadicGrid()
+    cubes run from width R down to the cells, the ``aligned_layout`` of the
+    standard grid (the list of ``SearchSpace.aligned_cubes()``)."""
+    mesh = W.mesh
     G = pair_norm**inner_exp
     k_cell = mesh.aligned_cell_level()
-    vals, blocks = [], []
-    for k in range(k_cell - mesh.level, k_cell + 1):
-        inside = inside_cubes(mesh, grid, k)
-        nb, B = len(inside), mesh.n_cells // len(inside)  # cubes, cells per cube
+    levels = (k_cell - mesh.level, k_cell)
+    lo, hi, label, cells = _geometry(mesh, DyadicGrid(), tuple(range(levels[0], levels[1] + 1))).aligned_layout
+    vals = []
+    for B in cells:  # cells per cube
+        nb = mesh.n_cells // B
         i = np.arange(nb)
         diag = G.reshape(nb, B, nb, B)[i, :, i].mean(axis=2)  # (nb, B): mean over y in x's own cube
         vals.append(diag.max(axis=1) if outer_exp is None else (diag**outer_exp).mean(axis=1))
-        blocks.append((grid, k, np.arange(inside.start, inside.stop)))
-    return _report(quantity, np.concatenate(vals), *_cubes(blocks), ((k_cell - mesh.level, k_cell), 1))
+    return _report(quantity, np.concatenate(vals), lo, hi, label, (levels, 1))
 
 
 def _pair_norms(Wx: np.ndarray, Wy: np.ndarray) -> np.ndarray:
@@ -522,8 +527,9 @@ def scalar_restriction_characteristic(W: MatrixWeight, p: float, v: np.ndarray) 
     """[w_v]_{A_p} for the direction weight w_v (delegates to the scalar module).
 
     The supremum runs over the same aligned dyadic cubes as the matrix
-    characteristics, which makes the comparison [w_v]_{A_p} <= [W]_{A_p}
-    exact cube by cube (no grid slack).
+    characteristics, so the comparison [w_v]_{A_p} <= [W]_{A_p} has no grid
+    slack.  The two paths round differently: each scalar average is a
+    running sum over the cube's cells, each matrix one an ``np.mean``.
     """
     search = SearchSpace.aligned_cubes()
     wv = scalar_restriction(W, p, v)

@@ -61,7 +61,6 @@ from .grid import (
     _geometry,
     _read_only,
     _scan_layout,
-    _span_integrals,
     default_levels,
     shifted_grids,
 )
@@ -473,8 +472,9 @@ class SearchSpace:
     * two-sided intervals ``[-s, t]`` for all pairs from ``two_sided``.
 
     For sampled weights the cube/interval family is replaced by every
-    cell-aligned interval of the carrying mesh (optionally strided), which
-    realizes the exact supremum over the natural candidate family.
+    cell-aligned interval of the carrying mesh in ``domain``, which realizes
+    the exact supremum over the natural candidate family; more than 2^21 of
+    them (above 2,047 cells) is a ValueError naming the cells and the limit.
 
     ``domain = (a, b)`` must be finite with ``a < b`` and
     ``max(|a|, |b|) * 2**max_level <= 2**51``; the second bound keeps every
@@ -568,12 +568,13 @@ class SearchSpace:
         return lo, hi, label, _Folded(lo, hi)
 
     def _sampled_layout(self, weight: SampledWeight) -> tuple:
-        """``(lo, hi, label, edges, rows, pick, pad, blocks)``: a sampled
-        weight's candidates and their run layout (``grid._cell_runs``).  They
-        depend on the mesh and the search alone, so those of the aligned
-        cubes are the ``aligned_layout`` of the standard grid's level window
-        (``grid._geometry``, kept like all window geometry); the scan of
-        the mesh edges in ``domain``, O(n^2) candidates, is built per call."""
+        """``(lo, hi, label, cells)``: a sampled weight's candidates and the
+        cells each one holds (see ``_Plan.accumulate``).  They depend on the
+        mesh and the search alone, so those of the aligned cubes are the
+        ``aligned_layout`` of the standard grid's level window
+        (``grid._geometry``, kept like all window geometry); the scan of the
+        mesh edges in ``domain`` (``grid._scan_layout``, O(n^2) candidates)
+        is built per call."""
         mesh = weight.mesh
         if self.sampled_aligned_cubes:
             (k_lo, k_hi), _ = self.levels_for(weight)
@@ -651,20 +652,17 @@ class _Plan:
     that search reads them, and each average and each set of infima computes
     only the weight's values.
 
-    A sampled weight's candidates are cell-aligned.  The blocks, the cell
-    runs between consecutive candidate edges, get one row per left edge, as
-    far as its longest candidate reaches, padded to the next power of two
-    (``grid._cell_runs``).  Averages are running sums along the rows, each
-    from its own left edge, so their rounding scales with their own mass,
-    not with the mass to their left; infima are running minima along the
-    same rows.  So all cell-aligned intervals cost one triangle of blocks,
-    and nested cubes their total length.  The candidates and this layout
-    depend on the mesh and the search alone and are laid out once per plan,
-    so each average, such as a step of ``sharp_rh_exponent``, only sums
-    values.  The aligned cubes' layout is part of the standard grid's kept
-    level-window geometry (``grid._geometry``, read-only), so every plan on
-    an equal mesh and search reads it; a cell scan, O(n^2) candidates, is
-    laid out afresh for each plan.
+    A sampled weight's candidates are runs of whole cells.  Each sum is
+    taken left to right from the candidate's own left edge (``accumulate``),
+    so its rounding scales with its own mass, not with the mass to its
+    left; each infimum is the running minimum over the same cells.  The
+    candidates depend on the mesh and the search alone and are laid out
+    once per plan, so each average, such as a step of
+    ``sharp_rh_exponent``, only sums values.  The aligned cubes' layout is
+    part of the standard grid's kept level-window geometry
+    (``grid._geometry``, read-only), so every plan on an equal mesh and
+    search reads it; a cell scan, O(n^2) candidates, is laid out afresh for
+    each plan.
     """
 
     def __init__(self, weight, search: SearchSpace | None):
@@ -674,30 +672,34 @@ class _Plan:
         if isinstance(weight, PowerLogWeight):
             self.lo, self.hi, self.label, self.folded = search._candidates
             return
-        self.lo, self.hi, self.label, self.edges, self.rows, self.pick, self.pad, self.blocks = search._sampled_layout(weight)
+        self.lo, self.hi, self.label, self.cells = search._sampled_layout(weight)
 
-    def _runs(self, blocks: np.ndarray, accumulate, fill: float) -> np.ndarray:
-        """``accumulate`` along each candidate's row of per-block values, read
-        at the candidate's last block."""
-        blocks = np.concatenate((blocks, np.full(self.pad, fill)))
-        runs = [accumulate(blocks[rows], axis=1).ravel() for rows in self.rows]
-        return np.concatenate([np.empty(0)] + runs)[self.pick]
+    def accumulate(self, values: np.ndarray, op, fill: float) -> np.ndarray:
+        """``op`` (``np.cumsum`` or ``np.minimum.accumulate``) along each
+        candidate's cell ``values`` from its own left edge, read at its last
+        cell.  The aligned cubes (one grid) of a level are equal blocks of
+        cells; a cell scan takes one row per left edge, ``fill`` past the
+        scanned cells, and reads them flat (``grid._scan_layout``)."""
+        if self.searched[1]:  # the aligned cubes' one grid; a cell scan searches none
+            return np.concatenate([op(values.reshape(-1, b), axis=1)[:, -1] for b in self.cells])
+        cells, at = self.cells
+        v = values[cells]
+        rows = np.lib.stride_tricks.sliding_window_view(np.concatenate((v, np.full(len(v), fill))), len(v))
+        return op(rows, axis=1).ravel().take(at)
 
     def averages(self, weight) -> np.ndarray:
         """Averages on the candidates of ``weight``, the planned weight or a power of it."""
         if isinstance(weight, PowerLogWeight):
             return weight._integrals(self.folded) / (self.hi - self.lo)
-        blocks = _span_integrals(weight.as_mesh_function(), self.blocks)
-        return self._runs(blocks, np.cumsum, 0.0) / (self.hi - self.lo)
+        return self.accumulate(weight.values * weight.mesh.h, np.cumsum, 0.0) / (self.hi - self.lo)
 
     def essinfs(self) -> np.ndarray:
         """Essential infima of the planned weight on the candidates, none of them zero."""
         w = self.weight
         if isinstance(w, PowerLogWeight):
             out = w._essinfs(self.folded)
-        else:  # reduceat's segment from the last edge runs to the end; it is dropped
-            mins = np.minimum.reduceat(np.append(w.values, np.inf), self.edges)[:-1]
-            out = self._runs(mins, np.minimum.accumulate, np.inf)
+        else:
+            out = self.accumulate(w.values, np.minimum.accumulate, np.inf)
         if np.any(out == 0):
             where = _where(self.lo, self.hi, self.label, int(np.argmax(out == 0)))
             raise DegenerateWeightError(f"essinf vanishes on {where}")

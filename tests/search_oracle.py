@@ -6,7 +6,11 @@ Fujii-Wilson per-grid sweep with its range of inside cubes found by
 ``Fraction`` scans instead of integer division, the Fujii-Wilson sweep one
 level at a time that ``weights._fujii_wilson`` ran before it stacked every
 level of a grid into one pass, and the sharp reverse-Holder bisection over
-the public ``rh_characteristic``, one full call per step.
+the public ``rh_characteristic``, one full call per step, and the run
+layout of a sampled weight's cell-aligned candidates that ``weights._Plan``
+read before each candidate accumulated its own cells: block integrals
+between candidate edges, summed (or minimized) along rows padded to powers
+of two.
 
 Every grid endpoint here is ``float(cube.left)`` / ``float(cube.right)`` of a
 freshly built ``Cube``, i.e. the correctly rounded value of the exact
@@ -23,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from geometry_oracle import oracle_level_cube_integrals
-from weaklab.grid import DyadicGrid, Mesh, MeshFunction, inside_cubes, level_cube_integrals
+from weaklab.grid import DyadicGrid, Mesh, MeshFunction, _read_only, _span_integrals, _Spans, inside_cubes, level_cube_integrals
 from weaklab.weights import DegenerateWeightError, NonIntegrableError, SearchSpace, rh_characteristic
 
 
@@ -195,3 +199,58 @@ def oracle_sharp_rh_exponent(weight, search=None, bound=2.0, ceiling=64.0, rel_t
         else:
             hi = mid
     return lo
+
+
+def oracle_cell_runs(mesh: Mesh, lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """(edges, rows, pick, pad, blocks): the run layout of the cell-aligned
+    candidates [lo, hi), read-only.  ``edges`` are the cell edges that end a
+    candidate, and ``blocks`` (one ``_Spans``) the cell runs between
+    consecutive ones.  Each left edge gets one row of block indices, as far
+    as its longest candidate reaches, padded to the next power of two past
+    the last block (``pad`` entries); ``rows`` holds the rows of each width
+    as one array, and ``pick`` is each candidate's position, in the rows
+    flattened, at its last block.  A running sum or minimum along the rows
+    read at ``pick`` gives every candidate's, each from its own left edge."""
+    i_lo, i_hi = (np.round((x + mesh.radius) / mesh.h).astype(np.int64) for x in (lo, hi))
+    is_edge = np.zeros(mesh.n_cells + 1, dtype=bool)
+    is_edge[i_lo] = is_edge[i_hi] = True
+    edges = np.flatnonzero(is_edge)
+    block_of = np.cumsum(is_edge) - 1  # block index at each cell edge
+    first, length = block_of[i_lo], block_of[i_hi] - block_of[i_lo]
+    reach = np.zeros(len(edges), dtype=np.int64)
+    np.maximum.at(reach, first, length)  # blocks the row from each edge covers
+    width = np.where(reach > 0, 1 << np.ceil(np.log2(np.maximum(reach, 1))).astype(np.int64), 0)
+    rows, start = [], np.zeros(len(edges), dtype=np.int64)  # start: a row's offset in the runs
+    for w in np.unique(width[width > 0]):
+        at = np.flatnonzero(width == w)
+        start[at] = sum(map(np.size, rows)) + w * np.arange(len(at))
+        rows.append(_read_only(at[:, None] + np.arange(w)))  # padding past the end reads the pad
+    pick = start[first] + length - 1
+    return _read_only(edges), tuple(rows), _read_only(pick), int(width.max(initial=0)), _Spans(edges[:-1], edges[1:], 1)
+
+
+def _oracle_runs(layout: tuple, blocks: np.ndarray, accumulate, fill: float) -> np.ndarray:
+    """``accumulate`` along each candidate's row of per-block values, read
+    at the candidate's last block."""
+    _, rows, pick, pad, _ = layout
+    blocks = np.concatenate((blocks, np.full(pad, fill)))
+    runs = [accumulate(blocks[r], axis=1).ravel() for r in rows]
+    return np.concatenate([np.empty(0)] + runs)[pick]
+
+
+def oracle_run_averages(weight, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """A sampled weight's averages on the cell-aligned [lo, hi): the block
+    integrals (``_span_integrals``) summed along the rows of
+    ``oracle_cell_runs``."""
+    layout = oracle_cell_runs(weight.mesh, lo, hi)
+    blocks = _span_integrals(weight.as_mesh_function(), layout[4])
+    return _oracle_runs(layout, blocks, np.cumsum, 0.0) / (hi - lo)
+
+
+def oracle_run_essinfs(weight, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """A sampled weight's infima on the cell-aligned [lo, hi): the block
+    minima (one ``reduceat``) minimized along the rows of
+    ``oracle_cell_runs``."""
+    layout = oracle_cell_runs(weight.mesh, lo, hi)
+    mins = np.minimum.reduceat(np.append(weight.values, np.inf), layout[0])[:-1]  # the segment from the last edge is dropped
+    return _oracle_runs(layout, mins, np.minimum.accumulate, np.inf)

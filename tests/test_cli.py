@@ -2,6 +2,7 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from weaklab import grid as grid_module
@@ -405,6 +406,21 @@ class TestExitCodes:
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_a_cell_scan_above_its_limit_is_2(self, tmp_path, capsys):
+        # the 2,048-cell spike weight: every cell interval is 2,098,176 of
+        # them, so the scan refuses by name instead of searching fewer
+        values = np.random.default_rng(0).uniform(0.5, 1.5, 2048)
+        values[1025], values[1026] = 1e4, 0.5
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"mesh": {"radius": 1.0, "level": 10}, "values": values.tolist()}))
+        code, out = run(tmp_path, "x.csv", ["characteristic", "--weight", f"sampled:{path}", "--p", "2"])
+        err = capsys.readouterr().err
+        assert code == 2 and not out.exists()
+        assert err == (
+            "error: a cell scan of 2,048 cells has 2,098,176 intervals, above the limit of 2,097,152; "
+            "search the aligned cubes or a narrower domain\n"
+        )
 
     @pytest.mark.parametrize(
         "args,message",

@@ -177,6 +177,7 @@ class TestImmutableMatrixWeight:
         cube = DyadicGrid().cube(0, 0)
         arrays = [W.values, W.power(1.0), W.power(0.5), W.power(-1.0)]
         arrays += [reducing_matrix(W, cube, p).matrix for p in (2.0, 3.0)] + [dual_reducing_matrix(W, cube, 3.0).matrix]
+        arrays += [reducing_matrix(W, cube, 3.0).inverse]
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1.0
@@ -372,6 +373,22 @@ class TestDominatingScalarSparse:
             lhs = np.linalg.norm(g, axis=1).mean()
             favg = (np.linalg.norm(f.values[cells], axis=1) ** p).mean() ** (1 / p)
             assert lhs <= 8.0 * favg * char ** (1 / p)
+
+    def test_a_cached_weight_inverts_no_reducing_matrix_again(self, mmesh, monkeypatch):
+        # each reducing matrix keeps its inverse, so a second call on the
+        # same weight makes no np.linalg.inv call for any of the 10 cubes
+        W = random_matrix_weight(mmesh, 2, np.random.default_rng(0))
+        f = MeshFunction(mmesh, np.random.default_rng(2).lognormal(0.0, 2.0, mmesh.n_cells))
+        fam = build_sparse_family(f)
+        assert len(fam.cubes) == 10
+        inverted, inv = [], np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a) or inv(a))
+        first = dominating_scalar_sparse(W, 2.0, fam, f).values.tobytes()
+        assert len(inverted) == 10
+        assert dominating_scalar_sparse(W, 2.0, fam, f).values.tobytes() == first
+        assert len(inverted) == 10
+        red = reducing_matrix(W, fam.cubes[0], 2.0)
+        assert red.inverse is red.inverse and red.inverse.tobytes() == inv(red.matrix).tobytes()
 
     def test_fractional_variant_runs(self, mmesh):
         rng = np.random.default_rng(41)

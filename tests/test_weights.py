@@ -21,6 +21,8 @@ from search_oracle import (
     oracle_fujii_wilson_one_grid,
     oracle_inside_range,
     oracle_intervals,
+    oracle_run_averages,
+    oracle_run_essinfs,
     oracle_sharp_rh_exponent,
     reduceat_segment_sums,
 )
@@ -44,7 +46,7 @@ from weaklab import (
     shifted_grids,
 )
 from geometry_oracle import enumerate_cubes
-from weaklab.grid import Cube, _cell_runs, _Geometry, _kept_geometry, default_levels, inside_cubes
+from weaklab.grid import Cube, _Geometry, _kept_geometry, default_levels, inside_cubes
 from weaklab.lowerbound import w_delta
 from weaklab.operators import weak_lp_norm
 from weaklab.weaktype import bound_check, proof_constants, quotient_from_output
@@ -1431,61 +1433,104 @@ def _heavy_left(mesh, heavy, light):
 
 def test_sampled_averages_sum_each_interval_locally():
     # 0.412 on the left half and 1e-9 on the right: differencing one global
-    # prefix sum put the average over [0, 1) 3.5e-6 off
+    # prefix sum put the average over [0, 1) 3.5e-6 off; the scan sums its
+    # 128 cells alone, left to right (1.8e-15 off)
     mesh = Mesh(1.0, 7)
     w = _heavy_left(mesh, 0.412, np.full(mesh.n_cells // 2, 1e-9))
-    assert _plan(w, np.array([0.0]), np.array([1.0])).averages(w)[0] == pytest.approx(1e-9, rel=1e-15, abs=0.0)
-    lo, hi, _ = SearchSpace().intervals_for(w)
-    pick = np.random.default_rng(3).choice(len(lo), 3000, replace=False)
-    got = _plan(w, lo[pick], hi[pick]).averages(w)
-    i_lo, i_hi = (np.round((x[pick] + 1.0) / mesh.h).astype(int) for x in (lo, hi))
+    plan = weights_module._Plan(w, SearchSpace())
+    got = plan.averages(w)
+    (right,) = np.flatnonzero((plan.lo == 0.0) & (plan.hi == 1.0))
+    assert got[right] == np.cumsum(w.values[mesh.n_cells // 2 :] * mesh.h)[-1]
+    assert got[right] == pytest.approx(1e-9, rel=1e-14, abs=0.0)
+    pick = np.random.default_rng(3).choice(len(got), 3000, replace=False)
+    i_lo, i_hi = (np.round((x[pick] + 1.0) / mesh.h).astype(int) for x in (plan.lo, plan.hi))
     want = [math.fsum(w.values[i:j]) / (j - i) for i, j in zip(i_lo, i_hi)]
-    _assert_positive_and_close(got, want, 1e-13)
-
-
-class _Given:
-    """Explicit candidates, handed to the plan the way a ``SearchSpace`` hands its own."""
-
-    def __init__(self, lo, hi):
-        self.lo, self.hi = lo, hi
-
-    def _sampled_layout(self, weight):
-        return self.lo, self.hi, lambda i: "given", *_cell_runs(weight.mesh, self.lo, self.hi)
-
-    def levels_for(self, weight):
-        return (0, -1), 0
-
-
-def _plan(w, lo, hi):
-    return weights_module._Plan(w, _Given(lo, hi))
+    _assert_positive_and_close(got[pick], want, 1e-13)
 
 
 def _running_candidates(kind):
-    # every cell-aligned interval, the nested aligned cubes, and random
-    # cell pairs (repeated and nested ones among them)
+    # every cell-aligned interval and the nested aligned cubes, as a plan
+    # reads them; random cell pairs (repeated and nested ones among them),
+    # which no search lays out, as the run-layout oracle reads them
     mesh = Mesh(1.0, 5)
     w = SampledWeight(mesh, np.random.default_rng(4).lognormal(0.0, 3.0, mesh.n_cells))
     if kind == "random":
         ends = np.sort(np.random.default_rng(5).choice(mesh.n_cells + 1, (500, 2)), axis=1)
         ends = ends[ends[:, 0] < ends[:, 1]]
         lo, hi = mesh.edges()[ends[:, 0]], mesh.edges()[ends[:, 1]]
+        averages, essinfs = oracle_run_averages(w, lo, hi), oracle_run_essinfs(w, lo, hi)
     else:
-        lo, hi, _ = (SearchSpace() if kind == "cells" else SearchSpace.aligned_cubes()).intervals_for(w)
+        plan = weights_module._Plan(w, SearchSpace() if kind == "cells" else SearchSpace.aligned_cubes())
+        lo, hi, averages, essinfs = plan.lo, plan.hi, plan.averages(w), plan.essinfs()
     i_lo, i_hi = (np.round((x + 1.0) / mesh.h).astype(int) for x in (lo, hi))
-    return w, lo, hi, i_lo, i_hi
+    return w, averages, essinfs, i_lo, i_hi
 
 
 @pytest.mark.parametrize("kind", ["cells", "aligned", "random"])
 def test_sampled_running_sums_match_fsum(kind):
-    w, lo, hi, i_lo, i_hi = _running_candidates(kind)
-    got = _plan(w, lo, hi).averages(w)
-    _assert_positive_and_close(got, [math.fsum(w.values[i:j]) / (j - i) for i, j in zip(i_lo, i_hi)], 1e-13)
+    w, averages, _, i_lo, i_hi = _running_candidates(kind)
+    _assert_positive_and_close(averages, [math.fsum(w.values[i:j]) / (j - i) for i, j in zip(i_lo, i_hi)], 1e-13)
 
 
 @pytest.mark.parametrize("kind", ["cells", "aligned", "random"])
 def test_sampled_running_minima_match_slices(kind):
-    w, lo, hi, i_lo, i_hi = _running_candidates(kind)
-    assert _plan(w, lo, hi).essinfs().tolist() == [w.values[i:j].min() for i, j in zip(i_lo, i_hi)]
+    w, _, essinfs, i_lo, i_hi = _running_candidates(kind)
+    assert essinfs.tolist() == [w.values[i:j].min() for i, j in zip(i_lo, i_hi)]
+
+
+_CELL_VALUES = {
+    "lognormal": lambda rng, n: rng.lognormal(0.0, 2.0, n),
+    "uniform": lambda rng, n: rng.uniform(0.5, 1.5, n),
+    "blocky": lambda rng, n: np.repeat(rng.lognormal(0.0, 1.0, n), rng.integers(1, 9, n))[:n],
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    radius=st.sampled_from([0.5, 1.0, 3.0, 4.0]),
+    level=st.integers(0, 9),  # at most 1,024 cells
+    values=st.sampled_from(sorted(_CELL_VALUES)),
+    seed=st.integers(0, 2**32 - 1),
+    search=st.sampled_from(["cells", "domain", "aligned"]),
+    ends=st.tuples(st.floats(-1.25, 1.25), st.floats(-1.25, 1.25)),
+    power=st.sampled_from([1.0, -1.0, 0.37, 2.5, -0.61]),
+)
+def test_sampled_plan_matches_the_run_layout_oracle(radius, level, values, seed, search, ends, power):
+    # each candidate's own left-to-right sum and running minimum give the
+    # floats of the block-and-row layout, bit for bit, on a full scan, a
+    # narrowed domain (clipped to the mesh, or missing it) and the aligned cubes
+    mesh = Mesh(radius, level)
+    assume(search != "aligned" or mesh.is_power_of_two())
+    w = SampledWeight(mesh, _CELL_VALUES[values](np.random.default_rng(seed), mesh.n_cells))
+    a, b = sorted(radius * x for x in ends)
+    assume(search != "domain" or a < b)
+    space = {"cells": SearchSpace, "domain": lambda: SearchSpace(domain=(a, b)), "aligned": SearchSpace.aligned_cubes}[search]()
+    plan = weights_module._Plan(w, space)
+    if search == "cells":
+        assert len(plan.lo) == mesh.n_cells * (mesh.n_cells + 1) // 2
+    for v in (w, w.power(power)):
+        assert plan.averages(v).tobytes() == oracle_run_averages(v, plan.lo, plan.hi).tobytes()
+    if len(plan.lo):
+        assert plan.essinfs().tobytes() == oracle_run_essinfs(w, plan.lo, plan.hi).tobytes()
+
+
+def test_a_scan_above_its_limit_is_refused_by_name():
+    # a spike on U(0.5, 1.5) noise at 2,048 cells: the largest A_2 of any
+    # cell interval is 5000.5, on cells 1025-1026, and a scan of every second
+    # edge misses it (2950.68 on [0, 0.0039)); so the full scan is refused,
+    # and a narrowed domain still scans every interval in it
+    mesh = Mesh(1.0, 10)
+    v = np.random.default_rng(0).uniform(0.5, 1.5, mesh.n_cells)
+    v[1025], v[1026] = 1e4, 0.5
+    w = SampledWeight(mesh, v)
+    msg = "a cell scan of 2,048 cells has 2,098,176 intervals, above the limit of 2,097,152"
+    for call in (lambda: ap_characteristic(w, 2.0), lambda: a1_characteristic(w), lambda: SearchSpace().intervals_for(w)):
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            call()
+    rep = ap_characteristic(w, 2.0, SearchSpace(domain=(0.0, 0.25)))
+    assert rep.witness == (mesh.edges()[1025], mesh.edges()[1027]) and rep.witness_label == "cells"
+    assert rep.value == pytest.approx((1e4 + 0.5) / 2 * (1e-4 + 2.0) / 2, rel=1e-14)
+    assert len(SearchSpace(domain=(-1.0, -1.0 + 2047 * mesh.h)).intervals_for(w)[0]) == 2047 * 2048 // 2
 
 
 def _sampled(level, seed):
