@@ -26,18 +26,21 @@ a non-negative integer and an ``--x-min`` outside (0, 0.5); a
 ``--radius``, or one whose search has more than 2^22 dyadic cubes, exits
 before the search runs, and so does a sampled weight whose cell scan has
 more than 2^21 intervals (more than 2,047 cells in ``--radius``), naming the
-cell count and the limit; so do a ``characteristic --q`` or ``--s`` that its
-``--kind`` does not read (only ``rh`` reads ``--s``, ``apq`` and ``a1q``
-``--q``), an unreadable weight or config file, a weight file without its
-keys, ``weaktype --operator H`` with ``--alpha``, an ``--alpha`` outside
-(0, 1) and an unwritable ``--output``, "cannot write PATH: REASON", which leaves
-no temporary file); 3 numerical failure (non-integrable weight, degenerate
-data, unresolved level set, an ellipsoid fit that misses its certificate,
-and in ``weaktype`` "the characteristic product C1 * C2^p overflows").
+cell count, the limit and ``--radius``; so do a ``characteristic --q`` or
+``--s`` that its ``--kind`` does not read (only ``rh`` reads ``--s``, ``apq``
+and ``a1q`` ``--q``), an unreadable weight or config file, a weight file
+without its keys, ``weaktype --operator H`` with ``--alpha``, an ``--alpha``
+outside (0, 1) and an unwritable ``--output``, "cannot write PATH: REASON",
+which leaves no temporary file); 3 numerical failure (non-integrable weight,
+degenerate data, a level-set count that disagrees with its closed-form root
+or a root solve that does not converge, an ellipsoid fit that misses its
+certificate, and in ``weaktype`` "the characteristic product C1 * C2^p overflows").
 The defaulted ``--p``, ``--level``, ``--max-level`` and ``--radius`` go
 into every ``characteristic`` row, so every kind accepts them: ``ap`` and
 ``apq`` read ``--p``, ``ainfty`` reads ``--level``, the other kinds
-``--max-level``, and every kind ``--radius``.
+``--max-level``, and every kind ``--radius``.  A ``sampled:`` weight carries
+its mesh: ``ainfty`` and the ``weaktype`` trials run on it, and its other
+searches read ``--radius`` alone, as the domain of their cell scan.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ import tempfile
 import numpy as np
 
 from . import lowerbound as lb
-from .grid import DyadicGrid, Mesh, MeshFunction, _fractional_exponent
+from .grid import _SCAN_ROUTE, DyadicGrid, Mesh, MeshFunction, _fractional_exponent
 from .matrix import (
     EllipsoidFitError,
     MatrixWeight,
@@ -315,6 +318,7 @@ def random_step(mesh: Mesh, rng: np.random.Generator, max_blocks: int = 6,
 
 def cmd_characteristic(args) -> int:
     w = parse_weight(args.weight)
+    mesh = w.mesh if isinstance(w, SampledWeight) else Mesh(args.radius, args.level)  # ainfty's
     search = SearchSpace.default(radius=args.radius, max_level=args.max_level)
     if search.max_level < search.min_level:  # no grid candidate at all
         raise ValueError(
@@ -326,7 +330,7 @@ def cmd_characteristic(args) -> int:
         "ap": ((), lambda: ap_characteristic(w, p, search)),
         "a1": ((), lambda: a1_characteristic(w, search)),
         "rh": (("s",), lambda: rh_characteristic(w, s, search)),
-        "ainfty": ((), lambda: ainfty_characteristic(w, mesh=Mesh(args.radius, args.level))),
+        "ainfty": ((), lambda: ainfty_characteristic(w, mesh=mesh)),
         "apq": (("q",), lambda: apq_characteristic(w, p, q, search)),
         "a1q": (("q",), lambda: a1q_characteristic(w, q, search)),
     }[kind]
@@ -347,7 +351,7 @@ def cmd_characteristic(args) -> int:
 
 def cmd_weaktype(args) -> int:
     w = parse_weight(args.weight)
-    mesh = Mesh(args.radius, args.level)
+    mesh = w.mesh if isinstance(w, SampledWeight) else Mesh(args.radius, args.level)
     rng = np.random.default_rng(args.seed)
     p, alpha = args.p, args.alpha
     if not p >= 1:
@@ -387,13 +391,10 @@ def cmd_weaktype(args) -> int:
 
 def cmd_lowerbound(args) -> int:
     deltas = args.delta
-    for d in deltas:
-        if not (0 < d < 0.5):
-            raise ValueError(f"delta must lie in (0, 1/2), got {d}")
+    for d in deltas:  # every delta is checked before any sweep runs
+        lb.w_delta(d)
     mesh = lb.GradedMesh(cells_per_band=args.cells_per_band, x_min=args.x_min)
-    reports = lb.delta_sweep(
-        deltas, mesh=mesh, lambda_window=args.window, allow_closed_form=not args.no_closed_form
-    )
+    reports = lb.delta_sweep(deltas, mesh=mesh, lambda_window=args.window)
     slope = lb.sweep_slope(reports) if len(reports) >= 2 else float("nan")
     header = CSV_COLUMNS["lowerbound"]
     rows = [[r.delta, r.a1_char, r.sharp_rh_nu, r.lambda_star, r.best_lambda,
@@ -527,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("characteristic", "weight characteristic with witness cube")
     common(p)
     p.add_argument("--weight", required=True, type=_descriptor,
-                   help="powerlog:a=..,b=..,c=.. or sampled:file.json")
+                   help="powerlog:a=..,b=..,c=.. or sampled:file.json (ainfty runs on its mesh; others read --radius)")
     p.add_argument("--kind", default="ap", choices=["ap", "a1", "ainfty", "rh", "apq", "a1q"])
     p.add_argument("--p", type=_finite, default=2.0, help="read by ap and apq")
     p.add_argument("--q", type=_finite, default=None, help="apq and a1q only")
@@ -540,7 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("weaktype", "weak-type quotient sweep over seeded step functions")
     common(p)
     p.add_argument("--operator", default="AS", choices=["AS", "M", "Md", "H", "Ialpha", "Malpha"])
-    p.add_argument("--weight", required=True, type=_descriptor)
+    p.add_argument("--weight", required=True, type=_descriptor,
+                   help="powerlog:a=..,b=..,c=.. or sampled:file.json (trials run on its mesh; A_p reads --radius)")
     p.add_argument("--p", type=_finite, default=2.0)
     p.add_argument("--alpha", type=_finite, default=None, help="fractional order, below 1/p; q from 1/p - 1/q = alpha")
     p.add_argument("--trials", type=_positive_int, default=20)
@@ -555,8 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cells-per-band", type=_positive_int, default=16)
     p.add_argument("--x-min", type=_x_min, default=1e-12)
     p.add_argument("--window", type=_positive_finite, default=4.0, help="lambda window factor around e^(1/delta)")
-    p.add_argument("--no-closed-form", action="store_true",
-                   help="cell-counted measures only (errors below resolution)")
     p.add_argument("--json-output", default=None, help="also write a JSON report")
     p.set_defaults(func=cmd_lowerbound, default_name="lowerbound.csv")
 
@@ -626,7 +626,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
     except ValueError as e:  # after its numerical subclasses: a malformed exponent or input
-        print(f"error: {e}", file=sys.stderr)
+        print(f"error: {str(e).replace(_SCAN_ROUTE, 'a smaller --radius scans fewer cells')}", file=sys.stderr)
         return 2
 
 

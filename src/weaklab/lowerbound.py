@@ -77,8 +77,8 @@ _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 class MeshResolutionError(RuntimeError):
-    """The level set cannot be resolved: by the graded mesh (refine it or allow
-    closed forms), or by the closed-form root solve."""
+    """A level-set measure failed: a counted measure disagrees with its
+    closed-form root, or the root solve does not converge."""
 
 
 # ---------------------------------------------------------------------------
@@ -378,28 +378,26 @@ def lower_bound_experiment(
     delta: float,
     mesh: GradedMesh | None = None,
     lambda_window: float = 4.0,
-    allow_closed_form: bool = True,
     compute_nu: bool = True,
 ) -> LowerBoundReport:
     """Weak (1,1) quotient of the endpoint pair (H, w_delta, f = chi_[1,2]).
 
     Sweeps lam over 161 log-spaced points of [lam*/window, lam* window] and
     lam* = e^(1/delta) itself, and maximizes lam |{x in (0,1/2] : G(x) > lam}| (with ∫|f| = 1 this is
-    directly a lower bound for the weak-type constant).  Cell counting on
-    the graded mesh is used while the level set holds at least 4 cells;
-    below resolution the measure is the closed-form root of G = lam.  With
-    closed forms allowed, one level_set_endpoints call solves for every lam
-    of the sweep.
+    directly a lower bound for the weak-type constant).  One measure rule:
+    cell counting on the graded mesh while the level set holds at least 4
+    cells, and below that the closed-form root of G = lam, which one
+    level_set_endpoints call solves for every lam of the sweep.
 
     A cell is counted only when it lies wholly inside the level set: G is
     strictly decreasing, so that holds exactly when G at the cell's right
     edge exceeds lam.  The counted measure therefore falls short of the
-    exact one by less than the straddling cell and never exceeds it.  With
-    closed forms allowed, the two paths are cross-checked on the overlap and
-    MeshResolutionError is raised when the counted measure exceeds the
-    closed form or falls short of it by more than one cell.  The whole
-    sweep is counted, checked and scored at once; the first lam that fails
-    raises, and the first maximum is the best lam.
+    exact one by less than the straddling cell and never exceeds it.  Every
+    counted measure is cross-checked against its root, and
+    MeshResolutionError is raised when it exceeds the root or falls short of
+    it by more than one cell, or when the root solve does not converge.  The
+    whole sweep is counted, checked and scored at once; the first lam that
+    fails raises, and the first maximum is the best lam.
     """
     mesh = mesh or _DEFAULT_MESH
     if not 0 < lambda_window < math.inf:  # false at NaN too
@@ -414,29 +412,21 @@ def lower_bound_experiment(
     lams = _sorted_distinct(np.append(lams, lam_star))
     counted, n_cells = mesh.counted_measure(output_magnitude(delta, mesh.edges[1:]), lams)
     resolved = n_cells >= 4
-    if allow_closed_form:
-        exact = level_set_endpoints(delta, lams, mesh.x_hi)
-        # the counted cells are the prefix [0, edges[n_cells]); the edge of the
-        # level set lies in the next cell (none when all are counted)
-        straddling = np.append(mesh.widths, 0.0)[n_cells]
-        slack = _ROOT_RTOL * exact
-        gap = exact - counted
-        failed = resolved & ~((-slack <= gap) & (gap <= straddling + slack))
-        measure = np.where(resolved, counted, exact)
-    else:
-        failed, measure = ~resolved, counted
+    exact = level_set_endpoints(delta, lams, mesh.x_hi)
+    # the counted cells are the prefix [0, edges[n_cells]); the edge of the
+    # level set lies in the next cell (none when all are counted)
+    straddling = np.append(mesh.widths, 0.0)[n_cells]
+    slack = _ROOT_RTOL * exact
+    gap = exact - counted
+    failed = resolved & ~((-slack <= gap) & (gap <= straddling + slack))
     if failed.any():
         i = int(np.argmax(failed))
-        if resolved[i]:
-            raise MeshResolutionError(
-                f"cell-counted measure {counted[i]:.3e} is not within one cell "
-                f"below the closed form {exact[i]:.3e} at lam={lams[i]:.3e}; G must "
-                "decrease on (0, x_hi]"
-            )
         raise MeshResolutionError(
-            f"level set at lam={lams[i]:.3e} spans {n_cells[i]} < 4 cells; refine the mesh "
-            "below x_min or enable closed-form measures"
+            f"cell-counted measure {counted[i]:.3e} is not within one cell "
+            f"below the closed form {exact[i]:.3e} at lam={lams[i]:.3e}; G must "
+            "decrease on (0, x_hi]"
         )
+    measure = np.where(resolved, counted, exact)
     score = lams * measure
     i = int(np.argmax(score))
     quotient, best_lambda, path = float(score[i]), float(lams[i]), "cells" if resolved[i] else "closed-form"

@@ -519,8 +519,7 @@ def scalar_restriction(W: MatrixWeight, p: float, v: np.ndarray) -> SampledWeigh
     if v.shape != (W.d,) or not 0 < np.linalg.norm(v) < math.inf:
         raise ValueError(f"direction must be a nonzero finite vector of length {W.d}, got {v}")
     v = v / np.linalg.norm(v)
-    vals = np.linalg.norm(np.einsum("xij,j->xi", W.power(s), v), axis=1) ** p
-    return SampledWeight(W.mesh, vals)
+    return SampledWeight(W.mesh, _image_norms(W.power(s), v[None])[0] ** p)
 
 
 def scalar_restriction_characteristic(W: MatrixWeight, p: float, v: np.ndarray) -> CharacteristicReport:

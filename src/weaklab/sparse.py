@@ -72,11 +72,12 @@ def covering_roots(mesh: Mesh, grid: DyadicGrid, span: tuple[float, float]) -> l
     """Greedy tiling of ``span`` by maximal grid cubes inside the mesh domain.
 
     Every designated-set computation stays exact at cell granularity because
-    the roots never leave the mesh.  For shifted grids near the domain edge
-    the maximal cubes shrink; a span that touches the edge of the domain is
-    rejected (embed the function into a larger mesh instead), and so is one
-    that ends before it starts.  The position is an exact integer ratio:
-    the span's left end, then the right edge of each root placed.
+    the roots never leave the mesh.  A shifted grid's cubes shrink near the
+    domain edge, and a span with a point no inside cube covers is rejected
+    (embed the function into a larger mesh); the standard grid's cubes tile
+    the domain and cover a span touching its edge.  A span that leaves the
+    domain or ends before it starts is rejected.  The position is an exact
+    integer ratio: the span's left end, then each placed root's right edge.
     """
     (num, den), (end, end_den) = (exact_ratio(x) for x in span)
     lo, hi = span

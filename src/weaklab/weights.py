@@ -59,6 +59,7 @@ from .grid import (
     MeshFunction,
     _cubes,
     _geometry,
+    _length,
     _read_only,
     _scan_layout,
     default_levels,
@@ -333,7 +334,7 @@ class PowerLogWeight:
         return float(self.integral_batch(np.array([float(lo)]), np.array([float(hi)]))[0])
 
     def average(self, lo, hi) -> float:
-        return self.integral(lo, hi) / (float(hi) - float(lo))
+        return self.integral(lo, hi) / _length(lo, hi)
 
     # -- essential infimum ---------------------------------------------------------
 
@@ -383,7 +384,9 @@ class PowerLogWeight:
         return self._essinfs(_Folded(lo, hi))
 
     def essinf(self, lo, hi) -> float:
-        return float(self.essinf_batch(np.array([float(lo)]), np.array([float(hi)]))[0])
+        value = float(self.essinf_batch(np.array([float(lo)]), np.array([float(hi)]))[0])
+        _length(lo, hi)  # the batch names an interval out of order, this an empty one
+        return value
 
     def cell_averages(self, mesh: Mesh) -> np.ndarray:
         edges = mesh.edges()
@@ -431,6 +434,8 @@ class SampledWeight:
     def _require_inside(self, lo, hi):
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"interval [{lo}, {hi}) has a non-finite endpoint")
+        if lo > hi:
+            raise ValueError(f"interval endpoints out of order or NaN: [{lo}, {hi}]")
         if lo < -self.mesh.radius or hi > self.mesh.radius:
             raise ValueError(
                 f"interval [{lo}, {hi}) leaves the sampled domain "
@@ -442,13 +447,12 @@ class SampledWeight:
         return self.as_mesh_function().integral(lo, hi)
 
     def average(self, lo, hi) -> float:
-        return self.integral(lo, hi) / (float(hi) - float(lo))
+        return self.integral(lo, hi) / _length(lo, hi)
 
     def essinf(self, lo, hi) -> float:
         self._require_inside(lo, hi)
+        _length(lo, hi)
         i0, i1 = self.mesh.cell_span(lo, hi)
-        if i1 <= i0:
-            raise ValueError(f"degenerate interval [{lo}, {hi})")
         return float(self.values[i0:i1].min())
 
     def cell_averages(self, mesh: Mesh) -> np.ndarray:

@@ -435,6 +435,15 @@ def oracle_ainfty_scalar_characteristic(
     return best
 
 
+def oracle_scalar_restriction_values(W: MatrixWeight, p: float, v: np.ndarray) -> np.ndarray:
+    """The values of ``scalar_restriction(W, p, v)`` from one ``einsum`` of
+    the field with the unit direction, as it computed them before it read
+    ``_image_norms``, the expression of ``ainfty_scalar_characteristic``."""
+    v = np.asarray(v, dtype=float)
+    v = v / np.linalg.norm(v)
+    return np.linalg.norm(np.einsum("xij,j->xi", W.power(1.0 / p), v), axis=1) ** p
+
+
 def oracle_dominating_scalar_sparse(
     W: MatrixWeight, p: float, family: SparseFamily, f: MeshFunction, alpha: float = 0.0
 ) -> np.ndarray:

@@ -66,7 +66,7 @@ def sweep_lambdas(delta: float, lambda_window: float = 4.0, n_lambda: int = 161)
 
 def per_lambda_experiment(delta: float, mesh: GradedMesh | None = None) -> LowerBoundReport:
     """lower_bound_experiment(delta, compute_nu=False) with one brentq root per
-    lambda, closed forms allowed."""
+    lambda."""
     mesh = mesh or GradedMesh()
     lam_star, _ = F_argmax(delta)
     values = output_magnitude(delta, mesh.edges[1:])
@@ -107,7 +107,6 @@ def per_lambda_loop_experiment(
     delta: float,
     mesh: GradedMesh | None = None,
     lambda_window: float = 4.0,
-    allow_closed_form: bool = True,
     compute_nu: bool = True,
 ) -> LowerBoundReport:
     """``lower_bound_experiment`` one lambda at a time: each lambda's cells
@@ -123,31 +122,24 @@ def per_lambda_loop_experiment(
     lams = sweep_lambdas(delta, lambda_window)
     values = output_magnitude(delta, mesh.edges[1:])
     widths = mesh.widths
-    if allow_closed_form:
-        roots = level_set_endpoints(delta, lams, mesh.x_hi)
+    roots = level_set_endpoints(delta, lams, mesh.x_hi)
 
     best = (-np.inf, lam_star, "cells")
     for i, lam in enumerate(lams):
         counted, n_cells = counted_at(mesh, values, lam)
         if n_cells >= 4:
             measure, path = counted, "cells"
-            if allow_closed_form:
-                exact = roots[i]
-                straddling = widths[n_cells] if n_cells < widths.size else 0.0
-                slack = _ROOT_RTOL * exact
-                if not -slack <= exact - counted <= straddling + slack:
-                    raise MeshResolutionError(
-                        f"cell-counted measure {counted:.3e} is not within one cell "
-                        f"below the closed form {exact:.3e} at lam={lam:.3e}; G must "
-                        "decrease on (0, x_hi]"
-                    )
-        elif allow_closed_form:
-            measure, path = roots[i], "closed-form"
+            exact = roots[i]
+            straddling = widths[n_cells] if n_cells < widths.size else 0.0
+            slack = _ROOT_RTOL * exact
+            if not -slack <= exact - counted <= straddling + slack:
+                raise MeshResolutionError(
+                    f"cell-counted measure {counted:.3e} is not within one cell "
+                    f"below the closed form {exact:.3e} at lam={lam:.3e}; G must "
+                    "decrease on (0, x_hi]"
+                )
         else:
-            raise MeshResolutionError(
-                f"level set at lam={lam:.3e} spans {n_cells} < 4 cells; refine the mesh "
-                "below x_min or enable closed-form measures"
-            )
+            measure, path = roots[i], "closed-form"
         score = lam * measure
         if score > best[0]:
             best = (float(score), float(lam), path)

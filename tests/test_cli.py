@@ -73,6 +73,26 @@ class TestSubcommands:
         assert code == 0
         assert len(out.read_text().splitlines()) == 3
 
+    @pytest.mark.parametrize(
+        "args",
+        [["characteristic", "--kind", "ainfty"], ["weaktype", "--operator", "M", "--trials", "2"]],
+        ids=["characteristic-ainfty", "weaktype-M"],
+    )
+    def test_a_sampled_weight_runs_on_its_own_mesh(self, tmp_path, capsys, args):
+        """A sampled weight is tied to its mesh, so the default invocation runs
+        on it and prints and writes what ``--radius 1 --level 5``, that mesh's
+        flags, do.  Before, the default Mesh(--radius, --level) was passed to
+        the weight, which exited 2: "sampled weight is tied to its own mesh"."""
+        weight = tmp_path / "w.json"
+        values = np.random.default_rng(3).uniform(0.5, 2.0, 64)
+        weight.write_text(json.dumps({"mesh": {"radius": 1.0, "level": 5}, "values": values.tolist()}))
+        outputs = []
+        for flags in ([], ["--radius", "1", "--level", "5"]):
+            code, out = run(tmp_path, f"x{len(outputs)}.csv", args + ["--weight", f"sampled:{weight}", *flags])
+            assert code == 0
+            outputs.append((capsys.readouterr().out, out.read_bytes()))
+        assert outputs[0] == outputs[1]
+
 
 FRACTIONAL = ["--alpha", "0.25", "--weight", "powerlog:a=0.2"]
 
@@ -261,8 +281,6 @@ class TestExitCodes:
         "args,message",
         [
             (["lowerbound", "--cells-per-band", "0", "--delta", "0.2"], "--cells-per-band: must be a positive integer, got '0'"),
-            (["lowerbound", "--cells-per-band", "0", "--delta", "0.2", "--no-closed-form"],
-             "--cells-per-band: must be a positive integer, got '0'"),
             (["lowerbound", "--cells-per-band", "-2"], "--cells-per-band: must be a positive integer, got '-2'"),
             (["lowerbound", "--window", "0"], "--window: must be positive and finite, got '0'"),
             (["lowerbound", "--window", "-3"], "--window: must be positive and finite, got '-3'"),
@@ -285,7 +303,7 @@ class TestExitCodes:
             (["lowerbound", "--x-min", "0.5"], "--x-min: must be in (0, 0.5), below the graded mesh's x_hi, got '0.5'"),
             (["lowerbound", "--x-min", "nan"], "--x-min: must be in (0, 0.5), below the graded mesh's x_hi, got 'nan'"),
         ],
-        ids=["cells-per-band-0", "cells-per-band-0-counted", "cells-per-band-negative", "window-0", "window-negative",
+        ids=["cells-per-band-0", "cells-per-band-negative", "window-0", "window-negative",
              "characteristic-radius-0", "characteristic-radius-negative", "weaktype-radius-0",
              "sparse-check-radius-negative", "matrix-check-radius-inf", "constants-radius-nan",
              "characteristic-level-25", "level-30", "weaktype-level-negative", "sparse-check-level-21",
@@ -293,7 +311,7 @@ class TestExitCodes:
              "x-min-0", "x-min-at-x-hi", "x-min-nan"],
     )
     def test_out_of_domain_flag_is_2_at_parse_time(self, tmp_path, capsys, args, message):
-        """Before, --cells-per-band 0 exited 0 (3 when counted), --window 0 and
+        """Before, --cells-per-band 0 exited 0, --window 0 and
         --radius 0 "math domain error", and --level 25 exited 0 for every
         characteristic kind but ainfty, which alone reads it."""
         with pytest.raises(SystemExit) as exc:
@@ -417,10 +435,12 @@ class TestExitCodes:
         code, out = run(tmp_path, "x.csv", ["characteristic", "--weight", f"sampled:{path}", "--p", "2"])
         err = capsys.readouterr().err
         assert code == 2 and not out.exists()
+        # the route the command line has: it cannot search the aligned cubes
         assert err == (
             "error: a cell scan of 2,048 cells has 2,098,176 intervals, above the limit of 2,097,152; "
-            "search the aligned cubes or a narrower domain\n"
+            "a smaller --radius scans fewer cells\n"
         )
+        assert "--radius" in err
 
     @pytest.mark.parametrize(
         "args,message",
@@ -484,13 +504,14 @@ class TestExitCodes:
         assert err == f"error: cannot write {str(target)!r}: Is a directory\n"
         assert list(tmp_path.iterdir()) == [target] and not list(target.iterdir())
 
-    def test_unresolved_level_set_is_3(self, tmp_path):
-        code, _ = run(
-            tmp_path, "x.csv",
-            ["lowerbound", "--delta", "0.05", "--x-min", "1e-4", "--cells-per-band", "4",
-             "--no-closed-form"],
-        )
-        assert code == 3
+    def test_no_closed_form_is_no_flag(self, tmp_path, capsys):
+        """A level set the graded mesh cannot count takes its closed-form root;
+        no flag turns that off."""
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "x.csv", ["lowerbound", "--delta", "0.2", "--no-closed-form"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --no-closed-form" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
 
 def test_csv_columns_are_the_schema_document_lists():

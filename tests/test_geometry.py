@@ -637,7 +637,7 @@ def test_exported_functions_keep_their_defaulted_parameters():
         for param in inspect.signature(obj).parameters.values()
         if param.default is not inspect.Parameter.empty
     )
-    assert len(defaulted) == 40, "\n".join(defaulted)
+    assert len(defaulted) == 39, "\n".join(defaulted)
 
 
 def test_only_field_power_picks_a_power_of_w_from_alpha():

@@ -303,16 +303,11 @@ class TestOnePassSweep:
     """The sweep counted, cross-checked and scored at once, against the loop
     one lambda at a time it replaced (``per_lambda_loop_experiment``)."""
 
-    @pytest.mark.parametrize("allow_closed_form", [True, False], ids=["closed-form", "cells-only"])
     @pytest.mark.parametrize("delta", [0.2, 0.1, 0.05, 0.02, 0.007])
-    def test_report_equals_the_per_lambda_loop(self, delta, allow_closed_form):
-        # below the mesh's resolution, cells only, both raise the same error
-        got, want = (
-            _outcome(run, delta, allow_closed_form=allow_closed_form)
-            for run in (lower_bound_experiment, per_lambda_loop_experiment)
-        )
+    def test_report_equals_the_per_lambda_loop(self, delta):
+        got, want = (_outcome(run, delta) for run in (lower_bound_experiment, per_lambda_loop_experiment))
         assert got == want
-        assert isinstance(got, lowerbound.LowerBoundReport) or (not allow_closed_form and delta <= 0.02)
+        assert isinstance(got, lowerbound.LowerBoundReport)
 
     def test_first_failing_lambda_raises_the_loops_error(self):
         delta = 0.2
@@ -321,16 +316,9 @@ class TestOnePassSweep:
             def counted_measure(self, values, lam):
                 return super().counted_measure(output_magnitude(delta, self.centers), lam)
 
-        coarse = GradedMesh(x_min=1e-4, cells_per_band=4)
-        for mesh, d, allow_closed_form, match in (
-            (CentreCountingMesh(), 0.2, True, "cell-counted measure 4.297e-02"),
-            (CentreCountingMesh(), 0.1, True, "cell-counted measure 2.213e-04"),
-            (coarse, 0.1, False, "spans 3 < 4 cells"),  # a lam inside the sweep
-            (coarse, 0.05, False, "spans 0 < 4 cells"),
-            (GradedMesh(cells_per_band=4), 0.03, False, "spans 0 < 4 cells"),
-        ):
+        for d, match in ((0.2, "cell-counted measure 4.297e-02"), (0.1, "cell-counted measure 2.213e-04")):
             got, want = (
-                _outcome(run, d, mesh=mesh, allow_closed_form=allow_closed_form, compute_nu=False)
+                _outcome(run, d, mesh=CentreCountingMesh(), compute_nu=False)
                 for run in (lower_bound_experiment, per_lambda_loop_experiment)
             )
             assert got == want and got[0] is MeshResolutionError and match in got[1]
@@ -487,10 +475,13 @@ class TestExperiment:
             F_argmax(0.0014)
         assert math.isfinite(F_argmax(0.001409)[0])
 
-    def test_unresolvable_without_closed_form_raises(self):
+    def test_a_level_set_below_a_coarse_mesh_takes_its_root(self):
+        # every level set of the sweep ends below x_min = 1e-4, in the mesh's
+        # one tail cell, so the best quotient is lam times a closed-form root
         coarse = GradedMesh(x_min=1e-4, cells_per_band=4)
-        with pytest.raises(MeshResolutionError):
-            lower_bound_experiment(0.05, mesh=coarse, allow_closed_form=False, compute_nu=False)
+        rep = lower_bound_experiment(0.05, mesh=coarse, compute_nu=False)
+        assert rep.measure_path == "closed-form"
+        assert rep.quotient.hex() == "0x1.5720ab359d8f1p+2"
 
     def test_sweep_scaling(self):
         reps = delta_sweep([0.05, 0.1, 0.2], compute_nu=False)

@@ -4,8 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_step
+from geometry_oracle import oracle_scalar_restriction_values
 from weaklab import (
     DyadicGrid,
     MatrixWeight,
@@ -303,6 +306,24 @@ class TestScalarRestriction:
                         agreed += 1
                         assert rep.witness_label == mat.witness_label
         assert agreed >= 10
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.sampled_from([2, 3]),
+        p=st.sampled_from([1.0, 1.5, 2.0, 3.0, 4.5]),
+        level=st.integers(1, 6),
+        direction=st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3).filter(lambda u: 1e-3 < np.linalg.norm(u[:2])),
+    )
+    def test_direction_weight_is_the_einsums_bit_for_bit(self, seed, d, p, level, direction):
+        # one expression for a direction weight: scalar_restriction reads
+        # _image_norms, as ainfty_scalar_characteristic does, with the floats
+        # of the einsum it replaced
+        W = random_matrix_weight(Mesh(1.0, level), d, np.random.default_rng(seed))
+        v = np.array(direction[:d])
+        got = scalar_restriction(W, p, v).values
+        assert got.tobytes() == oracle_scalar_restriction_values(W, p, v).tobytes()
 
 
 class TestChristGoldberg:

@@ -188,6 +188,29 @@ def test_powerlog_rejects_nan_naming_it(a, scale, other, nan_first):
         w.essinf(lo, hi)
 
 
+@pytest.mark.parametrize("interval", [(0.75, 0.25), (0.5, 0.5)], ids=["out-of-order", "empty"])
+@pytest.mark.parametrize("call", ["integral", "average", "essinf"])
+@pytest.mark.parametrize("kind", ["sampled", "powerlog"])
+def test_one_interval_contract_on_both_weight_kinds(kind, call, interval):
+    """An interval out of order is a ValueError that names it; an empty one
+    integrates to 0.0, and its average and essential infimum are a ValueError
+    that names it.  Before, a sampled weight integrated [0.75, 0.25) to 0.0
+    and averaged it to -0.0, both kinds' average of [0.5, 0.5) divided by
+    zero, and the closed-form weight's essinf of it was a value."""
+    mesh = Mesh(1.0, 3)
+    w = SampledWeight(mesh, np.linspace(1.0, 2.0, mesh.n_cells)) if kind == "sampled" else PowerLogWeight(-0.5)
+    lo, hi = interval
+    if lo > hi:
+        message = f"interval endpoints out of order or NaN: [{lo}, {hi}]"
+    elif call == "integral":
+        assert getattr(w, call)(lo, hi) == 0.0
+        return
+    else:
+        message = f"degenerate interval [{lo}, {hi})"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        getattr(w, call)(lo, hi)
+
+
 # ---------------------------------------------------------------------------
 # A_p
 # ---------------------------------------------------------------------------
