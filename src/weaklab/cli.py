@@ -39,8 +39,10 @@ The defaulted ``--p``, ``--level``, ``--max-level`` and ``--radius`` go
 into every ``characteristic`` row, so every kind accepts them: ``ap`` and
 ``apq`` read ``--p``, ``ainfty`` reads ``--level``, the other kinds
 ``--max-level``, and every kind ``--radius``.  A ``sampled:`` weight carries
-its mesh: ``ainfty`` and the ``weaktype`` trials run on it, and its other
-searches read ``--radius`` alone, as the domain of their cell scan.
+its mesh: ``ainfty`` and the ``weaktype`` trials and ``char_ainfty`` run on
+it, and its other searches read ``--radius`` alone, as the domain of their
+cell scan.  ``weaktype`` cannot narrow its trials, so there a ``--radius``
+below the weight's mesh radius exits 2, naming both.
 """
 
 from __future__ import annotations
@@ -352,6 +354,11 @@ def cmd_characteristic(args) -> int:
 def cmd_weaktype(args) -> int:
     w = parse_weight(args.weight)
     mesh = w.mesh if isinstance(w, SampledWeight) else Mesh(args.radius, args.level)
+    if args.radius < mesh.radius:  # a sampled weight's mesh: its trials and char_ainfty cannot narrow
+        raise ValueError(
+            f"--radius {args.radius:g} is below the sampled weight's mesh radius {mesh.radius:g}: "
+            "its trials and char_ainfty run on the whole mesh, so char_main searches it too"
+        )
     rng = np.random.default_rng(args.seed)
     p, alpha = args.p, args.alpha
     if not p >= 1:
@@ -542,11 +549,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--operator", default="AS", choices=["AS", "M", "Md", "H", "Ialpha", "Malpha"])
     p.add_argument("--weight", required=True, type=_descriptor,
-                   help="powerlog:a=..,b=..,c=.. or sampled:file.json (trials run on its mesh; A_p reads --radius)")
+                   help="powerlog:a=..,b=..,c=.. or sampled:file.json (everything runs on its whole mesh)")
     p.add_argument("--p", type=_finite, default=2.0)
     p.add_argument("--alpha", type=_finite, default=None, help="fractional order, below 1/p; q from 1/p - 1/q = alpha")
     p.add_argument("--trials", type=_positive_int, default=20)
-    p.add_argument("--radius", type=_positive_finite, default=4.0)
+    p.add_argument("--radius", type=_positive_finite, default=4.0,
+                   help="the mesh and char_main's domain; for a sampled weight, at least its mesh radius")
     p.add_argument("--level", type=_mesh_level, default=7)
     p.set_defaults(func=cmd_weaktype, default_name="weaktype.csv")
 

@@ -22,7 +22,8 @@ containing cubes (``index``, the maximal sweep), a vector integrand's
 (cube, cell) pairs (``pairs``, Christ-Goldberg), the Fujii-Wilson sweep
 (``sweep``) and the aligned cubes with their cells per cube of each level
 (``aligned_layout``, a sampled weight's and the matrix characteristics'
-candidates).  ``_span_integrals`` only gathers and sums values.  A cell
+candidates).  ``_span_integrals`` only gathers and sums values, read
+through a run layout kept per function (``_Runs``).  A cell
 scan (``_scan_layout``: every interval of whole cells, O(n^2) candidates,
 each read from its first to its last cell) is built per call, and one of
 more than 2^21 intervals is refused by name.  One size rule,
@@ -184,11 +185,12 @@ class MeshFunction:
     zero outside the mesh domain wherever an integral asks for it.
 
     A mesh function is an immutable value: ``values`` is a read-only copy
-    of the input, so the one cube table per grid kept on it (``_tables``,
-    see ``_cube_table``) holds for its whole lifetime.
+    of the input, so what is kept on it holds for its whole lifetime: the
+    one cube table per grid (``_tables``, see ``_cube_table``) and the run
+    layout every span integral reads (``_runs``, see ``_Runs``).
     """
 
-    __slots__ = ("mesh", "values", "_tables", "_windows")
+    __slots__ = ("mesh", "values", "_tables", "_windows", "_runs")
 
     def __init__(self, mesh: Mesh, values):
         values = np.array(values, dtype=float)
@@ -202,6 +204,7 @@ class MeshFunction:
         self.mesh = mesh
         self.values = values
         self._tables, self._windows = {}, {}  # grid -> one read-only table, and its levels
+        self._runs = None  # the values as the span kernel reads them (``_Runs``)
 
     # -- construction helpers -------------------------------------------------
 
@@ -612,7 +615,7 @@ class _Geometry:
         cell and coarse to fine within a cell: each pair's flat position in
         the (levels, cells) output, its cell and its cube's span.  So
         consecutive spans read one component and nest, and the gaps that
-        ``_span_integrals``' reductions also sum (and drop) stay short."""
+        ``_span_integrals``' reduction also sums (and drops) stay short."""
         comp, level = np.nonzero(self.index.T)
         spans = self.window.take(self.index[level, comp])
         return _read_only(level * self.mesh.n_cells + comp), _read_only(comp), spans
@@ -801,19 +804,58 @@ class _Spans:
         return spans
 
 
+class _Runs:
+    """f's values as ``_span_integrals`` reads them, laid out once per
+    function (``MeshFunction._runs``, built on first use) and read-only:
+
+    * ``cells`` (components, n_cells + 1): one C-contiguous row per
+      component (a scalar f is one row), and a zero cell past the right edge;
+    * ``before`` (n_cells + 1,): the nonzero cells left of each cell edge
+      (cells where any component is nonzero; ``-0.0`` is zero);
+    * ``vals``: those cells' values per component, then the zero (``cells``
+      itself when every cell is nonzero);
+    * ``changes``: per component, the running count of value changes along
+      ``vals`` (``vals[i] != vals[i - 1]``), 0 at each row's start;
+    * ``signed``: whether a ``-0.0`` is among ``vals`` (a vector's component
+      that is zero where another is not), whose uniform runs of zeros take
+      the sign their minimum gives.
+
+    About 3 arrays of n_cells + 1 entries per component, and ``before``;
+    the counts are int32 (a mesh has at most 2^21 cells).
+    """
+
+    __slots__ = ("cells", "before", "vals", "changes", "signed")
+
+    def __init__(self, f: MeshFunction):
+        n = f.mesh.n_cells
+        self.cells = np.zeros((*f.values.shape[1:], n + 1))
+        self.cells[..., :n] = f.values.T
+        nonzero = f.values.any(axis=1) if f.is_vector else f.values != 0
+        self.before = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(nonzero, out=self.before[1:])
+        self.vals = self.cells if self.before[-1] == n else self.cells.take(np.append(np.flatnonzero(nonzero), n), axis=-1)
+        self.changes = np.zeros(self.vals.shape, dtype=np.int32)
+        np.cumsum(self.vals[..., 1:] != self.vals[..., :-1], axis=-1, out=self.changes[..., 1:])
+        self.signed = f.is_vector and bool((np.signbit(self.vals) & (self.vals == 0)).any())
+        for name in ("cells", "before", "vals", "changes"):
+            _read_only(getattr(self, name))
+
+
 def _span_integrals(f: MeshFunction, spans: _Spans, comp=None) -> np.ndarray:
-    """Integrals of f over the ``spans``: only f's values are read here.
+    """Integrals of f over the ``spans``: only f's values are read here,
+    through its run layout (``_Runs``, kept on f).
 
     Each span sums its own whole cells and adds the covered shares of its
     two straddling cells, so the rounding error scales with the span's own
     mass, not with the mass to its left (differencing one global prefix sum
-    would).  Zero cells are left out of the sums, and ``count`` equal
-    nonzero values sum to the one correctly rounded product ``count * v``.
-    So spans holding the same blocks, or blocks of one height whose cell
-    counts differ by a power of two, get floats in the exact ratio, and an
-    exact stopping tie (such as a block alone in a cube and in its
-    ancestor) stays a tie.  A span gives the same float whatever ``den``
-    expressed it (see ``_Spans``).
+    would).  Zero cells are left out of the sums, and a span whose nonzero
+    whole cells hold ``count`` equal values (``changes`` equal at its first
+    and last) gets the one correctly rounded product ``count * v``; every
+    other span takes one ``np.add.reduceat``.  So spans holding the same
+    blocks, or blocks of one height whose cell counts differ by a power of
+    two, get floats in the exact ratio, and an exact stopping tie (such as a
+    block alone in a cube and in its ancestor) stays a tie.  A span gives
+    the same float whatever ``den`` expressed it (see ``_Spans``).
 
     A vector f (values ``(n_cells, r)``) gives ``(n_spans, r)``, each
     component summed as one contiguous row over the cells where any is
@@ -822,19 +864,22 @@ def _span_integrals(f: MeshFunction, spans: _Spans, comp=None) -> np.ndarray:
     component ``comp[s]``, over the same cells, and the result is
     ``(n_spans,)``: the floats of that span's ``comp[s]`` column.
     """
-    h = f.mesh.h
-    rows = f.values.T  # one row per component; a scalar f is its own row
-    v = np.concatenate((rows, np.zeros((*rows.shape[:-1], 1))), axis=-1)  # a zero cell past the right edge
-    nz = np.flatnonzero(rows.any(axis=0) if f.is_vector else rows)
-    bounds = np.searchsorted(nz, spans.ends)
-    vals = v.take(np.append(nz, len(f.values)), axis=-1)  # the nonzero cells, then a zero
-    count = bounds[1::2] - bounds[::2]  # nonzero whole cells
+    if f._runs is None:
+        f._runs = _Runs(f)
+    runs, h = f._runs, f.mesh.h
+    cells, vals, changes = runs.cells, runs.vals, runs.changes
+    bounds = runs.before.take(spans.ends)  # span s sums vals[bounds[2s]:bounds[2s + 1]]
+    count = bounds[1::2] - bounds[::2]
     i_lo, stop = spans.i_lo, spans.ends[1::2]
     if comp is not None:  # span s reads row comp[s] of the flattened rows
         bounds = bounds + np.repeat(comp * vals.shape[-1], 2)
-        i_lo, stop = i_lo + comp * v.shape[-1], stop + comp * v.shape[-1]
-        vals, v = vals.ravel(), v.ravel()
-    low, high, total = (u.reduceat(vals, bounds, axis=-1)[..., ::2] for u in (np.minimum, np.maximum, np.add))
-    whole = np.where(count <= 0, 0.0, np.where(low == high, count * low, total))
-    out = whole * h + v.take(i_lo, axis=-1) * h * spans.w_lo + v.take(stop, axis=-1) * h * spans.w_hi
+        i_lo, stop = i_lo + comp * cells.shape[-1], stop + comp * cells.shape[-1]
+        cells, vals, changes = cells.ravel(), vals.ravel(), changes.ravel()
+    first, last = bounds[::2], bounds[1::2] - 1
+    total = np.add.reduceat(vals, bounds, axis=-1)[..., ::2]
+    # a uniform run of zeros of both signs takes the sign of its minimum, not of its first cell
+    lead = np.minimum.reduceat(vals, bounds, axis=-1)[..., ::2] if runs.signed else vals.take(first, axis=-1)
+    uniform = changes.take(first, axis=-1) == changes.take(last, axis=-1)
+    whole = np.where(count <= 0, 0.0, np.where(uniform, count * lead, total))
+    out = whole * h + cells.take(i_lo, axis=-1) * h * spans.w_lo + cells.take(stop, axis=-1) * h * spans.w_hi
     return np.asarray(out, dtype=float).T

@@ -443,30 +443,36 @@ def _matrix_char_engine(
     """sup over aligned cubes of mean_x (mean_y pair_norm^inner)^(outer) or
     max_x mean_y pair_norm^inner when outer_exp is None (A_1-type); the
     cubes run from width R down to the cells, the ``aligned_layout`` of the
-    standard grid (the list of ``SearchSpace.aligned_cubes()``)."""
+    standard grid (the list of ``SearchSpace.aligned_cubes()``).  Every
+    cube lies in one of the two top cubes, so ``pair_norm`` holds only their
+    pairs (``_pair_norms``, shape ``(2, n/2, n/2)``), and each level reads
+    its diagonal blocks, x and y in one cube, from them."""
     mesh = W.mesh
     G = pair_norm**inner_exp
+    half = mesh.n_cells // 2
     k_cell = mesh.aligned_cell_level()
     levels = (k_cell - mesh.level, k_cell)
     lo, hi, label, cells = _geometry(mesh, DyadicGrid(), tuple(range(levels[0], levels[1] + 1))).aligned_layout
     vals = []
     for B in cells:  # cells per cube
-        nb = mesh.n_cells // B
-        i = np.arange(nb)
-        diag = G.reshape(nb, B, nb, B)[i, :, i].mean(axis=2)  # (nb, B): mean over y in x's own cube
+        nb = half // B  # cubes per top cube
+        top, i = np.divmod(np.arange(2 * nb), nb)
+        diag = G.reshape(2, nb, B, nb, B)[top, i, :, i].mean(axis=2)  # (2 nb, B): mean over y in x's own cube
         vals.append(diag.max(axis=1) if outer_exp is None else (diag**outer_exp).mean(axis=1))
     return _report(quantity, np.concatenate(vals), lo, hi, label, (levels, 1))
 
 
 def _pair_norms(Wx: np.ndarray, Wy: np.ndarray) -> np.ndarray:
-    """P[x, y] = ||Wx[x] @ Wy[y]|| for all cell pairs (n^2 of them, so n <= 512)."""
+    """P[t, x, y] = ||Wx[x] @ Wy[y]|| for the cell pairs of each top cube t
+    (x, y counted from its first cell): 2 (n/2)^2 pairs, so n <= 512."""
     if len(Wx) > 512:
         raise ValueError("matrix characteristics are desk-scale: use meshes of <= 512 cells")
-    if Wx.shape[1:] != (2, 2):
-        return op_norm(np.einsum("xij,yjk->xyik", Wx, Wy))
+    Wx, Wy = (A.reshape(2, len(A) // 2, *A.shape[1:]) for A in (Wx, Wy))
+    if Wx.shape[2:] != (2, 2):
+        return op_norm(np.einsum("txij,tyjk->txyik", Wx, Wy))
 
-    def entry(i, k):  # (Wx[x] @ Wy[y])[i, k] for every pair (x, y)
-        return np.multiply.outer(Wx[:, i, 0], Wy[:, 0, k]) + np.multiply.outer(Wx[:, i, 1], Wy[:, 1, k])
+    def entry(i, k):  # (Wx[x] @ Wy[y])[i, k] for every pair (x, y) of a top cube
+        return Wx[:, :, None, i, 0] * Wy[:, None, :, 0, k] + Wx[:, :, None, i, 1] * Wy[:, None, :, 1, k]
 
     return _sigma_max_2x2(entry(0, 0), entry(0, 1), entry(1, 0), entry(1, 1))
 
@@ -486,7 +492,7 @@ def matrix_ap_characteristic(W: MatrixWeight, p: float) -> CharacteristicReport:
 
 def matrix_a1_characteristic(W: MatrixWeight) -> CharacteristicReport:
     """[W]_A1 = sup_Q esssup_{x in Q} avg_y ||W(y) W^(-1)(x)|| dy."""
-    P = _pair_norms(W.values, W.power(-1.0)).T  # P[x, y] = ||W(y) W^-1(x)||
+    P = _pair_norms(W.values, W.power(-1.0)).transpose(0, 2, 1)  # P[t, x, y] = ||W(y) W^-1(x)||
     return _matrix_char_engine(W, P, 1.0, None, "mat-A_1")
 
 
@@ -503,7 +509,7 @@ def matrix_a1q_characteristic(W: MatrixWeight, q: float) -> CharacteristicReport
     """[W]_A(1,q) = sup_Q esssup_{x in Q} avg_y ||W(y) W^(-1)(x)||^q dy."""
     if not 1 < q < math.inf:
         raise ValueError(f"A_(1,q) requires q > 1 and finite, got {q}")
-    P = _pair_norms(W.values, W.power(-1.0)).T
+    P = _pair_norms(W.values, W.power(-1.0)).transpose(0, 2, 1)
     return _matrix_char_engine(W, P, q, None, f"mat-A_(1,{q:g})")
 
 

@@ -27,6 +27,7 @@ int64, orders them, and only then do they become ``Cube`` objects.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -88,15 +89,20 @@ def covering_roots(mesh: Mesh, grid: DyadicGrid, span: tuple[float, float]) -> l
     roots: list[Cube] = []
     k_top, k_cell = default_levels(mesh)
     while num * end_den < end * den:  # position num / den < hi
-        for k in range(k_top, k_cell + 1):
-            m = grid.index_at(k, num, den)
-            if m in inside_cubes(mesh, grid, k):
-                break
-        else:
+        # being inside is monotone in k (the cube holding x at level k + 1 is
+        # a child of the one at level k): gallop down from k_top, then bisect
+        # the last gap, so a root costs O(log) of its depth below k_top
+        inside = lambda k: grid.index_at(k, num, den) in inside_cubes(mesh, grid, k)  # noqa: E731
+        k0 = k = k_top  # no level above k0 has an inside cube
+        while k <= k_cell and not inside(k):
+            k0, k = k + 1, 2 * k - k_top + 1
+        k = k0 + bisect.bisect_left(range(k0, min(k, k_cell + 1)), True, key=inside)
+        if k > k_cell:
             raise ValueError(
                 f"no grid cube inside the domain covers x = {num / den:.6g}; "
                 "embed the data into a larger mesh"
             )
+        m = grid.index_at(k, num, den)
         roots.append(grid.cube(k, m))
         num, den = grid.numerator(k, m + 1) << max(-k, 0), 3 << max(k, 0)  # its right edge
     return roots

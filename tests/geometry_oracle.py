@@ -21,7 +21,10 @@ one-level-per-call table builders that ``grid.level_cube_integrals`` and
 ``grid.cube_indices_per_cell`` replaced by one call for all levels, the
 one-pass span integrals ``oracle_span_integrals`` that derive each call's
 cell geometry afresh (``grid._span_integrals`` reads it from a ``_Spans``
-built once per mesh, grid and level window), and the
+built once per mesh, grid and level window), the three-reduction kernel
+``three_reduction_span_integrals`` that gathered f's values on every call
+(``grid._span_integrals`` reads them from a run layout kept per function),
+and the
 ``Fraction`` cube locators ``enumerate_cubes`` and ``covering_cube`` and the
 cell range ``cells_inside``, which only tests use, and the ``Fraction``
 locator ``oracle_cube_index_of`` that ``DyadicGrid.cube_index_of`` replaced
@@ -220,6 +223,29 @@ def oracle_span_integrals(f: MeshFunction, lo: np.ndarray, hi: np.ndarray, den, 
     w_lo = np.where(same, hi - lo, np.where(r_lo > 0, den - r_lo, 0)) / den
     w_hi = np.where(same, 0, r_hi) / den
     out = whole * h + v.take(i_lo, axis=-1) * h * w_lo + v.take(stop, axis=-1) * h * w_hi
+    return np.asarray(out, dtype=float).T
+
+
+def three_reduction_span_integrals(f: MeshFunction, spans: _Spans, comp=None) -> np.ndarray:
+    """``grid._span_integrals`` before its run layout: f's values gathered
+    afresh on every call, and three ``reduceat``s per batch, min and max to
+    tell the spans whose nonzero cells hold one value (``count * min``) from
+    the others (the sum)."""
+    h = f.mesh.h
+    rows = f.values.T  # one row per component; a scalar f is its own row
+    v = np.concatenate((rows, np.zeros((*rows.shape[:-1], 1))), axis=-1)  # a zero cell past the right edge
+    nz = np.flatnonzero(rows.any(axis=0) if f.is_vector else rows)
+    bounds = np.searchsorted(nz, spans.ends)
+    vals = v.take(np.append(nz, len(f.values)), axis=-1)  # the nonzero cells, then a zero
+    count = bounds[1::2] - bounds[::2]  # nonzero whole cells
+    i_lo, stop = spans.i_lo, spans.ends[1::2]
+    if comp is not None:  # span s reads row comp[s] of the flattened rows
+        bounds = bounds + np.repeat(comp * vals.shape[-1], 2)
+        i_lo, stop = i_lo + comp * v.shape[-1], stop + comp * v.shape[-1]
+        vals, v = vals.ravel(), v.ravel()
+    low, high, total = (u.reduceat(vals, bounds, axis=-1)[..., ::2] for u in (np.minimum, np.maximum, np.add))
+    whole = np.where(count <= 0, 0.0, np.where(low == high, count * low, total))
+    out = whole * h + v.take(i_lo, axis=-1) * h * spans.w_lo + v.take(stop, axis=-1) * h * spans.w_hi
     return np.asarray(out, dtype=float).T
 
 

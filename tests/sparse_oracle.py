@@ -18,6 +18,8 @@ them byte for byte.
 
 ``oracle_covering_roots`` is ``covering_roots`` as it stood before it kept
 its position as an integer ratio: ``Fraction`` positions on ``Cube.right``.
+``level_scan_covering_roots`` is the integer version before it bisected the
+levels: it asks every level from the coarsest for an inside cube.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from geometry_oracle import (
     oracle_average,
     oracle_cells_inside,
 )
-from weaklab.grid import Cube, DyadicGrid, Mesh, MeshFunction, default_levels, inside_cubes, level_cube_integrals
+from weaklab.grid import Cube, DyadicGrid, Mesh, MeshFunction, default_levels, exact_ratio, inside_cubes, level_cube_integrals
 from weaklab.sparse import CZDecomposition, SparseFamily, covering_roots, root_cubes
 
 
@@ -69,6 +71,33 @@ def oracle_covering_roots(mesh: Mesh, grid: DyadicGrid, span: tuple[float, float
             )
         roots.append(placed)
         pos = placed.right
+    return roots
+
+
+def level_scan_covering_roots(mesh: Mesh, grid: DyadicGrid, span: tuple[float, float]) -> list[Cube]:
+    """``sparse.covering_roots`` with each root's level found by a scan from
+    ``k_top`` down to the first level whose cube holding the position lies
+    inside the domain."""
+    (num, den), (end, end_den) = (exact_ratio(x) for x in span)
+    lo, hi = span
+    if lo < -mesh.radius or hi > mesh.radius:
+        raise ValueError(f"span [{lo}, {hi}) leaves the mesh domain")
+    if hi < lo:
+        raise ValueError(f"span [{lo}, {hi}) ends before it starts")
+    roots: list[Cube] = []
+    k_top, k_cell = default_levels(mesh)
+    while num * end_den < end * den:  # position num / den < hi
+        for k in range(k_top, k_cell + 1):
+            m = grid.index_at(k, num, den)
+            if m in inside_cubes(mesh, grid, k):
+                break
+        else:
+            raise ValueError(
+                f"no grid cube inside the domain covers x = {num / den:.6g}; "
+                "embed the data into a larger mesh"
+            )
+        roots.append(grid.cube(k, m))
+        num, den = grid.numerator(k, m + 1) << max(-k, 0), 3 << max(k, 0)  # its right edge
     return roots
 
 

@@ -93,6 +93,21 @@ class TestSubcommands:
             outputs.append((capsys.readouterr().out, out.read_bytes()))
         assert outputs[0] == outputs[1]
 
+    def test_weaktype_refuses_a_radius_narrower_than_the_sampled_mesh(self, tmp_path, capsys):
+        """The trials and char_ainfty run on the weight's whole mesh, so a
+        char_main narrowed by ``--radius`` would mix two domains (it read
+        0.4433 at ``--radius 0.25`` against 0.3866 on the whole mesh)."""
+        weight = tmp_path / "w.json"
+        values = np.random.default_rng(3).uniform(0.5, 2.0, 64)
+        weight.write_text(json.dumps({"mesh": {"radius": 1.0, "level": 5}, "values": values.tolist()}))
+        args = ["weaktype", "--operator", "M", "--trials", "2", "--weight", f"sampled:{weight}"]
+        code, out = run(tmp_path, "narrow.csv", args + ["--radius", "0.25"])
+        err = capsys.readouterr().err
+        assert code == 2 and not out.exists()
+        assert "--radius 0.25" in err and "mesh radius 1" in err
+        code, _ = run(tmp_path, "wide.csv", args + ["--radius", "2"])
+        assert code == 0 and "max empirical constant 0.386635731842" in capsys.readouterr().out
+
 
 FRACTIONAL = ["--alpha", "0.25", "--weight", "powerlog:a=0.2"]
 

@@ -696,7 +696,8 @@ def test_only_grid_touches_cube_tables():
     # the one table per grid kept on a MeshFunction, and its level window,
     # are read and filled only by grid._cube_table; every other module asks
     # grid for them
-    assert _modules_touching("_tables") == _modules_touching("_windows") == {"grid.py"}
+    # and so is the run layout the span kernel reads (``_runs``)
+    assert _modules_touching("_tables") == _modules_touching("_windows") == _modules_touching("_runs") == {"grid.py"}
 
 
 def test_caches_live_in_grid_on_frozen_keys():

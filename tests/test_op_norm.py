@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from pair_norm_oracle import svd_pair_norms
+from pair_norm_oracle import full_square_characteristics, svd_pair_norms, top_cube_pairs
 from weaklab import (
     MatrixWeight,
     Mesh,
@@ -162,7 +162,7 @@ def characteristics(W):
 
 def oracle_characteristics(W, monkeypatch):
     with monkeypatch.context() as m:
-        m.setattr(matrix_module, "_pair_norms", svd_pair_norms)
+        m.setattr(matrix_module, "_pair_norms", lambda Wx, Wy: top_cube_pairs(svd_pair_norms(Wx, Wy)))
         return characteristics(W)
 
 
@@ -190,7 +190,7 @@ class TestPairNormsAgainstSvdOracle:
         W = random_matrix_weight(Mesh(1.0, level), 2, np.random.default_rng(140 + level))
         for s in (0.5, 1.0 / 3.0, 1.0):
             P = matrix_module._pair_norms(W.power(s), W.power(-s))
-            ref = svd_pair_norms(W.power(s), W.power(-s))
+            ref = top_cube_pairs(svd_pair_norms(W.power(s), W.power(-s)))
             assert np.max(np.abs(P - ref) / ref) <= 1e-15
         assert_same_witness_close_value(characteristics(W), oracle_characteristics(W, monkeypatch), 1e-14)
 
@@ -202,10 +202,27 @@ class TestPairNormsAgainstSvdOracle:
     def test_d3_is_bit_identical(self, level, monkeypatch):
         W = random_matrix_weight(Mesh(1.0, level), 3, np.random.default_rng(240 + level))
         assert np.array_equal(matrix_module._pair_norms(W.values, W.power(-1.0)),
-                              svd_pair_norms(W.values, W.power(-1.0)))
+                              top_cube_pairs(svd_pair_norms(W.values, W.power(-1.0))))
         got, ref = characteristics(W), oracle_characteristics(W, monkeypatch)
         assert_same_witness_close_value(got, ref, 0.0)
         assert [g.value for g in got] == [r.value for r in ref]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("level", [0, 1, 3, 6])
+@pytest.mark.parametrize("p, q", [(2.0, 3.0), (3.0, 4.5), (1.5, 2.0)])
+def test_top_cube_pairs_give_the_full_square_characteristics(d, level, p, q):
+    """The four characteristics read only the pairs of the two top cubes, and
+    each gives the full-square engine's value (bit for bit), witness and label."""
+    W = random_matrix_weight(Mesh(1.0, level), d, np.random.default_rng(330 + 10 * d + level))
+    got = [
+        matrix_ap_characteristic(W, p),
+        matrix_a1_characteristic(W),
+        matrix_apq_characteristic(W, p, q),
+        matrix_a1q_characteristic(W, q),
+    ]
+    for g, r in zip(got, full_square_characteristics(W, p, q)):
+        assert (g.quantity, g.value.hex(), g.witness, g.witness_label) == (r.quantity, r.value.hex(), r.witness, r.witness_label)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from conftest import random_step
 from geometry_oracle import cells_inside, children, oracle_sparse_apply, parent
 from sparse_oracle import (
+    level_scan_covering_roots,
     oracle_covering_roots,
     oracle_cz_decompose,
     oracle_sparse_family,
@@ -426,6 +427,8 @@ def covering_cases(draw):
 @example(case=(16.0, 0, 1, (-16.0, 16.0)))  # two cells
 @example(case=(1.0, 12, 2, (-1.0, -1.0 + 2.0**-11)))  # the first cell of a fine mesh
 def test_covering_roots_match_the_fraction_loop(case):
+    """Bisected levels, the integer level scan and the ``Fraction`` loop give
+    the same roots, or the same error (a point no inside cube covers)."""
     radius, level, shift, span = case
     mesh, grid = Mesh(radius, level), DyadicGrid(shift)
 
@@ -435,4 +438,17 @@ def test_covering_roots_match_the_fraction_loop(case):
         except ValueError as err:
             return str(err)
 
-    assert outcome(covering_roots) == outcome(oracle_covering_roots)
+    assert outcome(covering_roots) == outcome(level_scan_covering_roots) == outcome(oracle_covering_roots)
+
+
+@pytest.mark.parametrize("shift", [1, 2])
+def test_covering_roots_name_the_point_no_inside_cube_covers(shift):
+    """A shifted grid's cubes shrink near the domain edge: at the edge no
+    cube down to the cells lies inside, and all three name the same point."""
+    mesh, grid = Mesh(1.0, 5), DyadicGrid(shift)
+    messages = []
+    for roots_of in (covering_roots, level_scan_covering_roots, oracle_covering_roots):
+        with pytest.raises(ValueError, match="no grid cube inside the domain covers x") as err:
+            roots_of(mesh, grid, (-1.0, 1.0))
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] == messages[2]
