@@ -10,10 +10,13 @@ Subcommands (one per acceptance cluster):
   matrix-check     matrix-weight invariant suite
   constants        proof-exponent bookkeeping table over |x|^-a weights
 
-Conventions: a single integer --seed drives all randomness; outputs are
-written atomically (temp file + rename) with floats at 12 significant
-digits, so identical configurations reproduce byte-identical files, with
-the mode a plain ``open`` gives (0666 less the umask).  A
+Conventions: a subcommand takes only the flags it reads (argparse refuses
+any other by name, exit 2, from a config key too), so the single integer
+--seed that drives all randomness is a flag of weaktype, sparse-check and
+matrix-check alone; outputs are written atomically (temp file + rename)
+with floats at 12 significant digits, so identical configurations
+reproduce byte-identical files, with the mode a plain ``open`` gives (0666
+less the umask).  A
 ``key = value`` config file supplies defaults; command-line flags override.
 
 Exit codes: 0 success; 1 invariant-suite violation; 2 an ``--alpha`` not
@@ -467,7 +470,7 @@ def cmd_matrix_check(args) -> int:
         red2 = reducing_matrix(W, cube, 2.0)
         if max(abs(red2.lower_factor - 1), abs(red2.upper_factor - 1)) > 1e-12:
             issues.append("p2-exactness")
-        red_p = reducing_matrix(W, cube, args.p) if args.p != 2.0 else red2
+        red_p = reducing_matrix(W, cube, args.p)
         if red_p.upper_factor / red_p.lower_factor > math.sqrt(args.d) * 1.05:
             issues.append("fit-ceiling")
         char = matrix_ap_characteristic(W, args.p)
@@ -530,7 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out", default=None, help="output directory (default $WEAKLAB_OUT or .)")
         p.add_argument("--output", default=None, help="output file path (overrides --out)")
-        p.add_argument("--seed", type=_seed, default=0)
 
     p = add("characteristic", "weight characteristic with witness cube")
     common(p)
@@ -547,6 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("weaktype", "weak-type quotient sweep over seeded step functions")
     common(p)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--operator", default="AS", choices=["AS", "M", "Md", "H", "Ialpha", "Malpha"])
     p.add_argument("--weight", required=True, type=_descriptor,
                    help="powerlog:a=..,b=..,c=.. or sampled:file.json (everything runs on its whole mesh)")
@@ -570,6 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("sparse-check", "CZ + sparse-family invariant suite")
     common(p)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--radius", type=_positive_finite, default=1.0)
     p.add_argument("--level", type=_mesh_level, default=7)
@@ -577,6 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("matrix-check", "matrix-weight invariant suite")
     common(p)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--trials", type=_positive_int, default=10)
     p.add_argument("--d", type=int, default=2, choices=[2, 3])
     p.add_argument("--p", type=_finite, default=2.0)

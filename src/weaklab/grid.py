@@ -21,9 +21,9 @@ layout of a cube table (``at``): a table's spans (``window``), each cell's
 containing cubes (``index``, the maximal sweep), a vector integrand's
 (cube, cell) pairs (``pairs``, Christ-Goldberg), the Fujii-Wilson sweep
 (``sweep``) and the aligned cubes with their cells per cube of each level
-(``aligned_layout``, a sampled weight's and the matrix characteristics'
-candidates).  ``_span_integrals`` only gathers and sums values, read
-through a run layout kept per function (``_Runs``).  A cell
+(``aligned_layout``, which ``_aligned_layout`` reads for a sampled weight
+and the matrix characteristics).  ``_span_integrals`` only gathers and
+sums values, read through a run layout kept per function (``_Runs``).  A cell
 scan (``_scan_layout``: every interval of whole cells, O(n^2) candidates,
 each read from its first to its last cell) is built per call, and one of
 more than 2^21 intervals is refused by name.  One size rule,
@@ -660,12 +660,19 @@ class _Geometry:
     @functools.cached_property
     def aligned_layout(self) -> tuple:
         """(lo, hi, label, cells): the window's cubes, coarse to fine, left to
-        right (``_cubes``), and each level's cells per cube (a sampled
-        weight's candidates, and the matrix characteristics' cubes).  The
-        cubes must tile the cells (the standard grid on a power-of-two
-        radius, down to the cell level)."""
+        right (``_cubes``), and each level's cells per cube, which must tile
+        the cells (read through ``_aligned_layout``)."""
         lo, hi, label = _cubes([(self.grid, k, np.arange(c.start, c.stop)) for k, c in zip(self.levels, self.cubes)])
         return _read_only(lo), _read_only(hi), label, tuple(self.mesh.n_cells // len(c) for c in self.cubes)
+
+
+def _aligned_layout(mesh: Mesh) -> tuple:
+    """(lo, hi, label, cells, levels): the one aligned-cube family, the
+    standard cubes of a power-of-two mesh from width R down to one cell,
+    levels (k_cell - L, k_cell), from its window's kept ``aligned_layout``."""
+    k_cell = mesh.aligned_cell_level()
+    levels = (k_cell - mesh.level, k_cell)
+    return (*_geometry(mesh, DyadicGrid(), tuple(range(levels[0], levels[1] + 1))).aligned_layout, levels)
 
 
 def _cube_table(f: MeshFunction, grid: DyadicGrid, k0: int, k1: int) -> tuple[_Geometry, np.ndarray, int]:
@@ -724,9 +731,9 @@ def _cubes(blocks):
     rule of ``weights._report``, the first maximum: for a search space grid
     by grid, coarse to fine, left to right (``weights._grid_cubes``); for
     Fujii-Wilson grid by grid, fine to coarse, left to right
-    (``weights._fujii_wilson``); for the matrix weights the standard cubes of
-    the mesh from width R down to one cell, left to right, the list of
-    ``SearchSpace.aligned_cubes()`` (``_Geometry.aligned_layout``)."""
+    (``weights._fujii_wilson``); for the aligned cubes (``_aligned_layout``)
+    the standard cubes of the mesh from width R down to one cell, left to
+    right."""
     sizes = [len(m) for _, _, m in blocks]
     num = np.concatenate([np.empty(0, dtype=np.int64)] + [g.numerator(k, m) for g, k, m in blocks])
     scale = np.repeat([2.0**-k for _, k, _ in blocks], sizes)  # each cube's width

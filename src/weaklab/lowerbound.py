@@ -147,10 +147,15 @@ def necessary_condition_violation(t: float, lam: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def w_delta(delta: float) -> PowerLogWeight:
-    """w_delta(x) = log(e/|x|) |x|^(delta-1) inside, 1 outside; 0 < delta < 1/2."""
+def _check_delta(delta: float) -> None:
+    """0 < delta < 1/2, the one domain of the family and its helpers."""
     if not (0 < delta < 0.5):
         raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
+
+
+def w_delta(delta: float) -> PowerLogWeight:
+    """w_delta(x) = log(e/|x|) |x|^(delta-1) inside, 1 outside; 0 < delta < 1/2."""
+    _check_delta(delta)
     return PowerLogWeight(exponent=delta - 1.0, log_exponent=1.0)
 
 
@@ -161,8 +166,7 @@ def exact_a1_interval_average(delta: float, t: float) -> float:
     at t = 1 it equals 1/delta + 1/delta^2 exactly; for t > 1 the constant
     tail contributes (t-1)/t.
     """
-    if not (0 < delta < 0.5):
-        raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
+    _check_delta(delta)
     if t <= 0:
         raise ValueError(f"t must be positive, got {t}")
     if t == 1.0:
@@ -180,6 +184,7 @@ def exact_a1_interval_average(delta: float, t: float) -> float:
 
 def F_lambda(delta: float, lam) -> float | np.ndarray:
     """F(lam) = lam^(1 - 1/(1-delta)) log(lam)^(1/(1-delta)) for lam > 1."""
+    _check_delta(delta)
     lam = np.asarray(lam, dtype=float)
     if np.any(lam <= 1):
         raise ValueError("F is defined for lam > 1")
@@ -193,6 +198,7 @@ def F_argmax(delta: float) -> tuple[float, float]:
 
     lam* is a float for delta >= 1/log(float max), 0.00140888...
     """
+    _check_delta(delta)
     if 1.0 / delta > _LOG_FLOAT_MAX:
         smallest = 1.0 / _LOG_FLOAT_MAX
         raise ValueError(f"lam* = e^(1/delta) overflows: delta must exceed {smallest:.6g}, got {delta:g}")

@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import Cube, DyadicGrid, Mesh, MeshFunction, _fractional_order, _geometry, _weak_exponent, cube_span, default_levels, shifted_grids
+from .grid import Cube, DyadicGrid, Mesh, MeshFunction, _aligned_layout, _fractional_order, _weak_exponent, cube_span, default_levels, shifted_grids
 from .operators import _maximal_sweep
 from .weights import (
     CharacteristicReport,
@@ -435,24 +435,22 @@ def dual_reducing_matrix(W: MatrixWeight, cube: Cube, p: float) -> ReducingMatri
 
 def _matrix_char_engine(
     W: MatrixWeight,
-    pair_norm: np.ndarray,
+    s: float,
     inner_exp: float,
     outer_exp: float | None,
     quantity: str,
 ) -> CharacteristicReport:
-    """sup over aligned cubes of mean_x (mean_y pair_norm^inner)^(outer) or
-    max_x mean_y pair_norm^inner when outer_exp is None (A_1-type); the
-    cubes run from width R down to the cells, the ``aligned_layout`` of the
-    standard grid (the list of ``SearchSpace.aligned_cubes()``).  Every
-    cube lies in one of the two top cubes, so ``pair_norm`` holds only their
-    pairs (``_pair_norms``, shape ``(2, n/2, n/2)``), and each level reads
-    its diagonal blocks, x and y in one cube, from them."""
+    """sup over aligned cubes of mean_x (mean_y P^inner)^(outer) or, when
+    outer_exp is None (A_1-type, P transposed), max_x mean_y P[y, x]^inner,
+    with P[x, y] = ||W^s(x) W^-s(y)||.  The cubes are the one aligned family,
+    ``grid._aligned_layout``.  Every cube lies in one of the two top cubes,
+    so P holds only their pairs (``_pair_norms``, shape ``(2, n/2, n/2)``),
+    and each level reads its diagonal blocks, x and y in one cube, from them."""
     mesh = W.mesh
-    G = pair_norm**inner_exp
+    P = _pair_norms(W.power(s), W.power(-s))
+    G = (P if outer_exp is not None else P.transpose(0, 2, 1)) ** inner_exp
     half = mesh.n_cells // 2
-    k_cell = mesh.aligned_cell_level()
-    levels = (k_cell - mesh.level, k_cell)
-    lo, hi, label, cells = _geometry(mesh, DyadicGrid(), tuple(range(levels[0], levels[1] + 1))).aligned_layout
+    lo, hi, label, cells, levels = _aligned_layout(mesh)
     vals = []
     for B in cells:  # cells per cube
         nb = half // B  # cubes per top cube
@@ -486,14 +484,12 @@ def matrix_ap_characteristic(W: MatrixWeight, p: float) -> CharacteristicReport:
     if not 1 < p < math.inf:
         raise ValueError(f"matrix A_p requires p > 1 and finite, got {p}")
     pp = dual_exponent(p)
-    P = _pair_norms(W.power(1.0 / p), W.power(-1.0 / p))
-    return _matrix_char_engine(W, P, pp, p / pp, f"mat-A_{p:g}")
+    return _matrix_char_engine(W, _field_power(p, 0.0), pp, p / pp, f"mat-A_{p:g}")
 
 
 def matrix_a1_characteristic(W: MatrixWeight) -> CharacteristicReport:
     """[W]_A1 = sup_Q esssup_{x in Q} avg_y ||W(y) W^(-1)(x)|| dy."""
-    P = _pair_norms(W.values, W.power(-1.0)).transpose(0, 2, 1)  # P[t, x, y] = ||W(y) W^-1(x)||
-    return _matrix_char_engine(W, P, 1.0, None, "mat-A_1")
+    return _matrix_char_engine(W, 1.0, 1.0, None, "mat-A_1")
 
 
 def matrix_apq_characteristic(W: MatrixWeight, p: float, q: float) -> CharacteristicReport:
@@ -501,16 +497,14 @@ def matrix_apq_characteristic(W: MatrixWeight, p: float, q: float) -> Characteri
     if not 1 < p < q < math.inf:
         raise ValueError(f"fractional matrix class requires 1 < p < q and q finite, got p={p}, q={q}")
     pp = dual_exponent(p)
-    P = _pair_norms(W.values, W.power(-1.0))
-    return _matrix_char_engine(W, P, pp, q / pp, f"mat-A_({p:g},{q:g})")
+    return _matrix_char_engine(W, 1.0, pp, q / pp, f"mat-A_({p:g},{q:g})")
 
 
 def matrix_a1q_characteristic(W: MatrixWeight, q: float) -> CharacteristicReport:
     """[W]_A(1,q) = sup_Q esssup_{x in Q} avg_y ||W(y) W^(-1)(x)||^q dy."""
     if not 1 < q < math.inf:
         raise ValueError(f"A_(1,q) requires q > 1 and finite, got {q}")
-    P = _pair_norms(W.values, W.power(-1.0)).transpose(0, 2, 1)
-    return _matrix_char_engine(W, P, q, None, f"mat-A_(1,{q:g})")
+    return _matrix_char_engine(W, 1.0, q, None, f"mat-A_(1,{q:g})")
 
 
 # ---------------------------------------------------------------------------
@@ -695,15 +689,11 @@ def random_matrix_weight(mesh: Mesh, d: int, rng: np.random.Generator) -> Matrix
     lam = rng.uniform(-1.5, 1.5, size=(blocks, d))
     lam = np.exp(np.repeat(lam, math.ceil(n / blocks), axis=0)[:n])
     theta = np.cumsum(rng.uniform(-0.3, 0.3, size=n))
-    mats = np.empty((n, d, d))
     if d == 2:
         c, s = np.cos(theta), np.sin(theta)
         R = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
     else:
-        R = np.zeros((n, d, d))
-        for i in range(n):
-            Rq, _ = np.linalg.qr(rng.standard_normal((d, d)))
-            R[i] = Rq
+        R, _ = np.linalg.qr(rng.standard_normal((n, d, d)))  # one draw, the stream of n (d, d) draws
     mats = np.einsum("xij,xj,xkj->xik", R, lam, R)
     mats = 0.5 * (mats + np.swapaxes(mats, 1, 2))
     return MatrixWeight(mesh, mats)

@@ -56,8 +56,8 @@ def quotient_from_output(
     output: MeshFunction, f_norm: float, p: float, q: float | None = None, operator: str = "T"
 ) -> WeakTypeQuotient:
     """Exact weak-type quotient of a step output, normalized by ||f||_p^q."""
-    if not f_norm > 0:
-        raise ValueError("f must have positive norm")
+    if not 0 < f_norm < math.inf:  # false at NaN too
+        raise ValueError(f"f must have a positive and finite norm, got {f_norm}")
     if not p >= 1:
         raise ValueError(f"weak-type quotients need p >= 1, got {p}")
     q = p if q is None else q
@@ -234,8 +234,8 @@ def bound_check(
     (for the sparse weak-type bound: [w]_{A_p} [w]_{A_inf}^p; matrix
     maximal: [W]_{A_p} [W]_{A_inf^sc}^p).
     """
-    if not product > 0:
-        raise ValueError("characteristic product must be positive")
+    if not 0 < product < math.inf:  # false at NaN too
+        raise ValueError(f"characteristic product must be positive and finite, got {product}")
     if len(outputs) == 0:
         raise ValueError("empty family")
     if len(outputs) != len(f_norms):

@@ -57,6 +57,7 @@ from .grid import (
     DyadicGrid,
     Mesh,
     MeshFunction,
+    _aligned_layout,
     _cubes,
     _geometry,
     _length,
@@ -532,21 +533,10 @@ class SearchSpace:
         """Standard-grid dyadic cubes of the carrying mesh only (sampled weights)."""
         return cls(grids=(DyadicGrid(),), sampled_aligned_cubes=True)
 
-    def levels_for(self, weight) -> tuple[tuple[int, int], int]:
-        """``((coarsest, finest), grids)``: the levels and the number of grids
-        of the dyadic cubes ``intervals_for`` builds for this weight kind;
-        ``((0, -1), 0)`` for the full cell scan of a sampled weight."""
-        if not isinstance(weight, SampledWeight):
-            return (self.min_level, self.max_level), len(self.grids)
-        if not self.sampled_aligned_cubes:
-            return (0, -1), 0
-        # standard cubes from width R down to one cell
-        k0 = weight.mesh.aligned_cell_level()
-        return (k0 - weight.mesh.level, k0), 1
-
     def intervals_for(self, weight) -> tuple[np.ndarray, np.ndarray, Callable[[int], str]]:
-        """Candidate intervals ``(lo, hi, label)`` adapted to the weight kind,
-        read-only; ``label(i)`` formats the name of candidate i on demand."""
+        """Candidate intervals ``(lo, hi, label)`` adapted to the weight kind
+        (``_candidates`` or ``_sampled_layout``), read-only; ``label(i)``
+        formats the name of candidate i on demand."""
         return (self._sampled_layout(weight) if isinstance(weight, SampledWeight) else self._candidates)[:3]
 
     @functools.cached_property
@@ -572,19 +562,19 @@ class SearchSpace:
         return lo, hi, label, _Folded(lo, hi)
 
     def _sampled_layout(self, weight: SampledWeight) -> tuple:
-        """``(lo, hi, label, cells)``: a sampled weight's candidates and the
-        cells each one holds (see ``_Plan.accumulate``).  They depend on the
-        mesh and the search alone, so those of the aligned cubes are the
-        ``aligned_layout`` of the standard grid's level window
-        (``grid._geometry``, kept like all window geometry); the scan of the
-        mesh edges in ``domain`` (``grid._scan_layout``, O(n^2) candidates)
-        is built per call."""
+        """``(lo, hi, label, cells, searched)``: a sampled weight's candidates,
+        the cells each one holds (see ``_Plan.accumulate``) and the report's
+        ``(search_levels, grids_used)``.  They depend on the mesh and the
+        search alone: the aligned cubes are ``grid._aligned_layout`` (kept),
+        searched as ``(levels, 1)``; the scan of the mesh edges in ``domain``
+        (``grid._scan_layout``, O(n^2) candidates) is built per call and
+        searches no grid, ``((0, -1), 0)``."""
         mesh = weight.mesh
         if self.sampled_aligned_cubes:
-            (k_lo, k_hi), _ = self.levels_for(weight)
-            return _geometry(mesh, DyadicGrid(), tuple(range(k_lo, k_hi + 1))).aligned_layout
+            *layout, levels = _aligned_layout(mesh)
+            return (*layout, (levels, 1))
         a, b = self.domain
-        return _scan_layout(mesh, *mesh.cell_span(max(a, -mesh.radius), min(b, mesh.radius)))
+        return (*_scan_layout(mesh, *mesh.cell_span(max(a, -mesh.radius), min(b, mesh.radius))), ((0, -1), 0))
 
 
 def _radius(radius: float) -> float:
@@ -646,9 +636,9 @@ class CharacteristicReport:
 
 class _Plan:
     """The candidates of one search (the default one for None) for one weight,
-    laid out once: a closed-form weight's from ``search._candidates``, a
-    sampled weight's from ``search._sampled_layout``, both searched as
-    ``search.levels_for`` says.
+    laid out once with how they were searched (``searched``): a closed-form
+    weight's from ``search._candidates``, on the search's levels and grids,
+    a sampled weight's from ``search._sampled_layout``, which says itself.
 
     A closed-form weight's candidates depend only on the search, so the first
     plan on a search builds them, folds them onto |x| (``_Folded``) and keeps
@@ -662,21 +652,20 @@ class _Plan:
     left; each infimum is the running minimum over the same cells.  The
     candidates depend on the mesh and the search alone and are laid out
     once per plan, so each average, such as a step of
-    ``sharp_rh_exponent``, only sums values.  The aligned cubes' layout is
-    part of the standard grid's kept level-window geometry
-    (``grid._geometry``, read-only), so every plan on an equal mesh and
-    search reads it; a cell scan, O(n^2) candidates, is laid out afresh for
-    each plan.
+    ``sharp_rh_exponent``, only sums values.  The aligned cubes are the
+    one aligned family of ``grid._aligned_layout`` (kept, read-only), so
+    every plan on an equal mesh reads it, as the matrix characteristics do;
+    a cell scan, O(n^2) candidates, is laid out afresh for each plan.
     """
 
     def __init__(self, weight, search: SearchSpace | None):
         search = search or SearchSpace.default()
         self.weight = weight
-        self.searched = search.levels_for(weight)
         if isinstance(weight, PowerLogWeight):
             self.lo, self.hi, self.label, self.folded = search._candidates
+            self.searched = (search.min_level, search.max_level), len(search.grids)
             return
-        self.lo, self.hi, self.label, self.cells = search._sampled_layout(weight)
+        self.lo, self.hi, self.label, self.cells, self.searched = search._sampled_layout(weight)
 
     def accumulate(self, values: np.ndarray, op, fill: float) -> np.ndarray:
         """``op`` (``np.cumsum`` or ``np.minimum.accumulate``) along each
@@ -691,11 +680,12 @@ class _Plan:
         rows = np.lib.stride_tricks.sliding_window_view(np.concatenate((v, np.full(len(v), fill))), len(v))
         return op(rows, axis=1).ravel().take(at)
 
-    def averages(self, weight) -> np.ndarray:
-        """Averages on the candidates of ``weight``, the planned weight or a power of it."""
-        if isinstance(weight, PowerLogWeight):
-            return weight._integrals(self.folded) / (self.hi - self.lo)
-        return self.accumulate(weight.values * weight.mesh.h, np.cumsum, 0.0) / (self.hi - self.lo)
+    def averages(self, s: float) -> np.ndarray:
+        """Averages of w^s on the candidates: a plan reads only powers of its weight."""
+        w = self.weight if s == 1 else self.weight.power(s)  # w^1 is w, bit for bit
+        if isinstance(w, PowerLogWeight):
+            return w._integrals(self.folded) / (self.hi - self.lo)
+        return self.accumulate(w.values * w.mesh.h, np.cumsum, 0.0) / (self.hi - self.lo)
 
     def essinfs(self) -> np.ndarray:
         """Essential infima of the planned weight on the candidates, none of them zero."""
@@ -744,9 +734,8 @@ def ap_characteristic(weight, p: float, search: SearchSpace | None = None) -> Ch
     if not 1 < p < math.inf:
         raise ValueError(f"A_p requires p > 1 and finite, got {p}; use a1_characteristic for p = 1")
     plan = _Plan(weight, search)
-    dual = weight.power(1.0 - dual_exponent(p))
     try:
-        avg_w, avg_dual = plan.averages(weight), plan.averages(dual)
+        avg_w, avg_dual = plan.averages(1.0), plan.averages(1.0 - dual_exponent(p))
     except NonIntegrableError as e:
         raise NonIntegrableError(f"A_p dual weight: {e}") from None
     return plan.report(f"A_{p:g}", avg_w * avg_dual ** (p - 1.0))
@@ -755,7 +744,7 @@ def ap_characteristic(weight, p: float, search: SearchSpace | None = None) -> Ch
 def a1_characteristic(weight, search: SearchSpace | None = None) -> CharacteristicReport:
     """A_1 characteristic sup_Q (avg_Q w) / essinf_Q w."""
     plan = _Plan(weight, search)
-    return plan.report("A_1", plan.averages(weight) / plan.essinfs())
+    return plan.report("A_1", plan.averages(1.0) / plan.essinfs())
 
 
 def rh_characteristic(weight, s: float, search: SearchSpace | None = None) -> CharacteristicReport:
@@ -764,10 +753,10 @@ def rh_characteristic(weight, s: float, search: SearchSpace | None = None) -> Ch
         raise ValueError(f"reverse Holder requires s > 1 and finite, got {s}")
     plan = _Plan(weight, search)
     try:
-        avg_ws = plan.averages(weight.power(s))
+        avg_ws = plan.averages(s)
     except NonIntegrableError as e:
         raise NonIntegrableError(f"RH_{s:g}: {e}") from None
-    return plan.report(f"RH_{s:g}", avg_ws ** (1.0 / s) / plan.averages(weight))
+    return plan.report(f"RH_{s:g}", avg_ws ** (1.0 / s) / plan.averages(1.0))
 
 
 def sharp_rh_exponent(
@@ -791,8 +780,8 @@ def sharp_rh_exponent(
     def ok(s: float) -> bool:
         nonlocal avg_w
         try:
-            avg_ws = plan.averages(weight.power(s))
-            avg_w = plan.averages(weight) if avg_w is None else avg_w
+            avg_ws = plan.averages(s)
+            avg_w = plan.averages(1.0) if avg_w is None else avg_w
             return plan.report("RH", avg_ws ** (1.0 / s) / avg_w).value <= 2.0
         except NonIntegrableError:
             return False
@@ -824,9 +813,8 @@ def apq_characteristic(
         raise ValueError(f"A_(p,q) requires q > p and finite, got p={p}, q={q}")
     plan = _Plan(weight, search)
     pprime = dual_exponent(p)
-    wq, wdual = weight.power(q), weight.power(-pprime)
     try:
-        avg_q, avg_dual = plan.averages(wq), plan.averages(wdual)
+        avg_q, avg_dual = plan.averages(q), plan.averages(-pprime)
     except NonIntegrableError as e:
         raise NonIntegrableError(f"A_(p,q): {e}") from None
     return plan.report(f"A_({p:g},{q:g})", avg_q * avg_dual ** (q / pprime))
@@ -837,7 +825,7 @@ def a1q_characteristic(weight, q: float, search: SearchSpace | None = None) -> C
     if not 1 < q < math.inf:
         raise ValueError(f"A_(1,q) requires q > 1 and finite, got {q}")
     plan = _Plan(weight, search)
-    return plan.report(f"A_(1,{q:g})", plan.averages(weight.power(q)) / plan.essinfs() ** q)
+    return plan.report(f"A_(1,{q:g})", plan.averages(q) / plan.essinfs() ** q)
 
 
 # ---------------------------------------------------------------------------

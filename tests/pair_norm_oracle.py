@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from weaklab.grid import DyadicGrid, _geometry
+from weaklab.grid import _aligned_layout
 from weaklab.matrix import _sigma_max_2x2, dual_exponent
 from weaklab.weights import _report
 
@@ -51,9 +51,7 @@ def full_square_engine(W, pair_norm, inner_exp, outer_exp, quantity):
     """The characteristic engine over the full (n, n) table ``pair_norm``."""
     mesh = W.mesh
     G = pair_norm**inner_exp
-    k_cell = mesh.aligned_cell_level()
-    levels = (k_cell - mesh.level, k_cell)
-    lo, hi, label, cells = _geometry(mesh, DyadicGrid(), tuple(range(levels[0], levels[1] + 1))).aligned_layout
+    lo, hi, label, cells, levels = _aligned_layout(mesh)
     vals = []
     for B in cells:
         nb = mesh.n_cells // B

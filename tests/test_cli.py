@@ -592,6 +592,25 @@ class TestConfigAndEnv:
         assert code == 0
         assert "powerlog:a=-0.5" in out.read_text()
 
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "args",
+        [["characteristic", "--weight", "powerlog:a=-0.5"], ["lowerbound", "--delta", "0.2"],
+         ["constants", "--a-list", "0.3"]],
+        ids=["characteristic", "lowerbound", "constants"],
+    )
+    def test_seed_is_no_flag_where_nothing_is_drawn(self, tmp_path, capsys, args, via):
+        """A subcommand takes only the flags it reads: these three draw no
+        random numbers, so a --seed, given or from a config key, is refused."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 3\n")
+        argv = [*args, "--seed", "3"] if via == "flag" else ["--config", str(cfg), *args]
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "x.csv", argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_config_equals_path_is_config_path(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("weight = powerlog:a=-0.5\np = 2\n")

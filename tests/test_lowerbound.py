@@ -198,6 +198,19 @@ class TestF:
         with pytest.raises(ValueError):
             F_lambda(0.1, 1.0)
 
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: F_argmax(-1.0), lambda: F_argmax(0.0), lambda: F_argmax(1.0), lambda: F_argmax(math.nan),
+         lambda: F_lambda(1.0, 3.0), lambda: exact_a1_interval_average(0.5, 1.0)],
+        ids=["argmax-negative", "argmax-zero", "argmax-one", "argmax-nan", "lambda-one", "average-half"],
+    )
+    def test_delta_outside_its_domain_is_named(self, call):
+        # one domain for the family and its helpers: F_argmax(-1) gave a
+        # complex F*, and delta = 0 or 1 divided by zero
+        with pytest.raises(ValueError, match=re.escape("delta must lie in (0, 1/2), got")):
+            call()
+        assert F_argmax(0.4)[1] > 0
+
 
 class TestLevelSets:
     def test_h_magnitude_exceeds_half(self):

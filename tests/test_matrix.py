@@ -37,6 +37,8 @@ from weaklab import (
     sharp_rhi_matrix_bound,
     unit_directions,
 )
+from weaklab import weights as weights_module
+from weaklab.grid import _aligned_layout
 from weaklab.matrix import _cached_reduce, _field_power, _rho_values
 from weaklab.weights import SearchSpace, sharp_rh_exponent
 
@@ -280,16 +282,22 @@ class TestScalarRestriction:
         for v in unit_directions(2, 100):
             assert scalar_restriction_characteristic(W, p, v).value <= char * (1 + 1e-9)
 
-    def test_search_levels_agree_with_matrix_report(self):
-        # both scan the aligned cubes of Mesh(1, 5): levels 0 (width R) to 5
-        # (one cell) of the standard grid
-        W = random_matrix_weight(Mesh(1.0, 5), 2, np.random.default_rng(0))
-        rep = scalar_restriction_characteristic(W, 2.0, np.array([1.0, 0.0]))
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_search_levels_agree_with_matrix_report(self, d):
+        # both search the one aligned family of Mesh(1, 5), grid._aligned_layout:
+        # levels 0 (width R) to 5 (one cell) of the standard grid; a sampled
+        # aligned plan reads its very arrays and labels
+        W = random_matrix_weight(Mesh(1.0, 5), d, np.random.default_rng(0))
+        v = np.eye(d)[0]
+        lo, hi, label, _, levels = _aligned_layout(W.mesh)
+        plan = weights_module._Plan(scalar_restriction(W, 2.0, v), SearchSpace.aligned_cubes())
+        assert plan.lo is lo and plan.hi is hi and plan.label is label
+        rep = scalar_restriction_characteristic(W, 2.0, v)
         mat = matrix_ap_characteristic(W, 2.0)
-        assert rep.search_levels == mat.search_levels == (0, 5)
+        assert rep.search_levels == mat.search_levels == levels == (0, 5)
         assert rep.grids_used == mat.grids_used == 1
         # a full cell scan searches no dyadic cube
-        full = ap_characteristic(scalar_restriction(W, 2.0, np.array([1.0, 0.0])), 2.0)
+        full = ap_characteristic(scalar_restriction(W, 2.0, v), 2.0)
         assert (full.search_levels, full.grids_used) == ((0, -1), 0)
 
     def test_witness_labels_agree_when_witnesses_agree(self):

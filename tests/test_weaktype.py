@@ -47,6 +47,17 @@ class TestQuotient:
         wq = weak_quotient("AS", ONE, 2.0, f, family=fam)
         assert wq.quotient == pytest.approx(1.0, rel=1e-12)
 
+    def test_an_overflowing_norm_is_refused_by_name(self):
+        # three cells at 1e200: ||f||_2 overflows to inf, and the quotient was
+        # nan with f_norm = inf (only RuntimeWarnings said so)
+        mesh = Mesh(1.0, 4)
+        values = np.ones(mesh.n_cells)
+        values[[3, 7, 11]] = 1e200
+        f = MeshFunction(mesh, values)
+        with pytest.raises(ValueError, match="f must have a positive and finite norm, got inf"):
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                weak_quotient("Md", PowerLogWeight(0.5), 2.0, f)
+
     def test_invariance_under_scaling_f(self, mesh):
         rng = np.random.default_rng(14)
         f = random_step(mesh, rng)

@@ -1461,7 +1461,7 @@ def test_sampled_averages_sum_each_interval_locally():
     mesh = Mesh(1.0, 7)
     w = _heavy_left(mesh, 0.412, np.full(mesh.n_cells // 2, 1e-9))
     plan = weights_module._Plan(w, SearchSpace())
-    got = plan.averages(w)
+    got = plan.averages(1.0)
     (right,) = np.flatnonzero((plan.lo == 0.0) & (plan.hi == 1.0))
     assert got[right] == np.cumsum(w.values[mesh.n_cells // 2 :] * mesh.h)[-1]
     assert got[right] == pytest.approx(1e-9, rel=1e-14, abs=0.0)
@@ -1484,7 +1484,7 @@ def _running_candidates(kind):
         averages, essinfs = oracle_run_averages(w, lo, hi), oracle_run_essinfs(w, lo, hi)
     else:
         plan = weights_module._Plan(w, SearchSpace() if kind == "cells" else SearchSpace.aligned_cubes())
-        lo, hi, averages, essinfs = plan.lo, plan.hi, plan.averages(w), plan.essinfs()
+        lo, hi, averages, essinfs = plan.lo, plan.hi, plan.averages(1.0), plan.essinfs()
     i_lo, i_hi = (np.round((x + 1.0) / mesh.h).astype(int) for x in (lo, hi))
     return w, averages, essinfs, i_lo, i_hi
 
@@ -1531,8 +1531,8 @@ def test_sampled_plan_matches_the_run_layout_oracle(radius, level, values, seed,
     plan = weights_module._Plan(w, space)
     if search == "cells":
         assert len(plan.lo) == mesh.n_cells * (mesh.n_cells + 1) // 2
-    for v in (w, w.power(power)):
-        assert plan.averages(v).tobytes() == oracle_run_averages(v, plan.lo, plan.hi).tobytes()
+    for s in (1.0, power):
+        assert plan.averages(s).tobytes() == oracle_run_averages(w.power(s), plan.lo, plan.hi).tobytes()
     if len(plan.lo):
         assert plan.essinfs().tobytes() == oracle_run_essinfs(w, plan.lo, plan.hi).tobytes()
 
@@ -1652,9 +1652,9 @@ def test_kept_fold_gives_the_floats_of_integral_batch(w):
         want = w.integral_batch(plan.lo, plan.hi) / (plan.hi - plan.lo)
     except NonIntegrableError as e:
         with pytest.raises(NonIntegrableError, match=re.escape(str(e))):
-            plan.averages(w)
+            plan.averages(1.0)
     else:
-        assert plan.averages(w).tobytes() == want.tobytes()
+        assert plan.averages(1.0).tobytes() == want.tobytes()
 
 
 def test_kept_candidates_leave_equality_and_hashing_alone():
@@ -1727,19 +1727,22 @@ _GUARD_F = MeshFunction(_GUARD_MESH, np.linspace(0.5, 2.0, _GUARD_MESH.n_cells))
         (lambda: weak_lp_norm(_GUARD_F, math.nan), "weak norm needs p >= 1, got nan"),
         (lambda: quotient_from_output(_GUARD_F, 1.0, math.nan), "weak-type quotients need p >= 1, got nan"),
         (lambda: quotient_from_output(_GUARD_F, 1.0, 2.0, math.nan), "need a finite q >= p, got p=2.0, q=nan"),
-        (lambda: quotient_from_output(_GUARD_F, math.nan, 2.0), "f must have positive norm"),
+        (lambda: quotient_from_output(_GUARD_F, math.nan, 2.0), "f must have a positive and finite norm, got nan"),
+        (lambda: quotient_from_output(_GUARD_F, math.inf, 2.0), "f must have a positive and finite norm, got inf"),
         (lambda: proof_constants(math.nan, 2.0), "sharp reverse-Holder exponent requires nu > 1 and finite, got nan"),
         (lambda: proof_constants(math.inf, 2.0), "sharp reverse-Holder exponent requires nu > 1 and finite, got inf"),
         (lambda: proof_constants(2.0, math.nan), "p must be >= 1 and finite, got nan"),
         (lambda: proof_constants(2.0, math.inf), "p must be >= 1 and finite, got inf"),
-        (lambda: bound_check("T", math.nan, [_GUARD_F], [1.0], 2.0), "characteristic product must be positive"),
+        (lambda: bound_check("T", math.nan, [_GUARD_F], [1.0], 2.0), "characteristic product must be positive and finite, got nan"),
+        (lambda: bound_check("T", math.inf, [_GUARD_F], [1.0], 2.0), "characteristic product must be positive and finite, got inf"),
         (lambda: _GUARD_F.lp_norm(0), "L^p norm needs p > 0, got 0"),
         (lambda: MeshFunction.constant(_GUARD_MESH, 2.0).lp_norm(-1), "L^p norm needs p > 0, got -1"),
     ],
     ids=[
         "ap", "ap-inf", "rh", "rh-inf", "a1q", "a1q-inf", "apq-p", "apq-q", "apq-q-inf", "sharp-rh-ceiling",
         "sharp-rh-ceiling-inf", "dual", "dual-inf", "weak-norm", "quotient-p", "quotient-q", "quotient-f-norm",
-        "proof-nu", "proof-nu-inf", "proof-p", "proof-p-inf", "bound-product", "lp-norm-0", "lp-norm-neg",
+        "quotient-f-norm-inf", "proof-nu", "proof-nu-inf", "proof-p", "proof-p-inf", "bound-product",
+        "bound-product-inf", "lp-norm-0", "lp-norm-neg",
     ],
 )
 def test_exponent_guards_name_nan_and_out_of_range_values(call, message):
